@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure (bad files, failed checks),
 2 usage error (bad flags or argument combinations). All randomized behavior
-is seeded through --seed (default from $YOLOKIT_SEED, else 0), so identical
-invocations produce byte-identical outputs.
+is seeded through --seed (default from $YOLOKIT_SEED, else 0; a non-integer
+$YOLOKIT_SEED is a usage error), so identical invocations produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ _PALETTE_DOC = ", ".join(f"{i}:{rgb}" for i, rgb in enumerate(PALETTE))
 
 
 def _default_seed() -> int:
+    value = os.environ.get("YOLOKIT_SEED", "0")
     try:
-        return int(os.environ.get("YOLOKIT_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise UsageError(f"YOLOKIT_SEED must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,6 +170,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.toy_steps < 1:
+        raise UsageError("--toy-steps must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
     results = run_all(seed=seed, fault=args.inject_grad_fault, toy_steps=args.toy_steps)
     if args.json:

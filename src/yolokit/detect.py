@@ -120,18 +120,17 @@ def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransfor
     best_prob = np.take_along_axis(class_probs, best_class[:, None], axis=1)[:, 0]
     scores = objectness * best_prob
 
-    detections = []
-    for a, i, j in zip(*np.nonzero(scores >= conf_threshold)):
-        box = Box(float(bx[a, i, j]), float(by[a, i, j]), float(bw[a, i, j]), float(bh[a, i, j]))
-        detections.append(
-            Detection(
-                image_id=image_id,
-                class_index=int(best_class[a, i, j]),
-                score=float(scores[a, i, j]),
-                box=transform.to_original(box),
-            )
-        )
-    return detections
+    a, i, j = np.nonzero(scores >= conf_threshold)
+    # LetterboxTransform.to_original on arrays: the same operations, so the same bits
+    xs = ((bx[a, i, j] - transform.pad_x) / transform.scale).tolist()
+    ys = ((by[a, i, j] - transform.pad_y) / transform.scale).tolist()
+    ws = (bw[a, i, j] / transform.scale).tolist()
+    hs = (bh[a, i, j] / transform.scale).tolist()
+    return [
+        Detection(image_id, cls, score, Box(x, y, w, h))
+        for cls, score, x, y, w, h in zip(best_class[a, i, j].tolist(),
+                                           scores[a, i, j].tolist(), xs, ys, ws, hs)
+    ]
 
 
 def iou(a: Box, b: Box) -> float:
@@ -153,20 +152,34 @@ def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     Within a class, detections are visited by descending score (equal scores
     keep input order); a detection is kept unless its IoU with an already
     kept same-class detection exceeds the threshold. Output is ordered by
-    (score desc, class, input position).
+    (score desc, class, input position). Each kept box suppresses with one
+    vectorised IoU row against the later boxes of its class, computed with
+    the arithmetic of :func:`iou`, so every decision equals the scalar
+    loop's (``oracles.nms_loop``) bit for bit.
     """
     if not 0 < iou_threshold < 1:
         raise UsageError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    by_class: dict[int, list[tuple[int, Detection]]] = {}
-    for pos, det in enumerate(detections):
-        by_class.setdefault(det.class_index, []).append((pos, det))
-    kept: list[tuple[int, Detection]] = []
-    for cls in sorted(by_class):
-        candidates = sorted(by_class[cls], key=lambda pd: (-pd[1].score, pd[0]))
-        chosen: list[tuple[int, Detection]] = []
-        for pos, det in candidates:
-            if all(iou(det.box, kept_det.box) <= iou_threshold for _, kept_det in chosen):
-                chosen.append((pos, det))
-        kept.extend(chosen)
-    kept.sort(key=lambda pd: (-pd[1].score, pd[1].class_index, pd[0]))
-    return [det for _, det in kept]
+    if not detections:
+        return []
+    table = np.array(
+        [(d.class_index, d.score, d.box.x, d.box.y, d.box.w, d.box.h) for d in detections],
+        dtype=np.float64,
+    )
+    # input positions grouped by class, then by score desc and position
+    order = np.lexsort((np.arange(len(table)), -table[:, 1], table[:, 0]))
+    cls, _, x, y, w, h = table[order].T
+    x1, y1, x2, y2 = x - w / 2, y - h / 2, x + w / 2, y + h / 2
+    area = w * h
+    class_end = np.searchsorted(cls, cls, side="right")
+    alive = np.ones(len(table), dtype=bool)
+    for k in range(len(table)):
+        if not alive[k]:
+            continue
+        rest = slice(k + 1, class_end[k])
+        iw = np.minimum(x2[rest], x2[k]) - np.maximum(x1[rest], x1[k])
+        ih = np.minimum(y2[rest], y2[k]) - np.maximum(y1[rest], y1[k])
+        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)  # 0, so IoU 0, unless both > 0
+        alive[rest] &= inter / (area[rest] + area[k] - inter) <= iou_threshold
+    kept = order[alive]
+    kept = kept[np.lexsort((kept, table[kept, 0], -table[kept, 1]))]
+    return [detections[p] for p in kept.tolist()]

@@ -127,8 +127,14 @@ def parse_predictions(text: str) -> list[Detection]:
 
 
 def format_predictions(detections: list[Detection]) -> str:
+    """One ``image_id class_index score x y w h`` line per detection.
+
+    Values are written as Python ``int``/``float`` reprs, so numpy scalars
+    produce the same text as the Python numbers they hold.
+    """
     lines = [
-        f"{d.image_id} {d.class_index} {d.score!r} {d.box.x!r} {d.box.y!r} {d.box.w!r} {d.box.h!r}"
+        f"{d.image_id} {int(d.class_index)} {float(d.score)!r} {float(d.box.x)!r} "
+        f"{float(d.box.y)!r} {float(d.box.w)!r} {float(d.box.h)!r}"
         for d in detections
     ]
     return "\n".join(lines) + ("\n" if lines else "")

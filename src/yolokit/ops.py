@@ -145,13 +145,6 @@ class ConvParams:
         else:
             yield "biases", self.biases, self.g_biases
 
-    def param_count(self) -> int:
-        """Float count as serialized: 4 or 1 per-filter vectors plus weights."""
-        per_filter = 4 if self.has_batchnorm else 1
-        k = self.size
-        cin = self.in_channels
-        return per_filter * self.filters + self.filters * cin * k * k
-
 
 class GradTape:
     """Records a forward op sequence so gradients can be pushed back through it.
@@ -397,8 +390,3 @@ def shortcut_add(x: np.ndarray, y: np.ndarray, tape: GradTape | None = None) -> 
 
         tape.record(out, backward)
     return out
-
-
-def backward(tape: GradTape, seeds) -> None:
-    """Run the reverse pass over a recorded tape. See :meth:`GradTape.backward`."""
-    tape.backward(seeds)

@@ -115,6 +115,28 @@ def _iou_corner(a, b) -> float:
     return inter / (a.w * a.h + b.w * b.h - inter)
 
 
+def nms_loop(detections, iou_threshold: float):
+    """Greedy per-class NMS as a plain loop over pairs of kept detections.
+
+    Within a class, detections are visited by (score desc, input position);
+    one is kept unless its IoU with an already kept one exceeds the
+    threshold. Output is ordered by (score desc, class, input position).
+    """
+    by_class = {}
+    for pos, det in enumerate(detections):
+        by_class.setdefault(det.class_index, []).append((pos, det))
+    kept = []
+    for cls in sorted(by_class):
+        candidates = sorted(by_class[cls], key=lambda pd: (-pd[1].score, pd[0]))
+        chosen = []
+        for pos, det in candidates:
+            if all(_iou_corner(det.box, other.box) <= iou_threshold for _, other in chosen):
+                chosen.append((pos, det))
+        kept.extend(chosen)
+    kept.sort(key=lambda pd: (-pd[1].score, pd[1].class_index, pd[0]))
+    return [det for _, det in kept]
+
+
 def brute_force_evaluate(detections, ground_truth, num_classes: int,
                          iou_threshold: float = 0.5):
     """Independent evaluator: plain-loop matching plus threshold-enumerated AP.

@@ -396,6 +396,8 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
             for score in np.linspace(0.99, 0.05, 60) ** rng.uniform(0.7, 1.4)
         ]
         survivors = nms(boxes, 0.45)
+        if [id(d) for d in survivors] != [id(d) for d in oracles.nms_loop(boxes, 0.45)]:
+            return False, "NMS survivors differ from the oracle loop"
         for a in survivors:
             for b in survivors:
                 if a is not b and a.class_index == b.class_index and iou(a.box, b.box) > 0.45:
@@ -404,7 +406,7 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
         rng.shuffle(shuffled)
         if set(nms(shuffled, 0.45)) != set(survivors):
             return False, "NMS survivors changed under input permutation"
-        return True, "factorization exact; overlaps bounded; permutation stable"
+        return True, "factorization exact; NMS equals oracle; overlaps bounded; permutation stable"
 
     (ok, detail), seconds = _timed(run)
     return CheckResult("decode-nms", ok, detail, "exact", seconds)

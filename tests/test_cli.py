@@ -115,6 +115,14 @@ class TestDetect:
         assert run(args + ["--out", from_env]) == 0
         assert explicit.read_bytes() == from_env.read_bytes()
 
+    def test_non_integer_env_seed_is_usage_error(self, scene, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("YOLOKIT_SEED", "abc")
+        out = tmp_path / "p.txt"
+        assert run(["detect", scene, "--model", "yolov3-tiny", "--size", "64",
+                    "--out", out]) == 2
+        assert "YOLOKIT_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def _write_fixture(self, tmp_path):

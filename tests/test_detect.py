@@ -17,7 +17,7 @@ from yolokit.detect import (
 )
 from yolokit.errors import ShapeError, UsageError
 from yolokit.network import HeadOutput
-from yolokit.oracles import iou_grid_count
+from yolokit.oracles import iou_grid_count, nms_loop
 
 
 def head_with_raw(raw, stride=32, anchors=None, num_classes=2):
@@ -220,3 +220,28 @@ class TestNms:
             shuffled = list(dets)
             rng.shuffle(shuffled)
             assert set(nms(shuffled, 0.45)) == baseline
+
+    def test_matches_oracle_loop(self):
+        # integer boxes and one-decimal scores make score ties and IoU exactly
+        # at the threshold (inter 1, union 3 at 1/3; inter 1, union 2 at 1/2)
+        rng = np.random.default_rng(9)
+        at_threshold = 0
+        for trial in range(200):
+            threshold = (1 / 3, 0.5, 0.45)[trial % 3]
+            dets = [
+                Detection(
+                    "img",
+                    int(rng.integers(1 + trial % 3)),
+                    round(float(rng.uniform(0.05, 1.0)), 1),
+                    Box(*rng.integers(0, 8, 2).tolist(), *rng.integers(1, 5, 2).tolist()),
+                )
+                for _ in range(int(rng.integers(0, 40)))
+            ]
+            at_threshold += any(
+                a.class_index == b.class_index and iou(a.box, b.box) == threshold
+                for a in dets for b in dets if a is not b
+            )
+            got, expected = nms(dets, threshold), nms_loop(dets, threshold)
+            assert [id(d) for d in got] == [id(d) for d in expected]
+        assert at_threshold >= 20
+        assert nms([], 1 / 3) == nms_loop([], 1 / 3) == []

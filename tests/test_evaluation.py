@@ -73,6 +73,16 @@ class TestPredictionFormat:
         ]
         assert parse_predictions(format_predictions(dets)) == dets
 
+    def test_numpy_scalars_round_trip(self):
+        dets = [
+            det("im0", np.int64(3), np.float64(0.5), np.float64(565.4404296875),
+                np.float32(20.25), np.float64(5.0), np.float32(8.5)),
+        ]
+        text = format_predictions(dets)
+        assert "np." not in text
+        assert text == format_predictions([det("im0", 3, 0.5, 565.4404296875, 20.25, 5.0, 8.5)])
+        assert parse_predictions(text) == dets
+
     def test_field_count_error(self):
         with pytest.raises(AnnotationError):
             parse_predictions("im0 1 0.5 10 10 5\n")
