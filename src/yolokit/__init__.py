@@ -13,7 +13,7 @@ from .detect import Box, Detection, LetterboxTransform, decode, iou, letterbox, 
 from .errors import YoloKitError
 from .evaluation import EvalReport, GroundTruthBox, evaluate, parse_visdrone
 from .loss import LossWeights, assign_targets, sgd_step, total_loss, train_toy
-from .network import HeadOutput, Network, spp_forward
+from .network import HeadOutput, Network
 from .ops import ConvParams, GradTape
 from .weights import load_weights, random_init, save_weights
 
@@ -46,7 +46,6 @@ __all__ = [
     "save_weights",
     "sgd_step",
     "shape_check",
-    "spp_forward",
     "total_loss",
     "train_toy",
 ]

@@ -132,6 +132,7 @@ def cmd_detect(args) -> int:
         net = load_weights_file(graph, args.weights, dtype=dtype)
     else:
         net = random_init(graph, seed=seed, dtype=dtype)
+    net.freeze()
 
     all_detections = []
     for path in args.images:

@@ -3,7 +3,8 @@
 A :class:`Network` owns one :class:`~yolokit.cfg.ModelGraph` and a ConvParams
 slot per layer (None for parameter-free layers). Parameters are attached by
 the weights module (file load or seeded random init); running ``forward`` on
-an unparameterized network is a usage error. Inference is read-only, so one
+an unparameterized network is a usage error. ``freeze`` folds batch-norm into
+the convolutions once, for inference. Inference is read-only, so one
 parameterized network can serve concurrent forward passes; each call builds
 its own activations and (optionally) its own tape.
 """
@@ -38,14 +39,12 @@ class Network:
     """A graph plus per-convolution parameters, executable on CHW images."""
 
     def __init__(self, graph: ModelGraph, dtype=np.float64):
-        shape_check(graph, graph.input_width, graph.input_height)
+        shapes = shape_check(graph, graph.input_width, graph.input_height)
         self.graph = graph
         self.dtype = np.dtype(dtype)
         self.seen = 0
         self.params: list[ops.ConvParams | None] = []
         self.conv_in_channels: dict[int, int] = {}
-        channels = graph.input_channels
-        trace = [channels]
         for i, layer in enumerate(graph.layers):
             a = layer.attrs
             if layer.kind == "convolutional":
@@ -56,14 +55,10 @@ class Network:
                     has_batchnorm=bool(a["batch_normalize"]),
                     activation=a["activation"],
                 )
-                self.conv_in_channels[i] = channels
+                self.conv_in_channels[i] = shapes[i - 1][0] if i else graph.input_channels
                 self.params.append(p)
-                channels = a["filters"]
             else:
                 self.params.append(None)
-                if layer.kind == "route":
-                    channels = sum(trace[resolve_ref(i, r) + 1] for r in a["layers"])
-            trace.append(channels)
 
     @property
     def parameterized(self) -> bool:
@@ -79,6 +74,25 @@ class Network:
         for _, p in self.conv_layers():
             p.zero_grads()
 
+    def freeze(self) -> None:
+        """Fold batch-norm into each convolution's weights and bias, in place.
+
+        Inference then runs only the GEMM plus one bias-and-activation pass.
+        The folded network has no gamma/beta left to train and cannot be
+        saved in the file layout; fold after loading, never before training.
+        """
+        if not self.parameterized:
+            raise UsageError("network has no parameters; load weights or random-init first")
+        for _, p in self.conv_layers():
+            if not p.has_batchnorm:
+                continue
+            scale = p.bn_gamma / np.sqrt(p.bn_var + ops.BN_EPSILON)
+            p.weights *= scale[:, None, None, None]
+            p.biases = p.bn_beta - p.bn_mean * scale
+            p.has_batchnorm = False
+            p.bn_gamma = p.bn_beta = p.bn_mean = p.bn_var = None
+            p.g_gamma = p.g_beta = None
+
     def forward(self, image: np.ndarray, tape: ops.GradTape | None = None) -> list[HeadOutput]:
         """Run the full graph on one image, returning heads coarse to fine."""
         if not self.parameterized:
@@ -93,10 +107,40 @@ class Network:
             raise ShapeError(f"input {in_h}x{in_w} must be divisible by 32")
         image = np.ascontiguousarray(image, dtype=self.dtype)
 
-        outputs: list[np.ndarray] = []
-        heads: list[HeadOutput] = []
-        x = image
+        outputs = self.run_layers(image, 0, len(self.graph.layers), tape)
+        heads = []
         for i, layer in enumerate(self.graph.layers):
+            if layer.kind != "yolo":
+                continue
+            a = layer.attrs
+            raw = outputs[i]
+            heads.append(
+                HeadOutput(
+                    grid=(raw.shape[1], raw.shape[2]),
+                    stride=in_h // raw.shape[1],
+                    raw=raw,
+                    anchors=[
+                        (float(a["anchors"][2 * m]), float(a["anchors"][2 * m + 1]))
+                        for m in a["mask"]
+                    ],
+                    num_classes=a["classes"],
+                )
+            )
+        heads.sort(key=lambda h: -h.stride)
+        return heads
+
+    def run_layers(self, x: np.ndarray, start: int, stop: int,
+                   tape: ops.GradTape | None = None) -> dict[int, np.ndarray]:
+        """Run graph layers ``start`` .. ``stop - 1`` on ``x``, the output of
+        layer ``start - 1`` (the image when ``start`` is 0).
+
+        Returns every output keyed by layer index, ``x`` under ``start - 1``.
+        Parameter-free layers run on an unparameterized network too, which is
+        how checks exercise the graph's own pooling blocks.
+        """
+        outputs = {start - 1: x}
+        for i in range(start, stop):
+            layer = self.graph.layers[i]
             a = layer.attrs
             if layer.kind == "convolutional":
                 x = ops.conv2d_forward(x, self.params[i], tape)
@@ -109,25 +153,8 @@ class Network:
                 x = ops.concat_channels(inputs, tape)
             elif layer.kind == "shortcut":
                 x = ops.shortcut_add(x, outputs[resolve_ref(i, a["from"])], tape)
-            elif layer.kind == "yolo":
-                grid_h, grid_w = x.shape[1], x.shape[2]
-                stride = in_h // grid_h
-                anchors = [
-                    (float(a["anchors"][2 * m]), float(a["anchors"][2 * m + 1]))
-                    for m in a["mask"]
-                ]
-                heads.append(
-                    HeadOutput(
-                        grid=(grid_h, grid_w),
-                        stride=stride,
-                        raw=x,
-                        anchors=anchors,
-                        num_classes=a["classes"],
-                    )
-                )
-            outputs.append(x)
-        heads.sort(key=lambda h: -h.stride)
-        return heads
+            outputs[i] = x
+        return outputs
 
     def backward(self, tape: ops.GradTape, head_grads) -> None:
         """Push per-head raw gradients back to the parameter buffers.
@@ -157,18 +184,3 @@ class Network:
             per_layer.append((i, n))
             total += n
         return per_layer, total
-
-
-def spp_forward(x: np.ndarray, tape: ops.GradTape | None = None) -> np.ndarray:
-    """Pyramid-pool a feature map: concat of identity and 5/9/13 max pools.
-
-    All three pools use stride 1 with same padding, so a C x H x W input
-    yields 4C x H x W for any H, W >= 1.
-    """
-    branches = [
-        x,
-        ops.maxpool2d_forward(x, 5, 1, 2, tape),
-        ops.maxpool2d_forward(x, 9, 1, 4, tape),
-        ops.maxpool2d_forward(x, 13, 1, 6, tape),
-    ]
-    return ops.concat_channels(branches, tape)

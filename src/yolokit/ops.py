@@ -74,7 +74,8 @@ class ConvParams:
     plain bias vector is unused; without batch-norm only ``biases`` applies.
     Batch-norm runs in inference mode: the rolling statistics are loaded data,
     never updated; only weights, biases and the BN affine terms carry
-    gradients.
+    gradients. ``Network.freeze`` folds the batch-norm into weights and biases
+    for inference, leaving a plain biased convolution.
     """
 
     filters: int
@@ -199,27 +200,30 @@ class GradTape:
 
 
 def _apply_activation(z, activation):
+    """Activate ``z``, overwriting it for leaky; ``z`` must not be shared."""
     if activation == "leaky":
-        return leaky_relu(z)
+        # bit for bit the values of leaky_relu, written over z
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if activation == "sigmoid":
         return sigmoid(z)
     return z
 
 
-def _activation_grad(gy, z, y, activation):
+def _activation_grad(gy, y, activation):
     if activation == "leaky":
-        return gy * np.where(z >= 0, 1.0, LEAKY_SLOPE)
+        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0
+        return gy * np.where(y >= 0, 1.0, LEAKY_SLOPE)
     if activation == "sigmoid":
         return gy * y * (1.0 - y)
     return gy
 
 
 def _im2col(x_padded, k, stride, out_h, out_w):
-    # (C, Hp, Wp) -> (out_h*out_w, C*k*k) with rows in spatial scan order
+    # (C, Hp, Wp) -> (C*k*k, out_h*out_w): rows in weight order (c, ki, kj),
+    # columns in spatial scan order, so that W @ cols is already CHW
     windows = sliding_window_view(x_padded, (k, k), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(out_h * out_w, -1)
-    return np.ascontiguousarray(cols)
+    return windows.transpose(0, 3, 4, 1, 2).reshape(-1, out_h * out_w)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = None) -> np.ndarray:
@@ -244,11 +248,11 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     w_mat = p.weights.reshape(p.filters, -1)
     if k == 1 and s == 1:
         x_padded = x
-        cols = np.ascontiguousarray(x.reshape(cin, -1).T)
+        cols = x.reshape(cin, -1)
     else:
         x_padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
         cols = _im2col(x_padded, k, s, out_h, out_w)
-    z = (cols @ w_mat.T).T.reshape(p.filters, out_h, out_w)
+    z = (w_mat @ cols).reshape(p.filters, out_h, out_w)
 
     if p.has_batchnorm:
         inv_std = 1.0 / np.sqrt(p.bn_var + BN_EPSILON)
@@ -256,14 +260,13 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         z = p.bn_gamma[:, None, None] * x_hat + p.bn_beta[:, None, None]
     else:
         x_hat = None
-        z = z + p.biases[:, None, None]
+        z += p.biases[:, None, None]
     y = _apply_activation(z, p.activation)
 
     if tape is not None:
-        pre_act = z
 
         def backward(gy):
-            g = _activation_grad(gy, pre_act, y, p.activation)
+            g = _activation_grad(gy, y, p.activation)
             if p.has_batchnorm:
                 p.g_beta += g.sum(axis=(1, 2))
                 p.g_gamma += (g * x_hat).sum(axis=(1, 2))
@@ -273,17 +276,17 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
                 p.g_biases += g.sum(axis=(1, 2))
                 gz = g
             gz_flat = gz.reshape(p.filters, -1)
-            p.g_weights += (gz_flat @ cols).reshape(p.weights.shape)
-            gcols = gz_flat.T @ w_mat
+            p.g_weights += (gz_flat @ cols.T).reshape(p.weights.shape)
+            gcols = w_mat.T @ gz_flat
             if k == 1 and s == 1:
-                gx = np.ascontiguousarray(gcols.T).reshape(x.shape)
+                gx = gcols.reshape(x.shape)
             else:
                 gxp = np.zeros_like(x_padded)
-                gcols_r = gcols.reshape(out_h, out_w, cin, k, k)
+                gcols_r = gcols.reshape(cin, k, k, out_h, out_w)
                 for ki in range(k):
                     for kj in range(k):
                         gxp[:, ki : ki + s * (out_h - 1) + 1 : s,
-                            kj : kj + s * (out_w - 1) + 1 : s] += gcols_r[:, :, :, ki, kj].transpose(2, 0, 1)
+                            kj : kj + s * (out_w - 1) + 1 : s] += gcols_r[:, ki, kj]
                 gx = gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
                 gx = np.ascontiguousarray(gx)
             tape.accumulate(x, gx)

@@ -33,7 +33,7 @@ from .loss import (
     toy_graph,
     train_toy,
 )
-from .network import HeadOutput, Network, spp_forward
+from .network import HeadOutput, Network
 from .ops import sigmoid
 from .weights import load_weights, random_init, save_weights
 
@@ -107,8 +107,33 @@ def check_gradient_fidelity(seed: int = 0, num_nets: int = 20,
     )
 
 
+def spp_insertion(plain: ModelGraph, spp: ModelGraph) -> tuple[int, int]:
+    """(first index, length) of the layers ``spp`` inserts into ``plain``."""
+    prefix = 0
+    while (
+        prefix < len(plain.layers)
+        and plain.layers[prefix].kind == spp.layers[prefix].kind
+        and plain.layers[prefix].attrs == spp.layers[prefix].attrs
+    ):
+        prefix += 1
+    return prefix, len(spp.layers) - len(plain.layers)
+
+
+def spp_block_forward(x: np.ndarray) -> np.ndarray:
+    """The builtin yolov3_spp graph's own pool/route block run on ``x``.
+
+    The block is everything the SPP variant inserts except its closing
+    fusion conv; it runs through ``Network.run_layers``, the forward loop.
+    """
+    spp = builtin_graph("yolov3_spp", 10)
+    start, inserted = spp_insertion(builtin_graph("yolov3", 10), spp)
+    stop = start + inserted - 1
+    return Network(spp).run_layers(x, start, stop)[stop - 1]
+
+
 def check_spp_contract(seed: int = 0, trials: int = 100) -> CheckResult:
-    """Pyramid pooling: exact shape, branch == window-scan oracle, dominance."""
+    """Pyramid pooling in the graph: darknet order [pool13, pool9, pool5, x],
+    exact shape, each pool == window-scan oracle bitwise, dominance."""
 
     def run():
         rng = np.random.default_rng(seed)
@@ -117,19 +142,19 @@ def check_spp_contract(seed: int = 0, trials: int = 100) -> CheckResult:
             h = int(rng.integers(1, 65))
             w = int(rng.integers(1, 65))
             x = rng.standard_normal((c, h, w))
-            out = spp_forward(x)
+            out = spp_block_forward(x)
             if out.shape != (4 * c, h, w):
                 return False, f"shape {out.shape} != {(4 * c, h, w)}"
-            if not np.array_equal(out[:c], x):
-                return False, "identity branch altered"
-            for branch, (k, pad) in enumerate(((5, 2), (9, 4), (13, 6)), start=1):
+            if not np.array_equal(out[3 * c :], x):
+                return False, "identity branch altered or not last"
+            for branch, (k, pad) in enumerate(((13, 6), (9, 4), (5, 2))):
                 got = out[branch * c : (branch + 1) * c]
                 want = oracles.maxpool_scan(x, k, 1, pad)
                 if not np.array_equal(got, want):
                     return False, f"k={k} branch differs from window-scan oracle"
                 if not np.all(got >= x):
                     return False, f"k={k} branch does not dominate identity"
-        return True, f"{trials} random shapes, bitwise"
+        return True, f"{trials} random shapes, graph block in darknet order, bitwise"
 
     (ok, detail), seconds = _timed(run)
     return CheckResult("spp-contract", ok, detail, "exact", seconds)
@@ -443,14 +468,7 @@ def check_structural_deltas() -> CheckResult:
     def run():
         plain = builtin_graph("yolov3", 10)
         spp = builtin_graph("yolov3_spp", 10)
-        prefix = 0
-        while (
-            prefix < len(plain.layers)
-            and plain.layers[prefix].kind == spp.layers[prefix].kind
-            and plain.layers[prefix].attrs == spp.layers[prefix].attrs
-        ):
-            prefix += 1
-        inserted = len(spp.layers) - len(plain.layers)
+        prefix, inserted = spp_insertion(plain, spp)
         block = spp.layers[prefix : prefix + inserted]
         kinds = [layer.kind for layer in block]
         if kinds != ["maxpool", "route", "maxpool", "route", "maxpool", "route", "convolutional"]:

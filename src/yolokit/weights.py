@@ -111,6 +111,11 @@ def save_weights(network: Network) -> bytes:
     major, minor, revision = WRITE_VERSION
     parts = [struct.pack("<3iQ", major, minor, revision, network.seen)]
     for i, p in network.conv_layers():
+        if p.has_batchnorm != bool(network.graph.layers[i].attrs["batch_normalize"]):
+            raise WeightsFileError(
+                f"layer {i}: batch-norm state does not match the graph "
+                "(a frozen network cannot be saved)"
+            )
         if p.has_batchnorm:
             vectors = (p.bn_beta, p.bn_gamma, p.bn_mean, p.bn_var)
         else:

@@ -1,4 +1,4 @@
-"""Forward-pass behavior: head geometry, SPP block, determinism, counts."""
+"""Forward-pass behavior: head geometry, SPP block, freezing, determinism, counts."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import pytest
 from yolokit.cfg import builtin_graph
 from yolokit.errors import ShapeError, UsageError
 from yolokit.loss import toy_graph
-from yolokit.network import Network, spp_forward
+from yolokit.network import Network
 from yolokit.oracles import maxpool_scan
+from yolokit.verify import spp_block_forward
 from yolokit.weights import random_init
 
 
@@ -81,21 +82,25 @@ class TestForward:
 
 
 class TestSpp:
+    """The builtin yolov3_spp graph's pool/route block, in darknet order
+    [pool13, pool9, pool5, x]."""
+
     def test_concat_arithmetic(self):
         x = np.random.default_rng(4).normal(0, 1, (512, 20, 20))
-        assert spp_forward(x).shape == (2048, 20, 20)
+        assert spp_block_forward(x).shape == (2048, 20, 20)
 
     def test_constant_input_four_fold_copy(self):
         x = np.full((3, 9, 9), 1.5)
-        out = spp_forward(x)
+        out = spp_block_forward(x)
         for branch in range(4):
             assert np.array_equal(out[branch * 3 : (branch + 1) * 3], x)
 
     def test_center_peak_spread(self):
         x = np.zeros((1, 13, 13))
         x[0, 6, 6] = 5.0
-        out = spp_forward(x)
-        for branch, k in ((1, 5), (2, 9), (3, 13)):
+        out = spp_block_forward(x)
+        assert np.array_equal(out[3:], x)
+        for branch, k in ((0, 13), (1, 9), (2, 5)):
             got = out[branch : branch + 1]
             want = maxpool_scan(x, k, 1, (k - 1) // 2)
             assert np.array_equal(got, want)
@@ -109,10 +114,51 @@ class TestSpp:
             h = int(rng.integers(1, 20))
             w = int(rng.integers(1, 20))
             x = rng.normal(0, 1, (c, h, w))
-            out = spp_forward(x)
+            out = spp_block_forward(x)
             assert out.shape == (4 * c, h, w)
-            for branch in range(1, 4):
+            assert np.array_equal(out[3 * c :], x)
+            for branch in range(3):
                 assert np.all(out[branch * c : (branch + 1) * c] >= x)
+
+
+def _tiny_with_random_batchnorm(dtype):
+    net = random_init(builtin_graph("yolov3_tiny", 10), seed=6, dtype=dtype)
+    rng = np.random.default_rng(6)
+    for _, p in net.conv_layers():
+        if p.has_batchnorm:
+            f = p.filters
+            p.bn_gamma = rng.uniform(0.5, 1.5, f).astype(dtype)
+            p.bn_beta = rng.normal(0, 0.3, f).astype(dtype)
+            p.bn_mean = rng.normal(0, 0.3, f).astype(dtype)
+            p.bn_var = rng.uniform(0.5, 2.0, f).astype(dtype)
+    return net
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("dtype,tolerance", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_frozen_heads_match_unfrozen(self, dtype, tolerance):
+        net = _tiny_with_random_batchnorm(dtype)
+        image = np.random.default_rng(7).uniform(0, 1, (3, 64, 64)).astype(dtype)
+        unfrozen = [h.raw.copy() for h in net.forward(image)]
+        net.freeze()
+        frozen = [h.raw for h in net.forward(image)]
+        for want, got in zip(unfrozen, frozen):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() / np.abs(want).max() <= tolerance
+
+    def test_no_batchnorm_left(self):
+        net = _tiny_with_random_batchnorm(np.float64)
+        assert any(p.has_batchnorm for _, p in net.conv_layers())
+        net.freeze()
+        for _, p in net.conv_layers():
+            assert not p.has_batchnorm
+            assert p.bn_gamma is None and p.bn_beta is None
+            assert p.bn_mean is None and p.bn_var is None
+            assert p.biases.shape == (p.filters,)
+
+    def test_unparameterized_network_rejected(self):
+        with pytest.raises(UsageError):
+            Network(toy_graph(2, 64)).freeze()
 
 
 class TestCounts:

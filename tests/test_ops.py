@@ -199,6 +199,19 @@ class TestActivations:
         assert np.array_equal(y[x < 0], 0.1 * x[x < 0])
         assert np.all(np.diff(y) > 0)  # strictly monotone on a strict ramp
 
+    @pytest.mark.parametrize("dtype,bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
+    def test_in_place_leaky_bitwise_equals_leaky_relu(self, dtype, bits):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 10 * tiny, -10 * tiny]
+        x = np.concatenate([
+            np.array(special, dtype=dtype),
+            np.random.default_rng(13).normal(0, 3, 1000).astype(dtype),
+        ])
+        z = x.copy()
+        y = ops._apply_activation(z, "leaky")
+        assert y is z
+        assert np.array_equal(y.view(bits), ops.leaky_relu(x).view(bits))
+
     def test_sigmoid_saturation_and_range(self):
         assert ops.sigmoid(np.array([800.0]))[0] == 1.0
         assert ops.sigmoid(np.array([-800.0]))[0] == 0.0
@@ -287,6 +300,29 @@ class TestGradTape:
             for _name, value, grad in p.learnable():
                 fd = finite_difference(lambda: float(np.sum(forward() * projection)), value)
                 assert relative_errors(grad.ravel(), fd.ravel()).max() < 1e-4
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("bn", [False, True])
+    def test_single_conv_matches_finite_differences(self, k, stride, bn):
+        rng = np.random.default_rng(100 * k + 10 * stride + bn)
+        x = rng.normal(0, 1, (3, 7, 6))
+        p = make_conv(4, 3, k, stride=stride, activation="leaky", bn=bn, rng=rng)
+
+        p.zero_grads()
+        tape = ops.GradTape()
+        out = ops.conv2d_forward(x, p, tape)
+        projection = rng.uniform(-1, 1, out.shape)
+        tape.backward([(out, projection)])
+
+        def objective():
+            return float(np.sum(ops.conv2d_forward(x, p) * projection))
+
+        pairs = [(value, grad) for _name, value, grad in p.learnable()]
+        pairs.append((x, tape.grad(x)))
+        for value, grad in pairs:
+            fd = finite_difference(objective, value)
+            assert relative_errors(grad.ravel(), fd.ravel()).max() < 1e-4
 
     def test_accumulation_across_two_passes(self):
         rng = np.random.default_rng(12)

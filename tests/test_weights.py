@@ -146,6 +146,13 @@ class TestErrors:
             load_weights(single_graph, bytes(blob))
         assert "non-finite" in str(err.value)
 
+    def test_frozen_network_not_saved(self, single_graph):
+        net = random_init(single_graph, seed=11)
+        net.freeze()
+        with pytest.raises(WeightsFileError) as err:
+            save_weights(net)
+        assert "layer 0" in str(err.value)
+
 
 class TestRandomInit:
     def test_same_seed_identical(self, single_graph):
