@@ -158,6 +158,10 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     if not 0 < args.iou < 1:
         raise UsageError("--iou must be in (0, 1)")
+    if args.classes < 1:
+        raise UsageError("--classes must be >= 1")
+    if args.conf is not None and not 0 <= args.conf <= 1:
+        raise UsageError("--conf must be in [0, 1]")
     truth = load_ground_truth(args.gt)
     with open(args.pred, encoding="utf-8") as fh:
         detections = parse_predictions(fh.read())

@@ -3,10 +3,11 @@
 Ground truth arrives as VisDrone-style per-image annotation files
 (``x,y,w,h,score,category,truncation,occlusion`` with top-left corners);
 predictions as one text file with ``image_id class score x y w h`` lines
-(center-based, pixels). Matching is greedy by descending score within each
-image and class; detections that only overlap ignore-flagged regions are
-discarded from both counts. AP uses all-point right-envelope interpolation
-and mAP averages the classes that actually appear in the ground truth.
+(center-based, pixels). Matching is greedy by descending score per (image,
+class) pair, one numpy IoU grid per pair; detections that only overlap
+ignore-flagged regions are discarded from both counts. AP uses all-point
+right-envelope interpolation and mAP averages the classes that actually
+appear in the ground truth.
 
 Everything is deterministic under input shuffling: equal scores are ordered
 by image id, then box coordinates, lexicographically.
@@ -16,10 +17,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from .detect import Box, Detection, iou
+from .detect import Box, Detection
 from .errors import AnnotationError, ValidationError
 
 VISDRONE_CLASS_NAMES = (
@@ -140,17 +142,55 @@ def format_predictions(detections: list[Detection]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _canonical_detections(detections):
-    return sorted(
-        detections,
-        key=lambda d: (-d.score, d.image_id, d.box.x, d.box.y, d.box.w, d.box.h, d.class_index),
-    )
+def _codes(items, key: str, table: dict, dtype=np.int32) -> np.ndarray:
+    """Position of each item's ``key`` attribute in ``table``."""
+    return np.fromiter(map(table.__getitem__, map(attrgetter(key), items)), dtype, len(items))
 
 
-def _canonical_gt(ground_truth):
-    return sorted(
-        ground_truth,
-        key=lambda g: (g.image_id, g.class_index, g.box.x, g.box.y, g.box.w, g.box.h, g.ignore),
+def _column(items, key: str, dtype=np.float64) -> np.ndarray:
+    return np.fromiter(map(attrgetter(key), items), dtype, len(items))
+
+
+def _corner_table(x, y, w, h) -> np.ndarray:
+    """Rows x1, y1, x2, y2, area, with the arithmetic of ``Box.corners``."""
+    return np.array([x - w / 2, y - h / 2, x + w / 2, y + h / 2, w * h])
+
+
+def _iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every column of corner table ``a`` with every column of ``b``.
+
+    The arithmetic of ``detect.iou`` (``a`` in its first argument), so each
+    entry equals the scalar result; the union is positive, so no division
+    by zero.
+    """
+    iw = np.minimum(a[2, :, None], b[2]) - np.maximum(a[0, :, None], b[0])
+    ih = np.minimum(a[3, :, None], b[3]) - np.maximum(a[1, :, None], b[1])
+    inter = np.maximum(iw, 0.0, out=iw)
+    inter *= np.maximum(ih, 0.0, out=ih)  # 0, so IoU 0, unless both > 0
+    return inter / (a[4, :, None] + b[4] - inter)
+
+
+def _truth_tables(ground_truth, image_code: dict, class_code: dict, key_type):
+    """Ground truth as corner tables, split by the ignore flag.
+
+    Returns (boxes, box_keys, regions, region_images, class_counts): the
+    matchable boxes sorted by (image, class, x, y, w, h) with their
+    image * classes + class keys, the ignore regions sorted by image with
+    their image codes, and the matchable box count per class code.
+    """
+    image = _codes(ground_truth, "image_id", image_code, key_type)
+    cls = _codes(ground_truth, "class_index", class_code)
+    ignore = _column(ground_truth, "ignore", bool)
+    x, y, w, h = (_column(ground_truth, f"box.{f}") for f in "xywh")
+    key = image * len(class_code) + cls
+    real = np.flatnonzero(~ignore)
+    real = real[np.lexsort((h[real], w[real], y[real], x[real], key[real]))]
+    regions = np.flatnonzero(ignore)
+    regions = regions[np.argsort(image[regions], kind="stable")]
+    return (
+        _corner_table(x[real], y[real], w[real], h[real]), key[real],
+        _corner_table(x[regions], y[regions], w[regions], h[regions]), image[regions],
+        np.bincount(cls[real], minlength=len(class_code)),
     )
 
 
@@ -160,38 +200,98 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
     Returns (labeled, gt_counts): ``labeled`` is [(Detection, bool)] in
     canonical score order with discarded detections removed; ``gt_counts``
     maps class index to its non-ignored ground-truth box count.
+
+    Canonical order is (score desc, image id, x, y, w, h, class), input
+    order on full ties. Per (image, class) pair, each detection in that
+    order takes the unmatched box of highest IoU, the first in (x, y, w, h)
+    order on ties; it is a TP if that IoU reaches the threshold. Otherwise
+    it is discarded if it reaches the threshold with an ignore-flagged
+    region of its image, else a FP. The rule is ``oracles.match_loop``'s,
+    label for label.
     """
-    dets = _canonical_detections(detections)
-    gts = _canonical_gt(ground_truth)
+    if not 0 < iou_threshold <= 1:
+        raise ValidationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    n = len(detections)
+    image_ids = {d.image_id for d in detections}.union(g.image_id for g in ground_truth)
+    classes = {d.class_index for d in detections}.union(g.class_index for g in ground_truth)
+    image_code = {image_id: k for k, image_id in enumerate(sorted(image_ids))}
+    class_code = {cls: k for k, cls in enumerate(sorted(classes))}
+    key_type = np.int32 if len(image_ids) * len(classes) < 2**31 else np.int64
+    boxes, box_key, regions, region_img, counts = _truth_tables(
+        ground_truth, image_code, class_code, key_type
+    )
+    gt_counts = {cls: int(counts[k]) for cls, k in class_code.items() if counts[k]}
+    if not n:
+        return [], gt_counts
 
-    by_image: dict[str, list[GroundTruthBox]] = {}
-    gt_counts: dict[int, int] = {}
-    for gt in gts:
-        by_image.setdefault(gt.image_id, []).append(gt)
-        if not gt.ignore:
-            gt_counts[gt.class_index] = gt_counts.get(gt.class_index, 0) + 1
+    def tie_key(i):
+        box = detections[i].box
+        return box.x, box.y, box.w, box.h, detections[i].class_index
 
-    matched: set[int] = set()  # id() of consumed ground-truth boxes
-    labeled: list[tuple[Detection, bool]] = []
-    for det in dets:
-        candidates = by_image.get(det.image_id, ())
-        best_gt, best_iou = None, 0.0
-        for gt in candidates:
-            if gt.ignore or gt.class_index != det.class_index or id(gt) in matched:
-                continue
-            overlap = iou(det.box, gt.box)
-            if overlap > best_iou:
-                best_gt, best_iou = gt, overlap
-        if best_gt is not None and best_iou >= iou_threshold:
-            matched.add(id(best_gt))
-            labeled.append((det, True))
-            continue
-        ignored_overlap = max(
-            (iou(det.box, gt.box) for gt in candidates if gt.ignore), default=0.0
-        )
-        if ignored_overlap >= iou_threshold:
-            continue  # discard: matched an ignore region, counts nowhere
-        labeled.append((det, False))
+    # Full-length columns are few and freed early: the heap they grow is not
+    # reused by the Python objects built next, so it adds to the peak RSS.
+    # Detections in canonical order: one lexsort on (score desc, image);
+    # the few runs tied on both are ordered by (x, y, w, h, class) in Python.
+    key = _codes(detections, "image_id", image_code, key_type)
+    neg_score = _column(detections, "score")
+    np.negative(neg_score, out=neg_score)
+    order = np.lexsort((key, neg_score))
+    key = key[order]
+    neg_score = neg_score[order]
+    tied = (neg_score[1:] == neg_score[:-1]) & (key[1:] == key[:-1])
+    del neg_score
+    tied = np.concatenate(([False], tied, [False]))
+    edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()  # run starts, run ends
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=tie_key)
+
+    # then grouped by (image, class), canonical order kept inside each group
+    key *= len(classes)
+    key += _codes(detections, "class_index", class_code)[order]
+    by_group = np.argsort(key, kind="stable")
+    grouped = order[by_group]
+    key = key[by_group]
+    del by_group
+
+    # per (image, class) group: its detections, its boxes, its image's regions
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    group_key = key[starts]
+    group_img = group_key // len(classes)
+    del key
+    bounds = zip(
+        starts.tolist(), np.append(starts[1:], n).tolist(),
+        np.searchsorted(box_key, group_key).tolist(),
+        np.searchsorted(box_key, group_key, side="right").tolist(),
+        np.searchsorted(region_img, group_img).tolist(),
+        np.searchsorted(region_img, group_img, side="right").tolist(),
+    )
+    is_tp = np.zeros(n, dtype=bool)  # in grouped order
+    discard = np.zeros(n, dtype=bool)
+    for lo, hi, b_lo, b_hi, r_lo, r_hi in bounds:
+        if b_hi == b_lo and r_hi == r_lo:
+            continue  # nothing to match or ignore: all FP
+        members = list(map(detections.__getitem__, grouped[lo:hi].tolist()))
+        dets = _corner_table(*(_column(members, f"box.{f}") for f in "xywh"))
+        if b_hi > b_lo:
+            grid = _iou_grid(dets, boxes[:, b_lo:b_hi])
+            # a row below the threshold on every box can never match
+            for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
+                best = grid[row].argmax()  # first maximum, as in the loop
+                if grid[row, best] >= iou_threshold:
+                    is_tp[lo + row] = True
+                    grid[:, best] = -1.0  # consumed
+        if r_hi > r_lo:
+            overlap = _iou_grid(dets, regions[:, r_lo:r_hi]).max(axis=1)
+            discard[lo:hi] = (overlap >= iou_threshold) & ~is_tp[lo:hi]
+
+    keep = np.empty(n, dtype=bool)
+    keep[grouped] = ~discard
+    kept = order[keep[order]]
+    tp = np.empty(n, dtype=bool)
+    tp[grouped] = is_tp
+    # memoryviews hand out Python ints and bools one at a time (.tolist()
+    # would hold a list of n ints alongside the list being built)
+    labeled = list(zip(map(detections.__getitem__, memoryview(kept)), memoryview(tp[kept])))
     return labeled, gt_counts
 
 
@@ -210,10 +310,15 @@ def pr_curve(scored_labels, gt_count: int) -> tuple[np.ndarray, np.ndarray]:
     together), so the curve is a function of the threshold alone and does
     not depend on how ties were ordered.
     """
-    if not scored_labels:
-        return np.array([]), np.array([])
     scores = np.asarray([s for s, _ in scored_labels], dtype=float)
     tps = np.asarray([t for _, t in scored_labels], dtype=bool)
+    return _curve(scores, tps, gt_count)
+
+
+def _curve(scores: np.ndarray, tps: np.ndarray, gt_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pr_curve` on a score column and a TP-flag column."""
+    if not len(scores):
+        return np.array([]), np.array([])
     cum_tp = np.cumsum(tps)
     cum_fp = np.cumsum(~tps)
     # last index of each tied-score run = counts with threshold at that score
@@ -235,7 +340,11 @@ def average_precision(scored_labels, gt_count: int) -> float:
     """
     if gt_count == 0 or not scored_labels:
         return 0.0
-    recalls, precisions = pr_curve(scored_labels, gt_count)
+    return _curve_ap(*pr_curve(scored_labels, gt_count))
+
+
+def _curve_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """The AP sum of :func:`average_precision` over an existing PR curve."""
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     ap = 0.0
     prev_recall = 0.0
@@ -302,16 +411,20 @@ def evaluate(detections, ground_truth, num_classes: int,
         detections = [d for d in detections if d.score >= score_threshold]
 
     labeled, gt_counts = match(detections, ground_truth, iou_threshold)
+    scores = [[] for _ in range(num_classes)]
+    flags = [[] for _ in range(num_classes)]
+    for det, is_tp in labeled:  # one pass; each class keeps the score order
+        scores[det.class_index].append(det.score)
+        flags[det.class_index].append(is_tp)
     per_class = []
     for cls in range(num_classes):
-        scored = [(det.score, is_tp) for det, is_tp in labeled if det.class_index == cls]
         gt_count = gt_counts.get(cls, 0)
-        tp = sum(is_tp for _, is_tp in scored)
-        fp = len(scored) - tp
-        ap = average_precision(scored, gt_count)
-        recalls, precisions = pr_curve(scored, gt_count)
+        tps = np.asarray(flags[cls], dtype=bool)
+        recalls, precisions = _curve(np.asarray(scores[cls], dtype=float), tps, gt_count)
+        ap = _curve_ap(recalls, precisions) if gt_count and len(tps) else 0.0
+        tp = int(tps.sum())
         per_class.append(
-            ClassResult(cls, ap, tp, fp, gt_count - tp, gt_count,
+            ClassResult(cls, ap, tp, len(tps) - tp, gt_count - tp, gt_count,
                         recalls.tolist(), precisions.tolist())
         )
 

@@ -137,13 +137,16 @@ def nms_loop(detections, iou_threshold: float):
     return [det for _, det in kept]
 
 
-def brute_force_evaluate(detections, ground_truth, num_classes: int,
-                         iou_threshold: float = 0.5):
-    """Independent evaluator: plain-loop matching plus threshold-enumerated AP.
+def match_loop(detections, ground_truth, iou_threshold: float = 0.5):
+    """Greedy VOC matching as a plain loop over every (detection, box) pair.
 
-    Returns (per-class AP list, mAP over classes present in the ground truth).
-    Uses the same deterministic ordering contract as the production
-    evaluator: score descending, ties by image id then box coordinates.
+    Detections are visited by score descending, ties by image id, then box
+    coordinates, then class; each takes the unconsumed same-image,
+    same-class, non-ignored box of highest IoU (the first in (image, class,
+    x, y, w, h) order on ties) and is a TP if that IoU reaches the
+    threshold. Otherwise it is dropped if it reaches the threshold with an
+    ignore-flagged box of its image, else a FP. Returns [(Detection, bool)]
+    in visiting order.
     """
     dets = sorted(
         detections,
@@ -154,7 +157,7 @@ def brute_force_evaluate(detections, ground_truth, num_classes: int,
         key=lambda g: (g.image_id, g.class_index, g.box.x, g.box.y, g.box.w, g.box.h, g.ignore),
     )
     consumed = [False] * len(gts)
-    labeled = []  # (class_index, score, is_tp)
+    labeled = []
     for det in dets:
         best_index = -1
         best_iou = 0.0
@@ -169,7 +172,7 @@ def brute_force_evaluate(detections, ground_truth, num_classes: int,
                 best_index = gi
         if best_index >= 0 and best_iou >= iou_threshold:
             consumed[best_index] = True
-            labeled.append((det.class_index, det.score, True))
+            labeled.append((det, True))
             continue
         hit_ignore = False
         for gt in gts:
@@ -178,12 +181,24 @@ def brute_force_evaluate(detections, ground_truth, num_classes: int,
                     hit_ignore = True
                     break
         if not hit_ignore:
-            labeled.append((det.class_index, det.score, False))
+            labeled.append((det, False))
+    return labeled
+
+
+def brute_force_evaluate(detections, ground_truth, num_classes: int,
+                         iou_threshold: float = 0.5):
+    """Independent evaluator: plain-loop matching plus threshold-enumerated AP.
+
+    Returns (per-class AP list, mAP over classes present in the ground truth).
+    Matching is :func:`match_loop`, with the production evaluator's
+    deterministic ordering contract.
+    """
+    labeled = match_loop(detections, ground_truth, iou_threshold)
     aps = []
     evaluated = []
     for cls in range(num_classes):
-        gt_count = sum(1 for gt in gts if not gt.ignore and gt.class_index == cls)
-        scored = [(score, is_tp) for c, score, is_tp in labeled if c == cls]
+        gt_count = sum(1 for gt in ground_truth if not gt.ignore and gt.class_index == cls)
+        scored = [(det.score, is_tp) for det, is_tp in labeled if det.class_index == cls]
         ap = ap_threshold_enumeration(scored, gt_count)
         aps.append(ap)
         if gt_count:

@@ -20,6 +20,7 @@ from .evaluation import (
     average_precision,
     evaluate,
     format_predictions,
+    match,
     parse_predictions,
 )
 from .errors import UsageError
@@ -254,13 +255,21 @@ def _random_eval_instance(rng):
 
 
 def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
-    """evaluate() vs the brute-force evaluator, plus permutation invariance."""
+    """evaluate() vs the brute-force evaluator, plus permutation invariance.
+
+    The matcher's labels must also be identical, in object and order, to
+    the oracle loop's.
+    """
 
     def run():
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(instances):
             detections, truth, num_classes = _random_eval_instance(rng)
+            labeled, _ = match(detections, truth)
+            expected = oracles.match_loop(detections, truth)
+            if [(id(d), t) for d, t in labeled] != [(id(d), t) for d, t in expected]:
+                return np.inf, "match labels differ from the oracle loop"
             report = evaluate(detections, truth, num_classes)
             oracle_aps, oracle_map = oracles.brute_force_evaluate(
                 detections, truth, num_classes
@@ -282,7 +291,7 @@ def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
                 report.recall,
             ):
                 return np.inf, "permutation changed the report"
-        return worst, f"{instances} instances, worst |diff| {worst:.2e}"
+        return worst, f"{instances} instances, labels equal oracle, worst |diff| {worst:.2e}"
 
     (worst, detail), seconds = _timed(run)
     detail = detail if isinstance(detail, str) else str(detail)

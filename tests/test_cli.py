@@ -185,6 +185,25 @@ class TestEval:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--classes", "0"), ("--classes", "-3"), ("--conf", "1.5"), ("--conf", "-0.1"),
+        ("--conf", "nan"),
+    ])
+    def test_bad_option_is_usage_error_before_reading(self, tmp_path, capsys, flag, value):
+        # neither input exists: the option must be rejected before any file is read
+        code = run(["eval", "--gt", tmp_path / "no-gt", "--pred", tmp_path / "no-pred.txt",
+                    flag, value, "--out-dir", tmp_path / "out"])
+        assert code == 2
+        assert f"usage error: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("conf", ["0", "1"])
+    def test_conf_bounds_accepted(self, tmp_path, capsys, conf):
+        gt_dir, pred = self._write_fixture(tmp_path)
+        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
+                    "--conf", conf, "--out-dir", tmp_path / "out"])
+        assert code == 0
+
 
 class TestVerifyCommand:
     def _stub_results(self, all_pass=True):

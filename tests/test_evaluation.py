@@ -1,9 +1,11 @@
 """Annotation parsing, matching, AP/mAP, and report emission."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from yolokit.detect import Box, Detection
+from yolokit.detect import Box, Detection, iou
 from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
     GroundTruthBox,
@@ -17,7 +19,7 @@ from yolokit.evaluation import (
     precision_recall,
     report_csv,
 )
-from yolokit.oracles import ap_threshold_enumeration, brute_force_evaluate
+from yolokit.oracles import ap_threshold_enumeration, brute_force_evaluate, match_loop
 
 
 def det(image_id, cls, score, x, y, w, h):
@@ -123,6 +125,88 @@ class TestMatching:
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         labeled, _ = match([det("im0", 0, 0.9, 30, 30, 8, 8)], truth)
         assert labeled[0][1] is False
+
+    def test_equal_iou_takes_first_box_in_coordinate_order(self):
+        # A overlaps both boxes at IoU 0.6; taking the x=9 box leaves B
+        # only the x=11 box, at IoU 1/7
+        truth = [gt("im0", 0, 11, 10, 4, 4), gt("im0", 0, 9, 10, 4, 4)]
+        a = det("im0", 0, 0.9, 10, 10, 4, 4)
+        b = det("im0", 0, 0.8, 8, 10, 4, 4)
+        for boxes in (truth, truth[::-1]):
+            labeled, _ = match([b, a], boxes)
+            assert [(d, t) for d, t in labeled] == [(a, True), (b, False)]
+
+    def test_ignore_flag_not_class_marks_regions(self):
+        region = GroundTruthBox("im0", 0, Box(10, 10, 8, 8), ignore=True)
+        labeled, counts = match([det("im0", 0, 0.9, 10, 10, 8, 8)], [region])
+        assert labeled == [] and counts == {}
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValidationError):
+            match([], [], threshold)
+
+    def test_empty_inputs(self):
+        truth = [gt("im0", 0, 10, 10, 8, 8), gt("im0", 1, 10, 10, 8, 8, ignore=True)]
+        dets = [det("im0", 0, 0.5, 30, 30, 8, 8), det("im1", 2, 0.5, 30, 30, 8, 8)]
+        assert match([], truth) == ([], {0: 1})
+        assert match([], []) == ([], {})
+        labeled, counts = match(dets, [])
+        assert [(id(d), t) for d, t in labeled] == [(id(d), t) for d, t in match_loop(dets, [])]
+        assert counts == {}
+
+    def test_matches_oracle_loop(self):
+        # integer boxes and one-decimal scores make score ties across images
+        # and classes, equal IoUs and IoU exactly at the threshold
+        rng = np.random.default_rng(11)
+        seen = Counter()
+        for trial in range(240):
+            threshold = (1 / 3, 0.5, 0.45)[trial % 3]
+            n_classes = 1 + trial % 3
+            images = [f"im{k}" for k in range(int(rng.integers(1, 4)))]
+
+            def box():
+                return Box(*rng.integers(0, 6, 2).tolist(), *rng.integers(1, 5, 2).tolist())
+
+            truth = []
+            for _ in range(int(rng.integers(0, 16))):
+                image_id = images[int(rng.integers(len(images)))]
+                if rng.random() < 0.2:  # ignore regions carry -1 or a real class
+                    cls = int(rng.integers(-1, n_classes))
+                    truth.append(GroundTruthBox(image_id, cls, box(), ignore=True))
+                else:
+                    truth.append(GroundTruthBox(image_id, int(rng.integers(n_classes)), box()))
+            dets = [
+                Detection(images[int(rng.integers(len(images)))], int(rng.integers(n_classes)),
+                          round(float(rng.uniform(0.05, 1.0)), 1), box())
+                for _ in range(int(rng.integers(0, 30)))
+            ]
+
+            labeled, counts = match(dets, truth, threshold)
+            expected = match_loop(dets, truth, threshold)
+            assert [(id(d), t) for d, t in labeled] == [(id(d), t) for d, t in expected]
+            assert counts == Counter(g.class_index for g in truth if not g.ignore)
+
+            pairs = [(d, g) for d in dets for g in truth if d.image_id == g.image_id]
+            same_class = [(d, g) for d, g in pairs if not g.ignore
+                          and g.class_index == d.class_index]
+            seen["at threshold"] += any(iou(d.box, g.box) == threshold for d, g in same_class)
+            seen["equal IoU"] += any(
+                iou(d.box, g.box) == iou(d.box, h.box) >= threshold
+                for d, g in same_class for e, h in same_class if e is d and h is not g
+            )
+            seen["classed region hit"] += any(
+                g.ignore and g.class_index != -1 and iou(d.box, g.box) >= threshold
+                for d, g in pairs
+            )
+            seen["dets without truth"] += bool(
+                {d.image_id for d in dets} - {g.image_id for g in truth})
+            seen["truth without dets"] += bool(
+                {g.image_id for g in truth} - {d.image_id for d in dets})
+            seen["no dets"] += not dets
+            seen["no truth"] += not truth
+        assert seen["at threshold"] >= 20
+        assert min(seen.values()) >= 5, seen
 
 
 class TestPrecisionRecall:
