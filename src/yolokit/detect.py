@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,13 +60,13 @@ class LetterboxTransform:
             box.h * self.scale,
         )
 
+    def original_xywh(self, x, y, w, h):
+        """Input-frame centers and extents (scalars or arrays) in the original frame."""
+        return ((x - self.pad_x) / self.scale, (y - self.pad_y) / self.scale,
+                w / self.scale, h / self.scale)
+
     def to_original(self, box: Box) -> Box:
-        return Box(
-            (box.x - self.pad_x) / self.scale,
-            (box.y - self.pad_y) / self.scale,
-            box.w / self.scale,
-            box.h / self.scale,
-        )
+        return Box(*self.original_xywh(box.x, box.y, box.w, box.h))
 
 
 IDENTITY_TRANSFORM = LetterboxTransform(1.0, 0.0, 0.0)
@@ -90,46 +91,71 @@ def letterbox(image: np.ndarray, target: int) -> tuple[np.ndarray, LetterboxTran
     return canvas, LetterboxTransform(scale, float(pad_x), float(pad_y))
 
 
+class HeadArrays(NamedTuple):
+    """One head read through the YOLO head: float64, each (3, rows, cols).
+
+    Per cell and anchor: the cell offsets sigmoid(t_xy), the centers
+    (offset + cell) * stride and the extents anchor * exp(t_wh) in input
+    pixels, the objectness sigmoid(t_o) and, (3, C, rows, cols), the class
+    probabilities sigmoid(t_c).
+    """
+
+    off_x: np.ndarray
+    off_y: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    objectness: np.ndarray
+    class_probs: np.ndarray
+
+
+def read_head(head: HeadOutput) -> HeadArrays:
+    """The one decoding of a head's raw map, shared by detect and the loss."""
+    rows, cols = head.grid
+    raw = head.raw.reshape(3, 5 + head.num_classes, rows, cols).astype(np.float64, copy=False)
+    # elementwise, so one call over every channel (t_wh included) gives the
+    # bits of one call per channel, with less per-call overhead
+    probs = sigmoid(raw)
+    extents = np.array(head.anchors, dtype=np.float64)[:, :, None, None] * np.exp(raw[:, 2:4])
+    return HeadArrays(
+        probs[:, 0],
+        probs[:, 1],
+        (probs[:, 0] + np.arange(cols)) * head.stride,
+        (probs[:, 1] + np.arange(rows)[:, None]) * head.stride,
+        extents[:, 0],
+        extents[:, 1],
+        probs[:, 4],
+        probs[:, 5:],
+    )
+
+
 def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransform,
            image_id: str) -> list[Detection]:
     """Decode one head into detections above the confidence threshold.
 
-    Per cell and anchor: center = (sigmoid(t_xy) + cell) * stride, size =
-    anchor * exp(t_wh), objectness and class probabilities through sigmoid.
-    The emitted score is objectness * class probability for the argmax
-    class; boxes are mapped back to original-image coordinates.
+    The head is read by :func:`read_head`. The emitted score is objectness *
+    class probability for the argmax class; boxes are mapped back to
+    original-image coordinates.
     """
     if not 0 <= conf_threshold < 1:
         raise UsageError(f"conf_threshold must be in [0, 1), got {conf_threshold}")
-    rows, cols = head.grid
-    c = head.num_classes
-    raw = head.raw.reshape(3, 5 + c, rows, cols).astype(np.float64)
-
-    col_grid = np.arange(cols)[None, None, :]
-    row_grid = np.arange(rows)[None, :, None]
-    bx = (sigmoid(raw[:, 0]) + col_grid) * head.stride
-    by = (sigmoid(raw[:, 1]) + row_grid) * head.stride
-    anchor_w = np.array([a[0] for a in head.anchors])[:, None, None]
-    anchor_h = np.array([a[1] for a in head.anchors])[:, None, None]
-    # exp underflows to 0 below ~-745; floor the extents to keep boxes valid
-    bw = np.maximum(anchor_w * np.exp(raw[:, 2]), 1e-9)
-    bh = np.maximum(anchor_h * np.exp(raw[:, 3]), 1e-9)
-    objectness = sigmoid(raw[:, 4])
-    class_probs = sigmoid(raw[:, 5:])
+    pred = read_head(head)
+    class_probs = pred.class_probs
     best_class = class_probs.argmax(axis=1)
     best_prob = np.take_along_axis(class_probs, best_class[:, None], axis=1)[:, 0]
-    scores = objectness * best_prob
+    scores = pred.objectness * best_prob
 
     a, i, j = np.nonzero(scores >= conf_threshold)
-    # LetterboxTransform.to_original on arrays: the same operations, so the same bits
-    xs = ((bx[a, i, j] - transform.pad_x) / transform.scale).tolist()
-    ys = ((by[a, i, j] - transform.pad_y) / transform.scale).tolist()
-    ws = (bw[a, i, j] / transform.scale).tolist()
-    hs = (bh[a, i, j] / transform.scale).tolist()
+    # exp underflows to 0 below ~-745; floor the extents to keep boxes valid
+    xs, ys, ws, hs = transform.original_xywh(
+        pred.x[a, i, j], pred.y[a, i, j],
+        np.maximum(pred.w[a, i, j], 1e-9), np.maximum(pred.h[a, i, j], 1e-9),
+    )
     return [
         Detection(image_id, cls, score, Box(x, y, w, h))
-        for cls, score, x, y, w, h in zip(best_class[a, i, j].tolist(),
-                                           scores[a, i, j].tolist(), xs, ys, ws, hs)
+        for cls, score, x, y, w, h in zip(best_class[a, i, j].tolist(), scores[a, i, j].tolist(),
+                                           xs.tolist(), ys.tolist(), ws.tolist(), hs.tolist())
     ]
 
 
@@ -146,6 +172,27 @@ def iou(a: Box, b: Box) -> float:
     return float(inter / union)
 
 
+def corner_table(x, y, w, h) -> np.ndarray:
+    """Rows x1, y1, x2, y2, area of box columns, with the arithmetic of ``Box.corners``."""
+    return np.array([x - w / 2, y - h / 2, x + w / 2, y + h / 2, w * h])
+
+
+def iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of the boxes of corner tables ``a`` and ``b``, paired by broadcasting.
+
+    ``a[:, :, None]`` against ``b`` gives every column of ``a`` with every
+    column of ``b``; a table against one box ``b[:, k]`` gives one IoU per
+    column. The arithmetic of :func:`iou` (``a`` in its first argument), so
+    each entry equals the scalar result; the union is positive, so no
+    division by zero.
+    """
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
+    inter = np.maximum(iw, 0.0, out=iw)
+    inter *= np.maximum(ih, 0.0, out=ih)  # 0, so IoU 0, unless both > 0
+    return inter / (a[4] + b[4] - inter)
+
+
 def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy per-class suppression of overlapping lower-scored boxes.
 
@@ -153,9 +200,8 @@ def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     keep input order); a detection is kept unless its IoU with an already
     kept same-class detection exceeds the threshold. Output is ordered by
     (score desc, class, input position). Each kept box suppresses with one
-    vectorised IoU row against the later boxes of its class, computed with
-    the arithmetic of :func:`iou`, so every decision equals the scalar
-    loop's (``oracles.nms_loop``) bit for bit.
+    :func:`iou_grid` row against the later boxes of its class, so every
+    decision equals the scalar loop's (``oracles.nms_loop``) bit for bit.
     """
     if not 0 < iou_threshold < 1:
         raise UsageError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
@@ -168,18 +214,14 @@ def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     # input positions grouped by class, then by score desc and position
     order = np.lexsort((np.arange(len(table)), -table[:, 1], table[:, 0]))
     cls, _, x, y, w, h = table[order].T
-    x1, y1, x2, y2 = x - w / 2, y - h / 2, x + w / 2, y + h / 2
-    area = w * h
+    corners = corner_table(x, y, w, h)
     class_end = np.searchsorted(cls, cls, side="right")
     alive = np.ones(len(table), dtype=bool)
     for k in range(len(table)):
         if not alive[k]:
             continue
         rest = slice(k + 1, class_end[k])
-        iw = np.minimum(x2[rest], x2[k]) - np.maximum(x1[rest], x1[k])
-        ih = np.minimum(y2[rest], y2[k]) - np.maximum(y1[rest], y1[k])
-        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)  # 0, so IoU 0, unless both > 0
-        alive[rest] &= inter / (area[rest] + area[k] - inter) <= iou_threshold
+        alive[rest] &= iou_grid(corners[:, rest], corners[:, k]) <= iou_threshold
     kept = order[alive]
     kept = kept[np.lexsort((kept, table[kept, 0], -table[kept, 1]))]
     return [detections[p] for p in kept.tolist()]

@@ -21,7 +21,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .detect import Box, Detection
+from .detect import Box, Detection, corner_table, iou_grid
 from .errors import AnnotationError, ValidationError
 
 VISDRONE_CLASS_NAMES = (
@@ -151,25 +151,6 @@ def _column(items, key: str, dtype=np.float64) -> np.ndarray:
     return np.fromiter(map(attrgetter(key), items), dtype, len(items))
 
 
-def _corner_table(x, y, w, h) -> np.ndarray:
-    """Rows x1, y1, x2, y2, area, with the arithmetic of ``Box.corners``."""
-    return np.array([x - w / 2, y - h / 2, x + w / 2, y + h / 2, w * h])
-
-
-def _iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every column of corner table ``a`` with every column of ``b``.
-
-    The arithmetic of ``detect.iou`` (``a`` in its first argument), so each
-    entry equals the scalar result; the union is positive, so no division
-    by zero.
-    """
-    iw = np.minimum(a[2, :, None], b[2]) - np.maximum(a[0, :, None], b[0])
-    ih = np.minimum(a[3, :, None], b[3]) - np.maximum(a[1, :, None], b[1])
-    inter = np.maximum(iw, 0.0, out=iw)
-    inter *= np.maximum(ih, 0.0, out=ih)  # 0, so IoU 0, unless both > 0
-    return inter / (a[4, :, None] + b[4] - inter)
-
-
 def _truth_tables(ground_truth, image_code: dict, class_code: dict, key_type):
     """Ground truth as corner tables, split by the ignore flag.
 
@@ -188,8 +169,8 @@ def _truth_tables(ground_truth, image_code: dict, class_code: dict, key_type):
     regions = np.flatnonzero(ignore)
     regions = regions[np.argsort(image[regions], kind="stable")]
     return (
-        _corner_table(x[real], y[real], w[real], h[real]), key[real],
-        _corner_table(x[regions], y[regions], w[regions], h[regions]), image[regions],
+        corner_table(x[real], y[real], w[real], h[real]), key[real],
+        corner_table(x[regions], y[regions], w[regions], h[regions]), image[regions],
         np.bincount(cls[real], minlength=len(class_code)),
     )
 
@@ -271,9 +252,9 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
         if b_hi == b_lo and r_hi == r_lo:
             continue  # nothing to match or ignore: all FP
         members = list(map(detections.__getitem__, grouped[lo:hi].tolist()))
-        dets = _corner_table(*(_column(members, f"box.{f}") for f in "xywh"))
+        dets = corner_table(*(_column(members, f"box.{f}") for f in "xywh"))
         if b_hi > b_lo:
-            grid = _iou_grid(dets, boxes[:, b_lo:b_hi])
+            grid = iou_grid(dets[:, :, None], boxes[:, b_lo:b_hi])
             # a row below the threshold on every box can never match
             for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
                 best = grid[row].argmax()  # first maximum, as in the loop
@@ -281,7 +262,7 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
                     is_tp[lo + row] = True
                     grid[:, best] = -1.0  # consumed
         if r_hi > r_lo:
-            overlap = _iou_grid(dets, regions[:, r_lo:r_hi]).max(axis=1)
+            overlap = iou_grid(dets[:, :, None], regions[:, r_lo:r_hi]).max(axis=1)
             discard[lo:hi] = (overlap >= iou_threshold) & ~is_tp[lo:hi]
 
     keep = np.empty(n, dtype=bool)

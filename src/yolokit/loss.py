@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cfg import ModelGraph, parse_cfg
-from .errors import NumericError, UsageError, ValidationError
+from .errors import NumericError, ShapeError, UsageError, ValidationError
 from .evaluation import GroundTruthBox
-from .detect import Box
+from .detect import Box, HeadArrays, corner_table, iou_grid, read_head
 from .network import HeadOutput, Network
-from .ops import GradTape, sigmoid
+from .ops import GradTape
 from .weights import random_init
 
 
@@ -68,21 +68,6 @@ class LossBreakdown:
 def _shape_iou(w1, h1, w2, h2):
     inter = min(w1, w2) * min(h1, h2)
     return inter / (w1 * h1 + w2 * h2 - inter)
-
-
-def _predicted_boxes(head: HeadOutput):
-    """Decode a head's raw map into per-slot (x, y, w, h) arrays, input pixels."""
-    rows, cols = head.grid
-    raw = head.raw.reshape(3, 5 + head.num_classes, rows, cols)
-    col_grid = np.arange(cols)[None, None, :]
-    row_grid = np.arange(rows)[None, :, None]
-    px = (sigmoid(raw[:, 0]) + col_grid) * head.stride
-    py = (sigmoid(raw[:, 1]) + row_grid) * head.stride
-    aw = np.array([a[0] for a in head.anchors])[:, None, None]
-    ah = np.array([a[1] for a in head.anchors])[:, None, None]
-    pw = aw * np.exp(raw[:, 2])
-    ph = ah * np.exp(raw[:, 3])
-    return px, py, pw, ph
 
 
 def assign_targets(ground_truth, heads: list[HeadOutput],
@@ -148,37 +133,37 @@ def assign_targets(ground_truth, heads: list[HeadOutput],
         tgt.cls_index[ai, row, col] = gt.class_index
 
     if ground_truth:
+        truth = corner_table(*np.array([(g.box.x, g.box.y, g.box.w, g.box.h)
+                                        for g in ground_truth]).T)
         for head, tgt in zip(heads, targets):
-            px, py, pw, ph = _predicted_boxes(head)
-            best_iou = np.zeros_like(px)
-            for gt in ground_truth:
-                gx1, gy1, gx2, gy2 = gt.box.corners()
-                ix = np.minimum(px + pw / 2, gx2) - np.maximum(px - pw / 2, gx1)
-                iy = np.minimum(py + ph / 2, gy2) - np.maximum(py - ph / 2, gy1)
-                inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
-                union = pw * ph + gt.box.w * gt.box.h - inter
-                best_iou = np.maximum(best_iou, inter / union)
+            pred = read_head(head)
+            slots = corner_table(pred.x, pred.y, pred.w, pred.h).reshape(5, -1)
+            best_iou = iou_grid(slots[:, :, None], truth).max(axis=1).reshape(tgt.obj_mask.shape)
             tgt.ignore_mask = (best_iou > ignore_iou) & ~tgt.obj_mask
     return TargetAssignment(targets)
 
 
-def _head_pieces(head: HeadOutput, index: int):
-    rows, cols = head.grid
-    c = head.num_classes
-    raw = head.raw.reshape(3, 5 + c, rows, cols)
-    if not np.all(np.isfinite(raw)):
+def _head_pieces(head: HeadOutput, index: int) -> HeadArrays:
+    """The head as :func:`read_head` reads it, extents as image fractions."""
+    if not np.all(np.isfinite(head.raw)):
         raise NumericError(f"head {index} (stride {head.stride}) has non-finite raw values")
-    input_w = head.stride * cols
-    input_h = head.stride * rows
-    aw = np.array([a[0] for a in head.anchors])[:, None, None] / input_w
-    ah = np.array([a[1] for a in head.anchors])[:, None, None] / input_h
-    px = sigmoid(raw[:, 0])
-    py = sigmoid(raw[:, 1])
-    pw = aw * np.exp(raw[:, 2])
-    ph = ah * np.exp(raw[:, 3])
-    pobj = sigmoid(raw[:, 4])
-    pcls = sigmoid(raw[:, 5:])
-    return raw, px, py, pw, ph, pobj, pcls
+    pred = read_head(head)
+    rows, cols = head.grid
+    return pred._replace(w=pred.w / (head.stride * cols), h=pred.h / (head.stride * rows))
+
+
+def _paired(heads, assignment: TargetAssignment):
+    """(index, (head, targets)) pairs; the assignment must fit the heads."""
+    if len(heads) != len(assignment.heads):
+        raise ShapeError(
+            f"assignment has {len(assignment.heads)} heads, the loss got {len(heads)}"
+        )
+    for index, (head, tgt) in enumerate(zip(heads, assignment.heads)):
+        bad = [name for name, mask in vars(tgt).items() if mask.shape != (3, *head.grid)]
+        if bad:
+            raise ShapeError(f"head {index} targets {', '.join(bad)} do not fit its "
+                             f"{head.grid} grid")
+    return enumerate(zip(heads, assignment.heads))
 
 
 def _one_hot(tgt: HeadTargets, num_classes: int):
@@ -194,8 +179,8 @@ def total_loss(heads, assignment: TargetAssignment,
     w = weights or LossWeights()
     w.validate()
     coord = iou_term = cls_term = 0.0
-    for index, (head, tgt) in enumerate(zip(heads, assignment.heads)):
-        _, px, py, pw, ph, pobj, pcls = _head_pieces(head, index)
+    for index, (head, tgt) in _paired(heads, assignment):
+        px, py, _, _, pw, ph, pobj, pcls = _head_pieces(head, index)
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
         coord += w.coord * float(
@@ -220,11 +205,11 @@ def loss_gradients(heads, assignment: TargetAssignment,
     w = weights or LossWeights()
     w.validate()
     grads = []
-    for index, (head, tgt) in enumerate(zip(heads, assignment.heads)):
-        raw, px, py, pw, ph, pobj, pcls = _head_pieces(head, index)
+    for index, (head, tgt) in _paired(heads, assignment):
+        px, py, _, _, pw, ph, pobj, pcls = _head_pieces(head, index)
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
-        g = np.zeros_like(raw)
+        g = np.zeros((3, 5 + head.num_classes, *head.grid))
         g[:, 0] = w.coord * 2 * (px - tgt.tx) * px * (1 - px) * obj
         g[:, 1] = w.coord * 2 * (py - tgt.ty) * py * (1 - py) * obj
         # d/dt of (sqrt(a*e^t) - sqrt(b))^2 = (sqrt(a*e^t) - sqrt(b)) * sqrt(a*e^t)

@@ -203,53 +203,49 @@ def check_architecture_layout() -> CheckResult:
 
 def _random_eval_instance(rng):
     num_classes = int(rng.integers(1, 4))
-    n_images = int(rng.integers(1, 6))
+    # a third of the instances are one image of small integer boxes on a
+    # strip, with detections shifted a pixel off the truth and one-decimal
+    # scores: equal IoUs, IoU exactly at the threshold and score ties
+    coarse = rng.random() < 1 / 3
+    quantize = coarse or rng.random() < 0.3  # score ties, across images too
+    n_images = 1 if coarse else int(rng.integers(1, 6))
+
+    def box():
+        if coarse:
+            return Box(int(rng.integers(0, 6)), int(rng.integers(0, 2)),
+                       *rng.integers(3, 5, 2).tolist())
+        return Box(*rng.uniform(10, 90, size=2), *rng.uniform(8, 30, size=2))
+
+    def score():
+        value = float(rng.uniform(0.05, 1.0))
+        return round(value, 1) if quantize else value
+
     truth = []
     for _ in range(int(rng.integers(0, 11))):
         image_id = f"im{int(rng.integers(n_images))}"
-        w, h = rng.uniform(8, 30, size=2)
-        x, y = rng.uniform(10, 90, size=2)
-        if rng.random() < 0.15:
-            truth.append(GroundTruthBox(image_id, -1, Box(x, y, w, h), ignore=True))
+        if rng.random() < 0.15:  # ignore regions carry -1 or a real class
+            cls = int(rng.integers(-1, num_classes))
+            truth.append(GroundTruthBox(image_id, cls, box(), ignore=True))
         else:
-            cls = int(rng.integers(num_classes))
-            truth.append(GroundTruthBox(image_id, cls, Box(x, y, w, h)))
-    quantize = rng.random() < 0.3  # deliberate score ties
+            truth.append(GroundTruthBox(image_id, int(rng.integers(num_classes)), box()))
     detections = []
     for gt in truth:
         if len(detections) >= 10 or rng.random() > 0.7:
             continue
         cls = int(rng.integers(num_classes)) if (gt.ignore or rng.random() < 0.2) \
             else gt.class_index
-        score = float(rng.uniform(0.05, 1.0))
-        if quantize:
-            score = round(score, 1)
-        detections.append(
-            Detection(
-                gt.image_id,
-                cls,
-                min(score, 1.0),
-                Box(
-                    gt.box.x + rng.normal(0, 3),
-                    gt.box.y + rng.normal(0, 3),
-                    gt.box.w * rng.uniform(0.7, 1.3),
-                    gt.box.h * rng.uniform(0.7, 1.3),
-                ),
-            )
-        )
+        if coarse:
+            near = Box(gt.box.x + int(rng.integers(-1, 2)), gt.box.y, gt.box.w, gt.box.h)
+        else:
+            near = Box(gt.box.x + rng.normal(0, 3), gt.box.y + rng.normal(0, 3),
+                       gt.box.w * rng.uniform(0.7, 1.3), gt.box.h * rng.uniform(0.7, 1.3))
+        detections.append(Detection(gt.image_id, cls, score(), near))
     for _ in range(int(rng.integers(0, 6))):
         if len(detections) >= 10:
             break
-        score = float(rng.uniform(0.05, 1.0))
-        if quantize:
-            score = round(score, 1)
         detections.append(
-            Detection(
-                f"im{int(rng.integers(n_images))}",
-                int(rng.integers(num_classes)),
-                min(score, 1.0),
-                Box(*rng.uniform(10, 90, size=2), *rng.uniform(8, 30, size=2)),
-            )
+            Detection(f"im{int(rng.integers(n_images))}", int(rng.integers(num_classes)),
+                      score(), box())
         )
     return detections, truth, num_classes
 

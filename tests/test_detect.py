@@ -10,8 +10,10 @@ from yolokit.detect import (
     Detection,
     IDENTITY_TRANSFORM,
     LetterboxTransform,
+    corner_table,
     decode,
     iou,
+    iou_grid,
     letterbox,
     nms,
 )
@@ -141,11 +143,25 @@ class TestIou:
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
+        boxes = []
         for _ in range(50):
             a = Box(*rng.uniform(0, 50, 2), *rng.uniform(1, 20, 2))
             b = Box(*rng.uniform(0, 50, 2), *rng.uniform(1, 20, 2))
             assert iou(a, b) == iou(b, a)
             assert 0.0 <= iou(a, b) <= 1.0
+            boxes += [a, b]
+        # identical, edge-touching, corner-touching and disjoint boxes
+        boxes += [Box(10, 10, 4, 6), Box(10, 10, 4, 6), Box(14, 10, 4, 6),
+                  Box(14, 16, 4, 6), Box(90, 90, 2, 2)]
+        # the array kernel, every entry in both argument orders, bit for bit
+        table = corner_table(*np.array([(b.x, b.y, b.w, b.h) for b in boxes]).T)
+        grid = iou_grid(table[:, :, None], table)
+        want = np.array([[iou(a, b) for b in boxes] for a in boxes])
+        assert np.array_equal(grid.view(np.int64), want.view(np.int64))
+        for k in range(len(boxes)):  # the table against one box: column k
+            assert np.array_equal(iou_grid(table, table[:, k]).view(np.int64),
+                                  want[:, k].view(np.int64))
+        assert want[-5, -4] == 1.0 and want[-5, -3] == want[-5, -2] == want[-5, -1] == 0.0
 
     def test_grid_oracle_agreement(self):
         rng = np.random.default_rng(6)

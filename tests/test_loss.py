@@ -1,10 +1,12 @@
 """Target assignment, the three-term loss, SGD, and the toy trainer."""
 
+import math
+
 import numpy as np
 import pytest
 
-from yolokit.detect import Box
-from yolokit.errors import NumericError, UsageError, ValidationError
+from yolokit.detect import Box, iou
+from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
 from yolokit.evaluation import GroundTruthBox, format_visdrone, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.loss import (
@@ -97,6 +99,30 @@ class TestAssignment:
         counts = tgt.obj_mask.astype(int) + tgt.ignore_mask.astype(int) + noobj.astype(int)
         assert np.all(counts == 1)
 
+    def test_ignore_mask_equals_scalar_iou_loop(self):
+        rng = np.random.default_rng(4)
+        ignored = flagged_only = 0
+        for _ in range(20):
+            # 8 px cells under 10-33 px anchors: many slots overlap a box
+            head = single_head(grid=8, stride=8, rng=rng)
+            truth = [
+                gt(*rng.uniform(0, 64, 2), *rng.uniform(8, 30, 2), cls=int(rng.integers(2)),
+                   ignore=bool(rng.random() < 0.3))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            tgt = assign_targets(truth, [head]).heads[0]
+            raw = head.raw.reshape(3, 7, 8, 8)
+            for a, i, j in np.ndindex(3, 8, 8):
+                t = raw[a, :4, i, j]
+                pred = Box((1 / (1 + math.exp(-t[0])) + j) * 8, (1 / (1 + math.exp(-t[1])) + i) * 8,
+                           head.anchors[a][0] * math.exp(t[2]), head.anchors[a][1] * math.exp(t[3]))
+                overlaps = [iou(pred, g.box) > 0.5 for g in truth]
+                expected = any(overlaps) and not tgt.obj_mask[a, i, j]
+                assert tgt.ignore_mask[a, i, j] == expected
+                ignored += expected
+                flagged_only += expected and all(g.ignore for g, o in zip(truth, overlaps) if o)
+        assert ignored >= 20 and flagged_only >= 3, (ignored, flagged_only)
+
     def test_ignored_ground_truth_is_not_assigned(self):
         heads = three_heads()
         assignment = assign_targets([gt(320, 320, 50, 50, ignore=True)], heads)
@@ -165,6 +191,25 @@ class TestTotalLoss:
         assignment = assign_targets([], [head])
         with pytest.raises(ValidationError):
             total_loss([head], assignment, LossWeights(coord=-1.0))
+
+
+class TestLossInputs:
+    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
+    def test_assignment_for_fewer_heads_rejected(self, loss_fn):
+        heads = three_heads(input_side=64)
+        assignment = assign_targets([gt(20, 20, 10, 13)], heads[:2])
+        with pytest.raises(ShapeError, match="2 heads"):
+            loss_fn(heads, assignment)
+
+    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
+    def test_target_grid_mismatch_rejected(self, loss_fn):
+        assignment = assign_targets([gt(20, 20, 10, 13)], [single_head(grid=2)])
+        with pytest.raises(ShapeError, match="obj_mask"):
+            loss_fn([single_head(grid=3)], assignment)
+        head = single_head(grid=2)
+        assignment.heads[0].ignore_mask = np.zeros((3, 2, 3), dtype=bool)
+        with pytest.raises(ShapeError, match="ignore_mask"):
+            loss_fn([head], assignment)
 
 
 class TestLossGradients:
