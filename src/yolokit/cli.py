@@ -119,8 +119,8 @@ def _resolve_graph(args):
 
 
 def cmd_detect(args) -> int:
-    if args.size % 32:
-        raise UsageError(f"--size {args.size} must be divisible by 32")
+    if args.size < 32 or args.size % 32:
+        raise UsageError(f"--size {args.size} must be a positive multiple of 32")
     if not 0 <= args.conf < 1:
         raise UsageError("--conf must be in [0, 1)")
     if not 0 < args.nms < 1:

@@ -59,6 +59,23 @@ class Network:
                 self.params.append(p)
             else:
                 self.params.append(None)
+        # the outputs each layer is the last reader of, [yolo] outputs (the
+        # heads) excepted; route and shortcut references are static
+        last_reader: dict[int, int] = {}
+        for i, layer in enumerate(graph.layers):
+            if layer.kind == "route":
+                reads = [resolve_ref(i, r) for r in layer.attrs["layers"]]
+            elif layer.kind == "shortcut":
+                reads = [i - 1, resolve_ref(i, layer.attrs["from"])]
+            else:
+                reads = [i - 1]
+            for j in reads:
+                last_reader[j] = i
+        heads = {i for i, layer in enumerate(graph.layers) if layer.kind == "yolo"}
+        self._dead_after: list[list[int]] = [[] for _ in graph.layers]
+        for j, i in last_reader.items():
+            if j not in heads:
+                self._dead_after[i].append(j)
 
     @property
     def parameterized(self) -> bool:
@@ -134,7 +151,10 @@ class Network:
         """Run graph layers ``start`` .. ``stop - 1`` on ``x``, the output of
         layer ``start - 1`` (the image when ``start`` is 0).
 
-        Returns every output keyed by layer index, ``x`` under ``start - 1``.
+        Returns outputs keyed by layer index. With a tape every output is
+        kept, ``x`` under ``start - 1``. Without one, each output is dropped
+        once its last reader has run, so the result holds ``stop - 1``, the
+        ``[yolo]`` outputs and outputs read only by layers past ``stop``.
         Parameter-free layers run on an unparameterized network too, which is
         how checks exercise the graph's own pooling blocks.
         """
@@ -152,8 +172,14 @@ class Network:
                 inputs = [outputs[resolve_ref(i, r)] for r in a["layers"]]
                 x = ops.concat_channels(inputs, tape)
             elif layer.kind == "shortcut":
-                x = ops.shortcut_add(x, outputs[resolve_ref(i, a["from"])], tape)
+                skip = outputs[resolve_ref(i, a["from"])]
+                # a dead input made by this loop is free to take the sum
+                dead = tape is None and i - 1 >= start and i - 1 in self._dead_after[i]
+                x = ops.shortcut_add(x, skip, tape, out=x if dead else None)
             outputs[i] = x
+            if tape is None:
+                for j in self._dead_after[i]:
+                    outputs.pop(j, None)
         return outputs
 
     def backward(self, tape: ops.GradTape, head_grads) -> None:

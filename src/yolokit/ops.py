@@ -2,10 +2,11 @@
 
 Feature maps are numpy arrays in channels x height x width layout, float64
 for verification work and float32 when speed matters. Kernels are pure
-functions of their inputs; passing a :class:`GradTape` makes them record the
-closures needed to run the matching backward pass later. Parameter gradients
-accumulate into buffers on :class:`ConvParams`, which makes multi-pass
-gradient accumulation (emulated batching) a no-op to implement.
+functions of their inputs, except that ``shortcut_add`` can write its sum over
+an input its caller no longer needs. Passing a :class:`GradTape` makes them
+record the closures needed to run the matching backward pass later. Parameter
+gradients accumulate into buffers on :class:`ConvParams`, which makes
+multi-pass gradient accumulation (emulated batching) a no-op to implement.
 """
 
 from __future__ import annotations
@@ -218,19 +219,31 @@ def _activation_grad(gy, y, activation):
     return gy
 
 
-def _im2col(x_padded, k, stride, out_h, out_w):
-    # (C, Hp, Wp) -> (C*k*k, out_h*out_w): rows in weight order (c, ki, kj),
-    # columns in spatial scan order, so that W @ cols is already CHW
-    windows = sliding_window_view(x_padded, (k, k), axis=(1, 2))
+# Bytes of im2col columns built at once: output rows are convolved in bands
+# whose columns fit this budget, so the full (C*k*k, H*W) column matrix of an
+# early layer (118 MB for layer 1 of yolov3-spp at 640 px in float32)
+# never exists at once.
+IM2COL_BAND_BYTES = 8 << 20
+
+
+def _im2col(x_padded, k, stride, r0, r1, out_w):
+    # columns of output rows r0..r1-1: (C*k*k, (r1-r0)*out_w), rows in weight
+    # order (c, ki, kj), columns in spatial scan order, so W @ cols is CHW
+    rows = x_padded[:, r0 * stride : (r1 - 1) * stride + k]
+    if k == 1 and stride == 1:
+        return rows.reshape(rows.shape[0], -1)
+    windows = sliding_window_view(rows, (k, k), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]
-    return windows.transpose(0, 3, 4, 1, 2).reshape(-1, out_h * out_w)
+    return windows.transpose(0, 3, 4, 1, 2).reshape(-1, (r1 - r0) * out_w)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = None) -> np.ndarray:
     """Same-padded 2D convolution with optional batch-norm and activation.
 
     Output spatial extent is ``ceil(H / stride)`` per axis. Raises ShapeError
-    when the input channel count does not match the weights.
+    when the input channel count does not match the weights. The GEMM runs
+    band by band over output rows (see ``IM2COL_BAND_BYTES``); a 1x1
+    stride-1 convolution reads its input in place as one band.
     """
     x = check_tensor(x, rank=3, name="conv input")
     p = params
@@ -248,11 +261,20 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     w_mat = p.weights.reshape(p.filters, -1)
     if k == 1 and s == 1:
         x_padded = x
-        cols = x.reshape(cin, -1)
+        band = out_h  # the input is its own columns: nothing to copy
     else:
         x_padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-        cols = _im2col(x_padded, k, s, out_h, out_w)
-    z = (w_mat @ cols).reshape(p.filters, out_h, out_w)
+        band = max(1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize))
+    z = np.empty((p.filters, out_h * out_w), dtype=np.result_type(w_mat, x))
+    bands = []
+    for r0 in range(0, out_h, band):
+        r1 = min(r0 + band, out_h)
+        cols = _im2col(x_padded, k, s, r0, r1, out_w)
+        np.matmul(w_mat, cols, out=z[:, r0 * out_w : r1 * out_w])
+        if tape is not None:
+            bands.append((r0, r1, cols))
+        del cols  # so that only one band's columns exist at a time
+    z = z.reshape(p.filters, out_h, out_w)
 
     if p.has_batchnorm:
         inv_std = 1.0 / np.sqrt(p.bn_var + BN_EPSILON)
@@ -276,20 +298,23 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
                 p.g_biases += g.sum(axis=(1, 2))
                 gz = g
             gz_flat = gz.reshape(p.filters, -1)
-            p.g_weights += (gz_flat @ cols.T).reshape(p.weights.shape)
-            gcols = w_mat.T @ gz_flat
             if k == 1 and s == 1:
-                gx = gcols.reshape(x.shape)
-            else:
-                gxp = np.zeros_like(x_padded)
-                gcols_r = gcols.reshape(cin, k, k, out_h, out_w)
+                p.g_weights += (gz_flat @ bands[0][2].T).reshape(p.weights.shape)
+                tape.accumulate(x, (w_mat.T @ gz_flat).reshape(x.shape))
+                return
+            # the band columns are kept; the padded input is not
+            gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            for r0, r1, cols in bands:
+                gz_band = gz_flat[:, r0 * out_w : r1 * out_w]
+                p.g_weights += (gz_band @ cols.T).reshape(p.weights.shape)
+                gcols = (w_mat.T @ gz_band).reshape(cin, k, k, r1 - r0, out_w)
+                top, span = r0 * s, s * (r1 - r0 - 1) + 1
                 for ki in range(k):
                     for kj in range(k):
-                        gxp[:, ki : ki + s * (out_h - 1) + 1 : s,
-                            kj : kj + s * (out_w - 1) + 1 : s] += gcols_r[:, ki, kj]
-                gx = gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
-                gx = np.ascontiguousarray(gx)
-            tape.accumulate(x, gx)
+                        gxp[:, top + ki : top + ki + span : s,
+                            kj : kj + s * (out_w - 1) + 1 : s] += gcols[:, ki, kj]
+            gx = gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
+            tape.accumulate(x, np.ascontiguousarray(gx))
 
         tape.record(y, backward)
     return y
@@ -300,6 +325,10 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
     """Max pooling with symmetric padding; padded cells are -inf, never selected.
 
     Output extent is ``floor((H + 2*pad - size)/stride) + 1`` per spatial axis.
+    The max is separable: a running max over the ``size`` shifted column
+    slices, then over the ``size`` shifted row slices of that, so no window is
+    copied. The backward sends each output's gradient to the first cell of
+    its window, in row-major order, that equals the output (argmax's rule).
     """
     x = check_tensor(x, rank=3, name="maxpool input")
     if size < 1 or stride < 1:
@@ -318,20 +347,29 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
         x_padded[:, pad : pad + h, pad : pad + w] = x
     else:
         x_padded = x
-    windows = sliding_window_view(x_padded, (size, size), axis=(1, 2))[:, ::stride, ::stride]
-    flat = windows.reshape(c, out_h, out_w, size * size)
-    arg = flat.argmax(axis=3)
-    y = np.take_along_axis(flat, arg[..., None], axis=3)[..., 0]
-    y = np.ascontiguousarray(y)
+    col_span = stride * (out_w - 1) + 1
+    row_span = stride * (out_h - 1) + 1
+    # the running max is the second operand: numpy returns it on a tie of
+    # -0.0 and 0.0, so even a signed zero is the window's first maximum
+    cols_max = x_padded[:, :, 0:col_span:stride].copy()
+    for kj in range(1, size):
+        np.maximum(x_padded[:, :, kj : kj + col_span : stride], cols_max, out=cols_max)
+    y = cols_max[:, 0:row_span:stride].copy()
+    for ki in range(1, size):
+        np.maximum(cols_max[:, ki : ki + row_span : stride], y, out=y)
 
     if tape is not None:
 
         def backward(gy):
             gxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-            ci, ii, jj = np.indices((c, out_h, out_w), sparse=False)
-            ri = ii * stride + arg // size
-            cj = jj * stride + arg % size
-            np.add.at(gxp, (ci, ri, cj), gy)
+            routed = np.zeros(y.shape, dtype=bool)
+            for ki in range(size):
+                for kj in range(size):
+                    cell = (slice(None), slice(ki, ki + row_span, stride),
+                            slice(kj, kj + col_span, stride))
+                    first = (x_padded[cell] == y) & ~routed
+                    gxp[cell] += np.where(first, gy, 0)
+                    routed |= first
             gx = gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
             tape.accumulate(x, np.ascontiguousarray(gx))
 
@@ -378,13 +416,20 @@ def concat_channels(inputs, tape: GradTape | None = None) -> np.ndarray:
     return y
 
 
-def shortcut_add(x: np.ndarray, y: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
-    """Elementwise residual add of two identically shaped tensors."""
+def shortcut_add(x: np.ndarray, y: np.ndarray, tape: GradTape | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise residual add of two identically shaped tensors.
+
+    ``out=x`` writes the sum over ``x``, for a caller that no longer needs
+    it; a recording tape keys gradients by ``x`` and does not allow that.
+    """
     x = check_tensor(x, rank=3, name="shortcut input")
     y = check_tensor(y, rank=3, name="shortcut skip")
     if x.shape != y.shape:
         raise ShapeError(f"shortcut shapes differ: {x.shape} vs {y.shape}")
-    out = x + y
+    if out is not None and tape is not None:
+        raise UsageError("shortcut_add cannot write into its input while a tape records")
+    out = np.add(x, y, out=out)
     if tape is not None:
 
         def backward(gy):

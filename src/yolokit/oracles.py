@@ -26,6 +26,29 @@ def maxpool_scan(x: np.ndarray, size: int, stride: int, pad: int) -> np.ndarray:
     return out
 
 
+def maxpool_scan_grad(x: np.ndarray, size: int, stride: int, pad: int,
+                      gy: np.ndarray) -> np.ndarray:
+    """Input gradient of the max pool by window scan.
+
+    Each output's gradient goes to the first cell of its window, in row-major
+    order, that holds the window maximum; a padding cell that wins (every
+    cell -inf) keeps the gradient out of the input.
+    """
+    c, h, w = x.shape
+    padded = np.full((c, h + 2 * pad, w + 2 * pad), -np.inf, dtype=x.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = x
+    grad = np.zeros(padded.shape, dtype=gy.dtype)
+    for ch in range(c):
+        for i in range(gy.shape[1]):
+            for j in range(gy.shape[2]):
+                top, left = i * stride, j * stride
+                window = padded[ch, top : top + size, left : left + size]
+                best = window.max()
+                first = next(n for n, v in enumerate(window.ravel()) if v == best)
+                grad[ch, top + first // size, left + first % size] += gy[ch, i, j]
+    return grad[:, pad : pad + h, pad : pad + w]
+
+
 def conv_direct(x: np.ndarray, weights: np.ndarray, biases: np.ndarray,
                 stride: int, pad: int) -> np.ndarray:
     """Direct nested-loop convolution (no batch-norm, linear activation)."""

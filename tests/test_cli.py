@@ -73,6 +73,19 @@ class TestDetect:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("size", ["0", "-32"])
+    def test_non_positive_size_is_usage_error_before_reading(self, tmp_path, capsys, size):
+        # neither file exists: exit 2, not 1, shows nothing was read first
+        code = run(
+            ["detect", tmp_path / "missing.ppm", "--model", "yolov3-tiny",
+             "--weights", tmp_path / "missing.weights", "--size", size,
+             "--out", tmp_path / "p.txt"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--size" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_missing_model_is_usage_error(self, scene, tmp_path):
         assert run(["detect", scene, "--out", tmp_path / "p.txt"]) == 2
 

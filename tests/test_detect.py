@@ -48,6 +48,11 @@ class TestLetterbox:
         with pytest.raises(UsageError):
             letterbox(np.zeros((3, 64, 64)), 100)
 
+    @pytest.mark.parametrize("target", [0, -32])
+    def test_target_must_be_positive(self, target):
+        with pytest.raises(UsageError):
+            letterbox(np.zeros((3, 64, 64)), target)
+
     def test_box_round_trip_within_pixel(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from yolokit.cfg import builtin_graph
+from yolokit import ops
+from yolokit.cfg import builtin_graph, parse_cfg
 from yolokit.errors import ShapeError, UsageError
 from yolokit.loss import toy_graph
 from yolokit.network import Network
@@ -79,6 +80,73 @@ class TestForward:
         # with zero weights every spatial position sees the same value
         per_channel_spread = np.ptp(head.raw.reshape(head.raw.shape[0], -1), axis=1)
         assert np.all(per_channel_spread == 0)
+
+
+class TestInferenceForward:
+    """Without a tape, outputs die after their last reader and a dead
+    shortcut input takes the sum; with one, every output is kept."""
+
+    @pytest.mark.parametrize("variant", ["yolov3_spp", "yolov3_tiny"])
+    def test_heads_equal_recording_forward(self, variant):
+        net = random_init(builtin_graph(variant, 2), seed=8)
+        image = np.random.default_rng(8).uniform(0, 1, (3, 64, 64))
+        before = image.copy()
+        plain = net.forward(image)
+        recorded = net.forward(image, ops.GradTape())
+        assert [h.grid for h in plain] == [h.grid for h in recorded]
+        for got, want in zip(plain, recorded):
+            assert np.array_equal(got.raw, want.raw)
+        assert np.array_equal(image, before)
+
+    @pytest.mark.parametrize("variant", ["yolov3_spp", "yolov3_tiny"])
+    def test_run_layers_keeps_last_output_and_heads(self, variant):
+        graph = builtin_graph(variant, 2)
+        net = random_init(graph, seed=9)
+        image = np.random.default_rng(9).uniform(0, 1, (3, 64, 64))
+        heads = {i for i, layer in enumerate(graph.layers) if layer.kind == "yolo"}
+        n = len(graph.layers)
+        everything = net.run_layers(image, 0, n, ops.GradTape())
+        assert set(everything) == set(range(-1, n))
+        for stop in (n, max(heads) - 1, min(heads) + 3):
+            outputs = net.run_layers(image, 0, stop)
+            kept = {i for i in heads if i < stop} | {stop - 1}
+            assert kept <= set(outputs)
+            if stop == n:
+                assert set(outputs) == kept
+            for i in kept:
+                assert np.array_equal(outputs[i], everything[i])
+
+    def test_live_shortcut_input_not_overwritten(self):
+        # layer 1 feeds the shortcut and, after it, the route: it must not
+        # take the sum in place
+        graph = parse_cfg(
+            "[net]\nwidth=32\nheight=32\nchannels=3\n"
+            "[convolutional]\nfilters=4\nsize=1\nactivation=leaky\n"
+            "[convolutional]\nfilters=4\nsize=3\npad=1\nactivation=leaky\n"
+            "[shortcut]\nfrom=-2\n"
+            "[route]\nlayers=-1,-2\n"
+            "[convolutional]\nfilters=4\nsize=1\nactivation=linear\n"
+        )
+        net = random_init(graph, seed=10)
+        image = np.random.default_rng(10).uniform(0, 1, (3, 32, 32))
+        plain = net.run_layers(image, 0, 5)[4]
+        recorded = net.run_layers(image, 0, 5, ops.GradTape())[4]
+        assert np.array_equal(plain, recorded)
+
+    def test_caller_input_not_overwritten(self):
+        # the shortcut's input is the caller's array, dead in the graph
+        graph = parse_cfg(
+            "[net]\nwidth=32\nheight=32\nchannels=3\n"
+            "[convolutional]\nfilters=4\nsize=1\nactivation=leaky\n"
+            "[shortcut]\nfrom=-1\n"
+            "[convolutional]\nfilters=4\nsize=1\nactivation=linear\n"
+        )
+        net = random_init(graph, seed=11)
+        x = np.random.default_rng(11).uniform(0, 1, (4, 32, 32))
+        before = x.copy()
+        out = net.run_layers(x, 1, 3)[2]
+        assert np.array_equal(x, before)
+        assert np.array_equal(out, net.run_layers(before, 1, 3, ops.GradTape())[2])
 
 
 class TestSpp:

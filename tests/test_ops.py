@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from yolokit import ops
-from yolokit.errors import ShapeError, TapeError
+from yolokit.errors import ShapeError, TapeError, UsageError
 from yolokit.gradcheck import finite_difference, relative_errors
-from yolokit.oracles import conv_direct, maxpool_scan
+from yolokit.oracles import conv_direct, maxpool_scan, maxpool_scan_grad
 
 
 def make_conv(filters, cin, k, stride=1, activation="linear", bn=False, rng=None):
@@ -76,6 +76,44 @@ class TestConv2d:
         want = conv_direct(x, p.weights, p.biases, stride, (k - 1) // 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_several_bands_match_direct_summation(self, k, stride, monkeypatch):
+        rng = np.random.default_rng(20 + k * 10 + stride)
+        x = rng.normal(0, 1, (3, 11, 9))
+        p = make_conv(4, 3, k, stride=stride, activation="leaky", rng=rng)
+        out_h = (11 - 1) // stride + 1
+        out_w = (9 - 1) // stride + 1
+        # four output rows per band: 11 rows -> 4+4+3, 6 rows -> 4+2
+        monkeypatch.setattr(ops, "IM2COL_BAND_BYTES", 4 * 3 * k * k * out_w * x.itemsize)
+        bands = []
+        im2col = ops._im2col
+
+        def recording_im2col(x_padded, k, stride, r0, r1, out_w):
+            bands.append((r0, r1))
+            return im2col(x_padded, k, stride, r0, r1, out_w)
+
+        monkeypatch.setattr(ops, "_im2col", recording_im2col)
+        got = ops.conv2d_forward(x, p)
+        assert bands == [(r0, min(r0 + 4, out_h)) for r0 in range(0, out_h, 4)]
+        assert out_h % 4  # the last band is ragged
+        want = ops.leaky_relu(conv_direct(x, p.weights, p.biases, stride, (k - 1) // 2))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+        p.zero_grads()
+        tape = ops.GradTape()
+        out = ops.conv2d_forward(x, p, tape)
+        projection = rng.uniform(-1, 1, out.shape)
+        tape.backward([(out, projection)])
+
+        def objective():
+            return float(np.sum(ops.conv2d_forward(x, p) * projection))
+
+        pairs = [(value, grad) for _name, value, grad in p.learnable()]
+        pairs.append((x, tape.grad(x)))
+        for value, grad in pairs:
+            fd = finite_difference(objective, value)
+            assert relative_errors(grad.ravel(), fd.ravel()).max() < 1e-4
+
     def test_channel_mismatch(self):
         p = make_conv(2, 3, 3)
         with pytest.raises(ShapeError):
@@ -132,6 +170,50 @@ class TestMaxpool:
             got = ops.maxpool2d_forward(x, k, stride, pad)
             assert np.array_equal(got, maxpool_scan(x, k, stride, pad))
 
+    @staticmethod
+    def tie_cases():
+        """Every legal (size, stride, pad) of sizes 1..13 on tie-heavy inputs."""
+        rng = np.random.default_rng(14)
+        for size in (1, 2, 3, 5, 9, 13):
+            for stride in (1, 2):
+                for pad in range(size):
+                    low = max(1, size - 2 * pad)
+                    h, w = (int(v) for v in rng.integers(low, low + 8, 2))
+                    # few distinct integers, so most windows hold tied maxima
+                    x = rng.integers(-2, 3, (2, h, w)).astype(np.float64)
+                    x[rng.random(x.shape) < 0.15] = -np.inf
+                    yield size, stride, pad, x, rng
+
+    def test_ties_and_inf_match_window_scan_bitwise(self):
+        for size, stride, pad, x, _ in self.tie_cases():
+            for dtype in (np.float64, np.float32):
+                xd = x.astype(dtype)
+                got = ops.maxpool2d_forward(xd, size, stride, pad)
+                assert got.dtype == dtype
+                assert np.array_equal(got, maxpool_scan(xd, size, stride, pad)), (size, stride, pad)
+
+    def test_backward_routes_ties_to_first_window_cell(self):
+        for size, stride, pad, x, rng in self.tie_cases():
+            tape = ops.GradTape()
+            out = ops.maxpool2d_forward(x, size, stride, pad, tape)
+            # integer gradients sum exactly in any order
+            gy = rng.integers(-3, 4, out.shape).astype(np.float64)
+            tape.backward([(out, gy)])
+            want = maxpool_scan_grad(x, size, stride, pad, gy)
+            assert np.array_equal(tape.grad(x), want), (size, stride, pad)
+
+    def test_backward_float_gradients_within_1e12(self):
+        # float gradients routed to one cell sum in another order than the
+        # scan's, so equal only to ~1 ulp of the summed magnitude
+        for size, stride, pad, x, rng in self.tie_cases():
+            tape = ops.GradTape()
+            out = ops.maxpool2d_forward(x, size, stride, pad, tape)
+            gy = rng.normal(0, 1, out.shape)
+            tape.backward([(out, gy)])
+            want = maxpool_scan_grad(x, size, stride, pad, gy)
+            scale = maxpool_scan_grad(x, size, stride, pad, np.abs(gy))
+            assert np.all(np.abs(tape.grad(x) - want) <= 1e-12 * scale), (size, stride, pad)
+
     def test_dominance(self):
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (2, 8, 8))
@@ -185,6 +267,15 @@ class TestConcatAndShortcut:
     def test_spatial_mismatch(self):
         with pytest.raises(ShapeError):
             ops.concat_channels([np.zeros((1, 4, 4)), np.zeros((1, 4, 5))])
+
+    def test_shortcut_out_writes_over_input(self):
+        rng = np.random.default_rng(15)
+        x, y = rng.normal(0, 1, (2, 2, 3, 3))
+        want = x + y
+        assert ops.shortcut_add(x, y, out=x) is x
+        assert np.array_equal(x, want)
+        with pytest.raises(UsageError):
+            ops.shortcut_add(x, y, ops.GradTape(), out=x)
 
     def test_shortcut_mismatch(self):
         with pytest.raises(ShapeError):
