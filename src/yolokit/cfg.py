@@ -18,6 +18,10 @@ from .errors import CfgParseError, GraphValidationError
 COCO_ANCHORS = (10, 13, 16, 30, 33, 23, 30, 61, 62, 45, 59, 119, 116, 90, 156, 198, 373, 326)
 TINY_ANCHORS = (10, 14, 23, 27, 37, 58, 81, 82, 135, 169, 344, 319)
 
+# The builtin backbones downsample by 32, so an image's sides must divide by
+# it; `detect --size` and `Network.forward` check this. `shape_check` does
+# not: its per-[yolo] stride checks cover what the heads need, and a graph
+# without heads may take any size.
 MAX_BACKBONE_STRIDE = 32
 HEAD_STRIDES = (8, 16, 32)
 
@@ -270,13 +274,11 @@ def graph_equal(a: ModelGraph, b: ModelGraph) -> bool:
 def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, int, int]]:
     """Propagate (channels, H, W) through every layer for the given input size.
 
-    Raises GraphValidationError on indivisible input sizes, shortcut shape
-    mismatches, route spatial mismatches, or yolo channel-count violations.
+    Raises GraphValidationError on shortcut shape mismatches, route spatial
+    mismatches, pool windows larger than their padded input, or a ``[yolo]``
+    layer whose channel count or grid stride (an integer in ``HEAD_STRIDES``)
+    does not fit the input size. A graph without heads may take any size.
     """
-    if width % MAX_BACKBONE_STRIDE or height % MAX_BACKBONE_STRIDE:
-        raise GraphValidationError(
-            f"input {width}x{height} must be divisible by {MAX_BACKBONE_STRIDE}"
-        )
     shapes: list[tuple[int, int, int]] = []
     prev = (graph.input_channels, height, width)
     for i, layer in enumerate(graph.layers):

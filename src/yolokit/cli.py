@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cfg import builtin_graph, parse_cfg
+from .cfg import MAX_BACKBONE_STRIDE, builtin_graph, parse_cfg
 from .detect import decode, letterbox, nms
 from .errors import UsageError, YoloKitError
 from .evaluation import (
@@ -119,8 +119,8 @@ def _resolve_graph(args):
 
 
 def cmd_detect(args) -> int:
-    if args.size < 32 or args.size % 32:
-        raise UsageError(f"--size {args.size} must be a positive multiple of 32")
+    if args.size < MAX_BACKBONE_STRIDE or args.size % MAX_BACKBONE_STRIDE:
+        raise UsageError(f"--size {args.size} must be a positive multiple of {MAX_BACKBONE_STRIDE}")
     if not 0 <= args.conf < 1:
         raise UsageError("--conf must be in [0, 1)")
     if not 0 < args.nms < 1:

@@ -75,8 +75,8 @@ IDENTITY_TRANSFORM = LetterboxTransform(1.0, 0.0, 0.0)
 def letterbox(image: np.ndarray, target: int) -> tuple[np.ndarray, LetterboxTransform]:
     """Aspect-preserving nearest-neighbor resize onto a centered square canvas."""
     image = check_tensor(image, rank=3, name="image")
-    if target < 32 or target % 32:
-        raise UsageError(f"letterbox target {target} must be a positive multiple of 32")
+    if target < 1:
+        raise UsageError(f"letterbox target {target} must be positive")
     c, h, w = image.shape
     scale = target / max(h, w)
     new_h = max(1, round(h * scale))

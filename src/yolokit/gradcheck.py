@@ -1,8 +1,13 @@
-"""Finite-difference gradient checking for kernel compositions.
+"""Finite-difference gradient checking on small random graphs.
 
-Random micro-networks (a few convs, pools, upsamples, residual adds and
-concats) are run forward onto a fixed random projection; the tape's analytic
-parameter gradients are then compared against central finite differences.
+Random graphs (a few convs, pools, upsamples, shortcuts and routes) are
+rendered to definition text, parsed back, bound to random parameters and run
+forward by ``Network.run_layers`` onto a fixed random projection; the tape's
+analytic parameter gradients are then compared against central finite
+differences. Each graph's forward is also compared with the independent
+interpreter ``oracles.graph_forward``: a finite-difference check differences
+the same forward the tape recorded, so it cannot see a forward that reads
+the wrong layer.
 
 Two well-known caveats of finite differencing are handled explicitly:
 
@@ -18,146 +23,136 @@ Two well-known caveats of finite differencing are handled explicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import ops
+from . import ops, oracles
+from .cfg import LayerSpec, ModelGraph, parse_cfg, render_cfg, shape_check
+from .network import Network
 
 DEFAULT_STEP = 1e-5
 
 
-@dataclass
-class MicroLayer:
-    kind: str  # conv | maxpool | upsample | shortcut | concat
-    conv: ops.ConvParams | None = None
-    size: int = 0
-    stride: int = 1
-    pad: int = 0
-    ref: int = 0  # index into the outputs list for shortcut/concat
-
-
-@dataclass
-class MicroNet:
-    input_shape: tuple[int, int, int]
-    layers: list[MicroLayer] = field(default_factory=list)
-
-    def conv_params(self):
-        return [layer.conv for layer in self.layers if layer.conv is not None]
-
-
-def micro_forward(net: MicroNet, x: np.ndarray, tape: ops.GradTape | None = None):
-    """Run the micro-net; returns (final output, all intermediate outputs)."""
-    outs = [x]
-    for layer in net.layers:
-        cur = outs[-1]
-        if layer.kind == "conv":
-            cur = ops.conv2d_forward(cur, layer.conv, tape)
-        elif layer.kind == "maxpool":
-            cur = ops.maxpool2d_forward(cur, layer.size, layer.stride, layer.pad, tape)
-        elif layer.kind == "upsample":
-            cur = ops.upsample2x(cur, tape)
-        elif layer.kind == "shortcut":
-            cur = ops.shortcut_add(cur, outs[layer.ref], tape)
-        elif layer.kind == "concat":
-            cur = ops.concat_channels([cur, outs[layer.ref]], tape)
-        outs.append(cur)
-    return outs[-1], outs
-
-
-def _routing_signature(net: MicroNet, outs: list[np.ndarray]):
+def _routing_signature(graph: ModelGraph, outputs: dict[int, np.ndarray]):
     """Discrete decisions the forward pass made: leaky signs, pool argmaxes."""
     signature = []
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "conv" and layer.conv.activation == "leaky":
-            signature.append(outs[i + 1] >= 0)
+    for i, layer in enumerate(graph.layers):
+        a = layer.attrs
+        if layer.kind == "convolutional" and a["activation"] == "leaky":
+            signature.append(outputs[i] >= 0)
         elif layer.kind == "maxpool":
-            src, k, s, pad = outs[i], layer.size, layer.stride, layer.pad
-            if pad:
-                padded = np.full(
-                    (src.shape[0], src.shape[1] + 2 * pad, src.shape[2] + 2 * pad),
-                    -np.inf,
-                    dtype=src.dtype,
-                )
-                padded[:, pad : pad + src.shape[1], pad : pad + src.shape[2]] = src
-            else:
-                padded = src
+            k, s, pad = a["size"], a["stride"], a["padding"]
+            padded = np.pad(outputs[i - 1], ((0, 0), (pad, pad), (pad, pad)),
+                            constant_values=-np.inf)
             windows = sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::s, ::s]
             signature.append(windows.reshape(*windows.shape[:3], -1).argmax(axis=3))
     return signature
 
 
-def _signatures_equal(a, b) -> bool:
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Network, np.ndarray]:
+    """Build a random <=max_layers graph, bound to random parameters, plus an input.
 
-
-def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[MicroNet, np.ndarray]:
-    """Build a random <=max_layers kernel composition plus a matching input."""
+    Shapes come from ``shape_check`` on the partial graph. Shortcut and
+    route references name earlier layer outputs (a graph cannot reference
+    its input), absolute or relative at random; the graph goes through
+    ``render_cfg``/``parse_cfg`` before it is bound.
+    """
     c = int(rng.integers(2, 5))
     side = int(rng.integers(6, 11))
-    net = MicroNet(input_shape=(c, side, side))
-    x = rng.uniform(-1.0, 1.0, size=net.input_shape)
+    graph = ModelGraph(net={"width": side, "height": side, "channels": c})
+    x = rng.uniform(-1.0, 1.0, size=(c, side, side))
 
-    shapes = [net.input_shape]
     n_layers = int(rng.integers(2, max_layers + 1))
-    for layer_index in range(n_layers):
-        cur_c, cur_h, cur_w = shapes[-1]
+    for i in range(n_layers):
+        shapes = shape_check(graph, side, side)
+        _, cur_h, cur_w = shapes[-1] if shapes else (c, side, side)
         choices = ["conv", "conv", "conv"]
         if cur_h >= 3 and cur_w >= 3:
             choices.append("maxpool")
         if cur_h <= 12:
             choices.append("upsample")
-        same_shape = [i for i, s in enumerate(shapes[:-1]) if s == shapes[-1]]
+        same_shape = [j for j, s in enumerate(shapes[:-1]) if s == shapes[-1]]
         if same_shape:
-            choices.append("shortcut")
-        same_spatial = [i for i, s in enumerate(shapes[:-1]) if s[1:] == shapes[-1][1:]]
+            choices += ["shortcut", "shortcut"]
+        same_spatial = [j for j, s in enumerate(shapes[:-1]) if s[1:] == shapes[-1][1:]]
         if same_spatial:
-            choices.append("concat")
+            choices += ["route", "route"]
         # always have at least one parameterized layer to check
-        kind = "conv" if layer_index == 0 else choices[int(rng.integers(len(choices)))]
+        kind = "conv" if i == 0 else choices[int(rng.integers(len(choices)))]
 
         if kind == "conv":
-            filters = int(rng.integers(2, 6))
-            k = int(rng.choice([1, 3]))
-            stride = int(rng.choice([1, 2])) if min(cur_h, cur_w) >= 4 else 1
-            activation = str(rng.choice(["linear", "leaky", "leaky", "sigmoid"]))
-            bn = bool(rng.integers(2))
-            p = ops.ConvParams(filters, k, stride, bn, activation)
-            fan_in = cur_c * k * k
-            p.weights = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(filters, cur_c, k, k))
-            if bn:
-                p.bn_gamma = rng.uniform(0.5, 1.5, filters)
-                p.bn_beta = rng.normal(0.0, 0.3, filters)
-                p.bn_mean = rng.normal(0.0, 0.3, filters)
-                p.bn_var = rng.uniform(0.5, 2.0, filters)
+            # half the convs take the width of an earlier output of this
+            # size, so that stride-1 ones make shortcut partners
+            widths = [s[0] for s in shapes if s[1:] == (cur_h, cur_w)]
+            if widths and rng.integers(2):
+                filters = int(rng.choice(widths))
             else:
-                p.biases = rng.normal(0.0, 0.3, filters)
-            net.layers.append(MicroLayer("conv", conv=p))
-            pad = (k - 1) // 2
-            shapes.append(
-                (filters, (cur_h + 2 * pad - k) // stride + 1, (cur_w + 2 * pad - k) // stride + 1)
-            )
+                filters = int(rng.integers(2, 6))
+            layer = LayerSpec("convolutional", {
+                "filters": filters,
+                "size": int(rng.choice([1, 3])),
+                "stride": int(rng.choice([1, 1, 2])) if min(cur_h, cur_w) >= 4 else 1,
+                "pad": 1,
+                "batch_normalize": int(rng.integers(2)),
+                "activation": str(rng.choice(["linear", "leaky", "leaky", "sigmoid"])),
+            })
         elif kind == "maxpool":
-            k = int(rng.choice([2, 3]))
-            stride = int(rng.choice([1, 2]))
-            pad = (k - 1) // 2
-            net.layers.append(MicroLayer("maxpool", size=k, stride=stride, pad=pad))
-            shapes.append(
-                (cur_c, (cur_h + 2 * pad - k) // stride + 1, (cur_w + 2 * pad - k) // stride + 1)
-            )
+            size = int(rng.choice([2, 3]))
+            layer = LayerSpec("maxpool", {
+                "size": size, "stride": int(rng.choice([1, 2])), "padding": int(rng.integers(size)),
+            })
         elif kind == "upsample":
-            net.layers.append(MicroLayer("upsample"))
-            shapes.append((cur_c, 2 * cur_h, 2 * cur_w))
+            layer = LayerSpec("upsample", {"stride": 2})
         elif kind == "shortcut":
-            ref = int(rng.choice(same_shape))
-            net.layers.append(MicroLayer("shortcut", ref=ref))
-            shapes.append(shapes[-1])
+            j = int(rng.choice(same_shape))
+            layer = LayerSpec("shortcut", {"from": int(rng.choice([j, j - i])),
+                                           "activation": "linear"})
         else:
-            ref = int(rng.choice(same_spatial))
-            net.layers.append(MicroLayer("concat", ref=ref))
-            shapes.append((cur_c + shapes[ref][0], cur_h, cur_w))
+            j = int(rng.choice(same_spatial))
+            layer = LayerSpec("route", {"layers": [-1, int(rng.choice([j, j - i]))]})
+        graph.layers.append(layer)
+
+    net = Network(parse_cfg(render_cfg(graph)))
+    for i, p in net.conv_layers():
+        fan_in = net.conv_in_channels[i] * p.size * p.size
+        p.weights = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
+                               size=(p.filters, net.conv_in_channels[i], p.size, p.size))
+        if p.has_batchnorm:
+            p.bn_gamma = rng.uniform(0.5, 1.5, p.filters)
+            p.bn_beta = rng.normal(0.0, 0.3, p.filters)
+            p.bn_mean = rng.normal(0.0, 0.3, p.filters)
+            p.bn_var = rng.uniform(0.5, 2.0, p.filters)
+        else:
+            p.biases = rng.normal(0.0, 0.3, p.filters)
     return net, x
+
+
+def battery_nets(seed: int, num_nets: int):
+    """Yield the battery's graphs for ``seed``: (Network, input, rng).
+
+    Graph ``k`` is drawn from its own rng, seeded by (seed, k), which the
+    check then draws its projection from; so every graph is the same
+    whatever ran before it.
+    """
+    for index in range(num_nets):
+        rng = np.random.default_rng([seed, index])
+        net, x = random_micro_net(rng)
+        yield net, x, rng
+
+
+def forward_error(net: Network, outputs: dict[int, np.ndarray], x: np.ndarray) -> float:
+    """Largest relative difference of any layer output in ``outputs`` from
+    ``oracles.graph_forward``: max |a - b| / max |b| per layer, infinite
+    when the shapes differ."""
+    worst = 0.0
+    for i, ref in enumerate(oracles.graph_forward(net.graph, net.params, x)):
+        if i in outputs and outputs[i].shape != ref.shape:
+            return float("inf")
+        if i in outputs:
+            worst = max(worst, float(np.abs(outputs[i] - ref).max() / np.abs(ref).max()))
+    return worst
 
 
 @dataclass
@@ -165,58 +160,48 @@ class GradCheckResult:
     max_rel_error: float
     checked: int
     skipped: int  # probes excluded because they crossed a kink
+    forward_rel_error: float  # run_layers outputs vs oracles.graph_forward
 
 
-def check_micro_net(net: MicroNet, x: np.ndarray, rng: np.random.Generator,
+def check_micro_net(net: Network, x: np.ndarray, rng: np.random.Generator,
                     step: float = DEFAULT_STEP, fault: float = 0.0) -> GradCheckResult:
-    """Compare tape gradients of sum(projection * output) against central FD."""
-    for p in net.conv_params():
-        p.zero_grads()
+    """Compare tape gradients of sum(projection * output) against central FD,
+    and every layer output against ``oracles.graph_forward``."""
+    n = len(net.graph.layers)
+    net.zero_grads()
     tape = ops.GradTape()
-    out, _ = micro_forward(net, x, tape)
-    projection = rng.uniform(-1.0, 1.0, size=out.shape)
-    tape.backward([(out, projection)])
+    outputs = net.run_layers(x, 0, n, tape)
+    forward_rel_error = forward_error(net, outputs, x)
+    projection = rng.uniform(-1.0, 1.0, size=outputs[n - 1].shape)
+    tape.backward([(outputs[n - 1], projection)])
 
-    analytic_arrays = []
-    for p in net.conv_params():
-        analytic_arrays.extend(grad for _, _, grad in p.learnable())
+    learnable = [entry for _, p in net.conv_layers() for entry in p.learnable()]
     if fault:
-        target = analytic_arrays[0].ravel()
+        target = learnable[0][2].ravel()
         worst = int(np.argmax(np.abs(target)))
         target[worst] += fault * (1.0 + abs(target[worst]))
 
+    signatures = []
+
     def objective():
-        result, outs = micro_forward(net, x)
-        return float(np.sum(result * projection)), _routing_signature(net, outs)
+        # a tape keeps every output, which the routing signature reads
+        probe = net.run_layers(x, 0, n, ops.GradTape())
+        signatures.append(_routing_signature(net.graph, probe))
+        return float(np.sum(probe[n - 1] * projection))
 
-    analytic_flat, numeric_flat, valid_flat = [], [], []
-    skipped = 0
-    for p in net.conv_params():
-        for _name, value, grad in p.learnable():
-            flat_value = value.ravel()
-            fd = np.zeros(flat_value.size)
-            valid = np.ones(flat_value.size, dtype=bool)
-            for idx in range(flat_value.size):
-                orig = flat_value[idx]
-                flat_value[idx] = orig + step
-                f_plus, sig_plus = objective()
-                flat_value[idx] = orig - step
-                f_minus, sig_minus = objective()
-                flat_value[idx] = orig
-                fd[idx] = (f_plus - f_minus) / (2.0 * step)
-                if not _signatures_equal(sig_plus, sig_minus):
-                    valid[idx] = False
-                    skipped += 1
-            analytic_flat.append(grad.ravel().copy())
-            numeric_flat.append(fd)
-            valid_flat.append(valid)
+    analytic, numeric, valid = [], [], []
+    for _name, value, grad in learnable:
+        signatures.clear()
+        numeric.append(finite_difference(objective, value, step).ravel())
+        analytic.append(grad.ravel())
+        # finite_difference probes +h then -h for each entry in turn
+        valid.extend(all(map(np.array_equal, plus, minus))
+                     for plus, minus in zip(signatures[::2], signatures[1::2]))
 
-    analytic = np.concatenate(analytic_flat)
-    numeric = np.concatenate(numeric_flat)
-    valid = np.concatenate(valid_flat)
-    rel = relative_errors(analytic, numeric)
+    valid = np.array(valid)
+    rel = relative_errors(np.concatenate(analytic), np.concatenate(numeric))
     max_err = float(rel[valid].max()) if valid.any() else 0.0
-    return GradCheckResult(max_err, int(valid.sum()), skipped)
+    return GradCheckResult(max_err, int(valid.sum()), int((~valid).sum()), forward_rel_error)
 
 
 def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
@@ -244,14 +229,13 @@ def finite_difference(fn, array: np.ndarray, step: float = DEFAULT_STEP) -> np.n
 
 def run_gradient_fidelity(seed: int = 0, num_nets: int = 20,
                           step: float = DEFAULT_STEP, fault: float = 0.0) -> GradCheckResult:
-    """Gradient-check ``num_nets`` random micro-networks; aggregate the worst."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+    """Gradient-check ``num_nets`` random graphs; aggregate the worst."""
+    worst = forward_worst = 0.0
     checked = skipped = 0
-    for index in range(num_nets):
-        net, x = random_micro_net(rng)
+    for index, (net, x, rng) in enumerate(battery_nets(seed, num_nets)):
         result = check_micro_net(net, x, rng, step, fault=fault if index == 0 else 0.0)
         worst = max(worst, result.max_rel_error)
+        forward_worst = max(forward_worst, result.forward_rel_error)
         checked += result.checked
         skipped += result.skipped
-    return GradCheckResult(worst, checked, skipped)
+    return GradCheckResult(worst, checked, skipped, forward_worst)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .cfg import ModelGraph, resolve_ref, shape_check
+from .cfg import MAX_BACKBONE_STRIDE, ModelGraph, resolve_ref, shape_check
 from .errors import ShapeError, UsageError
 
 
@@ -120,8 +120,8 @@ class Network:
                 f"image has {image.shape[0]} channels, net expects {self.graph.input_channels}"
             )
         _, in_h, in_w = image.shape
-        if in_h % 32 or in_w % 32:
-            raise ShapeError(f"input {in_h}x{in_w} must be divisible by 32")
+        if in_h % MAX_BACKBONE_STRIDE or in_w % MAX_BACKBONE_STRIDE:
+            raise ShapeError(f"input {in_h}x{in_w} must be divisible by {MAX_BACKBONE_STRIDE}")
         image = np.ascontiguousarray(image, dtype=self.dtype)
 
         outputs = self.run_layers(image, 0, len(self.graph.layers), tape)

@@ -74,6 +74,57 @@ def conv_direct(x: np.ndarray, weights: np.ndarray, biases: np.ndarray,
     return out
 
 
+# darknet's batch-norm epsilon and leaky slope, restated for the oracle
+_BN_EPSILON = 1e-5
+_LEAKY_SLOPE = 0.1
+
+
+def graph_forward(graph, params, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output of ``graph`` on the CHW input ``x``, in order.
+
+    A plain walk over the parsed layers: ``params[i]`` holds layer ``i``'s
+    unfrozen convolution parameters (weights, plus biases or batch-norm
+    gamma/beta/mean/variance as the layer's ``batch_normalize`` says).
+    Convolutions run through :func:`conv_direct` with batch-norm and the
+    activation written out here, pools through :func:`maxpool_scan`; route
+    and shortcut references (negative ones relative to the layer) are
+    resolved here.
+    """
+    outputs = []
+    for i, layer in enumerate(graph.layers):
+        a = layer.attrs
+        prev = outputs[i - 1] if i else x
+        if layer.kind == "convolutional":
+            p = params[i]
+            pad = (a["size"] - 1) // 2 if a["pad"] else 0
+            biases = np.zeros(a["filters"]) if a["batch_normalize"] else p.biases
+            z = conv_direct(prev, p.weights, biases, a["stride"], pad)
+            if a["batch_normalize"]:
+                for f in range(a["filters"]):
+                    z[f] = (p.bn_gamma[f] * (z[f] - p.bn_mean[f])
+                            / np.sqrt(p.bn_var[f] + _BN_EPSILON) + p.bn_beta[f])
+            if a["activation"] == "leaky":
+                y = np.where(z > 0, z, _LEAKY_SLOPE * z)
+            elif a["activation"] == "sigmoid":
+                y = 1.0 / (1.0 + np.exp(-z))
+            else:
+                y = z
+        elif layer.kind == "maxpool":
+            y = maxpool_scan(prev, a["size"], a["stride"], a["padding"])
+        elif layer.kind == "upsample":
+            y = prev.repeat(2, axis=1).repeat(2, axis=2)
+        elif layer.kind == "route":
+            refs = [r if r >= 0 else i + r for r in a["layers"]]
+            y = np.concatenate([outputs[r] for r in refs], axis=0)
+        elif layer.kind == "shortcut":
+            r = a["from"]
+            y = prev + outputs[r if r >= 0 else i + r]
+        else:  # [yolo] passes its input through
+            y = prev
+        outputs.append(y)
+    return outputs
+
+
 def iou_grid_count(a, b, cells: int = 400) -> float:
     """Estimate IoU by counting membership of a fine grid of sample points."""
     ax1, ay1, ax2, ay2 = a.corners()

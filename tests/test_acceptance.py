@@ -17,8 +17,10 @@ def _assert(result):
 
 
 def test_gradient_fidelity():
-    # >= 20 random micro-networks plus the full loss, vs central differences
-    # at step 1e-5 in double precision, max relative error 1e-4, under 60 s.
+    # >= 20 random graphs run by Network.run_layers plus the full loss, vs
+    # central differences at step 1e-5 in double precision, max relative
+    # error 1e-4, under 60 s; the graphs' forward vs oracles.graph_forward
+    # within 1e-12 relative.
     _assert(verify.check_gradient_fidelity(SEED, num_nets=20))
 
 

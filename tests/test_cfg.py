@@ -11,6 +11,7 @@ from yolokit.cfg import (
     shape_check,
 )
 from yolokit.errors import CfgParseError, GraphValidationError
+from yolokit.loss import toy_graph
 
 MINIMAL = """\
 [net]
@@ -126,8 +127,21 @@ class TestParse:
 
 class TestShapeCheck:
     def test_indivisible_input_rejected(self):
+        # the heads' own stride checks reject it; no global size rule does
+        with pytest.raises(GraphValidationError, match="stride"):
+            shape_check(builtin_graph("yolov3_tiny", 80), 100, 100)
+
+    @pytest.mark.parametrize("variant,size", [
+        ("yolov3", 100), ("yolov3", 40), ("yolov3", 48),
+        ("yolov3_tiny", 40), ("yolov3_tiny", 48), ("toy", 100),
+    ])
+    def test_head_strides_reject_sizes(self, variant, size):
+        graph = toy_graph() if variant == "toy" else builtin_graph(variant, 80)
         with pytest.raises(GraphValidationError):
-            shape_check(parse_cfg(MINIMAL), 100, 100)
+            shape_check(graph, size, size)
+
+    def test_headless_graph_takes_any_size(self):
+        assert shape_check(parse_cfg(MINIMAL), 7, 7) == [(4, 7, 7)]
 
     def test_deepest_map_at_256(self):
         graph = builtin_graph("yolov3", 80)

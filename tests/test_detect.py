@@ -18,8 +18,10 @@ from yolokit.detect import (
     nms,
 )
 from yolokit.errors import ShapeError, UsageError
+from yolokit.loss import toy_graph
 from yolokit.network import HeadOutput
 from yolokit.oracles import iou_grid_count, nms_loop
+from yolokit.weights import random_init
 
 
 def head_with_raw(raw, stride=32, anchors=None, num_classes=2):
@@ -45,8 +47,11 @@ class TestLetterbox:
         assert np.all(out[:, 480:, :] == 0.5)
 
     def test_target_must_be_divisible(self):
-        with pytest.raises(UsageError):
-            letterbox(np.zeros((3, 64, 64)), 100)
+        # letterbox itself takes any positive size; the network rejects it
+        canvas, _ = letterbox(np.zeros((3, 64, 64)), 100)
+        net = random_init(toy_graph(), seed=0)
+        with pytest.raises(ShapeError, match="divisible by 32"):
+            net.forward(canvas)
 
     @pytest.mark.parametrize("target", [0, -32])
     def test_target_must_be_positive(self, target):

@@ -1,8 +1,9 @@
 """End-to-end gradient flow through Network.forward/backward and the loss.
 
-The micro-net gradient checks drive kernels directly; this exercises the
-graph executor itself (route concat, shortcut add, pooling, per-layer
-parameter slots) with the same loss-seeded backward pass the trainer uses.
+The random-graph gradient checks seed the backward with a fixed projection;
+this exercises the graph executor (route concat, shortcut add, pooling,
+per-layer parameter slots) through Network.forward/backward with the same
+loss-seeded backward pass the trainer uses.
 Activations are kept smooth (sigmoid/linear) so central differences are
 valid everywhere.
 """
