@@ -9,7 +9,7 @@ loss with a toy SGD trainer, and a precision/recall/AP/mAP evaluator.
 __version__ = "0.1.0"
 
 from .cfg import ModelGraph, builtin_graph, graph_equal, parse_cfg, render_cfg, shape_check
-from .detect import Box, Detection, LetterboxTransform, decode, iou, letterbox, nms
+from .detect import Box, Detection, Detections, LetterboxTransform, decode, iou, letterbox, nms
 from .errors import YoloKitError
 from .evaluation import EvalReport, GroundTruthBox, evaluate, parse_visdrone
 from .loss import LossWeights, assign_targets, sgd_step, total_loss, train_toy
@@ -21,6 +21,7 @@ __all__ = [
     "Box",
     "ConvParams",
     "Detection",
+    "Detections",
     "EvalReport",
     "GradTape",
     "GroundTruthBox",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cfg import MAX_BACKBONE_STRIDE, builtin_graph, parse_cfg
-from .detect import decode, letterbox, nms
+from .detect import Detections, decode, letterbox, nms
 from .errors import UsageError, YoloKitError
 from .evaluation import (
     VISDRONE_CLASS_NAMES,
@@ -125,6 +125,10 @@ def cmd_detect(args) -> int:
         raise UsageError("--conf must be in [0, 1)")
     if not 0 < args.nms < 1:
         raise UsageError("--nms must be in (0, 1)")
+    image_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
+    for image_id in image_ids:
+        if len(image_id.split()) != 1:  # one token of a prediction-file line
+            raise UsageError(f"image name {image_id!r} is empty or holds whitespace")
     graph = _resolve_graph(args)
     dtype = np.float64 if args.precision == "double" else np.float32
     seed = args.seed if args.seed is not None else _default_seed()
@@ -134,21 +138,20 @@ def cmd_detect(args) -> int:
         net = random_init(graph, seed=seed, dtype=dtype)
     net.freeze()
 
-    all_detections = []
-    for path in args.images:
-        image_id = os.path.splitext(os.path.basename(path))[0]
+    per_image = []
+    for path, image_id in zip(args.images, image_ids):
         image = read_ppm(path)
         boxed, transform = letterbox(image, args.size)
         heads = net.forward(boxed.astype(dtype))
-        detections = []
-        for head in heads:
-            detections.extend(decode(head, args.conf, transform, image_id))
-        detections = nms(detections, args.nms)
-        all_detections.extend(detections)
+        candidates = Detections.concat(decode(head, args.conf, transform, image_id)
+                                       for head in heads)
+        detections = nms(candidates, args.nms)
+        per_image.append(detections)
         if args.render:
             os.makedirs(args.render, exist_ok=True)
             rendered = render_detections(image, detections)
             write_ppm(os.path.join(args.render, f"{image_id}.ppm"), rendered)
+    all_detections = Detections.concat(per_image)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_predictions(all_detections))
     print(f"{len(all_detections)} detections -> {args.out}")

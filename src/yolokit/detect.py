@@ -44,6 +44,89 @@ class Detection:
     box: Box
 
 
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as columns, one row each: what decode, NMS, the prediction
+    file reader and writer, and the evaluator pass between them.
+
+    ``names`` holds the sorted unique image ids and ``image`` each row's
+    position in it (int64), so ordering rows by ``image`` orders them by
+    image id. ``class_index`` is int64; ``score`` and the center-based box
+    ``x``, ``y``, ``w``, ``h`` (pixels) are float64. Indexing and iterating
+    give :class:`Detection` objects, for library callers, rendering and the
+    oracles.
+    """
+
+    names: tuple[str, ...]
+    image: np.ndarray
+    class_index: np.ndarray
+    score: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, detections) -> Detections:
+        """``detections`` itself when it is columnar, else its columns."""
+        if isinstance(detections, Detections):
+            return detections
+        n = len(detections)
+        names = sorted({d.image_id for d in detections})
+        code = {name: k for k, name in enumerate(names)}
+
+        def column(values, dtype=np.float64):
+            return np.fromiter(values, dtype, n)
+
+        return cls(
+            tuple(names), column((code[d.image_id] for d in detections), np.int64),
+            column((d.class_index for d in detections), np.int64),
+            column(d.score for d in detections), column(d.box.x for d in detections),
+            column(d.box.y for d in detections), column(d.box.w for d in detections),
+            column(d.box.h for d in detections),
+        )
+
+    @classmethod
+    def concat(cls, parts) -> Detections:
+        """The rows of each part in turn, image codes remapped to the merged names."""
+        parts = list(parts) or [cls.of([])]
+        names = sorted(set().union(*(p.names for p in parts)))
+        code = {name: k for k, name in enumerate(names)}
+        image = np.concatenate([np.array([code[name] for name in p.names], np.int64)[p.image]
+                                for p in parts])
+        return cls(tuple(names), image, *(
+            np.concatenate([getattr(p, f) for p in parts])
+            for f in ("class_index", "score", "x", "y", "w", "h")
+        ))
+
+    def take(self, rows) -> Detections:
+        """The rows at ``rows`` (an index or mask array), same names."""
+        return Detections(self.names, self.image[rows], self.class_index[rows],
+                          self.score[rows], self.x[rows], self.y[rows], self.w[rows],
+                          self.h[rows])
+
+    def image_ids(self) -> list[str]:
+        """Each row's image id."""
+        return list(map(self.names.__getitem__, self.image.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, k: int) -> Detection:
+        return Detection(self.names[self.image[k]], int(self.class_index[k]),
+                         float(self.score[k]), Box(float(self.x[k]), float(self.y[k]),
+                                                   float(self.w[k]), float(self.h[k])))
+
+    def rows(self):
+        """Each row as ``(image_id, class_index, score, x, y, w, h)`` Python values."""
+        return zip(self.image_ids(), self.class_index.tolist(), self.score.tolist(),
+                   self.x.tolist(), self.y.tolist(), self.w.tolist(), self.h.tolist())
+
+    def __iter__(self):
+        for image_id, cls, score, x, y, w, h in self.rows():
+            yield Detection(image_id, cls, score, Box(x, y, w, h))
+
+
 @dataclass(frozen=True)
 class LetterboxTransform:
     """Affine map between original-image and network-input pixel frames."""
@@ -131,16 +214,18 @@ def read_head(head: HeadOutput) -> HeadArrays:
 
 
 def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransform,
-           image_id: str) -> list[Detection]:
+           image_id: str) -> Detections:
     """Decode one head into detections above the confidence threshold.
 
     The head is read by :func:`read_head`. The emitted score is objectness *
     class probability for the argmax class; boxes are mapped back to
-    original-image coordinates.
+    original-image coordinates. Rows follow the head's (anchor, row, col)
+    order.
     """
     if not 0 <= conf_threshold < 1:
         raise UsageError(f"conf_threshold must be in [0, 1), got {conf_threshold}")
-    pred = read_head(head)
+    with np.errstate(over="ignore"):  # an extent that overflows is dropped below
+        pred = read_head(head)
     class_probs = pred.class_probs
     best_class = class_probs.argmax(axis=1)
     best_prob = np.take_along_axis(class_probs, best_class[:, None], axis=1)[:, 0]
@@ -152,11 +237,12 @@ def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransfor
         pred.x[a, i, j], pred.y[a, i, j],
         np.maximum(pred.w[a, i, j], 1e-9), np.maximum(pred.h[a, i, j], 1e-9),
     )
-    return [
-        Detection(image_id, cls, score, Box(x, y, w, h))
-        for cls, score, x, y, w, h in zip(best_class[a, i, j].tolist(), scores[a, i, j].tolist(),
-                                           xs.tolist(), ys.tolist(), ws.tolist(), hs.tolist())
-    ]
+    # and overflows to inf above ~709: such a box has no finite extent to keep
+    finite = np.isfinite(ws) & np.isfinite(hs)
+    if not finite.all():
+        a, i, j, xs, ys, ws, hs = (v[finite] for v in (a, i, j, xs, ys, ws, hs))
+    return Detections((image_id,), np.zeros(len(a), dtype=np.int64),
+                      best_class[a, i, j].astype(np.int64), scores[a, i, j], xs, ys, ws, hs)
 
 
 def iou(a: Box, b: Box) -> float:
@@ -193,35 +279,35 @@ def iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (a[4] + b[4] - inter)
 
 
-def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
+def nms(detections, iou_threshold: float):
     """Greedy per-class suppression of overlapping lower-scored boxes.
 
-    Within a class, detections are visited by descending score (equal scores
-    keep input order); a detection is kept unless its IoU with an already
-    kept same-class detection exceeds the threshold. Output is ordered by
-    (score desc, class, input position). Each kept box suppresses with one
-    :func:`iou_grid` row against the later boxes of its class, so every
-    decision equals the scalar loop's (``oracles.nms_loop``) bit for bit.
+    Takes and returns :class:`Detections`; a list of :class:`Detection`
+    gives the list of its kept objects. Within a class, detections are
+    visited by descending score (equal scores keep input order); a detection
+    is kept unless its IoU with an already kept same-class detection exceeds
+    the threshold. Output is ordered by (score desc, class, input position).
+    Each kept box suppresses with one :func:`iou_grid` row against the later
+    boxes of its class, so every decision equals the scalar loop's
+    (``oracles.nms_loop``) bit for bit.
     """
     if not 0 < iou_threshold < 1:
         raise UsageError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
-    if not detections:
-        return []
-    table = np.array(
-        [(d.class_index, d.score, d.box.x, d.box.y, d.box.w, d.box.h) for d in detections],
-        dtype=np.float64,
-    )
+    table = Detections.of(detections)
+    n = len(table)
     # input positions grouped by class, then by score desc and position
-    order = np.lexsort((np.arange(len(table)), -table[:, 1], table[:, 0]))
-    cls, _, x, y, w, h = table[order].T
-    corners = corner_table(x, y, w, h)
+    order = np.lexsort((np.arange(n), -table.score, table.class_index))
+    cls = table.class_index[order]
+    corners = corner_table(table.x[order], table.y[order], table.w[order], table.h[order])
     class_end = np.searchsorted(cls, cls, side="right")
-    alive = np.ones(len(table), dtype=bool)
-    for k in range(len(table)):
+    alive = np.ones(n, dtype=bool)
+    for k in range(n):
         if not alive[k]:
             continue
         rest = slice(k + 1, class_end[k])
         alive[rest] &= iou_grid(corners[:, rest], corners[:, k]) <= iou_threshold
     kept = order[alive]
-    kept = kept[np.lexsort((kept, table[kept, 0], -table[kept, 1]))]
+    kept = kept[np.lexsort((kept, table.class_index[kept], -table.score[kept]))]
+    if table is detections:
+        return table.take(kept)
     return [detections[p] for p in kept.tolist()]

@@ -9,19 +9,23 @@ ignore-flagged regions are discarded from both counts. AP uses all-point
 right-envelope interpolation and mAP averages the classes that actually
 appear in the ground truth.
 
+Both are read into columns, :class:`~yolokit.detect.Detections` and
+:class:`GroundTruth`, which the matcher and the evaluator work on;
+``Detection`` and ``GroundTruthBox`` objects are accepted at the edges.
+
 Everything is deterministic under input shuffling: equal scores are ordered
 by image id, then box coordinates, lexicographically.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from .detect import Box, Detection, corner_table, iou_grid
+from .detect import Box, Detection, Detections, corner_table, iou_grid
 from .errors import AnnotationError, ValidationError
 
 VISDRONE_CLASS_NAMES = (
@@ -48,9 +52,50 @@ class GroundTruthBox:
     ignore: bool = False
 
 
-def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
-    """Parse one annotation file's text into ground-truth boxes."""
-    boxes = []
+@dataclass(frozen=True, eq=False)
+class GroundTruth:
+    """Ground-truth boxes as columns, the evaluator's form of them.
+
+    As in :class:`~yolokit.detect.Detections`: ``names`` holds the sorted
+    unique image ids and ``image`` each row's position in it; ``class_index``
+    is int64 (-1 on the ignore regions read from annotation files),
+    ``ignore`` flags the ignore regions and ``x``, ``y``, ``w``, ``h`` are
+    float64 center-based boxes in pixels.
+    """
+
+    names: tuple[str, ...]
+    image: np.ndarray
+    class_index: np.ndarray
+    ignore: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, ground_truth) -> GroundTruth:
+        """``ground_truth`` itself when it is columnar, else the columns of its boxes."""
+        if isinstance(ground_truth, GroundTruth):
+            return ground_truth
+        names = sorted({g.image_id for g in ground_truth})
+        code = {name: k for k, name in enumerate(names)}
+        return cls._from_rows(names, [
+            (code[g.image_id], g.class_index, g.ignore, g.box.x, g.box.y, g.box.w, g.box.h)
+            for g in ground_truth
+        ])
+
+    @classmethod
+    def _from_rows(cls, names, rows) -> GroundTruth:
+        """Columns of (image code, class, ignore, x, y, w, h) rows."""
+        table = np.array(rows, dtype=np.float64).reshape(-1, 7).T
+        image, classes, ignore, x, y, w, h = table
+        return cls(tuple(names), image.astype(np.int64), classes.astype(np.int64),
+                   ignore != 0, x, y, w, h)
+
+
+def _visdrone_rows(text: str) -> list[tuple[int, bool, float, float, float, float]]:
+    """(class, ignore, center x, center y, w, h) of each annotation line."""
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -63,16 +108,24 @@ def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
             category = int(fields[5])
         except ValueError as exc:
             raise AnnotationError(str(exc), lineno) from None
+        for name, value in zip("xywh", (x, y, w, h)):
+            if not math.isfinite(value):
+                raise AnnotationError(f"non-finite {name} {value}", lineno)
         if w <= 0 or h <= 0:
             raise AnnotationError(f"non-positive box extent {w}x{h}", lineno)
-        box = Box(x + w / 2, y + h / 2, w, h)
         if category in _IGNORED_CATEGORIES:
-            boxes.append(GroundTruthBox(image_id, -1, box, ignore=True))
+            rows.append((-1, True, x + w / 2, y + h / 2, w, h))
         elif 1 <= category <= 10:
-            boxes.append(GroundTruthBox(image_id, category - 1, box))
+            rows.append((category - 1, False, x + w / 2, y + h / 2, w, h))
         else:
             raise AnnotationError(f"category {category} outside 0..11", lineno)
-    return boxes
+    return rows
+
+
+def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
+    """Parse one annotation file's text into ground-truth boxes."""
+    return [GroundTruthBox(image_id, cls, Box(x, y, w, h), ignore)
+            for cls, ignore, x, y, w, h in _visdrone_rows(text)]
 
 
 def format_visdrone(boxes: list[GroundTruthBox]) -> str:
@@ -86,159 +139,213 @@ def format_visdrone(boxes: list[GroundTruthBox]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_ground_truth(directory) -> list[GroundTruthBox]:
+def load_ground_truth(directory) -> GroundTruth:
     """Read every ``*.txt`` in a directory; the file stem is the image id."""
-    boxes = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".txt"):
-            continue
+    files = sorted(name for name in os.listdir(directory) if name.endswith(".txt"))
+    names = sorted(name[:-4] for name in files)
+    code = {name: k for k, name in enumerate(names)}
+    rows = []
+    for name in files:
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:
             try:
-                boxes.extend(parse_visdrone(fh.read(), image_id=name[:-4]))
+                image = code[name[:-4]]
+                rows.extend((image, *row) for row in _visdrone_rows(fh.read()))
             except AnnotationError as exc:
                 wrapped = AnnotationError(f"{path}: {exc}")
                 wrapped.line = exc.line
                 raise wrapped from None
-    return boxes
+    return GroundTruth._from_rows(names, rows)
 
 
-def parse_predictions(text: str) -> list[Detection]:
-    """Parse ``image_id class_index score x y w h`` lines."""
-    detections = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 7:
-            raise AnnotationError(f"expected 7 space-separated fields, got {len(fields)}", lineno)
+# Lines split per block. Any size gives the same result; a small one bounds
+# the token lists alive at once, and with them the time the cyclic garbage
+# collector spends walking them (32k-line blocks parsed a 274k-line file
+# ~1.6x slower than 4k-line ones).
+PARSE_BLOCK_LINES = 1 << 12
+
+_PREDICTION_FLOATS = ("score", "x", "y", "w", "h")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _prediction_columns(rows: list[list[str]]):
+    """(image ids, class, score, x, y, w, h) of split lines; blank lines are skipped.
+
+    Raises AnnotationError, without a line number, if any line is bad; on a
+    one-line block its message is that line's first failing check. The
+    checks, in order: 7 fields, an int class and float values
+    (``int``/``float`` semantics), a class in 0..2**63-1, finite values, a
+    score in [0, 1] and positive extents.
+    """
+    sizes = set(map(len, rows))
+    if sizes - {0, 7}:
+        raise AnnotationError(f"expected 7 space-separated fields, got {min(sizes - {0, 7})}")
+    if 0 in sizes:
+        rows = list(filter(None, rows))
+    n = len(rows)
+    ids, classes, *tokens = zip(*rows) if n else ((),) * 7
+    too_large = False
+    try:
+        cls = np.fromiter(map(int, classes), np.int64, n)
+    except OverflowError:  # a valid int beyond int64; reported after the floats parse
+        too_large = True
+    except ValueError as exc:
+        raise AnnotationError(str(exc)) from None
+    try:
+        values = [np.fromiter(map(float, column), np.float64, n) for column in tokens]
+    except ValueError as exc:
+        raise AnnotationError(str(exc)) from None
+    if too_large:
+        big = next(v for v in map(int, classes) if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
+        raise AnnotationError(f"negative class index {big}" if big < 0
+                              else f"class index {big} too large")
+    if (cls < 0).any():
+        raise AnnotationError(f"negative class index {cls[cls < 0][0]}")
+    for name, column in zip(_PREDICTION_FLOATS, values):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise AnnotationError(f"non-finite {name} {float(column[bad][0])}")
+    score, x, y, w, h = values
+    bad = (score < 0) | (score > 1)
+    if bad.any():
+        raise AnnotationError(f"score {float(score[bad][0])} outside [0, 1]")
+    bad = (w <= 0) | (h <= 0)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise AnnotationError(f"non-positive box extent {float(w[k])}x{float(h[k])}")
+    return ids, cls, score, x, y, w, h
+
+
+def _parse_block(rows: list[list[str]], first_line: int):
+    """:func:`_prediction_columns`, with the first bad line's number on errors.
+
+    A bad block is bisected to its first bad line, whose message is the
+    checks' verdict on that line alone.
+    """
+    try:
+        return _prediction_columns(rows)
+    except AnnotationError:
+        pass
+    lo, hi = 0, len(rows)  # rows[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            cls = int(fields[1])
-            score, x, y, w, h = (float(tok) for tok in fields[2:])
-        except ValueError as exc:
-            raise AnnotationError(str(exc), lineno) from None
-        if cls < 0:
-            raise AnnotationError(f"negative class index {cls}", lineno)
-        if not 0 <= score <= 1:
-            raise AnnotationError(f"score {score} outside [0, 1]", lineno)
-        if w <= 0 or h <= 0:
-            raise AnnotationError(f"non-positive box extent {w}x{h}", lineno)
-        detections.append(Detection(fields[0], cls, score, Box(x, y, w, h)))
-    return detections
+            _prediction_columns(rows[lo:mid])
+            lo = mid
+        except AnnotationError:
+            hi = mid
+    try:
+        _prediction_columns(rows[lo:hi])
+    except AnnotationError as exc:
+        raise AnnotationError(str(exc), first_line + lo) from None
+    raise AssertionError("a bad block without a bad line")
 
 
-def format_predictions(detections: list[Detection]) -> str:
+def parse_predictions(text: str) -> Detections:
+    """Parse ``image_id class_index score x y w h`` lines into columns.
+
+    Values are read with Python's ``int`` and ``float``; blank lines are
+    skipped. A bad line raises :class:`AnnotationError` naming its line
+    number and its first failing check (see :func:`_prediction_columns`).
+    """
+    lines = text.splitlines()
+    first_seen: dict[str, int] = {}  # image id -> code in order of appearance
+    blocks = []
+    for start in range(0, len(lines), PARSE_BLOCK_LINES):
+        rows = [line.split() for line in lines[start : start + PARSE_BLOCK_LINES]]
+        ids, *columns = _parse_block(rows, start + 1)
+        for image_id in dict.fromkeys(ids):
+            first_seen.setdefault(image_id, len(first_seen))
+        blocks.append((np.fromiter(map(first_seen.__getitem__, ids), np.int64, len(ids)),
+                       *columns))
+    if not blocks:
+        return Detections.of([])
+    names = sorted(first_seen)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[first_seen[name] for name in names]] = np.arange(len(names))
+    image, *columns = (np.concatenate(parts) for parts in zip(*blocks))
+    return Detections(tuple(names), rank[image], *columns)
+
+
+def format_predictions(detections) -> str:
     """One ``image_id class_index score x y w h`` line per detection.
 
-    Values are written as Python ``int``/``float`` reprs, so numpy scalars
-    produce the same text as the Python numbers they hold.
+    Takes :class:`Detections` or a list of :class:`Detection`. Values are
+    written as Python ``int``/``float`` reprs, so numpy scalars produce the
+    same text as the Python numbers they hold.
     """
     lines = [
-        f"{d.image_id} {int(d.class_index)} {float(d.score)!r} {float(d.box.x)!r} "
-        f"{float(d.box.y)!r} {float(d.box.w)!r} {float(d.box.h)!r}"
-        for d in detections
+        f"{image_id} {cls} {score!r} {x!r} {y!r} {w!r} {h!r}"
+        for image_id, cls, score, x, y, w, h in Detections.of(detections).rows()
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _codes(items, key: str, table: dict, dtype=np.int32) -> np.ndarray:
-    """Position of each item's ``key`` attribute in ``table``."""
-    return np.fromiter(map(table.__getitem__, map(attrgetter(key), items)), dtype, len(items))
+@dataclass(frozen=True, eq=False)
+class Labeled:
+    """The detections :func:`match` kept, in canonical order, with their TP flags.
 
-
-def _column(items, key: str, dtype=np.float64) -> np.ndarray:
-    return np.fromiter(map(attrgetter(key), items), dtype, len(items))
-
-
-def _truth_tables(ground_truth, image_code: dict, class_code: dict, key_type):
-    """Ground truth as corner tables, split by the ignore flag.
-
-    Returns (boxes, box_keys, regions, region_images, class_counts): the
-    matchable boxes sorted by (image, class, x, y, w, h) with their
-    image * classes + class keys, the ignore regions sorted by image with
-    their image codes, and the matchable box count per class code.
+    Iterates as ``(row, is_tp)`` pairs, each row the plain tuple of
+    :meth:`Detections.rows`: a pass over the labels builds no objects per
+    detection.
     """
-    image = _codes(ground_truth, "image_id", image_code, key_type)
-    cls = _codes(ground_truth, "class_index", class_code)
-    ignore = _column(ground_truth, "ignore", bool)
-    x, y, w, h = (_column(ground_truth, f"box.{f}") for f in "xywh")
-    key = image * len(class_code) + cls
-    real = np.flatnonzero(~ignore)
-    real = real[np.lexsort((h[real], w[real], y[real], x[real], key[real]))]
-    regions = np.flatnonzero(ignore)
-    regions = regions[np.argsort(image[regions], kind="stable")]
-    return (
-        corner_table(x[real], y[real], w[real], h[real]), key[real],
-        corner_table(x[regions], y[regions], w[regions], h[regions]), image[regions],
-        np.bincount(cls[real], minlength=len(class_code)),
-    )
+
+    detections: Detections
+    is_tp: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.is_tp)
+
+    def __iter__(self):
+        return zip(self.detections.rows(), self.is_tp.tolist())
 
 
-def match(detections, ground_truth, iou_threshold: float = 0.5):
-    """Label every detection TP/FP (or discard it) against the ground truth.
+def _recode(names, merged) -> np.ndarray:
+    """Position in ``merged`` of each of ``names``."""
+    code = {name: k for k, name in enumerate(merged)}
+    return np.array([code[name] for name in names], dtype=np.int64)
 
-    Returns (labeled, gt_counts): ``labeled`` is [(Detection, bool)] in
-    canonical score order with discarded detections removed; ``gt_counts``
-    maps class index to its non-ignored ground-truth box count.
 
-    Canonical order is (score desc, image id, x, y, w, h, class), input
-    order on full ties. Per (image, class) pair, each detection in that
-    order takes the unmatched box of highest IoU, the first in (x, y, w, h)
-    order on ties; it is a TP if that IoU reaches the threshold. Otherwise
-    it is discarded if it reaches the threshold with an ignore-flagged
-    region of its image, else a FP. The rule is ``oracles.match_loop``'s,
-    label for label.
-    """
-    if not 0 < iou_threshold <= 1:
-        raise ValidationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    n = len(detections)
-    image_ids = {d.image_id for d in detections}.union(g.image_id for g in ground_truth)
-    classes = {d.class_index for d in detections}.union(g.class_index for g in ground_truth)
-    image_code = {image_id: k for k, image_id in enumerate(sorted(image_ids))}
-    class_code = {cls: k for k, cls in enumerate(sorted(classes))}
-    key_type = np.int32 if len(image_ids) * len(classes) < 2**31 else np.int64
-    boxes, box_key, regions, region_img, counts = _truth_tables(
-        ground_truth, image_code, class_code, key_type
-    )
-    gt_counts = {cls: int(counts[k]) for cls, k in class_code.items() if counts[k]}
-    if not n:
-        return [], gt_counts
+def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
+    """:func:`match` on columns: (kept rows in canonical order, their TP flags, gt_counts)."""
+    names = sorted(set(dets.names).union(truth.names))
+    classes = np.unique(np.concatenate((dets.class_index, truth.class_index)))
+    n_cls = len(classes)
+    det_key = _recode(dets.names, names)[dets.image] * n_cls
+    det_key += np.searchsorted(classes, dets.class_index)
+    gt_img = _recode(truth.names, names)[truth.image]
+    gt_cls = np.searchsorted(classes, truth.class_index)
 
-    def tie_key(i):
-        box = detections[i].box
-        return box.x, box.y, box.w, box.h, detections[i].class_index
+    # matchable boxes sorted by (image, class, x, y, w, h); regions by image
+    real = np.flatnonzero(~truth.ignore)
+    box_key = gt_img[real] * n_cls + gt_cls[real]
+    by_box = np.lexsort((truth.h[real], truth.w[real], truth.y[real], truth.x[real], box_key))
+    real, box_key = real[by_box], box_key[by_box]
+    boxes = corner_table(truth.x[real], truth.y[real], truth.w[real], truth.h[real])
+    regions = np.flatnonzero(truth.ignore)
+    regions = regions[np.argsort(gt_img[regions], kind="stable")]
+    region_img = gt_img[regions]
+    regions = corner_table(truth.x[regions], truth.y[regions], truth.w[regions],
+                           truth.h[regions])
+    counts = np.bincount(gt_cls[real], minlength=n_cls)
+    gt_counts = {cls: count for cls, count in zip(classes.tolist(), counts.tolist()) if count}
 
-    # Full-length columns are few and freed early: the heap they grow is not
-    # reused by the Python objects built next, so it adds to the peak RSS.
-    # Detections in canonical order: one lexsort on (score desc, image);
-    # the few runs tied on both are ordered by (x, y, w, h, class) in Python.
-    key = _codes(detections, "image_id", image_code, key_type)
-    neg_score = _column(detections, "score")
-    np.negative(neg_score, out=neg_score)
-    order = np.lexsort((key, neg_score))
-    key = key[order]
-    neg_score = neg_score[order]
-    tied = (neg_score[1:] == neg_score[:-1]) & (key[1:] == key[:-1])
-    del neg_score
-    tied = np.concatenate(([False], tied, [False]))
-    edges = np.flatnonzero(tied[1:] != tied[:-1]).tolist()  # run starts, run ends
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=tie_key)
-
-    # then grouped by (image, class), canonical order kept inside each group
-    key *= len(classes)
-    key += _codes(detections, "class_index", class_code)[order]
-    by_group = np.argsort(key, kind="stable")
+    # canonical order (score desc, image id, x, y, w, h, class, input order),
+    # then grouped by (image, class) with that order kept inside each group
+    n = len(dets)
+    order = np.lexsort((dets.class_index, dets.h, dets.w, dets.y, dets.x, dets.image,
+                        -dets.score))
+    by_group = np.argsort(det_key[order], kind="stable")
     grouped = order[by_group]
-    key = key[by_group]
-    del by_group
+    key = det_key[grouped]
+    corners = corner_table(dets.x[grouped], dets.y[grouped], dets.w[grouped], dets.h[grouped])
 
     # per (image, class) group: its detections, its boxes, its image's regions
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(new_group)
     group_key = key[starts]
-    group_img = group_key // len(classes)
-    del key
+    group_img = group_key // n_cls
     bounds = zip(
         starts.tolist(), np.append(starts[1:], n).tolist(),
         np.searchsorted(box_key, group_key).tolist(),
@@ -251,10 +358,9 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
     for lo, hi, b_lo, b_hi, r_lo, r_hi in bounds:
         if b_hi == b_lo and r_hi == r_lo:
             continue  # nothing to match or ignore: all FP
-        members = list(map(detections.__getitem__, grouped[lo:hi].tolist()))
-        dets = corner_table(*(_column(members, f"box.{f}") for f in "xywh"))
+        group = corners[:, lo:hi, None]
         if b_hi > b_lo:
-            grid = iou_grid(dets[:, :, None], boxes[:, b_lo:b_hi])
+            grid = iou_grid(group, boxes[:, b_lo:b_hi])
             # a row below the threshold on every box can never match
             for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
                 best = grid[row].argmax()  # first maximum, as in the loop
@@ -262,18 +368,43 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
                     is_tp[lo + row] = True
                     grid[:, best] = -1.0  # consumed
         if r_hi > r_lo:
-            overlap = iou_grid(dets[:, :, None], regions[:, r_lo:r_hi]).max(axis=1)
+            overlap = iou_grid(group, regions[:, r_lo:r_hi]).max(axis=1)
             discard[lo:hi] = (overlap >= iou_threshold) & ~is_tp[lo:hi]
 
     keep = np.empty(n, dtype=bool)
     keep[grouped] = ~discard
-    kept = order[keep[order]]
     tp = np.empty(n, dtype=bool)
     tp[grouped] = is_tp
-    # memoryviews hand out Python ints and bools one at a time (.tolist()
-    # would hold a list of n ints alongside the list being built)
-    labeled = list(zip(map(detections.__getitem__, memoryview(kept)), memoryview(tp[kept])))
-    return labeled, gt_counts
+    kept = order[keep[order]]
+    return kept, tp[kept], gt_counts
+
+
+def match(detections, ground_truth, iou_threshold: float = 0.5):
+    """Label every detection TP/FP (or discard it) against the ground truth.
+
+    Takes :class:`Detections` (or a list of :class:`Detection`) and a
+    :class:`GroundTruth` (or a list of :class:`GroundTruthBox`). Returns
+    (labeled, gt_counts): ``labeled`` holds the detections in canonical
+    order with discarded ones removed, as :class:`Labeled` for columnar
+    input and as a list of (Detection, bool) pairs of the caller's own
+    objects for a list; ``gt_counts`` maps class index to its non-ignored
+    ground-truth box count.
+
+    Canonical order is (score desc, image id, x, y, w, h, class), input
+    order on full ties. Per (image, class) pair, each detection in that
+    order takes the unmatched box of highest IoU, the first in (x, y, w, h)
+    order on ties; it is a TP if that IoU reaches the threshold. Otherwise
+    it is discarded if it reaches the threshold with an ignore-flagged
+    region of its image, else a FP. The rule is ``oracles.match_loop``'s,
+    label for label.
+    """
+    if not 0 < iou_threshold <= 1:
+        raise ValidationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    dets = Detections.of(detections)
+    kept, tp, gt_counts = _match_rows(dets, GroundTruth.of(ground_truth), iou_threshold)
+    if dets is detections:
+        return Labeled(dets.take(kept), tp), gt_counts
+    return list(zip(map(detections.__getitem__, kept.tolist()), tp.tolist())), gt_counts
 
 
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
@@ -373,35 +504,40 @@ def evaluate(detections, ground_truth, num_classes: int,
              iou_threshold: float = 0.5, score_threshold: float | None = None) -> EvalReport:
     """Full evaluation: per-class AP, pooled precision/recall, and mAP.
 
+    Takes :class:`Detections` or a list of :class:`Detection`, and a
+    :class:`GroundTruth` or a list of :class:`GroundTruthBox`.
     ``score_threshold`` only filters the detections (and is recorded in the
     report); pass None when the caller already applied its confidence cut.
     Classes with no ground-truth boxes report AP 0 and are excluded from the
     mAP mean.
     """
-    for det in detections:
-        if not 0 <= det.class_index < num_classes:
-            raise ValidationError(
-                f"detection class {det.class_index} outside 0..{num_classes - 1}"
-            )
-    for gt in ground_truth:
-        if not gt.ignore and not 0 <= gt.class_index < num_classes:
-            raise ValidationError(
-                f"ground-truth class {gt.class_index} outside 0..{num_classes - 1}"
-            )
+    dets = Detections.of(detections)
+    truth = GroundTruth.of(ground_truth)
+    bad = (dets.class_index < 0) | (dets.class_index >= num_classes)
+    if bad.any():
+        raise ValidationError(
+            f"detection class {dets.class_index[bad][0]} outside 0..{num_classes - 1}"
+        )
+    bad = ~truth.ignore & ((truth.class_index < 0) | (truth.class_index >= num_classes))
+    if bad.any():
+        raise ValidationError(
+            f"ground-truth class {truth.class_index[bad][0]} outside 0..{num_classes - 1}"
+        )
     if score_threshold is not None:
-        detections = [d for d in detections if d.score >= score_threshold]
+        dets = dets.take(dets.score >= score_threshold)
 
-    labeled, gt_counts = match(detections, ground_truth, iou_threshold)
-    scores = [[] for _ in range(num_classes)]
-    flags = [[] for _ in range(num_classes)]
-    for det, is_tp in labeled:  # one pass; each class keeps the score order
-        scores[det.class_index].append(det.score)
-        flags[det.class_index].append(is_tp)
+    labeled, gt_counts = match(dets, truth, iou_threshold)
+    # split by class, each class keeping the score order
+    by_class = np.argsort(labeled.detections.class_index, kind="stable")
+    bounds = np.searchsorted(labeled.detections.class_index[by_class],
+                             np.arange(num_classes + 1)).tolist()
+    scores = labeled.detections.score[by_class]
+    flags = labeled.is_tp[by_class]
     per_class = []
     for cls in range(num_classes):
         gt_count = gt_counts.get(cls, 0)
-        tps = np.asarray(flags[cls], dtype=bool)
-        recalls, precisions = _curve(np.asarray(scores[cls], dtype=float), tps, gt_count)
+        tps = flags[bounds[cls] : bounds[cls + 1]]
+        recalls, precisions = _curve(scores[bounds[cls] : bounds[cls + 1]], tps, gt_count)
         ap = _curve_ap(recalls, precisions) if gt_count and len(tps) else 0.0
         tp = int(tps.sum())
         per_class.append(

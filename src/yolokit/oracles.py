@@ -7,7 +7,12 @@ paths) so it can serve as an independent cross-check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .detect import Box, Detection
+from .errors import AnnotationError
 
 
 def maxpool_scan(x: np.ndarray, size: int, stride: int, pad: int) -> np.ndarray:
@@ -257,6 +262,42 @@ def match_loop(detections, ground_truth, iou_threshold: float = 0.5):
         if not hit_ignore:
             labeled.append((det, False))
     return labeled
+
+
+def parse_predictions_loop(text: str) -> list[Detection]:
+    """Prediction-file lines parsed one at a time, each line checked in turn.
+
+    Each non-blank line must hold ``image_id class_index score x y w h``: an
+    ``int`` class in 0..2**63-1 and ``float`` values that are finite, a
+    score in [0, 1] and positive extents. The first bad line raises
+    AnnotationError with its line number and the first check it fails.
+    """
+    detections = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 7:
+            raise AnnotationError(f"expected 7 space-separated fields, got {len(fields)}", lineno)
+        try:
+            cls = int(fields[1])
+            score, x, y, w, h = (float(tok) for tok in fields[2:])
+        except ValueError as exc:
+            raise AnnotationError(str(exc), lineno) from None
+        if cls < 0:
+            raise AnnotationError(f"negative class index {cls}", lineno)
+        if cls > 2**63 - 1:
+            raise AnnotationError(f"class index {cls} too large", lineno)
+        for name, value in zip(("score", "x", "y", "w", "h"), (score, x, y, w, h)):
+            if not math.isfinite(value):
+                raise AnnotationError(f"non-finite {name} {value}", lineno)
+        if not 0 <= score <= 1:
+            raise AnnotationError(f"score {score} outside [0, 1]", lineno)
+        if w <= 0 or h <= 0:
+            raise AnnotationError(f"non-positive box extent {w}x{h}", lineno)
+        detections.append(Detection(fields[0], cls, score, Box(x, y, w, h)))
+    return detections
 
 
 def brute_force_evaluate(detections, ground_truth, num_classes: int,

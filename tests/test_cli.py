@@ -96,6 +96,18 @@ class TestDetect:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("name", ["a b.ppm", "tab\there.ppm", " .ppm"])
+    def test_image_name_with_whitespace_is_usage_error_before_reading(self, scene, tmp_path,
+                                                                      name, capsys):
+        # the image id is one token of each prediction-file line
+        image = tmp_path / name
+        image.write_bytes(scene.read_bytes())
+        out = tmp_path / "p.txt"
+        assert run(["detect", scene, image, "--model", "yolov3-tiny", "--size", "64",
+                    "--weights", tmp_path / "missing.weights", "--out", out]) == 2
+        assert "whitespace" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_predictions(self, scene, tmp_path):
         args = ["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
                 "--size", "64", "--conf", "0.05", "--precision", "single", "--seed", "9"]

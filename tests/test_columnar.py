@@ -1,0 +1,306 @@
+"""Columnar detections: the parser against its loop oracle, the writer round
+trip, non-finite input, overflowing extents, and objects only at the edges."""
+
+import warnings
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from yolokit import cli, evaluation
+from yolokit.detect import IDENTITY_TRANSFORM, Box, Detection, Detections, decode, nms
+from yolokit.errors import AnnotationError
+from yolokit.evaluation import (
+    GroundTruth,
+    GroundTruthBox,
+    evaluate,
+    format_predictions,
+    load_ground_truth,
+    match,
+    parse_predictions,
+    parse_visdrone,
+)
+from yolokit.network import HeadOutput
+from yolokit.oracles import brute_force_evaluate, match_loop, nms_loop, parse_predictions_loop
+
+GOOD = "im0 1 0.5 10 10 5 5"
+
+# Lines both parsers must accept or reject alike, with the same line and message.
+EDGE_TEXTS = [
+    "",
+    "\n\n   \n",
+    GOOD,                                               # no final newline
+    f"{GOOD}\n\n  \n\t\nim1 2 0.25 1 2 3 4\n",          # blank lines
+    "im0\t1\t0.5\t10\t10\t5\t5\n im1  0 1 1 1 1 1 \n",  # tabs, extra spaces
+    f"{GOOD}\r\nim1 0 1 1 1 1 1\r\n",                   # CRLF
+    "im0 +1 +0.5 +10 10 5 5\n",
+    "im0 1_0 0.5 1_0.5 10 5 5\n",
+    "im0 1 .5 10 10 .5 5.\n",
+    "im0 1 1e-3 1E2 -1e-300 5e-324 1e308\n",
+    "im0 -0 -0 -0 -0.0 5 5\n",
+    "im0 0 0 0 0 1 1\nim0 0 1 0 0 1 1\n",              # scores at both ends
+    "im0 99999999999999999999 0.5 1 1 1 1\n",          # beyond int64
+    "im0 -99999999999999999999 0.5 1 1 1 1\n",
+    "im0 9223372036854775807 0.5 1 1 1 1\n",           # int64 max is fine
+    "im0 99999999999999999999 0.5 x 1 1 1\n",          # the float error comes first
+    f"{GOOD}\n{GOOD}\nim0 1 0.5 10 10 5\n",             # wrong count, line 3
+    f"{GOOD}\nim0 1 0.5 10 10 5 5 6\n",
+    "im0\n",
+    f"{GOOD}\nim0 -1 0.5 10 10 5 5\n",                  # negative class
+    "im0 1 1.0000001 10 10 5 5\n",
+    "im0 1 -0.0000001 10 10 5 5\n",
+    "im0 1.0 0.5 10 10 5 5\n",                          # int() rejects these
+    "im0 0x1 0.5 10 10 5 5\n",
+    "im0 1 0.5 10 10 five 5\n",
+    "im0 1 0.5 10 10 -0 5\n",                           # zero extents
+    "im0 1 0.5 10 10 5 -5\n",
+    "im0 -1 x 10 10 5 5\n",                             # conversion before range
+    "im0 -1 2 10 10 -5 5\n",                            # class before score before extent
+    "im0 1 2 10 10 -5 5\n",
+    f"{GOOD}\nim0 1 0.5 10 10 -5 5\nim0 1 0.5 10\n",    # the first bad line wins
+    f"{GOOD}\fim1 1 0.5 10 10 5 5\x1eim2 1 0.5 1 1 1 1\n",  # other line breaks
+] + [
+    " ".join(["im0", "1"] + ["0.5", "10", "10", "5", "5"][:k] + [bad]
+             + ["0.5", "10", "10", "5", "5"][k + 1 :]) + "\n"
+    for k in range(5)
+    for bad in ("nan", "inf", "-inf", "NaN", "Infinity")
+]
+
+
+def _rows(detections):
+    """Each detection's fields, floats by their bits (so -0.0 differs from 0.0)."""
+    return [(d.image_id, d.class_index, d.score.hex(), d.box.x.hex(), d.box.y.hex(),
+             d.box.w.hex(), d.box.h.hex()) for d in detections]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", _rows(parse(text))
+    except AnnotationError as exc:
+        return "error", exc.line, str(exc)
+
+
+class TestParserOracle:
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_same_verdict_as_loop(self, text):
+        assert _outcome(parse_predictions, text) == _outcome(parse_predictions_loop, text)
+
+    def test_corpus_has_both_verdicts(self):
+        verdicts = Counter(_outcome(parse_predictions_loop, t)[0] for t in EDGE_TEXTS)
+        assert verdicts["ok"] >= 12 and verdicts["error"] >= 30
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_block_size_changes_nothing(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        lines = [f"im{k % 7} {k % 4} {rng.uniform():.3f} 10 20 3 4" for k in range(200)]
+        lines[17] = ""
+        text = "\n".join(lines) + "\n"
+        want = _outcome(parse_predictions_loop, text)
+        monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", block)
+        assert _outcome(parse_predictions, text) == want
+        for bad in (0, 1, 63, 64, 65, 130, 199):  # each position within a block
+            broken = list(lines)
+            broken[bad] = "im0 1 0.5 10 10 5 nan"
+            broken[bad + 1 if bad < 199 else 0] = "im0 1 0.5 10 10 5"
+            text = "\n".join(broken) + "\n"
+            got = _outcome(parse_predictions, text)
+            assert got == _outcome(parse_predictions_loop, text)
+            assert got[0] == "error" and got[1] == min(bad, bad + 1 if bad < 199 else 0) + 1
+
+
+class TestRoundTrip:
+    def test_format_parse_bit_identical(self):
+        rng = np.random.default_rng(12)
+        n = 500
+        ids = np.array([f"img_{k}" for k in range(9)] + ["a", "Z-1", "x.y"])
+        image_ids = ids[rng.integers(len(ids), size=n)]
+        score = rng.uniform(0, 1, n)
+        x, y = rng.normal(0, 1e3, (2, n))
+        w, h = np.exp(rng.normal(0, 8, (2, n)))
+        values = [score, x, y, w, h]
+        for column in values:  # a third of the rows hold float32 values
+            column[::3] = column[::3].astype(np.float32)
+        score[:4] = [0.0, 1.0, -0.0, 5e-324]
+        x[4], w[5], h[6] = -0.0, 5e-324, 1e308
+        names = sorted(set(image_ids.tolist()))
+        image = np.searchsorted(names, image_ids)
+        dets = Detections(tuple(names), image, rng.integers(0, 2**40, n), *values)
+
+        text = format_predictions(dets)
+        assert text == format_predictions(list(dets))  # the same text from objects
+        back = parse_predictions(text)
+        assert back.names == dets.names
+        assert np.array_equal(back.image, dets.image)
+        assert np.array_equal(back.class_index, dets.class_index)
+        for got, want in zip((back.score, back.x, back.y, back.w, back.h), values):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert _rows(back) == _rows(parse_predictions_loop(text))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_prediction_reader(self, field, value):
+        tokens = ["0.5", "10", "10", "5", "5"]
+        tokens[field] = value
+        text = f"{GOOD}\nim0 1 {' '.join(tokens)}\n"
+        with pytest.raises(AnnotationError) as err:
+            parse_predictions(text)
+        assert err.value.line == 2
+        assert f"non-finite {('score', 'x', 'y', 'w', 'h')[field]}" in str(err.value)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_annotation_reader(self, field, value):
+        tokens = ["1", "1", "5", "5"]
+        tokens[field] = value
+        text = "1,1,5,5,1,1,0,0\n" + ",".join(tokens) + ",1,1,0,0\n"
+        with pytest.raises(AnnotationError) as err:
+            parse_visdrone(text, "im0")
+        assert err.value.line == 2
+        assert f"non-finite {'xywh'[field]}" in str(err.value)
+
+    def test_annotation_directory_names_file_and_line(self, tmp_path):
+        (tmp_path / "im0.txt").write_text("1,1,5,5,1,1,0,0\n1,1,inf,5,1,1,0,0\n")
+        with pytest.raises(AnnotationError) as err:
+            load_ground_truth(tmp_path)
+        assert err.value.line == 2 and "im0.txt" in str(err.value)
+
+
+class TestDecodeOverflow:
+    def test_overflowing_extent_dropped(self):
+        raw = np.zeros((21, 1, 2))        # 3 anchors of (t_x, t_y, t_w, t_h, t_o, c0, c1)
+        raw[4::7] = raw[5::7] = 800.0     # every anchor and cell scores 1
+        raw[6::7] = -800.0
+        raw[2, 0, 0] = 800.0              # anchor 0, cell (0, 0): t_w = 800
+        raw[7 + 3, 0, 1] = 710.0          # anchor 1, cell (0, 1): t_h just past exp's range
+        head = HeadOutput((1, 2), 32, raw, [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = decode(head, 0.5, IDENTITY_TRANSFORM, "img")
+        assert len(dets) == 4             # 6 candidates, 2 with an infinite extent
+        assert np.isfinite(dets.w).all() and np.isfinite(dets.h).all()
+        assert list(zip(dets.x.tolist(), dets.y.tolist())) == [
+            (48.0, 16.0), (16.0, 16.0), (16.0, 16.0), (48.0, 16.0)]
+        assert _rows(parse_predictions(format_predictions(dets))) == _rows(dets)
+
+
+class TestDetections:
+    def test_of_and_iteration_round_trip(self):
+        dets = [Detection("b", 2, 0.5, Box(1.0, 2.0, 3.0, 4.0)),
+                Detection("a", 0, 0.25, Box(5.0, 6.0, 7.0, 8.0))]
+        columns = Detections.of(dets)
+        assert columns.names == ("a", "b") and columns.image.tolist() == [1, 0]
+        assert list(columns) == dets and columns[1] == dets[1] and len(columns) == 2
+        assert Detections.of(columns) is columns
+
+    def test_concat_remaps_images(self):
+        parts = [Detections.of([Detection(i, 0, 0.5, Box(1, 1, 1, 1))]) for i in "cab"]
+        joined = Detections.concat(parts + [Detections.of([])])
+        assert joined.names == ("a", "b", "c")
+        assert joined.image_ids() == ["c", "a", "b"]
+        assert len(Detections.concat([])) == 0
+
+    def test_nms_on_columns_keeps_list_rows(self):
+        rng = np.random.default_rng(13)
+        dets = [Detection("img", int(rng.integers(3)), round(float(rng.uniform()), 1),
+                          Box(*rng.integers(0, 8, 2).tolist(), *rng.integers(1, 5, 2).tolist()))
+                for _ in range(60)]
+        kept = nms(Detections.of(dets), 0.45)
+        assert isinstance(kept, Detections)
+        assert list(kept) == nms_loop(dets, 0.45) == nms(dets, 0.45)
+
+
+def _instance(rng, n_images=3, n_classes=3):
+    images = [f"im{k}" for k in range(n_images)]
+
+    def box():
+        return Box(*rng.integers(0, 6, 2).tolist(), *rng.integers(1, 5, 2).tolist())
+
+    truth = [GroundTruthBox(images[int(rng.integers(n_images))], int(rng.integers(-1, n_classes)),
+                            box(), ignore=bool(rng.random() < 0.2))
+             for _ in range(int(rng.integers(0, 16)))]
+    truth = [g if g.ignore or g.class_index >= 0
+             else GroundTruthBox(g.image_id, 0, g.box) for g in truth]
+    dets = [Detection(images[int(rng.integers(n_images))], int(rng.integers(n_classes)),
+                      round(float(rng.uniform(0.05, 1.0)), 1), box())
+            for _ in range(int(rng.integers(0, 30)))]
+    return dets, truth
+
+
+class TestColumnarMatch:
+    def test_class_breaks_full_ties(self):
+        # equal score, image and box: class order, then input order
+        a, b, c = (Detection("im0", cls, 0.5, Box(10, 10, 4, 4)) for cls in (2, 0, 2))
+        truth = [GroundTruthBox("im0", 0, Box(10, 10, 4, 4))]
+        labeled, _ = match([a, b, c], truth)
+        assert [(id(d), t) for d, t in labeled] == [(id(b), True), (id(a), False), (id(c), False)]
+        assert [(id(d), t) for d, t in match_loop([a, b, c], truth)] == [
+            (id(d), t) for d, t in labeled]
+        columns, _ = match(Detections.of([a, b, c]), GroundTruth.of(truth))
+        assert columns.detections.class_index.tolist() == [0, 2, 2]
+
+    def test_columns_label_like_the_loop(self):
+        rng = np.random.default_rng(14)
+        for trial in range(150):
+            dets, truth = _instance(rng)
+            threshold = (1 / 3, 0.5, 0.45)[trial % 3]
+            labeled, counts = match(Detections.of(dets), GroundTruth.of(truth), threshold)
+            expected = match_loop(dets, truth, threshold)
+            assert len(labeled) == len(expected)
+            assert list(labeled.detections) == [d for d, _ in expected]
+            assert labeled.is_tp.tolist() == [t for _, t in expected]
+            assert list(labeled) == [
+                ((d.image_id, d.class_index, d.score, d.box.x, d.box.y, d.box.w, d.box.h), t)
+                for d, t in expected
+            ]
+            assert counts == match(dets, truth, threshold)[1]
+
+
+class TestObjectsOnlyAtEdges:
+    def test_eval_builds_no_detection_or_box(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(15)
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        lines = []
+        for k in range(6):
+            boxes = [f"{int(x)},{int(y)},{int(w)},{int(h)},1,{int(c)},0,0"
+                     for x, y, w, h, c in zip(*rng.integers(1, 60, (4, 12)),
+                                              rng.integers(0, 12, 12))]
+            (gt_dir / f"im{k}.txt").write_text("\n".join(boxes) + "\n")
+            lines += [f"im{k} {rng.integers(10)} {rng.uniform():.2f} {rng.uniform(5, 80):.1f} "
+                      f"{rng.uniform(5, 80):.1f} {rng.uniform(2, 40):.1f} {rng.uniform(2, 40):.1f}"
+                      for _ in range(50)]
+        pred = tmp_path / "pred.txt"
+        pred.write_text("\n".join(lines) + "\n")
+
+        built = Counter()
+        box_post_init, detection_init = Box.__post_init__, Detection.__init__
+
+        def counting_post_init(self):
+            built["Box"] += 1
+            box_post_init(self)
+
+        def counting_init(self, *args, **kwargs):
+            built["Detection"] += 1
+            detection_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Box, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Detection, "__init__", counting_init)
+        argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred), "--out-dir",
+                str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert built == Counter()
+        assert "mAP50" in capsys.readouterr().out
+        # the counters do see objects built elsewhere
+        truth = [g for k in range(6)
+                 for g in parse_visdrone((gt_dir / f"im{k}.txt").read_text(), f"im{k}")]
+        assert built["Box"] == len(truth) > 0
+        dets = parse_predictions_loop(pred.read_text())
+        assert built["Detection"] == len(dets) == 300
+
+        # a list of Detection still scores like the brute-force oracle
+        report = evaluate(dets, truth, 10)
+        oracle_aps, oracle_map = brute_force_evaluate(dets, truth, 10)
+        assert max(abs(c.ap - ap) for c, ap in zip(report.per_class, oracle_aps)) <= 1e-12
+        assert abs(report.map_fraction - oracle_map) <= 1e-12

@@ -99,7 +99,7 @@ class TestDecode:
     def test_high_threshold_empty(self):
         raw = np.zeros((21, 2, 2))
         dets = decode(head_with_raw(raw), 0.999, IDENTITY_TRANSFORM, "img")
-        assert dets == []
+        assert list(dets) == []
 
     def test_threshold_range_validated(self):
         raw = np.zeros((21, 1, 1))

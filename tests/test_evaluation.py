@@ -73,7 +73,7 @@ class TestPredictionFormat:
             det("im0", 2, 0.75, 10.5, 20.25, 5.0, 8.0),
             det("im1", 0, 1.0, 1.0, 2.0, 3.0, 4.0),
         ]
-        assert parse_predictions(format_predictions(dets)) == dets
+        assert list(parse_predictions(format_predictions(dets))) == dets
 
     def test_numpy_scalars_round_trip(self):
         dets = [
@@ -83,7 +83,7 @@ class TestPredictionFormat:
         text = format_predictions(dets)
         assert "np." not in text
         assert text == format_predictions([det("im0", 3, 0.5, 565.4404296875, 20.25, 5.0, 8.5)])
-        assert parse_predictions(text) == dets
+        assert list(parse_predictions(text)) == dets
 
     def test_field_count_error(self):
         with pytest.raises(AnnotationError):

@@ -1,0 +1,42 @@
+"""Golden outputs: ``eval`` and ``detect`` on committed inputs write the committed bytes.
+
+The fixtures under ``tests/golden`` were written by ``tests/golden/regenerate.py``
+before detections became columnar; a change that alters any report file, any
+stdout line, the prediction file or the rendered PPM fails here.
+"""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+import regenerate  # noqa: E402
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_eval_outputs_byte_identical(tmp_path):
+    out_dir = str(tmp_path / "eval")
+    stdout = regenerate.run_cli(regenerate.eval_argv(out_dir))
+    expected = os.path.join(regenerate.EVAL_DIR, "expected")
+    assert stdout == _read(os.path.join(expected, "stdout.txt")).decode("utf-8")
+    names = sorted(n for n in os.listdir(expected) if n != "stdout.txt")
+    assert sorted(os.listdir(out_dir)) == names
+    assert "report.txt" in names and "report.csv" in names and "pr_class9.csv" in names
+    for name in names:
+        assert _read(os.path.join(out_dir, name)) == _read(os.path.join(expected, name)), name
+
+
+def test_detect_outputs_byte_identical(tmp_path):
+    out = str(tmp_path / "predictions.txt")
+    render = str(tmp_path / "render")
+    stdout = regenerate.run_cli(regenerate.detect_argv(out, render))
+    expected = os.path.join(regenerate.DETECT_DIR, "expected")
+    assert stdout.replace(out, "{out}") == _read(os.path.join(expected, "stdout.txt")).decode()
+    predictions = _read(out)
+    assert predictions == _read(os.path.join(expected, "predictions.txt"))
+    assert {line.split()[0] for line in predictions.decode().splitlines()} == {"scene0", "scene1"}
+    assert _read(os.path.join(render, regenerate.RENDERED)) == _read(
+        os.path.join(expected, "render", regenerate.RENDERED))
