@@ -18,7 +18,7 @@ import numpy as np
 from .cfg import ModelGraph, parse_cfg
 from .errors import NumericError, ShapeError, UsageError, ValidationError
 from .evaluation import GroundTruthBox
-from .detect import Box, HeadArrays, corner_table, iou_grid, read_head
+from .detect import Box, corner_table, iou_grid, read_head
 from .network import HeadOutput, Network
 from .ops import GradTape
 from .weights import random_init
@@ -63,6 +63,12 @@ class LossBreakdown:
     coord: float
     iou: float
     cls: float
+    grads: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
+
+
+def _check_reads(heads, reads) -> None:
+    if reads is not None and len(reads) != len(heads):
+        raise ShapeError(f"{len(reads)} head reads for {len(heads)} heads")
 
 
 def _shape_iou(w1, h1, w2, h2):
@@ -70,8 +76,8 @@ def _shape_iou(w1, h1, w2, h2):
     return inter / (w1 * h1 + w2 * h2 - inter)
 
 
-def assign_targets(ground_truth, heads: list[HeadOutput],
-                   ignore_iou: float = 0.5) -> TargetAssignment:
+def assign_targets(ground_truth, heads: list[HeadOutput], ignore_iou: float = 0.5,
+                   reads=None) -> TargetAssignment:
     """Assign each box to its best-shaped anchor and build the loss masks.
 
     Boxes must be in network-input pixel coordinates. Each non-ignored box
@@ -79,10 +85,12 @@ def assign_targets(ground_truth, heads: list[HeadOutput],
     the box when both are centered at the origin; when two boxes claim the
     same slot the first (input order) keeps it. Predicted boxes that overlap
     any ground-truth box above ``ignore_iou`` without being responsible land
-    in the ignore mask and are excluded from the no-object term.
+    in the ignore mask and are excluded from the no-object term. ``reads``
+    are the heads as :func:`read_head` reads them, as for :func:`total_loss`.
     """
     if not heads:
         raise UsageError("need at least one head to assign targets against")
+    _check_reads(heads, reads)
     input_h = heads[0].stride * heads[0].grid[0]
     input_w = heads[0].stride * heads[0].grid[1]
 
@@ -135,21 +143,12 @@ def assign_targets(ground_truth, heads: list[HeadOutput],
     if ground_truth:
         truth = corner_table(*np.array([(g.box.x, g.box.y, g.box.w, g.box.h)
                                         for g in ground_truth]).T)
-        for head, tgt in zip(heads, targets):
-            pred = read_head(head)
+        for index, (head, tgt) in enumerate(zip(heads, targets)):
+            pred = read_head(head) if reads is None else reads[index]
             slots = corner_table(pred.x, pred.y, pred.w, pred.h).reshape(5, -1)
             best_iou = iou_grid(slots[:, :, None], truth).max(axis=1).reshape(tgt.obj_mask.shape)
             tgt.ignore_mask = (best_iou > ignore_iou) & ~tgt.obj_mask
     return TargetAssignment(targets)
-
-
-def _head_pieces(head: HeadOutput, index: int) -> HeadArrays:
-    """The head as :func:`read_head` reads it, extents as image fractions."""
-    if not np.all(np.isfinite(head.raw)):
-        raise NumericError(f"head {index} (stride {head.stride}) has non-finite raw values")
-    pred = read_head(head)
-    rows, cols = head.grid
-    return pred._replace(w=pred.w / (head.stride * cols), h=pred.h / (head.stride * rows))
 
 
 def _paired(heads, assignment: TargetAssignment):
@@ -173,54 +172,58 @@ def _one_hot(tgt: HeadTargets, num_classes: int):
     return hot
 
 
-def total_loss(heads, assignment: TargetAssignment,
-               weights: LossWeights | None = None) -> LossBreakdown:
-    """Composite squared-error loss; total is exactly the sum of the parts."""
+def total_loss(heads, assignment: TargetAssignment, weights: LossWeights | None = None,
+               reads=None) -> LossBreakdown:
+    """Composite squared-error loss and its gradient, from one pass per head.
+
+    The total is exactly the sum of the parts; ``grads`` holds d(total)/d(raw
+    head values), one array per head in the raw layout. ``reads`` are the
+    heads as :func:`read_head` reads them, for a caller that already has
+    them; the raw values must not have changed since.
+    """
     w = weights or LossWeights()
     w.validate()
+    _check_reads(heads, reads)
     coord = iou_term = cls_term = 0.0
+    grads = []
     for index, (head, tgt) in _paired(heads, assignment):
-        px, py, _, _, pw, ph, pobj, pcls = _head_pieces(head, index)
+        if not np.all(np.isfinite(head.raw)):
+            raise NumericError(f"head {index} (stride {head.stride}) has non-finite raw values")
+        pred = read_head(head) if reads is None else reads[index]
+        rows, cols = head.grid
+        px, py, pobj, pcls = pred.off_x, pred.off_y, pred.objectness, pred.class_probs
+        # square roots of the extents as image fractions
+        sw = np.sqrt(pred.w / (head.stride * cols))
+        sh = np.sqrt(pred.h / (head.stride * rows))
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
-        coord += w.coord * float(
-            np.sum(((px - tgt.tx) ** 2 + (py - tgt.ty) ** 2)[obj])
-        )
-        coord += w.coord * float(
-            np.sum(
-                ((np.sqrt(pw) - np.sqrt(tgt.tw)) ** 2 + (np.sqrt(ph) - np.sqrt(tgt.th)) ** 2)[obj]
-            )
-        )
-        iou_term += w.iou * float(np.sum(((pobj - tgt.obj_target) ** 2)[obj]))
+        dx, dy = px - tgt.tx, py - tgt.ty
+        dw, dh = sw - np.sqrt(tgt.tw), sh - np.sqrt(tgt.th)
+        dobj = pobj - tgt.obj_target
+        dcls = pcls - _one_hot(tgt, head.num_classes)
+        coord += w.coord * float(np.sum((dx ** 2 + dy ** 2)[obj]))
+        coord += w.coord * float(np.sum((dw ** 2 + dh ** 2)[obj]))
+        iou_term += w.iou * float(np.sum((dobj ** 2)[obj]))
         iou_term += w.noobj * float(np.sum((pobj ** 2)[noobj]))
-        hot = _one_hot(tgt, head.num_classes)
-        cls_term += w.cls * float(np.sum(((pcls - hot) ** 2) * obj[:, None, :, :]))
+        cls_term += w.cls * float(np.sum((dcls ** 2) * obj[:, None, :, :]))
+
+        g = np.empty((3, 5 + head.num_classes, rows, cols))
+        g[:, 0] = w.coord * 2 * dx * px * (1 - px) * obj
+        g[:, 1] = w.coord * 2 * dy * py * (1 - py) * obj
+        # d/dt of (sqrt(a*e^t) - sqrt(b))^2 = (sqrt(a*e^t) - sqrt(b)) * sqrt(a*e^t)
+        g[:, 2] = w.coord * dw * sw * obj
+        g[:, 3] = w.coord * dh * sh * obj
+        g[:, 4] = (w.iou * 2 * dobj * obj + w.noobj * 2 * pobj * noobj) * pobj * (1 - pobj)
+        g[:, 5:] = w.cls * 2 * dcls * pcls * (1 - pcls) * obj[:, None, :, :]
+        grads.append(g.reshape(head.raw.shape))
     total = coord + iou_term + cls_term
-    return LossBreakdown(total, coord, iou_term, cls_term)
+    return LossBreakdown(total, coord, iou_term, cls_term, grads)
 
 
 def loss_gradients(heads, assignment: TargetAssignment,
                    weights: LossWeights | None = None) -> list[np.ndarray]:
-    """d(total loss)/d(raw head values), one array per head, raw layout."""
-    w = weights or LossWeights()
-    w.validate()
-    grads = []
-    for index, (head, tgt) in _paired(heads, assignment):
-        px, py, _, _, pw, ph, pobj, pcls = _head_pieces(head, index)
-        obj = tgt.obj_mask
-        noobj = ~obj & ~tgt.ignore_mask
-        g = np.zeros((3, 5 + head.num_classes, *head.grid))
-        g[:, 0] = w.coord * 2 * (px - tgt.tx) * px * (1 - px) * obj
-        g[:, 1] = w.coord * 2 * (py - tgt.ty) * py * (1 - py) * obj
-        # d/dt of (sqrt(a*e^t) - sqrt(b))^2 = (sqrt(a*e^t) - sqrt(b)) * sqrt(a*e^t)
-        g[:, 2] = w.coord * (np.sqrt(pw) - np.sqrt(tgt.tw)) * np.sqrt(pw) * obj
-        g[:, 3] = w.coord * (np.sqrt(ph) - np.sqrt(tgt.th)) * np.sqrt(ph) * obj
-        dobj = w.iou * 2 * (pobj - tgt.obj_target) * obj + w.noobj * 2 * pobj * noobj
-        g[:, 4] = dobj * pobj * (1 - pobj)
-        hot = _one_hot(tgt, head.num_classes)
-        g[:, 5:] = w.cls * 2 * (pcls - hot) * pcls * (1 - pcls) * obj[:, None, :, :]
-        grads.append(g.reshape(head.raw.shape))
-    return grads
+    """d(total loss)/d(raw head values), one array per head: ``total_loss(...).grads``."""
+    return total_loss(heads, assignment, weights).grads
 
 
 def sgd_step(network: Network, state: dict, lr: float, momentum: float) -> None:
@@ -391,10 +394,10 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
             cursor += 1
             tape = GradTape()
             heads = net.forward(example.image, tape)
-            assignment = assign_targets(example.boxes, heads)
-            breakdown = total_loss(heads, assignment, config.loss_weights)
-            grads = loss_gradients(heads, assignment, config.loss_weights)
-            net.backward(tape, zip(heads, grads))
+            reads = [read_head(head) for head in heads]
+            assignment = assign_targets(example.boxes, heads, reads=reads)
+            breakdown = total_loss(heads, assignment, config.loss_weights, reads)
+            net.backward(tape, zip(heads, breakdown.grads))
             batch_loss += breakdown.total
         mean_loss = batch_loss / config.batch_size
         if not np.isfinite(mean_loss):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .cfg import MAX_BACKBONE_STRIDE, ModelGraph, resolve_ref, shape_check
-from .errors import ShapeError, UsageError
+from .cfg import ModelGraph, resolve_ref, shape_check
+from .errors import GraphValidationError, ShapeError, UsageError
 
 
 @dataclass
@@ -76,6 +76,8 @@ class Network:
         for j, i in last_reader.items():
             if j not in heads:
                 self._dead_after[i].append(j)
+        # (height, width) input sizes that passed shape_check
+        self._sizes_checked = {(graph.input_height, graph.input_width)}
 
     @property
     def parameterized(self) -> bool:
@@ -111,7 +113,13 @@ class Network:
             p.g_gamma = p.g_beta = None
 
     def forward(self, image: np.ndarray, tape: ops.GradTape | None = None) -> list[HeadOutput]:
-        """Run the full graph on one image, returning heads coarse to fine."""
+        """Run the full graph on one image, returning heads coarse to fine.
+
+        The input size must pass ``shape_check``, the rule of the graph's own
+        heads (checked once per size); otherwise it is a ShapeError. The
+        image is a constant on the tape: a backward fills the parameter
+        gradients only.
+        """
         if not self.parameterized:
             raise UsageError("network has no parameters; load weights or random-init first")
         image = ops.check_tensor(image, rank=3, name="image")
@@ -120,9 +128,15 @@ class Network:
                 f"image has {image.shape[0]} channels, net expects {self.graph.input_channels}"
             )
         _, in_h, in_w = image.shape
-        if in_h % MAX_BACKBONE_STRIDE or in_w % MAX_BACKBONE_STRIDE:
-            raise ShapeError(f"input {in_h}x{in_w} must be divisible by {MAX_BACKBONE_STRIDE}")
+        if (in_h, in_w) not in self._sizes_checked:
+            try:
+                shape_check(self.graph, in_w, in_h)
+            except GraphValidationError as exc:
+                raise ShapeError(f"input {in_h}x{in_w} does not fit the graph: {exc}") from exc
+            self._sizes_checked.add((in_h, in_w))
         image = np.ascontiguousarray(image, dtype=self.dtype)
+        if tape is not None:
+            tape.constant(image)
 
         outputs = self.run_layers(image, 0, len(self.graph.layers), tape)
         heads = []

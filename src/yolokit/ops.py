@@ -154,17 +154,29 @@ class GradTape:
     The tape is single-owner: record during exactly one forward pass, then call
     :meth:`backward` with the output gradients. Input-tensor gradients are
     keyed by array identity (fetch with :meth:`grad`); parameter gradients
-    accumulate directly into the ConvParams buffers.
+    accumulate directly into the ConvParams buffers. A tensor marked with
+    :meth:`constant` gets no gradient, and the ops that read it skip the work
+    of computing one.
     """
 
     def __init__(self):
         self._entries: list[tuple[np.ndarray, object]] = []
         self._grads: dict[int, np.ndarray] = {}
+        self._constants: dict[int, np.ndarray] = {}  # held, so no id is reused
 
     def record(self, out: np.ndarray, backward_fn) -> None:
         self._entries.append((out, backward_fn))
 
+    def constant(self, arr: np.ndarray) -> None:
+        """Mark ``arr`` as an input whose gradient nobody reads."""
+        self._constants[id(arr)] = arr
+
+    def needs_grad(self, arr: np.ndarray) -> bool:
+        return id(arr) not in self._constants
+
     def accumulate(self, arr: np.ndarray, grad: np.ndarray) -> None:
+        if id(arr) in self._constants:
+            return
         existing = self._grads.get(id(arr))
         if existing is None:
             self._grads[id(arr)] = grad
@@ -213,7 +225,7 @@ def _apply_activation(z, activation):
 def _activation_grad(gy, y, activation):
     if activation == "leaky":
         # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0
-        return gy * np.where(y >= 0, 1.0, LEAKY_SLOPE)
+        return np.where(y >= 0, gy, LEAKY_SLOPE * gy)
     if activation == "sigmoid":
         return gy * y * (1.0 - y)
     return gy
@@ -224,6 +236,15 @@ def _activation_grad(gy, y, activation):
 # early layer (118 MB for layer 1 of yolov3-spp at 640 px in float32)
 # never exists at once.
 IM2COL_BAND_BYTES = 8 << 20
+
+
+def _zero_pad(x, pad):
+    """``x`` (C, H, W) inside a border of ``pad`` zeros on both spatial axes,
+    the values of ``np.pad(x, ((0, 0), (pad, pad), (pad, pad)))``."""
+    c, h, w = x.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[:, pad : pad + h, pad : pad + w] = x
+    return out
 
 
 def _im2col(x_padded, k, stride, r0, r1, out_w):
@@ -263,7 +284,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         x_padded = x
         band = out_h  # the input is its own columns: nothing to copy
     else:
-        x_padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        x_padded = _zero_pad(x, pad)
         band = max(1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize))
     z = np.empty((p.filters, out_h * out_w), dtype=np.result_type(w_mat, x))
     bands = []
@@ -278,8 +299,11 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
 
     if p.has_batchnorm:
         inv_std = 1.0 / np.sqrt(p.bn_var + BN_EPSILON)
-        x_hat = (z - p.bn_mean[:, None, None]) * inv_std[:, None, None]
-        z = p.bn_gamma[:, None, None] * x_hat + p.bn_beta[:, None, None]
+        z -= p.bn_mean[:, None, None]
+        z *= inv_std[:, None, None]
+        x_hat = z
+        z = p.bn_gamma[:, None, None] * x_hat
+        z += p.bn_beta[:, None, None]
     else:
         x_hat = None
         z += p.biases[:, None, None]
@@ -292,21 +316,23 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
             if p.has_batchnorm:
                 p.g_beta += g.sum(axis=(1, 2))
                 p.g_gamma += (g * x_hat).sum(axis=(1, 2))
-                inv = 1.0 / np.sqrt(p.bn_var + BN_EPSILON)
-                gz = g * (p.bn_gamma * inv)[:, None, None]
+                gz = g * (p.bn_gamma * inv_std)[:, None, None]
             else:
                 p.g_biases += g.sum(axis=(1, 2))
                 gz = g
             gz_flat = gz.reshape(p.filters, -1)
+            for r0, r1, cols in bands:
+                p.g_weights += (gz_flat[:, r0 * out_w : r1 * out_w] @ cols.T).reshape(
+                    p.weights.shape)
+            if not tape.needs_grad(x):
+                return
             if k == 1 and s == 1:
-                p.g_weights += (gz_flat @ bands[0][2].T).reshape(p.weights.shape)
                 tape.accumulate(x, (w_mat.T @ gz_flat).reshape(x.shape))
                 return
             # the band columns are kept; the padded input is not
             gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-            for r0, r1, cols in bands:
+            for r0, r1, _ in bands:
                 gz_band = gz_flat[:, r0 * out_w : r1 * out_w]
-                p.g_weights += (gz_band @ cols.T).reshape(p.weights.shape)
                 gcols = (w_mat.T @ gz_band).reshape(cin, k, k, r1 - r0, out_w)
                 top, span = r0 * s, s * (r1 - r0 - 1) + 1
                 for ki in range(k):

@@ -12,6 +12,8 @@ x k x k in row-major order. The stream must be consumed exactly.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -55,13 +57,47 @@ def read_header(data: bytes) -> tuple[WeightsHeader, int]:
 
 def load_weights(graph: ModelGraph, data: bytes, dtype=np.float64) -> Network:
     """Bind a weight blob to a graph, returning a parameterized network."""
-    net = Network(graph, dtype=dtype)
     header, offset = read_header(data)
-    net.seen = header.seen
-    body = len(data) - offset
+    _check_payload(len(data) - offset)
+    floats = np.frombuffer(data, dtype="<f4", offset=offset)
+    floats.flags.writeable = False  # the caller's buffer: parameters copy out of it
+    return _bind(graph, header, floats, dtype)
+
+
+def load_weights_file(graph: ModelGraph, path, dtype=np.float64) -> Network:
+    """:func:`load_weights` on a file, whose floats are read once, in place."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(20)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to read into
+            return load_weights(graph, prefix + fh.read(), dtype=dtype)
+        header, offset = read_header(prefix)
+        body = info.st_size - offset
+        _check_payload(body)
+        fh.seek(offset)
+        floats = np.empty(body // 4, dtype="<f4")
+        if fh.readinto(floats) != body:
+            raise WeightsFileError(f"{path}: file changed size while being read")
+    return _bind(graph, header, floats, dtype)
+
+
+def _check_payload(body: int) -> None:
     if body % 4:
         raise WeightsFileError(f"{body} payload bytes is not a whole number of floats")
-    floats = np.frombuffer(data, dtype="<f4", offset=offset)
+
+
+def _bind(graph: ModelGraph, header: WeightsHeader, floats: np.ndarray, dtype) -> Network:
+    """Attach the payload ``floats`` (little-endian float32) to a network for
+    ``graph``. Float32 parameters are views of a writable payload and copies
+    of a read-only one; float64 ones are converted layer by layer."""
+    net = Network(graph, dtype=dtype)
+    net.seen = header.seen
+    # one finiteness pass; the sum of finite float32 values cannot overflow
+    # float64, so it is finite exactly when every value is
+    if np.isfinite(np.sum(floats, dtype=np.float64)):
+        first_bad = floats.size
+    else:
+        first_bad = int(np.flatnonzero(~np.isfinite(floats))[0])
 
     cursor = 0
 
@@ -72,11 +108,11 @@ def load_weights(graph: ModelGraph, data: bytes, dtype=np.float64) -> Network:
                 f"layer {layer_idx}: file truncated reading {what} "
                 f"(need {n} floats, have {floats.size - cursor})"
             )
+        if cursor <= first_bad < cursor + n:
+            raise WeightsFileError(f"layer {layer_idx}: non-finite values in {what}")
         chunk = floats[cursor : cursor + n]
         cursor += n
-        if not np.all(np.isfinite(chunk)):
-            raise WeightsFileError(f"layer {layer_idx}: non-finite values in {what}")
-        return chunk.astype(dtype)
+        return chunk.astype(dtype, copy=not floats.flags.writeable)
 
     for i, p in net.conv_layers():
         f = p.filters
@@ -97,11 +133,6 @@ def load_weights(graph: ModelGraph, data: bytes, dtype=np.float64) -> Network:
             f"{floats.size - cursor} trailing floats after the last layer"
         )
     return net
-
-
-def load_weights_file(graph: ModelGraph, path, dtype=np.float64) -> Network:
-    with open(path, "rb") as fh:
-        return load_weights(graph, fh.read(), dtype=dtype)
 
 
 def save_weights(network: Network) -> bytes:

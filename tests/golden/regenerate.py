@@ -4,8 +4,9 @@
 
 The inputs are a pure function of the seeds below: a 20-image VisDrone-style
 eval set (annotation files and one prediction file, with score ties across
-images and classes, ignore regions and confused classes) and two small PPM
-scenes for ``detect``. The expected outputs are whatever the ``yolokit`` on
+images and classes, ignore regions and confused classes), two small PPM
+scenes for ``detect``, and a short seed-0 ``train-toy`` run (its synthetic
+set is seeded by the run itself). The expected outputs are whatever the ``yolokit`` on
 the path writes for them, so run this only when an output change is intended,
 and say so in the change's record: the test exists to show that outputs stay
 byte-identical.
@@ -24,6 +25,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 EVAL_DIR = os.path.join(HERE, "eval")
 DETECT_DIR = os.path.join(HERE, "detect")
+TRAIN_DIR = os.path.join(HERE, "train")
 
 EVAL_SEED = 20
 EVAL_IMAGES = 20
@@ -33,6 +35,7 @@ DETECT_SIZES = ((96, 64), (128, 128))  # (width, height)
 DETECT_SIZE = 128  # network input
 DETECT_CONF = "0.05"
 RENDERED = "scene0.ppm"  # the one rendered copy kept as a fixture
+TRAIN_STEPS = 20  # 320 training images: every kernel's backward, bit for bit
 
 
 def eval_argv(out_dir: str) -> list[str]:
@@ -45,6 +48,10 @@ def detect_argv(out: str, render_dir: str) -> list[str]:
     images = [os.path.join(DETECT_DIR, f"scene{k}.ppm") for k in range(len(DETECT_SIZES))]
     return ["detect", *images, "--model", "yolov3-tiny", "--size", str(DETECT_SIZE),
             "--conf", DETECT_CONF, "--seed", "0", "--out", out, "--render", render_dir]
+
+
+def train_argv(out: str) -> list[str]:
+    return ["train-toy", "--steps", str(TRAIN_STEPS), "--seed", "0", "--out", out]
 
 
 def run_cli(argv: list[str]) -> str:
@@ -110,7 +117,7 @@ def _detect_inputs() -> None:
 
 
 def main() -> int:
-    for directory in (EVAL_DIR, DETECT_DIR):
+    for directory in (EVAL_DIR, DETECT_DIR, TRAIN_DIR):
         shutil.rmtree(directory, ignore_errors=True)
     _eval_inputs()
     _detect_inputs()
@@ -129,6 +136,11 @@ def main() -> int:
             os.remove(os.path.join(render, name))
     with open(os.path.join(expected, "stdout.txt"), "w", encoding="utf-8") as fh:
         fh.write(stdout.replace(out, "{out}"))
+
+    os.makedirs(TRAIN_DIR)
+    stdout = run_cli(train_argv(os.path.join(TRAIN_DIR, "loss.csv")))
+    with open(os.path.join(TRAIN_DIR, "stdout.txt"), "w", encoding="utf-8") as fh:
+        fh.write(stdout)
     return 0
 
 

@@ -48,9 +48,10 @@ class TestLetterbox:
 
     def test_target_must_be_divisible(self):
         # letterbox itself takes any positive size; the network rejects it
+        # by the rule of its own head (stride 8 does not divide 100)
         canvas, _ = letterbox(np.zeros((3, 64, 64)), 100)
         net = random_init(toy_graph(), seed=0)
-        with pytest.raises(ShapeError, match="divisible by 32"):
+        with pytest.raises(ShapeError, match="not an integer stride of 100x100"):
             net.forward(canvas)
 
     @pytest.mark.parametrize("target", [0, -32])

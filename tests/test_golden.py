@@ -1,8 +1,10 @@
-"""Golden outputs: ``eval`` and ``detect`` on committed inputs write the committed bytes.
+"""Golden outputs: ``eval``, ``detect`` and ``train-toy`` write the committed bytes.
 
-The fixtures under ``tests/golden`` were written by ``tests/golden/regenerate.py``
-before detections became columnar; a change that alters any report file, any
-stdout line, the prediction file or the rendered PPM fails here.
+The fixtures under ``tests/golden`` were written by ``tests/golden/regenerate.py``:
+the eval and detect ones before detections became columnar, the training
+history before the training pass stopped computing the image gradient and
+read each head once. A change that alters any report file, any stdout line,
+the prediction file, the rendered PPM or any bit of a training loss fails here.
 """
 
 import os
@@ -40,3 +42,12 @@ def test_detect_outputs_byte_identical(tmp_path):
     assert {line.split()[0] for line in predictions.decode().splitlines()} == {"scene0", "scene1"}
     assert _read(os.path.join(render, regenerate.RENDERED)) == _read(
         os.path.join(expected, "render", regenerate.RENDERED))
+
+
+def test_train_toy_history_byte_identical(tmp_path):
+    out = str(tmp_path / "loss.csv")
+    stdout = regenerate.run_cli(regenerate.train_argv(out))
+    assert stdout == _read(os.path.join(regenerate.TRAIN_DIR, "stdout.txt")).decode("utf-8")
+    history = _read(out)
+    assert history.count(b"\n") == regenerate.TRAIN_STEPS + 1
+    assert history == _read(os.path.join(regenerate.TRAIN_DIR, "loss.csv"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from yolokit.detect import Box, iou
+from yolokit.detect import Box, iou, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
 from yolokit.evaluation import GroundTruthBox, format_visdrone, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
@@ -234,6 +234,118 @@ class TestLossGradients:
         assert not grads.any()
 
 
+def _reference_pieces(head):
+    # the loss's reading of a head before it became one pass
+    pred = read_head(head)
+    rows, cols = head.grid
+    return pred._replace(w=pred.w / (head.stride * cols), h=pred.h / (head.stride * rows))
+
+
+def _reference_one_hot(tgt, num_classes):
+    hot = np.zeros((3, num_classes) + tgt.cls_index.shape[1:], dtype=float)
+    a, i, j = np.nonzero(tgt.obj_mask)
+    hot[a, tgt.cls_index[a, i, j], i, j] = 1.0
+    return hot
+
+
+def _reference_loss(heads, assignment, w):
+    """The loss as two separate passes computed it, term by term."""
+    coord = iou_term = cls_term = 0.0
+    for head, tgt in zip(heads, assignment.heads):
+        px, py, _, _, pw, ph, pobj, pcls = _reference_pieces(head)
+        obj = tgt.obj_mask
+        noobj = ~obj & ~tgt.ignore_mask
+        coord += w.coord * float(np.sum(((px - tgt.tx) ** 2 + (py - tgt.ty) ** 2)[obj]))
+        coord += w.coord * float(np.sum(
+            ((np.sqrt(pw) - np.sqrt(tgt.tw)) ** 2 + (np.sqrt(ph) - np.sqrt(tgt.th)) ** 2)[obj]))
+        iou_term += w.iou * float(np.sum(((pobj - tgt.obj_target) ** 2)[obj]))
+        iou_term += w.noobj * float(np.sum((pobj ** 2)[noobj]))
+        hot = _reference_one_hot(tgt, head.num_classes)
+        cls_term += w.cls * float(np.sum(((pcls - hot) ** 2) * obj[:, None, :, :]))
+    return coord + iou_term + cls_term, coord, iou_term, cls_term
+
+
+def _reference_gradients(heads, assignment, w):
+    grads = []
+    for head, tgt in zip(heads, assignment.heads):
+        px, py, _, _, pw, ph, pobj, pcls = _reference_pieces(head)
+        obj = tgt.obj_mask
+        noobj = ~obj & ~tgt.ignore_mask
+        g = np.zeros((3, 5 + head.num_classes, *head.grid))
+        g[:, 0] = w.coord * 2 * (px - tgt.tx) * px * (1 - px) * obj
+        g[:, 1] = w.coord * 2 * (py - tgt.ty) * py * (1 - py) * obj
+        g[:, 2] = w.coord * (np.sqrt(pw) - np.sqrt(tgt.tw)) * np.sqrt(pw) * obj
+        g[:, 3] = w.coord * (np.sqrt(ph) - np.sqrt(tgt.th)) * np.sqrt(ph) * obj
+        dobj = w.iou * 2 * (pobj - tgt.obj_target) * obj + w.noobj * 2 * pobj * noobj
+        g[:, 4] = dobj * pobj * (1 - pobj)
+        hot = _reference_one_hot(tgt, head.num_classes)
+        g[:, 5:] = w.cls * 2 * (pcls - hot) * pcls * (1 - pcls) * obj[:, None, :, :]
+        grads.append(g.reshape(head.raw.shape))
+    return grads
+
+
+class TestOnePass:
+    """``total_loss`` computes the terms and the gradient in one pass; every
+    bit equals the two passes it replaced."""
+
+    @pytest.mark.parametrize("truth", ["boxes", "empty", "ignore_only"])
+    @pytest.mark.parametrize("weights", [LossWeights(), LossWeights(2.5, 0.7, 0.3, 1.9)])
+    def test_bitwise_equal_to_two_pass_reference(self, truth, weights):
+        rng = np.random.default_rng(30)
+        ignored_slots = 0
+        for trial in range(5):
+            heads = three_heads(input_side=128, num_classes=3)
+            for head in heads:
+                head.raw[:] = rng.normal(0, 2, head.raw.shape)
+            boxes = {
+                "boxes": [gt(*rng.uniform(4, 124, 2), *rng.uniform(6, 90, 2),
+                             cls=int(rng.integers(3)), ignore=bool(rng.uniform() < 0.2))
+                          for _ in range(int(rng.integers(1, 12)))],
+                "empty": [],
+                "ignore_only": [gt(*rng.uniform(4, 124, 2), *rng.uniform(6, 90, 2), ignore=True)
+                                for _ in range(8)],
+            }[truth]
+            assignment = assign_targets(boxes, heads)
+            ignored_slots += sum(int(t.ignore_mask.sum()) for t in assignment.heads)
+            if truth == "ignore_only":
+                assert not any(t.obj_mask.any() for t in assignment.heads)
+            breakdown = total_loss(heads, assignment, weights)
+            want = _reference_loss(heads, assignment, weights)
+            assert (breakdown.total, breakdown.coord, breakdown.iou, breakdown.cls) == want
+            want_grads = _reference_gradients(heads, assignment, weights)
+            for got in (breakdown.grads, loss_gradients(heads, assignment, weights)):
+                assert len(got) == len(want_grads)
+                for g, w in zip(got, want_grads):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), trial
+        assert (ignored_slots > 0) == (truth != "empty")
+
+    def test_given_reads_change_nothing(self):
+        rng = np.random.default_rng(31)
+        heads = three_heads(input_side=64)
+        for head in heads:
+            head.raw[:] = rng.normal(0, 2, head.raw.shape)
+        truth = [gt(20, 30, 14, 18), gt(40, 44, 30, 26, cls=1), gt(50, 10, 8, 8, ignore=True)]
+        reads = [read_head(head) for head in heads]
+        assignment = assign_targets(truth, heads, reads=reads)
+        fresh = assign_targets(truth, heads)
+        for a, b in zip(assignment.heads, fresh.heads):
+            assert np.array_equal(a.ignore_mask, b.ignore_mask)
+        with_reads = total_loss(heads, assignment, reads=reads)
+        without = total_loss(heads, assignment)
+        assert with_reads == without
+        for a, b in zip(with_reads.grads, without.grads):
+            assert np.array_equal(a, b)
+
+    def test_reads_must_match_heads(self):
+        heads = three_heads(input_side=64)
+        reads = [read_head(head) for head in heads[:2]]
+        with pytest.raises(ShapeError, match="2 head reads for 3 heads"):
+            assign_targets([gt(20, 20, 10, 13)], heads, reads=reads)
+        assignment = assign_targets([gt(20, 20, 10, 13)], heads)
+        with pytest.raises(ShapeError, match="2 head reads for 3 heads"):
+            total_loss(heads, assignment, reads=reads)
+
+
 class TestSgd:
     def _one_param_net(self):
         net = random_init(toy_graph(2, 64), seed=0)
@@ -291,6 +403,22 @@ class TestToyTraining:
         a = train_toy(dataset, toy_graph(), cfg)
         b = train_toy(dataset, toy_graph(), cfg)
         assert a == b
+
+    def test_each_head_read_once_per_image(self, monkeypatch):
+        import yolokit.loss
+
+        calls = []
+        real = yolokit.loss.read_head
+
+        def counting(head):
+            calls.append(head.raw.shape)
+            return real(head)
+
+        monkeypatch.setattr(yolokit.loss, "read_head", counting)
+        dataset = synthetic_dataset(num_images=4, seed=4)
+        assert all(example.boxes for example in dataset)  # the assignment reads too
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, batch_size=3, seed=4))
+        assert len(calls) == 6
 
     def test_loss_decreases_quickly(self):
         dataset = synthetic_dataset(num_images=16, seed=2)

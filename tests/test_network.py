@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from yolokit import ops
+from yolokit import network, ops
 from yolokit.cfg import builtin_graph, parse_cfg
+from yolokit.detect import Box
 from yolokit.errors import ShapeError, UsageError
-from yolokit.loss import toy_graph
+from yolokit.evaluation import GroundTruthBox
+from yolokit.loss import assign_targets, toy_graph, total_loss
 from yolokit.network import Network
 from yolokit.oracles import maxpool_scan
 from yolokit.verify import spp_block_forward
@@ -147,6 +149,131 @@ class TestInferenceForward:
         out = net.run_layers(x, 1, 3)[2]
         assert np.array_equal(x, before)
         assert np.array_equal(out, net.run_layers(before, 1, 3, ops.GradTape())[2])
+
+
+FIRST_1X1_CFG = """\
+[net]
+width=32
+height=32
+channels=3
+
+[convolutional]
+filters=6
+size=1
+stride=1
+batch_normalize=1
+activation=leaky
+
+[convolutional]
+filters=8
+size=3
+stride=2
+pad=1
+activation=leaky
+
+[convolutional]
+filters=8
+size=3
+stride=2
+pad=1
+activation=leaky
+
+[convolutional]
+filters=21
+size=3
+stride=2
+pad=1
+activation=linear
+
+[yolo]
+classes=2
+num=3
+mask=0,1,2
+anchors=10,13,16,30,33,23
+"""
+
+
+class TestTrainingPass:
+    """The image is a constant on the tape: no image gradient is computed,
+    and the parameter gradients keep every bit."""
+
+    @pytest.mark.parametrize("variant", ["toy", "first_1x1"])
+    def test_parameter_gradients_equal_a_pass_with_image_gradient(self, variant):
+        graph = toy_graph(2, 64) if variant == "toy" else parse_cfg(FIRST_1X1_CFG)
+        size = graph.input_width
+        image = np.random.default_rng(12).uniform(0, 1, (3, size, size))
+        grads = []
+        for through_forward in (True, False):
+            net = random_init(graph, seed=12)
+            net.zero_grads()
+            tape = ops.GradTape()
+            if through_forward:
+                head = net.forward(image, tape)[0].raw
+            else:  # the same layers, the image not marked constant
+                head = net.run_layers(image, 0, len(graph.layers), tape)[len(graph.layers) - 1]
+            seed = np.random.default_rng(13).normal(0, 1, head.shape)
+            tape.backward([(head, seed)])
+            assert (tape.grad(image) is None) == through_forward
+            grads.append([g.copy() for _, p in net.conv_layers() for _, _, g in p.learnable()])
+        assert len(grads[0]) == len(grads[1]) > 0
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+    def test_image_gradient_none_after_network_backward(self):
+        net = random_init(toy_graph(2, 64), seed=14)
+        image = np.random.default_rng(14).uniform(0, 1, (3, 64, 64))
+        before = image.copy()
+        net.zero_grads()
+        tape = ops.GradTape()
+        heads = net.forward(image, tape)
+        assignment = assign_targets([GroundTruthBox("i", 0, Box(20.0, 30.0, 16.0, 12.0))], heads)
+        net.backward(tape, zip(heads, total_loss(heads, assignment).grads))
+        assert tape.grad(image) is None
+        assert np.array_equal(image, before)
+        assert all(p.g_weights.any() for _, p in net.conv_layers())
+
+
+class TestInputSize:
+    """The size rule is the graph's own heads' (shape_check), checked once
+    per input size."""
+
+    @pytest.mark.parametrize("size,grid", [(40, 5), (48, 6), (64, 8)])
+    def test_toy_runs_at_head_stride_multiples(self, size, grid):
+        net = random_init(toy_graph(2, 64), seed=15)
+        heads = net.forward(np.random.default_rng(15).uniform(0, 1, (3, size, size)))
+        assert heads[0].grid == (grid, grid) and heads[0].stride == 8
+
+    def test_toy_rejects_size_off_its_stride(self):
+        net = random_init(toy_graph(2, 64), seed=15)
+        with pytest.raises(ShapeError, match="stride"):
+            net.forward(np.zeros((3, 44, 44)))
+
+    @pytest.mark.parametrize("size", [100, 40, 48])
+    def test_yolov3_rejects_sizes_its_heads_reject(self, size):
+        net = Network(builtin_graph("yolov3", 10))
+        for i, p in net.conv_layers():  # forward needs parameters, not trained ones
+            p.weights = np.zeros((p.filters, net.conv_in_channels[i], p.size, p.size))
+        with pytest.raises(ShapeError, match="stride"):
+            net.forward(np.zeros((3, size, size)))
+
+    def test_each_size_checked_once(self, monkeypatch):
+        calls = []
+        real = network.shape_check
+
+        def counting(graph, width, height):
+            calls.append((width, height))
+            return real(graph, width, height)
+
+        monkeypatch.setattr(network, "shape_check", counting)
+        net = random_init(toy_graph(2, 64), seed=16)
+        assert calls == [(64, 64)]  # the constructor's check covers the graph's size
+        for size in (64, 48, 64, 48, 64):
+            net.forward(np.zeros((3, size, size)))
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros((3, 44, 44)))
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros((3, 44, 44)))  # a failed size is checked again
+        assert calls == [(64, 64), (48, 48), (44, 44), (44, 44)]
 
 
 class TestSpp:

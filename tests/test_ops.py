@@ -132,6 +132,25 @@ class TestConv2d:
         )
         np.testing.assert_allclose(ops.conv2d_forward(x, p), manual, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batchnorm_forward_bitwise_equals_out_of_place_formula(self, dtype):
+        # z -= mean, z *= inv, gamma * x_hat, += beta: the bits of
+        # gamma * ((z - mean) * inv) + beta on the same GEMM output z
+        rng = np.random.default_rng(15)
+        x = rng.normal(0, 1, (3, 9, 8)).astype(dtype)
+        p = make_conv(4, 3, 3, bn=True, rng=rng)
+        for name in ("weights", "bn_gamma", "bn_beta", "bn_mean", "bn_var"):
+            setattr(p, name, getattr(p, name).astype(dtype))
+        plain = ops.ConvParams(4, 3, 1, False, "linear", weights=p.weights,
+                               biases=np.zeros(4, dtype=dtype))
+        z = ops.conv2d_forward(x, plain)  # + 0.0 bias changes no bits used below
+        inv = 1.0 / np.sqrt(p.bn_var + ops.BN_EPSILON)
+        x_hat = (z - p.bn_mean[:, None, None]) * inv[:, None, None]
+        want = p.bn_gamma[:, None, None] * x_hat + p.bn_beta[:, None, None]
+        got = ops.conv2d_forward(x, p)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
     def test_bad_variance_rejected(self):
         p = make_conv(2, 2, 1, bn=True)
         p.bn_var = np.array([1.0, -0.5])
@@ -290,6 +309,18 @@ class TestActivations:
         assert np.array_equal(y[x < 0], 0.1 * x[x < 0])
         assert np.all(np.diff(y) > 0)  # strictly monotone on a strict ramp
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_leaky_backward_selects_gradient(self, dtype):
+        rng = np.random.default_rng(14)
+        y = ops.leaky_relu(rng.normal(0, 1, (3, 5, 5)).astype(dtype))
+        y.flat[:2] = (0.0, -0.0)
+        gy = rng.normal(0, 1, y.shape).astype(dtype)
+        got = ops._activation_grad(gy, y, "leaky")
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.where(y >= 0, gy, dtype(ops.LEAKY_SLOPE) * gy))
+        if dtype == np.float64:  # the old mask product, bit for bit
+            assert np.array_equal(got, gy * np.where(y >= 0, 1.0, ops.LEAKY_SLOPE))
+
     @pytest.mark.parametrize("dtype,bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
     def test_in_place_leaky_bitwise_equals_leaky_relu(self, dtype, bits):
         tiny = np.finfo(dtype).smallest_subnormal
@@ -310,6 +341,26 @@ class TestActivations:
         s = ops.sigmoid(x)
         assert np.all((s >= 0) & (s <= 1))
         np.testing.assert_allclose(s + ops.sigmoid(-x), 1.0, atol=1e-12)
+
+
+class TestZeroPad:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_np_pad(self, dtype):
+        rng = np.random.default_rng(16)
+        for shape in [(1, 1, 1), (3, 5, 7), (8, 64, 64), (2, 1, 9)]:
+            x = rng.normal(0, 1, shape).astype(dtype)
+            x.flat[0] = -0.0
+            for pad in range(4):
+                got = ops._zero_pad(x, pad)
+                want = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+                assert got.dtype == want.dtype == dtype
+                assert got.shape == want.shape
+                bits = np.uint64 if dtype == np.float64 else np.uint32
+                assert np.array_equal(got.view(bits), want.view(bits))
+
+    def test_non_contiguous_input(self):
+        x = np.random.default_rng(17).normal(0, 1, (4, 6, 10))[:, ::2, 1::3]
+        assert np.array_equal(ops._zero_pad(x, 2), np.pad(x, ((0, 0), (2, 2), (2, 2))))
 
 
 class TestShapeAlgebra:
@@ -414,6 +465,34 @@ class TestGradTape:
         for value, grad in pairs:
             fd = finite_difference(objective, value)
             assert relative_errors(grad.ravel(), fd.ravel()).max() < 1e-4
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("bn", [False, True])
+    def test_constant_input_gets_no_gradient(self, k, stride, bn):
+        rng = np.random.default_rng(20 + 10 * k + stride + bn)
+        x = rng.normal(0, 1, (3, 7, 6))
+        p = make_conv(4, 3, k, stride=stride, activation="leaky", bn=bn, rng=rng)
+        grads = []
+        for constant in (False, True):
+            p.zero_grads()
+            tape = ops.GradTape()
+            if constant:
+                tape.constant(x)
+            out = ops.conv2d_forward(x, p, tape)
+            tape.backward([(out, np.linspace(-1, 1, out.size).reshape(out.shape))])
+            assert (tape.grad(x) is None) == constant
+            assert tape.needs_grad(x) != constant
+            grads.append([g.copy() for _, _, g in p.learnable()])
+        for with_input, without in zip(*grads):
+            assert np.array_equal(with_input, without)
+
+    def test_constant_skips_other_ops_accumulation(self):
+        x = np.random.default_rng(21).normal(0, 1, (2, 4, 4))
+        tape = ops.GradTape()
+        tape.constant(x)
+        out = ops.upsample2x(ops.maxpool2d_forward(x, 2, 2, 0, tape), tape)
+        tape.backward([(out, np.ones_like(out))])
+        assert tape.grad(x) is None
 
     def test_accumulation_across_two_passes(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,8 @@
 """Weight-file layout, headers, round-trips, and seeded initialization."""
 
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from yolokit.cfg import parse_cfg
 from yolokit.errors import WeightsFileError
 from yolokit.weights import (
     load_weights,
+    load_weights_file,
     random_init,
     read_header,
     save_weights,
@@ -152,6 +155,110 @@ class TestErrors:
         with pytest.raises(WeightsFileError) as err:
             save_weights(net)
         assert "layer 0" in str(err.value)
+
+
+def _both_loaders(graph, blob, tmp_path, dtype=np.float64):
+    """The network from the blob, then from the same bytes in a file."""
+    path = tmp_path / "w.weights"
+    path.write_bytes(blob)
+    return load_weights(graph, blob, dtype=dtype), load_weights_file(graph, path, dtype=dtype)
+
+
+def _load_error(loader, *args):
+    with pytest.raises(WeightsFileError) as err:
+        loader(*args)
+    return str(err.value)
+
+
+class TestFileLoad:
+    """``load_weights_file`` reads the floats once into one array: float32
+    parameters are views of it, float64 ones converted per layer."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_file_and_blob_loads_agree_bitwise(self, tmp_path, dtype):
+        graph = parse_cfg(TWO_CONV)
+        blob = save_weights(random_init(graph, seed=20))
+        from_blob, from_file = _both_loaders(graph, blob, tmp_path, dtype)
+        for (_, a), (_, b) in zip(from_blob.conv_layers(), from_file.conv_layers()):
+            for (name, x, _), (_, y, _) in zip(a.learnable(), b.learnable()):
+                assert x.dtype == y.dtype == dtype, name
+                assert np.array_equal(x, y), name
+        assert save_weights(from_file) == blob
+
+    def test_float32_parameters_are_writable_views_of_one_array(self, tmp_path):
+        graph = parse_cfg(TWO_CONV)
+        blob = save_weights(random_init(graph, seed=21))
+        path = tmp_path / "w.weights"
+        path.write_bytes(blob)
+        net = load_weights_file(graph, path, dtype=np.float32)
+        arrays = [net.params[0].bn_beta, net.params[0].bn_var, net.params[0].weights,
+                  net.params[1].biases, net.params[1].weights]
+        assert all(a.flags.writeable for a in arrays)
+        assert all(np.shares_memory(arrays[0].base, a) for a in arrays)
+        buffer = bytearray(blob)
+        blob_net = load_weights(graph, buffer, dtype=np.float32)
+        buffer[20:] = bytes(len(buffer) - 20)  # the caller's buffer is not aliased
+        net.freeze()
+        blob_net.freeze()
+        for (_, a), (_, b) in zip(net.conv_layers(), blob_net.conv_layers()):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.biases, b.biases)
+
+    def test_errors_name_the_first_bad_layer_and_field(self, tmp_path):
+        # layer 0: 32 x (beta, gamma, mean, variance), 864 weights; layer 1:
+        # 4 biases, 128 weights; floats start at byte 20
+        graph = parse_cfg(TWO_CONV)
+        blob = save_weights(random_init(graph, seed=22))
+
+        def put(data, index, value):
+            data = bytearray(data)
+            data[20 + 4 * index : 24 + 4 * index] = struct.pack("<f", value)
+            return bytes(data)
+
+        nan, inf = float("nan"), float("inf")
+        cases = [
+            (put(blob, 0, nan), "layer 0: non-finite values in bn beta"),
+            (put(blob, 100, -inf), "layer 0: non-finite values in bn variance"),
+            (put(put(blob, 100, -1.0), 1000, nan),
+             "layer 0: non-positive batch-norm variance"),
+            (put(blob, 992 + 4 + 127, inf), "layer 1: non-finite values in weights"),
+            (put(blob, 992 + 2, nan), "layer 1: non-finite values in biases"),
+            (put(blob, 992 + 2, nan)[:-40],  # a bad value in a field before the cut
+             "layer 1: non-finite values in biases"),
+            (put(blob, 992 + 10, nan)[:-40],  # the cut's field: truncation is named
+             "layer 1: file truncated reading weights (need 128 floats, have 118)"),
+            (blob + struct.pack("<f", nan), "1 trailing floats after the last layer"),
+            (blob + b"\x01", "4497 payload bytes is not a whole number of floats"),
+        ]
+        for data, message in cases:
+            path = tmp_path / "w.weights"
+            path.write_bytes(data)
+            for dtype in (np.float32, np.float64):
+                assert _load_error(load_weights, graph, data, dtype) == message
+                assert _load_error(load_weights_file, graph, path, dtype) == message
+
+    def test_pipe_is_read_like_a_file(self, tmp_path):
+        graph = parse_cfg(TWO_CONV)
+        blob = save_weights(random_init(graph, seed=24))
+        fifo = tmp_path / "w.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,))
+        writer.start()
+        net = load_weights_file(graph, fifo, dtype=np.float32)
+        writer.join()
+        assert save_weights(net) == blob
+
+    def test_short_and_legacy_header_files(self, tmp_path, single_graph):
+        path = tmp_path / "short.weights"
+        path.write_bytes(b"\x00" * 10)
+        assert "too short" in _load_error(load_weights_file, single_graph, path)
+        net = random_init(single_graph, seed=23)
+        body = save_weights(net)[20:]
+        legacy = struct.pack("<3iI", 0, 1, 0, 77) + body  # narrow seen field
+        path.write_bytes(legacy)
+        loaded = load_weights_file(single_graph, path)
+        assert loaded.seen == 77
+        assert np.array_equal(loaded.params[0].weights, net.params[0].weights)
 
 
 class TestRandomInit:
