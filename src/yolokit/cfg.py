@@ -18,11 +18,6 @@ from .errors import CfgParseError, GraphValidationError
 COCO_ANCHORS = (10, 13, 16, 30, 33, 23, 30, 61, 62, 45, 59, 119, 116, 90, 156, 198, 373, 326)
 TINY_ANCHORS = (10, 14, 23, 27, 37, 58, 81, 82, 135, 169, 344, 319)
 
-# The builtin backbones downsample by 32, so an image's sides must divide by
-# it; `detect --size` and `Network.forward` check this. `shape_check` does
-# not: its per-[yolo] stride checks cover what the heads need, and a graph
-# without heads may take any size.
-MAX_BACKBONE_STRIDE = 32
 HEAD_STRIDES = (8, 16, 32)
 
 # key -> (value type, required). Types: int, float, ilist (comma ints), word.
@@ -173,6 +168,8 @@ def _finalize(kind, attrs, line):
             raise CfgParseError("yolo mask index out of anchor range", line)
         if attrs["classes"] < 1:
             raise CfgParseError("classes must be >= 1", line)
+        if not 0 <= attrs["ignore_thresh"] <= 1:
+            raise CfgParseError("ignore_thresh is an IoU, in [0, 1]", line)
 
 
 def _validate_structure(graph: ModelGraph) -> None:
@@ -285,7 +282,7 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
         a = layer.attrs
         if layer.kind == "convolutional":
             k, s = a["size"], a["stride"]
-            pad = (k - 1) // 2 if a["pad"] else 0
+            pad = (k - 1) // 2  # as conv2d_forward pads; the parser bars pad=0 with k > 1
             c, h, w = prev
             shape = (a["filters"], (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1)
         elif layer.kind == "maxpool":

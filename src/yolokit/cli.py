@@ -17,11 +17,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cfg import MAX_BACKBONE_STRIDE, builtin_graph, parse_cfg
+from .cfg import builtin_graph, parse_cfg, shape_check
 from .detect import Detections, decode, letterbox, nms
-from .errors import UsageError, YoloKitError
+from .errors import GraphValidationError, UsageError, ValidationError, YoloKitError
 from .evaluation import (
     VISDRONE_CLASS_NAMES,
+    check_iou_threshold,
     evaluate,
     format_predictions,
     format_report_table,
@@ -119,8 +120,8 @@ def _resolve_graph(args):
 
 
 def cmd_detect(args) -> int:
-    if args.size < MAX_BACKBONE_STRIDE or args.size % MAX_BACKBONE_STRIDE:
-        raise UsageError(f"--size {args.size} must be a positive multiple of {MAX_BACKBONE_STRIDE}")
+    if args.size < 1:  # shape_check divides the size by each head's grid
+        raise UsageError(f"--size {args.size} must be positive")
     if not 0 <= args.conf < 1:
         raise UsageError("--conf must be in [0, 1)")
     if not 0 < args.nms < 1:
@@ -130,6 +131,10 @@ def cmd_detect(args) -> int:
         if len(image_id.split()) != 1:  # one token of a prediction-file line
             raise UsageError(f"image name {image_id!r} is empty or holds whitespace")
     graph = _resolve_graph(args)
+    try:
+        shape_check(graph, args.size, args.size)
+    except GraphValidationError as exc:
+        raise UsageError(f"--size {args.size} does not fit the graph: {exc}") from None
     dtype = np.float64 if args.precision == "double" else np.float32
     seed = args.seed if args.seed is not None else _default_seed()
     if args.weights:
@@ -159,8 +164,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not 0 < args.iou < 1:
-        raise UsageError("--iou must be in (0, 1)")
+    try:
+        check_iou_threshold(args.iou)
+    except ValidationError as exc:
+        raise UsageError(f"--iou: {exc}") from None
     if args.classes < 1:
         raise UsageError("--classes must be >= 1")
     if args.conf is not None and not 0 <= args.conf <= 1:

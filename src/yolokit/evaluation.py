@@ -379,6 +379,12 @@ def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
     return kept, tp[kept], gt_counts
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """The matching IoU threshold's range, (0, 1]: a ValidationError outside it."""
+    if not 0 < iou_threshold <= 1:
+        raise ValidationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+
+
 def match(detections, ground_truth, iou_threshold: float = 0.5):
     """Label every detection TP/FP (or discard it) against the ground truth.
 
@@ -398,8 +404,7 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
     region of its image, else a FP. The rule is ``oracles.match_loop``'s,
     label for label.
     """
-    if not 0 < iou_threshold <= 1:
-        raise ValidationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     dets = Detections.of(detections)
     kept, tp, gt_counts = _match_rows(dets, GroundTruth.of(ground_truth), iou_threshold)
     if dets is detections:

@@ -48,13 +48,7 @@ class HeadTargets:
     ty: np.ndarray
     tw: np.ndarray           # target sizes as image fractions
     th: np.ndarray
-    obj_target: np.ndarray   # objectness target (1 on responsible slots)
     cls_index: np.ndarray    # int (3, S, S), -1 where not responsible
-
-
-@dataclass
-class TargetAssignment:
-    heads: list[HeadTargets]
 
 
 @dataclass
@@ -76,17 +70,17 @@ def _shape_iou(w1, h1, w2, h2):
     return inter / (w1 * h1 + w2 * h2 - inter)
 
 
-def assign_targets(ground_truth, heads: list[HeadOutput], ignore_iou: float = 0.5,
-                   reads=None) -> TargetAssignment:
+def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[HeadTargets]:
     """Assign each box to its best-shaped anchor and build the loss masks.
 
     Boxes must be in network-input pixel coordinates. Each non-ignored box
     goes to the (head, cell, anchor) whose anchor has the highest IoU with
     the box when both are centered at the origin; when two boxes claim the
     same slot the first (input order) keeps it. Predicted boxes that overlap
-    any ground-truth box above ``ignore_iou`` without being responsible land
-    in the ignore mask and are excluded from the no-object term. ``reads``
-    are the heads as :func:`read_head` reads them, as for :func:`total_loss`.
+    any ground-truth box above their head's ``ignore_thresh`` without being
+    responsible land in the ignore mask and are excluded from the no-object
+    term. ``reads`` are the heads as :func:`read_head` reads them, as for
+    :func:`total_loss`. Returns one :class:`HeadTargets` per head.
     """
     if not heads:
         raise UsageError("need at least one head to assign targets against")
@@ -105,7 +99,6 @@ def assign_targets(ground_truth, heads: list[HeadOutput], ignore_iou: float = 0.
                 ty=np.zeros((3, rows, cols)),
                 tw=np.zeros((3, rows, cols)),
                 th=np.zeros((3, rows, cols)),
-                obj_target=np.zeros((3, rows, cols)),
                 cls_index=np.full((3, rows, cols), -1, dtype=int),
             )
         )
@@ -133,7 +126,6 @@ def assign_targets(ground_truth, heads: list[HeadOutput], ignore_iou: float = 0.
         if tgt.obj_mask[ai, row, col]:
             continue  # slot already claimed by an earlier box
         tgt.obj_mask[ai, row, col] = True
-        tgt.obj_target[ai, row, col] = 1.0
         tgt.tx[ai, row, col] = box.x / head.stride - col
         tgt.ty[ai, row, col] = box.y / head.stride - row
         tgt.tw[ai, row, col] = box.w / input_w
@@ -147,22 +139,20 @@ def assign_targets(ground_truth, heads: list[HeadOutput], ignore_iou: float = 0.
             pred = read_head(head) if reads is None else reads[index]
             slots = corner_table(pred.x, pred.y, pred.w, pred.h).reshape(5, -1)
             best_iou = iou_grid(slots[:, :, None], truth).max(axis=1).reshape(tgt.obj_mask.shape)
-            tgt.ignore_mask = (best_iou > ignore_iou) & ~tgt.obj_mask
-    return TargetAssignment(targets)
+            tgt.ignore_mask = (best_iou > head.ignore_thresh) & ~tgt.obj_mask
+    return targets
 
 
-def _paired(heads, assignment: TargetAssignment):
-    """(index, (head, targets)) pairs; the assignment must fit the heads."""
-    if len(heads) != len(assignment.heads):
-        raise ShapeError(
-            f"assignment has {len(assignment.heads)} heads, the loss got {len(heads)}"
-        )
-    for index, (head, tgt) in enumerate(zip(heads, assignment.heads)):
+def _paired(heads, targets: list[HeadTargets]):
+    """(index, (head, targets)) pairs; the targets must fit the heads."""
+    if len(heads) != len(targets):
+        raise ShapeError(f"targets for {len(targets)} heads, the loss got {len(heads)}")
+    for index, (head, tgt) in enumerate(zip(heads, targets)):
         bad = [name for name, mask in vars(tgt).items() if mask.shape != (3, *head.grid)]
         if bad:
             raise ShapeError(f"head {index} targets {', '.join(bad)} do not fit its "
                              f"{head.grid} grid")
-    return enumerate(zip(heads, assignment.heads))
+    return enumerate(zip(heads, targets))
 
 
 def _one_hot(tgt: HeadTargets, num_classes: int):
@@ -172,7 +162,7 @@ def _one_hot(tgt: HeadTargets, num_classes: int):
     return hot
 
 
-def total_loss(heads, assignment: TargetAssignment, weights: LossWeights | None = None,
+def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = None,
                reads=None) -> LossBreakdown:
     """Composite squared-error loss and its gradient, from one pass per head.
 
@@ -186,7 +176,7 @@ def total_loss(heads, assignment: TargetAssignment, weights: LossWeights | None 
     _check_reads(heads, reads)
     coord = iou_term = cls_term = 0.0
     grads = []
-    for index, (head, tgt) in _paired(heads, assignment):
+    for index, (head, tgt) in _paired(heads, targets):
         if not np.all(np.isfinite(head.raw)):
             raise NumericError(f"head {index} (stride {head.stride}) has non-finite raw values")
         pred = read_head(head) if reads is None else reads[index]
@@ -199,7 +189,7 @@ def total_loss(heads, assignment: TargetAssignment, weights: LossWeights | None 
         noobj = ~obj & ~tgt.ignore_mask
         dx, dy = px - tgt.tx, py - tgt.ty
         dw, dh = sw - np.sqrt(tgt.tw), sh - np.sqrt(tgt.th)
-        dobj = pobj - tgt.obj_target
+        dobj = pobj - obj
         dcls = pcls - _one_hot(tgt, head.num_classes)
         coord += w.coord * float(np.sum((dx ** 2 + dy ** 2)[obj]))
         coord += w.coord * float(np.sum((dw ** 2 + dh ** 2)[obj]))
@@ -218,12 +208,6 @@ def total_loss(heads, assignment: TargetAssignment, weights: LossWeights | None 
         grads.append(g.reshape(head.raw.shape))
     total = coord + iou_term + cls_term
     return LossBreakdown(total, coord, iou_term, cls_term, grads)
-
-
-def loss_gradients(heads, assignment: TargetAssignment,
-                   weights: LossWeights | None = None) -> list[np.ndarray]:
-    """d(total loss)/d(raw head values), one array per head: ``total_loss(...).grads``."""
-    return total_loss(heads, assignment, weights).grads
 
 
 def sgd_step(network: Network, state: dict, lr: float, momentum: float) -> None:
@@ -395,8 +379,8 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
             tape = GradTape()
             heads = net.forward(example.image, tape)
             reads = [read_head(head) for head in heads]
-            assignment = assign_targets(example.boxes, heads, reads=reads)
-            breakdown = total_loss(heads, assignment, config.loss_weights, reads)
+            targets = assign_targets(example.boxes, heads, reads=reads)
+            breakdown = total_loss(heads, targets, config.loss_weights, reads)
             net.backward(tape, zip(heads, breakdown.grads))
             batch_loss += breakdown.total
         mean_loss = batch_loss / config.batch_size

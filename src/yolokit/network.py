@@ -24,15 +24,30 @@ from .errors import GraphValidationError, ShapeError, UsageError
 class HeadOutput:
     """Raw prediction map of one detection scale.
 
-    ``raw`` is (3*(5+C)) x S_rows x S_cols; ``stride`` is input pixels per
-    cell; ``anchors`` are the three (w, h) pixel priors for this scale.
+    ``raw`` is (3*(5+C)) x S_rows x S_cols and alone sets the grid and the
+    class count; ``stride`` is input pixels per cell; ``anchors`` are the
+    three (w, h) pixel priors for this scale; ``ignore_thresh`` is the
+    ``[yolo]`` layer's IoU above which a non-responsible prediction escapes
+    the no-object loss.
     """
 
-    grid: tuple[int, int]
     stride: int
     raw: np.ndarray
     anchors: list[tuple[float, float]]
-    num_classes: int
+    ignore_thresh: float
+
+    def __post_init__(self):
+        if self.raw.ndim != 3 or self.raw.shape[0] % 3 or self.raw.shape[0] < 18:
+            raise ShapeError(f"head map must be (3*(5+C)) x rows x cols with C >= 1, "
+                             f"got {self.raw.shape}")
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        return self.raw.shape[1], self.raw.shape[2]
+
+    @property
+    def num_classes(self) -> int:
+        return self.raw.shape[0] // 3 - 5
 
 
 class Network:
@@ -147,14 +162,13 @@ class Network:
             raw = outputs[i]
             heads.append(
                 HeadOutput(
-                    grid=(raw.shape[1], raw.shape[2]),
                     stride=in_h // raw.shape[1],
                     raw=raw,
                     anchors=[
                         (float(a["anchors"][2 * m]), float(a["anchors"][2 * m + 1]))
                         for m in a["mask"]
                     ],
-                    num_classes=a["classes"],
+                    ignore_thresh=a["ignore_thresh"],
                 )
             )
         heads.sort(key=lambda h: -h.stride)
@@ -199,15 +213,11 @@ class Network:
     def backward(self, tape: ops.GradTape, head_grads) -> None:
         """Push per-head raw gradients back to the parameter buffers.
 
-        ``head_grads`` pairs each HeadOutput (or its raw tensor) with a
-        gradient array of the same shape. Call ``zero_grads`` first unless
-        accumulation across images is intended.
+        ``head_grads`` pairs each HeadOutput with a gradient array of its raw
+        map's shape. Call ``zero_grads`` first unless accumulation across
+        images is intended.
         """
-        seeds = []
-        for head, grad in head_grads:
-            raw = head.raw if isinstance(head, HeadOutput) else head
-            seeds.append((raw, grad))
-        tape.backward(seeds)
+        tape.backward([(head.raw, grad) for head, grad in head_grads])
 
     def count_parameters(self) -> tuple[list[tuple[int, int]], int]:
         """Per-convolution (layer_index, float_count) and the total.

@@ -38,19 +38,6 @@ def check_tensor(x, rank: int | None = None, name: str = "tensor") -> np.ndarray
     return x
 
 
-def as_tensor(data, shape=None, dtype=np.float64) -> np.ndarray:
-    """Build a validated tensor from flat or nested data, optionally reshaped."""
-    arr = np.asarray(data, dtype=dtype)
-    if shape is not None:
-        wanted = int(np.prod(shape))
-        if arr.size != wanted:
-            raise ShapeError(
-                f"cannot reshape {arr.size} values into shape {tuple(shape)}"
-            )
-        arr = arr.reshape(shape)
-    return check_tensor(arr)
-
-
 def sigmoid(x):
     # Split by sign so large |x| never overflows exp.
     x = np.asarray(x)
@@ -98,12 +85,6 @@ class ConvParams:
     @property
     def pad(self) -> int:
         return (self.size - 1) // 2
-
-    @property
-    def in_channels(self) -> int:
-        if self.weights is None:
-            raise UsageError("convolution has no weights attached yet")
-        return int(self.weights.shape[1])
 
     @property
     def parameterized(self) -> bool:

@@ -28,7 +28,6 @@ from .gradcheck import finite_difference, relative_errors, run_gradient_fidelity
 from .loss import (
     ToyTrainConfig,
     assign_targets,
-    loss_gradients,
     synthetic_dataset,
     total_loss,
     toy_graph,
@@ -72,11 +71,10 @@ def _loss_fixture(seed: int):
     rng = np.random.default_rng(seed)
     raw = rng.normal(0.0, 1.0, size=(21, 2, 2))
     head = HeadOutput(
-        grid=(2, 2),
         stride=32,
         raw=raw,
         anchors=[(10.0, 13.0), (16.0, 30.0), (33.0, 23.0)],
-        num_classes=2,
+        ignore_thresh=0.5,
     )
     truth = [
         GroundTruthBox("fixture", 0, Box(20.0, 24.0, 18.0, 22.0)),
@@ -93,11 +91,11 @@ def check_gradient_fidelity(seed: int = 0, num_nets: int = 20,
     def run():
         summary = run_gradient_fidelity(seed, num_nets=num_nets, fault=fault)
         head, truth = _loss_fixture(seed + 1)
-        assignment = assign_targets(truth, [head])
-        assert assignment.heads[0].obj_mask.any()
-        assert not assignment.heads[0].obj_mask.all()
-        analytic = loss_gradients([head], assignment)[0]
-        fd = finite_difference(lambda: total_loss([head], assignment).total, head.raw)
+        targets = assign_targets(truth, [head])
+        assert targets[0].obj_mask.any()
+        assert not targets[0].obj_mask.all()
+        analytic = total_loss([head], targets).grads[0]
+        fd = finite_difference(lambda: total_loss([head], targets).total, head.raw)
         loss_err = float(relative_errors(analytic.ravel(), fd.ravel()).max())
         return max(summary.max_rel_error, loss_err), summary
 
@@ -400,11 +398,10 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
         rng = np.random.default_rng(seed)
         raw = rng.normal(0.0, 1.0, size=(3 * (5 + 3), 4, 4))
         head = HeadOutput(
-            grid=(4, 4),
             stride=32,
             raw=raw,
             anchors=[(30.0, 61.0), (62.0, 45.0), (59.0, 119.0)],
-            num_classes=3,
+            ignore_thresh=0.5,
         )
         detections = decode(head, 0.0, IDENTITY_TRANSFORM, "img")
         if len(detections) != 3 * 16:

@@ -112,6 +112,12 @@ class TestParse:
         with pytest.raises(CfgParseError):
             parse_cfg(MINIMAL.replace("filters=4", "filters=many"))
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_ignore_thresh_outside_unit_interval_rejected(self, value):
+        text = render_cfg(toy_graph()).replace("ignore_thresh=0.5", f"ignore_thresh={value}")
+        with pytest.raises(CfgParseError, match="ignore_thresh"):
+            parse_cfg(text)
+
     def test_spp_snippet_concat(self):
         graph = parse_cfg(SPP_SNIPPET)
         shapes = shape_check(graph, 64, 64)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from yolokit import cli
+from yolokit.cfg import builtin_graph, render_cfg, shape_check
 from yolokit.detect import Box, Detection
+from yolokit.errors import GraphValidationError
 from yolokit.evaluation import format_predictions, format_visdrone, GroundTruthBox
+from yolokit.loss import toy_graph
 from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, write_ppm
 from yolokit.verify import CheckResult
 
@@ -85,6 +88,44 @@ class TestDetect:
         assert code == 2
         assert "--size" in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("size", ["48", "100"])
+    def test_size_off_the_head_strides_is_usage_error_before_reading(self, tmp_path, capsys,
+                                                                     size):
+        code = run(
+            ["detect", tmp_path / "missing.ppm", "--model", "yolov3",
+             "--weights", tmp_path / "missing.weights", "--size", size,
+             "--out", tmp_path / "p.txt"]
+        )
+        assert code == 2
+        assert f"--size {size}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["yolov3", "yolov3-spp", "yolov3-tiny"])
+    def test_builtin_sizes_are_those_shape_check_accepts(self, tmp_path, model):
+        # exit 1 is the missing weights file: the size passed and reading began
+        graph = builtin_graph(model.replace("-", "_"), 80)
+        accepted, fits = [], []
+        for size in range(1, 1300):
+            code = run(["detect", tmp_path / "missing.ppm", "--model", model,
+                        "--weights", tmp_path / "missing.weights", "--size", size,
+                        "--out", tmp_path / "p.txt"])
+            assert code in (1, 2)
+            if code == 1:
+                accepted.append(size)
+            try:
+                shape_check(graph, size, size)
+                fits.append(size)
+            except GraphValidationError:
+                pass
+        assert accepted == fits == list(range(32, 1300, 32))
+
+    def test_cfg_graph_runs_at_its_own_head_stride(self, scene, tmp_path):
+        # the toy graph's one head has stride 8, so 40 px fits it
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(render_cfg(toy_graph()))
+        out = tmp_path / "p.txt"
+        assert run(["detect", scene, "--cfg", cfg, "--size", "40", "--out", out]) == 0
+        assert run(["detect", scene, "--cfg", cfg, "--size", "44", "--out", out]) == 2
 
     def test_missing_model_is_usage_error(self, scene, tmp_path):
         assert run(["detect", scene, "--out", tmp_path / "p.txt"]) == 2
@@ -212,7 +253,7 @@ class TestEval:
 
     @pytest.mark.parametrize("flag, value", [
         ("--classes", "0"), ("--classes", "-3"), ("--conf", "1.5"), ("--conf", "-0.1"),
-        ("--conf", "nan"),
+        ("--conf", "nan"), ("--iou", "0"), ("--iou", "1.0001"), ("--iou", "nan"),
     ])
     def test_bad_option_is_usage_error_before_reading(self, tmp_path, capsys, flag, value):
         # neither input exists: the option must be rejected before any file is read
@@ -227,6 +268,13 @@ class TestEval:
         gt_dir, pred = self._write_fixture(tmp_path)
         code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
                     "--conf", conf, "--out-dir", tmp_path / "out"])
+        assert code == 0
+
+    @pytest.mark.parametrize("iou", ["1", "1e-9"])
+    def test_iou_bounds_accepted(self, tmp_path, iou):
+        gt_dir, pred = self._write_fixture(tmp_path)
+        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
+                    "--iou", iou, "--out-dir", tmp_path / "out"])
         assert code == 0
 
 

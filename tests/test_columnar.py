@@ -174,7 +174,7 @@ class TestDecodeOverflow:
         raw[6::7] = -800.0
         raw[2, 0, 0] = 800.0              # anchor 0, cell (0, 0): t_w = 800
         raw[7 + 3, 0, 1] = 710.0          # anchor 1, cell (0, 1): t_h just past exp's range
-        head = HeadOutput((1, 2), 32, raw, [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)], 2)
+        head = HeadOutput(32, raw, [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)], 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dets = decode(head, 0.5, IDENTITY_TRANSFORM, "img")

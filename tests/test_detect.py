@@ -24,10 +24,9 @@ from yolokit.oracles import iou_grid_count, nms_loop
 from yolokit.weights import random_init
 
 
-def head_with_raw(raw, stride=32, anchors=None, num_classes=2):
+def head_with_raw(raw, stride=32, anchors=None):
     anchors = anchors or [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)]
-    rows, cols = raw.shape[1], raw.shape[2]
-    return HeadOutput((rows, cols), stride, raw, anchors, num_classes)
+    return HeadOutput(stride, raw, anchors, 0.5)
 
 
 class TestLetterbox:

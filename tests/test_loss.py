@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from yolokit.cfg import parse_cfg, render_cfg
 from yolokit.detect import Box, iou, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
 from yolokit.evaluation import GroundTruthBox, format_visdrone, parse_visdrone
@@ -13,7 +14,6 @@ from yolokit.loss import (
     LossWeights,
     ToyTrainConfig,
     assign_targets,
-    loss_gradients,
     sgd_step,
     synthetic_dataset,
     total_loss,
@@ -35,15 +35,14 @@ def three_heads(input_side=640, num_classes=2, fill=0.0):
     for anchors, stride in zip(COCO_HEAD_ANCHORS, (32, 16, 8)):
         s = input_side // stride
         raw = np.full((3 * (5 + num_classes), s, s), fill, dtype=float)
-        heads.append(HeadOutput((s, s), stride, raw, anchors, num_classes))
+        heads.append(HeadOutput(stride, raw, anchors, 0.5))
     return heads
 
 
 def single_head(grid=2, stride=32, num_classes=2, rng=None):
     raw = (rng.normal(0, 1, (3 * (5 + num_classes), grid, grid))
            if rng is not None else np.zeros((3 * (5 + num_classes), grid, grid)))
-    return HeadOutput((grid, grid), stride, raw,
-                      [(10.0, 13.0), (16.0, 30.0), (33.0, 23.0)], num_classes)
+    return HeadOutput(stride, raw, [(10.0, 13.0), (16.0, 30.0), (33.0, 23.0)], 0.5)
 
 
 def gt(x, y, w, h, cls=0, ignore=False):
@@ -53,34 +52,34 @@ def gt(x, y, w, h, cls=0, ignore=False):
 class TestAssignment:
     def test_empty_ground_truth(self):
         heads = three_heads()
-        assignment = assign_targets([], heads)
-        for tgt in assignment.heads:
+        targets = assign_targets([], heads)
+        for tgt in targets:
             assert not tgt.obj_mask.any()
             assert not tgt.ignore_mask.any()
 
     def test_center_box_takes_coarse_anchor(self):
         heads = three_heads()
-        assignment = assign_targets([gt(320, 320, 116, 90)], heads)
-        coarse = assignment.heads[0]
+        targets = assign_targets([gt(320, 320, 116, 90)], heads)
+        coarse = targets[0]
         assert coarse.obj_mask[0, 10, 10]
         assert coarse.obj_mask.sum() == 1
-        assert not assignment.heads[1].obj_mask.any()
-        assert not assignment.heads[2].obj_mask.any()
+        assert not targets[1].obj_mask.any()
+        assert not targets[2].obj_mask.any()
         assert coarse.cls_index[0, 10, 10] == 0
         assert coarse.tw[0, 10, 10] == pytest.approx(116 / 640)
 
     def test_small_box_takes_fine_anchor(self):
         heads = three_heads()
-        assignment = assign_targets([gt(100, 100, 11, 14)], heads)
-        assert assignment.heads[2].obj_mask.sum() == 1
-        assert not assignment.heads[0].obj_mask.any()
+        targets = assign_targets([gt(100, 100, 11, 14)], heads)
+        assert targets[2].obj_mask.sum() == 1
+        assert not targets[0].obj_mask.any()
 
     def test_two_boxes_two_disjoint_slots(self):
         heads = three_heads()
-        assignment = assign_targets(
+        targets = assign_targets(
             [gt(100, 100, 116, 90), gt(500, 500, 116, 90, cls=1)], heads
         )
-        assert assignment.heads[0].obj_mask.sum() == 2
+        assert targets[0].obj_mask.sum() == 2
 
     def test_box_outside_image_rejected(self):
         heads = three_heads()
@@ -90,10 +89,10 @@ class TestAssignment:
     def test_masks_partition_slots(self):
         rng = np.random.default_rng(0)
         head = single_head(grid=4, rng=rng)
-        assignment = assign_targets(
+        targets = assign_targets(
             [gt(40, 40, 16, 30), gt(90, 90, 10, 13, cls=1)], [head]
         )
-        tgt = assignment.heads[0]
+        tgt = targets[0]
         # every slot is in exactly one of: object, no-object, ignore
         noobj = ~tgt.obj_mask & ~tgt.ignore_mask
         counts = tgt.obj_mask.astype(int) + tgt.ignore_mask.astype(int) + noobj.astype(int)
@@ -110,7 +109,7 @@ class TestAssignment:
                    ignore=bool(rng.random() < 0.3))
                 for _ in range(int(rng.integers(1, 9)))
             ]
-            tgt = assign_targets(truth, [head]).heads[0]
+            tgt = assign_targets(truth, [head])[0]
             raw = head.raw.reshape(3, 7, 8, 8)
             for a, i, j in np.ndindex(3, 8, 8):
                 t = raw[a, :4, i, j]
@@ -125,16 +124,30 @@ class TestAssignment:
 
     def test_ignored_ground_truth_is_not_assigned(self):
         heads = three_heads()
-        assignment = assign_targets([gt(320, 320, 50, 50, ignore=True)], heads)
-        assert not any(t.obj_mask.any() for t in assignment.heads)
+        targets = assign_targets([gt(320, 320, 50, 50, ignore=True)], heads)
+        assert not any(t.obj_mask.any() for t in targets)
+
+    def test_ignore_thresh_comes_from_the_cfg(self):
+        # one net's weights under three [yolo] ignore_thresh values
+        text = render_cfg(toy_graph(2, 64))
+        image = np.random.default_rng(8).uniform(0, 1, (3, 64, 64))
+        truth = [gt(20, 24, 16, 30), gt(44, 40, 30, 20, cls=1)]
+        masks = []
+        for thresh in (0.05, 0.5, 0.95):
+            net = random_init(parse_cfg(text.replace("ignore_thresh=0.5",
+                                                     f"ignore_thresh={thresh}")), seed=8)
+            heads = net.forward(image)
+            assert heads[0].ignore_thresh == thresh
+            masks.append(assign_targets(truth, heads)[0].ignore_mask)
+        assert masks[0].sum() > masks[1].sum() > masks[2].sum()
 
 
 class TestTotalLoss:
     def test_zero_when_predictions_hit_targets(self):
         head = single_head(grid=2)
         box = Box(24.0, 40.0, 16.0, 30.0)
-        assignment = assign_targets([GroundTruthBox("img", 1, box)], [head])
-        tgt = assignment.heads[0]
+        targets = assign_targets([GroundTruthBox("img", 1, box)], [head])
+        tgt = targets[0]
         (a, i, j) = [t[0] for t in np.nonzero(tgt.obj_mask)]
         raw = head.raw.reshape(3, 7, 2, 2)
         raw[:, 4] = -800.0      # objectness exactly 0 off the responsible slot
@@ -146,15 +159,15 @@ class TestTotalLoss:
         raw[a, 3, i, j] = np.log(tgt.th[a, i, j] * 64 / head.anchors[a][1])
         raw[a, 4, i, j] = 800.0
         raw[a, 5 + 1, i, j] = 800.0
-        breakdown = total_loss([head], assignment)
+        breakdown = total_loss([head], targets)
         assert breakdown.total == 0.0
         assert (breakdown.coord, breakdown.iou, breakdown.cls) == (0.0, 0.0, 0.0)
 
     def test_single_coordinate_error_scales_with_lambda(self):
         head = single_head(grid=2)
         box = Box(24.0, 40.0, 16.0, 30.0)
-        assignment = assign_targets([GroundTruthBox("img", 1, box)], [head])
-        tgt = assignment.heads[0]
+        targets = assign_targets([GroundTruthBox("img", 1, box)], [head])
+        tgt = targets[0]
         (a, i, j) = [t[0] for t in np.nonzero(tgt.obj_mask)]
         raw = head.raw.reshape(3, 7, 2, 2)
         raw[:, 4] = -800.0
@@ -166,71 +179,71 @@ class TestTotalLoss:
         raw[a, 5 + 1, i, j] = 800.0
         # shift the center target one cell unit away from the prediction
         tgt.tx[a, i, j] = float(1.0 / (1.0 + np.exp(-raw[a, 0, i, j]))) + 1.0
-        breakdown = total_loss([head], assignment, LossWeights(coord=5.0))
+        breakdown = total_loss([head], targets, LossWeights(coord=5.0))
         assert breakdown.coord == pytest.approx(5.0, abs=1e-9)
         assert breakdown.iou == 0.0 and breakdown.cls == 0.0
 
     def test_additive_and_nonnegative(self):
         rng = np.random.default_rng(1)
         head = single_head(grid=3, rng=rng)
-        assignment = assign_targets([gt(40, 40, 16, 30), gt(80, 20, 33, 23, cls=1)], [head])
-        breakdown = total_loss([head], assignment)
+        targets = assign_targets([gt(40, 40, 16, 30), gt(80, 20, 33, 23, cls=1)], [head])
+        breakdown = total_loss([head], targets)
         assert breakdown.total == breakdown.coord + breakdown.iou + breakdown.cls
         assert min(breakdown.coord, breakdown.iou, breakdown.cls) >= 0
 
     def test_non_finite_raw_names_head(self):
         head = single_head(grid=2)
         head.raw[0, 0, 0] = np.nan
-        assignment = assign_targets([], [head])
+        targets = assign_targets([], [head])
         with pytest.raises(NumericError) as err:
-            total_loss([head], assignment)
+            total_loss([head], targets)
         assert "head 0" in str(err.value)
 
     def test_negative_weights_rejected(self):
         head = single_head(grid=2)
-        assignment = assign_targets([], [head])
+        targets = assign_targets([], [head])
         with pytest.raises(ValidationError):
-            total_loss([head], assignment, LossWeights(coord=-1.0))
+            total_loss([head], targets, LossWeights(coord=-1.0))
 
 
 class TestLossInputs:
-    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
+    @pytest.mark.parametrize("loss_fn", [total_loss])
     def test_assignment_for_fewer_heads_rejected(self, loss_fn):
         heads = three_heads(input_side=64)
-        assignment = assign_targets([gt(20, 20, 10, 13)], heads[:2])
-        with pytest.raises(ShapeError, match="2 heads"):
-            loss_fn(heads, assignment)
+        targets = assign_targets([gt(20, 20, 10, 13)], heads[:2])
+        with pytest.raises(ShapeError, match="targets for 2 heads"):
+            loss_fn(heads, targets)
 
-    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
+    @pytest.mark.parametrize("loss_fn", [total_loss])
     def test_target_grid_mismatch_rejected(self, loss_fn):
-        assignment = assign_targets([gt(20, 20, 10, 13)], [single_head(grid=2)])
+        targets = assign_targets([gt(20, 20, 10, 13)], [single_head(grid=2)])
         with pytest.raises(ShapeError, match="obj_mask"):
-            loss_fn([single_head(grid=3)], assignment)
+            loss_fn([single_head(grid=3)], targets)
         head = single_head(grid=2)
-        assignment.heads[0].ignore_mask = np.zeros((3, 2, 3), dtype=bool)
+        targets[0].ignore_mask = np.zeros((3, 2, 3), dtype=bool)
         with pytest.raises(ShapeError, match="ignore_mask"):
-            loss_fn([head], assignment)
+            loss_fn([head], targets)
 
 
 class TestLossGradients:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         head = single_head(grid=2, rng=rng)
-        assignment = assign_targets(
+        targets = assign_targets(
             [gt(20, 24, 18, 22), gt(50, 40, 30, 28, cls=1)], [head]
         )
-        assert assignment.heads[0].obj_mask.any()
-        assert not assignment.heads[0].obj_mask.all()
-        analytic = loss_gradients([head], assignment)[0]
-        fd = finite_difference(lambda: total_loss([head], assignment).total, head.raw)
+        assert targets[0].obj_mask.any()
+        assert not targets[0].obj_mask.all()
+        analytic = total_loss([head], targets).grads[0]
+        fd = finite_difference(lambda: total_loss([head], targets).total, head.raw)
         assert relative_errors(analytic.ravel(), fd.ravel()).max() <= 1e-4
 
     def test_zero_at_minimum(self):
         head = single_head(grid=2)
-        assignment = assign_targets([], [head])
+        targets = assign_targets([], [head])
         head.raw.reshape(3, 7, 2, 2)[:, 4] = -800.0
         head.raw.reshape(3, 7, 2, 2)[:, 5:] = -800.0
-        grads = loss_gradients([head], assignment)[0]
+        grads = total_loss([head], targets).grads[0]
         assert not grads.any()
 
 
@@ -248,26 +261,26 @@ def _reference_one_hot(tgt, num_classes):
     return hot
 
 
-def _reference_loss(heads, assignment, w):
+def _reference_loss(heads, targets, w):
     """The loss as two separate passes computed it, term by term."""
     coord = iou_term = cls_term = 0.0
-    for head, tgt in zip(heads, assignment.heads):
+    for head, tgt in zip(heads, targets):
         px, py, _, _, pw, ph, pobj, pcls = _reference_pieces(head)
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
         coord += w.coord * float(np.sum(((px - tgt.tx) ** 2 + (py - tgt.ty) ** 2)[obj]))
         coord += w.coord * float(np.sum(
             ((np.sqrt(pw) - np.sqrt(tgt.tw)) ** 2 + (np.sqrt(ph) - np.sqrt(tgt.th)) ** 2)[obj]))
-        iou_term += w.iou * float(np.sum(((pobj - tgt.obj_target) ** 2)[obj]))
+        iou_term += w.iou * float(np.sum(((pobj - tgt.obj_mask) ** 2)[obj]))
         iou_term += w.noobj * float(np.sum((pobj ** 2)[noobj]))
         hot = _reference_one_hot(tgt, head.num_classes)
         cls_term += w.cls * float(np.sum(((pcls - hot) ** 2) * obj[:, None, :, :]))
     return coord + iou_term + cls_term, coord, iou_term, cls_term
 
 
-def _reference_gradients(heads, assignment, w):
+def _reference_gradients(heads, targets, w):
     grads = []
-    for head, tgt in zip(heads, assignment.heads):
+    for head, tgt in zip(heads, targets):
         px, py, _, _, pw, ph, pobj, pcls = _reference_pieces(head)
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
@@ -276,7 +289,7 @@ def _reference_gradients(heads, assignment, w):
         g[:, 1] = w.coord * 2 * (py - tgt.ty) * py * (1 - py) * obj
         g[:, 2] = w.coord * (np.sqrt(pw) - np.sqrt(tgt.tw)) * np.sqrt(pw) * obj
         g[:, 3] = w.coord * (np.sqrt(ph) - np.sqrt(tgt.th)) * np.sqrt(ph) * obj
-        dobj = w.iou * 2 * (pobj - tgt.obj_target) * obj + w.noobj * 2 * pobj * noobj
+        dobj = w.iou * 2 * (pobj - tgt.obj_mask) * obj + w.noobj * 2 * pobj * noobj
         g[:, 4] = dobj * pobj * (1 - pobj)
         hot = _reference_one_hot(tgt, head.num_classes)
         g[:, 5:] = w.cls * 2 * (pcls - hot) * pcls * (1 - pcls) * obj[:, None, :, :]
@@ -305,18 +318,17 @@ class TestOnePass:
                 "ignore_only": [gt(*rng.uniform(4, 124, 2), *rng.uniform(6, 90, 2), ignore=True)
                                 for _ in range(8)],
             }[truth]
-            assignment = assign_targets(boxes, heads)
-            ignored_slots += sum(int(t.ignore_mask.sum()) for t in assignment.heads)
+            targets = assign_targets(boxes, heads)
+            ignored_slots += sum(int(t.ignore_mask.sum()) for t in targets)
             if truth == "ignore_only":
-                assert not any(t.obj_mask.any() for t in assignment.heads)
-            breakdown = total_loss(heads, assignment, weights)
-            want = _reference_loss(heads, assignment, weights)
+                assert not any(t.obj_mask.any() for t in targets)
+            breakdown = total_loss(heads, targets, weights)
+            want = _reference_loss(heads, targets, weights)
             assert (breakdown.total, breakdown.coord, breakdown.iou, breakdown.cls) == want
-            want_grads = _reference_gradients(heads, assignment, weights)
-            for got in (breakdown.grads, loss_gradients(heads, assignment, weights)):
-                assert len(got) == len(want_grads)
-                for g, w in zip(got, want_grads):
-                    assert g.dtype == w.dtype and np.array_equal(g, w), trial
+            want_grads = _reference_gradients(heads, targets, weights)
+            assert len(breakdown.grads) == len(want_grads)
+            for g, w in zip(breakdown.grads, want_grads):
+                assert g.dtype == w.dtype and np.array_equal(g, w), trial
         assert (ignored_slots > 0) == (truth != "empty")
 
     def test_given_reads_change_nothing(self):
@@ -326,12 +338,12 @@ class TestOnePass:
             head.raw[:] = rng.normal(0, 2, head.raw.shape)
         truth = [gt(20, 30, 14, 18), gt(40, 44, 30, 26, cls=1), gt(50, 10, 8, 8, ignore=True)]
         reads = [read_head(head) for head in heads]
-        assignment = assign_targets(truth, heads, reads=reads)
+        targets = assign_targets(truth, heads, reads=reads)
         fresh = assign_targets(truth, heads)
-        for a, b in zip(assignment.heads, fresh.heads):
+        for a, b in zip(targets, fresh):
             assert np.array_equal(a.ignore_mask, b.ignore_mask)
-        with_reads = total_loss(heads, assignment, reads=reads)
-        without = total_loss(heads, assignment)
+        with_reads = total_loss(heads, targets, reads=reads)
+        without = total_loss(heads, targets)
         assert with_reads == without
         for a, b in zip(with_reads.grads, without.grads):
             assert np.array_equal(a, b)
@@ -341,9 +353,9 @@ class TestOnePass:
         reads = [read_head(head) for head in heads[:2]]
         with pytest.raises(ShapeError, match="2 head reads for 3 heads"):
             assign_targets([gt(20, 20, 10, 13)], heads, reads=reads)
-        assignment = assign_targets([gt(20, 20, 10, 13)], heads)
+        targets = assign_targets([gt(20, 20, 10, 13)], heads)
         with pytest.raises(ShapeError, match="2 head reads for 3 heads"):
-            total_loss(heads, assignment, reads=reads)
+            total_loss(heads, targets, reads=reads)
 
 
 class TestSgd:

@@ -29,6 +29,13 @@ class TestForward:
         assert all(h.raw.shape[0] == 45 for h in heads)
         assert all(np.isfinite(h.raw).all() for h in heads)
 
+    def test_head_geometry_is_read_off_the_raw_map(self):
+        head = network.HeadOutput(16, np.zeros((3 * (5 + 4), 3, 5)), [(1.0, 1.0)] * 3, 0.5)
+        assert head.grid == (3, 5) and head.num_classes == 4
+        for channels in (20, 15):  # not a multiple of 3; no class left
+            with pytest.raises(ShapeError, match="head map"):
+                network.HeadOutput(16, np.zeros((channels, 3, 5)), [(1.0, 1.0)] * 3, 0.5)
+
     def test_grid_doubles_with_input(self):
         net = random_init(toy_graph(2, 64), seed=1)
         rng = np.random.default_rng(1)
@@ -226,8 +233,8 @@ class TestTrainingPass:
         net.zero_grads()
         tape = ops.GradTape()
         heads = net.forward(image, tape)
-        assignment = assign_targets([GroundTruthBox("i", 0, Box(20.0, 30.0, 16.0, 12.0))], heads)
-        net.backward(tape, zip(heads, total_loss(heads, assignment).grads))
+        targets = assign_targets([GroundTruthBox("i", 0, Box(20.0, 30.0, 16.0, 12.0))], heads)
+        net.backward(tape, zip(heads, total_loss(heads, targets).grads))
         assert tape.grad(image) is None
         assert np.array_equal(image, before)
         assert all(p.g_weights.any() for _, p in net.conv_layers())

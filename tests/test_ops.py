@@ -39,12 +39,6 @@ class TestTensorChecks:
         with pytest.raises(ShapeError):
             ops.check_tensor(np.zeros((2, 2), dtype=int))
 
-    def test_as_tensor_reshape(self):
-        t = ops.as_tensor([1, 2, 3, 4, 5, 6], shape=(2, 3))
-        assert t.shape == (2, 3)
-        with pytest.raises(ShapeError):
-            ops.as_tensor([1, 2, 3], shape=(2, 2))
-
 
 class TestConv2d:
     def test_identity_kernel(self):

@@ -14,7 +14,7 @@ from yolokit.cfg import parse_cfg
 from yolokit.detect import Box
 from yolokit.evaluation import GroundTruthBox
 from yolokit.gradcheck import finite_difference, relative_errors
-from yolokit.loss import assign_targets, loss_gradients, total_loss
+from yolokit.loss import assign_targets, total_loss
 from yolokit.ops import GradTape
 from yolokit.weights import random_init
 
@@ -94,13 +94,13 @@ def test_network_backward_matches_finite_differences_through_loss():
     tape = GradTape()
     heads = net.forward(image, tape)
     assert heads[0].stride == 8 and heads[0].grid == (8, 8)
-    assignment = assign_targets(truth, heads)
-    assert assignment.heads[0].obj_mask.sum() == 2
-    net.backward(tape, zip(heads, loss_gradients(heads, assignment)))
+    targets = assign_targets(truth, heads)
+    assert targets[0].obj_mask.sum() == 2
+    net.backward(tape, zip(heads, total_loss(heads, targets).grads))
 
     def objective():
         fresh = net.forward(image)
-        return total_loss(fresh, assignment).total
+        return total_loss(fresh, targets).total
 
     convs = dict(net.conv_layers())
     # first conv (feeds everything), the post-pool conv, and the head conv
@@ -124,8 +124,8 @@ def test_gradients_accumulate_across_images_like_the_trainer():
         for image in images_subset:
             tape = GradTape()
             heads = net.forward(image, tape)
-            assignment = assign_targets(truth, heads)
-            net.backward(tape, zip(heads, loss_gradients(heads, assignment)))
+            targets = assign_targets(truth, heads)
+            net.backward(tape, zip(heads, total_loss(heads, targets).grads))
         return {i: p.g_weights.copy() for i, p in net.conv_layers()}
 
     first = run(images[:1])
