@@ -14,6 +14,7 @@ from yolokit.loss import (
     LossWeights,
     ToyTrainConfig,
     assign_targets,
+    loss_gradients,
     sgd_step,
     synthetic_dataset,
     total_loss,
@@ -207,14 +208,14 @@ class TestTotalLoss:
 
 
 class TestLossInputs:
-    @pytest.mark.parametrize("loss_fn", [total_loss])
+    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
     def test_assignment_for_fewer_heads_rejected(self, loss_fn):
         heads = three_heads(input_side=64)
         targets = assign_targets([gt(20, 20, 10, 13)], heads[:2])
         with pytest.raises(ShapeError, match="targets for 2 heads"):
             loss_fn(heads, targets)
 
-    @pytest.mark.parametrize("loss_fn", [total_loss])
+    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
     def test_target_grid_mismatch_rejected(self, loss_fn):
         targets = assign_targets([gt(20, 20, 10, 13)], [single_head(grid=2)])
         with pytest.raises(ShapeError, match="obj_mask"):
