@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CfgParseError, GraphValidationError
+from .errors import CfgParseError, GraphValidationError, ValidationError
 
 # Detection-scale anchor priors in input pixels: three (w, h) pairs per head,
 # finest first. Nine-anchor set for the full models, six for the tiny one.
@@ -274,8 +274,11 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
     Raises GraphValidationError on shortcut shape mismatches, route spatial
     mismatches, pool windows larger than their padded input, or a ``[yolo]``
     layer whose channel count or grid stride (an integer in ``HEAD_STRIDES``)
-    does not fit the input size. A graph without heads may take any size.
+    does not fit the input size, and on a width or height below 1. A graph
+    without heads may take any size from 1x1 up.
     """
+    if width < 1 or height < 1:
+        raise GraphValidationError(f"input size {width}x{height} must be at least 1x1")
     shapes: list[tuple[int, int, int]] = []
     prev = (graph.input_channels, height, width)
     for i, layer in enumerate(graph.layers):
@@ -421,10 +424,15 @@ def _detection_head(filters, num_classes, mask, spp=False):
     return layers
 
 
+def check_num_classes(num_classes: int) -> None:
+    """The class count's range, at least 1: a ValidationError below it."""
+    if num_classes < 1:
+        raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
+
+
 def builtin_graph(variant: str, num_classes: int) -> ModelGraph:
     """Construct a builtin detection graph: yolov3, yolov3_spp, or yolov3_tiny."""
-    if num_classes < 1:
-        raise GraphValidationError(f"num_classes must be >= 1, got {num_classes}")
+    check_num_classes(num_classes)
     variant = variant.replace("-", "_")
     net = {"width": 640, "height": 640, "channels": 3}
     if variant == "yolov3_tiny":

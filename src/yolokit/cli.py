@@ -17,12 +17,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cfg import builtin_graph, parse_cfg, shape_check
-from .detect import Detections, decode, letterbox, nms
+from .cfg import builtin_graph, check_num_classes, parse_cfg, shape_check
+from .detect import Detections, check_conf_threshold, check_nms_threshold, decode, letterbox, nms
 from .errors import GraphValidationError, UsageError, ValidationError, YoloKitError
 from .evaluation import (
     VISDRONE_CLASS_NAMES,
     check_iou_threshold,
+    check_score_threshold,
     evaluate,
     format_predictions,
     format_report_table,
@@ -32,7 +33,7 @@ from .evaluation import (
 )
 from .loss import ToyTrainConfig, synthetic_dataset, toy_graph, train_toy
 from .ppm import PALETTE, read_ppm, render_detections, write_ppm
-from .verify import run_all
+from .verify import check_toy_steps, run_all
 from .weights import load_weights_file, random_init
 
 _PALETTE_DOC = ", ".join(f"{i}:{rgb}" for i, rgb in enumerate(PALETTE))
@@ -108,33 +109,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flag(flag: str, value, check) -> None:
+    """Run the library's own checker on a flag's value, before any file is
+    read; what it rejects is a usage error naming the flag."""
+    try:
+        check(value)
+    except (ValidationError, GraphValidationError) as exc:
+        raise UsageError(f"{flag} {value}: {exc}") from None
+
+
 def _resolve_graph(args):
     if args.cfg:
         with open(args.cfg, encoding="utf-8") as fh:
             return parse_cfg(fh.read())
     if not args.model:
         raise UsageError("pick a model with --model or supply --cfg")
-    if args.classes < 1:
-        raise UsageError("--classes must be >= 1")
+    _check_flag("--classes", args.classes, check_num_classes)
     return builtin_graph(args.model.replace("-", "_"), args.classes)
 
 
 def cmd_detect(args) -> int:
-    if args.size < 1:  # shape_check divides the size by each head's grid
-        raise UsageError(f"--size {args.size} must be positive")
-    if not 0 <= args.conf < 1:
-        raise UsageError("--conf must be in [0, 1)")
-    if not 0 < args.nms < 1:
-        raise UsageError("--nms must be in (0, 1)")
+    _check_flag("--conf", args.conf, check_conf_threshold)
+    _check_flag("--nms", args.nms, check_nms_threshold)
     image_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
     for image_id in image_ids:
         if len(image_id.split()) != 1:  # one token of a prediction-file line
             raise UsageError(f"image name {image_id!r} is empty or holds whitespace")
     graph = _resolve_graph(args)
-    try:
-        shape_check(graph, args.size, args.size)
-    except GraphValidationError as exc:
-        raise UsageError(f"--size {args.size} does not fit the graph: {exc}") from None
+    _check_flag("--size", args.size, lambda size: shape_check(graph, size, size))
     dtype = np.float64 if args.precision == "double" else np.float32
     seed = args.seed if args.seed is not None else _default_seed()
     if args.weights:
@@ -164,14 +166,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        check_iou_threshold(args.iou)
-    except ValidationError as exc:
-        raise UsageError(f"--iou: {exc}") from None
-    if args.classes < 1:
-        raise UsageError("--classes must be >= 1")
-    if args.conf is not None and not 0 <= args.conf <= 1:
-        raise UsageError("--conf must be in [0, 1]")
+    _check_flag("--iou", args.iou, check_iou_threshold)
+    _check_flag("--classes", args.classes, check_num_classes)
+    _check_flag("--conf", args.conf, check_score_threshold)
     truth = load_ground_truth(args.gt)
     with open(args.pred, encoding="utf-8") as fh:
         detections = parse_predictions(fh.read())
@@ -185,8 +182,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.toy_steps < 1:
-        raise UsageError("--toy-steps must be >= 1")
+    _check_flag("--toy-steps", args.toy_steps, check_toy_steps)
     seed = args.seed if args.seed is not None else _default_seed()
     results = run_all(seed=seed, fault=args.inject_grad_fault, toy_steps=args.toy_steps)
     if args.json:
@@ -210,8 +206,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    if args.steps < 0:
-        raise UsageError("--steps must be >= 0")
+    _check_flag("--steps", args.steps, lambda steps: ToyTrainConfig(steps=steps).validate())
     seed = args.seed if args.seed is not None else _default_seed()
     dataset = synthetic_dataset(seed=seed)
     graph = toy_graph()

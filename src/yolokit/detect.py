@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import ShapeError, UsageError, ValidationError
 from .network import HeadOutput
 from .ops import check_tensor, sigmoid
 
@@ -135,21 +135,10 @@ class LetterboxTransform:
     pad_x: float
     pad_y: float
 
-    def to_input(self, box: Box) -> Box:
-        return Box(
-            box.x * self.scale + self.pad_x,
-            box.y * self.scale + self.pad_y,
-            box.w * self.scale,
-            box.h * self.scale,
-        )
-
     def original_xywh(self, x, y, w, h):
         """Input-frame centers and extents (scalars or arrays) in the original frame."""
         return ((x - self.pad_x) / self.scale, (y - self.pad_y) / self.scale,
                 w / self.scale, h / self.scale)
-
-    def to_original(self, box: Box) -> Box:
-        return Box(*self.original_xywh(box.x, box.y, box.w, box.h))
 
 
 IDENTITY_TRANSFORM = LetterboxTransform(1.0, 0.0, 0.0)
@@ -213,6 +202,12 @@ def read_head(head: HeadOutput) -> HeadArrays:
     )
 
 
+def check_conf_threshold(conf_threshold: float) -> None:
+    """The decode confidence threshold's range, [0, 1): a ValidationError outside it."""
+    if not 0 <= conf_threshold < 1:
+        raise ValidationError(f"conf_threshold must be in [0, 1), got {conf_threshold}")
+
+
 def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransform,
            image_id: str) -> Detections:
     """Decode one head into detections above the confidence threshold.
@@ -222,8 +217,7 @@ def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransfor
     original-image coordinates. Rows follow the head's (anchor, row, col)
     order.
     """
-    if not 0 <= conf_threshold < 1:
-        raise UsageError(f"conf_threshold must be in [0, 1), got {conf_threshold}")
+    check_conf_threshold(conf_threshold)
     with np.errstate(over="ignore"):  # an extent that overflows is dropped below
         pred = read_head(head)
     class_probs = pred.class_probs
@@ -279,6 +273,12 @@ def iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (a[4] + b[4] - inter)
 
 
+def check_nms_threshold(iou_threshold: float) -> None:
+    """The NMS IoU threshold's range, (0, 1): a ValidationError outside it."""
+    if not 0 < iou_threshold < 1:
+        raise ValidationError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+
+
 def nms(detections, iou_threshold: float):
     """Greedy per-class suppression of overlapping lower-scored boxes.
 
@@ -291,8 +291,7 @@ def nms(detections, iou_threshold: float):
     boxes of its class, so every decision equals the scalar loop's
     (``oracles.nms_loop``) bit for bit.
     """
-    if not 0 < iou_threshold < 1:
-        raise UsageError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    check_nms_threshold(iou_threshold)
     table = Detections.of(detections)
     n = len(table)
     # input positions grouped by class, then by score desc and position

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cfg import check_num_classes
 from .detect import Box, Detection, Detections, corner_table, iou_grid
 from .errors import AnnotationError, ValidationError
 
@@ -385,6 +386,13 @@ def check_iou_threshold(iou_threshold: float) -> None:
         raise ValidationError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
 
+def check_score_threshold(score_threshold: float | None) -> None:
+    """The evaluation confidence cut's range, [0, 1] or None (no cut): a
+    ValidationError outside it."""
+    if score_threshold is not None and not 0 <= score_threshold <= 1:
+        raise ValidationError(f"score_threshold must be in [0, 1], got {score_threshold}")
+
+
 def match(detections, ground_truth, iou_threshold: float = 0.5):
     """Label every detection TP/FP (or discard it) against the ground truth.
 
@@ -516,6 +524,8 @@ def evaluate(detections, ground_truth, num_classes: int,
     Classes with no ground-truth boxes report AP 0 and are excluded from the
     mAP mean.
     """
+    check_num_classes(num_classes)
+    check_score_threshold(score_threshold)
     dets = Detections.of(detections)
     truth = GroundTruth.of(ground_truth)
     bad = (dets.class_index < 0) | (dets.class_index >= num_classes)

@@ -360,6 +360,12 @@ class ToyTrainConfig:
     seed: int = 0
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
+    def validate(self):
+        if self.steps < 0:
+            raise ValidationError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 def train_toy(dataset: list[ToyExample], graph: ModelGraph,
               config: ToyTrainConfig | None = None) -> list[float]:
@@ -370,8 +376,9 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
     update. Fully deterministic for a fixed seed.
     """
     config = config or ToyTrainConfig()
-    if config.steps < 0:
-        raise UsageError("steps must be >= 0")
+    config.validate()
+    if not dataset:
+        raise ValidationError("the toy dataset is empty")
     net = random_init(graph, seed=config.seed, dtype=np.float64)
     state: dict = {}
     history: list[float] = []

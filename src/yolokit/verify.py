@@ -23,7 +23,7 @@ from .evaluation import (
     match,
     parse_predictions,
 )
-from .errors import UsageError
+from .errors import ValidationError
 from .gradcheck import finite_difference, relative_errors, run_gradient_fidelity
 from .loss import (
     ToyTrainConfig,
@@ -446,10 +446,16 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
     return CheckResult("decode-nms", ok, detail, "exact", seconds)
 
 
+def check_toy_steps(steps: int) -> None:
+    """The toy gate's step count, at least 1 (it compares the first and last
+    loss): a ValidationError below it."""
+    if steps < 1:
+        raise ValidationError(f"the toy training gate needs at least one step, got {steps}")
+
+
 def check_toy_training(seed: int = 0, steps: int = 200) -> CheckResult:
     """Loss after the accumulated-SGD run must be at most half the initial."""
-    if steps < 1:
-        raise UsageError("the toy training gate needs at least one step")
+    check_toy_steps(steps)
 
     def run():
         dataset = synthetic_dataset(num_images=32, size=64, num_classes=2, seed=seed)

@@ -10,7 +10,7 @@ from yolokit.cfg import (
     resolve_ref,
     shape_check,
 )
-from yolokit.errors import CfgParseError, GraphValidationError
+from yolokit.errors import CfgParseError, GraphValidationError, ValidationError
 from yolokit.loss import toy_graph
 
 MINIMAL = """\
@@ -148,6 +148,15 @@ class TestShapeCheck:
 
     def test_headless_graph_takes_any_size(self):
         assert shape_check(parse_cfg(MINIMAL), 7, 7) == [(4, 7, 7)]
+        assert shape_check(parse_cfg(MINIMAL), 1, 1) == [(4, 1, 1)]
+
+    @pytest.mark.parametrize("variant", ["toy", "headless"])
+    @pytest.mark.parametrize("width, height", [(0, 0), (-8, -8), (64, 0), (0, 64), (7, -1)])
+    def test_size_below_one_rejected(self, variant, width, height):
+        # the size rule's first bound, before any layer divides by the size
+        graph = toy_graph() if variant == "toy" else parse_cfg(MINIMAL)
+        with pytest.raises(GraphValidationError, match="at least 1x1"):
+            shape_check(graph, width, height)
 
     def test_deepest_map_at_256(self):
         graph = builtin_graph("yolov3", 80)
@@ -244,7 +253,7 @@ class TestBuiltins:
         assert strides == [16, 32]
 
     def test_bad_class_count(self):
-        with pytest.raises(GraphValidationError):
+        with pytest.raises(ValidationError):
             builtin_graph("yolov3", 0)
 
     def test_unknown_variant(self):

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from yolokit import cli
-from yolokit.cfg import builtin_graph, render_cfg, shape_check
-from yolokit.detect import Box, Detection
-from yolokit.errors import GraphValidationError
-from yolokit.evaluation import format_predictions, format_visdrone, GroundTruthBox
-from yolokit.loss import toy_graph
+from yolokit.cfg import builtin_graph, check_num_classes, parse_cfg, render_cfg, shape_check
+from yolokit.detect import Box, Detection, check_conf_threshold, check_nms_threshold
+from yolokit.errors import GraphValidationError, ValidationError
+from yolokit.evaluation import (
+    GroundTruthBox,
+    check_iou_threshold,
+    check_score_threshold,
+    format_predictions,
+    format_visdrone,
+)
+from yolokit.loss import ToyTrainConfig, toy_graph
 from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, write_ppm
-from yolokit.verify import CheckResult
+from yolokit.verify import CheckResult, check_toy_steps
 
 
 @pytest.fixture
@@ -241,32 +247,6 @@ class TestEval:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--classes", "0"), ("--classes", "-3"), ("--conf", "1.5"), ("--conf", "-0.1"),
-        ("--conf", "nan"), ("--iou", "0"), ("--iou", "1.0001"), ("--iou", "nan"),
-    ])
-    def test_bad_option_is_usage_error_before_reading(self, tmp_path, capsys, flag, value):
-        # neither input exists: the option must be rejected before any file is read
-        code = run(["eval", "--gt", tmp_path / "no-gt", "--pred", tmp_path / "no-pred.txt",
-                    flag, value, "--out-dir", tmp_path / "out"])
-        assert code == 2
-        assert f"usage error: {flag}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("conf", ["0", "1"])
-    def test_conf_bounds_accepted(self, tmp_path, capsys, conf):
-        gt_dir, pred = self._write_fixture(tmp_path)
-        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
-                    "--conf", conf, "--out-dir", tmp_path / "out"])
-        assert code == 0
-
-    @pytest.mark.parametrize("iou", ["1", "1e-9"])
-    def test_iou_bounds_accepted(self, tmp_path, iou):
-        gt_dir, pred = self._write_fixture(tmp_path)
-        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
-                    "--iou", iou, "--out-dir", tmp_path / "out"])
-        assert code == 0
-
 
 class TestVerifyCommand:
     def _stub_results(self, all_pass=True):
@@ -313,3 +293,123 @@ class TestTrainToyCommand:
 
     def test_negative_steps_usage_error(self, tmp_path):
         assert run(["train-toy", "--steps", "-1", "--out", tmp_path / "x.csv"]) == 2
+
+
+# a graph without heads: only shape_check's first bound, 1x1, limits its size
+HEADLESS_CFG = """\
+[net]
+width=64
+height=64
+channels=3
+
+[convolutional]
+filters=4
+size=3
+stride=1
+pad=1
+"""
+
+
+def _detect_argv(tmp_path, *model):
+    return ["detect", tmp_path / "missing.ppm", *model, "--weights", tmp_path / "missing.weights",
+            "--out", tmp_path / "out" / "p.txt"]
+
+
+def _headless_argv(tmp_path):
+    cfg = tmp_path / "headless.cfg"
+    cfg.write_text(HEADLESS_CFG)
+    return _detect_argv(tmp_path, "--cfg", cfg)
+
+
+def _tiny_argv(tmp_path):
+    return _detect_argv(tmp_path, "--model", "yolov3-tiny")
+
+
+def _eval_argv(tmp_path):
+    return ["eval", "--gt", tmp_path / "no-gt", "--pred", tmp_path / "no-pred.txt",
+            "--out-dir", tmp_path / "out"]
+
+
+def _verify_argv(tmp_path):
+    return ["verify"]
+
+
+def _train_toy_argv(tmp_path):
+    return ["train-toy", "--out", tmp_path / "out" / "loss.csv"]
+
+
+def _tiny_size(size):
+    shape_check(builtin_graph("yolov3_tiny", 80), size, size)
+
+
+# Every ranged flag of every command: its argv with every input file
+# missing, the library checker that owns the range, the flag's type, and
+# values at and just beyond each bound (nextafter of float bounds), each
+# with whether the range accepts it.
+_OUT, _IN = False, True
+RANGED_FLAGS = [
+    (_tiny_argv, "--conf", check_conf_threshold, float, [
+        ("0", _IN), ("-5e-324", _OUT), ("0.25", _IN), ("0.9999999999999999", _IN),
+        ("1", _OUT), ("nan", _OUT), ("inf", _OUT), ("-inf", _OUT)]),
+    (_tiny_argv, "--nms", check_nms_threshold, float, [
+        ("0", _OUT), ("5e-324", _IN), ("0.45", _IN), ("0.9999999999999999", _IN),
+        ("1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_tiny_argv, "--classes", check_num_classes, int, [
+        ("1", _IN), ("0", _OUT), ("-3", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_tiny_argv, "--size", _tiny_size, int, [
+        ("32", _IN), ("31", _OUT), ("33", _OUT), ("1", _OUT), ("0", _OUT), ("-32", _OUT),
+        ("48", _OUT), ("100", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_headless_argv, "--size", lambda size: shape_check(parse_cfg(HEADLESS_CFG), size, size),
+     int, [("1", _IN), ("7", _IN), ("0", _OUT), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_eval_argv, "--classes", check_num_classes, int, [
+        ("1", _IN), ("0", _OUT), ("-3", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_eval_argv, "--conf", check_score_threshold, float, [
+        ("0", _IN), ("-5e-324", _OUT), ("-0.1", _OUT), ("1", _IN),
+        ("1.0000000000000002", _OUT), ("1.5", _OUT), ("nan", _OUT), ("inf", _OUT),
+        ("-inf", _OUT)]),
+    (_eval_argv, "--iou", check_iou_threshold, float, [
+        ("0", _OUT), ("5e-324", _IN), ("1e-9", _IN), ("1", _IN), ("1.0000000000000002", _OUT),
+        ("1.0001", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_verify_argv, "--toy-steps", check_toy_steps, int, [
+        ("1", _IN), ("0", _OUT), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+    (_train_toy_argv, "--steps", lambda steps: ToyTrainConfig(steps=steps).validate(), int, [
+        ("0", _IN), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+]
+
+
+class TestRangedFlags:
+    @pytest.mark.parametrize("argv, flag, check, kind, text, accepted", [
+        pytest.param(argv, flag, check, kind, text, accepted,
+                     id=f"{argv.__name__[1:-5]}{flag}={text}")
+        for argv, flag, check, kind, cases in RANGED_FLAGS for text, accepted in cases
+    ])
+    def test_usage_error_before_reading_exactly_when_checker_raises(
+            self, tmp_path, capsys, monkeypatch, argv, flag, check, kind, text, accepted):
+        monkeypatch.setattr(cli, "run_all", lambda **kw: [])  # verify runs no check
+        try:
+            value = kind(text)
+        except ValueError:  # not of the flag's type: argparse's own usage error
+            value = None
+        else:
+            try:
+                check(value)
+                raised = False
+            except (ValidationError, GraphValidationError):
+                raised = True
+            assert raised != accepted
+        try:
+            # one token, so argparse takes "-inf" and "-5e-324" as values
+            code = run(argv(tmp_path) + [f"{flag}={text}"])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        # no input exists: an accepted value fails on the first file read (or,
+        # for verify, runs the stubbed battery); a rejected one never gets there
+        if not accepted:
+            assert code == 2
+        else:
+            assert code == (0 if argv is _verify_argv else 1)
+        if value is not None and not accepted:
+            assert f"usage error: {flag} {value}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()

@@ -17,7 +17,7 @@ from yolokit.detect import (
     letterbox,
     nms,
 )
-from yolokit.errors import ShapeError, UsageError
+from yolokit.errors import ShapeError, UsageError, ValidationError
 from yolokit.loss import toy_graph
 from yolokit.network import HeadOutput
 from yolokit.oracles import iou_grid_count, nms_loop
@@ -70,9 +70,13 @@ class TestLetterbox:
                 float(rng.uniform(2, 30)),
                 float(rng.uniform(2, 30)),
             )
-            back = transform.to_original(transform.to_input(box))
-            assert abs(back.x - box.x) <= 1 and abs(back.y - box.y) <= 1
-            assert abs(back.w - box.w) <= 1 and abs(back.h - box.h) <= 1
+            # the forward map, original frame to network input, written out
+            fx = box.x * transform.scale + transform.pad_x
+            fy = box.y * transform.scale + transform.pad_y
+            fw, fh = box.w * transform.scale, box.h * transform.scale
+            bx, by, bw, bh = transform.original_xywh(fx, fy, fw, fh)
+            assert abs(bx - box.x) <= 1 and abs(by - box.y) <= 1
+            assert abs(bw - box.w) <= 1 and abs(bh - box.h) <= 1
 
 
 class TestDecode:
@@ -103,7 +107,7 @@ class TestDecode:
 
     def test_threshold_range_validated(self):
         raw = np.zeros((21, 1, 1))
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             decode(head_with_raw(raw), 1.0, IDENTITY_TRANSFORM, "img")
 
     def test_centers_stay_in_cell(self):
@@ -204,7 +208,7 @@ class TestNms:
         assert set(nms([a, b], 0.45)) == {a, b}
 
     def test_threshold_validated(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             nms([], 0.0)
 
     def test_survivor_pairs_below_threshold(self):

@@ -308,6 +308,29 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate([det("im0", 5, 0.9, 1, 1, 2, 2)], [], 3)
 
+    @pytest.mark.parametrize("num_classes, score_threshold, option", [
+        (1, float("nan"), "score_threshold"), (1, -5.0, "score_threshold"),
+        (1, 1.5, "score_threshold"), (1, float("inf"), "score_threshold"),
+        (0, None, "num_classes"), (-1, 0.5, "num_classes"),
+    ])
+    def test_out_of_range_option_rejected(self, num_classes, score_threshold, option):
+        # one matching box: these once scored 0.0, 100.0 and 0.0 mAP, or named a
+        # class range "0..-1", instead of refusing the option
+        truth = [gt("im0", 0, 10, 10, 8, 8)]
+        dets = [det("im0", 0, 0.9, 10, 10, 8, 8)]
+        with pytest.raises(ValidationError, match=option):
+            evaluate(dets, truth, num_classes, score_threshold=score_threshold)
+
+    @pytest.mark.parametrize("iou_threshold, score_threshold, map_percent", [
+        (0.5, 0.0, 100.0), (0.5, 1.0, 0.0), (1.0, None, 100.0), (1e-9, None, 100.0),
+    ])
+    def test_option_bounds_accepted(self, iou_threshold, score_threshold, map_percent):
+        truth = [gt("im0", 0, 10, 10, 8, 8)]
+        dets = [det("im0", 0, 0.9, 10, 10, 8, 8)]
+        report = evaluate(dets, truth, 1, iou_threshold=iou_threshold,
+                          score_threshold=score_threshold)
+        assert report.map_percent == map_percent
+
     def test_score_threshold_filters(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.2, 10, 10, 8, 8)]

@@ -410,6 +410,16 @@ class TestToyTraining:
         dataset = synthetic_dataset(num_images=4, seed=0)
         assert train_toy(dataset, toy_graph(), ToyTrainConfig(steps=0)) == []
 
+    @pytest.mark.parametrize("steps, batch_size, num_images", [
+        (-1, 16, 4), (3, 0, 4), (3, -2, 4), (3, 4, 0), (0, 4, 0),
+    ])
+    def test_bad_config_or_empty_dataset_rejected(self, steps, batch_size, num_images):
+        # a batch of 0 and an empty set once divided by zero mid-run
+        dataset = synthetic_dataset(num_images=4, seed=0)[:num_images]
+        config = ToyTrainConfig(steps=steps, batch_size=batch_size)
+        with pytest.raises(ValidationError):
+            train_toy(dataset, toy_graph(), config)
+
     def test_deterministic_history(self):
         dataset = synthetic_dataset(num_images=8, seed=1)
         cfg = ToyTrainConfig(steps=3, batch_size=4, seed=1)
