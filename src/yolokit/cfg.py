@@ -53,9 +53,6 @@ class LayerSpec:
     attrs: dict = field(default_factory=dict)
     source_line: int = 0
 
-    def get(self, key, default=None):
-        return self.attrs.get(key, default)
-
 
 @dataclass
 class ModelGraph:
@@ -79,13 +76,6 @@ class ModelGraph:
     @property
     def input_channels(self) -> int:
         return self.net["channels"]
-
-    @property
-    def num_classes(self) -> int | None:
-        for layer in self.layers:
-            if layer.kind == "yolo":
-                return layer.attrs["classes"]
-        return None
 
 
 def resolve_ref(layer_index: int, ref: int) -> int:

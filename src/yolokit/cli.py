@@ -22,6 +22,7 @@ from .detect import Detections, check_conf_threshold, check_nms_threshold, decod
 from .errors import GraphValidationError, UsageError, ValidationError, YoloKitError
 from .evaluation import (
     VISDRONE_CLASS_NAMES,
+    check_image_id,
     check_iou_threshold,
     check_score_threshold,
     evaluate,
@@ -132,9 +133,8 @@ def cmd_detect(args) -> int:
     _check_flag("--conf", args.conf, check_conf_threshold)
     _check_flag("--nms", args.nms, check_nms_threshold)
     image_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
-    for image_id in image_ids:
-        if len(image_id.split()) != 1:  # one token of a prediction-file line
-            raise UsageError(f"image name {image_id!r} is empty or holds whitespace")
+    for path, image_id in zip(args.images, image_ids):
+        _check_flag("image", path, lambda _: check_image_id(image_id))
     graph = _resolve_graph(args)
     _check_flag("--size", args.size, lambda size: shape_check(graph, size, size))
     dtype = np.float64 if args.precision == "double" else np.float32

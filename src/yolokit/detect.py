@@ -52,9 +52,8 @@ class Detections:
     ``names`` holds the sorted unique image ids and ``image`` each row's
     position in it (int64), so ordering rows by ``image`` orders them by
     image id. ``class_index`` is int64; ``score`` and the center-based box
-    ``x``, ``y``, ``w``, ``h`` (pixels) are float64. Indexing and iterating
-    give :class:`Detection` objects, for library callers, rendering and the
-    oracles.
+    ``x``, ``y``, ``w``, ``h`` (pixels) are float64. Iterating gives
+    :class:`Detection` objects, for library callers and the oracles.
     """
 
     names: tuple[str, ...]
@@ -111,11 +110,6 @@ class Detections:
 
     def __len__(self) -> int:
         return len(self.score)
-
-    def __getitem__(self, k: int) -> Detection:
-        return Detection(self.names[self.image[k]], int(self.class_index[k]),
-                         float(self.score[k]), Box(float(self.x[k]), float(self.y[k]),
-                                                   float(self.w[k]), float(self.h[k])))
 
     def rows(self):
         """Each row as ``(image_id, class_index, score, x, y, w, h)`` Python values."""
@@ -279,11 +273,11 @@ def check_nms_threshold(iou_threshold: float) -> None:
         raise ValidationError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
 
 
-def nms(detections, iou_threshold: float):
+def nms(detections, iou_threshold: float) -> Detections:
     """Greedy per-class suppression of overlapping lower-scored boxes.
 
-    Takes and returns :class:`Detections`; a list of :class:`Detection`
-    gives the list of its kept objects. Within a class, detections are
+    Takes :class:`Detections` (or a list of :class:`Detection`) and returns
+    the kept rows as :class:`Detections`. Within a class, detections are
     visited by descending score (equal scores keep input order); a detection
     is kept unless its IoU with an already kept same-class detection exceeds
     the threshold. Output is ordered by (score desc, class, input position).
@@ -306,7 +300,4 @@ def nms(detections, iou_threshold: float):
         rest = slice(k + 1, class_end[k])
         alive[rest] &= iou_grid(corners[:, rest], corners[:, k]) <= iou_threshold
     kept = order[alive]
-    kept = kept[np.lexsort((kept, table.class_index[kept], -table.score[kept]))]
-    if table is detections:
-        return table.take(kept)
-    return [detections[p] for p in kept.tolist()]
+    return table.take(kept[np.lexsort((kept, table.class_index[kept], -table.score[kept]))])

@@ -268,16 +268,27 @@ def parse_predictions(text: str) -> Detections:
     return Detections(tuple(names), rank[image], *columns)
 
 
+def check_image_id(image_id: str) -> None:
+    """An image id is one token of a prediction line, as :func:`parse_predictions`
+    splits it: a ValidationError if it is empty or holds whitespace."""
+    if image_id.split() != [image_id]:
+        raise ValidationError(f"image id {image_id!r} is empty or holds whitespace")
+
+
 def format_predictions(detections) -> str:
     """One ``image_id class_index score x y w h`` line per detection.
 
-    Takes :class:`Detections` or a list of :class:`Detection`. Values are
+    Takes :class:`Detections` or a list of :class:`Detection`; each image id
+    must pass :func:`check_image_id`, so every line parses back. Values are
     written as Python ``int``/``float`` reprs, so numpy scalars produce the
     same text as the Python numbers they hold.
     """
+    table = Detections.of(detections)
+    for image_id in table.names:
+        check_image_id(image_id)
     lines = [
         f"{image_id} {cls} {score!r} {x!r} {y!r} {w!r} {h!r}"
-        for image_id, cls, score, x, y, w, h in Detections.of(detections).rows()
+        for image_id, cls, score, x, y, w, h in table.rows()
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -393,16 +404,14 @@ def check_score_threshold(score_threshold: float | None) -> None:
         raise ValidationError(f"score_threshold must be in [0, 1], got {score_threshold}")
 
 
-def match(detections, ground_truth, iou_threshold: float = 0.5):
+def match(detections, ground_truth, iou_threshold: float = 0.5) -> tuple[Labeled, dict]:
     """Label every detection TP/FP (or discard it) against the ground truth.
 
     Takes :class:`Detections` (or a list of :class:`Detection`) and a
     :class:`GroundTruth` (or a list of :class:`GroundTruthBox`). Returns
-    (labeled, gt_counts): ``labeled`` holds the detections in canonical
-    order with discarded ones removed, as :class:`Labeled` for columnar
-    input and as a list of (Detection, bool) pairs of the caller's own
-    objects for a list; ``gt_counts`` maps class index to its non-ignored
-    ground-truth box count.
+    (labeled, gt_counts): ``labeled`` is the :class:`Labeled` detections in
+    canonical order with discarded ones removed; ``gt_counts`` maps class
+    index to its non-ignored ground-truth box count.
 
     Canonical order is (score desc, image id, x, y, w, h, class), input
     order on full ties. Per (image, class) pair, each detection in that
@@ -415,9 +424,7 @@ def match(detections, ground_truth, iou_threshold: float = 0.5):
     check_iou_threshold(iou_threshold)
     dets = Detections.of(detections)
     kept, tp, gt_counts = _match_rows(dets, GroundTruth.of(ground_truth), iou_threshold)
-    if dets is detections:
-        return Labeled(dets.take(kept), tp), gt_counts
-    return list(zip(map(detections.__getitem__, kept.tolist()), tp.tolist())), gt_counts
+    return Labeled(dets.take(kept), tp), gt_counts
 
 
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
@@ -427,21 +434,17 @@ def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
     return p, r
 
 
-def pr_curve(scored_labels, gt_count: int) -> tuple[np.ndarray, np.ndarray]:
+def pr_curve(scores, is_tp, gt_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (recall, precision) points over descending score thresholds.
 
-    ``scored_labels`` is [(score, is_tp)] in descending-score order. One
-    point is produced per distinct score (tied detections enter the counts
-    together), so the curve is a function of the threshold alone and does
-    not depend on how ties were ordered.
+    ``scores`` and ``is_tp`` are one class's score and TP-flag columns in
+    descending-score order. One point is produced per distinct score (tied
+    detections enter the counts together), so the curve is a function of
+    the threshold alone and does not depend on how ties were ordered. With
+    no ground truth every recall is 0.
     """
-    scores = np.asarray([s for s, _ in scored_labels], dtype=float)
-    tps = np.asarray([t for _, t in scored_labels], dtype=bool)
-    return _curve(scores, tps, gt_count)
-
-
-def _curve(scores: np.ndarray, tps: np.ndarray, gt_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pr_curve` on a score column and a TP-flag column."""
+    scores = np.asarray(scores, dtype=np.float64)
+    tps = np.asarray(is_tp, dtype=bool)
     if not len(scores):
         return np.array([]), np.array([])
     cum_tp = np.cumsum(tps)
@@ -456,20 +459,14 @@ def _curve(scores: np.ndarray, tps: np.ndarray, gt_count: int) -> tuple[np.ndarr
     return recalls, precisions
 
 
-def average_precision(scored_labels, gt_count: int) -> float:
-    """All-point interpolated AP from (score, TP/FP) labels.
+def average_precision(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """All-point interpolated AP of a :func:`pr_curve`.
 
     At each recall step the precision is the maximum precision attained at
     any recall at least that large (the right envelope of the PR curve).
-    Returns a fraction in [0, 1]; 0 when there is no ground truth.
+    Returns a fraction in [0, 1]; 0 for an empty curve or one without
+    ground truth, whose recalls never rise above 0.
     """
-    if gt_count == 0 or not scored_labels:
-        return 0.0
-    return _curve_ap(*pr_curve(scored_labels, gt_count))
-
-
-def _curve_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
-    """The AP sum of :func:`average_precision` over an existing PR curve."""
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
     ap = 0.0
     prev_recall = 0.0
@@ -507,10 +504,6 @@ class EvalReport:
     @property
     def map_percent(self) -> float:
         return 100.0 * self.map_fraction
-
-    @property
-    def evaluated_classes(self) -> list[int]:
-        return [c.class_index for c in self.per_class if c.gt_count > 0]
 
 
 def evaluate(detections, ground_truth, num_classes: int,
@@ -552,8 +545,8 @@ def evaluate(detections, ground_truth, num_classes: int,
     for cls in range(num_classes):
         gt_count = gt_counts.get(cls, 0)
         tps = flags[bounds[cls] : bounds[cls + 1]]
-        recalls, precisions = _curve(scores[bounds[cls] : bounds[cls + 1]], tps, gt_count)
-        ap = _curve_ap(recalls, precisions) if gt_count and len(tps) else 0.0
+        recalls, precisions = pr_curve(scores[bounds[cls] : bounds[cls + 1]], tps, gt_count)
+        ap = average_precision(recalls, precisions)
         tp = int(tps.sum())
         per_class.append(
             ClassResult(cls, ap, tp, len(tps) - tp, gt_count - tp, gt_count,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detect import Box
+from .detect import Detections
 from .errors import ValidationError
 
 # Fixed 10-color class palette (RGB, 0-255), cycled for class indices >= 10.
@@ -92,30 +92,36 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(encode_ppm(image))
 
 
-def class_color(class_index: int) -> tuple[float, float, float]:
-    r, g, b = PALETTE[class_index % len(PALETTE)]
-    return (r / 255.0, g / 255.0, b / 255.0)
-
-
-def draw_box_outline(image: np.ndarray, box: Box, color, thickness: int = 2) -> None:
-    """Draw a box outline in place, clamped to the image bounds."""
-    _, h, w = image.shape
-    x1, y1, x2, y2 = (int(round(v)) for v in box.corners())
-    x1, x2 = max(0, x1), min(w - 1, x2)
-    y1, y2 = max(0, y1), min(h - 1, y2)
-    if x1 > x2 or y1 > y2:
-        return
-    col = np.asarray(color, dtype=image.dtype)[:, None, None]
-    t = thickness
-    image[:, y1 : min(y1 + t, y2 + 1), x1 : x2 + 1] = col
-    image[:, max(y2 - t + 1, y1) : y2 + 1, x1 : x2 + 1] = col
-    image[:, y1 : y2 + 1, x1 : min(x1 + t, x2 + 1)] = col
-    image[:, y1 : y2 + 1, max(x2 - t + 1, x1) : x2 + 1] = col
-
-
 def render_detections(image: np.ndarray, detections, thickness: int = 2) -> np.ndarray:
-    """Return a copy of the image with class-colored outlines drawn on it."""
+    """Return a copy of the image with class-colored outlines drawn on it.
+
+    Takes :class:`~yolokit.detect.Detections` (or a list of ``Detection``).
+    Each box's corners are rounded to pixels and clamped to the image, and
+    its outline is ``thickness`` pixels wide; boxes are drawn in row order,
+    so a later box paints over an earlier one.
+    """
     canvas = np.array(image, copy=True)
-    for det in detections:
-        draw_box_outline(canvas, det.box, class_color(det.class_index), thickness)
+    _, h, w = canvas.shape
+    table = Detections.of(detections)
+    half_w, half_h = table.w / 2, table.h / 2
+    corners = np.array([table.x - half_w, table.y - half_h, table.x + half_w, table.y + half_h])
+    # clipping a pixel past the image before rounding keeps every clamped
+    # pixel below, and the ints within int64
+    limit = np.array([w, h, w, h], dtype=np.float64)[:, None]
+    x1, y1, x2, y2 = np.rint(np.clip(corners, -1, limit)).astype(np.int64)
+    x1, y1 = np.maximum(x1, 0), np.maximum(y1, 0)
+    x2, y2 = np.minimum(x2, w - 1), np.minimum(y2, h - 1)
+    colors = (np.array(PALETTE) / 255.0).astype(canvas.dtype)[:, :, None, None]
+    t = thickness
+    for left, top, right, bottom, cls in zip(
+        x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
+        (table.class_index % len(PALETTE)).tolist(),
+    ):
+        if left > right or top > bottom:
+            continue
+        col = colors[cls]
+        canvas[:, top : min(top + t, bottom + 1), left : right + 1] = col
+        canvas[:, max(bottom - t + 1, top) : bottom + 1, left : right + 1] = col
+        canvas[:, top : bottom + 1, left : min(left + t, right + 1)] = col
+        canvas[:, top : bottom + 1, max(right - t + 1, left) : right + 1] = col
     return canvas

@@ -14,14 +14,16 @@ import numpy as np
 
 from . import oracles
 from .cfg import builtin_graph, graph_equal, parse_cfg, shape_check, ModelGraph
-from .detect import Box, Detection, decode, iou, nms, IDENTITY_TRANSFORM
+from .detect import Box, Detection, Detections, decode, iou, nms, IDENTITY_TRANSFORM
 from .evaluation import (
+    GroundTruth,
     GroundTruthBox,
     average_precision,
     evaluate,
     format_predictions,
     match,
     parse_predictions,
+    pr_curve,
 )
 from .errors import ValidationError
 from .gradcheck import finite_difference, relative_errors, run_gradient_fidelity
@@ -258,8 +260,8 @@ def _random_eval_instance(rng):
 def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
     """evaluate() vs the brute-force evaluator, plus permutation invariance.
 
-    The matcher's labels must also be identical, in object and order, to
-    the oracle loop's.
+    The matcher's labels, on columns as the CLI passes them, must also equal
+    the oracle loop's row for row, in order.
     """
 
     def run():
@@ -267,9 +269,9 @@ def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
         worst = 0.0
         for _ in range(instances):
             detections, truth, num_classes = _random_eval_instance(rng)
-            labeled, _ = match(detections, truth)
+            labeled, _ = match(Detections.of(detections), GroundTruth.of(truth))
             expected = oracles.match_loop(detections, truth)
-            if [(id(d), t) for d, t in labeled] != [(id(d), t) for d, t in expected]:
+            if list(zip(labeled.detections, labeled.is_tp.tolist())) != expected:
                 return np.inf, "match labels differ from the oracle loop"
             report = evaluate(detections, truth, num_classes)
             oracle_aps, oracle_map = oracles.brute_force_evaluate(
@@ -304,9 +306,9 @@ def check_ap_fixture() -> CheckResult:
     """Hand-worked curve: labels TP, FP, TP over 2 boxes must give AP 5/6."""
 
     def run():
-        scored = [(0.9, True), (0.8, False), (0.7, True)]
-        ap = average_precision(scored, 2)
-        oracle_ap = oracles.ap_threshold_enumeration(scored, 2)
+        scores, is_tp = [0.9, 0.8, 0.7], [True, False, True]
+        ap = average_precision(*pr_curve(scores, is_tp, 2))
+        oracle_ap = oracles.ap_threshold_enumeration(list(zip(scores, is_tp)), 2)
         # end to end through the matcher and the prediction file format
         truth = [
             GroundTruthBox("img", 0, Box(20, 20, 10, 10)),
@@ -407,10 +409,8 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
         if len(detections) != 3 * 16:
             return False, f"expected 48 decoded boxes, got {len(detections)}"
         shaped = raw.reshape(3, 8, 4, 4)
-        index = 0
-        for a, i, j in ((a, i, j) for a in range(3) for i in range(4) for j in range(4)):
-            det = detections[index]
-            index += 1
+        cells = ((a, i, j) for a in range(3) for i in range(4) for j in range(4))
+        for (a, i, j), det in zip(cells, detections):
             objectness = float(sigmoid(np.array([shaped[a, 4, i, j]]))[0])
             class_prob = float(
                 sigmoid(np.array([shaped[a, 5 + det.class_index, i, j]]))[0]
@@ -429,8 +429,8 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
             )
             for score in np.linspace(0.99, 0.05, 60) ** rng.uniform(0.7, 1.4)
         ]
-        survivors = nms(boxes, 0.45)
-        if [id(d) for d in survivors] != [id(d) for d in oracles.nms_loop(boxes, 0.45)]:
+        survivors = list(nms(Detections.of(boxes), 0.45))
+        if survivors != oracles.nms_loop(boxes, 0.45):
             return False, "NMS survivors differ from the oracle loop"
         for a in survivors:
             for b in survivors:
@@ -438,7 +438,7 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
                     return False, "post-NMS same-class overlap above threshold"
         shuffled = list(boxes)
         rng.shuffle(shuffled)
-        if set(nms(shuffled, 0.45)) != set(survivors):
+        if set(nms(Detections.of(shuffled), 0.45)) != set(survivors):
             return False, "NMS survivors changed under input permutation"
         return True, "factorization exact; NMS equals oracle; overlaps bounded; permutation stable"
 

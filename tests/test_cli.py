@@ -7,7 +7,7 @@ import pytest
 
 from yolokit import cli
 from yolokit.cfg import builtin_graph, check_num_classes, parse_cfg, render_cfg, shape_check
-from yolokit.detect import Box, Detection, check_conf_threshold, check_nms_threshold
+from yolokit.detect import Box, Detection, Detections, check_conf_threshold, check_nms_threshold
 from yolokit.errors import GraphValidationError, ValidationError
 from yolokit.evaluation import (
     GroundTruthBox,
@@ -17,7 +17,7 @@ from yolokit.evaluation import (
     format_visdrone,
 )
 from yolokit.loss import ToyTrainConfig, toy_graph
-from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, write_ppm
+from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, render_detections, write_ppm
 from yolokit.verify import CheckResult, check_toy_steps
 
 
@@ -62,6 +62,31 @@ class TestPpm:
         image = np.array([[[-1.0, 2.0]]] * 3)
         data = encode_ppm(image)
         assert data.endswith(bytes([0, 0, 0, 255, 255, 255]))
+
+    def test_render_draws_each_box_like_a_scalar_loop(self):
+        # boxes across each border, outside each side, half-pixel corners
+        # (round half to even), huge extents, thin boxes, classes past the
+        # palette and overlapping boxes of different classes
+        boxes = [(5, 4, 6, 4), (0, 0, 5, 5), (20, 7, 6, 6), (10, 15, 30, 3), (-10, 5, 4, 4),
+                 (30, 5, 4, 4), (10, -9, 4, 4), (10, 20, 4, 4), (2.5, 3.5, 3, 3),
+                 (11.5, 6.5, 1, 1), (10, 8, 1e300, 1e300), (12, 8, 0.2, 9), (7, 7, 3, 3)]
+        dets = [Detection("im", k * 3, 0.5, Box(*box)) for k, box in enumerate(boxes)]
+        image = np.random.default_rng(16).uniform(0, 1, (3, 16, 24))
+        want = image.copy()
+        for d in dets:  # the outline rule, one box at a time
+            x1, y1, x2, y2 = (int(round(v)) for v in d.box.corners())
+            x1, x2, y1, y2 = max(0, x1), min(23, x2), max(0, y1), min(15, y2)
+            if x1 <= x2 and y1 <= y2:
+                color = np.array(PALETTE[d.class_index % 10])[:, None, None] / 255.0
+                for rows, cols in ((slice(y1, min(y1 + 2, y2 + 1)), slice(x1, x2 + 1)),
+                                   (slice(max(y2 - 1, y1), y2 + 1), slice(x1, x2 + 1)),
+                                   (slice(y1, y2 + 1), slice(x1, min(x1 + 2, x2 + 1))),
+                                   (slice(y1, y2 + 1), slice(max(x2 - 1, x1), x2 + 1))):
+                    want[:, rows, cols] = color
+        for given in (dets, Detections.of(dets)):
+            got = render_detections(image, given)
+            assert np.array_equal(got, want)
+        assert not np.array_equal(want, image) and image is not got
 
 
 class TestDetect:
@@ -133,16 +158,19 @@ class TestDetect:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("name", ["a b.ppm", "tab\there.ppm", " .ppm"])
+    @pytest.mark.parametrize("name", ["a b.ppm", "tab\there.ppm", " .ppm", " a.ppm",
+                                      "a\u2028b.ppm"])
     def test_image_name_with_whitespace_is_usage_error_before_reading(self, scene, tmp_path,
                                                                       name, capsys):
-        # the image id is one token of each prediction-file line
+        # the image id is one token of each prediction-file line:
+        # evaluation.check_image_id, which format_predictions also runs
         image = tmp_path / name
         image.write_bytes(scene.read_bytes())
         out = tmp_path / "p.txt"
         assert run(["detect", scene, image, "--model", "yolov3-tiny", "--size", "64",
                     "--weights", tmp_path / "missing.weights", "--out", out]) == 2
-        assert "whitespace" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage error: image {image}: " in err and "whitespace" in err
         assert not out.exists()
 
     def test_deterministic_predictions(self, scene, tmp_path):

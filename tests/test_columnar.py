@@ -1,6 +1,8 @@
 """Columnar detections: the parser against its loop oracle, the writer round
 trip, non-finite input, overflowing extents, and objects only at the edges."""
 
+import os
+import sys
 import warnings
 from collections import Counter
 
@@ -22,6 +24,9 @@ from yolokit.evaluation import (
 )
 from yolokit.network import HeadOutput
 from yolokit.oracles import brute_force_evaluate, match_loop, nms_loop, parse_predictions_loop
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+import regenerate  # noqa: E402
 
 GOOD = "im0 1 0.5 10 10 5 5"
 
@@ -112,7 +117,7 @@ class TestRoundTrip:
     def test_format_parse_bit_identical(self):
         rng = np.random.default_rng(12)
         n = 500
-        ids = np.array([f"img_{k}" for k in range(9)] + ["a", "Z-1", "x.y"])
+        ids = np.array([f"img_{k}" for k in range(9)] + ["a", "Z-1", "x.y", "é", "a,b", "#"])
         image_ids = ids[rng.integers(len(ids), size=n)]
         score = rng.uniform(0, 1, n)
         x, y = rng.normal(0, 1e3, (2, n))
@@ -191,7 +196,7 @@ class TestDetections:
                 Detection("a", 0, 0.25, Box(5.0, 6.0, 7.0, 8.0))]
         columns = Detections.of(dets)
         assert columns.names == ("a", "b") and columns.image.tolist() == [1, 0]
-        assert list(columns) == dets and columns[1] == dets[1] and len(columns) == 2
+        assert list(columns) == dets and len(columns) == 2
         assert Detections.of(columns) is columns
 
     def test_concat_remaps_images(self):
@@ -206,9 +211,9 @@ class TestDetections:
         dets = [Detection("img", int(rng.integers(3)), round(float(rng.uniform()), 1),
                           Box(*rng.integers(0, 8, 2).tolist(), *rng.integers(1, 5, 2).tolist()))
                 for _ in range(60)]
-        kept = nms(Detections.of(dets), 0.45)
-        assert isinstance(kept, Detections)
-        assert list(kept) == nms_loop(dets, 0.45) == nms(dets, 0.45)
+        kept, from_list = nms(Detections.of(dets), 0.45), nms(dets, 0.45)
+        assert isinstance(kept, Detections) and isinstance(from_list, Detections)
+        assert list(kept) == nms_loop(dets, 0.45) == list(from_list)
 
 
 def _instance(rng, n_images=3, n_classes=3):
@@ -234,9 +239,8 @@ class TestColumnarMatch:
         a, b, c = (Detection("im0", cls, 0.5, Box(10, 10, 4, 4)) for cls in (2, 0, 2))
         truth = [GroundTruthBox("im0", 0, Box(10, 10, 4, 4))]
         labeled, _ = match([a, b, c], truth)
-        assert [(id(d), t) for d, t in labeled] == [(id(b), True), (id(a), False), (id(c), False)]
-        assert [(id(d), t) for d, t in match_loop([a, b, c], truth)] == [
-            (id(d), t) for d, t in labeled]
+        pairs = list(zip(labeled.detections, labeled.is_tp.tolist()))
+        assert pairs == [(b, True), (a, False), (c, False)] == match_loop([a, b, c], truth)
         columns, _ = match(Detections.of([a, b, c]), GroundTruth.of(truth))
         assert columns.detections.class_index.tolist() == [0, 2, 2]
 
@@ -257,8 +261,37 @@ class TestColumnarMatch:
             assert counts == match(dets, truth, threshold)[1]
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the ``Box`` and ``Detection`` objects built while the test runs."""
+    counts = Counter()
+    box_post_init, detection_init = Box.__post_init__, Detection.__init__
+
+    def counting_post_init(self):
+        counts["Box"] += 1
+        box_post_init(self)
+
+    def counting_init(self, *args, **kwargs):
+        counts["Detection"] += 1
+        detection_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Box, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Detection, "__init__", counting_init)
+    return counts
+
+
 class TestObjectsOnlyAtEdges:
-    def test_eval_builds_no_detection_or_box(self, tmp_path, monkeypatch, capsys):
+    def test_detect_render_builds_no_detection_or_box(self, tmp_path, built):
+        out, render = tmp_path / "predictions.txt", tmp_path / "render"
+        stdout = regenerate.run_cli(regenerate.detect_argv(str(out), str(render)))
+        assert built == Counter()
+        detections = parse_predictions(out.read_text())
+        assert stdout.startswith(f"{len(detections)} detections") and len(detections) > 0
+        assert sorted(os.listdir(render)) == ["scene0.ppm", "scene1.ppm"]
+        # the counters do see objects built elsewhere
+        assert len(list(detections)) == built["Detection"] == built["Box"]
+
+    def test_eval_builds_no_detection_or_box(self, tmp_path, built, capsys):
         rng = np.random.default_rng(15)
         gt_dir = tmp_path / "gt"
         gt_dir.mkdir()
@@ -274,19 +307,6 @@ class TestObjectsOnlyAtEdges:
         pred = tmp_path / "pred.txt"
         pred.write_text("\n".join(lines) + "\n")
 
-        built = Counter()
-        box_post_init, detection_init = Box.__post_init__, Detection.__init__
-
-        def counting_post_init(self):
-            built["Box"] += 1
-            box_post_init(self)
-
-        def counting_init(self, *args, **kwargs):
-            built["Detection"] += 1
-            detection_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Box, "__post_init__", counting_post_init)
-        monkeypatch.setattr(Detection, "__init__", counting_init)
         argv = ["eval", "--gt", str(gt_dir), "--pred", str(pred), "--out-dir",
                 str(tmp_path / "out")]
         assert cli.main(argv) == 0

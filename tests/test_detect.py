@@ -8,6 +8,7 @@ import pytest
 from yolokit.detect import (
     Box,
     Detection,
+    Detections,
     IDENTITY_TRANSFORM,
     LetterboxTransform,
     corner_table,
@@ -95,7 +96,7 @@ class TestDecode:
         raw[0:5, 0, 0] = [0.0, 0.0, 0.0, 0.0, 800.0]
         raw[5, 0, 0] = 800.0
         head = head_with_raw(raw)
-        det = decode(head, 0.5, IDENTITY_TRANSFORM, "img")[0]
+        [det] = decode(head, 0.5, IDENTITY_TRANSFORM, "img")
         assert (det.box.x, det.box.y) == (16.0, 16.0)
         assert (det.box.w, det.box.h) == (116.0, 90.0)
         assert det.score == 1.0
@@ -135,7 +136,7 @@ class TestDecode:
         raw[0:5, 0, 0] = [0.0, 0.0, 0.0, 0.0, 800.0]
         raw[5, 0, 0] = 800.0
         transform = LetterboxTransform(scale=0.5, pad_x=10.0, pad_y=0.0)
-        det = decode(head_with_raw(raw), 0.5, transform, "img")[0]
+        [det] = decode(head_with_raw(raw), 0.5, transform, "img")
         assert det.box.x == (16.0 - 10.0) / 0.5
         assert det.box.w == 116.0 / 0.5
 
@@ -189,23 +190,38 @@ class TestIou:
             Box(0, 0, 0, 5)
 
 
+def kept(detections, iou_threshold):
+    """The rows :func:`nms` keeps, as ``Detection`` objects in output order."""
+    survivors = nms(detections, iou_threshold)
+    assert isinstance(survivors, Detections)
+    return list(survivors)
+
+
 class TestNms:
     def test_singleton(self):
         det = Detection("img", 0, 0.5, Box(10, 10, 5, 5))
-        assert nms([det], 0.45) == [det]
+        assert kept([det], 0.45) == [det]
 
     def test_overlapping_pair_suppressed(self):
         # same-size boxes offset to overlap at IoU 0.6 exactly
         a = Detection("img", 0, 0.9, Box(10.0, 10.0, 10.0, 10.0))
         b = Detection("img", 0, 0.8, Box(12.5, 10.0, 10.0, 10.0))
         assert iou(a.box, b.box) == pytest.approx(0.6)
-        assert nms([a, b], 0.45) == [a]
-        assert nms([b, a], 0.45) == [a]
+        assert kept([a, b], 0.45) == [a]
+        assert kept([b, a], 0.45) == [a]
 
     def test_classwise_suppression(self):
         a = Detection("img", 0, 0.9, Box(10, 10, 10, 10))
         b = Detection("img", 1, 0.8, Box(10, 10, 10, 10))
-        assert set(nms([a, b], 0.45)) == {a, b}
+        assert set(kept([a, b], 0.45)) == {a, b}
+
+    def test_list_gives_columns(self):
+        a = Detection("img", 0, 0.9, Box(10.0, 10.0, 10.0, 10.0))
+        b = Detection("img", 0, 0.8, Box(12.5, 10.0, 10.0, 10.0))
+        for given in ([a, b], Detections.of([a, b]), [], Detections.of([])):
+            survivors = nms(given, 0.45)
+            assert type(survivors) is Detections
+            assert list(survivors) == ([a] if len(given) else [])
 
     def test_threshold_validated(self):
         with pytest.raises(ValidationError):
@@ -222,17 +238,17 @@ class TestNms:
             )
             for score in np.linspace(0.95, 0.05, 40)
         ]
-        survivors = nms(dets, 0.45)
-        for a in survivors:
-            for b in survivors:
-                if a is not b and a.class_index == b.class_index:
+        survivors = kept(dets, 0.45)
+        for k, a in enumerate(survivors):
+            for b in survivors[k + 1 :]:
+                if a.class_index == b.class_index:
                     assert iou(a.box, b.box) <= 0.45
 
     def test_equal_scores_keep_input_order(self):
         a = Detection("img", 0, 0.8, Box(10.0, 10.0, 10.0, 10.0))
         b = Detection("img", 0, 0.8, Box(11.0, 10.0, 10.0, 10.0))
-        assert nms([a, b], 0.45) == [a]
-        assert nms([b, a], 0.45) == [b]
+        assert kept([a, b], 0.45) == [a]
+        assert kept([b, a], 0.45) == [b]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -245,11 +261,11 @@ class TestNms:
             )
             for score in rng.permutation(np.linspace(0.9, 0.1, 30))
         ]
-        baseline = set(nms(dets, 0.45))
+        baseline = set(kept(dets, 0.45))
         for _ in range(5):
             shuffled = list(dets)
             rng.shuffle(shuffled)
-            assert set(nms(shuffled, 0.45)) == baseline
+            assert set(kept(shuffled, 0.45)) == baseline
 
     def test_matches_oracle_loop(self):
         # integer boxes and one-decimal scores make score ties and IoU exactly
@@ -271,7 +287,9 @@ class TestNms:
                 a.class_index == b.class_index and iou(a.box, b.box) == threshold
                 for a in dets for b in dets if a is not b
             )
-            got, expected = nms(dets, threshold), nms_loop(dets, threshold)
-            assert [id(d) for d in got] == [id(d) for d in expected]
+            # row for row, in order; the same from a list and from columns
+            expected = nms_loop(dets, threshold)
+            assert kept(dets, threshold) == expected
+            assert kept(Detections.of(dets), threshold) == expected
         assert at_threshold >= 20
-        assert nms([], 1 / 3) == nms_loop([], 1 / 3) == []
+        assert kept([], 1 / 3) == nms_loop([], 1 / 3) == []

@@ -1,21 +1,26 @@
 """Annotation parsing, matching, AP/mAP, and report emission."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from yolokit.detect import Box, Detection, iou
+from yolokit.detect import Box, Detection, Detections, iou
 from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
+    GroundTruth,
     GroundTruthBox,
+    Labeled,
     average_precision,
+    check_image_id,
     evaluate,
     format_predictions,
     format_report_table,
     match,
     parse_predictions,
     parse_visdrone,
+    pr_curve,
     precision_recall,
     report_csv,
 )
@@ -28,6 +33,13 @@ def det(image_id, cls, score, x, y, w, h):
 
 def gt(image_id, cls, x, y, w, h, ignore=False):
     return GroundTruthBox(image_id, -1 if ignore else cls, Box(x, y, w, h), ignore)
+
+
+def labels(detections, truth, iou_threshold=0.5):
+    """:func:`match`'s labels as (Detection, is_tp) pairs in order, and its counts."""
+    labeled, counts = match(detections, truth, iou_threshold)
+    assert isinstance(labeled, Labeled)
+    return list(zip(labeled.detections, labeled.is_tp.tolist())), counts
 
 
 class TestVisdroneParsing:
@@ -89,6 +101,17 @@ class TestPredictionFormat:
         with pytest.raises(AnnotationError):
             parse_predictions("im0 1 0.5 10 10 5\n")
 
+    @pytest.mark.parametrize("image_id", ["a b", "", "x\ty", " a", "a\n", "a\u2028b", "a\x1eb"])
+    def test_image_id_that_would_not_parse_back_rejected(self, image_id):
+        # these were written into lines the reader splits into 6 or 8 fields,
+        # or into another id
+        dets = [det("ok", 0, 0.5, 1, 1, 1, 1), det(image_id, 0, 0.5, 1, 1, 1, 1)]
+        with pytest.raises(ValidationError, match="empty or holds whitespace"):
+            check_image_id(image_id)
+        for given in (dets, Detections.of(dets)):
+            with pytest.raises(ValidationError, match=re.escape(repr(image_id))):
+                format_predictions(given)
+
     def test_score_range_checked(self):
         with pytest.raises(AnnotationError):
             parse_predictions("im0 1 1.5 10 10 5 5\n")
@@ -97,7 +120,7 @@ class TestPredictionFormat:
 class TestMatching:
     def test_perfect_match(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
-        labeled, counts = match([det("im0", 0, 0.9, 10, 10, 8, 8)], truth)
+        labeled, counts = labels([det("im0", 0, 0.9, 10, 10, 8, 8)], truth)
         assert labeled == [(det("im0", 0, 0.9, 10, 10, 8, 8), True)]
         assert counts == {0: 1}
 
@@ -107,23 +130,23 @@ class TestMatching:
             det("im0", 0, 0.9, 10, 10, 8, 8),
             det("im0", 0, 0.8, 11, 10, 8, 8),
         ]
-        labeled, _ = match(dets, truth)
+        labeled, _ = labels(dets, truth)
         assert [is_tp for _, is_tp in labeled] == [True, False]
 
     def test_ignore_region_discards(self):
         truth = [gt("im0", 0, 10, 10, 20, 20, ignore=True)]
-        labeled, counts = match([det("im0", 1, 0.9, 10, 10, 20, 20)], truth)
+        labeled, counts = labels([det("im0", 1, 0.9, 10, 10, 20, 20)], truth)
         assert labeled == []
         assert counts == {}
 
     def test_class_mismatch_is_fp(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
-        labeled, _ = match([det("im0", 1, 0.9, 10, 10, 8, 8)], truth)
+        labeled, _ = labels([det("im0", 1, 0.9, 10, 10, 8, 8)], truth)
         assert labeled[0][1] is False
 
     def test_below_threshold_is_fp(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
-        labeled, _ = match([det("im0", 0, 0.9, 30, 30, 8, 8)], truth)
+        labeled, _ = labels([det("im0", 0, 0.9, 30, 30, 8, 8)], truth)
         assert labeled[0][1] is False
 
     def test_equal_iou_takes_first_box_in_coordinate_order(self):
@@ -133,12 +156,12 @@ class TestMatching:
         a = det("im0", 0, 0.9, 10, 10, 4, 4)
         b = det("im0", 0, 0.8, 8, 10, 4, 4)
         for boxes in (truth, truth[::-1]):
-            labeled, _ = match([b, a], boxes)
-            assert [(d, t) for d, t in labeled] == [(a, True), (b, False)]
+            labeled, _ = labels([b, a], boxes)
+            assert labeled == [(a, True), (b, False)]
 
     def test_ignore_flag_not_class_marks_regions(self):
         region = GroundTruthBox("im0", 0, Box(10, 10, 8, 8), ignore=True)
-        labeled, counts = match([det("im0", 0, 0.9, 10, 10, 8, 8)], [region])
+        labeled, counts = labels([det("im0", 0, 0.9, 10, 10, 8, 8)], [region])
         assert labeled == [] and counts == {}
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
@@ -149,11 +172,22 @@ class TestMatching:
     def test_empty_inputs(self):
         truth = [gt("im0", 0, 10, 10, 8, 8), gt("im0", 1, 10, 10, 8, 8, ignore=True)]
         dets = [det("im0", 0, 0.5, 30, 30, 8, 8), det("im1", 2, 0.5, 30, 30, 8, 8)]
-        assert match([], truth) == ([], {0: 1})
-        assert match([], []) == ([], {})
-        labeled, counts = match(dets, [])
-        assert [(id(d), t) for d, t in labeled] == [(id(d), t) for d, t in match_loop(dets, [])]
+        assert labels([], truth) == ([], {0: 1})
+        assert labels([], []) == ([], {})
+        labeled, counts = labels(dets, [])
+        assert labeled == match_loop(dets, [])
         assert counts == {}
+
+    def test_list_gives_columns(self):
+        truth = [gt("im0", 0, 10, 10, 8, 8)]
+        dets = [det("im0", 0, 0.9, 10, 10, 8, 8), det("im0", 0, 0.8, 11, 10, 8, 8)]
+        for given, boxes in ((dets, truth), (Detections.of(dets), GroundTruth.of(truth)),
+                             ([], [])):
+            labeled, _ = match(given, boxes)
+            assert type(labeled) is Labeled
+            assert type(labeled.detections) is Detections
+            assert list(labeled.detections) == list(given)
+            assert labeled.is_tp.tolist() == [True, False][: len(given)]
 
     def test_matches_oracle_loop(self):
         # integer boxes and one-decimal scores make score ties across images
@@ -182,9 +216,9 @@ class TestMatching:
                 for _ in range(int(rng.integers(0, 30)))
             ]
 
-            labeled, counts = match(dets, truth, threshold)
-            expected = match_loop(dets, truth, threshold)
-            assert [(id(d), t) for d, t in labeled] == [(id(d), t) for d, t in expected]
+            # row for row, in order
+            labeled, counts = labels(dets, truth, threshold)
+            assert labeled == match_loop(dets, truth, threshold)
             assert counts == Counter(g.class_index for g in truth if not g.ignore)
 
             pairs = [(d, g) for d in dets for g in truth if d.image_id == g.image_id]
@@ -221,21 +255,40 @@ class TestPrecisionRecall:
         assert precision_recall(7, 0, 0) == (1.0, 1.0)
 
 
+def ap(scored, gt_count):
+    """The AP of [(score, is_tp)] labels in descending-score order."""
+    return average_precision(*pr_curve([s for s, _ in scored], [t for _, t in scored], gt_count))
+
+
 class TestAveragePrecision:
     def test_single_tp(self):
-        assert average_precision([(0.9, True)], 1) == 1.0
+        assert ap([(0.9, True)], 1) == 1.0
 
     def test_hand_worked_five_sixths(self):
         scored = [(0.9, True), (0.8, False), (0.7, True)]
-        ap = average_precision(scored, 2)
-        assert ap == pytest.approx(5 / 6, abs=1e-12)
-        assert ap_threshold_enumeration(scored, 2) == pytest.approx(ap, abs=1e-12)
+        assert ap(scored, 2) == pytest.approx(5 / 6, abs=1e-12)
+        assert ap_threshold_enumeration(scored, 2) == pytest.approx(ap(scored, 2), abs=1e-12)
 
     def test_all_fp(self):
-        assert average_precision([(0.9, False), (0.5, False)], 3) == 0.0
+        assert ap([(0.9, False), (0.5, False)], 3) == 0.0
 
     def test_no_ground_truth(self):
-        assert average_precision([(0.9, True)], 0) == 0.0
+        assert ap([(0.9, True)], 0) == 0.0
+
+    @pytest.mark.parametrize("gt_count", [0, 1, 3])
+    def test_no_detections(self, gt_count):
+        recalls, precisions = pr_curve([], [], gt_count)
+        assert len(recalls) == len(precisions) == 0
+        assert average_precision(recalls, precisions) == 0.0
+
+    def test_curve_columns(self):
+        # one point per distinct score, ties entering together
+        recalls, precisions = pr_curve(np.array([0.9, 0.5, 0.5, 0.2]),
+                                       np.array([True, False, True, False]), 4)
+        assert recalls.tolist() == [0.25, 0.5, 0.5]
+        assert precisions.tolist() == [1.0, 2 / 3, 0.5]
+        recalls, _ = pr_curve([0.9, 0.8], [True, False], 0)
+        assert recalls.tolist() == [0.0, 0.0]
 
     def test_zero_score_fp_never_raises_ap(self):
         rng = np.random.default_rng(0)
@@ -246,8 +299,8 @@ class TestAveragePrecision:
                 reverse=True,
             )
             gt_count = max(1, sum(t for _, t in scored))
-            base = average_precision(scored, gt_count)
-            worse = average_precision(scored + [(0.0, False)], gt_count)
+            base = ap(scored, gt_count)
+            worse = ap(scored + [(0.0, False)], gt_count)
             assert worse <= base + 1e-15
 
     def test_score_scaling_invariance(self):
@@ -256,16 +309,14 @@ class TestAveragePrecision:
             ((float(rng.uniform(0.1, 1)), bool(rng.integers(2))) for _ in range(10)),
             reverse=True,
         )
-        base = average_precision(scored, 4)
+        base = ap(scored, 4)
         for factor in (0.5, 0.125, 1.0):
             scaled = [(s * factor, t) for s, t in scored]
-            assert average_precision(scaled, 4) == pytest.approx(base, abs=1e-15)
+            assert ap(scaled, 4) == pytest.approx(base, abs=1e-15)
 
     def test_tied_scores_match_threshold_enumeration(self):
         scored = [(0.5, True), (0.5, False), (0.5, True), (0.2, False)]
-        assert average_precision(scored, 2) == pytest.approx(
-            ap_threshold_enumeration(scored, 2), abs=1e-15
-        )
+        assert ap(scored, 2) == pytest.approx(ap_threshold_enumeration(scored, 2), abs=1e-15)
 
 
 class TestEvaluate:
@@ -301,7 +352,7 @@ class TestEvaluate:
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.9, 10, 10, 8, 8), det("im0", 1, 0.8, 40, 40, 8, 8)]
         report = evaluate(dets, truth, 3)
-        assert report.evaluated_classes == [0]
+        assert [c.class_index for c in report.per_class if c.gt_count] == [0]
         assert report.map_percent == 100.0
 
     def test_class_out_of_range_rejected(self):
