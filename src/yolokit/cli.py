@@ -133,8 +133,13 @@ def cmd_detect(args) -> int:
     _check_flag("--conf", args.conf, check_conf_threshold)
     _check_flag("--nms", args.nms, check_nms_threshold)
     image_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
+    first_path = {}  # image id -> the image that gives it
     for path, image_id in zip(args.images, image_ids):
         _check_flag("image", path, lambda _: check_image_id(image_id))
+        if image_id in first_path:
+            raise UsageError(f"images {first_path[image_id]} and {path} both give image id "
+                             f"{image_id!r}")
+        first_path[image_id] = path
     graph = _resolve_graph(args)
     _check_flag("--size", args.size, lambda size: shape_check(graph, size, size))
     dtype = np.float64 if args.precision == "double" else np.float32

@@ -225,8 +225,10 @@ def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransfor
         pred.x[a, i, j], pred.y[a, i, j],
         np.maximum(pred.w[a, i, j], 1e-9), np.maximum(pred.h[a, i, j], 1e-9),
     )
-    # and overflows to inf above ~709: such a box has no finite extent to keep
-    finite = np.isfinite(ws) & np.isfinite(hs)
+    # and overflows to inf above ~709; a box whose extent or area is not
+    # finite has no IoU to suppress or match with, so it is not kept
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(ws * hs)
     if not finite.all():
         a, i, j, xs, ys, ws, hs = (v[finite] for v in (a, i, j, xs, ys, ws, hs))
     return Detections((image_id,), np.zeros(len(a), dtype=np.int64),

@@ -5,12 +5,15 @@ Ground truth arrives as VisDrone-style per-image annotation files
 predictions as one text file with ``image_id class score x y w h`` lines
 (center-based, pixels). Matching is greedy by descending score per (image,
 class) pair, one numpy IoU grid per pair; detections that only overlap
-ignore-flagged regions are discarded from both counts. AP uses all-point
-right-envelope interpolation and mAP averages the classes that actually
-appear in the ground truth.
+ignore-flagged regions are discarded from both counts, with one IoU grid
+per image against its regions. AP uses all-point right-envelope
+interpolation and mAP averages the classes that actually appear in the
+ground truth.
 
-Both are read into columns, :class:`~yolokit.detect.Detections` and
-:class:`GroundTruth`, which the matcher and the evaluator work on;
+Both text formats are read by one block reader: each block of lines is
+checked and converted column by column, and a bad block is bisected to its
+first bad line. They become columns, :class:`~yolokit.detect.Detections`
+and :class:`GroundTruth`, which the matcher and the evaluator work on;
 ``Detection`` and ``GroundTruthBox`` objects are accepted at the edges.
 
 Everything is deterministic under input shuffling: equal scores are ordered
@@ -19,9 +22,9 @@ by image id, then box coordinates, lexicographically.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -80,53 +83,174 @@ class GroundTruth:
             return ground_truth
         names = sorted({g.image_id for g in ground_truth})
         code = {name: k for k, name in enumerate(names)}
-        return cls._from_rows(names, [
+        table = np.array([
             (code[g.image_id], g.class_index, g.ignore, g.box.x, g.box.y, g.box.w, g.box.h)
             for g in ground_truth
-        ])
-
-    @classmethod
-    def _from_rows(cls, names, rows) -> GroundTruth:
-        """Columns of (image code, class, ignore, x, y, w, h) rows."""
-        table = np.array(rows, dtype=np.float64).reshape(-1, 7).T
+        ], dtype=np.float64).reshape(-1, 7).T
         image, classes, ignore, x, y, w, h = table
         return cls(tuple(names), image.astype(np.int64), classes.astype(np.int64),
                    ignore != 0, x, y, w, h)
 
 
-def _visdrone_rows(text: str) -> list[tuple[int, bool, float, float, float, float]]:
-    """(class, ignore, center x, center y, w, h) of each annotation line."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [tok.strip() for tok in line.split(",")]
-        if len(fields) != 8:
-            raise AnnotationError(f"expected 8 comma-separated fields, got {len(fields)}", lineno)
+# Lines read per block. Any size gives the same result; a block's tokens are
+# alive at once, so a small one bounds the memory they take.
+PARSE_BLOCK_LINES = 1 << 12
+
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def _column(convert, dtype, tokens: list[str]) -> np.ndarray:
+    """``tokens`` read with ``convert`` (``int`` or ``float``) into one array.
+
+    A ValueError names the first bad token stripped, as a reader that strips
+    each field sees it: ``str.strip`` also drops \\x1c-\\x1f, which ``int``
+    and ``float`` refuse, so only the stripped tokens give the loop's verdict.
+    """
+    try:
+        return np.fromiter(map(convert, tokens), dtype, len(tokens))
+    except ValueError:
+        return np.fromiter(map(convert, map(str.strip, tokens)), dtype, len(tokens))
+
+
+def _beyond_int64(tokens: list[str]) -> int:
+    """The first of ``tokens`` that reads as an int outside int64."""
+    return next(v for v in map(int, map(str.strip, tokens)) if not _INT64_MIN <= v <= _INT64_MAX)
+
+
+def _check_finite(names, columns) -> None:
+    for name, column in zip(names, columns):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise AnnotationError(f"non-finite {name} {float(column[bad][0])}")
+
+
+def _check_extents(w: np.ndarray, h: np.ndarray) -> None:
+    bad = (w <= 0) | (h <= 0)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise AnnotationError(f"non-positive box extent {float(w[k])}x{float(h[k])}")
+
+
+def _visdrone_columns(lines: list[str]):
+    """(class, ignore, center x, center y, w, h) of annotation lines; blank lines are skipped.
+
+    Raises AnnotationError, without a line number, if any line is bad; on a
+    one-line block its message is that line's first failing check. The
+    checks, in order: 8 comma-separated fields, float x, y, w, h and an int
+    category (``float``/``int`` of the stripped field), finite values,
+    positive extents and a category in 0..11. Categories 0 and 11 are
+    ignore regions (class -1), 1..10 the classes 0..9.
+    """
+    counts = set(map(str.count, lines, repeat(",")))
+    if counts != {7}:
+        lines = list(filter(str.strip, lines))
+        counts = set(map(str.count, lines, repeat(",")))
+        if counts - {7}:
+            raise AnnotationError(f"expected 8 comma-separated fields, got {min(counts - {7}) + 1}")
+    # 7 commas a line, and one between lines: 8 fields a line, in turn
+    fields = ",".join(lines).split(",") if lines else []
+    try:
+        x, y, w, h = (_column(float, np.float64, fields[k::8]) for k in range(4))
+        category = _column(int, np.int64, fields[5::8])
+    except ValueError as exc:
+        raise AnnotationError(str(exc)) from None
+    except OverflowError:  # a valid int beyond int64; out of range, the last check
+        category = None
+    _check_finite("xywh", (x, y, w, h))
+    _check_extents(w, h)
+    if category is None:
+        raise AnnotationError(f"category {_beyond_int64(fields[5::8])} outside 0..11")
+    ignore = np.isin(category, _IGNORED_CATEGORIES)
+    bad = ~ignore & ((category < 1) | (category > 10))
+    if bad.any():
+        raise AnnotationError(f"category {int(category[bad][0])} outside 0..11")
+    return np.where(ignore, -1, category - 1), ignore, x + w / 2, y + h / 2, w, h
+
+
+def _prediction_columns(lines: list[str]):
+    """(image ids, class, score, x, y, w, h) of prediction lines; blank lines are skipped.
+
+    Raises AnnotationError, without a line number, if any line is bad; on a
+    one-line block its message is that line's first failing check. The
+    checks, in order: 7 fields, an int class and float values
+    (``int``/``float`` semantics), a class in 0..2**63-1, finite values, a
+    score in [0, 1] and positive extents.
+    """
+    sizes = set(map(len, map(str.split, lines)))
+    if sizes - {0, 7}:
+        raise AnnotationError(f"expected 7 space-separated fields, got {min(sizes - {0, 7})}")
+    # a space between lines joins no tokens: each line's tokens in turn
+    tokens = " ".join(lines).split()
+    try:
+        cls = _column(int, np.int64, tokens[1::7])
+    except OverflowError:  # a valid int beyond int64; reported after the floats parse
+        cls = None
+    except ValueError as exc:
+        raise AnnotationError(str(exc)) from None
+    try:
+        values = [_column(float, np.float64, tokens[k::7]) for k in range(2, 7)]
+    except ValueError as exc:
+        raise AnnotationError(str(exc)) from None
+    if cls is None:
+        big = _beyond_int64(tokens[1::7])
+        raise AnnotationError(f"negative class index {big}" if big < 0
+                              else f"class index {big} too large")
+    if (cls < 0).any():
+        raise AnnotationError(f"negative class index {cls[cls < 0][0]}")
+    _check_finite(("score", "x", "y", "w", "h"), values)
+    score, x, y, w, h = values
+    bad = (score < 0) | (score > 1)
+    if bad.any():
+        raise AnnotationError(f"score {float(score[bad][0])} outside [0, 1]")
+    _check_extents(w, h)
+    return tokens[0::7], cls, score, x, y, w, h
+
+
+def _parse_block(columns_of, lines: list[str], first_line: int):
+    """``columns_of(lines)``, with the first bad line's number on errors.
+
+    A bad block is bisected to its first bad line, whose message is the
+    checks' verdict on that line alone.
+    """
+    try:
+        return columns_of(lines)
+    except AnnotationError:
+        pass
+    lo, hi = 0, len(lines)  # lines[lo:hi] holds the first bad line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            x, y, w, h = (float(fields[i]) for i in range(4))
-            category = int(fields[5])
-        except ValueError as exc:
-            raise AnnotationError(str(exc), lineno) from None
-        for name, value in zip("xywh", (x, y, w, h)):
-            if not math.isfinite(value):
-                raise AnnotationError(f"non-finite {name} {value}", lineno)
-        if w <= 0 or h <= 0:
-            raise AnnotationError(f"non-positive box extent {w}x{h}", lineno)
-        if category in _IGNORED_CATEGORIES:
-            rows.append((-1, True, x + w / 2, y + h / 2, w, h))
-        elif 1 <= category <= 10:
-            rows.append((category - 1, False, x + w / 2, y + h / 2, w, h))
-        else:
-            raise AnnotationError(f"category {category} outside 0..11", lineno)
-    return rows
+            columns_of(lines[lo:mid])
+            lo = mid
+        except AnnotationError:
+            hi = mid
+    try:
+        columns_of(lines[lo:hi])
+    except AnnotationError as exc:
+        raise AnnotationError(str(exc), first_line + lo) from None
+    raise AssertionError("a bad block without a bad line")
+
+
+def _read_blocks(text: str, columns_of):
+    """``columns_of`` of each block of ``PARSE_BLOCK_LINES`` lines of ``text``, in turn.
+
+    An empty text is one empty block, so the columns always have their dtypes.
+    """
+    lines = text.splitlines()
+    for start in range(0, len(lines) or 1, PARSE_BLOCK_LINES):
+        yield _parse_block(columns_of, lines[start : start + PARSE_BLOCK_LINES], start + 1)
+
+
+def _visdrone_table(text: str) -> list[np.ndarray]:
+    """:func:`_visdrone_columns` of one annotation file's text, with line numbers on errors."""
+    return [np.concatenate(parts) for parts in zip(*_read_blocks(text, _visdrone_columns))]
 
 
 def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
     """Parse one annotation file's text into ground-truth boxes."""
-    return [GroundTruthBox(image_id, cls, Box(x, y, w, h), ignore)
-            for cls, ignore, x, y, w, h in _visdrone_rows(text)]
+    classes, ignore, x, y, w, h = (column.tolist() for column in _visdrone_table(text))
+    return [GroundTruthBox(image_id, cls, Box(*box), flag)
+            for cls, flag, *box in zip(classes, ignore, x, y, w, h)]
 
 
 def format_visdrone(boxes: list[GroundTruthBox]) -> str:
@@ -145,101 +269,20 @@ def load_ground_truth(directory) -> GroundTruth:
     files = sorted(name for name in os.listdir(directory) if name.endswith(".txt"))
     names = sorted(name[:-4] for name in files)
     code = {name: k for k, name in enumerate(names)}
-    rows = []
+    parts = []
     for name in files:
         path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:
             try:
-                image = code[name[:-4]]
-                rows.extend((image, *row) for row in _visdrone_rows(fh.read()))
+                columns = _visdrone_table(fh.read())
             except AnnotationError as exc:
                 wrapped = AnnotationError(f"{path}: {exc}")
                 wrapped.line = exc.line
                 raise wrapped from None
-    return GroundTruth._from_rows(names, rows)
-
-
-# Lines split per block. Any size gives the same result; a small one bounds
-# the token lists alive at once, and with them the time the cyclic garbage
-# collector spends walking them (32k-line blocks parsed a 274k-line file
-# ~1.6x slower than 4k-line ones).
-PARSE_BLOCK_LINES = 1 << 12
-
-_PREDICTION_FLOATS = ("score", "x", "y", "w", "h")
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def _prediction_columns(rows: list[list[str]]):
-    """(image ids, class, score, x, y, w, h) of split lines; blank lines are skipped.
-
-    Raises AnnotationError, without a line number, if any line is bad; on a
-    one-line block its message is that line's first failing check. The
-    checks, in order: 7 fields, an int class and float values
-    (``int``/``float`` semantics), a class in 0..2**63-1, finite values, a
-    score in [0, 1] and positive extents.
-    """
-    sizes = set(map(len, rows))
-    if sizes - {0, 7}:
-        raise AnnotationError(f"expected 7 space-separated fields, got {min(sizes - {0, 7})}")
-    if 0 in sizes:
-        rows = list(filter(None, rows))
-    n = len(rows)
-    ids, classes, *tokens = zip(*rows) if n else ((),) * 7
-    too_large = False
-    try:
-        cls = np.fromiter(map(int, classes), np.int64, n)
-    except OverflowError:  # a valid int beyond int64; reported after the floats parse
-        too_large = True
-    except ValueError as exc:
-        raise AnnotationError(str(exc)) from None
-    try:
-        values = [np.fromiter(map(float, column), np.float64, n) for column in tokens]
-    except ValueError as exc:
-        raise AnnotationError(str(exc)) from None
-    if too_large:
-        big = next(v for v in map(int, classes) if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
-        raise AnnotationError(f"negative class index {big}" if big < 0
-                              else f"class index {big} too large")
-    if (cls < 0).any():
-        raise AnnotationError(f"negative class index {cls[cls < 0][0]}")
-    for name, column in zip(_PREDICTION_FLOATS, values):
-        bad = ~np.isfinite(column)
-        if bad.any():
-            raise AnnotationError(f"non-finite {name} {float(column[bad][0])}")
-    score, x, y, w, h = values
-    bad = (score < 0) | (score > 1)
-    if bad.any():
-        raise AnnotationError(f"score {float(score[bad][0])} outside [0, 1]")
-    bad = (w <= 0) | (h <= 0)
-    if bad.any():
-        k = np.flatnonzero(bad)[0]
-        raise AnnotationError(f"non-positive box extent {float(w[k])}x{float(h[k])}")
-    return ids, cls, score, x, y, w, h
-
-
-def _parse_block(rows: list[list[str]], first_line: int):
-    """:func:`_prediction_columns`, with the first bad line's number on errors.
-
-    A bad block is bisected to its first bad line, whose message is the
-    checks' verdict on that line alone.
-    """
-    try:
-        return _prediction_columns(rows)
-    except AnnotationError:
-        pass
-    lo, hi = 0, len(rows)  # rows[lo:hi] holds the first bad line
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _prediction_columns(rows[lo:mid])
-            lo = mid
-        except AnnotationError:
-            hi = mid
-    try:
-        _prediction_columns(rows[lo:hi])
-    except AnnotationError as exc:
-        raise AnnotationError(str(exc), first_line + lo) from None
-    raise AssertionError("a bad block without a bad line")
+        parts.append((np.full(len(columns[0]), code[name[:-4]], dtype=np.int64), *columns))
+    if not parts:
+        return GroundTruth.of([])
+    return GroundTruth(tuple(names), *(np.concatenate(column) for column in zip(*parts)))
 
 
 def parse_predictions(text: str) -> Detections:
@@ -249,18 +292,13 @@ def parse_predictions(text: str) -> Detections:
     skipped. A bad line raises :class:`AnnotationError` naming its line
     number and its first failing check (see :func:`_prediction_columns`).
     """
-    lines = text.splitlines()
     first_seen: dict[str, int] = {}  # image id -> code in order of appearance
     blocks = []
-    for start in range(0, len(lines), PARSE_BLOCK_LINES):
-        rows = [line.split() for line in lines[start : start + PARSE_BLOCK_LINES]]
-        ids, *columns = _parse_block(rows, start + 1)
+    for ids, *columns in _read_blocks(text, _prediction_columns):
         for image_id in dict.fromkeys(ids):
             first_seen.setdefault(image_id, len(first_seen))
         blocks.append((np.fromiter(map(first_seen.__getitem__, ids), np.int64, len(ids)),
                        *columns))
-    if not blocks:
-        return Detections.of([])
     names = sorted(first_seen)
     rank = np.empty(len(names), dtype=np.int64)
     rank[[first_seen[name] for name in names]] = np.arange(len(names))
@@ -318,6 +356,26 @@ def _recode(names, merged) -> np.ndarray:
     return np.array([code[name] for name in names], dtype=np.int64)
 
 
+def _canonical_order(dets: Detections) -> np.ndarray:
+    """Rows by (score desc, image id, x, y, w, h, class), input order on full ties.
+
+    One stable sort by score, then one lexsort of only the rows whose score
+    is tied with a neighbour's, which stay within their run of equal scores.
+    """
+    neg = -dets.score
+    order = np.argsort(neg, kind="stable")
+    neg = neg[order]
+    tie = (neg[1:] == neg[:-1]) | np.isnan(neg[:-1])  # NaNs sort last, as equals
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    pos = np.flatnonzero(tied)
+    rows = order[pos]
+    order[pos] = rows[np.lexsort((dets.class_index[rows], dets.h[rows], dets.w[rows],
+                                  dets.y[rows], dets.x[rows], dets.image[rows], neg[pos]))]
+    return order
+
+
 def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
     """:func:`match` on columns: (kept rows in canonical order, their TP flags, gt_counts)."""
     names = sorted(set(dets.names).union(truth.names))
@@ -342,46 +400,47 @@ def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
     counts = np.bincount(gt_cls[real], minlength=n_cls)
     gt_counts = {cls: count for cls, count in zip(classes.tolist(), counts.tolist()) if count}
 
-    # canonical order (score desc, image id, x, y, w, h, class, input order),
-    # then grouped by (image, class) with that order kept inside each group
+    # canonical order, then grouped by (image, class) with that order kept
+    # inside each group; the groups of one image are adjacent
     n = len(dets)
-    order = np.lexsort((dets.class_index, dets.h, dets.w, dets.y, dets.x, dets.image,
-                        -dets.score))
-    by_group = np.argsort(det_key[order], kind="stable")
-    grouped = order[by_group]
+    order = _canonical_order(dets)
+    grouped = order[np.argsort(det_key[order], kind="stable")]
     key = det_key[grouped]
     corners = corner_table(dets.x[grouped], dets.y[grouped], dets.w[grouped], dets.h[grouped])
 
-    # per (image, class) group: its detections, its boxes, its image's regions
+    # per (image, class) group with boxes: greedy matching on one IoU grid
     new_group = np.ones(n, dtype=bool)
     new_group[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(new_group)
     group_key = key[starts]
-    group_img = group_key // n_cls
-    bounds = zip(
-        starts.tolist(), np.append(starts[1:], n).tolist(),
-        np.searchsorted(box_key, group_key).tolist(),
-        np.searchsorted(box_key, group_key, side="right").tolist(),
-        np.searchsorted(region_img, group_img).tolist(),
-        np.searchsorted(region_img, group_img, side="right").tolist(),
-    )
+    box_lo = np.searchsorted(box_key, group_key)
+    box_hi = np.searchsorted(box_key, group_key, side="right")
+    with_boxes = box_hi > box_lo
+    bounds = zip(starts[with_boxes].tolist(), np.append(starts[1:], n)[with_boxes].tolist(),
+                 box_lo[with_boxes].tolist(), box_hi[with_boxes].tolist())
     is_tp = np.zeros(n, dtype=bool)  # in grouped order
+    for lo, hi, b_lo, b_hi in bounds:
+        grid = iou_grid(corners[:, lo:hi, None], boxes[:, b_lo:b_hi])
+        # a row below the threshold on every box can never match
+        for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
+            best = grid[row].argmax()  # first maximum, as in the loop
+            if grid[row, best] >= iou_threshold:
+                is_tp[lo + row] = True
+                grid[:, best] = -1.0  # consumed
+
+    # regions carry no class: one grid per image with detections and regions
+    images = np.unique(region_img)
+    det_img = key // n_cls
+    det_lo = np.searchsorted(det_img, images)
+    det_hi = np.searchsorted(det_img, images, side="right")
+    with_dets = det_hi > det_lo
+    bounds = zip(det_lo[with_dets].tolist(), det_hi[with_dets].tolist(),
+                 np.searchsorted(region_img, images[with_dets]).tolist(),
+                 np.searchsorted(region_img, images[with_dets], side="right").tolist())
     discard = np.zeros(n, dtype=bool)
-    for lo, hi, b_lo, b_hi, r_lo, r_hi in bounds:
-        if b_hi == b_lo and r_hi == r_lo:
-            continue  # nothing to match or ignore: all FP
-        group = corners[:, lo:hi, None]
-        if b_hi > b_lo:
-            grid = iou_grid(group, boxes[:, b_lo:b_hi])
-            # a row below the threshold on every box can never match
-            for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
-                best = grid[row].argmax()  # first maximum, as in the loop
-                if grid[row, best] >= iou_threshold:
-                    is_tp[lo + row] = True
-                    grid[:, best] = -1.0  # consumed
-        if r_hi > r_lo:
-            overlap = iou_grid(group, regions[:, r_lo:r_hi]).max(axis=1)
-            discard[lo:hi] = (overlap >= iou_threshold) & ~is_tp[lo:hi]
+    for lo, hi, r_lo, r_hi in bounds:
+        overlap = iou_grid(corners[:, lo:hi, None], regions[:, r_lo:r_hi]).max(axis=1)
+        discard[lo:hi] = (overlap >= iou_threshold) & ~is_tp[lo:hi]
 
     keep = np.empty(n, dtype=bool)
     keep[grouped] = ~discard
@@ -468,13 +527,12 @@ def average_precision(recalls: np.ndarray, precisions: np.ndarray) -> float:
     ground truth, whose recalls never rise above 0.
     """
     envelope = np.maximum.accumulate(precisions[::-1])[::-1]
-    ap = 0.0
-    prev_recall = 0.0
-    for r, p in zip(recalls, envelope):
-        if r > prev_recall:
-            ap += (r - prev_recall) * p
-            prev_recall = r
-    return float(ap)
+    # each recall's step is up from the largest recall before it, or from 0
+    reached = np.fmax.accumulate(np.concatenate(([0.0], recalls)))[:-1]
+    step = recalls > reached
+    # cumsum adds in order, as a running total does
+    total = np.cumsum((recalls[step] - reached[step]) * envelope[step])
+    return float(total[-1]) if len(total) else 0.0
 
 
 @dataclass
@@ -595,9 +653,15 @@ def report_csv(report: EvalReport) -> str:
 
 
 def pr_curve_csv(result: ClassResult) -> str:
+    """One ``recall,precision`` line of ``repr`` values per curve point.
+
+    A recall is ``tp / gt_count``, so a class has at most ``gt_count + 1``
+    distinct ones, each formatted once. They are finite and at least 0, so
+    equal values have equal reprs (no -0.0 beside 0.0, no NaN).
+    """
+    text = {r: repr(r) for r in set(result.recalls)}
     lines = ["recall,precision"]
-    for r, p in zip(result.recalls, result.precisions):
-        lines.append(f"{r!r},{p!r}")
+    lines += [f"{text[r]},{p!r}" for r, p in zip(result.recalls, result.precisions)]
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .detect import Box, Detection
 from .errors import AnnotationError
+from .evaluation import GroundTruthBox
 
 
 def maxpool_scan(x: np.ndarray, size: int, stride: int, pad: int) -> np.ndarray:
@@ -298,6 +299,44 @@ def parse_predictions_loop(text: str) -> list[Detection]:
             raise AnnotationError(f"non-positive box extent {w}x{h}", lineno)
         detections.append(Detection(fields[0], cls, score, Box(x, y, w, h)))
     return detections
+
+
+def parse_visdrone_loop(text: str, image_id: str) -> list[GroundTruthBox]:
+    """Annotation-file lines parsed one at a time, each line checked in turn.
+
+    Each non-blank line must hold ``x,y,w,h,score,category,truncation,occlusion``
+    (top-left corners; fields stripped): ``float`` x, y, w, h that are finite
+    with positive extents, and an ``int`` category in 0..11, where 0 and 11
+    are ignore regions (class -1) and 1..10 the classes 0..9. The first bad
+    line raises AnnotationError with its line number and the first check it
+    fails. Returns [GroundTruthBox] with center-based boxes.
+    """
+    boxes = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [tok.strip() for tok in line.split(",")]
+        if len(fields) != 8:
+            raise AnnotationError(f"expected 8 comma-separated fields, got {len(fields)}", lineno)
+        try:
+            x, y, w, h = (float(fields[i]) for i in range(4))
+            category = int(fields[5])
+        except ValueError as exc:
+            raise AnnotationError(str(exc), lineno) from None
+        for name, value in zip("xywh", (x, y, w, h)):
+            if not math.isfinite(value):
+                raise AnnotationError(f"non-finite {name} {value}", lineno)
+        if w <= 0 or h <= 0:
+            raise AnnotationError(f"non-positive box extent {w}x{h}", lineno)
+        if category in (0, 11):
+            cls, ignore = -1, True
+        elif 1 <= category <= 10:
+            cls, ignore = category - 1, False
+        else:
+            raise AnnotationError(f"category {category} outside 0..11", lineno)
+        boxes.append(GroundTruthBox(image_id, cls, Box(x + w / 2, y + h / 2, w, h), ignore))
+    return boxes
 
 
 def brute_force_evaluate(detections, ground_truth, num_classes: int,

@@ -15,6 +15,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "perfbench"), os.path.join(HERE, "golden")]
 
 import checks  # noqa: E402
+import generate  # noqa: E402
 import regenerate  # noqa: E402
 import tracing  # noqa: E402
 
@@ -22,11 +23,13 @@ from yolokit import evaluation  # noqa: E402
 from yolokit.cli import build_parser  # noqa: E402
 from yolokit.detect import Detections, nms  # noqa: E402
 from yolokit.evaluation import (  # noqa: E402
+    GroundTruth,
     Labeled,
     evaluate,
     load_ground_truth,
     match,
     parse_predictions,
+    parse_visdrone,
 )
 
 GT_DIR = os.path.join(regenerate.EVAL_DIR, "gt")
@@ -68,6 +71,36 @@ class TestEvaluatorOracleCheck:
         problems = checks.check_evaluator_oracle(*eval_inputs)
         assert calls and calls[0] > 0
         assert len(problems) == 1 and "brute-force oracle" in problems[0]
+
+
+def _columns(truth):
+    """Each row's image id, then every column's bytes."""
+    return ([truth.names[k] for k in truth.image.tolist()],
+            *(column.tobytes() for column in (truth.class_index, truth.ignore, truth.x,
+                                              truth.y, truth.w, truth.h)))
+
+
+class TestGroundTruthReaders:
+    """The oracle-subset check reads annotations with ``parse_visdrone``, file by
+    file; the CLI reads the directory with ``load_ground_truth``."""
+
+    def _assert_same(self, directory):
+        boxes = [box for name in sorted(os.listdir(directory)) if name.endswith(".txt")
+                 for box in parse_visdrone(_read(os.path.join(directory, name)), name[:-4])]
+        assert boxes
+        assert _columns(GroundTruth.of(boxes)) == _columns(load_ground_truth(directory))
+
+    def test_golden_eval(self):
+        self._assert_same(GT_DIR)
+
+    def test_seeded_benchmark_images(self, tmp_path):
+        for seed in (0, 1):
+            directory = tmp_path / f"seed{seed}"
+            directory.mkdir()
+            for index in range(4):
+                gt_text, _ = generate.eval_image(seed, index)
+                (directory / f"img{index:04d}.txt").write_text(gt_text, encoding="utf-8")
+            self._assert_same(directory)
 
 
 class TestDetectionChecks:

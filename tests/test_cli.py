@@ -173,6 +173,21 @@ class TestDetect:
         assert f"usage error: image {image}: " in err and "whitespace" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("other", ["b/scene.ppm", "scene.ppm", "b/scene.pgm"])
+    def test_two_images_with_one_id_are_usage_error_before_reading(self, scene, tmp_path,
+                                                                   other, capsys):
+        # predictions carry the file stem only: two images under one id would merge
+        second = tmp_path / other
+        second.parent.mkdir(exist_ok=True)
+        if second != scene:
+            second.write_bytes(scene.read_bytes())
+        out = tmp_path / "p.txt"
+        assert run(["detect", scene, second, "--model", "yolov3-tiny", "--size", "64",
+                    "--weights", tmp_path / "missing.weights", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: images {scene} and {second} both give image id 'scene'" in err
+        assert not out.exists()
+
     def test_deterministic_predictions(self, scene, tmp_path):
         args = ["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
                 "--size", "64", "--conf", "0.05", "--precision", "single", "--seed", "9"]

@@ -23,7 +23,13 @@ from yolokit.evaluation import (
     parse_visdrone,
 )
 from yolokit.network import HeadOutput
-from yolokit.oracles import brute_force_evaluate, match_loop, nms_loop, parse_predictions_loop
+from yolokit.oracles import (
+    brute_force_evaluate,
+    match_loop,
+    nms_loop,
+    parse_predictions_loop,
+    parse_visdrone_loop,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 import regenerate  # noqa: E402
@@ -113,6 +119,139 @@ class TestParserOracle:
             assert got[0] == "error" and got[1] == min(bad, bad + 1 if bad < 199 else 0) + 1
 
 
+CAR = "10,20,5,5,1,4,0,0"
+
+# Annotation texts both readers must accept or reject alike, with the same line and message.
+VISDRONE_TEXTS = [
+    "",
+    "\n\n   \n\t\n",
+    CAR,                                                # no final newline
+    f"{CAR}\n\n  \n\t\n1,2,3,4,0,1,0,0\n",              # blank and whitespace-only lines
+    " 1 ,\t2\t, 3,4 ,0,1,0,0\n\t1,2,3,4,0,1,0,0  \n",    # spaces and tabs around fields
+    "1\x1f,2,3,\x1f4,0,1,0,0\n",                        # stripped, though int/float refuse it
+    f"{CAR}\r\n{CAR}\r\n",                                # CRLF
+    f"{CAR}\x0c1,2,3,4,0,1,0,0\u20282,3,4,5,0,2,0,0\n",   # other line breaks
+    f"{CAR}\n1,2,3,4,0,1,0\n",                           # 7 fields, line 2
+    "1,2,3,4,0,1,0,0,9\n",                              # 9 fields
+    "1,2,3,4,0,1,0,0,\n",                               # a trailing comma
+    ",,,,,,,\n",
+    "1,2,3,4,x,1,y,z\n",                                # score, truncation, occlusion unread
+    "1,2,3,4,0,-1,0,0\n",
+    "1,2,3,4,0,0,0,0\n1,2,3,4,0,11,0,0\n",               # ignore regions
+    "1,2,3,4,0,12,0,0\n",
+    "1,2,3,4,0,1.0,0,0\n",                              # int() rejects it
+    "1,2,3,4,0,99999999999999999999,0,0\n",             # beyond int64
+    "1,2,3,4,0,-99999999999999999999,0,0\n",
+    "1,2,3,-4,0,99999999999999999999,0,0\n",            # extent before category
+    "1,2,3,4,0,+1_0,0,0\n1_0,2_0.5,3,4,0,1,0,0\n",
+    "1,2,3,4,0,x,0,0\n",
+    "x,2,3,4,0,1,0,0\n",
+    "1,2,x,4,0,x,0,0\n",                                # the float error comes first
+    "1,2,3,0,0,1,0,0\n",                                # zero extents
+    "1,2,-0,4,0,1,0,0\n",
+    "1,2,1e309,4,0,1,0,0\n",                            # inf by overflow
+    "1,2,5e-324,1e308,0,1,0,0\n",
+    "-0,-0.0,.5,5.,0,10,0,0\n",
+    "1,2,nan,4,0,99,0,0\n",                             # finite before category
+    f"{CAR}\n1,2,3,-4,0,1,0,0\n1,2,3\n",                 # the first bad line wins
+] + [
+    ",".join(["1", "2", "3", "4"][:k] + [bad] + ["1", "2", "3", "4"][k + 1 :]) + ",0,1,0,0\n"
+    for k in range(4)
+    for bad in ("nan", "inf", "-inf", "NaN", "Infinity")
+]
+
+
+def _gt_rows(boxes):
+    """Each box's fields, floats by their bits."""
+    return [(g.image_id, g.class_index, g.ignore, g.box.x.hex(), g.box.y.hex(), g.box.w.hex(),
+             g.box.h.hex()) for g in boxes]
+
+
+def _columns_of(truth):
+    """The boxes of :class:`GroundTruth` columns, row by row."""
+    ids = [truth.names[k] for k in truth.image.tolist()]
+    return [GroundTruthBox(image_id, cls, Box(x, y, w, h), flag)
+            for image_id, cls, flag, x, y, w, h in zip(
+                ids, truth.class_index.tolist(), truth.ignore.tolist(), truth.x.tolist(),
+                truth.y.tolist(), truth.w.tolist(), truth.h.tolist())]
+
+
+def _visdrone_outcome(parse, text):
+    try:
+        return "ok", _gt_rows(parse(text, "im0"))
+    except AnnotationError as exc:
+        return "error", exc.line, str(exc)
+
+
+def _loaded(directory):
+    """load_ground_truth of a directory, as the per-file reader's boxes."""
+    def parse(text, image_id):
+        (directory / f"{image_id}.txt").write_text(text, encoding="utf-8")
+        return _columns_of(load_ground_truth(directory))
+    return parse
+
+
+class TestVisdroneOracle:
+    @pytest.mark.parametrize("text", VISDRONE_TEXTS)
+    def test_same_verdict_as_loop(self, text, tmp_path):
+        want = _visdrone_outcome(parse_visdrone_loop, text)
+        assert _visdrone_outcome(parse_visdrone, text) == want
+        got = _visdrone_outcome(_loaded(tmp_path), text)
+        if want[0] == "error":  # the directory reader names the file
+            want = (*want[:2], f"{tmp_path / 'im0.txt'}: {want[2]}")
+        assert got == want
+
+    def test_corpus_has_both_verdicts(self):
+        verdicts = Counter(_visdrone_outcome(parse_visdrone_loop, t)[0] for t in VISDRONE_TEXTS)
+        assert verdicts["ok"] >= 10 and verdicts["error"] >= 35
+
+    def test_error_in_second_file_names_it(self, tmp_path):
+        (tmp_path / "a.txt").write_text(f"{CAR}\n{CAR}\n")
+        (tmp_path / "b.txt").write_text(f"{CAR}\n\n1,2,3,4,0,12,0,0\n")
+        with pytest.raises(AnnotationError) as err:
+            load_ground_truth(tmp_path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{tmp_path / 'b.txt'}: line 3: category 12 outside 0..11"
+
+
+def _bits(columns):
+    return [column.tobytes() for column in columns]
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_columns_do_not_depend_on_it(self, monkeypatch, tmp_path, block):
+        rng = np.random.default_rng(block)
+        predictions = "\n".join(
+            f"im{k % 7} {k % 4} {rng.uniform():.3f} 10 20 3 4" if k % 50 else ""
+            for k in range(200)) + "\n"
+        annotations = "\n".join(
+            f"{k},{k % 9},{1 + k % 5},{2 + k % 3},1,{k % 12},0,0" if k % 40 else " "
+            for k in range(200)) + "\n"
+        (tmp_path / "im0.txt").write_text(annotations)
+        (tmp_path / "im1.txt").write_text(annotations.replace(",1,", ",0.5,"))
+
+        def read():
+            dets, truth = parse_predictions(predictions), load_ground_truth(tmp_path)
+            return ([dets.names, *_bits((dets.image, dets.class_index, dets.score, dets.x,
+                                         dets.y, dets.w, dets.h))],
+                    [truth.names, *_bits((truth.image, truth.class_index, truth.ignore,
+                                          truth.x, truth.y, truth.w, truth.h))],
+                    _gt_rows(parse_visdrone(annotations, "im0")))
+
+        want = read()
+        monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", block)
+        assert read() == want
+        assert want[2] == _gt_rows(parse_visdrone_loop(annotations, "im0"))
+        for bad in (0, 1, 2, 3, 4, 130, 199):  # each position within a block of 3
+            broken = annotations.splitlines()
+            broken[bad] = "1,2,3,4,0,12,0,0"
+            text = "\n".join(broken)
+            got = _visdrone_outcome(parse_visdrone, text)
+            assert got == _visdrone_outcome(parse_visdrone_loop, text)
+            assert got[0] == "error" and got[1] == bad + 1
+
+
 class TestRoundTrip:
     def test_format_parse_bit_identical(self):
         rng = np.random.default_rng(12)
@@ -190,6 +329,21 @@ class TestDecodeOverflow:
         assert _rows(parse_predictions(format_predictions(dets))) == _rows(dets)
 
 
+    def test_overflowing_area_dropped(self):
+        raw = np.zeros((21, 1, 2))
+        raw[4::7] = -800.0                # no anchor or cell scores ...
+        raw[4, 0, :] = raw[5, 0, :] = 800.0  # ... but anchor 0 on both cells
+        raw[2:4, 0, 0] = 460.0            # cell (0, 0): finite extents, their product is not
+        raw[2, 0, 1] = 460.0              # cell (0, 1): one huge extent, a finite area
+        head = HeadOutput(32, raw, [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)], 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dets = decode(head, 0.5, IDENTITY_TRANSFORM, "img")
+            kept = nms(dets, 0.45)
+        assert len(dets) == len(kept) == 1 and dets.x.tolist() == [48.0]
+        assert np.isfinite(dets.w * dets.h).all()
+
+
 class TestDetections:
     def test_of_and_iteration_round_trip(self):
         dets = [Detection("b", 2, 0.5, Box(1.0, 2.0, 3.0, 4.0)),
@@ -243,6 +397,24 @@ class TestColumnarMatch:
         assert pairs == [(b, True), (a, False), (c, False)] == match_loop([a, b, c], truth)
         columns, _ = match(Detections.of([a, b, c]), GroundTruth.of(truth))
         assert columns.detections.class_index.tolist() == [0, 2, 2]
+
+    def test_canonical_order_is_the_seven_key_lexsort(self):
+        rng = np.random.default_rng(16)
+        for trial in range(200):
+            n = int(rng.integers(0, 80))
+
+            def ints(high):
+                return rng.integers(0, high, n)
+
+            score = ints(5) / 4 if trial % 4 else np.full(n, 0.5)  # quarter steps, or all tied
+            if trial % 5 == 0:
+                score[ints(2) == 0] = np.nan
+                score[(score == 0) & (ints(2) == 0)] = -0.0  # beside 0.0
+            dets = Detections(("a", "b", "c"), ints(3), ints(3), score,
+                              *(ints(3).astype(float) for _ in range(4)))
+            want = np.lexsort((dets.class_index, dets.h, dets.w, dets.y, dets.x, dets.image,
+                               -dets.score))
+            assert evaluation._canonical_order(dets).tolist() == want.tolist()
 
     def test_columns_label_like_the_loop(self):
         rng = np.random.default_rng(14)

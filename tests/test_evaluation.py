@@ -10,6 +10,7 @@ from yolokit.detect import Box, Detection, Detections, iou
 from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
     GroundTruth,
+    ClassResult,
     GroundTruthBox,
     Labeled,
     average_precision,
@@ -21,6 +22,7 @@ from yolokit.evaluation import (
     parse_predictions,
     parse_visdrone,
     pr_curve,
+    pr_curve_csv,
     precision_recall,
     report_csv,
 )
@@ -317,6 +319,46 @@ class TestAveragePrecision:
     def test_tied_scores_match_threshold_enumeration(self):
         scored = [(0.5, True), (0.5, False), (0.5, True), (0.2, False)]
         assert ap(scored, 2) == pytest.approx(ap_threshold_enumeration(scored, 2), abs=1e-15)
+
+
+def _random_curves(seed):
+    """pr_curve columns with ties, long runs of equal recall, all-FP and gt_count 0 curves."""
+    rng = np.random.default_rng(seed)
+    for trial in range(80):
+        n = int(rng.integers(0, 400))
+        scores = np.sort(rng.integers(0, 40, n) / 40)[::-1]
+        is_tp = rng.random(n) < (0.0, 0.02, 0.3, 0.9)[trial % 4]  # all FP first
+        gt_count = 0 if trial % 5 == 0 else int(is_tp.sum()) + int(rng.integers(0, 6))
+        yield pr_curve(scores, is_tp, gt_count)
+
+
+def _ap_running_total(recalls, precisions):
+    """average_precision as a running total over the recall steps."""
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    total, reached = 0.0, 0.0
+    for r, p in zip(recalls.tolist(), envelope.tolist()):
+        if r > reached:
+            total += (r - reached) * p
+            reached = r
+    return total
+
+
+class TestCurveColumns:
+    def test_ap_is_the_running_total_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        curves = list(_random_curves(2))
+        curves += [(rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)) for _ in range(20)]  # unsorted
+        for recalls, precisions in curves:
+            got = average_precision(recalls, precisions)
+            assert type(got) is float
+            assert got.hex() == _ap_running_total(recalls, precisions).hex()
+
+    def test_csv_is_the_per_point_writer(self):
+        for recalls, precisions in _random_curves(4):
+            result = ClassResult(0, 0.0, 0, 0, 0, 0, recalls.tolist(), precisions.tolist())
+            lines = ["recall,precision"] + [f"{r!r},{p!r}" for r, p in zip(recalls.tolist(),
+                                                                            precisions.tolist())]
+            assert pr_curve_csv(result) == "\n".join(lines) + "\n"
 
 
 class TestEvaluate:
