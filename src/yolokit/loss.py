@@ -365,6 +365,25 @@ class ToyTrainConfig:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.momentum) and 0 <= self.momentum < 1):
+            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
+
+
+def _train_image(net: Network, tape: GradTape, example: ToyExample,
+                 weights: LossWeights) -> float:
+    """Forward, loss and backward of one image on ``tape``; returns its loss.
+
+    Nothing of the pass outlives the call, so the tape's reset can take back
+    every array it lent.
+    """
+    heads = net.forward(example.image, tape)
+    reads = [read_head(head) for head in heads]
+    targets = assign_targets(example.boxes, heads, reads=reads)
+    breakdown = total_loss(heads, targets, weights, reads)
+    net.backward(tape, zip(heads, breakdown.grads))
+    return breakdown.total
 
 
 def train_toy(dataset: list[ToyExample], graph: ModelGraph,
@@ -373,13 +392,16 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
 
     Each step accumulates gradients over ``batch_size`` consecutive images
     (wrapping around the dataset), averages them, and applies one momentum
-    update. Fully deterministic for a fixed seed.
+    update. One tape records every image and is reset after each, so one
+    image's arrays are alive at a time and later images reuse them. Fully
+    deterministic for a fixed seed.
     """
     config = config or ToyTrainConfig()
     config.validate()
     if not dataset:
         raise ValidationError("the toy dataset is empty")
     net = random_init(graph, seed=config.seed, dtype=np.float64)
+    tape = GradTape()
     state: dict = {}
     history: list[float] = []
     cursor = 0
@@ -389,13 +411,8 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
         for _ in range(config.batch_size):
             example = dataset[cursor % len(dataset)]
             cursor += 1
-            tape = GradTape()
-            heads = net.forward(example.image, tape)
-            reads = [read_head(head) for head in heads]
-            targets = assign_targets(example.boxes, heads, reads=reads)
-            breakdown = total_loss(heads, targets, config.loss_weights, reads)
-            net.backward(tape, zip(heads, breakdown.grads))
-            batch_loss += breakdown.total
+            batch_loss += _train_image(net, tape, example, config.loss_weights)
+            tape.reset()
         mean_loss = batch_loss / config.batch_size
         if not np.isfinite(mean_loss):
             raise NumericError(f"training diverged at step {_step}: loss {mean_loss}")

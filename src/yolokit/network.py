@@ -6,7 +6,10 @@ the weights module (file load or seeded random init); running ``forward`` on
 an unparameterized network is a usage error. ``freeze`` folds batch-norm into
 the convolutions once, for inference. Inference is read-only, so one
 parameterized network can serve concurrent forward passes; each call builds
-its own activations and (optionally) its own tape.
+its own activations. A forward given a tape records on it and takes the
+activations from it: a trainer that resets one tape after each image runs
+every image in the same arrays, and a head map it still holds when it resets
+is left alone.
 """
 
 from __future__ import annotations

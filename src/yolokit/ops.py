@@ -1,16 +1,20 @@
 """Dense CHW tensors and forward/backward compute kernels.
 
 Feature maps are numpy arrays in channels x height x width layout, float64
-for verification work and float32 when speed matters. Kernels are pure
-functions of their inputs, except that ``shortcut_add`` can write its sum over
-an input its caller no longer needs. Passing a :class:`GradTape` makes them
-record the closures needed to run the matching backward pass later. Parameter
+for verification work and float32 when speed matters. Without a tape the
+kernels are pure functions of their inputs, except that ``shortcut_add`` can
+write its sum over an input its caller no longer needs. Passing a
+:class:`GradTape` makes them record the closures needed to run the matching
+backward pass later, and take the arrays they keep, and their backward
+scratch, from the tape; a reset tape hands those arrays to the next pass.
+An array an op returned stays valid while the caller holds it. Parameter
 gradients accumulate into buffers on :class:`ConvParams`, which makes
 multi-pass gradient accumulation (emulated batching) a no-op to implement.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,22 +134,62 @@ class ConvParams:
 
 
 class GradTape:
-    """Records a forward op sequence so gradients can be pushed back through it.
+    """Records forward ops so gradients can be pushed back through them, and
+    lends those ops the arrays they allocate.
 
-    The tape is single-owner: record during exactly one forward pass, then call
-    :meth:`backward` with the output gradients. Input-tensor gradients are
-    keyed by array identity (fetch with :meth:`grad`); parameter gradients
-    accumulate directly into the ConvParams buffers. A tensor marked with
-    :meth:`constant` gets no gradient, and the ops that read it skip the work
-    of computing one.
+    Record one forward pass, then call :meth:`backward` with the output
+    gradients. Input-tensor gradients are keyed by array identity (fetch with
+    :meth:`grad`); parameter gradients accumulate directly into the
+    ConvParams buffers. A tensor marked with :meth:`constant` gets no
+    gradient, and the ops that read it skip the work of computing one.
+
+    A recording op takes the arrays it keeps (outputs, padded inputs, im2col
+    columns) and its backward scratch from :meth:`empty`. :meth:`reset` ends
+    the pass: it drops the entries, gradients and constants, then takes back
+    every lent array that nothing outside the tape references, and the next
+    pass's ops write over those. An array a recorded op returned, or any view
+    of it, therefore stays valid while the caller holds it. The ops' backward
+    closures get the tape as an argument, so nothing recorded refers back to
+    the tape and a dropped tape is freed at once.
     """
 
     def __init__(self):
         self._entries: list[tuple[np.ndarray, object]] = []
         self._grads: dict[int, np.ndarray] = {}
         self._constants: dict[int, np.ndarray] = {}  # held, so no id is reused
+        self._lent: list[np.ndarray] = []
+        self._free: dict[tuple, list[np.ndarray]] = {}
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        """An array of ``shape`` and ``dtype`` with arbitrary values: one taken
+        back at the last :meth:`reset` if one is free, else a new one."""
+        free = self._free.get((tuple(shape), np.dtype(dtype)))
+        arr = free.pop() if free else np.empty(shape, dtype)
+        self._lent.append(arr)
+        return arr
+
+    def reset(self) -> None:
+        """Forget the recorded pass and take back the lent arrays nobody holds.
+
+        Arrays taken back at the previous reset and not lent since are
+        dropped, so the tape keeps at most one pass's arrays.
+        """
+        self._entries.clear()
+        self._grads.clear()
+        self._constants.clear()
+        lent, self._lent = self._lent, []
+        self._free = {}
+        # what an array held by one local alone reads; a view's base, an
+        # output a caller kept or a gradient it fetched reads more
+        probe = np.empty(0)
+        unheld = sys.getrefcount(probe)
+        while lent:
+            arr = lent.pop()
+            if sys.getrefcount(arr) == unheld:
+                self._free.setdefault((arr.shape, arr.dtype), []).append(arr)
 
     def record(self, out: np.ndarray, backward_fn) -> None:
+        """Record ``backward_fn(grad_of_out, tape)`` to run during :meth:`backward`."""
         self._entries.append((out, backward_fn))
 
     def constant(self, arr: np.ndarray) -> None:
@@ -190,26 +234,43 @@ class GradTape:
             gy = self._grads.get(id(out))
             if gy is None:
                 continue
-            fn(gy)
+            fn(gy, self)
 
 
-def _apply_activation(z, activation):
+def _apply_activation(z, activation, tape=None):
     """Activate ``z``, overwriting it for leaky; ``z`` must not be shared."""
     if activation == "leaky":
         # bit for bit the values of leaky_relu, written over z
-        return np.maximum(z, LEAKY_SLOPE * z, out=z)
+        if tape is None:
+            return np.maximum(z, LEAKY_SLOPE * z, out=z)
+        return np.maximum(z, np.multiply(z, LEAKY_SLOPE, out=tape.empty(z.shape, z.dtype)), out=z)
     if activation == "sigmoid":
         return sigmoid(z)
     return z
 
 
-def _activation_grad(gy, y, activation):
+def _activation_grad(gy, y, activation, tape):
     if activation == "leaky":
-        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0
-        return np.where(y >= 0, gy, LEAKY_SLOPE * gy)
+        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0;
+        # the values of np.where(y >= 0, gy, LEAKY_SLOPE * gy)
+        g = np.multiply(gy, LEAKY_SLOPE, out=tape.empty(gy.shape, gy.dtype))
+        np.copyto(g, gy, where=y >= 0)
+        return g
     if activation == "sigmoid":
         return gy * y * (1.0 - y)
     return gy
+
+
+def _empty(shape, dtype, tape):
+    """``np.empty``, or an array ``tape`` lends; the caller writes every value."""
+    return np.empty(shape, dtype) if tape is None else tape.empty(shape, dtype)
+
+
+def _copy(a, tape):
+    """A C-contiguous copy of ``a``, into an array ``tape`` lends if given."""
+    out = _empty(a.shape, a.dtype, tape)
+    out[...] = a
+    return out
 
 
 # Bytes of im2col columns built at once: output rows are convolved in bands
@@ -219,24 +280,31 @@ def _activation_grad(gy, y, activation):
 IM2COL_BAND_BYTES = 8 << 20
 
 
-def _zero_pad(x, pad):
-    """``x`` (C, H, W) inside a border of ``pad`` zeros on both spatial axes,
-    the values of ``np.pad(x, ((0, 0), (pad, pad), (pad, pad)))``."""
+def _pad(x, pad, value, tape=None):
+    """``x`` (C, H, W) inside a border of ``pad`` cells of ``value`` on both
+    spatial axes, the values of ``np.pad(x, ((0, 0), (pad, pad), (pad, pad)),
+    constant_values=value)``; no cell is written twice."""
     c, h, w = x.shape
-    out = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out = _empty((c, h + 2 * pad, w + 2 * pad), x.dtype, tape)
+    out[:, :pad] = value
+    out[:, pad + h :] = value
+    out[:, pad : pad + h, :pad] = value
+    out[:, pad : pad + h, pad + w :] = value
     out[:, pad : pad + h, pad : pad + w] = x
     return out
 
 
-def _im2col(x_padded, k, stride, r0, r1, out_w):
+def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
     # columns of output rows r0..r1-1: (C*k*k, (r1-r0)*out_w), rows in weight
     # order (c, ki, kj), columns in spatial scan order, so W @ cols is CHW
     rows = x_padded[:, r0 * stride : (r1 - 1) * stride + k]
     if k == 1 and stride == 1:
         return rows.reshape(rows.shape[0], -1)
     windows = sliding_window_view(rows, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    return windows.transpose(0, 3, 4, 1, 2).reshape(-1, (r1 - r0) * out_w)
+    windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
+    if tape is not None:
+        windows = _copy(windows, tape)
+    return windows.reshape(-1, (r1 - r0) * out_w)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = None) -> np.ndarray:
@@ -265,13 +333,13 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         x_padded = x
         band = out_h  # the input is its own columns: nothing to copy
     else:
-        x_padded = _zero_pad(x, pad)
+        x_padded = _pad(x, pad, 0, tape)
         band = max(1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize))
-    z = np.empty((p.filters, out_h * out_w), dtype=np.result_type(w_mat, x))
+    z = _empty((p.filters, out_h * out_w), np.result_type(w_mat, x), tape)
     bands = []
     for r0 in range(0, out_h, band):
         r1 = min(r0 + band, out_h)
-        cols = _im2col(x_padded, k, s, r0, r1, out_w)
+        cols = _im2col(x_padded, k, s, r0, r1, out_w, tape)
         np.matmul(w_mat, cols, out=z[:, r0 * out_w : r1 * out_w])
         if tape is not None:
             bands.append((r0, r1, cols))
@@ -283,21 +351,23 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         z -= p.bn_mean[:, None, None]
         z *= inv_std[:, None, None]
         x_hat = z
-        z = p.bn_gamma[:, None, None] * x_hat
+        z = np.multiply(p.bn_gamma[:, None, None], x_hat,
+                        out=_empty(x_hat.shape, np.result_type(p.bn_gamma, x_hat), tape))
         z += p.bn_beta[:, None, None]
     else:
         x_hat = None
         z += p.biases[:, None, None]
-    y = _apply_activation(z, p.activation)
+    y = _apply_activation(z, p.activation, tape)
 
     if tape is not None:
 
-        def backward(gy):
-            g = _activation_grad(gy, y, p.activation)
+        def backward(gy, tape):
+            g = _activation_grad(gy, y, p.activation, tape)
             if p.has_batchnorm:
                 p.g_beta += g.sum(axis=(1, 2))
-                p.g_gamma += (g * x_hat).sum(axis=(1, 2))
-                gz = g * (p.bn_gamma * inv_std)[:, None, None]
+                gz = tape.empty(g.shape, np.result_type(g, p.bn_gamma))
+                p.g_gamma += np.multiply(g, x_hat, out=gz).sum(axis=(1, 2))
+                np.multiply(g, (p.bn_gamma * inv_std)[:, None, None], out=gz)
             else:
                 p.g_biases += g.sum(axis=(1, 2))
                 gz = g
@@ -311,17 +381,19 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
                 tape.accumulate(x, (w_mat.T @ gz_flat).reshape(x.shape))
                 return
             # the band columns are kept; the padded input is not
-            gxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+            gxp = tape.empty((cin, h + 2 * pad, w + 2 * pad), x.dtype)
+            gxp[...] = 0
             for r0, r1, _ in bands:
                 gz_band = gz_flat[:, r0 * out_w : r1 * out_w]
-                gcols = (w_mat.T @ gz_band).reshape(cin, k, k, r1 - r0, out_w)
+                gcols = tape.empty((cin * k * k, gz_band.shape[1]), gz_band.dtype)
+                np.matmul(w_mat.T, gz_band, out=gcols)
+                gcols = gcols.reshape(cin, k, k, r1 - r0, out_w)
                 top, span = r0 * s, s * (r1 - r0 - 1) + 1
                 for ki in range(k):
                     for kj in range(k):
                         gxp[:, top + ki : top + ki + span : s,
                             kj : kj + s * (out_w - 1) + 1 : s] += gcols[:, ki, kj]
-            gx = gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
-            tape.accumulate(x, np.ascontiguousarray(gx))
+            tape.accumulate(x, _copy(gxp[:, pad : pad + h, pad : pad + w], tape) if pad else gxp)
 
         tape.record(y, backward)
     return y
@@ -349,26 +421,23 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
         )
     out_h = (h + 2 * pad - size) // stride + 1
     out_w = (w + 2 * pad - size) // stride + 1
-    if pad:
-        x_padded = np.full((c, h + 2 * pad, w + 2 * pad), -np.inf, dtype=x.dtype)
-        x_padded[:, pad : pad + h, pad : pad + w] = x
-    else:
-        x_padded = x
+    x_padded = _pad(x, pad, -np.inf, tape) if pad else x
     col_span = stride * (out_w - 1) + 1
     row_span = stride * (out_h - 1) + 1
     # the running max is the second operand: numpy returns it on a tie of
     # -0.0 and 0.0, so even a signed zero is the window's first maximum
-    cols_max = x_padded[:, :, 0:col_span:stride].copy()
+    cols_max = _copy(x_padded[:, :, 0:col_span:stride], tape)
     for kj in range(1, size):
         np.maximum(x_padded[:, :, kj : kj + col_span : stride], cols_max, out=cols_max)
-    y = cols_max[:, 0:row_span:stride].copy()
+    y = _copy(cols_max[:, 0:row_span:stride], tape)
     for ki in range(1, size):
         np.maximum(cols_max[:, ki : ki + row_span : stride], y, out=y)
 
     if tape is not None:
 
-        def backward(gy):
-            gxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        def backward(gy, tape):
+            gxp = tape.empty((c, h + 2 * pad, w + 2 * pad), x.dtype)
+            gxp[...] = 0
             routed = np.zeros(y.shape, dtype=bool)
             for ki in range(size):
                 for kj in range(size):
@@ -377,8 +446,7 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
                     first = (x_padded[cell] == y) & ~routed
                     gxp[cell] += np.where(first, gy, 0)
                     routed |= first
-            gx = gxp[:, pad : pad + h, pad : pad + w] if pad else gxp
-            tape.accumulate(x, np.ascontiguousarray(gx))
+            tape.accumulate(x, _copy(gxp[:, pad : pad + h, pad : pad + w], tape) if pad else gxp)
 
         tape.record(y, backward)
     return y
@@ -387,14 +455,16 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
 def upsample2x(x: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
     """Nearest-neighbor 2x upsampling: each value becomes a 2x2 block."""
     x = check_tensor(x, rank=3, name="upsample input")
-    y = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-    if tape is not None:
-        c, h, w = x.shape
+    c, h, w = x.shape
+    if tape is None:
+        return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    y = tape.empty((c, 2 * h, 2 * w), x.dtype)
+    y.reshape(c, h, 2, w, 2)[...] = x[:, :, None, :, None]
 
-        def backward(gy):
-            tape.accumulate(x, gy.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+    def backward(gy, tape):
+        tape.accumulate(x, gy.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
 
-        tape.record(y, backward)
+    tape.record(y, backward)
     return y
 
 
@@ -409,17 +479,19 @@ def concat_channels(inputs, tape: GradTape | None = None) -> np.ndarray:
             raise ShapeError(
                 f"concat input {i} spatial shape {x.shape[1:]} != {spatial}"
             )
-    y = np.concatenate(xs, axis=0)
-    if tape is not None:
-        splits = [x.shape[0] for x in xs]
+    if tape is None:
+        return np.concatenate(xs, axis=0)
+    splits = [x.shape[0] for x in xs]
+    y = np.concatenate(xs, axis=0,
+                       out=tape.empty((sum(splits), *spatial), np.result_type(*xs)))
 
-        def backward(gy):
-            start = 0
-            for x, nch in zip(xs, splits):
-                tape.accumulate(x, np.ascontiguousarray(gy[start : start + nch]))
-                start += nch
+    def backward(gy, tape):
+        start = 0
+        for x, nch in zip(xs, splits):
+            tape.accumulate(x, np.ascontiguousarray(gy[start : start + nch]))
+            start += nch
 
-        tape.record(y, backward)
+    tape.record(y, backward)
     return y
 
 
@@ -434,14 +506,15 @@ def shortcut_add(x: np.ndarray, y: np.ndarray, tape: GradTape | None = None,
     y = check_tensor(y, rank=3, name="shortcut skip")
     if x.shape != y.shape:
         raise ShapeError(f"shortcut shapes differ: {x.shape} vs {y.shape}")
-    if out is not None and tape is not None:
+    if tape is None:
+        return np.add(x, y, out=out)
+    if out is not None:
         raise UsageError("shortcut_add cannot write into its input while a tape records")
-    out = np.add(x, y, out=out)
-    if tape is not None:
+    out = np.add(x, y, out=tape.empty(x.shape, np.result_type(x, y)))
 
-        def backward(gy):
-            tape.accumulate(x, gy.copy())
-            tape.accumulate(y, gy.copy())
+    def backward(gy, tape):
+        tape.accumulate(x, _copy(gy, tape))
+        tape.accumulate(y, _copy(gy, tape))
 
-        tape.record(out, backward)
+    tape.record(out, backward)
     return out

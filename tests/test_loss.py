@@ -1,6 +1,8 @@
 """Target assignment, the three-term loss, SGD, and the toy trainer."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +421,43 @@ class TestToyTraining:
         config = ToyTrainConfig(steps=steps, batch_size=batch_size)
         with pytest.raises(ValidationError):
             train_toy(dataset, toy_graph(), config)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1.0),
+        ("momentum", math.nan), ("momentum", math.inf), ("momentum", -0.1), ("momentum", 1.0),
+    ])
+    def test_bad_hyper_parameter_rejected_before_any_work(self, field, value, monkeypatch):
+        # these once ran a whole step, warned, then failed on the heads or the loss
+        import yolokit.loss
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(yolokit.loss, "random_init", no_work)
+        dataset = synthetic_dataset(num_images=4, seed=0)
+        config = ToyTrainConfig(steps=3, batch_size=4, **{field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=field):
+                train_toy(dataset, toy_graph(), config)
+
+    def test_memory_does_not_grow_with_images(self):
+        # one reused tape: a 4-step, 16-image run peaks where one image does
+        dataset = synthetic_dataset(num_images=16, seed=0)
+        graph = toy_graph()
+        tracing = tracemalloc.is_tracing()
+        peaks = []
+        try:
+            tracemalloc.start()
+            for steps, batch_size in ((1, 1), (4, 16)):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train_toy(dataset, graph, ToyTrainConfig(steps=steps, batch_size=batch_size))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_deterministic_history(self):
         dataset = synthetic_dataset(num_images=8, seed=1)

@@ -1,5 +1,7 @@
 """Kernel-level tests: shapes, frozen oracle values, and tape gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,9 @@ class TestConv2d:
         bands = []
         im2col = ops._im2col
 
-        def recording_im2col(x_padded, k, stride, r0, r1, out_w):
+        def recording_im2col(x_padded, k, stride, r0, r1, *rest):
             bands.append((r0, r1))
-            return im2col(x_padded, k, stride, r0, r1, out_w)
+            return im2col(x_padded, k, stride, r0, r1, *rest)
 
         monkeypatch.setattr(ops, "_im2col", recording_im2col)
         got = ops.conv2d_forward(x, p)
@@ -309,7 +311,10 @@ class TestActivations:
         y = ops.leaky_relu(rng.normal(0, 1, (3, 5, 5)).astype(dtype))
         y.flat[:2] = (0.0, -0.0)
         gy = rng.normal(0, 1, y.shape).astype(dtype)
-        got = ops._activation_grad(gy, y, "leaky")
+        tape = ops.GradTape()
+        tape.empty(y.shape, dtype)[...] = np.nan  # the gradient lands on stale values
+        tape.reset()
+        got = ops._activation_grad(gy, y, "leaky", tape)
         assert got.dtype == dtype
         assert np.array_equal(got, np.where(y >= 0, gy, dtype(ops.LEAKY_SLOPE) * gy))
         if dtype == np.float64:  # the old mask product, bit for bit
@@ -345,16 +350,24 @@ class TestZeroPad:
             x = rng.normal(0, 1, shape).astype(dtype)
             x.flat[0] = -0.0
             for pad in range(4):
-                got = ops._zero_pad(x, pad)
-                want = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-                assert got.dtype == want.dtype == dtype
-                assert got.shape == want.shape
-                bits = np.uint64 if dtype == np.float64 else np.uint32
-                assert np.array_equal(got.view(bits), want.view(bits))
+                for value in (0, -np.inf):
+                    # a lent array holds stale values: only the pad writes count
+                    for tape in (None, ops.GradTape()):
+                        if tape is not None:
+                            tape.empty((shape[0], shape[1] + 2 * pad, shape[2] + 2 * pad),
+                                       dtype)[...] = np.nan
+                            tape.reset()
+                        got = ops._pad(x, pad, value, tape)
+                        want = np.pad(x, ((0, 0), (pad, pad), (pad, pad)),
+                                      constant_values=value)
+                        assert got.dtype == want.dtype == dtype
+                        assert got.shape == want.shape
+                        bits = np.uint64 if dtype == np.float64 else np.uint32
+                        assert np.array_equal(got.view(bits), want.view(bits))
 
     def test_non_contiguous_input(self):
         x = np.random.default_rng(17).normal(0, 1, (4, 6, 10))[:, ::2, 1::3]
-        assert np.array_equal(ops._zero_pad(x, 2), np.pad(x, ((0, 0), (2, 2), (2, 2))))
+        assert np.array_equal(ops._pad(x, 2, 0), np.pad(x, ((0, 0), (2, 2), (2, 2))))
 
 
 class TestShapeAlgebra:
@@ -374,6 +387,29 @@ class TestShapeAlgebra:
 
 
 class TestGradTape:
+    def test_lends_an_array_again_only_after_reset_and_only_when_unheld(self):
+        tape = ops.GradTape()
+        held = tape.empty((2, 3), np.float64)
+        view = tape.empty((2, 3), np.float64)[1:]  # its base is held through the view
+        free = [weakref.ref(tape.empty((2, 3), np.float64)) for _ in range(2)]
+        loans = [held, view.base] + [ref() for ref in free]
+        assert len({id(a) for a in loans}) == 4  # no reset: every loan is new
+        del loans
+        other = weakref.ref(tape.empty((3, 2), np.float64))
+        tape.reset()
+        assert tape.empty((2, 3), np.float32).dtype == np.float32  # keyed by dtype too
+        again = [tape.empty((2, 3), np.float64) for _ in range(3)]
+        assert {id(a) for a in again[:2]} == {id(ref()) for ref in free}
+        assert not any(a is held or a is view.base for a in again)
+        assert tape.empty((3, 2), np.float64) is other()
+        # what is taken back and not lent again by the next reset is dropped
+        kept = weakref.ref(again[2])
+        del again
+        tape.reset()
+        assert kept() is not None
+        tape.reset()
+        assert kept() is None
+
     def test_backward_before_forward(self):
         with pytest.raises(TapeError):
             ops.GradTape().backward([(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))])
