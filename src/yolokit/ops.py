@@ -5,9 +5,9 @@ for verification work and float32 when speed matters. Without a tape the
 kernels are pure functions of their inputs, except that ``shortcut_add`` can
 write its sum over an input its caller no longer needs. Passing a
 :class:`GradTape` makes them record the closures needed to run the matching
-backward pass later, and take the arrays they keep, and their backward
-scratch, from the tape; a reset tape hands those arrays to the next pass.
-An array an op returned stays valid while the caller holds it. Parameter
+backward pass later, and take the arrays they keep from the tape; a reset
+tape hands those arrays to the next pass. An array an op returned stays
+valid while the caller holds it. Parameter
 gradients accumulate into buffers on :class:`ConvParams`, which makes
 multi-pass gradient accumulation (emulated batching) a no-op to implement.
 """
@@ -144,7 +144,9 @@ class GradTape:
     gradient, and the ops that read it skip the work of computing one.
 
     A recording op takes the arrays it keeps (outputs, padded inputs, im2col
-    columns) and its backward scratch from :meth:`empty`. :meth:`reset` ends
+    columns) from :meth:`empty`, and conv and maxpool take their padded
+    input gradient from it too; scratch that is dead once its op returns is
+    allocated as usual. :meth:`reset` ends
     the pass: it drops the entries, gradients and constants, then takes back
     every lent array that nothing outside the tape references, and the next
     pass's ops write over those. An array a recorded op returned, or any view
@@ -237,25 +239,20 @@ class GradTape:
             fn(gy, self)
 
 
-def _apply_activation(z, activation, tape=None):
+def _apply_activation(z, activation):
     """Activate ``z``, overwriting it for leaky; ``z`` must not be shared."""
     if activation == "leaky":
         # bit for bit the values of leaky_relu, written over z
-        if tape is None:
-            return np.maximum(z, LEAKY_SLOPE * z, out=z)
-        return np.maximum(z, np.multiply(z, LEAKY_SLOPE, out=tape.empty(z.shape, z.dtype)), out=z)
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if activation == "sigmoid":
         return sigmoid(z)
     return z
 
 
-def _activation_grad(gy, y, activation, tape):
+def _activation_grad(gy, y, activation):
     if activation == "leaky":
-        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0;
-        # the values of np.where(y >= 0, gy, LEAKY_SLOPE * gy)
-        g = np.multiply(gy, LEAKY_SLOPE, out=tape.empty(gy.shape, gy.dtype))
-        np.copyto(g, gy, where=y >= 0)
-        return g
+        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0
+        return np.where(y >= 0, gy, LEAKY_SLOPE * gy)
     if activation == "sigmoid":
         return gy * y * (1.0 - y)
     return gy
@@ -302,9 +299,7 @@ def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
         return rows.reshape(rows.shape[0], -1)
     windows = sliding_window_view(rows, (k, k), axis=(1, 2))
     windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
-    if tape is not None:
-        windows = _copy(windows, tape)
-    return windows.reshape(-1, (r1 - r0) * out_w)
+    return _copy(windows, tape).reshape(-1, (r1 - r0) * out_w)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = None) -> np.ndarray:
@@ -357,17 +352,16 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     else:
         x_hat = None
         z += p.biases[:, None, None]
-    y = _apply_activation(z, p.activation, tape)
+    y = _apply_activation(z, p.activation)
 
     if tape is not None:
 
         def backward(gy, tape):
-            g = _activation_grad(gy, y, p.activation, tape)
+            g = _activation_grad(gy, y, p.activation)
             if p.has_batchnorm:
                 p.g_beta += g.sum(axis=(1, 2))
-                gz = tape.empty(g.shape, np.result_type(g, p.bn_gamma))
-                p.g_gamma += np.multiply(g, x_hat, out=gz).sum(axis=(1, 2))
-                np.multiply(g, (p.bn_gamma * inv_std)[:, None, None], out=gz)
+                p.g_gamma += (g * x_hat).sum(axis=(1, 2))
+                gz = g * (p.bn_gamma * inv_std)[:, None, None]
             else:
                 p.g_biases += g.sum(axis=(1, 2))
                 gz = g
@@ -385,9 +379,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
             gxp[...] = 0
             for r0, r1, _ in bands:
                 gz_band = gz_flat[:, r0 * out_w : r1 * out_w]
-                gcols = tape.empty((cin * k * k, gz_band.shape[1]), gz_band.dtype)
-                np.matmul(w_mat.T, gz_band, out=gcols)
-                gcols = gcols.reshape(cin, k, k, r1 - r0, out_w)
+                gcols = (w_mat.T @ gz_band).reshape(cin, k, k, r1 - r0, out_w)
                 top, span = r0 * s, s * (r1 - r0 - 1) + 1
                 for ki in range(k):
                     for kj in range(k):
@@ -456,15 +448,14 @@ def upsample2x(x: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
     """Nearest-neighbor 2x upsampling: each value becomes a 2x2 block."""
     x = check_tensor(x, rank=3, name="upsample input")
     c, h, w = x.shape
-    if tape is None:
-        return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-    y = tape.empty((c, 2 * h, 2 * w), x.dtype)
+    y = _empty((c, 2 * h, 2 * w), x.dtype, tape)
     y.reshape(c, h, 2, w, 2)[...] = x[:, :, None, :, None]
+    if tape is not None:
 
-    def backward(gy, tape):
-        tape.accumulate(x, gy.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+        def backward(gy, tape):
+            tape.accumulate(x, gy.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
 
-    tape.record(y, backward)
+        tape.record(y, backward)
     return y
 
 
@@ -479,19 +470,18 @@ def concat_channels(inputs, tape: GradTape | None = None) -> np.ndarray:
             raise ShapeError(
                 f"concat input {i} spatial shape {x.shape[1:]} != {spatial}"
             )
-    if tape is None:
-        return np.concatenate(xs, axis=0)
     splits = [x.shape[0] for x in xs]
     y = np.concatenate(xs, axis=0,
-                       out=tape.empty((sum(splits), *spatial), np.result_type(*xs)))
+                       out=_empty((sum(splits), *spatial), np.result_type(*xs), tape))
+    if tape is not None:
 
-    def backward(gy, tape):
-        start = 0
-        for x, nch in zip(xs, splits):
-            tape.accumulate(x, np.ascontiguousarray(gy[start : start + nch]))
-            start += nch
+        def backward(gy, tape):
+            start = 0
+            for x, nch in zip(xs, splits):
+                tape.accumulate(x, np.ascontiguousarray(gy[start : start + nch]))
+                start += nch
 
-    tape.record(y, backward)
+        tape.record(y, backward)
     return y
 
 
@@ -506,15 +496,14 @@ def shortcut_add(x: np.ndarray, y: np.ndarray, tape: GradTape | None = None,
     y = check_tensor(y, rank=3, name="shortcut skip")
     if x.shape != y.shape:
         raise ShapeError(f"shortcut shapes differ: {x.shape} vs {y.shape}")
-    if tape is None:
-        return np.add(x, y, out=out)
-    if out is not None:
+    if out is not None and tape is not None:
         raise UsageError("shortcut_add cannot write into its input while a tape records")
-    out = np.add(x, y, out=tape.empty(x.shape, np.result_type(x, y)))
+    out = np.add(x, y, out=out if tape is None else tape.empty(x.shape, np.result_type(x, y)))
+    if tape is not None:
 
-    def backward(gy, tape):
-        tape.accumulate(x, _copy(gy, tape))
-        tape.accumulate(y, _copy(gy, tape))
+        def backward(gy, tape):
+            tape.accumulate(x, gy.copy())
+            tape.accumulate(y, gy.copy())
 
-    tape.record(out, backward)
+        tape.record(out, backward)
     return out
