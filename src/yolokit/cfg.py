@@ -20,27 +20,31 @@ TINY_ANCHORS = (10, 14, 23, 27, 37, 58, 81, 82, 135, 169, 344, 319)
 
 HEAD_STRIDES = (8, 16, 32)
 
-# key -> (value type, required). Types: int, float, ilist (comma ints), word.
+# key -> (value type, default). Types: int, float, ilist (comma ints), word.
+# _REQUIRED marks a key the section must give; a None default is computed by
+# _finalize from the section's other keys.
+_REQUIRED = object()
 _SCHEMAS = {
-    "net": {"width": ("int", True), "height": ("int", True), "channels": ("int", True)},
+    "net": {"width": ("int", _REQUIRED), "height": ("int", _REQUIRED),
+            "channels": ("int", _REQUIRED)},
     "convolutional": {
-        "filters": ("int", True),
-        "size": ("int", True),
-        "stride": ("int", False),
-        "pad": ("int", False),
-        "batch_normalize": ("int", False),
-        "activation": ("word", False),
+        "filters": ("int", _REQUIRED),
+        "size": ("int", _REQUIRED),
+        "stride": ("int", 1),
+        "pad": ("int", 1),
+        "batch_normalize": ("int", 0),
+        "activation": ("word", "linear"),
     },
-    "maxpool": {"size": ("int", True), "stride": ("int", False), "padding": ("int", False)},
-    "upsample": {"stride": ("int", False)},
-    "route": {"layers": ("ilist", True)},
-    "shortcut": {"from": ("int", True), "activation": ("word", False)},
+    "maxpool": {"size": ("int", _REQUIRED), "stride": ("int", 1), "padding": ("int", None)},
+    "upsample": {"stride": ("int", 2)},
+    "route": {"layers": ("ilist", _REQUIRED)},
+    "shortcut": {"from": ("int", _REQUIRED), "activation": ("word", "linear")},
     "yolo": {
-        "classes": ("int", True),
-        "num": ("int", False),
-        "mask": ("ilist", True),
-        "anchors": ("ilist", True),
-        "ignore_thresh": ("float", False),
+        "classes": ("int", _REQUIRED),
+        "num": ("int", None),
+        "mask": ("ilist", _REQUIRED),
+        "anchors": ("ilist", _REQUIRED),
+        "ignore_thresh": ("float", 0.5),
     },
 }
 
@@ -58,8 +62,12 @@ class LayerSpec:
 class ModelGraph:
     """Validated layer list plus the net-level input geometry.
 
-    The layer DAG is acyclic by construction: route and shortcut references
-    are resolved to earlier absolute indices during parsing.
+    ``parse_cfg`` and ``builtin_graph`` make every graph through one builder,
+    which fills each section's defaults and checks it, then checks the
+    references. Route and shortcut references are kept as written (a negative
+    one counts back from the layer that holds it); :func:`layer_inputs`
+    resolves them, and the builder rejects any that does not name an earlier
+    layer, so the layer DAG is acyclic.
     """
 
     net: dict
@@ -78,9 +86,23 @@ class ModelGraph:
         return self.net["channels"]
 
 
-def resolve_ref(layer_index: int, ref: int) -> int:
-    """Map a (possibly negative, relative) layer reference to an absolute index."""
-    return layer_index + ref if ref < 0 else ref
+def layer_inputs(graph: ModelGraph) -> list[tuple[int, ...]]:
+    """Each layer's inputs as absolute output indices, -1 for the image.
+
+    A route reads its ``layers``, a shortcut the previous output and its
+    ``from``, any other layer the previous output. This is the one place
+    route and shortcut references are resolved.
+    """
+    inputs = []
+    for i, layer in enumerate(graph.layers):
+        if layer.kind == "route":
+            refs = layer.attrs["layers"]
+        elif layer.kind == "shortcut":
+            refs = (-1, layer.attrs["from"])
+        else:
+            refs = (-1,)
+        inputs.append(tuple(i + r if r < 0 else r for r in refs))
+    return inputs
 
 
 def _parse_value(kind, key, raw, line):
@@ -97,21 +119,20 @@ def _parse_value(kind, key, raw, line):
         raise CfgParseError(f"key {key!r} expects {vtype} value, got {raw!r}", line) from None
 
 
-def _finalize(kind, attrs, line):
+def _finalize(section: LayerSpec) -> None:
     """Fill defaults and run per-kind semantic checks."""
-    schema = _SCHEMAS[kind]
-    for key, (_, required) in schema.items():
-        if required and key not in attrs:
-            raise CfgParseError(f"[{kind}] section missing required key {key!r}", line)
+    kind, attrs, line = section.kind, section.attrs, section.source_line
+    for key, (_, default) in _SCHEMAS[kind].items():
+        if key not in attrs:
+            if default is _REQUIRED:
+                raise CfgParseError(f"[{kind}] section missing required key {key!r}", line)
+            if default is not None:
+                attrs[key] = default
     if kind == "net":
         for key in ("width", "height", "channels"):
             if attrs[key] < 1:
                 raise CfgParseError(f"net {key} must be >= 1", line)
     elif kind == "convolutional":
-        attrs.setdefault("stride", 1)
-        attrs.setdefault("pad", 1)
-        attrs.setdefault("batch_normalize", 0)
-        attrs.setdefault("activation", "linear")
         if attrs["filters"] < 1:
             raise CfgParseError("filters must be >= 1", line)
         if attrs["size"] < 1 or attrs["size"] % 2 == 0:
@@ -127,28 +148,26 @@ def _finalize(kind, attrs, line):
         if attrs["activation"] not in ("linear", "leaky", "sigmoid"):
             raise CfgParseError(f"unknown activation {attrs['activation']!r}", line)
     elif kind == "maxpool":
-        attrs.setdefault("stride", 1)
         attrs.setdefault("padding", (attrs["size"] - 1) // 2)
         if attrs["size"] < 1 or attrs["stride"] < 1:
             raise CfgParseError("maxpool size and stride must be >= 1", line)
         if not 0 <= attrs["padding"] <= attrs["size"] - 1:
             raise CfgParseError("maxpool padding must be in [0, size-1]", line)
     elif kind == "upsample":
-        attrs.setdefault("stride", 2)
         if attrs["stride"] != 2:
             raise CfgParseError("only stride-2 upsampling is supported", line)
     elif kind == "route":
         if not attrs["layers"]:
             raise CfgParseError("route needs at least one layer reference", line)
     elif kind == "shortcut":
-        attrs.setdefault("activation", "linear")
         if attrs["activation"] != "linear":
             raise CfgParseError("shortcut supports only linear activation", line)
     elif kind == "yolo":
-        attrs.setdefault("ignore_thresh", 0.5)
         anchors, mask = attrs["anchors"], attrs["mask"]
         if len(anchors) % 2 != 0 or not anchors:
             raise CfgParseError("anchors must be a flat, even-length w,h list", line)
+        if min(anchors) <= 0:
+            raise CfgParseError(f"anchors must be > 0 pixels, got {min(anchors)}", line)
         attrs.setdefault("num", len(anchors) // 2)
         if attrs["num"] != len(anchors) // 2:
             raise CfgParseError("num must equal the number of anchor pairs", line)
@@ -164,31 +183,36 @@ def _finalize(kind, attrs, line):
 
 def _validate_structure(graph: ModelGraph) -> None:
     classes_seen = set()
-    for i, layer in enumerate(graph.layers):
-        if layer.kind == "route":
-            for ref in layer.attrs["layers"]:
-                abs_ref = resolve_ref(i, ref)
-                if not 0 <= abs_ref < i:
+    for i, (layer, inputs) in enumerate(zip(graph.layers, layer_inputs(graph))):
+        if layer.kind in ("route", "shortcut"):
+            refs = layer.attrs["layers"] if layer.kind == "route" else [layer.attrs["from"]]
+            # a shortcut's first input, the previous output, is no reference
+            for ref, j in zip(refs, inputs[-len(refs):]):
+                if not 0 <= j < i:
                     raise CfgParseError(
-                        f"route reference {ref} does not resolve to an earlier layer",
+                        f"{layer.kind} reference {ref} does not resolve to an earlier layer",
                         layer.source_line,
                     )
-        elif layer.kind == "shortcut":
-            abs_ref = resolve_ref(i, layer.attrs["from"])
-            if not 0 <= abs_ref < i:
-                raise CfgParseError(
-                    f"shortcut reference {layer.attrs['from']} does not resolve to an earlier layer",
-                    layer.source_line,
-                )
         elif layer.kind == "yolo":
             classes_seen.add(layer.attrs["classes"])
     if len(classes_seen) > 1:
         raise CfgParseError(f"yolo layers disagree on class count: {sorted(classes_seen)}")
 
 
+def _build(sections: list[LayerSpec]) -> ModelGraph:
+    """The one way a graph is made: ``sections`` are ``[net]`` then the
+    layers; each gets its defaults and per-kind checks, then the graph's
+    references and class count are checked across them."""
+    for section in sections:
+        _finalize(section)
+    graph = ModelGraph(net=sections[0].attrs, layers=sections[1:])
+    _validate_structure(graph)
+    return graph
+
+
 def parse_cfg(text: str) -> ModelGraph:
     """Parse network-definition text into a validated :class:`ModelGraph`."""
-    sections: list[tuple[str, dict, int]] = []
+    sections: list[LayerSpec] = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -204,7 +228,7 @@ def parse_cfg(text: str) -> ModelGraph:
                 raise CfgParseError("first section must be [net]", lineno)
             if sections and name == "net":
                 raise CfgParseError("duplicate [net] section", lineno)
-            current = (name, {}, lineno)
+            current = LayerSpec(name, {}, lineno)
             sections.append(current)
             continue
         if "=" not in line:
@@ -213,22 +237,16 @@ def parse_cfg(text: str) -> ModelGraph:
             raise CfgParseError("key=value before any section header", lineno)
         key, _, raw_value = line.partition("=")
         key, raw_value = key.strip(), raw_value.strip()
-        kind = current[0]
+        kind = current.kind
         if key not in _SCHEMAS[kind]:
             raise CfgParseError(f"key {key!r} is not valid in [{kind}]", lineno)
-        if key in current[1]:
+        if key in current.attrs:
             raise CfgParseError(f"duplicate key {key!r}", lineno)
-        current[1][key] = _parse_value(kind, key, raw_value, lineno)
+        current.attrs[key] = _parse_value(kind, key, raw_value, lineno)
 
     if not sections:
         raise CfgParseError("empty definition: missing [net] section")
-    for name, attrs, lineno in sections:
-        _finalize(name, attrs, lineno)
-    net = sections[0][1]
-    layers = [LayerSpec(name, attrs, lineno) for name, attrs, lineno in sections[1:]]
-    graph = ModelGraph(net=net, layers=layers)
-    _validate_structure(graph)
-    return graph
+    return _build(sections)
 
 
 def render_cfg(graph: ModelGraph) -> str:
@@ -270,6 +288,7 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
     if width < 1 or height < 1:
         raise GraphValidationError(f"input size {width}x{height} must be at least 1x1")
     shapes: list[tuple[int, int, int]] = []
+    inputs = layer_inputs(graph)
     prev = (graph.input_channels, height, width)
     for i, layer in enumerate(graph.layers):
         a = layer.attrs
@@ -290,7 +309,7 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
             c, h, w = prev
             shape = (c, 2 * h, 2 * w)
         elif layer.kind == "route":
-            refs = [resolve_ref(i, r) for r in a["layers"]]
+            refs = inputs[i]
             spatial = shapes[refs[0]][1:]
             for r in refs[1:]:
                 if shapes[r][1:] != spatial:
@@ -300,7 +319,7 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
                     )
             shape = (sum(shapes[r][0] for r in refs), *spatial)
         elif layer.kind == "shortcut":
-            ref = resolve_ref(i, a["from"])
+            ref = inputs[i][1]
             if shapes[ref] != prev:
                 raise GraphValidationError(
                     f"layer {i}: shortcut shapes differ: {shapes[ref]} vs {prev}"
@@ -336,23 +355,13 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
 # ---------------------------------------------------------------------------
 
 def _conv(filters, size, stride=1, activation="leaky", batch_normalize=1):
-    return LayerSpec(
-        "convolutional",
-        {
-            "filters": filters,
-            "size": size,
-            "stride": stride,
-            "pad": 1,
-            "batch_normalize": batch_normalize,
-            "activation": activation,
-        },
-    )
+    return LayerSpec("convolutional", {"filters": filters, "size": size, "stride": stride,
+                                       "batch_normalize": batch_normalize,
+                                       "activation": activation})
 
 
 def _maxpool(size, stride):
-    return LayerSpec(
-        "maxpool", {"size": size, "stride": stride, "padding": (size - 1) // 2}
-    )
+    return LayerSpec("maxpool", {"size": size, "stride": stride})
 
 
 def _route(*refs):
@@ -360,20 +369,11 @@ def _route(*refs):
 
 
 def _shortcut(from_ref):
-    return LayerSpec("shortcut", {"from": from_ref, "activation": "linear"})
+    return LayerSpec("shortcut", {"from": from_ref})
 
 
 def _yolo(mask, num_classes, anchors):
-    return LayerSpec(
-        "yolo",
-        {
-            "classes": num_classes,
-            "num": len(anchors) // 2,
-            "mask": list(mask),
-            "anchors": list(anchors),
-            "ignore_thresh": 0.5,
-        },
-    )
+    return LayerSpec("yolo", {"classes": num_classes, "mask": list(mask), "anchors": list(anchors)})
 
 
 def _backbone_53() -> tuple[list[LayerSpec], int, int]:
@@ -424,22 +424,18 @@ def builtin_graph(variant: str, num_classes: int) -> ModelGraph:
     """Construct a builtin detection graph: yolov3, yolov3_spp, or yolov3_tiny."""
     check_num_classes(num_classes)
     variant = variant.replace("-", "_")
-    net = {"width": 640, "height": 640, "channels": 3}
     if variant == "yolov3_tiny":
-        return ModelGraph(net=net, layers=_tiny_layers(num_classes))
-    if variant not in ("yolov3", "yolov3_spp"):
+        layers = _tiny_layers(num_classes)
+    elif variant in ("yolov3", "yolov3_spp"):
+        layers, tap8, tap16 = _backbone_53()
+        layers += _detection_head(512, num_classes, (6, 7, 8), spp=(variant == "yolov3_spp"))
+        layers += [_route(-4), _conv(256, 1), LayerSpec("upsample"), _route(-1, tap16)]
+        layers += _detection_head(256, num_classes, (3, 4, 5))
+        layers += [_route(-4), _conv(128, 1), LayerSpec("upsample"), _route(-1, tap8)]
+        layers += _detection_head(128, num_classes, (0, 1, 2))
+    else:
         raise GraphValidationError(f"unknown model variant {variant!r}")
-
-    layers, tap8, tap16 = _backbone_53()
-    layers += _detection_head(512, num_classes, (6, 7, 8), spp=(variant == "yolov3_spp"))
-    layers += [_route(-4), _conv(256, 1), LayerSpec("upsample", {"stride": 2}), _route(-1, tap16)]
-    layers += _detection_head(256, num_classes, (3, 4, 5))
-    layers += [_route(-4), _conv(128, 1), LayerSpec("upsample", {"stride": 2}), _route(-1, tap8)]
-    layers += _detection_head(128, num_classes, (0, 1, 2))
-    graph = ModelGraph(net=net, layers=layers)
-    _validate_structure(graph)
-    shape_check(graph, net["width"], net["height"])
-    return graph
+    return _build([LayerSpec("net", {"width": 640, "height": 640, "channels": 3}), *layers])
 
 
 def _tiny_layers(num_classes: int) -> list[LayerSpec]:
@@ -458,7 +454,7 @@ def _tiny_layers(num_classes: int) -> list[LayerSpec]:
     tap16 = 8  # 256-channel map at stride 16
     layers.append(_route(-4))
     layers.append(_conv(128, 1))
-    layers.append(LayerSpec("upsample", {"stride": 2}))
+    layers.append(LayerSpec("upsample"))
     layers.append(_route(-1, tap16))
     layers.append(_conv(256, 3))
     layers.append(_conv(head_ch, 1, activation="linear", batch_normalize=0))

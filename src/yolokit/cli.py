@@ -119,6 +119,24 @@ def _check_flag(flag: str, value, check) -> None:
         raise UsageError(f"{flag} {value}: {exc}") from None
 
 
+def _check_destination(flag: str, path, is_dir: bool = False) -> None:
+    """Fail (exit 1) before any input is read where writing ``path`` at the
+    end of the run would fail: a file needs an existing directory and must
+    not be one; a directory, made with ``os.makedirs``, needs its nearest
+    existing ancestor to be a directory. Nothing is opened or made, so an
+    existing output is left as it is."""
+    base = os.path.abspath(path)
+    if is_dir:
+        while not os.path.lexists(base):
+            base = os.path.dirname(base)
+    elif os.path.isdir(base):
+        raise OSError(f"{flag} {path}: is a directory")
+    else:
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        raise OSError(f"{flag} {path}: {base} is not a directory")
+
+
 def _resolve_graph(args):
     if args.cfg:
         with open(args.cfg, encoding="utf-8") as fh:
@@ -142,6 +160,9 @@ def cmd_detect(args) -> int:
         first_path[image_id] = path
     graph = _resolve_graph(args)
     _check_flag("--size", args.size, lambda size: shape_check(graph, size, size))
+    _check_destination("--out", args.out)
+    if args.render:
+        _check_destination("--render", args.render, is_dir=True)
     dtype = np.float64 if args.precision == "double" else np.float32
     seed = args.seed if args.seed is not None else _default_seed()
     if args.weights:
@@ -174,6 +195,7 @@ def cmd_eval(args) -> int:
     _check_flag("--iou", args.iou, check_iou_threshold)
     _check_flag("--classes", args.classes, check_num_classes)
     _check_flag("--conf", args.conf, check_score_threshold)
+    _check_destination("--out-dir", args.out_dir, is_dir=True)
     truth = load_ground_truth(args.gt)
     with open(args.pred, encoding="utf-8") as fh:
         detections = parse_predictions(fh.read())
@@ -212,6 +234,7 @@ def cmd_verify(args) -> int:
 
 def cmd_train_toy(args) -> int:
     _check_flag("--steps", args.steps, lambda steps: ToyTrainConfig(steps=steps).validate())
+    _check_destination("--out", args.out)
     seed = args.seed if args.seed is not None else _default_seed()
     dataset = synthetic_dataset(seed=seed)
     graph = toy_graph()

@@ -94,7 +94,6 @@ def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Net
                 "filters": filters,
                 "size": int(rng.choice([1, 3])),
                 "stride": int(rng.choice([1, 1, 2])) if min(cur_h, cur_w) >= 4 else 1,
-                "pad": 1,
                 "batch_normalize": int(rng.integers(2)),
                 "activation": str(rng.choice(["linear", "leaky", "leaky", "sigmoid"])),
             })
@@ -104,11 +103,10 @@ def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Net
                 "size": size, "stride": int(rng.choice([1, 2])), "padding": int(rng.integers(size)),
             })
         elif kind == "upsample":
-            layer = LayerSpec("upsample", {"stride": 2})
+            layer = LayerSpec("upsample")
         elif kind == "shortcut":
             j = int(rng.choice(same_shape))
-            layer = LayerSpec("shortcut", {"from": int(rng.choice([j, j - i])),
-                                           "activation": "linear"})
+            layer = LayerSpec("shortcut", {"from": int(rng.choice([j, j - i]))})
         else:
             j = int(rng.choice(same_spatial))
             layer = LayerSpec("route", {"layers": [-1, int(rng.choice([j, j - i]))]})

@@ -11,7 +11,7 @@ values and finite-difference checks apply everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .weights import random_init
 
 @dataclass
 class LossWeights:
-    """Nonnegative multipliers for the three loss terms (and no-object belief)."""
+    """Finite, nonnegative multipliers for the three loss terms (and no-object belief)."""
 
     coord: float = 5.0
     iou: float = 1.0
@@ -34,8 +34,10 @@ class LossWeights:
     cls: float = 1.0
 
     def validate(self):
-        if min(self.coord, self.iou, self.noobj, self.cls) < 0:
-            raise ValidationError("loss weights must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValidationError(f"loss weight {f.name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -369,6 +371,7 @@ class ToyTrainConfig:
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         if not (np.isfinite(self.momentum) and 0 <= self.momentum < 1):
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        self.loss_weights.validate()
 
 
 def _train_image(net: Network, tape: GradTape, example: ToyExample,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .cfg import ModelGraph, resolve_ref, shape_check
+from .cfg import ModelGraph, layer_inputs, shape_check
 from .errors import GraphValidationError, ShapeError, UsageError
 
 
@@ -57,8 +57,11 @@ class Network:
     """A graph plus per-convolution parameters, executable on CHW images."""
 
     def __init__(self, graph: ModelGraph, dtype=np.float64):
-        shapes = shape_check(graph, graph.input_width, graph.input_height)
         self.graph = graph
+        # per input size that passed shape_check, its [yolo] layers coarse
+        # to fine: (layer index, stride, anchors, ignore_thresh)
+        self._heads_at: dict[tuple[int, int], list] = {}
+        shapes = self._check_size(graph.input_height, graph.input_width)
         self.dtype = np.dtype(dtype)
         self.seen = 0
         self.params: list[ops.ConvParams | None] = []
@@ -77,25 +80,29 @@ class Network:
                 self.params.append(p)
             else:
                 self.params.append(None)
+        self._inputs = layer_inputs(graph)
         # the outputs each layer is the last reader of, [yolo] outputs (the
-        # heads) excepted; route and shortcut references are static
-        last_reader: dict[int, int] = {}
-        for i, layer in enumerate(graph.layers):
-            if layer.kind == "route":
-                reads = [resolve_ref(i, r) for r in layer.attrs["layers"]]
-            elif layer.kind == "shortcut":
-                reads = [i - 1, resolve_ref(i, layer.attrs["from"])]
-            else:
-                reads = [i - 1]
-            for j in reads:
-                last_reader[j] = i
-        heads = {i for i, layer in enumerate(graph.layers) if layer.kind == "yolo"}
+        # heads) excepted
+        last_reader = {j: i for i, reads in enumerate(self._inputs) for j in reads}
         self._dead_after: list[list[int]] = [[] for _ in graph.layers]
         for j, i in last_reader.items():
-            if j not in heads:
+            if j < 0 or graph.layers[j].kind != "yolo":
                 self._dead_after[i].append(j)
-        # (height, width) input sizes that passed shape_check
-        self._sizes_checked = {(graph.input_height, graph.input_width)}
+
+    def _check_size(self, height: int, width: int) -> list[tuple[int, int, int]]:
+        """Run ``shape_check`` at one input size, record that size's heads
+        coarse to fine, and return the layer shapes."""
+        shapes = shape_check(self.graph, width, height)
+        heads = []
+        for i, layer in enumerate(self.graph.layers):
+            if layer.kind == "yolo":
+                a = layer.attrs
+                anchors = [(float(a["anchors"][2 * m]), float(a["anchors"][2 * m + 1]))
+                           for m in a["mask"]]
+                heads.append((i, height // shapes[i][1], anchors, a["ignore_thresh"]))
+        heads.sort(key=lambda head: -head[1])
+        self._heads_at[height, width] = heads
+        return shapes
 
     @property
     def parameterized(self) -> bool:
@@ -146,36 +153,18 @@ class Network:
                 f"image has {image.shape[0]} channels, net expects {self.graph.input_channels}"
             )
         _, in_h, in_w = image.shape
-        if (in_h, in_w) not in self._sizes_checked:
+        if (in_h, in_w) not in self._heads_at:
             try:
-                shape_check(self.graph, in_w, in_h)
+                self._check_size(in_h, in_w)
             except GraphValidationError as exc:
                 raise ShapeError(f"input {in_h}x{in_w} does not fit the graph: {exc}") from exc
-            self._sizes_checked.add((in_h, in_w))
         image = np.ascontiguousarray(image, dtype=self.dtype)
         if tape is not None:
             tape.constant(image)
 
         outputs = self.run_layers(image, 0, len(self.graph.layers), tape)
-        heads = []
-        for i, layer in enumerate(self.graph.layers):
-            if layer.kind != "yolo":
-                continue
-            a = layer.attrs
-            raw = outputs[i]
-            heads.append(
-                HeadOutput(
-                    stride=in_h // raw.shape[1],
-                    raw=raw,
-                    anchors=[
-                        (float(a["anchors"][2 * m]), float(a["anchors"][2 * m + 1]))
-                        for m in a["mask"]
-                    ],
-                    ignore_thresh=a["ignore_thresh"],
-                )
-            )
-        heads.sort(key=lambda h: -h.stride)
-        return heads
+        return [HeadOutput(stride, outputs[i], list(anchors), ignore_thresh)
+                for i, stride, anchors, ignore_thresh in self._heads_at[in_h, in_w]]
 
     def run_layers(self, x: np.ndarray, start: int, stop: int,
                    tape: ops.GradTape | None = None) -> dict[int, np.ndarray]:
@@ -200,10 +189,9 @@ class Network:
             elif layer.kind == "upsample":
                 x = ops.upsample2x(x, tape)
             elif layer.kind == "route":
-                inputs = [outputs[resolve_ref(i, r)] for r in a["layers"]]
-                x = ops.concat_channels(inputs, tape)
+                x = ops.concat_channels([outputs[j] for j in self._inputs[i]], tape)
             elif layer.kind == "shortcut":
-                skip = outputs[resolve_ref(i, a["from"])]
+                skip = outputs[self._inputs[i][1]]
                 # a dead input made by this loop is free to take the sum
                 dead = tape is None and i - 1 >= start and i - 1 in self._dead_after[i]
                 x = ops.shortcut_add(x, skip, tape, out=x if dead else None)

@@ -2,23 +2,26 @@
 
 import pytest
 
+from yolokit import cfg
 from yolokit.cfg import (
     builtin_graph,
     graph_equal,
+    layer_inputs,
     parse_cfg,
     render_cfg,
-    resolve_ref,
     shape_check,
 )
 from yolokit.errors import CfgParseError, GraphValidationError, ValidationError
 from yolokit.loss import toy_graph
 
-MINIMAL = """\
+NET = """\
 [net]
 width=64
 height=64
 channels=3
+"""
 
+MINIMAL = NET + """
 [convolutional]
 filters=4
 size=3
@@ -108,6 +111,24 @@ class TestParse:
         with pytest.raises(CfgParseError):
             parse_cfg(text)
 
+    # (text before the bad section, the section, the reference it names):
+    # forward references, and references that reach back past layer 0
+    @pytest.mark.parametrize("head, section, ref", [
+        (MINIMAL, "[route]\nlayers=5", "route reference 5"),
+        (MINIMAL, "[route]\nlayers=-1,5", "route reference 5"),
+        (MINIMAL, "[route]\nlayers=1,-1", "route reference 1"),
+        (NET, "[route]\nlayers=-1", "route reference -1"),
+        (NET, "[shortcut]\nfrom=-1", "shortcut reference -1"),
+        (MINIMAL, "[route]\nlayers=-3", "route reference -3"),
+        (MINIMAL, "[shortcut]\nfrom=3", "shortcut reference 3"),
+    ])
+    def test_bad_reference_names_it_and_its_line(self, head, section, ref):
+        line = head.count("\n") + 2
+        with pytest.raises(CfgParseError) as err:
+            parse_cfg(head + "\n" + section + "\n")
+        assert str(err.value) == f"line {line}: {ref} does not resolve to an earlier layer"
+        assert err.value.line == line
+
     def test_bad_value_type(self):
         with pytest.raises(CfgParseError):
             parse_cfg(MINIMAL.replace("filters=4", "filters=many"))
@@ -118,13 +139,24 @@ class TestParse:
         with pytest.raises(CfgParseError, match="ignore_thresh"):
             parse_cfg(text)
 
+    @pytest.mark.parametrize("value", ["-10", "0"])
+    def test_non_positive_anchor_rejected(self, value):
+        # a negative prior once trained to NaN weights behind a finite loss
+        text = render_cfg(toy_graph())
+        line = text.splitlines().index("[yolo]") + 1
+        with pytest.raises(CfgParseError, match="anchors") as err:
+            parse_cfg(text.replace("anchors=10,", f"anchors={value},"))
+        assert err.value.line == line
+
     def test_spp_snippet_concat(self):
         graph = parse_cfg(SPP_SNIPPET)
         shapes = shape_check(graph, 64, 64)
         # the final 4-way route concatenates identity + 5/9/13 pooled branches
         assert shapes[-1] == (4 * 8, 64, 64)
-        route = graph.layers[-1]
-        refs = [resolve_ref(len(graph.layers) - 1, r) for r in route.attrs["layers"]]
+        inputs = layer_inputs(graph)
+        # conv; pool5 and route -2 read the conv; pool9; route -4; pool13
+        assert inputs == [(-1,), (0,), (0,), (2,), (0,), (4,), (5, 3, 1, 0)]
+        refs = inputs[-1]
         kinds = [graph.layers[r].kind for r in refs]
         sizes = [graph.layers[r].attrs.get("size") for r in refs]
         assert kinds == ["maxpool", "maxpool", "maxpool", "convolutional"]
@@ -251,6 +283,14 @@ class TestBuiltins:
             640 // shapes[i][1] for i, l in enumerate(graph.layers) if l.kind == "yolo"
         )
         assert strides == [16, 32]
+
+    @pytest.mark.parametrize("variant", ["yolov3", "yolov3_spp", "yolov3_tiny"])
+    def test_builtins_pass_the_parser_rules(self, variant, monkeypatch):
+        # a bad prior fails a builtin as it fails a parsed definition
+        monkeypatch.setattr(cfg, "COCO_ANCHORS", (-10,) + cfg.COCO_ANCHORS[1:])
+        monkeypatch.setattr(cfg, "TINY_ANCHORS", (-10,) + cfg.TINY_ANCHORS[1:])
+        with pytest.raises(CfgParseError, match="anchors must be > 0"):
+            builtin_graph(variant, 10)
 
     def test_bad_class_count(self):
         with pytest.raises(ValidationError):

@@ -338,6 +338,53 @@ class TestTrainToyCommand:
         assert run(["train-toy", "--steps", "-1", "--out", tmp_path / "x.csv"]) == 2
 
 
+class TestDestinations:
+    """An output that cannot be written fails (exit 1), naming it, before
+    any input is read; every input here is missing. An existing output is
+    left as it was."""
+
+    @pytest.mark.parametrize("command, flag, dest", [
+        ("detect", "--out", "nodir/p.txt"),
+        ("detect", "--out", "adir"),
+        ("detect", "--render", "afile"),
+        ("detect", "--render", "afile/x"),
+        ("eval", "--out-dir", "afile"),
+        ("eval", "--out-dir", "afile/x"),
+        ("train-toy", "--out", "nodir/loss.csv"),
+        ("train-toy", "--out", "adir"),
+    ])
+    def test_unwritable_output_fails_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                    command, flag, dest):
+        monkeypatch.setattr(cli, "synthetic_dataset",
+                            lambda **kw: pytest.fail("training began"))
+        kept = tmp_path / "kept.txt"
+        kept.write_text("kept\n")
+        (tmp_path / "afile").write_text("a file\n")
+        (tmp_path / "adir").mkdir()
+        argv = {
+            "detect": ["detect", tmp_path / "missing.ppm", "--model", "yolov3-tiny",
+                       "--weights", tmp_path / "missing.weights", "--out", kept],
+            "eval": ["eval", "--gt", tmp_path / "no-gt", "--pred", tmp_path / "no-pred.txt"],
+            "train-toy": ["train-toy", "--steps", "1"],
+        }[command]
+        code = run(argv + [flag, tmp_path / dest])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {flag} {tmp_path / dest}: " in err
+        assert "missing" not in err and "no-" not in err
+        assert kept.read_text() == "kept\n"
+        assert (tmp_path / "afile").read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "kept.txt"]
+
+    def test_missing_output_directory_is_made(self, scene, tmp_path):
+        # makedirs still makes the missing tail of --render and --out-dir
+        rendered = tmp_path / "a" / "b"
+        assert run(["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
+                    "--size", "64", "--seed", "9", "--out", tmp_path / "p.txt",
+                    "--render", rendered]) == 0
+        assert (rendered / "scene.ppm").exists()
+
+
 # a graph without heads: only shape_check's first bound, 1x1, limits its size
 HEADLESS_CFG = """\
 [net]
@@ -446,8 +493,9 @@ class TestRangedFlags:
         except SystemExit as exc:
             code = exc.code
         err = capsys.readouterr().err
-        # no input exists: an accepted value fails on the first file read (or,
-        # for verify, runs the stubbed battery); a rejected one never gets there
+        # no input exists: an accepted value fails (exit 1) on the missing
+        # output directory or the first file read (or, for verify, runs the
+        # stubbed battery); a rejected one never gets there
         if not accepted:
             assert code == 2
         else:

@@ -425,6 +425,7 @@ class TestToyTraining:
     @pytest.mark.parametrize("field, value", [
         ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1.0),
         ("momentum", math.nan), ("momentum", math.inf), ("momentum", -0.1), ("momentum", 1.0),
+        ("coord", math.nan), ("noobj", math.inf), ("iou", -math.inf), ("cls", -1.0),
     ])
     def test_bad_hyper_parameter_rejected_before_any_work(self, field, value, monkeypatch):
         # these once ran a whole step, warned, then failed on the heads or the loss
@@ -435,7 +436,11 @@ class TestToyTraining:
 
         monkeypatch.setattr(yolokit.loss, "random_init", no_work)
         dataset = synthetic_dataset(num_images=4, seed=0)
-        config = ToyTrainConfig(steps=3, batch_size=4, **{field: value})
+        if field in ("coord", "iou", "noobj", "cls"):
+            config = ToyTrainConfig(steps=3, batch_size=4,
+                                    loss_weights=LossWeights(**{field: value}))
+        else:
+            config = ToyTrainConfig(steps=3, batch_size=4, **{field: value})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=field):

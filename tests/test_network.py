@@ -21,13 +21,30 @@ def tiny_net():
 
 
 class TestForward:
-    def test_tiny_heads_at_320(self, tiny_net):
-        image = np.random.default_rng(0).uniform(0, 1, (3, 320, 320)).astype(np.float32)
-        heads = tiny_net.forward(image)
-        assert [h.stride for h in heads] == [32, 16]
-        assert [h.grid for h in heads] == [(10, 10), (20, 20)]
-        assert all(h.raw.shape[0] == 45 for h in heads)
-        assert all(np.isfinite(h.raw).all() for h in heads)
+    # each builtin's heads coarse to fine: strides and the mask's (w, h) priors
+    COCO_HEADS = [
+        (32, [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)]),
+        (16, [(30.0, 61.0), (62.0, 45.0), (59.0, 119.0)]),
+        (8, [(10.0, 13.0), (16.0, 30.0), (33.0, 23.0)]),
+    ]
+    TINY_HEADS = [
+        (32, [(81.0, 82.0), (135.0, 169.0), (344.0, 319.0)]),
+        (16, [(10.0, 14.0), (23.0, 27.0), (37.0, 58.0)]),
+    ]
+
+    @pytest.mark.parametrize("variant, size, expected", [
+        ("yolov3", 64, COCO_HEADS), ("yolov3_spp", 64, COCO_HEADS),
+        ("yolov3_tiny", 320, TINY_HEADS),
+    ])
+    def test_builtin_heads(self, variant, size, expected):
+        net = random_init(builtin_graph(variant, 10), seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        for side in (size, 2 * size):  # a second size keeps the order
+            heads = net.forward(rng.uniform(0, 1, (3, side, side)).astype(np.float32))
+            assert [(h.stride, h.anchors) for h in heads] == expected
+            assert [h.grid for h in heads] == [(side // s, side // s) for s, _ in expected]
+            assert all(h.ignore_thresh == 0.5 and h.raw.shape[0] == 45 for h in heads)
+            assert all(np.isfinite(h.raw).all() for h in heads)
 
     def test_head_geometry_is_read_off_the_raw_map(self):
         head = network.HeadOutput(16, np.zeros((3 * (5 + 4), 3, 5)), [(1.0, 1.0)] * 3, 0.5)
@@ -240,6 +257,57 @@ class TestTrainingPass:
         assert all(p.g_weights.any() for _, p in net.conv_layers())
 
 
+# two heads, the stride-8 one first in layer order; each head's first anchor
+# width is its layer index
+TWO_HEAD_CFG = """\
+[net]
+width=64
+height=64
+channels=3
+
+[convolutional]
+filters=4
+size=3
+stride=2
+
+[convolutional]
+filters=4
+size=3
+stride=2
+
+[convolutional]
+filters=4
+size=3
+stride=2
+
+[convolutional]
+filters=21
+size=1
+
+[yolo]
+classes=2
+mask=0,1,2
+anchors=4,4,5,5,6,6
+
+[route]
+layers=-3
+
+[convolutional]
+filters=4
+size=3
+stride=2
+
+[convolutional]
+filters=21
+size=1
+
+[yolo]
+classes=2
+mask=0,1,2
+anchors=8,8,9,9,10,10
+"""
+
+
 class TestInputSize:
     """The size rule is the graph's own heads' (shape_check), checked once
     per input size."""
@@ -262,6 +330,15 @@ class TestInputSize:
             p.weights = np.zeros((p.filters, net.conv_in_channels[i], p.size, p.size))
         with pytest.raises(ShapeError, match="stride"):
             net.forward(np.zeros((3, size, size)))
+
+    def test_heads_ordered_at_each_size(self):
+        # at 8 px both heads have one cell, stride 8: a tie keeps layer order
+        net = random_init(parse_cfg(TWO_HEAD_CFG), seed=17)
+        for size, layers, strides in ((64, [8, 4], [16, 8]), (8, [4, 8], [8, 8]),
+                                      (64, [8, 4], [16, 8])):
+            heads = net.forward(np.zeros((3, size, size)))
+            assert [h.stride for h in heads] == strides
+            assert [h.anchors[0][0] for h in heads] == [float(i) for i in layers]
 
     def test_each_size_checked_once(self, monkeypatch):
         calls = []
