@@ -62,9 +62,9 @@ class LayerSpec:
 class ModelGraph:
     """Validated layer list plus the net-level input geometry.
 
-    ``parse_cfg`` and ``builtin_graph`` make every graph through one builder,
-    which fills each section's defaults and checks it, then checks the
-    references. Route and shortcut references are kept as written (a negative
+    ``parse_cfg`` and ``builtin_graph`` make their graphs through one
+    builder, which fills each section's defaults and checks it, then checks
+    the references. Route and shortcut references are kept as written (a negative
     one counts back from the layer that holds it); :func:`layer_inputs`
     resolves them, and the builder rejects any that does not name an earlier
     layer, so the layer DAG is acyclic.
