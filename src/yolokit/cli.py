@@ -137,6 +137,27 @@ def _check_destination(flag: str, path, is_dir: bool = False) -> None:
         raise OSError(f"{flag} {path}: {base} is not a directory")
 
 
+def _file_key(path):
+    """(device, inode) of an existing file, so two names of one file (a
+    relative path, a symlink, a hard link) compare equal; None otherwise."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _check_not_an_input(destinations, inputs) -> None:
+    """Refuse (usage error) any (flag, path) destination that is one of the
+    ``inputs`` files, before any work, naming both paths."""
+    sources = {_file_key(path): path for path in inputs}
+    sources.pop(None, None)
+    for flag, path in destinations:
+        source = sources.get(_file_key(path))
+        if source is not None:
+            raise UsageError(f"{flag} would write {path} over the input image {source}")
+
+
 def _resolve_graph(args):
     if args.cfg:
         with open(args.cfg, encoding="utf-8") as fh:
@@ -161,8 +182,12 @@ def cmd_detect(args) -> int:
     graph = _resolve_graph(args)
     _check_flag("--size", args.size, lambda size: shape_check(graph, size, size))
     _check_destination("--out", args.out)
+    destinations = [("--out", args.out)]
     if args.render:
         _check_destination("--render", args.render, is_dir=True)
+        destinations += [("--render", os.path.join(args.render, f"{image_id}.ppm"))
+                         for image_id in image_ids]
+    _check_not_an_input(destinations, args.images)
     dtype = np.float64 if args.precision == "double" else np.float32
     seed = args.seed if args.seed is not None else _default_seed()
     if args.weights:

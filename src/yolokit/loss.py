@@ -171,7 +171,8 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
     The total is exactly the sum of the parts; ``grads`` holds d(total)/d(raw
     head values), one array per head in the raw layout. ``reads`` are the
     heads as :func:`read_head` reads them, for a caller that already has
-    them; the raw values must not have changed since.
+    them; the raw values must not have changed since. A head whose raw
+    values, loss or gradient is not finite is a ``NumericError`` naming it.
     """
     w = weights or LossWeights()
     w.validate()
@@ -207,6 +208,10 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
         g[:, 3] = w.coord * dh * sh * obj
         g[:, 4] = (w.iou * 2 * dobj * obj + w.noobj * 2 * pobj * noobj) * pobj * (1 - pobj)
         g[:, 5:] = w.cls * 2 * dcls * pcls * (1 - pcls) * obj[:, None, :, :]
+        # an extent that overflows where the mask is 0 gives inf * 0 in g
+        if not (np.isfinite(coord + iou_term + cls_term) and np.all(np.isfinite(g))):
+            raise NumericError(f"head {index} (stride {head.stride}) gives a non-finite "
+                               f"loss or gradient")
         grads.append(g.reshape(head.raw.shape))
     total = coord + iou_term + cls_term
     return LossBreakdown(total, coord, iou_term, cls_term, grads)
@@ -393,32 +398,41 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
               config: ToyTrainConfig | None = None) -> list[float]:
     """Gradient-accumulated SGD over the toy set; returns per-step mean loss.
 
-    Each step accumulates gradients over ``batch_size`` consecutive images
-    (wrapping around the dataset), averages them, and applies one momentum
-    update. One tape records every image and is reset after each, so one
-    image's arrays are alive at a time and later images reuse them. Fully
+    The network trains in float32, the dtype the weights file stores: its
+    parameters, gradients, velocities and activations are float32, and the
+    loss reads each head in float64 (``read_head``) and hands back a gradient
+    cast to the head's dtype. Each step accumulates gradients over
+    ``batch_size`` consecutive images (wrapping around the dataset), averages
+    them, and applies one momentum update. One tape records every image and
+    is reset after each, so one image's arrays are alive at a time and later
+    images reuse them. A forward, loss or loss gradient that goes non-finite
+    raises ``NumericError`` naming the step, the image and the head. Fully
     deterministic for a fixed seed.
     """
     config = config or ToyTrainConfig()
     config.validate()
     if not dataset:
         raise ValidationError("the toy dataset is empty")
-    net = random_init(graph, seed=config.seed, dtype=np.float64)
+    net = random_init(graph, seed=config.seed, dtype=np.float32)
     tape = GradTape()
     state: dict = {}
     history: list[float] = []
     cursor = 0
-    for _step in range(config.steps):
+    for step in range(config.steps):
         net.zero_grads()
         batch_loss = 0.0
         for _ in range(config.batch_size):
             example = dataset[cursor % len(dataset)]
             cursor += 1
-            batch_loss += _train_image(net, tape, example, config.loss_weights)
+            try:
+                batch_loss += _train_image(net, tape, example, config.loss_weights)
+            except NumericError as exc:
+                raise NumericError(f"training diverged at step {step}, image "
+                                   f"{example.image_id}: {exc}") from None
             tape.reset()
         mean_loss = batch_loss / config.batch_size
         if not np.isfinite(mean_loss):
-            raise NumericError(f"training diverged at step {_step}: loss {mean_loss}")
+            raise NumericError(f"training diverged at step {step}: loss {mean_loss}")
         for _, p in net.conv_layers():
             for _name, _value, grad in p.learnable():
                 grad /= config.batch_size

@@ -128,6 +128,7 @@ def main() -> int:
         fh.write(stdout)
 
     expected = os.path.join(DETECT_DIR, "expected")
+    os.makedirs(expected)  # detect writes --out only into an existing directory
     render = os.path.join(expected, "render")
     out = os.path.join(expected, "predictions.txt")
     stdout = run_cli(detect_argv(out, render))

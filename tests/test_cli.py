@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file outputs, determinism, JSON results."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -341,7 +342,8 @@ class TestTrainToyCommand:
 class TestDestinations:
     """An output that cannot be written fails (exit 1), naming it, before
     any input is read; every input here is missing. An existing output is
-    left as it was."""
+    left as it was. An output that is one of the inputs is a usage error
+    (exit 2)."""
 
     @pytest.mark.parametrize("command, flag, dest", [
         ("detect", "--out", "nodir/p.txt"),
@@ -383,6 +385,37 @@ class TestDestinations:
                     "--size", "64", "--seed", "9", "--out", tmp_path / "p.txt",
                     "--render", rendered]) == 0
         assert (rendered / "scene.ppm").exists()
+
+    @pytest.mark.parametrize("flag, dest, shown", [
+        ("--render", "d", "d/a.ppm"),            # the rendered copy of d/a.ppm is d/a.ppm
+        ("--render", "d/../d", "d/../d/a.ppm"),
+        ("--render", "alias", "alias/a.ppm"),    # a symlink to d
+        ("--out", "d/a.ppm", "d/a.ppm"),
+        ("--out", "d/b.ppm", "d/b.ppm"),         # the second input
+        ("--out", "link.ppm", "link.ppm"),       # a symlink to d/a.ppm
+        ("--out", "hard.ppm", "hard.ppm"),       # a hard link to d/a.ppm
+    ])
+    def test_output_that_is_an_input_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flag, dest, shown):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "random_init", lambda *a, **kw: pytest.fail("detect began"))
+        rng = np.random.default_rng(11)
+        (tmp_path / "d").mkdir()
+        write_ppm(tmp_path / "d" / "a.ppm", rng.uniform(0, 1, (3, 64, 96)))
+        write_ppm(tmp_path / "d" / "b.ppm", rng.uniform(0, 1, (3, 32, 32)))
+        (tmp_path / "alias").symlink_to(tmp_path / "d")
+        (tmp_path / "link.ppm").symlink_to(tmp_path / "d" / "a.ppm")
+        os.link(tmp_path / "d" / "a.ppm", tmp_path / "hard.ppm")
+        before = {name: (tmp_path / "d" / name).read_bytes() for name in ("a.ppm", "b.ppm")}
+        argv = ["detect", "d/a.ppm", "d/b.ppm", "--model", "yolov3-tiny", "--classes", "2",
+                "--size", "64", "--seed", "9", "--out", "d/p.txt", "--render", "r"]
+        argv[argv.index(flag) + 1] = dest
+        assert run(argv) == 2
+        source = "d/b.ppm" if dest == "d/b.ppm" else "d/a.ppm"
+        assert f"usage error: {flag} would write {shown} over the input image {source}" in (
+            capsys.readouterr().err)
+        assert {name: (tmp_path / "d" / name).read_bytes() for name in before} == before
+        assert not (tmp_path / "d" / "p.txt").exists() and not (tmp_path / "r").exists()
 
 
 # a graph without heads: only shape_check's first bound, 1x1, limits its size

@@ -2,9 +2,10 @@
 
 The fixtures under ``tests/golden`` were written by ``tests/golden/regenerate.py``:
 the eval and detect ones before detections became columnar, the training
-history before the training pass stopped computing the image gradient and
-read each head once. A change that alters any report file, any stdout line,
-the prediction file, the rendered PPM or any bit of a training loss fails here.
+history when training moved to float32 (within 8.0e-8 relative of the
+float64 history it replaced). A change that alters any report file, any
+stdout line, the prediction file, the rendered PPM or any bit of a training
+loss fails here.
 """
 
 import os

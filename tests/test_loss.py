@@ -1,6 +1,7 @@
 """Target assignment, the three-term loss, SGD, and the toy trainer."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -201,6 +202,18 @@ class TestTotalLoss:
         with pytest.raises(NumericError) as err:
             total_loss([head], targets)
         assert "head 0" in str(err.value)
+
+    @pytest.mark.parametrize("channel", [2, 3])
+    def test_extent_overflow_off_the_mask_names_head(self, channel):
+        # finite raw values whose extent overflows where no box is: the loss
+        # is finite, the gradient would be inf * 0 = nan there
+        heads = [single_head(grid=2), single_head(grid=2)]
+        targets = assign_targets([gt(20, 20, 10, 13)], heads)
+        assert targets[0].obj_mask.sum() == 1 and not targets[1].obj_mask.any()
+        heads[1].raw.reshape(3, 7, 2, 2)[1, channel, 1, 1] = 800.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"head 1 \(stride 32\) gives a non-finite"):
+                total_loss(heads, targets)
 
     def test_negative_weights_rejected(self):
         head = single_head(grid=2)
@@ -445,6 +458,69 @@ class TestToyTraining:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=field):
                 train_toy(dataset, toy_graph(), config)
+
+    @pytest.mark.parametrize("lr, cause", [
+        (10.0, "has non-finite raw values"),        # the forward overflows
+        (100.0, "gives a non-finite loss or gradient"),  # an extent overflows
+    ])
+    def test_divergence_names_step_image_and_head(self, lr, cause):
+        dataset = synthetic_dataset(num_images=8, seed=0)
+        config = ToyTrainConfig(steps=6, batch_size=2, lr=lr, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError) as err:
+                train_toy(dataset, toy_graph(), config)
+        found = re.fullmatch(r"training diverged at step (\d+), image (toy_\d{3}): "
+                             r"head 0 \(stride 8\) (.*)", str(err.value))
+        assert found, str(err.value)
+        step, image_id = int(found[1]), found[2]
+        assert 0 < step < config.steps and found[3] == cause
+        # the named image is one of that step's batch
+        batch = range(step * config.batch_size, (step + 1) * config.batch_size)
+        assert image_id in {dataset[k % len(dataset)].image_id for k in batch}
+
+    def test_parameters_gradients_and_velocities_stay_float32(self, monkeypatch):
+        # one float64 array anywhere would widen the pass it feeds
+        import yolokit.loss
+
+        nets, states = [], []
+
+        def recording_init(*args, **kwargs):
+            nets.append(random_init(*args, **kwargs))
+            return nets[-1]
+
+        def recording_step(network, state, lr, momentum):
+            states.append(state)
+            sgd_step(network, state, lr, momentum)
+
+        monkeypatch.setattr(yolokit.loss, "random_init", recording_init)
+        monkeypatch.setattr(yolokit.loss, "sgd_step", recording_step)
+        dataset = synthetic_dataset(num_images=4, seed=0)
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, batch_size=2))
+        (net,) = nets
+        assert len(states) == 2 and states[0] is states[1]
+        arrays = {}
+        for i, p in net.conv_layers():
+            names = ["weights", "g_weights"] + (
+                ["bn_gamma", "bn_beta", "bn_mean", "bn_var", "g_gamma", "g_beta"]
+                if p.has_batchnorm else ["biases", "g_biases"])
+            arrays.update({(i, name): getattr(p, name) for name in names})
+        arrays.update({("velocity",) + key: v for key, v in states[0].items()})
+        assert len(states[0]) == 14  # weights, gamma, beta of 4 convs; weights, biases of 1
+        assert {key: a.dtype for key, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
+
+    def test_history_matches_a_float64_network(self, monkeypatch):
+        # the same trainer on a float64 network is the oracle; measured
+        # spread over the 20 steps is <= 8e-8 relative
+        import yolokit.loss
+
+        dataset = synthetic_dataset(seed=0)
+        config = ToyTrainConfig(steps=20, seed=0)
+        history = train_toy(dataset, toy_graph(), config)
+        monkeypatch.setattr(yolokit.loss, "random_init",
+                            lambda graph, seed, dtype: random_init(graph, seed, np.float64))
+        oracle = train_toy(dataset, toy_graph(), config)
+        assert history != oracle
+        np.testing.assert_allclose(history, oracle, rtol=1e-6, atol=0)
 
     def test_memory_does_not_grow_with_images(self):
         # one reused tape: a 4-step, 16-image run peaks where one image does
