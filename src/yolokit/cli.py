@@ -22,6 +22,7 @@ from .detect import Detections, check_conf_threshold, check_nms_threshold, decod
 from .errors import GraphValidationError, UsageError, ValidationError, YoloKitError
 from .evaluation import (
     VISDRONE_CLASS_NAMES,
+    annotation_files,
     check_image_id,
     check_iou_threshold,
     check_score_threshold,
@@ -30,6 +31,7 @@ from .evaluation import (
     format_report_table,
     load_ground_truth,
     parse_predictions,
+    report_file_names,
     write_report_files,
 )
 from .loss import ToyTrainConfig, synthetic_dataset, toy_graph, train_toy
@@ -149,13 +151,14 @@ def _file_key(path):
 
 def _check_not_an_input(destinations, inputs) -> None:
     """Refuse (usage error) any (flag, path) destination that is one of the
-    ``inputs`` files, before any work, naming both paths."""
-    sources = {_file_key(path): path for path in inputs}
+    (kind, path) ``inputs`` files, before any work, naming both paths."""
+    sources = {_file_key(path): (kind, path) for kind, path in inputs}
     sources.pop(None, None)
     for flag, path in destinations:
-        source = sources.get(_file_key(path))
-        if source is not None:
-            raise UsageError(f"{flag} would write {path} over the input image {source}")
+        hit = sources.get(_file_key(path))
+        if hit is not None:
+            kind, source = hit
+            raise UsageError(f"{flag} would write {path} over the {kind} {source}")
 
 
 def _resolve_graph(args):
@@ -187,7 +190,7 @@ def cmd_detect(args) -> int:
         _check_destination("--render", args.render, is_dir=True)
         destinations += [("--render", os.path.join(args.render, f"{image_id}.ppm"))
                          for image_id in image_ids]
-    _check_not_an_input(destinations, args.images)
+    _check_not_an_input(destinations, [("input image", path) for path in args.images])
     dtype = np.float64 if args.precision == "double" else np.float32
     seed = args.seed if args.seed is not None else _default_seed()
     if args.weights:
@@ -221,6 +224,14 @@ def cmd_eval(args) -> int:
     _check_flag("--classes", args.classes, check_num_classes)
     _check_flag("--conf", args.conf, check_score_threshold)
     _check_destination("--out-dir", args.out_dir, is_dir=True)
+    gt_key = _file_key(args.gt)
+    if gt_key is not None and _file_key(args.out_dir) == gt_key:
+        raise UsageError(f"--out-dir {args.out_dir} is the annotation directory {args.gt}")
+    inputs = [("prediction file", args.pred)]
+    inputs += [("annotation file", os.path.join(args.gt, name))
+               for name in annotation_files(args.gt)]
+    _check_not_an_input([("--out-dir", os.path.join(args.out_dir, name))
+                         for name in report_file_names(args.classes)], inputs)
     truth = load_ground_truth(args.gt)
     with open(args.pred, encoding="utf-8") as fh:
         detections = parse_predictions(fh.read())

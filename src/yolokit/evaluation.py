@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -264,9 +264,14 @@ def format_visdrone(boxes: list[GroundTruthBox]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def annotation_files(directory) -> list[str]:
+    """Names of a ground-truth directory's annotation files: every ``*.txt``, sorted."""
+    return sorted(name for name in os.listdir(directory) if name.endswith(".txt"))
+
+
 def load_ground_truth(directory) -> GroundTruth:
     """Read every ``*.txt`` in a directory; the file stem is the image id."""
-    files = sorted(name for name in os.listdir(directory) if name.endswith(".txt"))
+    files = annotation_files(directory)
     names = sorted(name[:-4] for name in files)
     code = {name: k for k, name in enumerate(names)}
     parts = []
@@ -665,14 +670,17 @@ def pr_curve_csv(result: ClassResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_file_names(num_classes: int) -> list[str]:
+    """The files :func:`write_report_files` writes: the table, the CSV and
+    one PR curve per class."""
+    return ["report.txt", "report.csv", *(f"pr_class{k}.csv" for k in range(num_classes))]
+
+
 def write_report_files(report: EvalReport, out_dir, class_names=None) -> None:
     """Emit report.txt, report.csv, and one PR-curve CSV per class."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_report_table(report, class_names))
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(report_csv(report))
-    for result in report.per_class:
-        path = os.path.join(out_dir, f"pr_class{result.class_index}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(pr_curve_csv(result))
+    texts = chain([format_report_table(report, class_names), report_csv(report)],
+                   map(pr_curve_csv, report.per_class))
+    for name, text in zip(report_file_names(len(report.per_class)), texts):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)

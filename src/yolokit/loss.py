@@ -384,12 +384,15 @@ def _train_image(net: Network, tape: GradTape, example: ToyExample,
     """Forward, loss and backward of one image on ``tape``; returns its loss.
 
     Nothing of the pass outlives the call, so the tape's reset can take back
-    every array it lent.
+    every array it lent. A diverging forward or head read overflows without
+    numpy's warnings: ``total_loss`` refuses the head's non-finite raw
+    values, loss or gradient by name.
     """
-    heads = net.forward(example.image, tape)
-    reads = [read_head(head) for head in heads]
-    targets = assign_targets(example.boxes, heads, reads=reads)
-    breakdown = total_loss(heads, targets, weights, reads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        heads = net.forward(example.image, tape)
+        reads = [read_head(head) for head in heads]
+        targets = assign_targets(example.boxes, heads, reads=reads)
+        breakdown = total_loss(heads, targets, weights, reads)
     net.backward(tape, zip(heads, breakdown.grads))
     return breakdown.total
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError, TapeError, UsageError
 
@@ -43,14 +43,14 @@ def check_tensor(x, rank: int | None = None, name: str = "tensor") -> np.ndarray
 
 
 def sigmoid(x):
-    # Split by sign so large |x| never overflows exp.
+    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|), so large |x|
+    # never overflows exp; the select is a max with the mask, not a branch.
+    # min(x, -x) is -|x| that keeps a NaN's sign bit.
     x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    num = np.maximum(e, x >= 0)
+    num /= 1.0 + e
+    return num
 
 
 def leaky_relu(x, slope: float = LEAKY_SLOPE):
@@ -251,8 +251,11 @@ def _apply_activation(z, activation):
 
 def _activation_grad(gy, y, activation):
     if activation == "leaky":
-        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0
-        return np.where(y >= 0, gy, LEAKY_SLOPE * gy)
+        # y = max(z, 0.1 z) has the sign of z, so y >= 0 is the mask z >= 0;
+        # a product with a 1-or-0.1 scale selects without a per-element branch
+        scale = (y >= 0).astype(gy.dtype)
+        np.maximum(scale, LEAKY_SLOPE, out=scale)
+        return np.multiply(gy, scale, out=scale)
     if activation == "sigmoid":
         return gy * y * (1.0 - y)
     return gy
@@ -297,8 +300,10 @@ def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
     rows = x_padded[:, r0 * stride : (r1 - 1) * stride + k]
     if k == 1 and stride == 1:
         return rows.reshape(rows.shape[0], -1)
-    windows = sliding_window_view(rows, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
+    # the (c, ki, kj, row, col) window view: rows[c, row*stride + ki, col*stride + kj]
+    sc, sh, sw = rows.strides
+    windows = as_strided(rows, (rows.shape[0], k, k, r1 - r0, out_w),
+                         (sc, sh, sw, sh * stride, sw * stride), writeable=False)
     return _copy(windows, tape).reshape(-1, (r1 - r0) * out_w)
 
 

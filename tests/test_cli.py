@@ -417,6 +417,40 @@ class TestDestinations:
         assert {name: (tmp_path / "d" / name).read_bytes() for name in before} == before
         assert not (tmp_path / "d" / "p.txt").exists() and not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("out_dir, pred, message", [
+        # the prediction file is out/report.txt
+        ("out", "out/report.txt",
+         "--out-dir would write out/report.txt over the prediction file out/report.txt"),
+        ("links", "p.txt", "--out-dir would write links/pr_class3.csv over the prediction file "
+                           "p.txt"),     # a hard link to p.txt
+        ("links", "p.txt", "--out-dir would write links/report.csv over the annotation file "
+                           "gt/a.txt"),  # a symlink to gt/a.txt
+        ("gt", "p.txt", "--out-dir gt is the annotation directory gt"),
+        ("gt/../gt", "p.txt", "--out-dir gt/../gt is the annotation directory gt"),
+        ("alias", "p.txt", "--out-dir alias is the annotation directory gt"),  # a symlink to gt
+    ])
+    def test_eval_output_that_is_an_input_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, out_dir, pred, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_ground_truth", lambda *a: pytest.fail("eval began"))
+        for name in ("gt", "out", "links"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "gt" / "a.txt").write_text("684,8,273,116,0,1,0,0\n")
+        (tmp_path / "gt" / "b.txt").write_text("10,20,30,40,1,2,0,0\n")
+        (tmp_path / "out" / "report.txt").write_text("a 0 0.9 684 8 273 116\n")
+        (tmp_path / "p.txt").write_text("b 1 0.5 10 20 30 40\n")
+        (tmp_path / "alias").symlink_to(tmp_path / "gt")
+        if "pr_class3" in message:
+            os.link(tmp_path / "p.txt", tmp_path / "links" / "pr_class3.csv")
+        else:
+            (tmp_path / "links" / "report.csv").symlink_to(tmp_path / "gt" / "a.txt")
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        before = {path: path.read_bytes() for path in files}
+        assert run(["eval", "--gt", "gt", "--pred", pred, "--out-dir", out_dir]) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+        assert {path: path.read_bytes() for path in files} == before
+
 
 # a graph without heads: only shape_check's first bound, 1x1, limits its size
 HEADLESS_CFG = """\

@@ -478,6 +478,19 @@ class TestToyTraining:
         batch = range(step * config.batch_size, (step + 1) * config.batch_size)
         assert image_id in {dataset[k % len(dataset)].image_id for k in batch}
 
+    @pytest.mark.parametrize("lr, message", [
+        (10.0, "step 2, image toy_004: head 0 (stride 8) has non-finite raw values"),
+        (100.0, "step 1, image toy_002: head 0 (stride 8) gives a non-finite loss or gradient"),
+    ])
+    def test_divergence_raises_without_a_numpy_warning(self, lr, message):
+        # an overflowing forward, then an overflowing extent exp in read_head
+        config = ToyTrainConfig(steps=6, batch_size=2, lr=lr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                train_toy(synthetic_dataset(seed=0), toy_graph(), config)
+        assert str(err.value) == f"training diverged at {message}"
+
     def test_parameters_gradients_and_velocities_stay_float32(self, monkeypatch):
         # one float64 array anywhere would widen the pass it feeds
         import yolokit.loss

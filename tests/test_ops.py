@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from yolokit import ops
 from yolokit.errors import ShapeError, TapeError, UsageError
@@ -71,6 +72,24 @@ class TestConv2d:
         got = ops.conv2d_forward(x, p)
         want = conv_direct(x, p.weights, p.biases, stride, (k - 1) // 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h,w", [(9, 7), (8, 10)])
+    def test_im2col_equals_the_window_view_copy(self, k, stride, h, w):
+        x = np.random.default_rng(17).normal(0, 1, (3, h, w))
+        pad = (k - 1) // 2
+        x_padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        windows = sliding_window_view(x_padded, (k, k), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
+        _, _, _, out_h, out_w = windows.shape
+        want = windows.reshape(3 * k * k, out_h * out_w)
+        # the whole map as one band, then split in two bands
+        mid = out_h // 2
+        for r0, r1 in [(0, out_h), (0, mid), (mid, out_h)]:
+            got = ops._im2col(x_padded, k, stride, r0, r1, out_w)
+            assert got.shape == (3 * k * k, (r1 - r0) * out_w)
+            assert np.array_equal(got, want[:, r0 * out_w : r1 * out_w])
 
     @pytest.mark.parametrize("k,stride", [(3, 1), (3, 2), (5, 1), (5, 2)])
     def test_several_bands_match_direct_summation(self, k, stride, monkeypatch):
@@ -305,17 +324,27 @@ class TestActivations:
         assert np.array_equal(y[x < 0], 0.1 * x[x < 0])
         assert np.all(np.diff(y) > 0)  # strictly monotone on a strict ramp
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_leaky_backward_selects_gradient(self, dtype):
+    @pytest.mark.parametrize("dtype,bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
+    def test_leaky_backward_selects_gradient(self, dtype, bits):
         rng = np.random.default_rng(14)
-        y = ops.leaky_relu(rng.normal(0, 1, (3, 5, 5)).astype(dtype))
-        y.flat[:2] = (0.0, -0.0)
+        y = ops.leaky_relu(rng.normal(0, 1, 75).astype(dtype))
         gy = rng.normal(0, 1, y.shape).astype(dtype)
+        # each special gradient meets a +0, -0, positive and negative output
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5], dtype)
+        y_grid, gy_grid = np.meshgrid(np.array([0.0, -0.0, 0.5, -0.05], dtype), special)
+        y = np.concatenate([y, y_grid.ravel()])
+        gy = np.concatenate([gy, gy_grid.ravel()])
+        y_before, gy_before = y.copy(), gy.copy()
         got = ops._activation_grad(gy, y, "leaky")
         assert got.dtype == dtype
-        assert np.array_equal(got, np.where(y >= 0, gy, dtype(ops.LEAKY_SLOPE) * gy))
+        # the select it replaced, bit for bit
+        want = np.where(y >= 0, gy, ops.LEAKY_SLOPE * gy)
+        assert np.array_equal(got.view(bits), want.view(bits))
         if dtype == np.float64:  # the old mask product, bit for bit
-            assert np.array_equal(got, gy * np.where(y >= 0, 1.0, ops.LEAKY_SLOPE))
+            assert np.array_equal(got.view(bits),
+                                  (gy * np.where(y >= 0, 1.0, ops.LEAKY_SLOPE)).view(bits))
+        assert np.array_equal(y.view(bits), y_before.view(bits))
+        assert np.array_equal(gy.view(bits), gy_before.view(bits))
 
     @pytest.mark.parametrize("dtype,bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
     def test_in_place_leaky_bitwise_equals_leaky_relu(self, dtype, bits):
@@ -329,6 +358,25 @@ class TestActivations:
         y = ops._apply_activation(z, "leaky")
         assert y is z
         assert np.array_equal(y.view(bits), ops.leaky_relu(x).view(bits))
+
+    @pytest.mark.parametrize("dtype,bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
+    def test_sigmoid_bitwise_equals_the_split_by_sign_formula(self, dtype, bits):
+        def split_by_sign(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0, 1e-310, -1e-310]
+        x = np.concatenate([
+            np.array(special, dtype=dtype),
+            (np.random.default_rng(15).normal(0, 1, 1000) * 30).astype(dtype),
+        ])
+        got = ops.sigmoid(x)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(bits), split_by_sign(x).view(bits))
 
     def test_sigmoid_saturation_and_range(self):
         assert ops.sigmoid(np.array([800.0]))[0] == 1.0
