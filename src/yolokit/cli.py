@@ -21,7 +21,6 @@ from .cfg import builtin_graph, check_num_classes, parse_cfg, shape_check
 from .detect import Detections, check_conf_threshold, check_nms_threshold, decode, letterbox, nms
 from .errors import GraphValidationError, UsageError, ValidationError, YoloKitError
 from .evaluation import (
-    VISDRONE_CLASS_NAMES,
     annotation_files,
     check_image_id,
     check_iou_threshold,
@@ -237,9 +236,8 @@ def cmd_eval(args) -> int:
         detections = parse_predictions(fh.read())
     report = evaluate(detections, truth, args.classes,
                       iou_threshold=args.iou, score_threshold=args.conf)
-    names = VISDRONE_CLASS_NAMES if args.classes == 10 else None
-    write_report_files(report, args.out_dir, names)
-    print(format_report_table(report, names), end="")
+    write_report_files(report, args.out_dir)
+    print(format_report_table(report), end="")
     print(f"mAP50 {report.map_percent:.1f}")
     return 0
 

@@ -27,14 +27,6 @@ class Box:
         if self.w <= 0 or self.h <= 0:
             raise ShapeError(f"box extents must be positive, got {self.w}x{self.h}")
 
-    def corners(self) -> tuple[float, float, float, float]:
-        return (
-            self.x - self.w / 2,
-            self.y - self.h / 2,
-            self.x + self.w / 2,
-            self.y + self.h / 2,
-        )
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -237,19 +229,14 @@ def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransfor
 
 def iou(a: Box, b: Box) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return float(inter / union)
+    ta, tb = (corner_table(*np.array([[box.x], [box.y], [box.w], [box.h]], dtype=np.float64))
+              for box in (a, b))
+    return float(iou_grid(ta, tb)[0])
 
 
 def corner_table(x, y, w, h) -> np.ndarray:
-    """Rows x1, y1, x2, y2, area of box columns, with the arithmetic of ``Box.corners``."""
+    """Rows x1, y1, x2, y2, area of the boxes with centers x, y and extents
+    w, h; each argument holds one box per entry."""
     return np.array([x - w / 2, y - h / 2, x + w / 2, y + h / 2, w * h])
 
 
@@ -258,9 +245,8 @@ def iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a[:, :, None]`` against ``b`` gives every column of ``a`` with every
     column of ``b``; a table against one box ``b[:, k]`` gives one IoU per
-    column. The arithmetic of :func:`iou` (``a`` in its first argument), so
-    each entry equals the scalar result; the union is positive, so no
-    division by zero.
+    column, and :func:`iou` is two one-column tables. The union is positive,
+    so no division by zero.
     """
     iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
     ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])

@@ -676,10 +676,10 @@ def report_file_names(num_classes: int) -> list[str]:
     return ["report.txt", "report.csv", *(f"pr_class{k}.csv" for k in range(num_classes))]
 
 
-def write_report_files(report: EvalReport, out_dir, class_names=None) -> None:
+def write_report_files(report: EvalReport, out_dir) -> None:
     """Emit report.txt, report.csv, and one PR-curve CSV per class."""
     os.makedirs(out_dir, exist_ok=True)
-    texts = chain([format_report_table(report, class_names), report_csv(report)],
+    texts = chain([format_report_table(report), report_csv(report)],
                    map(pr_curve_csv, report.per_class))
     for name, text in zip(report_file_names(len(report.per_class)), texts):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:

@@ -82,7 +82,9 @@ def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[He
     any ground-truth box above their head's ``ignore_thresh`` without being
     responsible land in the ignore mask and are excluded from the no-object
     term. ``reads`` are the heads as :func:`read_head` reads them, as for
-    :func:`total_loss`. Returns one :class:`HeadTargets` per head.
+    :func:`total_loss`. Returns one :class:`HeadTargets` per head. A
+    center outside the input, or a non-ignored box whose class is not one of
+    its head's classes, is a ``ValidationError``.
     """
     if not heads:
         raise UsageError("need at least one head to assign targets against")
@@ -122,6 +124,9 @@ def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[He
         best = max(anchor_table, key=lambda t: _shape_iou(box.w, box.h, t[2], t[3]))
         hi, ai = best[0], best[1]
         head, tgt = heads[hi], targets[hi]
+        if not 0 <= gt.class_index < head.num_classes:
+            raise ValidationError(f"ground-truth class {gt.class_index} is outside the "
+                                  f"{head.num_classes} classes 0..{head.num_classes - 1}")
         rows, cols = head.grid
         col = min(int(box.x // head.stride), cols - 1)
         row = min(int(box.y // head.stride), rows - 1)

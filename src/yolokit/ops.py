@@ -144,8 +144,8 @@ class GradTape:
     gradient, and the ops that read it skip the work of computing one.
 
     A recording op takes the arrays it keeps (outputs, padded inputs, im2col
-    columns) from :meth:`empty`, and conv and maxpool take their padded
-    input gradient from it too; scratch that is dead once its op returns is
+    columns) from :meth:`empty`, and conv and maxpool take their input
+    gradient from it too; scratch that is dead once its op returns is
     allocated as usual. :meth:`reset` ends
     the pass: it drops the entries, gradients and constants, then takes back
     every lent array that nothing outside the tape references, and the next
@@ -223,12 +223,12 @@ class GradTape:
         for arr, grad in seeds:
             if id(arr) not in recorded:
                 raise TapeError("seed tensor was not produced by this tape's forward pass")
-            grad = np.asarray(grad, dtype=arr.dtype)
+            grad = np.array(grad, dtype=arr.dtype)  # the tape's own copy
             if grad.shape != arr.shape:
                 raise ShapeError(
                     f"seed gradient shape {grad.shape} does not match output {arr.shape}"
                 )
-            self.accumulate(arr, grad.copy())
+            self.accumulate(arr, grad)
             seeded = True
         if not seeded:
             raise TapeError("backward needs at least one (output, gradient) seed")
@@ -273,10 +273,11 @@ def _copy(a, tape):
     return out
 
 
-# Bytes of im2col columns built at once: output rows are convolved in bands
-# whose columns fit this budget, so the full (C*k*k, H*W) column matrix of an
-# early layer (118 MB for layer 1 of yolov3-spp at 640 px in float32)
-# never exists at once.
+# Bytes of im2col columns an inference pass builds at once: output rows are
+# convolved in bands whose columns fit this budget, so the full (C*k*k, H*W)
+# column matrix of an early layer (118 MB for layer 1 of yolov3-spp at 640 px
+# in float32) never exists at once. A recording tape keeps a layer's columns
+# for its backward until reset, so a taped conv builds them in one band.
 IM2COL_BAND_BYTES = 8 << 20
 
 
@@ -311,9 +312,10 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     """Same-padded 2D convolution with optional batch-norm and activation.
 
     Output spatial extent is ``ceil(H / stride)`` per axis. Raises ShapeError
-    when the input channel count does not match the weights. The GEMM runs
-    band by band over output rows (see ``IM2COL_BAND_BYTES``); a 1x1
-    stride-1 convolution reads its input in place as one band.
+    when the input channel count does not match the weights. Without a tape
+    the GEMM runs band by band over output rows (see ``IM2COL_BAND_BYTES``);
+    a taped convolution, and a 1x1 stride-1 one that reads its input in
+    place, runs one band.
     """
     x = check_tensor(x, rank=3, name="conv input")
     p = params
@@ -334,16 +336,16 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         band = out_h  # the input is its own columns: nothing to copy
     else:
         x_padded = _pad(x, pad, 0, tape)
-        band = max(1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize))
+        # a recording tape keeps every band's columns until reset anyway
+        band = out_h if tape is not None else max(
+            1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize))
     z = _empty((p.filters, out_h * out_w), np.result_type(w_mat, x), tape)
-    bands = []
     for r0 in range(0, out_h, band):
         r1 = min(r0 + band, out_h)
         cols = _im2col(x_padded, k, s, r0, r1, out_w, tape)
         np.matmul(w_mat, cols, out=z[:, r0 * out_w : r1 * out_w])
-        if tape is not None:
-            bands.append((r0, r1, cols))
-        del cols  # so that only one band's columns exist at a time
+        if tape is None:
+            del cols  # so that only one band's columns exist at a time
     z = z.reshape(p.filters, out_h, out_w)
 
     if p.has_batchnorm:
@@ -371,25 +373,17 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
                 p.g_biases += g.sum(axis=(1, 2))
                 gz = g
             gz_flat = gz.reshape(p.filters, -1)
-            for r0, r1, cols in bands:
-                p.g_weights += (gz_flat[:, r0 * out_w : r1 * out_w] @ cols.T).reshape(
-                    p.weights.shape)
+            p.g_weights += (gz_flat @ cols.T).reshape(p.weights.shape)
             if not tape.needs_grad(x):
                 return
-            if k == 1 and s == 1:
-                tape.accumulate(x, (w_mat.T @ gz_flat).reshape(x.shape))
-                return
-            # the band columns are kept; the padded input is not
+            # col2im: the columns are kept; the padded input is not
+            gcols = (w_mat.T @ gz_flat).reshape(cin, k, k, out_h, out_w)
             gxp = tape.empty((cin, h + 2 * pad, w + 2 * pad), x.dtype)
             gxp[...] = 0
-            for r0, r1, _ in bands:
-                gz_band = gz_flat[:, r0 * out_w : r1 * out_w]
-                gcols = (w_mat.T @ gz_band).reshape(cin, k, k, r1 - r0, out_w)
-                top, span = r0 * s, s * (r1 - r0 - 1) + 1
-                for ki in range(k):
-                    for kj in range(k):
-                        gxp[:, top + ki : top + ki + span : s,
-                            kj : kj + s * (out_w - 1) + 1 : s] += gcols[:, ki, kj]
+            for ki in range(k):
+                for kj in range(k):
+                    gxp[:, ki : ki + s * (out_h - 1) + 1 : s,
+                        kj : kj + s * (out_w - 1) + 1 : s] += gcols[:, ki, kj]
             tape.accumulate(x, _copy(gxp[:, pad : pad + h, pad : pad + w], tape) if pad else gxp)
 
         tape.record(y, backward)

@@ -133,8 +133,8 @@ def graph_forward(graph, params, x: np.ndarray) -> list[np.ndarray]:
 
 def iou_grid_count(a, b, cells: int = 400) -> float:
     """Estimate IoU by counting membership of a fine grid of sample points."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
+    ax1, ay1, ax2, ay2 = a.x - a.w / 2, a.y - a.h / 2, a.x + a.w / 2, a.y + a.h / 2
+    bx1, by1, bx2, by2 = b.x - b.w / 2, b.y - b.h / 2, b.x + b.w / 2, b.y + b.h / 2
     lo_x, hi_x = min(ax1, bx1), max(ax2, bx2)
     lo_y, hi_y = min(ay1, by1), max(ay2, by2)
     xs = lo_x + (np.arange(cells) + 0.5) * (hi_x - lo_x) / cells

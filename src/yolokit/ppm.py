@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detect import Detections
+from .detect import Detections, corner_table
 from .errors import ValidationError
 
 # Fixed 10-color class palette (RGB, 0-255), cycled for class indices >= 10.
@@ -103,8 +103,8 @@ def render_detections(image: np.ndarray, detections, thickness: int = 2) -> np.n
     canvas = np.array(image, copy=True)
     _, h, w = canvas.shape
     table = Detections.of(detections)
-    half_w, half_h = table.w / 2, table.h / 2
-    corners = np.array([table.x - half_w, table.y - half_h, table.x + half_w, table.y + half_h])
+    with np.errstate(over="ignore"):  # in the area row, which is not drawn
+        corners = corner_table(table.x, table.y, table.w, table.h)[:4]
     # clipping a pixel past the image before rounding keeps every clamped
     # pixel below, and the ints within int64
     limit = np.array([w, h, w, h], dtype=np.float64)[:, None]

@@ -75,7 +75,9 @@ class TestPpm:
         image = np.random.default_rng(16).uniform(0, 1, (3, 16, 24))
         want = image.copy()
         for d in dets:  # the outline rule, one box at a time
-            x1, y1, x2, y2 = (int(round(v)) for v in d.box.corners())
+            b = d.box
+            corners = (b.x - b.w / 2, b.y - b.h / 2, b.x + b.w / 2, b.y + b.h / 2)
+            x1, y1, x2, y2 = (int(round(v)) for v in corners)
             x1, x2, y1, y2 = max(0, x1), min(23, x2), max(0, y1), min(15, y2)
             if x1 <= x2 and y1 <= y2:
                 color = np.array(PALETTE[d.class_index % 10])[:, None, None] / 255.0

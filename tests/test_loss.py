@@ -131,6 +131,18 @@ class TestAssignment:
         targets = assign_targets([gt(320, 320, 50, 50, ignore=True)], heads)
         assert not any(t.obj_mask.any() for t in targets)
 
+    @pytest.mark.parametrize("cls", [-1, 2, 5])
+    def test_class_outside_the_head_rejected(self, cls):
+        # a 2-class head: -1 would index class 1, and 2 and 5 its end
+        heads = three_heads(num_classes=2)
+        with pytest.raises(ValidationError, match=rf"class {cls} is outside the 2 classes"):
+            assign_targets([gt(320, 320, 116, 90, cls=cls)], heads)
+        # the last class assigns, and an ignore box of class -1 is exempt
+        targets = assign_targets([gt(320, 320, 116, 90, cls=1),
+                                  gt(100, 100, 50, 50, ignore=True)], heads)
+        assert targets[0].cls_index[0, 10, 10] == 1
+        assert targets[0].obj_mask.sum() == 1
+
     def test_ignore_thresh_comes_from_the_cfg(self):
         # one net's weights under three [yolo] ignore_thresh values
         text = render_cfg(toy_graph(2, 64))

@@ -114,9 +114,13 @@ class TestConv2d:
         want = ops.leaky_relu(conv_direct(x, p.weights, p.biases, stride, (k - 1) // 2))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+        # a recording tape keeps the columns, so it builds them in one band
+        bands.clear()
         p.zero_grads()
         tape = ops.GradTape()
         out = ops.conv2d_forward(x, p, tape)
+        assert bands == [(0, out_h)]
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         projection = rng.uniform(-1, 1, out.shape)
         tape.backward([(out, projection)])
 
@@ -128,6 +132,22 @@ class TestConv2d:
         for value, grad in pairs:
             fd = finite_difference(objective, value)
             assert relative_errors(grad.ravel(), fd.ravel()).max() < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_1x1_input_gradient_is_the_transposed_gemm(self, dtype):
+        # the 1x1 stride-1 conv's col2im is one offset into an unpadded map
+        rng = np.random.default_rng(23)
+        x = rng.normal(0, 1, (5, 6, 7)).astype(dtype)
+        p = make_conv(4, 5, 1, rng=rng)
+        p.weights, p.biases = p.weights.astype(dtype), p.biases.astype(dtype)
+        p.zero_grads()
+        tape = ops.GradTape()
+        out = ops.conv2d_forward(x, p, tape)
+        gz = rng.normal(0, 1, out.shape).astype(dtype)
+        tape.backward([(out, gz)])
+        want = (p.weights.reshape(4, 5).T @ gz.reshape(4, -1)).reshape(x.shape)
+        assert tape.grad(x).dtype == dtype
+        assert np.array_equal(tape.grad(x), want)
 
     def test_channel_mismatch(self):
         p = make_conv(2, 3, 3)
@@ -467,6 +487,28 @@ class TestGradTape:
         ops.conv2d_forward(x, p, tape)
         with pytest.raises(TapeError):
             tape.backward([(np.ones((1, 2, 2)), np.ones((1, 2, 2)))])
+
+    @pytest.mark.parametrize("seed_dtype", [np.float32, np.float64])
+    def test_backward_leaves_the_seed_arrays_unchanged(self, seed_dtype):
+        # y is seeded and also read by the add, whose gradient is summed
+        # into y's: into the tape's copy of the seed, never the caller's
+        rng = np.random.default_rng(24)
+        x = rng.normal(0, 1, (2, 5, 5)).astype(np.float32)
+        p = make_conv(3, 2, 3, rng=rng)
+        p.weights, p.biases = p.weights.astype(np.float32), p.biases.astype(np.float32)
+        p.zero_grads()
+        tape = ops.GradTape()
+        y = ops.conv2d_forward(x, p, tape)
+        total = ops.shortcut_add(y, y, tape)
+        seeds = [rng.normal(0, 1, y.shape).astype(seed_dtype) for _ in range(2)]
+        given = [g.copy() for g in seeds]
+        tape.backward([(y, seeds[0]), (total, seeds[1])])
+        for seed, copy in zip(seeds, given):
+            assert seed.dtype == seed_dtype
+            assert np.array_equal(seed, copy)
+        own, added = (g.astype(np.float32) for g in seeds)
+        want = own + added + added  # the seed, then the add's two terms
+        assert np.array_equal(tape.grad(y), want)
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(10)
