@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CfgParseError, GraphValidationError, ValidationError
+from . import ops
+from .errors import CfgParseError, GraphValidationError, ShapeError, ValidationError
 
 # Detection-scale anchor priors in input pixels: three (w, h) pairs per head,
 # finest first. Nine-anchor set for the full models, six for the tiny one.
@@ -119,6 +120,15 @@ def _parse_value(kind, key, raw, line):
         raise CfgParseError(f"key {key!r} expects {vtype} value, got {raw!r}", line) from None
 
 
+def _layer_rule(line, check, *args) -> None:
+    """Run one of ``ops``' layer rules on a section's values; what it
+    rejects is a CfgParseError at the section's ``line``."""
+    try:
+        check(*args)
+    except ShapeError as exc:
+        raise CfgParseError(str(exc), line) from None
+
+
 def _finalize(section: LayerSpec) -> None:
     """Fill defaults and run per-kind semantic checks."""
     kind, attrs, line = section.kind, section.attrs, section.source_line
@@ -135,24 +145,18 @@ def _finalize(section: LayerSpec) -> None:
     elif kind == "convolutional":
         if attrs["filters"] < 1:
             raise CfgParseError("filters must be >= 1", line)
-        if attrs["size"] < 1 or attrs["size"] % 2 == 0:
-            raise CfgParseError(f"conv size must be odd, got {attrs['size']}", line)
-        if attrs["stride"] not in (1, 2):
-            raise CfgParseError(f"conv stride must be 1 or 2, got {attrs['stride']}", line)
+        _layer_rule(line, ops.check_conv_geometry,
+                    attrs["size"], attrs["stride"], attrs["activation"])
         if attrs["pad"] not in (0, 1):
             raise CfgParseError("pad is a 0/1 flag", line)
         if attrs["pad"] == 0 and attrs["size"] > 1:
             raise CfgParseError("pad=0 with size>1 breaks the same-padding convention", line)
         if attrs["batch_normalize"] not in (0, 1):
             raise CfgParseError("batch_normalize is a 0/1 flag", line)
-        if attrs["activation"] not in ("linear", "leaky", "sigmoid"):
-            raise CfgParseError(f"unknown activation {attrs['activation']!r}", line)
     elif kind == "maxpool":
-        attrs.setdefault("padding", (attrs["size"] - 1) // 2)
-        if attrs["size"] < 1 or attrs["stride"] < 1:
-            raise CfgParseError("maxpool size and stride must be >= 1", line)
-        if not 0 <= attrs["padding"] <= attrs["size"] - 1:
-            raise CfgParseError("maxpool padding must be in [0, size-1]", line)
+        attrs.setdefault("padding", ops.same_pad(attrs["size"]))
+        _layer_rule(line, ops.check_pool_geometry,
+                    attrs["size"], attrs["stride"], attrs["padding"])
     elif kind == "upsample":
         if attrs["stride"] != 2:
             raise CfgParseError("only stride-2 upsampling is supported", line)
@@ -276,6 +280,15 @@ def graph_equal(a: ModelGraph, b: ModelGraph) -> bool:
     )
 
 
+def _window(i, prev, size, stride, pad) -> tuple[int, int]:
+    """``ops.window_output`` over the (C, H, W) map ``prev``; what it
+    rejects is layer ``i``'s GraphValidationError."""
+    try:
+        return ops.window_output(prev[1], prev[2], size, stride, pad)
+    except ShapeError as exc:
+        raise GraphValidationError(f"layer {i}: {exc}") from None
+
+
 def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, int, int]]:
     """Propagate (channels, H, W) through every layer for the given input size.
 
@@ -293,18 +306,11 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
     for i, layer in enumerate(graph.layers):
         a = layer.attrs
         if layer.kind == "convolutional":
-            k, s = a["size"], a["stride"]
-            pad = (k - 1) // 2  # as conv2d_forward pads; the parser bars pad=0 with k > 1
-            c, h, w = prev
-            shape = (a["filters"], (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1)
+            # the parser bars pad=0 with size > 1, so a conv pads as ops does
+            shape = (a["filters"], *_window(i, prev, a["size"], a["stride"],
+                                            ops.same_pad(a["size"])))
         elif layer.kind == "maxpool":
-            k, s, pad = a["size"], a["stride"], a["padding"]
-            c, h, w = prev
-            if h + 2 * pad < k or w + 2 * pad < k:
-                raise GraphValidationError(
-                    f"layer {i}: pool window {k} exceeds padded input {h + 2 * pad}x{w + 2 * pad}"
-                )
-            shape = (c, (h + 2 * pad - k) // s + 1, (w + 2 * pad - k) // s + 1)
+            shape = (prev[0], *_window(i, prev, a["size"], a["stride"], a["padding"]))
         elif layer.kind == "upsample":
             c, h, w = prev
             shape = (c, 2 * h, 2 * w)

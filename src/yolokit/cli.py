@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 runtime failure (bad files, failed checks),
 2 usage error (bad flags or argument combinations). All randomized behavior
 is seeded through --seed (default from $YOLOKIT_SEED, else 0; a non-integer
-$YOLOKIT_SEED is a usage error), so identical invocations produce
+or negative seed is a usage error), so identical invocations produce
 byte-identical outputs.
 """
 
@@ -36,17 +36,25 @@ from .evaluation import (
 from .loss import ToyTrainConfig, synthetic_dataset, toy_graph, train_toy
 from .ppm import PALETTE, read_ppm, render_detections, write_ppm
 from .verify import check_toy_steps, run_all
-from .weights import load_weights_file, random_init
+from .weights import check_seed, load_weights_file, random_init
 
 _PALETTE_DOC = ", ".join(f"{i}:{rgb}" for i, rgb in enumerate(PALETTE))
 
 
-def _default_seed() -> int:
-    value = os.environ.get("YOLOKIT_SEED", "0")
+def _resolve_seed(args) -> int:
+    """``--seed``, else ``$YOLOKIT_SEED``, else 0, checked by the library's
+    ``check_seed``; call it before any file is read or made. A non-integer
+    or out-of-range value is a usage error naming where it came from."""
+    if args.seed is not None:
+        source, value = "--seed", args.seed
+    else:
+        source, value = "YOLOKIT_SEED", os.environ.get("YOLOKIT_SEED", "0")
     try:
-        return int(value)
+        seed = int(value)
     except ValueError:
-        raise UsageError(f"YOLOKIT_SEED must be an integer, got {value!r}") from None
+        raise UsageError(f"{source} must be an integer, got {value!r}") from None
+    _check_flag(source, seed, check_seed)
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,6 +181,7 @@ def _resolve_graph(args):
 def cmd_detect(args) -> int:
     _check_flag("--conf", args.conf, check_conf_threshold)
     _check_flag("--nms", args.nms, check_nms_threshold)
+    seed = _resolve_seed(args)
     image_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
     first_path = {}  # image id -> the image that gives it
     for path, image_id in zip(args.images, image_ids):
@@ -191,7 +200,6 @@ def cmd_detect(args) -> int:
                          for image_id in image_ids]
     _check_not_an_input(destinations, [("input image", path) for path in args.images])
     dtype = np.float64 if args.precision == "double" else np.float32
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.weights:
         net = load_weights_file(graph, args.weights, dtype=dtype)
     else:
@@ -244,7 +252,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_flag("--toy-steps", args.toy_steps, check_toy_steps)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _resolve_seed(args)
     results = run_all(seed=seed, fault=args.inject_grad_fault, toy_steps=args.toy_steps)
     if args.json:
         print(json.dumps(
@@ -268,8 +276,8 @@ def cmd_verify(args) -> int:
 
 def cmd_train_toy(args) -> int:
     _check_flag("--steps", args.steps, lambda steps: ToyTrainConfig(steps=steps).validate())
+    seed = _resolve_seed(args)
     _check_destination("--out", args.out)
-    seed = args.seed if args.seed is not None else _default_seed()
     dataset = synthetic_dataset(seed=seed)
     graph = toy_graph()
     history = train_toy(dataset, graph, ToyTrainConfig(steps=args.steps, seed=seed))

@@ -21,7 +21,7 @@ from .evaluation import GroundTruthBox
 from .detect import Box, corner_table, iou_grid, read_head
 from .network import HeadOutput, Network
 from .ops import GradTape
-from .weights import random_init
+from .weights import check_seed, random_init
 
 
 @dataclass
@@ -273,6 +273,7 @@ def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2
     """Seeded colored rectangles on noise backgrounds, with exact labels."""
     if num_classes > len(_TOY_COLORS):
         raise UsageError(f"at most {len(_TOY_COLORS)} synthetic classes supported")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     examples = []
     for n in range(num_images):
@@ -381,6 +382,7 @@ class ToyTrainConfig:
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         if not (np.isfinite(self.momentum) and 0 <= self.momentum < 1):
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        check_seed(self.seed)
         self.loss_weights.validate()
 
 

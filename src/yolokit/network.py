@@ -14,6 +14,7 @@ is left alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,15 +214,13 @@ class Network:
     def count_parameters(self) -> tuple[list[tuple[int, int]], int]:
         """Per-convolution (layer_index, float_count) and the total.
 
-        Counts match the serialized layout: 4 per-filter vectors with
-        batch-norm (or 1 bias vector without), plus the weight block.
+        Counts are those of the arrays each convolution stores in the
+        weights file (``ops.ConvParams.stored``).
         """
         per_layer = []
         total = 0
         for i, p in self.conv_layers():
-            cin = self.conv_in_channels[i]
-            per_filter = 4 if p.has_batchnorm else 1
-            n = per_filter * p.filters + p.filters * cin * p.size * p.size
+            n = sum(math.prod(shape) for _, shape in p.stored(self.conv_in_channels[i]))
             per_layer.append((i, n))
             total += n
         return per_layer, total

@@ -42,6 +42,42 @@ def check_tensor(x, rank: int | None = None, name: str = "tensor") -> np.ndarray
     return x
 
 
+def check_conv_geometry(size: int, stride: int, activation: str) -> None:
+    """A convolution's rules: an odd kernel size >= 1, stride 1 or 2 and an
+    activation in ``ACTIVATIONS``; a ShapeError otherwise."""
+    if size < 1 or size % 2 == 0:
+        raise ShapeError(f"conv kernel size must be odd and >= 1, got {size}")
+    if stride not in (1, 2):
+        raise ShapeError(f"conv stride must be 1 or 2, got {stride}")
+    if activation not in ACTIVATIONS:
+        raise ShapeError(f"unknown activation {activation!r}")
+
+
+def check_pool_geometry(size: int, stride: int, pad: int) -> None:
+    """A max pool's rules: size and stride >= 1 and a padding in
+    [0, size-1]; a ShapeError otherwise."""
+    if size < 1 or stride < 1:
+        raise ShapeError(f"pool size/stride must be >= 1, got {size}/{stride}")
+    if not 0 <= pad <= size - 1:
+        raise ShapeError(f"pool padding must satisfy 0 <= pad <= size-1, got {pad}")
+
+
+def same_pad(size: int) -> int:
+    """Cells of padding per side that keep a stride-1 window of odd ``size``
+    on its input's grid: a convolution's padding and a pool's default."""
+    return (size - 1) // 2
+
+
+def window_output(h: int, w: int, size: int, stride: int, pad: int) -> tuple[int, int]:
+    """(rows, cols) a ``size`` x ``size`` window at ``stride`` yields over an
+    ``h`` x ``w`` map padded by ``pad`` on each side, ``floor((H + 2*pad -
+    size)/stride) + 1`` per axis; a ShapeError if the window exceeds the
+    padded map."""
+    if h + 2 * pad < size or w + 2 * pad < size:
+        raise ShapeError(f"window {size} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
+    return (h + 2 * pad - size) // stride + 1, (w + 2 * pad - size) // stride + 1
+
+
 def sigmoid(x):
     # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|), so large |x|
     # never overflows exp; the select is a max with the mask, not a branch.
@@ -88,32 +124,37 @@ class ConvParams:
 
     @property
     def pad(self) -> int:
-        return (self.size - 1) // 2
+        return same_pad(self.size)
 
     @property
     def parameterized(self) -> bool:
         return self.weights is not None
 
+    def stored(self, in_channels: int) -> list[tuple[str, tuple[int, ...]]]:
+        """(attribute, shape) of each array this convolution stores, in the
+        weights file's order: the batch-norm beta, gamma, rolling mean and
+        rolling variance, or the biases; then the weights."""
+        f, k = self.filters, self.size
+        vectors = (("bn_beta", "bn_gamma", "bn_mean", "bn_var") if self.has_batchnorm
+                   else ("biases",))
+        return [(name, (f,)) for name in vectors] + [("weights", (f, in_channels, k, k))]
+
     def validate(self) -> None:
-        if self.size < 1 or self.size % 2 == 0:
-            raise ShapeError(f"conv kernel size must be odd and >= 1, got {self.size}")
-        if self.stride not in (1, 2):
-            raise ShapeError(f"conv stride must be 1 or 2, got {self.stride}")
-        if self.activation not in ACTIVATIONS:
-            raise ShapeError(f"unknown activation {self.activation!r}")
+        """The kernel rules (:func:`check_conv_geometry`); with weights
+        attached, each stored array's shape and a positive batch-norm
+        variance."""
+        check_conv_geometry(self.size, self.stride, self.activation)
         if self.weights is None:
             return
-        f, k = self.filters, self.size
-        if self.weights.ndim != 4 or self.weights.shape[0] != f or self.weights.shape[2:] != (k, k):
-            raise ShapeError(
-                f"weights must be shaped {f} x C_in x {k} x {k}, got {self.weights.shape}"
-            )
-        for name in ("bn_gamma", "bn_beta", "bn_mean", "bn_var") if self.has_batchnorm else ("biases",):
-            vec = getattr(self, name)
-            if vec is None or vec.shape != (f,):
-                raise ShapeError(f"{name} must be a length-{f} vector")
+        if self.weights.ndim != 4:
+            raise ShapeError(f"weights must have rank 4, got shape {self.weights.shape}")
+        for name, shape in self.stored(self.weights.shape[1]):
+            arr = getattr(self, name)
+            if arr is None or arr.shape != shape:
+                raise ShapeError(f"{name} must be shaped {shape}, got "
+                                 f"{None if arr is None else arr.shape}")
         if self.has_batchnorm and not np.all(self.bn_var > 0):
-            raise ShapeError("batch-norm variances must be strictly positive")
+            raise ShapeError("non-positive batch-norm variance")
 
     def zero_grads(self) -> None:
         self.g_weights = np.zeros_like(self.weights)
@@ -278,6 +319,10 @@ def _copy(a, tape):
 # column matrix of an early layer (118 MB for layer 1 of yolov3-spp at 640 px
 # in float32) never exists at once. A recording tape keeps a layer's columns
 # for its backward until reset, so a taped conv builds them in one band.
+# Unfixed: BLAS may pick another float32 GEMM kernel for a narrow band, so
+# where the split falls can change the last bits of an untaped float32 conv,
+# and a taped and an untaped forward of a layer past the budget may differ.
+# No toy-model layer (64 px) reaches the budget.
 IM2COL_BAND_BYTES = 8 << 20
 
 
@@ -327,8 +372,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         raise ShapeError(f"conv weights expect {cin} input channels, input has {x.shape[0]}")
     k, s, pad = p.size, p.stride, p.pad
     _, h, w = x.shape
-    out_h = (h + 2 * pad - k) // s + 1
-    out_w = (w + 2 * pad - k) // s + 1
+    out_h, out_w = window_output(h, w, k, s, pad)
 
     w_mat = p.weights.reshape(p.filters, -1)
     if k == 1 and s == 1:
@@ -394,24 +438,16 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
                       tape: GradTape | None = None) -> np.ndarray:
     """Max pooling with symmetric padding; padded cells are -inf, never selected.
 
-    Output extent is ``floor((H + 2*pad - size)/stride) + 1`` per spatial axis.
-    The max is separable: a running max over the ``size`` shifted column
-    slices, then over the ``size`` shifted row slices of that, so no window is
-    copied. The backward sends each output's gradient to the first cell of
+    The rules are :func:`check_pool_geometry`'s and the output extent
+    :func:`window_output`'s. The max is separable: a running max over the
+    ``size`` shifted column slices, then over the ``size`` shifted row slices
+    of that, so no window is copied. The backward sends each output's gradient to the first cell of
     its window, in row-major order, that equals the output (argmax's rule).
     """
     x = check_tensor(x, rank=3, name="maxpool input")
-    if size < 1 or stride < 1:
-        raise ShapeError(f"pool size/stride must be >= 1, got {size}/{stride}")
-    if pad < 0 or pad > size - 1:
-        raise ShapeError(f"pool padding must satisfy 0 <= pad <= size-1, got {pad}")
+    check_pool_geometry(size, stride, pad)
     c, h, w = x.shape
-    if h + 2 * pad < size or w + 2 * pad < size:
-        raise ShapeError(
-            f"pool window {size} exceeds padded input {h + 2 * pad}x{w + 2 * pad}"
-        )
-    out_h = (h + 2 * pad - size) // stride + 1
-    out_w = (w + 2 * pad - size) // stride + 1
+    out_h, out_w = window_output(h, w, size, stride, pad)
     x_padded = _pad(x, pad, -np.inf, tape) if pad else x
     col_span = stride * (out_w - 1) + 1
     row_span = stride * (out_h - 1) + 1

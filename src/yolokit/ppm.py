@@ -26,6 +26,9 @@ PALETTE = (
     (170, 110, 40),
 )
 
+# Width in pixels of a rendered box outline.
+OUTLINE_THICKNESS = 2
+
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -92,13 +95,13 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(encode_ppm(image))
 
 
-def render_detections(image: np.ndarray, detections, thickness: int = 2) -> np.ndarray:
+def render_detections(image: np.ndarray, detections) -> np.ndarray:
     """Return a copy of the image with class-colored outlines drawn on it.
 
     Takes :class:`~yolokit.detect.Detections` (or a list of ``Detection``).
     Each box's corners are rounded to pixels and clamped to the image, and
-    its outline is ``thickness`` pixels wide; boxes are drawn in row order,
-    so a later box paints over an earlier one.
+    its outline is ``OUTLINE_THICKNESS`` pixels wide; boxes are drawn in row
+    order, so a later box paints over an earlier one.
     """
     canvas = np.array(image, copy=True)
     _, h, w = canvas.shape
@@ -112,7 +115,7 @@ def render_detections(image: np.ndarray, detections, thickness: int = 2) -> np.n
     x1, y1 = np.maximum(x1, 0), np.maximum(y1, 0)
     x2, y2 = np.minimum(x2, w - 1), np.minimum(y2, h - 1)
     colors = (np.array(PALETTE) / 255.0).astype(canvas.dtype)[:, :, None, None]
-    t = thickness
+    t = OUTLINE_THICKNESS
     for left, top, right, bottom, cls in zip(
         x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
         (table.class_index % len(PALETTE)).tolist(),

@@ -348,15 +348,11 @@ activation=leaky
 
 
 def _networks_equal(a: Network, b: Network) -> bool:
-    for (_, pa), (_, pb) in zip(a.conv_layers(), b.conv_layers()):
-        for (_, va, _), (_, vb, _) in zip(pa.learnable(), pb.learnable()):
-            if not np.array_equal(va, vb):
-                return False
-        if pa.has_batchnorm and not (
-            np.array_equal(pa.bn_mean, pb.bn_mean) and np.array_equal(pa.bn_var, pb.bn_var)
-        ):
-            return False
-    return True
+    return all(
+        np.array_equal(getattr(pa, name), getattr(pb, name))
+        for (i, pa), (_, pb) in zip(a.conv_layers(), b.conv_layers())
+        for name, _ in pa.stored(a.conv_in_channels[i])
+    )
 
 
 def check_weights_roundtrip(seed: int = 0) -> CheckResult:

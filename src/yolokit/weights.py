@@ -4,14 +4,16 @@ File layout (little-endian throughout): three int32 header fields
 (major, minor, revision), an image counter whose width depends on the
 version -- uint64 when ``major*10 + minor >= 2``, uint32 otherwise -- and
 then raw float32 parameters for every convolution in graph order. Per
-convolution the order is: with batch-norm, beta, gamma, rolling mean,
-rolling variance (one float per filter each) then weights; without
-batch-norm, biases then weights. Weight blocks are filters x in_channels
-x k x k in row-major order. The stream must be consumed exactly.
+convolution the arrays and their order are ``ops.ConvParams.stored``'s:
+with batch-norm, beta, gamma, rolling mean, rolling variance (one float per
+filter each) then weights; without batch-norm, biases then weights. Weight
+blocks are filters x in_channels x k x k in row-major order. The stream
+must be consumed exactly.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfg import ModelGraph
-from .errors import WeightsFileError
+from .errors import ShapeError, ValidationError, WeightsFileError
 from .network import Network
 
 WRITE_VERSION = (0, 2, 0)
@@ -100,34 +102,24 @@ def _bind(graph: ModelGraph, header: WeightsHeader, floats: np.ndarray, dtype) -
         first_bad = int(np.flatnonzero(~np.isfinite(floats))[0])
 
     cursor = 0
-
-    def take(n, layer_idx, what):
-        nonlocal cursor
-        if cursor + n > floats.size:
-            raise WeightsFileError(
-                f"layer {layer_idx}: file truncated reading {what} "
-                f"(need {n} floats, have {floats.size - cursor})"
-            )
-        if cursor <= first_bad < cursor + n:
-            raise WeightsFileError(f"layer {layer_idx}: non-finite values in {what}")
-        chunk = floats[cursor : cursor + n]
-        cursor += n
-        return chunk.astype(dtype, copy=not floats.flags.writeable)
-
     for i, p in net.conv_layers():
-        f = p.filters
-        cin = net.conv_in_channels[i]
-        if p.has_batchnorm:
-            p.bn_beta = take(f, i, "bn beta")
-            p.bn_gamma = take(f, i, "bn gamma")
-            p.bn_mean = take(f, i, "bn mean")
-            p.bn_var = take(f, i, "bn variance")
-            if not np.all(p.bn_var > 0):
-                raise WeightsFileError(f"layer {i}: non-positive batch-norm variance")
-        else:
-            p.biases = take(f, i, "biases")
-        k = p.size
-        p.weights = take(f * cin * k * k, i, "weights").reshape(f, cin, k, k)
+        for name, shape in p.stored(net.conv_in_channels[i]):
+            what = "bn variance" if name == "bn_var" else name.replace("_", " ")
+            n = math.prod(shape)
+            if cursor + n > floats.size:
+                raise WeightsFileError(
+                    f"layer {i}: file truncated reading {what} "
+                    f"(need {n} floats, have {floats.size - cursor})"
+                )
+            if cursor <= first_bad < cursor + n:
+                raise WeightsFileError(f"layer {i}: non-finite values in {what}")
+            chunk = floats[cursor : cursor + n].reshape(shape)
+            setattr(p, name, chunk.astype(dtype, copy=not floats.flags.writeable))
+            cursor += n
+        try:
+            p.validate()
+        except ShapeError as exc:
+            raise WeightsFileError(f"layer {i}: {exc}") from None
     if cursor != floats.size:
         raise WeightsFileError(
             f"{floats.size - cursor} trailing floats after the last layer"
@@ -147,13 +139,8 @@ def save_weights(network: Network) -> bytes:
                 f"layer {i}: batch-norm state does not match the graph "
                 "(a frozen network cannot be saved)"
             )
-        if p.has_batchnorm:
-            vectors = (p.bn_beta, p.bn_gamma, p.bn_mean, p.bn_var)
-        else:
-            vectors = (p.biases,)
-        for vec in vectors:
-            parts.append(vec.astype("<f4").tobytes())
-        parts.append(p.weights.astype("<f4").tobytes())
+        for name, _ in p.stored(network.conv_in_channels[i]):
+            parts.append(getattr(p, name).astype("<f4").tobytes())
     return b"".join(parts)
 
 
@@ -162,12 +149,20 @@ def save_weights_file(network: Network, path) -> None:
         fh.write(save_weights(network))
 
 
+def check_seed(seed: int) -> None:
+    """A random seed's range, at least 0 (numpy's generators take no
+    negative seed): a ValidationError below it."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def random_init(graph: ModelGraph, seed: int, dtype=np.float64) -> Network:
     """Seeded uniform init scaled by 1/sqrt(fan-in); identity batch-norm.
 
     Draws are rounded through float32 so that a save/load cycle reproduces
     the parameters bit for bit in any build precision.
     """
+    check_seed(seed)
     net = Network(graph, dtype=dtype)
     rng = np.random.default_rng(seed)
     for i, p in net.conv_layers():

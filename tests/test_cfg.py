@@ -1,8 +1,9 @@
 """Definition-text parsing, shape propagation, and the builtin graphs."""
 
+import numpy as np
 import pytest
 
-from yolokit import cfg
+from yolokit import cfg, ops
 from yolokit.cfg import (
     builtin_graph,
     graph_equal,
@@ -11,7 +12,7 @@ from yolokit.cfg import (
     render_cfg,
     shape_check,
 )
-from yolokit.errors import CfgParseError, GraphValidationError, ValidationError
+from yolokit.errors import CfgParseError, GraphValidationError, ShapeError, ValidationError
 from yolokit.loss import toy_graph
 
 NET = """\
@@ -133,6 +134,40 @@ class TestParse:
         with pytest.raises(CfgParseError):
             parse_cfg(MINIMAL.replace("filters=4", "filters=many"))
 
+    # (section kind, the keys that break one of its conv or pool rules)
+    @pytest.mark.parametrize("kind, bad", [
+        ("convolutional", {"size": 2}),
+        ("convolutional", {"size": 0}),
+        ("convolutional", {"size": -3}),
+        ("convolutional", {"stride": 3}),
+        ("convolutional", {"stride": 0}),
+        ("convolutional", {"activation": "relu"}),
+        ("maxpool", {"size": 0}),
+        ("maxpool", {"size": -1, "padding": 0}),
+        ("maxpool", {"stride": 0}),
+        ("maxpool", {"padding": -1}),
+        ("maxpool", {"padding": 3}),
+    ])
+    def test_layer_rule_is_the_kernels_at_the_sections_line(self, kind, bad):
+        # the parser states no conv or pool rule of its own: it names the
+        # section's line and gives the kernel's error for that geometry
+        good = {"convolutional": {"filters": 4, "size": 3, "stride": 1, "activation": "linear"},
+                "maxpool": {"size": 3, "stride": 1, "padding": 1}}
+        a = {**good[kind], **bad}
+        x = np.zeros((3, 8, 8))
+        with pytest.raises(ShapeError) as want:
+            if kind == "convolutional":
+                ops.conv2d_forward(x, ops.ConvParams(a["filters"], a["size"], a["stride"],
+                                                     activation=a["activation"]))
+            else:
+                ops.maxpool2d_forward(x, a["size"], a["stride"], a["padding"])
+        line = NET.count("\n") + 2
+        section = f"[{kind}]\n" + "".join(f"{key}={value}\n" for key, value in a.items())
+        with pytest.raises(CfgParseError) as err:
+            parse_cfg(NET + "\n" + section)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {want.value}"
+
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
     def test_ignore_thresh_outside_unit_interval_rejected(self, value):
         text = render_cfg(toy_graph()).replace("ignore_thresh=0.5", f"ignore_thresh={value}")
@@ -177,6 +212,15 @@ class TestShapeCheck:
         graph = toy_graph() if variant == "toy" else builtin_graph(variant, 80)
         with pytest.raises(GraphValidationError):
             shape_check(graph, size, size)
+
+    def test_pool_window_error_is_the_kernels(self):
+        graph = parse_cfg(MINIMAL + "\n[maxpool]\nsize=5\nstride=1\npadding=0\n")
+        with pytest.raises(ShapeError) as want:
+            ops.maxpool2d_forward(np.zeros((4, 2, 3)), 5, 1, 0)
+        with pytest.raises(GraphValidationError) as err:
+            shape_check(graph, 3, 2)
+        assert str(err.value) == f"layer 1: {want.value}"
+        assert shape_check(graph, 5, 5)[1] == (4, 1, 1)
 
     def test_headless_graph_takes_any_size(self):
         assert shape_check(parse_cfg(MINIMAL), 7, 7) == [(4, 7, 7)]

@@ -20,6 +20,7 @@ from yolokit.evaluation import (
 from yolokit.loss import ToyTrainConfig, toy_graph
 from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, render_detections, write_ppm
 from yolokit.verify import CheckResult, check_toy_steps
+from yolokit.weights import check_seed
 
 
 @pytest.fixture
@@ -533,6 +534,10 @@ RANGED_FLAGS = [
         ("1", _IN), ("0", _OUT), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
     (_train_toy_argv, "--steps", lambda steps: ToyTrainConfig(steps=steps).validate(), int, [
         ("0", _IN), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
+] + [
+    (argv, "--seed", check_seed, int, [
+        ("0", _IN), ("-1", _OUT), ("-3", _OUT), ("nan", _OUT), ("inf", _OUT)])
+    for argv in (_tiny_argv, _verify_argv, _train_toy_argv)
 ]
 
 
@@ -573,3 +578,25 @@ class TestRangedFlags:
             assert f"usage error: {flag} {value}: " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "verify", "train-toy"])
+    @pytest.mark.parametrize("source", ["--seed", "YOLOKIT_SEED"])
+    def test_negative_seed_is_usage_error_before_any_output(self, scene, tmp_path, monkeypatch,
+                                                            capsys, command, source):
+        out = tmp_path / "out.txt"
+        argv = {"detect": ["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
+                           "--size", "64", "--out", out],
+                "verify": ["verify"],
+                "train-toy": ["train-toy", "--steps", "1", "--out", out]}[command]
+        battery = []
+        monkeypatch.setattr(cli, "run_all", lambda **kw: battery.append(kw) or [])
+        value = -1 if source == "--seed" else -3
+        if source == "--seed":
+            argv.append(f"--seed={value}")
+        else:
+            monkeypatch.setenv("YOLOKIT_SEED", str(value))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {source} {value}: seed must be >= 0, got {value}\n"
+        assert captured.out == ""
+        assert not out.exists() and battery == []
