@@ -281,12 +281,12 @@ class GradTape:
 
 
 def _apply_activation(z, activation):
-    """Activate ``z``, overwriting it for leaky; ``z`` must not be shared."""
+    """Activate ``z`` in place; ``z`` must not be shared."""
     if activation == "leaky":
         # bit for bit the values of leaky_relu, written over z
         return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if activation == "sigmoid":
-        return sigmoid(z)
+        z[...] = sigmoid(z)
     return z
 
 
@@ -315,29 +315,42 @@ def _copy(a, tape):
 
 
 # Bytes of im2col columns an inference pass builds at once: output rows are
-# convolved in bands whose columns fit this budget, so the full (C*k*k, H*W)
-# column matrix of an early layer (118 MB for layer 1 of yolov3-spp at 640 px
-# in float32) never exists at once. A recording tape keeps a layer's columns
-# for its backward until reset, so a taped conv builds them in one band.
-# Unfixed: BLAS may pick another float32 GEMM kernel for a narrow band, so
-# where the split falls can change the last bits of an untaped float32 conv,
-# and a taped and an untaped forward of a layer past the budget may differ.
-# No toy-model layer (64 px) reaches the budget.
+# convolved in bands whose columns fit this budget, so neither the full
+# (C*k*k, H*W) column matrix of an early layer (118 MB for layer 1 of
+# yolov3-spp at 640 px in float32) nor its padded input exists at once. A
+# recording tape keeps a layer's columns for its backward until reset, so a
+# taped conv builds them in one band. BLAS may pick another float32 GEMM
+# kernel for a narrow band, so where the split falls can change the last bits
+# of a float32 conv: a taped and an untaped forward of a layer past the budget
+# agree within the tolerance that
+# tests/test_ops.py::TestConv2d::test_taped_and_banded_forwards_agree states,
+# and bitwise in float64. No toy-model layer (64 px) reaches the budget.
 IM2COL_BAND_BYTES = 8 << 20
+
+
+def _pad_rows(x, pad, value, start, out):
+    """Rows ``start`` .. ``start + out.shape[1] - 1`` of ``x`` (C, H, W)
+    inside a border of ``pad`` cells of ``value`` on both spatial axes, the
+    rows of ``np.pad(x, ((0, 0), (pad, pad), (pad, pad)),
+    constant_values=value)``, written into ``out``; no cell is written twice."""
+    _, h, w = x.shape
+    n = out.shape[1]
+    top = min(max(pad - start, 0), n)  # border rows above x
+    lo, hi = max(start - pad, 0), min(start + n - pad, h)  # the rows of x
+    inner = out[:, top : top + max(hi - lo, 0)]
+    out[:, :top] = value
+    out[:, top + inner.shape[1] :] = value
+    inner[:, :, :pad] = value
+    inner[:, :, pad + w :] = value
+    inner[:, :, pad : pad + w] = x[:, lo:hi]
+    return out
 
 
 def _pad(x, pad, value, tape=None):
     """``x`` (C, H, W) inside a border of ``pad`` cells of ``value`` on both
-    spatial axes, the values of ``np.pad(x, ((0, 0), (pad, pad), (pad, pad)),
-    constant_values=value)``; no cell is written twice."""
+    spatial axes (:func:`_pad_rows` of every row)."""
     c, h, w = x.shape
-    out = _empty((c, h + 2 * pad, w + 2 * pad), x.dtype, tape)
-    out[:, :pad] = value
-    out[:, pad + h :] = value
-    out[:, pad : pad + h, :pad] = value
-    out[:, pad : pad + h, pad + w :] = value
-    out[:, pad : pad + h, pad : pad + w] = x
-    return out
+    return _pad_rows(x, pad, value, 0, _empty((c, h + 2 * pad, w + 2 * pad), x.dtype, tape))
 
 
 def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
@@ -357,9 +370,11 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     """Same-padded 2D convolution with optional batch-norm and activation.
 
     Output spatial extent is ``ceil(H / stride)`` per axis. Raises ShapeError
-    when the input channel count does not match the weights. Without a tape
-    the GEMM runs band by band over output rows (see ``IM2COL_BAND_BYTES``);
-    a taped convolution, and a 1x1 stride-1 one that reads its input in
+    when the input channel count does not match the weights. The output is
+    computed band by band over output rows (see ``IM2COL_BAND_BYTES``): each
+    band's padded input rows are built in one reused buffer, and its output
+    slice gets batch-norm or bias, then the activation, right after its GEMM.
+    A taped convolution, and a 1x1 stride-1 one that reads its input in
     place, runs one band.
     """
     x = check_tensor(x, rank=3, name="conv input")
@@ -375,35 +390,40 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     out_h, out_w = window_output(h, w, k, s, pad)
 
     w_mat = p.weights.reshape(p.filters, -1)
-    if k == 1 and s == 1:
-        x_padded = x
-        band = out_h  # the input is its own columns: nothing to copy
-    else:
-        x_padded = _pad(x, pad, 0, tape)
-        # a recording tape keeps every band's columns until reset anyway
-        band = out_h if tape is not None else max(
-            1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize))
-    z = _empty((p.filters, out_h * out_w), np.result_type(w_mat, x), tape)
-    for r0 in range(0, out_h, band):
-        r1 = min(r0 + band, out_h)
-        cols = _im2col(x_padded, k, s, r0, r1, out_w, tape)
-        np.matmul(w_mat, cols, out=z[:, r0 * out_w : r1 * out_w])
-        if tape is None:
-            del cols  # so that only one band's columns exist at a time
-    z = z.reshape(p.filters, out_h, out_w)
-
+    input_is_columns = k == 1 and s == 1  # nothing to copy
+    # a recording tape keeps every band's columns until reset anyway
+    band = out_h if input_is_columns or tape is not None else min(
+        out_h, max(1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize)))
+    if not input_is_columns:
+        band_rows = _empty((cin, (band - 1) * s + k, w + 2 * pad), x.dtype, tape)
+    dtype = np.result_type(w_mat, x)
+    z = _empty((p.filters, out_h * out_w), dtype, tape)
     if p.has_batchnorm:
         inv_std = 1.0 / np.sqrt(p.bn_var + BN_EPSILON)
-        z -= p.bn_mean[:, None, None]
-        z *= inv_std[:, None, None]
-        x_hat = z
-        z = np.multiply(p.bn_gamma[:, None, None], x_hat,
-                        out=_empty(x_hat.shape, np.result_type(p.bn_gamma, x_hat), tape))
-        z += p.bn_beta[:, None, None]
-    else:
-        x_hat = None
-        z += p.biases[:, None, None]
-    y = _apply_activation(z, p.activation)
+    # the backward reads the normalized z, so a taped batch-norm writes its
+    # affine output to a second array
+    y = _empty(z.shape, dtype, tape) if p.has_batchnorm and tape is not None else z
+    for r0 in range(0, out_h, band):
+        r1 = min(r0 + band, out_h)
+        if input_is_columns:
+            cols = _im2col(x, k, s, r0, r1, out_w)
+        else:
+            padded = _pad_rows(x, pad, 0, r0 * s, band_rows[:, : (r1 - r0 - 1) * s + k])
+            cols = _im2col(padded, k, s, 0, r1 - r0, out_w, tape)
+        zb, yb = z[:, r0 * out_w : r1 * out_w], y[:, r0 * out_w : r1 * out_w]
+        np.matmul(w_mat, cols, out=zb)
+        if tape is None:
+            del cols  # so that only one band's columns exist at a time
+        if p.has_batchnorm:
+            zb -= p.bn_mean[:, None]
+            zb *= inv_std[:, None]
+            np.multiply(p.bn_gamma[:, None], zb, out=yb)
+            yb += p.bn_beta[:, None]
+        else:
+            zb += p.biases[:, None]
+        _apply_activation(yb, p.activation)
+    x_hat = z.reshape(p.filters, out_h, out_w) if p.has_batchnorm else None
+    y = y.reshape(p.filters, out_h, out_w)
 
     if tape is not None:
 

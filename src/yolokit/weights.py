@@ -63,11 +63,15 @@ def load_weights(graph: ModelGraph, data: bytes, dtype=np.float64) -> Network:
     _check_payload(len(data) - offset)
     floats = np.frombuffer(data, dtype="<f4", offset=offset)
     floats.flags.writeable = False  # the caller's buffer: parameters copy out of it
-    return _bind(graph, header, floats, dtype)
+    return _bind(Network(graph, dtype=dtype), header, floats.size,
+                 lambda at, n: floats[at : at + n])
 
 
 def load_weights_file(graph: ModelGraph, path, dtype=np.float64) -> Network:
-    """:func:`load_weights` on a file, whose floats are read once, in place."""
+    """:func:`load_weights` on a file. Float32 parameters are views of the
+    payload, read once in place; float64 ones are converted one stored array
+    at a time from a reused float32 buffer, so the payload never sits beside
+    them."""
     with open(path, "rb") as fh:
         prefix = fh.read(20)
         info = os.fstat(fh.fileno())
@@ -77,10 +81,19 @@ def load_weights_file(graph: ModelGraph, path, dtype=np.float64) -> Network:
         body = info.st_size - offset
         _check_payload(body)
         fh.seek(offset)
-        floats = np.empty(body // 4, dtype="<f4")
-        if fh.readinto(floats) != body:
-            raise WeightsFileError(f"{path}: file changed size while being read")
-    return _bind(graph, header, floats, dtype)
+
+        def read_into(floats):
+            if fh.readinto(floats) != floats.nbytes:
+                raise WeightsFileError(f"{path}: file changed size while being read")
+            return floats
+
+        net = Network(graph, dtype=dtype)
+        if net.dtype == np.float32:
+            payload = read_into(np.empty(body // 4, dtype="<f4"))
+            return _bind(net, header, payload.size, lambda at, n: payload[at : at + n])
+        # no stored array outgrows its layer; the arrays are read in file order
+        buffer = np.empty(max((n for _, n in net.count_parameters()[0]), default=0), dtype="<f4")
+        return _bind(net, header, body // 4, lambda at, n: read_into(buffer[:n]))
 
 
 def _check_payload(body: int) -> None:
@@ -88,65 +101,71 @@ def _check_payload(body: int) -> None:
         raise WeightsFileError(f"{body} payload bytes is not a whole number of floats")
 
 
-def _bind(graph: ModelGraph, header: WeightsHeader, floats: np.ndarray, dtype) -> Network:
-    """Attach the payload ``floats`` (little-endian float32) to a network for
-    ``graph``. Float32 parameters are views of a writable payload and copies
-    of a read-only one; float64 ones are converted layer by layer."""
-    net = Network(graph, dtype=dtype)
+def _bind(net: Network, header: WeightsHeader, total: int, read) -> Network:
+    """Attach a payload of ``total`` little-endian float32 values to ``net``;
+    ``read(at, n)`` gives the ``n`` values from offset ``at`` and is called
+    once per stored array, in file order. A float32 parameter is a view of a
+    writable chunk and a copy of a read-only one; a float64 one is converted."""
     net.seen = header.seen
-    # one finiteness pass; the sum of finite float32 values cannot overflow
-    # float64, so it is finite exactly when every value is
-    if np.isfinite(np.sum(floats, dtype=np.float64)):
-        first_bad = floats.size
-    else:
-        first_bad = int(np.flatnonzero(~np.isfinite(floats))[0])
-
     cursor = 0
     for i, p in net.conv_layers():
         for name, shape in p.stored(net.conv_in_channels[i]):
             what = "bn variance" if name == "bn_var" else name.replace("_", " ")
             n = math.prod(shape)
-            if cursor + n > floats.size:
+            if cursor + n > total:
                 raise WeightsFileError(
                     f"layer {i}: file truncated reading {what} "
-                    f"(need {n} floats, have {floats.size - cursor})"
+                    f"(need {n} floats, have {total - cursor})"
                 )
-            if cursor <= first_bad < cursor + n:
+            chunk = read(cursor, n)
+            # the sum of finite float32 values cannot overflow float64, so
+            # it is finite exactly when every value is
+            if not np.isfinite(np.sum(chunk, dtype=np.float64)):
                 raise WeightsFileError(f"layer {i}: non-finite values in {what}")
-            chunk = floats[cursor : cursor + n].reshape(shape)
-            setattr(p, name, chunk.astype(dtype, copy=not floats.flags.writeable))
+            setattr(p, name, chunk.reshape(shape).astype(net.dtype,
+                                                          copy=not chunk.flags.writeable))
             cursor += n
         try:
             p.validate()
         except ShapeError as exc:
             raise WeightsFileError(f"layer {i}: {exc}") from None
-    if cursor != floats.size:
-        raise WeightsFileError(
-            f"{floats.size - cursor} trailing floats after the last layer"
-        )
+    if cursor != total:
+        raise WeightsFileError(f"{total - cursor} trailing floats after the last layer")
     return net
 
 
-def save_weights(network: Network) -> bytes:
-    """Serialize a parameterized network; exact inverse of load_weights."""
+def _file_chunks(network: Network):
+    """The weights file as a sequence of byte buffers: the header, then each
+    stored array. Every layer is checked before the header is yielded."""
     if not network.parameterized:
         raise WeightsFileError("cannot save an unparameterized network")
-    major, minor, revision = WRITE_VERSION
-    parts = [struct.pack("<3iQ", major, minor, revision, network.seen)]
     for i, p in network.conv_layers():
         if p.has_batchnorm != bool(network.graph.layers[i].attrs["batch_normalize"]):
             raise WeightsFileError(
                 f"layer {i}: batch-norm state does not match the graph "
                 "(a frozen network cannot be saved)"
             )
+    major, minor, revision = WRITE_VERSION
+    yield struct.pack("<3iQ", major, minor, revision, network.seen)
+    for i, p in network.conv_layers():
         for name, _ in p.stored(network.conv_in_channels[i]):
-            parts.append(getattr(p, name).astype("<f4").tobytes())
-    return b"".join(parts)
+            # a copy only when the array is not already contiguous float32
+            yield np.ascontiguousarray(getattr(p, name), dtype="<f4")
+
+
+def save_weights(network: Network) -> bytes:
+    """Serialize a parameterized network; exact inverse of load_weights."""
+    return b"".join(_file_chunks(network))
 
 
 def save_weights_file(network: Network, path) -> None:
+    """:func:`save_weights` to ``path``, one stored array at a time. A
+    network that cannot be saved is refused before the file is opened."""
+    chunks = _file_chunks(network)
+    header = next(chunks)
     with open(path, "wb") as fh:
-        fh.write(save_weights(network))
+        fh.write(header)
+        fh.writelines(chunks)
 
 
 def check_seed(seed: int) -> None:

@@ -1,5 +1,6 @@
 """Kernel-level tests: shapes, frozen oracle values, and tape gradients."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,6 +26,14 @@ def make_conv(filters, cin, k, stride=1, activation="linear", bn=False, rng=None
     else:
         p.biases = rng.normal(0, 0.3, filters)
     return p
+
+
+def _as_dtype(p, dtype):
+    """A copy of the ConvParams ``p`` with its stored arrays in ``dtype``."""
+    q = ops.ConvParams(p.filters, p.size, p.stride, p.has_batchnorm, p.activation)
+    for name, _ in p.stored(p.weights.shape[1]):
+        setattr(q, name, getattr(p, name).astype(dtype))
+    return q
 
 
 class TestTensorChecks:
@@ -100,26 +109,37 @@ class TestConv2d:
         out_w = (9 - 1) // stride + 1
         # four output rows per band: 11 rows -> 4+4+3, 6 rows -> 4+2
         monkeypatch.setattr(ops, "IM2COL_BAND_BYTES", 4 * 3 * k * k * out_w * x.itemsize)
-        bands = []
-        im2col = ops._im2col
+        # a band's padded rows start at its first output row times the
+        # stride, and its columns are built from those rows alone
+        starts, heights = [], []
+        pad_rows, im2col = ops._pad_rows, ops._im2col
+
+        def recording_pad_rows(x, pad, value, start, out):
+            starts.append(start)
+            return pad_rows(x, pad, value, start, out)
 
         def recording_im2col(x_padded, k, stride, r0, r1, *rest):
-            bands.append((r0, r1))
+            heights.append(r1 - r0)
             return im2col(x_padded, k, stride, r0, r1, *rest)
 
+        def bands():
+            return [(start // stride, start // stride + n) for start, n in zip(starts, heights)]
+
+        monkeypatch.setattr(ops, "_pad_rows", recording_pad_rows)
         monkeypatch.setattr(ops, "_im2col", recording_im2col)
         got = ops.conv2d_forward(x, p)
-        assert bands == [(r0, min(r0 + 4, out_h)) for r0 in range(0, out_h, 4)]
+        assert bands() == [(r0, min(r0 + 4, out_h)) for r0 in range(0, out_h, 4)]
         assert out_h % 4  # the last band is ragged
         want = ops.leaky_relu(conv_direct(x, p.weights, p.biases, stride, (k - 1) // 2))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
         # a recording tape keeps the columns, so it builds them in one band
-        bands.clear()
+        starts.clear()
+        heights.clear()
         p.zero_grads()
         tape = ops.GradTape()
         out = ops.conv2d_forward(x, p, tape)
-        assert bands == [(0, out_h)]
+        assert bands() == [(0, out_h)]
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
         projection = rng.uniform(-1, 1, out.shape)
         tape.backward([(out, projection)])
@@ -132,6 +152,54 @@ class TestConv2d:
         for value, grad in pairs:
             fd = finite_difference(objective, value)
             assert relative_errors(grad.ravel(), fd.ravel()).max() < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bn", [False, True])
+    def test_untaped_conv_holds_its_output_and_one_band(self, dtype, bn, monkeypatch):
+        # eight output rows per band: beside the output, only one band's
+        # columns and its padded input rows exist at once, so neither a full
+        # padded copy nor a full-size activation temporary does
+        cin, filters, size, rows = 8, 16, 96, 8
+        rng = np.random.default_rng(30)
+        x = rng.normal(0, 1, (cin, size, size)).astype(dtype)
+        p = _as_dtype(make_conv(filters, cin, 3, activation="leaky", bn=bn, rng=rng), dtype)
+        cols = cin * 9 * rows * size * x.itemsize
+        monkeypatch.setattr(ops, "IM2COL_BAND_BYTES", cols)
+        band_rows = cin * (rows + 2) * (size + 2) * x.itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = ops.conv2d_forward(x, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + cols + band_rows + (16 << 10)
+
+    def test_taped_and_banded_forwards_agree(self, monkeypatch):
+        # one output row's columns (16 * 9 * 40 values) exceed the budget, so
+        # the untaped forward runs 40 one-row GEMMs and the taped one a
+        # single GEMM. float64 agrees bitwise. In float32 BLAS may pick
+        # another kernel for the narrow bands, so each output may differ by
+        # the rounding of a K = 144 term dot product plus the bias add and
+        # the activation: 2 * (K + 2) * u * (|W| |x| + |b|), u = 2**-24.
+        monkeypatch.setattr(ops, "IM2COL_BAND_BYTES", 16 << 10)
+        rng = np.random.default_rng(31)
+        x64 = rng.normal(0, 1, (16, 80, 80))
+        p64 = make_conv(32, 16, 3, stride=2, activation="leaky", rng=rng)
+        windows = sliding_window_view(np.pad(np.abs(x64), ((0, 0), (1, 1), (1, 1))), (3, 3),
+                                      axis=(1, 2))[:, ::2, ::2]
+        magnitude = (np.einsum("fcij,cyxij->fyx", np.abs(p64.weights), windows)
+                     + np.abs(p64.biases)[:, None, None])
+        for dtype in (np.float64, np.float32):
+            x, p = x64.astype(dtype), _as_dtype(p64, dtype)
+            assert 16 * 9 * 40 * x.itemsize > ops.IM2COL_BAND_BYTES
+            untaped = ops.conv2d_forward(x, p)
+            taped = ops.conv2d_forward(x, p, ops.GradTape())
+            if dtype is np.float64:
+                assert np.array_equal(taped, untaped)
+            else:
+                bound = 2 * (144 + 2) * 2.0**-24 * magnitude
+                assert np.all(np.abs(taped.astype(np.float64) - untaped) <= bound)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_1x1_input_gradient_is_the_transposed_gemm(self, dtype):

@@ -1,20 +1,24 @@
 """Weight-file layout, headers, round-trips, and seeded initialization."""
 
+import math
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from yolokit.cfg import parse_cfg
 from yolokit.errors import WeightsFileError
+from yolokit.network import Network
 from yolokit.weights import (
     load_weights,
     load_weights_file,
     random_init,
     read_header,
     save_weights,
+    save_weights_file,
 )
 
 SINGLE_CONV = """\
@@ -40,6 +44,10 @@ stride=1
 pad=1
 activation=linear
 """
+
+# six equal layers, so the payload is six times its largest stored array
+SIX_CONV = SINGLE_CONV.replace("channels=3", "channels=64").replace("filters=32", "filters=64")
+SIX_CONV += SIX_CONV[SIX_CONV.index("[convolutional]") - 1 :] * 5
 
 
 @pytest.fixture
@@ -259,6 +267,76 @@ class TestFileLoad:
         loaded = load_weights_file(single_graph, path)
         assert loaded.seen == 77
         assert np.array_equal(loaded.params[0].weights, net.params[0].weights)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes its traced allocations (numpy's buffers
+    included) peaked at above the level they started from."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _largest_stored_bytes(net):
+    """Bytes of the largest array a convolution of ``net`` stores, as float32."""
+    return max(4 * math.prod(shape)
+               for i, p in net.conv_layers() for _, shape in p.stored(net.conv_in_channels[i]))
+
+
+# a margin for the Python objects of the network and of an open file
+MARGIN_BYTES = 64 << 10
+
+
+class TestMemory:
+    """The payload never sits beside the float64 parameters, and a save
+    holds at most one stored array's conversion."""
+
+    def test_float64_load_holds_the_parameters_and_one_array(self, tmp_path):
+        graph = parse_cfg(SIX_CONV)
+        path = tmp_path / "w.weights"
+        path.write_bytes(save_weights(random_init(graph, seed=40)))
+        net, peak = _traced_peak(load_weights_file, graph, path)
+        params = sum(getattr(p, name).nbytes for i, p in net.conv_layers()
+                     for name, _ in p.stored(net.conv_in_channels[i]))
+        assert params == 2 * (path.stat().st_size - 20)  # float64 of every stored float
+        assert peak <= params + _largest_stored_bytes(net) + MARGIN_BYTES
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_save_holds_at_most_one_array(self, tmp_path, dtype):
+        net = random_init(parse_cfg(SIX_CONV), seed=41, dtype=dtype)
+        _, peak = _traced_peak(save_weights_file, net, tmp_path / "w.weights")
+        assert peak <= _largest_stored_bytes(net) + MARGIN_BYTES
+
+
+class TestFileSave:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_normalize", [1, 0])
+    def test_file_holds_the_bytes_of_save_weights(self, tmp_path, dtype, batch_normalize):
+        cfg = TWO_CONV.replace("batch_normalize=1", f"batch_normalize={batch_normalize}")
+        net = random_init(parse_cfg(cfg), seed=42, dtype=dtype)
+        path = tmp_path / "w.weights"
+        save_weights_file(net, path)
+        assert path.read_bytes() == save_weights(net)
+
+    @pytest.mark.parametrize("refused", ["frozen", "unparameterized"])
+    def test_refused_save_leaves_the_path_alone(self, tmp_path, single_graph, refused):
+        if refused == "frozen":
+            net = random_init(single_graph, seed=43)
+            net.freeze()
+        else:
+            net = Network(single_graph)
+        old = save_weights(random_init(single_graph, seed=44))
+        existing, missing = tmp_path / "old.weights", tmp_path / "new.weights"
+        existing.write_bytes(old)
+        for path in (existing, missing):
+            with pytest.raises(WeightsFileError):
+                save_weights_file(net, path)
+        assert existing.read_bytes() == old
+        assert not missing.exists()
 
 
 class TestRandomInit:
