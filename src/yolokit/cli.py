@@ -198,7 +198,10 @@ def cmd_detect(args) -> int:
         _check_destination("--render", args.render, is_dir=True)
         destinations += [("--render", os.path.join(args.render, f"{image_id}.ppm"))
                          for image_id in image_ids]
-    _check_not_an_input(destinations, [("input image", path) for path in args.images])
+    inputs = [("input image", path) for path in args.images]
+    inputs += [(kind, path) for kind, path in [("weights file", args.weights),
+                                                ("model definition", args.cfg)] if path]
+    _check_not_an_input(destinations, inputs)
     dtype = np.float64 if args.precision == "double" else np.float32
     if args.weights:
         net = load_weights_file(graph, args.weights, dtype=dtype)

@@ -9,13 +9,17 @@ with batch-norm, beta, gamma, rolling mean, rolling variance (one float per
 filter each) then weights; without batch-norm, biases then weights. Weight
 blocks are filters x in_channels x k x k in row-major order. The stream
 must be consumed exactly.
+
+A blob, a file and a pipe are all read by one loop over a binary stream,
+one stored array at a time in file order, so no load needs the file's size
+or holds the payload beside float64 parameters. Saves write one stored
+array at a time too.
 """
 
 from __future__ import annotations
 
+import io
 import math
-import os
-import stat
 import struct
 from dataclasses import dataclass
 
@@ -40,98 +44,78 @@ class WeightsHeader:
         return self.major * 10 + self.minor >= 2
 
 
-def read_header(data: bytes) -> tuple[WeightsHeader, int]:
-    """Parse the header, returning it and the offset where floats begin."""
+def read_header(fh) -> tuple[WeightsHeader, int]:
+    """Read the header from the binary stream ``fh``, returning it and the
+    offset where floats begin (the bytes it took)."""
+    data = fh.read(12)
     if len(data) < 12:
         raise WeightsFileError(f"file too short for a header: {len(data)} bytes")
-    major, minor, revision = struct.unpack_from("<3i", data, 0)
-    header = WeightsHeader(major, minor, revision, 0)
-    if header.wide_seen:
-        if len(data) < 20:
-            raise WeightsFileError("file truncated inside the 64-bit seen field")
-        header.seen = struct.unpack_from("<Q", data, 12)[0]
-        return header, 20
-    if len(data) < 16:
-        raise WeightsFileError("file truncated inside the 32-bit seen field")
-    header.seen = struct.unpack_from("<I", data, 12)[0]
-    return header, 16
+    header = WeightsHeader(*struct.unpack("<3i", data), 0)
+    width, code = (8, "<Q") if header.wide_seen else (4, "<I")
+    data = fh.read(width)
+    if len(data) < width:
+        raise WeightsFileError(f"file truncated inside the {8 * width}-bit seen field")
+    header.seen = struct.unpack(code, data)[0]
+    return header, 12 + width
 
 
 def load_weights(graph: ModelGraph, data: bytes, dtype=np.float64) -> Network:
     """Bind a weight blob to a graph, returning a parameterized network."""
-    header, offset = read_header(data)
-    _check_payload(len(data) - offset)
-    floats = np.frombuffer(data, dtype="<f4", offset=offset)
-    floats.flags.writeable = False  # the caller's buffer: parameters copy out of it
-    return _bind(Network(graph, dtype=dtype), header, floats.size,
-                 lambda at, n: floats[at : at + n])
+    return _read_weights(graph, io.BytesIO(data), dtype)
 
 
 def load_weights_file(graph: ModelGraph, path, dtype=np.float64) -> Network:
-    """:func:`load_weights` on a file. Float32 parameters are views of the
-    payload, read once in place; float64 ones are converted one stored array
-    at a time from a reused float32 buffer, so the payload never sits beside
-    them."""
+    """:func:`load_weights` on a file, a pipe included."""
     with open(path, "rb") as fh:
-        prefix = fh.read(20)
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to read into
-            return load_weights(graph, prefix + fh.read(), dtype=dtype)
-        header, offset = read_header(prefix)
-        body = info.st_size - offset
-        _check_payload(body)
-        fh.seek(offset)
-
-        def read_into(floats):
-            if fh.readinto(floats) != floats.nbytes:
-                raise WeightsFileError(f"{path}: file changed size while being read")
-            return floats
-
-        net = Network(graph, dtype=dtype)
-        if net.dtype == np.float32:
-            payload = read_into(np.empty(body // 4, dtype="<f4"))
-            return _bind(net, header, payload.size, lambda at, n: payload[at : at + n])
-        # no stored array outgrows its layer; the arrays are read in file order
-        buffer = np.empty(max((n for _, n in net.count_parameters()[0]), default=0), dtype="<f4")
-        return _bind(net, header, body // 4, lambda at, n: read_into(buffer[:n]))
+        return _read_weights(graph, fh, dtype)
 
 
-def _check_payload(body: int) -> None:
-    if body % 4:
-        raise WeightsFileError(f"{body} payload bytes is not a whole number of floats")
-
-
-def _bind(net: Network, header: WeightsHeader, total: int, read) -> Network:
-    """Attach a payload of ``total`` little-endian float32 values to ``net``;
-    ``read(at, n)`` gives the ``n`` values from offset ``at`` and is called
-    once per stored array, in file order. A float32 parameter is a view of a
-    writable chunk and a copy of a read-only one; a float64 one is converted."""
+def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
+    """A network of ``graph`` bound to the weights file read from the binary
+    stream ``fh``, one stored array at a time in file order. Float32
+    parameters are views of one array of every stored float; float64 ones
+    are converted from one reused float32 buffer, so the payload never sits
+    beside them. The stream is read to its end."""
+    header, _ = read_header(fh)
+    net = Network(graph, dtype=dtype)
     net.seen = header.seen
+    per_layer, total = net.count_parameters()
+    views = net.dtype == np.float32
+    # no stored array outgrows its layer
+    floats = np.empty(total if views else max((n for _, n in per_layer), default=0), "<f4")
     cursor = 0
     for i, p in net.conv_layers():
         for name, shape in p.stored(net.conv_in_channels[i]):
             what = "bn variance" if name == "bn_var" else name.replace("_", " ")
             n = math.prod(shape)
-            if cursor + n > total:
+            chunk = floats[cursor : cursor + n] if views else floats[:n]
+            got = fh.readinto(chunk)
+            if got < chunk.nbytes:  # the stream ended inside this array
+                _check_payload(4 * cursor + got)
                 raise WeightsFileError(
                     f"layer {i}: file truncated reading {what} "
-                    f"(need {n} floats, have {total - cursor})"
+                    f"(need {n} floats, have {got // 4})"
                 )
-            chunk = read(cursor, n)
-            # the sum of finite float32 values cannot overflow float64, so
-            # it is finite exactly when every value is
-            if not np.isfinite(np.sum(chunk, dtype=np.float64)):
+            # max and min carry any NaN or infinity, and the spread of two
+            # finite float32 values is finite in float64; no cast buffer
+            if not math.isfinite(float(chunk.max()) - float(chunk.min())):
                 raise WeightsFileError(f"layer {i}: non-finite values in {what}")
-            setattr(p, name, chunk.reshape(shape).astype(net.dtype,
-                                                          copy=not chunk.flags.writeable))
+            setattr(p, name, chunk.reshape(shape).astype(net.dtype, copy=False))
             cursor += n
         try:
             p.validate()
         except ShapeError as exc:
             raise WeightsFileError(f"layer {i}: {exc}") from None
-    if cursor != total:
-        raise WeightsFileError(f"{total - cursor} trailing floats after the last layer")
+    trailing = len(fh.read())
+    _check_payload(4 * cursor + trailing)
+    if trailing:
+        raise WeightsFileError(f"{trailing // 4} trailing floats after the last layer")
     return net
+
+
+def _check_payload(body: int) -> None:
+    if body % 4:
+        raise WeightsFileError(f"{body} payload bytes is not a whole number of floats")
 
 
 def _file_chunks(network: Network):

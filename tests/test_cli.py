@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from yolokit.evaluation import (
 from yolokit.loss import ToyTrainConfig, toy_graph
 from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, render_detections, write_ppm
 from yolokit.verify import CheckResult, check_toy_steps
-from yolokit.weights import check_seed
+from yolokit.weights import check_seed, random_init, save_weights_file
 
 
 @pytest.fixture
@@ -214,6 +215,23 @@ class TestDetect:
         flat = out.reshape(3, -1).T
         hits = (np.abs(flat[:, None, :] - palette[None, :, :]).max(axis=2) < 1e-9).any()
         assert hits  # at least one pixel painted in a palette color
+
+    def test_weights_through_a_pipe_match_the_file(self, scene, tmp_path):
+        cfg, weights, fifo = tmp_path / "toy.cfg", tmp_path / "toy.weights", tmp_path / "w.fifo"
+        cfg.write_text(render_cfg(toy_graph()))
+        save_weights_file(random_init(toy_graph(), seed=5), weights)
+        os.mkfifo(fifo)
+        args = ["detect", scene, "--cfg", cfg, "--size", "64", "--conf", "0.05"]
+        from_file, from_pipe = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(args + ["--weights", weights, "--out", from_file]) == 0
+        writer = threading.Thread(target=fifo.write_bytes, args=(weights.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        assert run(args + ["--weights", fifo, "--out", from_pipe]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert from_file.read_text().count("\n") > 0
+        assert from_pipe.read_bytes() == from_file.read_bytes()
 
     def test_env_seed_matches_explicit(self, scene, tmp_path, monkeypatch):
         args = ["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
@@ -419,6 +437,24 @@ class TestDestinations:
             capsys.readouterr().err)
         assert {name: (tmp_path / "d" / name).read_bytes() for name in before} == before
         assert not (tmp_path / "d" / "p.txt").exists() and not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("dest, kind", [
+        ("toy.weights", "weights file"),
+        ("toy.cfg", "model definition"),
+    ])
+    def test_output_over_the_weights_or_cfg_fails_before_any_work(
+            self, scene, tmp_path, capsys, monkeypatch, dest, kind):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_weights_file", lambda *a, **kw: pytest.fail("detect began"))
+        (tmp_path / "toy.cfg").write_text(render_cfg(toy_graph()))
+        save_weights_file(random_init(toy_graph(), seed=5), tmp_path / "toy.weights")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run(["detect", scene, "--cfg", "toy.cfg", "--weights", "toy.weights",
+                    "--size", "64", "--out", dest, "--render", "r"]) == 2
+        source = "toy.cfg" if kind == "model definition" else "toy.weights"
+        assert f"usage error: --out would write {dest} over the {kind} {source}" in (
+            capsys.readouterr().err)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("out_dir, pred, message", [
         # the prediction file is out/report.txt

@@ -1,5 +1,6 @@
 """Weight-file layout, headers, round-trips, and seeded initialization."""
 
+import io
 import math
 import os
 import struct
@@ -83,7 +84,7 @@ class TestLayout:
 class TestHeader:
     def test_modern_header_wide_seen(self):
         data = struct.pack("<3iQ", 0, 2, 0, 123456789012)
-        header, offset = read_header(data)
+        header, offset = read_header(io.BytesIO(data))
         assert (header.major, header.minor, header.revision) == (0, 2, 0)
         assert header.seen == 123456789012
         assert offset == 20
@@ -165,11 +166,37 @@ class TestErrors:
         assert "layer 0" in str(err.value)
 
 
-def _both_loaders(graph, blob, tmp_path, dtype=np.float64):
-    """The network from the blob, then from the same bytes in a file."""
+def _feed(fifo, data):
+    """Write ``data`` to ``fifo``; a reader that stops at a bad array may
+    close its end first."""
+    try:
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:
+        pass
+
+
+def _fifo_load(graph, data, tmp_path, dtype=np.float64):
+    """``load_weights_file`` on a FIFO that a thread feeds ``data``."""
+    fifo = tmp_path / "w.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=_feed, args=(fifo, data), daemon=True)
+    writer.start()
+    try:
+        return load_weights_file(graph, fifo, dtype=dtype)
+    finally:
+        writer.join(timeout=10)
+        fifo.unlink()
+        assert not writer.is_alive()
+
+
+def _three_loaders(graph, blob, tmp_path, dtype=np.float64):
+    """The network from the blob, then from the same bytes in a file, then
+    through a pipe."""
     path = tmp_path / "w.weights"
     path.write_bytes(blob)
-    return load_weights(graph, blob, dtype=dtype), load_weights_file(graph, path, dtype=dtype)
+    return (load_weights(graph, blob, dtype=dtype), load_weights_file(graph, path, dtype=dtype),
+            _fifo_load(graph, blob, tmp_path, dtype))
 
 
 def _load_error(loader, *args):
@@ -179,19 +206,21 @@ def _load_error(loader, *args):
 
 
 class TestFileLoad:
-    """``load_weights_file`` reads the floats once into one array: float32
-    parameters are views of it, float64 ones converted per layer."""
+    """A blob, a file and a pipe are read by one loop over a stream, one
+    stored array at a time: float32 parameters are views of one array of
+    every stored float, float64 ones are converted from one reused buffer."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_file_and_blob_loads_agree_bitwise(self, tmp_path, dtype):
         graph = parse_cfg(TWO_CONV)
         blob = save_weights(random_init(graph, seed=20))
-        from_blob, from_file = _both_loaders(graph, blob, tmp_path, dtype)
-        for (_, a), (_, b) in zip(from_blob.conv_layers(), from_file.conv_layers()):
-            for (name, x, _), (_, y, _) in zip(a.learnable(), b.learnable()):
-                assert x.dtype == y.dtype == dtype, name
-                assert np.array_equal(x, y), name
-        assert save_weights(from_file) == blob
+        from_blob, *others = _three_loaders(graph, blob, tmp_path, dtype)
+        for other in others:
+            for (_, a), (_, b) in zip(from_blob.conv_layers(), other.conv_layers()):
+                for (name, x, _), (_, y, _) in zip(a.learnable(), b.learnable()):
+                    assert x.dtype == y.dtype == dtype, name
+                    assert np.array_equal(x, y), name
+            assert save_weights(other) == blob
 
     def test_float32_parameters_are_writable_views_of_one_array(self, tmp_path):
         graph = parse_cfg(TWO_CONV)
@@ -237,6 +266,12 @@ class TestFileLoad:
              "layer 1: file truncated reading weights (need 128 floats, have 118)"),
             (blob + struct.pack("<f", nan), "1 trailing floats after the last layer"),
             (blob + b"\x01", "4497 payload bytes is not a whole number of floats"),
+            (blob[:-41], "4455 payload bytes is not a whole number of floats"),
+            # the layers are read before the tail: a bad value wins over a ragged one
+            (put(blob, 0, nan) + b"\x01", "layer 0: non-finite values in bn beta"),
+            (blob[:10], "file too short for a header: 10 bytes"),
+            (blob[:16], "file truncated inside the 64-bit seen field"),
+            (struct.pack("<3iH", 0, 1, 0, 77), "file truncated inside the 32-bit seen field"),
         ]
         for data, message in cases:
             path = tmp_path / "w.weights"
@@ -244,6 +279,7 @@ class TestFileLoad:
             for dtype in (np.float32, np.float64):
                 assert _load_error(load_weights, graph, data, dtype) == message
                 assert _load_error(load_weights_file, graph, path, dtype) == message
+                assert _load_error(_fifo_load, graph, data, tmp_path, dtype) == message
 
     def test_pipe_is_read_like_a_file(self, tmp_path):
         graph = parse_cfg(TWO_CONV)
@@ -281,6 +317,11 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _parameter_bytes(net):
+    return sum(getattr(p, name).nbytes for i, p in net.conv_layers()
+               for name, _ in p.stored(net.conv_in_channels[i]))
+
+
 def _largest_stored_bytes(net):
     """Bytes of the largest array a convolution of ``net`` stores, as float32."""
     return max(4 * math.prod(shape)
@@ -292,18 +333,29 @@ MARGIN_BYTES = 64 << 10
 
 
 class TestMemory:
-    """The payload never sits beside the float64 parameters, and a save
-    holds at most one stored array's conversion."""
+    """The payload never sits beside the float64 parameters, from a file or
+    a pipe, and a save holds at most one stored array's conversion."""
 
     def test_float64_load_holds_the_parameters_and_one_array(self, tmp_path):
         graph = parse_cfg(SIX_CONV)
         path = tmp_path / "w.weights"
         path.write_bytes(save_weights(random_init(graph, seed=40)))
         net, peak = _traced_peak(load_weights_file, graph, path)
-        params = sum(getattr(p, name).nbytes for i, p in net.conv_layers()
-                     for name, _ in p.stored(net.conv_in_channels[i]))
+        params = _parameter_bytes(net)
         assert params == 2 * (path.stat().st_size - 20)  # float64 of every stored float
         assert peak <= params + _largest_stored_bytes(net) + MARGIN_BYTES
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pipe_load_holds_the_parameters_and_at_most_one_array(self, tmp_path, dtype):
+        # a float32 load reads into its parameters; a float64 one converts
+        # through one buffer the size of a layer
+        graph = parse_cfg(SIX_CONV)
+        blob = save_weights(random_init(graph, seed=45))  # allocated before tracing
+        net, peak = _traced_peak(_fifo_load, graph, blob, tmp_path, dtype)
+        params = _parameter_bytes(net)
+        assert params == np.dtype(dtype).itemsize * (len(blob) - 20) // 4
+        buffer = _largest_stored_bytes(net) if dtype == np.float64 else 0
+        assert peak <= params + buffer + MARGIN_BYTES
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_save_holds_at_most_one_array(self, tmp_path, dtype):
