@@ -212,8 +212,8 @@ def cmd_detect(args) -> int:
     per_image = []
     for path, image_id in zip(args.images, image_ids):
         image = read_ppm(path)
-        boxed, transform = letterbox(image, args.size)
-        heads = net.forward(boxed.astype(dtype))
+        boxed, transform = letterbox(image, args.size, dtype)
+        heads = net.forward(boxed)
         candidates = Detections.concat(decode(head, args.conf, transform, image_id)
                                        for head in heads)
         detections = nms(candidates, args.nms)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError, ValidationError
 from .network import HeadOutput
-from .ops import check_tensor, sigmoid
+from .ops import sigmoid
 
 PAD_VALUE = 0.5  # gray fill for letterbox borders
 
@@ -130,11 +130,31 @@ class LetterboxTransform:
 IDENTITY_TRANSFORM = LetterboxTransform(1.0, 0.0, 0.0)
 
 
-def letterbox(image: np.ndarray, target: int) -> tuple[np.ndarray, LetterboxTransform]:
-    """Aspect-preserving nearest-neighbor resize onto a centered square canvas."""
-    image = check_tensor(image, rank=3, name="image")
+def check_image(image) -> np.ndarray:
+    """Validate an 8-bit frame: a (3, H, W) uint8 array, H and W >= 1; a
+    ValidationError otherwise."""
+    if not isinstance(image, np.ndarray) or image.dtype != np.uint8:
+        got = image.dtype if isinstance(image, np.ndarray) else type(image).__name__
+        raise ValidationError(f"image: expected uint8 samples, got {got}")
+    if image.ndim != 3 or image.shape[0] != 3 or 0 in image.shape:
+        raise ValidationError(f"image: expected a (3, H, W) array, got shape {image.shape}")
+    return image
+
+
+def letterbox(image: np.ndarray, target: int, dtype) -> tuple[np.ndarray, LetterboxTransform]:
+    """Aspect-preserving nearest-neighbor resize onto a centered square canvas.
+
+    Takes a (3, H, W) uint8 image and returns a (3, target, target) canvas
+    of ``dtype`` (float32 or float64): each sample ``v`` becomes ``v / 255``,
+    computed in float64 and rounded once to ``dtype``, with ``PAD_VALUE``
+    borders. This is the one conversion of a frame out of 8 bits.
+    """
+    check_image(image)
     if target < 1:
         raise UsageError(f"letterbox target {target} must be positive")
+    dtype = np.dtype(dtype)
+    if dtype.type not in (np.float32, np.float64):
+        raise UsageError(f"letterbox dtype must be float32 or float64, got {dtype}")
     c, h, w = image.shape
     scale = target / max(h, w)
     new_h = max(1, round(h * scale))
@@ -144,8 +164,9 @@ def letterbox(image: np.ndarray, target: int) -> tuple[np.ndarray, LetterboxTran
     resized = image[:, rows[:, None], cols[None, :]]
     pad_y = (target - new_h) // 2
     pad_x = (target - new_w) // 2
-    canvas = np.full((c, target, target), PAD_VALUE, dtype=image.dtype)
-    canvas[:, pad_y : pad_y + new_h, pad_x : pad_x + new_w] = resized
+    canvas = np.full((c, target, target), PAD_VALUE, dtype=dtype)
+    levels = (np.arange(256) / 255.0).astype(dtype)
+    canvas[:, pad_y : pad_y + new_h, pad_x : pad_x + new_w] = levels[resized]
     return canvas, LetterboxTransform(scale, float(pad_x), float(pad_y))
 
 

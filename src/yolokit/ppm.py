@@ -1,15 +1,16 @@
 """Binary P6 PPM reading/writing and box rendering.
 
 The only supported image codec: zero dependencies, bit-exact fixtures.
-Images are exchanged as (3, H, W) float arrays with values in [0, 1]
-(stored 8-bit, maxval 255).
+Images are exchanged as C-contiguous (3, H, W) uint8 arrays, the 8-bit
+samples the file stores (maxval 255); ``detect.letterbox`` is the one step
+that turns them into the network's float dtype.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .detect import Detections, corner_table
+from .detect import Detections, check_image, corner_table
 from .errors import ValidationError
 
 # Fixed 10-color class palette (RGB, 0-255), cycled for class indices >= 10.
@@ -50,7 +51,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def parse_ppm(data: bytes) -> np.ndarray:
-    """Decode P6 bytes into a (3, H, W) float64 array scaled to [0, 1]."""
+    """Decode P6 bytes into a C-contiguous (3, H, W) uint8 array."""
     magic, pos = _next_token(data, 0)
     if magic != b"P6":
         raise ValidationError(f"not a binary P6 PPM (magic {magic!r})")
@@ -68,13 +69,12 @@ def parse_ppm(data: bytes) -> np.ndarray:
         raise ValidationError(f"only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace byte separates the header from the raster
     expected = 3 * width * height
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
+    if len(data) - pos < expected:
         raise ValidationError(
-            f"PPM raster truncated: expected {expected} bytes, got {len(raster)}"
+            f"PPM raster truncated: expected {expected} bytes, got {max(len(data) - pos, 0)}"
         )
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return pixels.transpose(2, 0, 1).astype(np.float64) / 255.0
+    pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
+    return pixels.transpose(2, 0, 1).copy()
 
 
 def read_ppm(path) -> np.ndarray:
@@ -82,28 +82,33 @@ def read_ppm(path) -> np.ndarray:
         return parse_ppm(fh.read())
 
 
+def _ppm_chunks(image: np.ndarray) -> tuple[bytes, bytes]:
+    """The P6 header and raster of a (3, H, W) uint8 image."""
+    _, h, w = check_image(image).shape
+    return b"P6\n%d %d\n255\n" % (w, h), image.transpose(1, 2, 0).tobytes()
+
+
 def encode_ppm(image: np.ndarray) -> bytes:
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValidationError(f"expected a (3, H, W) image, got shape {image.shape}")
-    _, h, w = image.shape
-    raster = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
-    return b"P6\n%d %d\n255\n" % (w, h) + raster.transpose(1, 2, 0).tobytes()
+    """Encode a (3, H, W) uint8 image as P6 bytes."""
+    return b"".join(_ppm_chunks(image))
 
 
 def write_ppm(path, image: np.ndarray) -> None:
+    chunks = _ppm_chunks(image)  # a refused image leaves the path alone
     with open(path, "wb") as fh:
-        fh.write(encode_ppm(image))
+        fh.writelines(chunks)
 
 
 def render_detections(image: np.ndarray, detections) -> np.ndarray:
-    """Return a copy of the image with class-colored outlines drawn on it.
+    """Return a uint8 copy of the image with class-colored outlines drawn on it.
 
-    Takes :class:`~yolokit.detect.Detections` (or a list of ``Detection``).
+    Takes a (3, H, W) uint8 image and :class:`~yolokit.detect.Detections`
+    (or a list of ``Detection``).
     Each box's corners are rounded to pixels and clamped to the image, and
     its outline is ``OUTLINE_THICKNESS`` pixels wide; boxes are drawn in row
     order, so a later box paints over an earlier one.
     """
-    canvas = np.array(image, copy=True)
+    canvas = check_image(image).copy()
     _, h, w = canvas.shape
     table = Detections.of(detections)
     with np.errstate(over="ignore"):  # in the area row, which is not drawn
@@ -114,7 +119,7 @@ def render_detections(image: np.ndarray, detections) -> np.ndarray:
     x1, y1, x2, y2 = np.rint(np.clip(corners, -1, limit)).astype(np.int64)
     x1, y1 = np.maximum(x1, 0), np.maximum(y1, 0)
     x2, y2 = np.minimum(x2, w - 1), np.minimum(y2, h - 1)
-    colors = (np.array(PALETTE) / 255.0).astype(canvas.dtype)[:, :, None, None]
+    colors = np.array(PALETTE, dtype=np.uint8)[:, :, None, None]
     t = OUTLINE_THICKNESS
     for left, top, right, bottom, cls in zip(
         x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),

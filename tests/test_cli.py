@@ -3,13 +3,21 @@
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from yolokit import cli
 from yolokit.cfg import builtin_graph, check_num_classes, parse_cfg, render_cfg, shape_check
-from yolokit.detect import Box, Detection, Detections, check_conf_threshold, check_nms_threshold
+from yolokit.detect import (
+    Box,
+    Detection,
+    Detections,
+    check_conf_threshold,
+    check_nms_threshold,
+    letterbox,
+)
 from yolokit.errors import GraphValidationError, ValidationError
 from yolokit.evaluation import (
     GroundTruthBox,
@@ -28,7 +36,7 @@ from yolokit.weights import check_seed, random_init, save_weights_file
 def scene(tmp_path):
     rng = np.random.default_rng(11)
     path = tmp_path / "scene.ppm"
-    write_ppm(path, rng.uniform(0, 1, (3, 64, 96)))
+    write_ppm(path, np.round(rng.uniform(0, 1, (3, 64, 96)) * 255).astype(np.uint8))
     return path
 
 
@@ -39,11 +47,12 @@ def run(argv):
 class TestPpm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        image = np.round(rng.uniform(0, 1, (3, 5, 7)) * 255) / 255
+        image = rng.integers(0, 256, (3, 5, 7), dtype=np.uint8)
         path = tmp_path / "x.ppm"
         write_ppm(path, image)
         again = read_ppm(path)
-        np.testing.assert_allclose(again, image, atol=1e-9)
+        assert again.dtype == np.uint8 and again.flags.c_contiguous
+        assert np.array_equal(again, image)
 
     def test_comments_in_header(self):
         data = b"P6\n# a comment\n2 1\n255\n" + bytes(6)
@@ -61,10 +70,95 @@ class TestPpm:
         with pytest.raises(ValidationError):
             parse_ppm(b"P6\n2 2\n255\n\x00\x00\x00")
 
-    def test_encode_clips(self):
-        image = np.array([[[-1.0, 2.0]]] * 3)
-        data = encode_ppm(image)
-        assert data.endswith(bytes([0, 0, 0, 255, 255, 255]))
+    @pytest.mark.parametrize("image", [
+        np.zeros((3, 4, 4)),                     # float samples
+        np.zeros((3, 4, 4), dtype=np.int16),     # wider integers
+        np.zeros((4, 4, 3), dtype=np.uint8),     # channels last
+        np.zeros((1, 4, 4), dtype=np.uint8),     # one channel
+        np.zeros((3, 0, 4), dtype=np.uint8),     # no rows
+        np.zeros((3, 4), dtype=np.uint8),        # rank 2
+    ], ids=["float64", "int16", "hwc", "gray", "empty", "rank2"])
+    def test_a_non_8bit_or_misshaped_image_is_refused_before_any_work(self, image):
+        class Untouched(np.ndarray):  # any read of the samples fails the test
+            def __getitem__(self, key):
+                pytest.fail("image read before it was checked")
+
+            def transpose(self, *axes):
+                pytest.fail("image read before it was checked")
+
+            def copy(self, order="C"):
+                pytest.fail("image read before it was checked")
+
+        image = image.view(Untouched)
+        with pytest.raises(ValidationError, match="image: expected"):
+            encode_ppm(image)
+        with pytest.raises(ValidationError, match="image: expected"):
+            letterbox(image, 8, np.float32)
+        with pytest.raises(ValidationError, match="image: expected"):
+            render_detections(image, [])
+
+    def test_refused_write_leaves_the_path_alone(self, tmp_path):
+        old = encode_ppm(np.full((3, 2, 3), 7, dtype=np.uint8))
+        existing, missing = tmp_path / "old.ppm", tmp_path / "new.ppm"
+        existing.write_bytes(old)
+        for path in (existing, missing):
+            with pytest.raises(ValidationError):
+                write_ppm(path, np.zeros((4, 4)))
+        assert existing.read_bytes() == old
+        assert not missing.exists()
+
+    def test_encoding_a_render_equals_the_float_encode(self):
+        # the float route scaled each 8-bit sample v and palette byte to
+        # v / 255 and encoded round(clip(x) * 255); round((v / 255) * 255)
+        # is v for every level, so the 8-bit route writes the same bytes
+        def float_encode(image):
+            _, h, w = image.shape
+            raster = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+            return b"P6\n%d %d\n255\n" % (w, h) + raster.transpose(1, 2, 0).tobytes()
+
+        levels = np.arange(256, dtype=np.uint8).reshape(4, 64)
+        image = np.zeros((3, 24, 64), dtype=np.uint8)
+        for c in range(3):
+            image[c, :4] = np.roll(levels, 85 * c)
+        # one box per palette colour, side by side below the level rows
+        dets = [Detection("im", k, 0.5, Box(3 + 6 * k, 14, 4, 14)) for k in range(len(PALETTE))]
+        rendered = render_detections(image, dets)
+        assert rendered.dtype == np.uint8
+        assert np.array_equal(rendered[:, :4], image[:, :4])
+        pixels = {tuple(p) for p in rendered.reshape(3, -1).T.tolist()}
+        assert set(PALETTE) <= pixels
+        for frame in (image, rendered):
+            assert encode_ppm(frame) == float_encode(frame / 255.0)
+
+    def test_image_path_memory_is_a_few_8bit_frames(self, tmp_path):
+        # cmd_detect's image path on a 1024x1024 frame: read, letterbox,
+        # render and write, keeping the frame and its network input alive.
+        # Bound: 3 frames (the frame, the render and its raster) + 2 float32
+        # 640-px network inputs (the canvas and its table lookup) + 64 KiB,
+        # 18.4 MiB; encode_ppm's joined bytes add a fourth frame. A float64
+        # frame alone is 8 frames.
+        frame = np.random.default_rng(3).integers(0, 256, (3, 1024, 1024), dtype=np.uint8)
+        path, out = tmp_path / "big.ppm", tmp_path / "out.ppm"
+        write_ppm(path, frame)
+        dets = [Detection("big", k, 0.5, Box(60 + 90 * k, 500, 80, 300)) for k in range(10)]
+        canvas = 3 * 640 * 640 * 4  # bytes of a float32 640-px network input
+        budget = 3 * frame.nbytes + 2 * canvas + 64 * 1024
+        tracemalloc.start()
+        try:
+            image = read_ppm(path)
+            boxed, _ = letterbox(image, 640, np.float32)
+            rendered = render_detections(image, dets)
+            write_ppm(out, rendered)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            data = encode_ppm(rendered)
+            encode_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert boxed.nbytes == canvas and np.array_equal(image, frame)
+        assert out.read_bytes() == data
+        assert peak <= budget, f"peak {peak / 2**20:.1f} MiB > {budget / 2**20:.1f} MiB"
+        assert encode_peak <= budget + frame.nbytes
 
     def test_render_draws_each_box_like_a_scalar_loop(self):
         # boxes across each border, outside each side, half-pixel corners
@@ -74,7 +168,7 @@ class TestPpm:
                  (30, 5, 4, 4), (10, -9, 4, 4), (10, 20, 4, 4), (2.5, 3.5, 3, 3),
                  (11.5, 6.5, 1, 1), (10, 8, 1e300, 1e300), (12, 8, 0.2, 9), (7, 7, 3, 3)]
         dets = [Detection("im", k * 3, 0.5, Box(*box)) for k, box in enumerate(boxes)]
-        image = np.random.default_rng(16).uniform(0, 1, (3, 16, 24))
+        image = np.random.default_rng(16).integers(0, 256, (3, 16, 24), dtype=np.uint8)
         want = image.copy()
         for d in dets:  # the outline rule, one box at a time
             b = d.box
@@ -82,7 +176,7 @@ class TestPpm:
             x1, y1, x2, y2 = (int(round(v)) for v in corners)
             x1, x2, y1, y2 = max(0, x1), min(23, x2), max(0, y1), min(15, y2)
             if x1 <= x2 and y1 <= y2:
-                color = np.array(PALETTE[d.class_index % 10])[:, None, None] / 255.0
+                color = np.array(PALETTE[d.class_index % 10], dtype=np.uint8)[:, None, None]
                 for rows, cols in ((slice(y1, min(y1 + 2, y2 + 1)), slice(x1, x2 + 1)),
                                    (slice(max(y2 - 1, y1), y2 + 1), slice(x1, x2 + 1)),
                                    (slice(y1, y2 + 1), slice(x1, min(x1 + 2, x2 + 1))),
@@ -90,7 +184,7 @@ class TestPpm:
                     want[:, rows, cols] = color
         for given in (dets, Detections.of(dets)):
             got = render_detections(image, given)
-            assert np.array_equal(got, want)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
         assert not np.array_equal(want, image) and image is not got
 
 
@@ -211,9 +305,9 @@ class TestDetect:
         assert code == 0
         out = read_ppm(rendered / "scene.ppm")
         assert out.shape == (3, 64, 96)
-        palette = np.array(PALETTE, dtype=float) / 255.0
+        palette = np.array(PALETTE, dtype=np.uint8)
         flat = out.reshape(3, -1).T
-        hits = (np.abs(flat[:, None, :] - palette[None, :, :]).max(axis=2) < 1e-9).any()
+        hits = (flat[:, None, :] == palette[None, :, :]).all(axis=2).any()
         assert hits  # at least one pixel painted in a palette color
 
     def test_weights_through_a_pipe_match_the_file(self, scene, tmp_path):
@@ -422,8 +516,10 @@ class TestDestinations:
         monkeypatch.setattr(cli, "random_init", lambda *a, **kw: pytest.fail("detect began"))
         rng = np.random.default_rng(11)
         (tmp_path / "d").mkdir()
-        write_ppm(tmp_path / "d" / "a.ppm", rng.uniform(0, 1, (3, 64, 96)))
-        write_ppm(tmp_path / "d" / "b.ppm", rng.uniform(0, 1, (3, 32, 32)))
+        write_ppm(tmp_path / "d" / "a.ppm",
+                  np.round(rng.uniform(0, 1, (3, 64, 96)) * 255).astype(np.uint8))
+        write_ppm(tmp_path / "d" / "b.ppm",
+                  np.round(rng.uniform(0, 1, (3, 32, 32)) * 255).astype(np.uint8))
         (tmp_path / "alias").symlink_to(tmp_path / "d")
         (tmp_path / "link.ppm").symlink_to(tmp_path / "d" / "a.ppm")
         os.link(tmp_path / "d" / "a.ppm", tmp_path / "hard.ppm")

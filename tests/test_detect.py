@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from yolokit.detect import (
+    PAD_VALUE,
     Box,
     Detection,
     Detections,
@@ -30,26 +31,80 @@ def head_with_raw(raw, stride=32, anchors=None):
     return HeadOutput(stride, raw, anchors, 0.5)
 
 
+def float_letterbox(image8, target, dtype):
+    """The float64 route: parse scaled each sample to v / 255, letterbox
+    resized and padded in float64, and detect cast the canvas to dtype."""
+    image = image8.astype(np.float64) / 255.0
+    c, h, w = image.shape
+    scale = target / max(h, w)
+    new_h = max(1, round(h * scale))
+    new_w = max(1, round(w * scale))
+    rows = np.clip(((np.arange(new_h) + 0.5) / scale).astype(int), 0, h - 1)
+    cols = np.clip(((np.arange(new_w) + 0.5) / scale).astype(int), 0, w - 1)
+    resized = image[:, rows[:, None], cols[None, :]]
+    pad_y = (target - new_h) // 2
+    pad_x = (target - new_w) // 2
+    canvas = np.full((c, target, target), 0.5, dtype=np.float64)
+    canvas[:, pad_y : pad_y + new_h, pad_x : pad_x + new_w] = resized
+    return canvas.astype(dtype)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestLetterbox:
     def test_square_identity(self):
-        image = np.random.default_rng(0).uniform(0, 1, (3, 64, 64))
-        out, transform = letterbox(image, 64)
+        image = np.random.default_rng(0).integers(0, 256, (3, 64, 64), dtype=np.uint8)
+        out, transform = letterbox(image, 64, np.float64)
         assert transform == LetterboxTransform(1.0, 0.0, 0.0)
-        assert np.array_equal(out, image)
+        assert np.array_equal(out, image / 255.0)
 
     def test_wide_image_pads_x(self):
-        image = np.random.default_rng(1).uniform(0, 1, (3, 320, 640))
-        out, transform = letterbox(image, 640)
+        image = np.random.default_rng(1).integers(0, 256, (3, 320, 640), dtype=np.uint8)
+        out, transform = letterbox(image, 640, np.float32)
         assert transform.scale == 1.0
         assert (transform.pad_x, transform.pad_y) == (0.0, 160.0)
-        assert out.shape == (3, 640, 640)
+        assert out.shape == (3, 640, 640) and out.dtype == np.float32
         assert np.all(out[:, :160, :] == 0.5)
         assert np.all(out[:, 480:, :] == 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_level_maps_to_its_float64_quotient(self, dtype):
+        # one row holding all 256 levels in each channel, at scale 1
+        image = np.stack([np.roll(np.arange(256, dtype=np.uint8), 85 * c) for c in range(3)])
+        out, transform = letterbox(image[:, None, :], 256, dtype)
+        assert transform == LetterboxTransform(1.0, 0.0, 127.0)
+        want = (image.astype(np.float64) / 255.0).astype(dtype)
+        assert same_bits(out[:, 127, :], want)
+        assert same_bits(out, float_letterbox(image[:, None, :], 256, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,target,pad_rows,pad_cols", [
+        ((3, 90, 160), 64, 28, 0),     # landscape, shrunk: 36x64 resized
+        ((3, 150, 70), 96, 0, 51),     # portrait, shrunk: 96x45
+        ((3, 37, 37), 64, 0, 0),       # square, enlarged
+        ((3, 21, 50), 128, 74, 0),     # landscape, enlarged: 54x128
+        ((3, 1, 1), 32, 0, 0),         # one pixel fills the canvas
+    ])
+    def test_equals_the_float64_route_bit_for_bit(self, shape, target, pad_rows, pad_cols,
+                                                  dtype):
+        image = np.random.default_rng(sum(shape) + target).integers(0, 256, shape, dtype=np.uint8)
+        out, _ = letterbox(image, target, dtype)
+        assert same_bits(out, float_letterbox(image, target, dtype))
+        # no level v / 255 is 0.5, so the pad cells are exactly the 0.5 cells
+        resized = (target - pad_rows) * (target - pad_cols)
+        assert np.count_nonzero(out == PAD_VALUE) == 3 * (target * target - resized)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float16, np.complex128])
+    def test_dtype_must_be_float32_or_float64(self, dtype):
+        with pytest.raises(UsageError, match="float32 or float64"):
+            letterbox(np.zeros((3, 8, 8), dtype=np.uint8), 8, dtype)
 
     def test_target_must_be_divisible(self):
         # letterbox itself takes any positive size; the network rejects it
         # by the rule of its own head (stride 8 does not divide 100)
-        canvas, _ = letterbox(np.zeros((3, 64, 64)), 100)
+        canvas, _ = letterbox(np.zeros((3, 64, 64), dtype=np.uint8), 100, np.float64)
         net = random_init(toy_graph(), seed=0)
         with pytest.raises(ShapeError, match="not an integer stride of 100x100"):
             net.forward(canvas)
@@ -57,14 +112,14 @@ class TestLetterbox:
     @pytest.mark.parametrize("target", [0, -32])
     def test_target_must_be_positive(self, target):
         with pytest.raises(UsageError):
-            letterbox(np.zeros((3, 64, 64)), target)
+            letterbox(np.zeros((3, 64, 64), dtype=np.uint8), target, np.float64)
 
     def test_box_round_trip_within_pixel(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             h = int(rng.integers(40, 700))
             w = int(rng.integers(40, 700))
-            _, transform = letterbox(np.zeros((3, h, w)), 320)
+            _, transform = letterbox(np.zeros((3, h, w), dtype=np.uint8), 320, np.float64)
             box = Box(
                 float(rng.uniform(5, w - 5)),
                 float(rng.uniform(5, h - 5)),
