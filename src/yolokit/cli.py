@@ -19,7 +19,14 @@ import numpy as np
 from . import __version__
 from .cfg import builtin_graph, check_num_classes, parse_cfg, shape_check
 from .detect import Detections, check_conf_threshold, check_nms_threshold, decode, letterbox, nms
-from .errors import GraphValidationError, UsageError, ValidationError, YoloKitError
+from .errors import (
+    CfgParseError,
+    GraphValidationError,
+    UsageError,
+    ValidationError,
+    YoloKitError,
+    undecodable,
+)
 from .evaluation import (
     annotation_files,
     check_image_id,
@@ -171,7 +178,11 @@ def _check_not_an_input(destinations, inputs) -> None:
 def _resolve_graph(args):
     if args.cfg:
         with open(args.cfg, encoding="utf-8") as fh:
-            return parse_cfg(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CfgParseError(f"{args.cfg}: {undecodable(exc)}") from None
+        return parse_cfg(text)
     if not args.model:
         raise UsageError("pick a model with --model or supply --cfg")
     _check_flag("--classes", args.classes, check_num_classes)
@@ -244,7 +255,7 @@ def cmd_eval(args) -> int:
                          for name in report_file_names(args.classes)], inputs)
     truth = load_ground_truth(args.gt)
     with open(args.pred, encoding="utf-8") as fh:
-        detections = parse_predictions(fh.read())
+        detections = parse_predictions(fh)
     report = evaluate(detections, truth, args.classes,
                       iou_threshold=args.iou, score_threshold=args.conf)
     write_report_files(report, args.out_dir)

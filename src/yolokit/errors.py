@@ -32,13 +32,22 @@ class WeightsFileError(YoloKitError):
 
 
 class AnnotationError(YoloKitError):
-    """Malformed annotation or prediction text. Carries the 1-based line number."""
+    """Malformed annotation or prediction text. Carries the 1-based line number,
+    and the file's name when the text came from a file."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
+
+
+def undecodable(exc: UnicodeDecodeError) -> str:
+    """What a text reader says of bytes that ``exc`` could not decode."""
+    return f"not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}"
 
 
 class NumericError(YoloKitError):

@@ -10,11 +10,17 @@ per image against its regions. AP uses all-point right-envelope
 interpolation and mAP averages the classes that actually appear in the
 ground truth.
 
-Both text formats are read by one block reader: each block of lines is
+Both text formats are read by one block reader: it reads a text or a text
+stream (an open file or a pipe) a chunk at a time, each block of lines is
 checked and converted column by column, and a bad block is bisected to its
-first bad line. They become columns, :class:`~yolokit.detect.Detections`
-and :class:`GroundTruth`, which the matcher and the evaluator work on;
-``Detection`` and ``GroundTruthBox`` objects are accepted at the edges.
+first bad line. Each block's columns are appended to columns grown in
+place, so neither the whole text nor all its lines are held. They become
+columns, :class:`~yolokit.detect.Detections` and :class:`GroundTruth`, which
+the matcher and the evaluator work on; ``Detection`` and ``GroundTruthBox``
+objects are accepted at the edges. The matcher builds its corner tables for
+one block of whole images at a time, and PR curves stay float64 arrays,
+written to their files in blocks of lines, so eval's memory scales with
+its columns.
 
 Everything is deterministic under input shuffling: equal scores are ordered
 by image id, then box coordinates, lexicographically.
@@ -22,7 +28,10 @@ by image id, then box coordinates, lexicographically.
 
 from __future__ import annotations
 
+import io
 import os
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -30,7 +39,7 @@ import numpy as np
 
 from .cfg import check_num_classes
 from .detect import Box, Detection, Detections, corner_table, iou_grid
-from .errors import AnnotationError, ValidationError
+from .errors import AnnotationError, ValidationError, undecodable
 
 VISDRONE_CLASS_NAMES = (
     "pedestrian",
@@ -92,9 +101,22 @@ class GroundTruth:
                    ignore != 0, x, y, w, h)
 
 
-# Lines read per block. Any size gives the same result; a block's tokens are
-# alive at once, so a small one bounds the memory they take.
+# Lines read, or PR-curve lines written, per block. Any size gives the same
+# result; a block's tokens are alive at once, so a small one bounds the
+# memory they take.
 PARSE_BLOCK_LINES = 1 << 12
+
+# Characters read from a text stream at a time; any size gives the same lines.
+READ_CHUNK_CHARS = 1 << 16
+
+# Where ``str.splitlines`` ends a line; "\r\n" ends one line.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+
+# Grouped detections matched per block of whole images. Any size gives the
+# same labels; a block's corner table is alive at once, so a small one bounds
+# the memory it takes.
+MATCH_BLOCK = 1 << 12
 
 _INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
@@ -206,8 +228,8 @@ def _prediction_columns(lines: list[str]):
     return tokens[0::7], cls, score, x, y, w, h
 
 
-def _parse_block(columns_of, lines: list[str], first_line: int):
-    """``columns_of(lines)``, with the first bad line's number on errors.
+def _parse_block(columns_of, lines: list[str], first_line: int, path):
+    """``columns_of(lines)``, with the first bad line's number (and ``path``) on errors.
 
     A bad block is bisected to its first bad line, whose message is the
     checks' verdict on that line alone.
@@ -227,28 +249,105 @@ def _parse_block(columns_of, lines: list[str], first_line: int):
     try:
         columns_of(lines[lo:hi])
     except AnnotationError as exc:
-        raise AnnotationError(str(exc), first_line + lo) from None
+        raise AnnotationError(str(exc), first_line + lo, path) from None
     raise AssertionError("a bad block without a bad line")
 
 
-def _read_blocks(text: str, columns_of):
-    """``columns_of`` of each block of ``PARSE_BLOCK_LINES`` lines of ``text``, in turn.
+def _line_lists(stream):
+    """The lines of a text stream, split as ``str.splitlines`` splits its whole
+    text, in one list per chunk of ``READ_CHUNK_CHARS`` characters read.
 
-    An empty text is one empty block, so the columns always have their dtypes.
+    The text after a chunk's last line break waits for the next break, and so
+    does a line that ends the chunk with "\r": the next chunk may start with
+    the "\n" of its "\r\n".
     """
-    lines = text.splitlines()
-    for start in range(0, len(lines) or 1, PARSE_BLOCK_LINES):
-        yield _parse_block(columns_of, lines[start : start + PARSE_BLOCK_LINES], start + 1)
+    pieces = []  # the text after the last whole line
+    while chunk := stream.read(READ_CHUNK_CHARS):
+        pieces.append(chunk)
+        if not _LINE_BREAK.search(chunk):
+            continue
+        text = "".join(pieces)
+        lines = text.splitlines()
+        if text[-1] not in _LINE_BREAKS:
+            pieces = [lines.pop()]
+        elif text[-1] == "\r":
+            pieces = [lines.pop() + "\r"]
+        else:
+            pieces = []
+        yield lines
+    if pieces:
+        yield "".join(pieces).splitlines()
 
 
-def _visdrone_table(text: str) -> list[np.ndarray]:
-    """:func:`_visdrone_columns` of one annotation file's text, with line numbers on errors."""
-    return [np.concatenate(parts) for parts in zip(*_read_blocks(text, _visdrone_columns))]
+def _read_blocks(source, columns_of):
+    """``columns_of`` of each block of ``PARSE_BLOCK_LINES`` lines of ``source``, in turn.
+
+    ``source`` is a text or a text stream, read a chunk at a time (see
+    :func:`_line_lists`), so neither the whole text nor all its lines are
+    held. Errors name a stream's ``name``, the file it reads. Bytes that do
+    not decode raise AnnotationError at the line the reader had reached,
+    once the lines before it are checked.
+    """
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    path = getattr(stream, "name", None)
+    pending, first = [], 1  # lines read and not yet parsed; the first one's number
+    try:
+        for lines in _line_lists(stream):
+            pending += lines
+            while len(pending) >= PARSE_BLOCK_LINES:
+                yield _parse_block(columns_of, pending[:PARSE_BLOCK_LINES], first, path)
+                del pending[:PARSE_BLOCK_LINES]
+                first += PARSE_BLOCK_LINES
+    except UnicodeDecodeError as exc:
+        if pending:
+            yield _parse_block(columns_of, pending, first, path)
+        raise AnnotationError(f"{undecodable(exc)} (at or after this line)", first + len(pending),
+                              path) from None
+    if pending:
+        yield _parse_block(columns_of, pending, first, path)
+
+
+class _Table:
+    """Columns that blocks of rows are appended to, each grown in place by an
+    eighth, so a table of n rows never holds much more than n."""
+
+    def __init__(self, *dtypes):
+        self.columns = [np.empty(0, dtype) for dtype in dtypes]
+        self.rows = 0
+
+    def append(self, *parts) -> None:
+        end = self.rows + len(parts[0])
+        if end > len(self.columns[0]):
+            capacity = max(end, len(self.columns[0]) * 9 // 8)
+            for column in self.columns:
+                column.resize(capacity, refcheck=False)  # only this table sees them
+        for column, part in zip(self.columns, parts):
+            column[self.rows : end] = part
+        self.rows = end
+
+    def finish(self) -> list[np.ndarray]:
+        """The columns, cut to the rows appended."""
+        for column in self.columns:
+            column.resize(self.rows, refcheck=False)
+        return self.columns
+
+
+def _ground_truth_table() -> _Table:
+    """Image code, then :func:`_visdrone_columns`' columns."""
+    return _Table(np.int64, np.int64, bool, np.float64, np.float64, np.float64, np.float64)
+
+
+def _read_visdrone(source, table: _Table, code: int) -> None:
+    """Append the boxes of one annotation text or stream to ``table``, under image ``code``."""
+    for columns in _read_blocks(source, _visdrone_columns):
+        table.append(np.full(len(columns[0]), code, dtype=np.int64), *columns)
 
 
 def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
     """Parse one annotation file's text into ground-truth boxes."""
-    classes, ignore, x, y, w, h = (column.tolist() for column in _visdrone_table(text))
+    table = _ground_truth_table()
+    _read_visdrone(text, table, 0)
+    _, classes, ignore, x, y, w, h = (column.tolist() for column in table.finish())
     return [GroundTruthBox(image_id, cls, Box(*box), flag)
             for cls, flag, *box in zip(classes, ignore, x, y, w, h)]
 
@@ -270,44 +369,40 @@ def annotation_files(directory) -> list[str]:
 
 
 def load_ground_truth(directory) -> GroundTruth:
-    """Read every ``*.txt`` in a directory; the file stem is the image id."""
+    """Read every ``*.txt`` in a directory; the file stem is the image id.
+
+    Each file is read as a stream; an error names the file and its line.
+    """
     files = annotation_files(directory)
     names = sorted(name[:-4] for name in files)
     code = {name: k for k, name in enumerate(names)}
-    parts = []
+    table = _ground_truth_table()
     for name in files:
-        path = os.path.join(directory, name)
-        with open(path, encoding="utf-8") as fh:
-            try:
-                columns = _visdrone_table(fh.read())
-            except AnnotationError as exc:
-                wrapped = AnnotationError(f"{path}: {exc}")
-                wrapped.line = exc.line
-                raise wrapped from None
-        parts.append((np.full(len(columns[0]), code[name[:-4]], dtype=np.int64), *columns))
-    if not parts:
-        return GroundTruth.of([])
-    return GroundTruth(tuple(names), *(np.concatenate(column) for column in zip(*parts)))
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            _read_visdrone(fh, table, code[name[:-4]])
+    return GroundTruth(tuple(names), *table.finish())
 
 
-def parse_predictions(text: str) -> Detections:
+def parse_predictions(source) -> Detections:
     """Parse ``image_id class_index score x y w h`` lines into columns.
 
-    Values are read with Python's ``int`` and ``float``; blank lines are
-    skipped. A bad line raises :class:`AnnotationError` naming its line
-    number and its first failing check (see :func:`_prediction_columns`).
+    ``source`` is the text or a text stream, such as an open file or pipe,
+    read in blocks. Values are read with Python's ``int`` and ``float``;
+    blank lines are skipped. A bad line raises :class:`AnnotationError`
+    naming its line number and its first failing check (see
+    :func:`_prediction_columns`), and a stream's file.
     """
     first_seen: dict[str, int] = {}  # image id -> code in order of appearance
-    blocks = []
-    for ids, *columns in _read_blocks(text, _prediction_columns):
+    table = _Table(np.int64, np.int64, *[np.float64] * 5)
+    for ids, *columns in _read_blocks(source, _prediction_columns):
         for image_id in dict.fromkeys(ids):
             first_seen.setdefault(image_id, len(first_seen))
-        blocks.append((np.fromiter(map(first_seen.__getitem__, ids), np.int64, len(ids)),
-                       *columns))
+        table.append(np.fromiter(map(first_seen.__getitem__, ids), np.int64, len(ids)),
+                     *columns)
     names = sorted(first_seen)
     rank = np.empty(len(names), dtype=np.int64)
     rank[[first_seen[name] for name in names]] = np.arange(len(names))
-    image, *columns = (np.concatenate(parts) for parts in zip(*blocks))
+    image, *columns = table.finish()
     return Detections(tuple(names), rank[image], *columns)
 
 
@@ -381,13 +476,39 @@ def _canonical_order(dets: Detections) -> np.ndarray:
     return order
 
 
+def _groups(dets: Detections, names, classes):
+    """The rows grouped by (image, class), canonical order kept inside each group.
+
+    Returns (order, grouped, starts, keys): the canonical order, the grouped
+    rows, the position in ``grouped`` where each group starts and its key,
+    image code in ``names`` times ``len(classes)`` plus class position in
+    ``classes``. The groups of one image are adjacent.
+    """
+    order = _canonical_order(dets)
+    key = _recode(dets.names, names)[dets.image[order]]
+    key *= len(classes)
+    key += np.searchsorted(classes, dets.class_index[order])
+    grouped = order[np.argsort(key, kind="stable")]
+    key.sort()  # the keys in grouped order
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are at least 0
+    return order, grouped, starts, key[starts]
+
+
+def _image_blocks(image_starts: list[int], n: int) -> list[int]:
+    """Cuts of ``n`` grouped rows into blocks of whole images: each block ends
+    at the first image start at least ``MATCH_BLOCK`` rows past its own."""
+    bounds = [*image_starts, n]
+    cuts = [0]
+    while cuts[-1] < n:
+        cuts.append(bounds[bisect_left(bounds, min(cuts[-1] + MATCH_BLOCK, n))])
+    return cuts
+
+
 def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
     """:func:`match` on columns: (kept rows in canonical order, their TP flags, gt_counts)."""
     names = sorted(set(dets.names).union(truth.names))
     classes = np.unique(np.concatenate((dets.class_index, truth.class_index)))
     n_cls = len(classes)
-    det_key = _recode(dets.names, names)[dets.image] * n_cls
-    det_key += np.searchsorted(classes, dets.class_index)
     gt_img = _recode(truth.names, names)[truth.image]
     gt_cls = np.searchsorted(classes, truth.class_index)
 
@@ -405,47 +526,47 @@ def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
     counts = np.bincount(gt_cls[real], minlength=n_cls)
     gt_counts = {cls: count for cls, count in zip(classes.tolist(), counts.tolist()) if count}
 
-    # canonical order, then grouped by (image, class) with that order kept
-    # inside each group; the groups of one image are adjacent
     n = len(dets)
-    order = _canonical_order(dets)
-    grouped = order[np.argsort(det_key[order], kind="stable")]
-    key = det_key[grouped]
-    corners = corner_table(dets.x[grouped], dets.y[grouped], dets.w[grouped], dets.h[grouped])
-
-    # per (image, class) group with boxes: greedy matching on one IoU grid
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(new_group)
-    group_key = key[starts]
+    order, grouped, starts, group_key = _groups(dets, names, classes)
+    ends = np.append(starts, n)[1:]
+    # per (image, class) group with boxes: its rows and its boxes
     box_lo = np.searchsorted(box_key, group_key)
     box_hi = np.searchsorted(box_key, group_key, side="right")
     with_boxes = box_hi > box_lo
-    bounds = zip(starts[with_boxes].tolist(), np.append(starts[1:], n)[with_boxes].tolist(),
-                 box_lo[with_boxes].tolist(), box_hi[with_boxes].tolist())
-    is_tp = np.zeros(n, dtype=bool)  # in grouped order
-    for lo, hi, b_lo, b_hi in bounds:
-        grid = iou_grid(corners[:, lo:hi, None], boxes[:, b_lo:b_hi])
-        # a row below the threshold on every box can never match
-        for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
-            best = grid[row].argmax()  # first maximum, as in the loop
-            if grid[row, best] >= iou_threshold:
-                is_tp[lo + row] = True
-                grid[:, best] = -1.0  # consumed
+    box_groups = np.stack((starts, ends, box_lo, box_hi), axis=1)[with_boxes]
+    # per image with detections and regions: its rows and its regions
+    group_img = group_key // n_cls
+    first = np.diff(group_img, prepend=-1) != 0
+    image_lo, images = starts[first], group_img[first]
+    r_lo = np.searchsorted(region_img, images)
+    r_hi = np.searchsorted(region_img, images, side="right")
+    with_regions = r_hi > r_lo
+    region_images = np.stack((image_lo, np.append(image_lo, n)[1:], r_lo, r_hi),
+                             axis=1)[with_regions]
 
-    # regions carry no class: one grid per image with detections and regions
-    images = np.unique(region_img)
-    det_img = key // n_cls
-    det_lo = np.searchsorted(det_img, images)
-    det_hi = np.searchsorted(det_img, images, side="right")
-    with_dets = det_hi > det_lo
-    bounds = zip(det_lo[with_dets].tolist(), det_hi[with_dets].tolist(),
-                 np.searchsorted(region_img, images[with_dets]).tolist(),
-                 np.searchsorted(region_img, images[with_dets], side="right").tolist())
+    # one block of whole images at a time: its corner table, then greedy
+    # matching on one IoU grid per group, then one grid per image against
+    # its regions, which carry no class
+    cuts = _image_blocks(image_lo.tolist(), n)
+    blocks = zip(cuts, cuts[1:],
+                 np.split(box_groups, np.searchsorted(box_groups[:, 0], cuts[1:-1])),
+                 np.split(region_images, np.searchsorted(region_images[:, 0], cuts[1:-1])))
+    is_tp = np.zeros(n, dtype=bool)  # in grouped order
     discard = np.zeros(n, dtype=bool)
-    for lo, hi, r_lo, r_hi in bounds:
-        overlap = iou_grid(corners[:, lo:hi, None], regions[:, r_lo:r_hi]).max(axis=1)
-        discard[lo:hi] = (overlap >= iou_threshold) & ~is_tp[lo:hi]
+    for lo, hi, block_groups, block_images in blocks:
+        rows = grouped[lo:hi]
+        corners = corner_table(dets.x[rows], dets.y[rows], dets.w[rows], dets.h[rows])
+        for g_lo, g_hi, b_lo, b_hi in block_groups.tolist():
+            grid = iou_grid(corners[:, g_lo - lo : g_hi - lo, None], boxes[:, b_lo:b_hi])
+            # a row below the threshold on every box can never match
+            for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
+                best = grid[row].argmax()  # first maximum, as in the loop
+                if grid[row, best] >= iou_threshold:
+                    is_tp[g_lo + row] = True
+                    grid[:, best] = -1.0  # consumed
+        for d_lo, d_hi, r_lo, r_hi in block_images.tolist():
+            overlap = iou_grid(corners[:, d_lo - lo : d_hi - lo, None], regions[:, r_lo:r_hi])
+            discard[d_lo:d_hi] = (overlap.max(axis=1) >= iou_threshold) & ~is_tp[d_lo:d_hi]
 
     keep = np.empty(n, dtype=bool)
     keep[grouped] = ~discard
@@ -540,16 +661,18 @@ def average_precision(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return float(total[-1]) if len(total) else 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassResult:
+    """One class's counts, AP and :func:`pr_curve`, as float64 arrays."""
+
     class_index: int
     ap: float  # fraction in [0, 1]
     tp: int
     fp: int
     fn: int
     gt_count: int
-    recalls: list[float] = field(default_factory=list)
-    precisions: list[float] = field(default_factory=list)
+    recalls: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    precisions: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def ap_percent(self) -> float:
@@ -598,12 +721,14 @@ def evaluate(detections, ground_truth, num_classes: int,
         dets = dets.take(dets.score >= score_threshold)
 
     labeled, gt_counts = match(dets, truth, iou_threshold)
+    # the curves need only the class, score and TP columns
+    classes, scores, flags = (labeled.detections.class_index, labeled.detections.score,
+                              labeled.is_tp)
+    del labeled
     # split by class, each class keeping the score order
-    by_class = np.argsort(labeled.detections.class_index, kind="stable")
-    bounds = np.searchsorted(labeled.detections.class_index[by_class],
-                             np.arange(num_classes + 1)).tolist()
-    scores = labeled.detections.score[by_class]
-    flags = labeled.is_tp[by_class]
+    by_class = np.argsort(classes, kind="stable")
+    bounds = np.searchsorted(classes[by_class], np.arange(num_classes + 1)).tolist()
+    scores, flags = scores[by_class], flags[by_class]
     per_class = []
     for cls in range(num_classes):
         gt_count = gt_counts.get(cls, 0)
@@ -612,8 +737,7 @@ def evaluate(detections, ground_truth, num_classes: int,
         ap = average_precision(recalls, precisions)
         tp = int(tps.sum())
         per_class.append(
-            ClassResult(cls, ap, tp, len(tps) - tp, gt_count - tp, gt_count,
-                        recalls.tolist(), precisions.tolist())
+            ClassResult(cls, ap, tp, len(tps) - tp, gt_count - tp, gt_count, recalls, precisions)
         )
 
     total_tp = sum(c.tp for c in per_class)
@@ -657,17 +781,25 @@ def report_csv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pr_curve_blocks(result: ClassResult):
+    """:func:`pr_curve_csv`'s text in blocks of ``PARSE_BLOCK_LINES`` lines."""
+    yield "recall,precision\n"
+    # a recall is tp / gt_count, so a class has at most gt_count + 1
+    # distinct ones, each formatted once
+    text = {r: repr(r) for r in np.unique(result.recalls).tolist()}
+    for lo in range(0, len(result.recalls), PARSE_BLOCK_LINES):
+        points = zip(result.recalls[lo : lo + PARSE_BLOCK_LINES].tolist(),
+                     result.precisions[lo : lo + PARSE_BLOCK_LINES].tolist())
+        yield "".join([f"{text[r]},{p!r}\n" for r, p in points])
+
+
 def pr_curve_csv(result: ClassResult) -> str:
     """One ``recall,precision`` line of ``repr`` values per curve point.
 
-    A recall is ``tp / gt_count``, so a class has at most ``gt_count + 1``
-    distinct ones, each formatted once. They are finite and at least 0, so
-    equal values have equal reprs (no -0.0 beside 0.0, no NaN).
+    The recalls are finite and at least 0, so equal values have equal reprs
+    (no -0.0 beside 0.0, no NaN).
     """
-    text = {r: repr(r) for r in set(result.recalls)}
-    lines = ["recall,precision"]
-    lines += [f"{text[r]},{p!r}" for r, p in zip(result.recalls, result.precisions)]
-    return "\n".join(lines) + "\n"
+    return "".join(_pr_curve_blocks(result))
 
 
 def report_file_names(num_classes: int) -> list[str]:
@@ -679,8 +811,8 @@ def report_file_names(num_classes: int) -> list[str]:
 def write_report_files(report: EvalReport, out_dir) -> None:
     """Emit report.txt, report.csv, and one PR-curve CSV per class."""
     os.makedirs(out_dir, exist_ok=True)
-    texts = chain([format_report_table(report), report_csv(report)],
-                   map(pr_curve_csv, report.per_class))
-    for name, text in zip(report_file_names(len(report.per_class)), texts):
+    texts = chain([[format_report_table(report)], [report_csv(report)]],
+                  map(_pr_curve_blocks, report.per_class))
+    for name, blocks in zip(report_file_names(len(report.per_class)), texts):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from yolokit import cli
+from yolokit import cli, evaluation
 from yolokit.cfg import builtin_graph, check_num_classes, parse_cfg, render_cfg, shape_check
 from yolokit.detect import (
     Box,
@@ -30,6 +31,9 @@ from yolokit.loss import ToyTrainConfig, toy_graph
 from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, render_detections, write_ppm
 from yolokit.verify import CheckResult, check_toy_steps
 from yolokit.weights import check_seed, random_init, save_weights_file
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+import regenerate  # noqa: E402
 
 
 @pytest.fixture
@@ -247,6 +251,14 @@ class TestDetect:
         assert run(["detect", scene, "--cfg", cfg, "--size", "40", "--out", out]) == 0
         assert run(["detect", scene, "--cfg", cfg, "--size", "44", "--out", out]) == 2
 
+    def test_cfg_that_is_not_utf8_is_an_error_naming_it(self, scene, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_bytes(render_cfg(toy_graph()).encode() + b"# \xff\n")
+        out = tmp_path / "p.txt"
+        assert run(["detect", scene, "--cfg", cfg, "--size", "40", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text: invalid start byte 0xff\n"
+        assert not out.exists()
+
     def test_missing_model_is_usage_error(self, scene, tmp_path):
         assert run(["detect", scene, "--out", tmp_path / "p.txt"]) == 2
 
@@ -405,6 +417,50 @@ class TestEval:
                     "--out-dir", tmp_path / "out"])
         assert code == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_prediction_file_that_is_not_utf8_is_an_error_naming_it(self, tmp_path, capsys):
+        gt_dir, pred = self._write_fixture(tmp_path)
+        pred.write_bytes(pred.read_bytes() + b"im0 0 0.5 1 1 1 \xff\n")
+        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {pred}: line 1: not UTF-8 text: invalid start byte 0xff "
+                       "(at or after this line)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_annotation_file_that_is_not_utf8_is_an_error_naming_it(self, tmp_path, capsys):
+        gt_dir, pred = self._write_fixture(tmp_path)
+        bad = gt_dir / "im1.txt"
+        bad.write_bytes(b"1,2,3,4,1,\xc3,0,0\n")
+        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "1",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: line 1: not UTF-8 text: invalid continuation byte 0xc3 "
+                       "(at or after this line)\n")
+
+    def test_predictions_through_a_pipe_match_the_file(self, tmp_path, monkeypatch):
+        # the stream reader needs no file size; small chunks and blocks make
+        # many reads of the pipe
+        pred = os.path.join(regenerate.EVAL_DIR, "predictions.txt")
+        args = ["eval", "--gt", os.path.join(regenerate.EVAL_DIR, "gt"), "--classes", "10"]
+        assert run(args + ["--pred", pred, "--out-dir", tmp_path / "a"]) == 0
+        fifo = tmp_path / "p.fifo"
+        os.mkfifo(fifo)
+        with open(pred, "rb") as fh:
+            data = fh.read()
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        monkeypatch.setattr(evaluation, "READ_CHUNK_CHARS", 997)
+        monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", 64)
+        assert run(args + ["--pred", fifo, "--out-dir", tmp_path / "b"]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert len(names) == 12 and sorted(os.listdir(tmp_path / "b")) == names
+        for name in names:
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 class TestVerifyCommand:

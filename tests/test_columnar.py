@@ -1,6 +1,7 @@
 """Columnar detections: the parser against its loop oracle, the writer round
 trip, non-finite input, overflowing extents, and objects only at the edges."""
 
+import io
 import os
 import sys
 import warnings
@@ -250,6 +251,99 @@ class TestBlockSize:
             got = _visdrone_outcome(parse_visdrone, text)
             assert got == _visdrone_outcome(parse_visdrone_loop, text)
             assert got[0] == "error" and got[1] == bad + 1
+
+
+# Texts the stream reader must split as str.splitlines splits the whole text.
+# At chunk size 1, every "\r\n" straddles a chunk edge.
+LINE_TEXTS = [
+    "",
+    "a",                                   # no final newline
+    "a\n",
+    "\n\n\n",                              # blank lines
+    "ab\r\ncd\r\n",
+    "ab\r\n\r\ncd",                         # a blank CRLF line
+    "\r", "\r\r", "\r\n", "\r\r\n\n", "\n\r",   # lone CRs beside CRLFs
+    "ab\rcd\r",                            # lone CRs, one at the end
+    "a\x0bb\x0cc\x1cd\x1de\x1ef",
+    "a\x85b\u2028c\u2029d\u2029",
+    "\x85\u2028\u2029\x0b\x0c\x1c\x1d\x1e",   # breaks only
+    "abcdefgh\r\nijklmnop\r\nq",
+    "  \t \n x \r\n\r\n y",
+    "x\x1f\x1fy\n",                         # \x1f is not a line break
+    "\xe9\u2028\xfc\r\n\xdf\r",
+]
+
+
+def _stream_lines(text):
+    return [line for lines in evaluation._line_lists(io.StringIO(text)) for line in lines]
+
+
+class TestStreamReader:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, None])
+    def test_lines_are_the_whole_texts_splitlines(self, monkeypatch, size):
+        if size is not None:
+            monkeypatch.setattr(evaluation, "READ_CHUNK_CHARS", size)
+        for text in LINE_TEXTS + EDGE_TEXTS + VISDRONE_TEXTS:
+            assert _stream_lines(text) == text.splitlines(), (text, size)
+
+    def test_corpus_holds_every_line_break(self):
+        corpus = "".join(LINE_TEXTS)
+        assert all(brk in corpus for brk in evaluation._LINE_BREAKS)
+        assert all(brk in corpus for brk in ("\r\n", "\r\r", "\n\r"))
+
+    def test_a_line_of_many_chunks(self, monkeypatch):
+        # its chunks wait in a list and are joined once, when a break comes
+        monkeypatch.setattr(evaluation, "READ_CHUNK_CHARS", 7)
+        text = "x" * 200_000 + "\r\n" + "y"
+        assert _stream_lines(text) == text.splitlines()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, None])
+    def test_a_stream_gets_the_whole_texts_verdict(self, monkeypatch, size):
+        # the same rows, or the same line number and message, as the loop on the whole text
+        if size is not None:
+            monkeypatch.setattr(evaluation, "READ_CHUNK_CHARS", size)
+        monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", 2)
+        for text in EDGE_TEXTS:
+            got = _outcome(lambda t: parse_predictions(io.StringIO(t)), text)
+            assert got == _outcome(parse_predictions_loop, text), (text, size)
+        for text in VISDRONE_TEXTS:
+            got = _visdrone_outcome(parse_visdrone, text)
+            assert got == _visdrone_outcome(parse_visdrone_loop, text), (text, size)
+
+
+class TestUndecodable:
+    """Bytes that are not UTF-8 stop the reader with an AnnotationError that
+    names the file and the line the reader had reached."""
+
+    def test_prediction_file_names_the_file_and_a_line_at_or_before_the_bytes(self, tmp_path):
+        path = tmp_path / "p.txt"
+        good = f"{GOOD}\n".encode() * 9000
+        path.write_bytes(good + b"im0 1 0.5 10 10 5 \xff\n" + good)
+        with open(path, encoding="utf-8") as fh, pytest.raises(AnnotationError) as err:
+            parse_predictions(fh)
+        assert 1 <= err.value.line <= 9001
+        assert err.value.path == str(path)
+        assert str(err.value) == (f"{path}: line {err.value.line}: not UTF-8 text: invalid "
+                                  "start byte 0xff (at or after this line)")
+
+    def test_bad_lines_read_before_the_bytes_are_reported_first(self, tmp_path, monkeypatch):
+        # the lines read before the undecodable chunk wait in one unparsed block
+        monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", 1 << 20)
+        path = tmp_path / "p.txt"
+        good = f"{GOOD}\n".encode() * 9000
+        path.write_bytes(f"{GOOD}\nim0 1 0.5 10 10 5\n".encode() + good + b"\xff\n")
+        with open(path, encoding="utf-8") as fh, pytest.raises(AnnotationError) as err:
+            parse_predictions(fh)
+        assert str(err.value) == f"{path}: line 2: expected 7 space-separated fields, got 6"
+
+    def test_annotation_file_names_the_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text(f"{CAR}\n")
+        (tmp_path / "b.txt").write_bytes(f"{CAR}\n{CAR}\n".encode() + b"1,2,\xe9,4,0,1,0,0\n")
+        with pytest.raises(AnnotationError) as err:
+            load_ground_truth(tmp_path)
+        assert 1 <= err.value.line <= 3
+        assert str(err.value) == (f"{tmp_path / 'b.txt'}: line {err.value.line}: not UTF-8 "
+                                  "text: invalid continuation byte 0xe9 (at or after this line)")
 
 
 class TestRoundTrip:

@@ -1,12 +1,16 @@
 """Annotation parsing, matching, AP/mAP, and report emission."""
 
+import os
 import re
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from yolokit.detect import Box, Detection, Detections, iou
+from yolokit import evaluation
+from yolokit.detect import Box, Detection, Detections, corner_table, iou
 from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
     GroundTruth,
@@ -18,6 +22,7 @@ from yolokit.evaluation import (
     evaluate,
     format_predictions,
     format_report_table,
+    load_ground_truth,
     match,
     parse_predictions,
     parse_visdrone,
@@ -25,8 +30,12 @@ from yolokit.evaluation import (
     pr_curve_csv,
     precision_recall,
     report_csv,
+    write_report_files,
 )
 from yolokit.oracles import ap_threshold_enumeration, brute_force_evaluate, match_loop
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+import regenerate  # noqa: E402
 
 
 def det(image_id, cls, score, x, y, w, h):
@@ -245,6 +254,59 @@ class TestMatching:
         assert min(seen.values()) >= 5, seen
 
 
+@pytest.fixture(scope="module")
+def golden_eval():
+    """The golden eval set: its predictions, its ground truth as columns and as boxes."""
+    gt_dir = os.path.join(regenerate.EVAL_DIR, "gt")
+    with open(os.path.join(regenerate.EVAL_DIR, "predictions.txt"), encoding="utf-8") as fh:
+        dets = parse_predictions(fh)
+    boxes = []
+    for name in sorted(os.listdir(gt_dir)):
+        with open(os.path.join(gt_dir, name), encoding="utf-8") as fh:
+            boxes += parse_visdrone(fh.read(), name[:-4])
+    return dets, load_ground_truth(gt_dir), boxes
+
+
+def _columns(detections):
+    return [detections.names] + [getattr(detections, f).tobytes() for f in (
+        "image", "class_index", "score", "x", "y", "w", "h")]
+
+
+class TestMatchBlocks:
+    """``match`` works on one block of whole images at a time; the block size
+    changes no label."""
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_labels_do_not_depend_on_it(self, monkeypatch, golden_eval, block):
+        dets, truth, _ = golden_eval
+        want, want_counts = match(dets, truth)
+        tables = []
+
+        def counted(*args):
+            tables.append(len(args[0]))
+            return corner_table(*args)
+
+        monkeypatch.setattr(evaluation, "MATCH_BLOCK", block)
+        monkeypatch.setattr(evaluation, "corner_table", counted)
+        got, counts = match(dets, truth)
+        assert counts == want_counts
+        assert _columns(got.detections) == _columns(want.detections)
+        assert got.is_tp.tobytes() == want.is_tp.tobytes()
+        assert 0 < want.is_tp.sum() < len(want) < len(dets)  # TPs, FPs and discards
+        # the boxes, the regions, then one table per block; each image of
+        # the golden set has more than 3 detections, so it is a block alone
+        assert len(tables) == 2 + len(dets.names) and sum(tables[2:]) == len(dets)
+
+    def test_one_image_blocks_score_like_brute_force(self, monkeypatch, golden_eval):
+        dets, truth, boxes = golden_eval
+        monkeypatch.setattr(evaluation, "MATCH_BLOCK", 1)
+        report = evaluate(dets, truth, 10)
+        oracle_aps, oracle_map = brute_force_evaluate(list(dets), boxes, 10)
+        assert max(abs(c.ap - ap) for c, ap in zip(report.per_class, oracle_aps)) <= 1e-9
+        assert abs(report.map_fraction - oracle_map) <= 1e-9
+        assert report.map_fraction > 0
+
+
 class TestPrecisionRecall:
     def test_eight_two_two(self):
         assert precision_recall(8, 2, 2) == (0.8, 0.8)
@@ -353,9 +415,12 @@ class TestCurveColumns:
             assert type(got) is float
             assert got.hex() == _ap_running_total(recalls, precisions).hex()
 
-    def test_csv_is_the_per_point_writer(self):
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_csv_is_the_per_point_writer(self, monkeypatch, block):
+        # the curve is written in blocks of lines; any block size gives the same text
+        monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", block)
         for recalls, precisions in _random_curves(4):
-            result = ClassResult(0, 0.0, 0, 0, 0, 0, recalls.tolist(), precisions.tolist())
+            result = ClassResult(0, 0.0, 0, 0, 0, 0, recalls, precisions)
             lines = ["recall,precision"] + [f"{r!r},{p!r}" for r, p in zip(recalls.tolist(),
                                                                             precisions.tolist())]
             assert pr_curve_csv(result) == "\n".join(lines) + "\n"
@@ -491,7 +556,9 @@ class TestEvaluate:
         ]
         report = evaluate(dets, truth, 1)
         recalls = report.per_class[0].recalls
-        assert recalls == sorted(recalls)
+        assert isinstance(recalls, np.ndarray) and recalls.dtype == np.float64
+        assert len(recalls) == len(report.per_class[0].precisions) > 1
+        assert (np.diff(recalls) >= 0).all()
 
 
 class TestReports:
@@ -515,3 +582,79 @@ class TestReports:
         cls, ap, tp, fp, fn = lines[1].split(",")
         assert (cls, tp, fp, fn) == ("0", "2", "1", "0")
         assert float(ap) == pytest.approx(100 * 5 / 6, abs=1e-4)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes its traced allocations (numpy's buffers
+    included) peaked at above the level they started from."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+MEMORY_IMAGES, MEMORY_PER_IMAGE = 64, 1024  # 65536 predictions, 16 blocks of lines
+
+
+@pytest.fixture(scope="module")
+def memory_set(tmp_path_factory):
+    """A seeded eval set: per image 100 boxes (1 in 6 an ignore region), a
+    jittered copy of each and 924 random predictions; the prediction file's
+    path and the annotation directory."""
+    root = tmp_path_factory.mktemp("memory")
+    rng = np.random.default_rng(7)
+    lines = []
+    for k in range(MEMORY_IMAGES):
+        x, y = rng.integers(0, 900, (2, 100))
+        w, h = rng.integers(4, 100, (2, 100))
+        category = rng.integers(0, 12, 100)
+        (root / f"im{k:03d}.txt").write_text("".join(
+            f"{a},{b},{c},{d},1,{e},0,0\n" for a, b, c, d, e in zip(x, y, w, h, category)))
+        cx, cy = x + w / 2 + rng.normal(0, 2, 100), y + h / 2 + rng.normal(0, 2, 100)
+        lines += [f"im{k:03d} {(category[i] + 9) % 10} {rng.uniform():.6f} {cx[i]:.2f} "
+                  f"{cy[i]:.2f} {w[i]} {h[i]}\n" for i in range(100)]
+        lines += [f"im{k:03d} {rng.integers(10)} {rng.uniform():.6f} {rng.uniform(5, 900):.2f} "
+                  f"{rng.uniform(5, 900):.2f} {rng.integers(4, 100)} {rng.integers(4, 100)}\n"
+                  for _ in range(MEMORY_PER_IMAGE - 100)]
+    pred = root.parent / "memory_predictions.txt"
+    pred.write_text("".join(lines))
+    return pred, root
+
+
+def _column_bytes(dets):
+    return sum(getattr(dets, f).nbytes for f in ("image", "class_index", "score", "x", "y",
+                                                  "w", "h"))
+
+
+class TestMemory:
+    """Eval's transient memory scales with its columns, not with its text."""
+
+    def test_stream_parse_holds_the_columns_and_one_block(self, memory_set):
+        # measured: the columns (grown by eighths) plus 2.7 MiB of one block's
+        # lines, tokens and columns; the whole text and its lines, read as
+        # before the stream reader, peaked 9.9 MiB above the columns
+        pred, _ = memory_set
+        with open(pred, encoding="utf-8") as fh:
+            dets, peak = _traced_peak(parse_predictions, fh)
+        columns = _column_bytes(dets)
+        assert columns == 56 * MEMORY_IMAGES * MEMORY_PER_IMAGE
+        assert peak <= columns * 9 // 8 + (3 << 20)
+
+    def test_evaluate_and_report_hold_a_bounded_amount_per_prediction(self, memory_set,
+                                                                       tmp_path):
+        # measured: 78.4 B per prediction above the parsed columns; 166.0 B
+        # with the match temporaries of all rows and curves as float lists
+        pred, gt_dir = memory_set
+        with open(pred, encoding="utf-8") as fh:
+            dets = parse_predictions(fh)
+        truth = load_ground_truth(gt_dir)
+
+        def scored():
+            write_report_files(evaluate(dets, truth, 10), tmp_path)
+
+        _, peak = _traced_peak(scored)
+        assert peak <= 96 * len(dets)
+        assert (tmp_path / "pr_class9.csv").read_text().count("\n") > 1000
