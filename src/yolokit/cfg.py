@@ -444,6 +444,16 @@ def builtin_graph(variant: str, num_classes: int) -> ModelGraph:
     return _build([LayerSpec("net", {"width": 640, "height": 640, "channels": 3}), *layers])
 
 
+def toy_graph(num_classes: int = 2, size: int = 64) -> ModelGraph:
+    """Six-layer detection micrograph (5 convs + 1 head) at stride 8, on a
+    ``size`` x ``size`` input, with the three finest ``COCO_ANCHORS``."""
+    check_num_classes(num_classes)
+    layers = [_conv(8, 3), *(_conv(filters, 3, stride=2) for filters in (16, 16, 32)),
+              _conv(3 * (5 + num_classes), 1, activation="linear", batch_normalize=0),
+              _yolo((0, 1, 2), num_classes, COCO_ANCHORS[:6])]
+    return _build([LayerSpec("net", {"width": size, "height": size, "channels": 3}), *layers])
+
+
 def _tiny_layers(num_classes: int) -> list[LayerSpec]:
     head_ch = 3 * (5 + num_classes)
     layers = []

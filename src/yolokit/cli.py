@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cfg import builtin_graph, check_num_classes, parse_cfg, shape_check
+from .cfg import builtin_graph, check_num_classes, parse_cfg, shape_check, toy_graph
 from .detect import Detections, check_conf_threshold, check_nms_threshold, decode, letterbox, nms
 from .errors import (
     CfgParseError,
@@ -40,7 +40,7 @@ from .evaluation import (
     report_file_names,
     write_report_files,
 )
-from .loss import ToyTrainConfig, synthetic_dataset, toy_graph, train_toy
+from .loss import ToyTrainConfig, synthetic_dataset, train_toy
 from .ppm import PALETTE, read_ppm, render_detections, write_ppm
 from .verify import check_toy_steps, run_all
 from .weights import check_seed, load_weights_file, random_init

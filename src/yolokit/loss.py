@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cfg import ModelGraph, parse_cfg
+from .cfg import ModelGraph, check_num_classes
 from .errors import NumericError, ShapeError, UsageError, ValidationError
 from .evaluation import GroundTruthBox
-from .detect import Box, corner_table, iou_grid, read_head
+from .detect import Box, check_image, corner_table, iou_grid, letterbox, read_head
 from .network import HeadOutput, Network
 from .ops import GradTape
 from .weights import check_seed, random_init
@@ -253,37 +253,52 @@ def sgd_step(network: Network, state: dict, lr: float, momentum: float) -> None:
 # Synthetic data and the toy trainer
 # ---------------------------------------------------------------------------
 
-_TOY_COLORS = (
-    (0.85, 0.15, 0.10),
-    (0.10, 0.30, 0.85),
-    (0.90, 0.80, 0.10),
-    (0.15, 0.80, 0.30),
+_TOY_COLORS = (  # 8-bit RGB, one per class
+    (217, 38, 26),
+    (26, 76, 217),
+    (230, 204, 26),
+    (38, 204, 76),
 )
+_TOY_MAX_SIDE = 28  # a rectangle's sides are 12..28 pixels
 
 
 @dataclass
 class ToyExample:
     image_id: str
-    image: np.ndarray
+    image: np.ndarray  # (3, S, S) uint8 frame
     boxes: list[GroundTruthBox] = field(default_factory=list)
 
 
 def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2,
                       seed: int = 0) -> list[ToyExample]:
-    """Seeded colored rectangles on noise backgrounds, with exact labels."""
+    """Seeded colored rectangles on noise backgrounds, with exact labels.
+
+    Each frame is a (3, size, size) uint8 array, the form ``read_ppm``
+    returns: noise drawn in [0, 0.3] of full scale and rounded to 8 bits,
+    under one or two rectangles of a ``_TOY_COLORS`` color, each at least a
+    pixel from the border. A count or size out of range is a
+    ``ValidationError`` naming it, raised before any draw.
+    """
+    if num_images < 0:
+        raise ValidationError(f"num_images must be >= 0, got {num_images}")
+    if size < _TOY_MAX_SIDE + 3:
+        raise ValidationError(f"size must be >= {_TOY_MAX_SIDE + 3} (a {_TOY_MAX_SIDE} px "
+                              f"rectangle and a 1 px margin on each side), got {size}")
+    check_num_classes(num_classes)
     if num_classes > len(_TOY_COLORS):
-        raise UsageError(f"at most {len(_TOY_COLORS)} synthetic classes supported")
+        raise ValidationError(f"num_classes must be <= {len(_TOY_COLORS)}, the synthetic "
+                              f"colors, got {num_classes}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     examples = []
     for n in range(num_images):
-        image = rng.uniform(0.0, 0.3, size=(3, size, size))
+        image = np.rint(rng.uniform(0.0, 0.3, size=(3, size, size)) * 255).astype(np.uint8)
         boxes = []
         placed = []
         for _ in range(int(rng.integers(1, 3))):
             for _attempt in range(10):
-                w = int(rng.integers(12, 29))
-                h = int(rng.integers(12, 29))
+                w = int(rng.integers(12, _TOY_MAX_SIDE + 1))
+                h = int(rng.integers(12, _TOY_MAX_SIDE + 1))
                 x0 = int(rng.integers(1, size - w - 1))
                 y0 = int(rng.integers(1, size - h - 1))
                 if all(
@@ -294,74 +309,13 @@ def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2
             else:
                 continue
             cls = int(rng.integers(num_classes))
-            color = np.array(_TOY_COLORS[cls])[:, None, None]
-            image[:, y0 : y0 + h, x0 : x0 + w] = color
+            image[:, y0 : y0 + h, x0 : x0 + w] = np.array(_TOY_COLORS[cls])[:, None, None]
             placed.append((x0, y0, w, h))
             boxes.append(
                 GroundTruthBox(f"toy_{n:03d}", cls, Box(x0 + w / 2, y0 + h / 2, w, h))
             )
         examples.append(ToyExample(f"toy_{n:03d}", image, boxes))
     return examples
-
-
-_TOY_CFG = """\
-[net]
-width={size}
-height={size}
-channels=3
-
-[convolutional]
-filters=8
-size=3
-stride=1
-pad=1
-batch_normalize=1
-activation=leaky
-
-[convolutional]
-filters=16
-size=3
-stride=2
-pad=1
-batch_normalize=1
-activation=leaky
-
-[convolutional]
-filters=16
-size=3
-stride=2
-pad=1
-batch_normalize=1
-activation=leaky
-
-[convolutional]
-filters=32
-size=3
-stride=2
-pad=1
-batch_normalize=1
-activation=leaky
-
-[convolutional]
-filters={head}
-size=1
-stride=1
-pad=1
-activation=linear
-
-[yolo]
-classes={classes}
-num=3
-mask=0,1,2
-anchors=10,13,16,30,33,23
-ignore_thresh=0.5
-"""
-
-
-def toy_graph(num_classes: int = 2, size: int = 64) -> ModelGraph:
-    """Six-layer detection micrograph (5 convs + 1 head) at stride 8."""
-    text = _TOY_CFG.format(size=size, head=3 * (5 + num_classes), classes=num_classes)
-    return parse_cfg(text)
 
 
 @dataclass
@@ -386,8 +340,21 @@ class ToyTrainConfig:
         self.loss_weights.validate()
 
 
-def _train_image(net: Network, tape: GradTape, example: ToyExample,
-                 weights: LossWeights) -> float:
+def _network_input(example: ToyExample, dtype) -> np.ndarray:
+    """``example``'s frame through ``letterbox`` at its own side: scale 1,
+    no border, so its boxes hold as drawn. A frame that is not a square
+    uint8 array is a ValidationError naming the example."""
+    try:
+        _, h, w = check_image(example.image).shape
+    except ValidationError as exc:
+        raise ValidationError(f"{example.image_id}: {exc}") from None
+    if h != w:
+        raise ValidationError(f"{example.image_id}: image: expected a square frame, got {h}x{w}")
+    return letterbox(example.image, h, dtype)[0]
+
+
+def _train_image(net: Network, tape: GradTape, image: np.ndarray,
+                 boxes: list[GroundTruthBox], weights: LossWeights) -> float:
     """Forward, loss and backward of one image on ``tape``; returns its loss.
 
     Nothing of the pass outlives the call, so the tape's reset can take back
@@ -396,9 +363,9 @@ def _train_image(net: Network, tape: GradTape, example: ToyExample,
     values, loss or gradient by name.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        heads = net.forward(example.image, tape)
+        heads = net.forward(image, tape)
         reads = [read_head(head) for head in heads]
-        targets = assign_targets(example.boxes, heads, reads=reads)
+        targets = assign_targets(boxes, heads, reads=reads)
         breakdown = total_loss(heads, targets, weights, reads)
     net.backward(tape, zip(heads, breakdown.grads))
     return breakdown.total
@@ -411,7 +378,9 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
     The network trains in float32, the dtype the weights file stores: its
     parameters, gradients, velocities and activations are float32, and the
     loss reads each head in float64 (``read_head``) and hands back a gradient
-    cast to the head's dtype. Each step accumulates gradients over
+    cast to the head's dtype. Each example's uint8 frame goes through
+    ``letterbox`` once, before the first step; a frame that is not a square
+    uint8 array is a ``ValidationError``. Each step accumulates gradients over
     ``batch_size`` consecutive images (wrapping around the dataset), averages
     them, and applies one momentum update. One tape records every image and
     is reset after each, so one image's arrays are alive at a time and later
@@ -424,6 +393,7 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
     if not dataset:
         raise ValidationError("the toy dataset is empty")
     net = random_init(graph, seed=config.seed, dtype=np.float32)
+    images = [_network_input(example, net.dtype) for example in dataset]
     tape = GradTape()
     state: dict = {}
     history: list[float] = []
@@ -432,10 +402,12 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
         net.zero_grads()
         batch_loss = 0.0
         for _ in range(config.batch_size):
-            example = dataset[cursor % len(dataset)]
+            k = cursor % len(dataset)
             cursor += 1
+            example = dataset[k]
             try:
-                batch_loss += _train_image(net, tape, example, config.loss_weights)
+                batch_loss += _train_image(net, tape, images[k], example.boxes,
+                                           config.loss_weights)
             except NumericError as exc:
                 raise NumericError(f"training diverged at step {step}, image "
                                    f"{example.image_id}: {exc}") from None

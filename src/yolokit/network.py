@@ -141,8 +141,9 @@ class Network:
     def forward(self, image: np.ndarray, tape: ops.GradTape | None = None) -> list[HeadOutput]:
         """Run the full graph on one image, returning heads coarse to fine.
 
-        The input size must pass ``shape_check``, the rule of the graph's own
-        heads (checked once per size); otherwise it is a ShapeError. The
+        The image must be in the net's dtype, as ``letterbox`` makes it, and
+        its size must pass ``shape_check``, the rule of the graph's own heads
+        (checked once per size); otherwise it is a ShapeError. The
         image is a constant on the tape: a backward fills the parameter
         gradients only.
         """
@@ -153,13 +154,16 @@ class Network:
             raise ShapeError(
                 f"image has {image.shape[0]} channels, net expects {self.graph.input_channels}"
             )
+        if image.dtype != self.dtype:
+            raise ShapeError(f"image is {image.dtype}, the net runs in {self.dtype}; "
+                             f"letterbox a frame into the net's dtype")
         _, in_h, in_w = image.shape
         if (in_h, in_w) not in self._heads_at:
             try:
                 self._check_size(in_h, in_w)
             except GraphValidationError as exc:
                 raise ShapeError(f"input {in_h}x{in_w} does not fit the graph: {exc}") from exc
-        image = np.ascontiguousarray(image, dtype=self.dtype)
+        image = np.ascontiguousarray(image)
         if tape is not None:
             tape.constant(image)
 

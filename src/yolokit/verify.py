@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .cfg import builtin_graph, graph_equal, parse_cfg, shape_check, ModelGraph
+from .cfg import builtin_graph, graph_equal, parse_cfg, shape_check, toy_graph, ModelGraph
 from .detect import Box, Detection, Detections, decode, iou, nms, IDENTITY_TRANSFORM
 from .evaluation import (
     GroundTruth,
@@ -32,7 +32,6 @@ from .loss import (
     assign_targets,
     synthetic_dataset,
     total_loss,
-    toy_graph,
     train_toy,
 )
 from .network import HeadOutput, Network

@@ -5,15 +5,16 @@ import pytest
 
 from yolokit import cfg, ops
 from yolokit.cfg import (
+    COCO_ANCHORS,
     builtin_graph,
     graph_equal,
     layer_inputs,
     parse_cfg,
     render_cfg,
     shape_check,
+    toy_graph,
 )
 from yolokit.errors import CfgParseError, GraphValidationError, ShapeError, ValidationError
-from yolokit.loss import toy_graph
 
 NET = """\
 [net]
@@ -339,6 +340,21 @@ class TestBuiltins:
     def test_bad_class_count(self):
         with pytest.raises(ValidationError):
             builtin_graph("yolov3", 0)
+
+    def test_toy_graph_is_built_like_the_builtins(self):
+        # the three finest COCO priors, one stride-8 head, and text that
+        # parses back to the same graph
+        graph = toy_graph(3, 96)
+        (head,) = [layer for layer in graph.layers if layer.kind == "yolo"]
+        assert head.attrs["anchors"] == list(COCO_ANCHORS[:6])
+        assert head.attrs["mask"] == [0, 1, 2] and head.attrs["classes"] == 3
+        assert shape_check(graph, 96, 96)[-1] == (24, 12, 12)
+        assert graph_equal(parse_cfg(render_cfg(graph)), graph)
+
+    def test_toy_bad_class_count(self):
+        # once a CfgParseError at a line of a template the caller never saw
+        with pytest.raises(ValidationError, match=r"^num_classes must be >= 1, got 0$"):
+            toy_graph(num_classes=0)
 
     def test_unknown_variant(self):
         with pytest.raises(GraphValidationError):

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from yolokit import cli, evaluation
-from yolokit.cfg import builtin_graph, check_num_classes, parse_cfg, render_cfg, shape_check
+from yolokit.cfg import (
+    builtin_graph,
+    check_num_classes,
+    parse_cfg,
+    render_cfg,
+    shape_check,
+    toy_graph,
+)
 from yolokit.detect import (
     Box,
     Detection,
@@ -27,7 +34,7 @@ from yolokit.evaluation import (
     format_predictions,
     format_visdrone,
 )
-from yolokit.loss import ToyTrainConfig, toy_graph
+from yolokit.loss import ToyTrainConfig
 from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, render_detections, write_ppm
 from yolokit.verify import CheckResult, check_toy_steps
 from yolokit.weights import check_seed, random_init, save_weights_file

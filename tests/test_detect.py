@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from yolokit.cfg import toy_graph
 from yolokit.detect import (
     PAD_VALUE,
     Box,
@@ -20,7 +21,6 @@ from yolokit.detect import (
     nms,
 )
 from yolokit.errors import ShapeError, UsageError, ValidationError
-from yolokit.loss import toy_graph
 from yolokit.network import HeadOutput
 from yolokit.oracles import iou_grid_count, nms_loop
 from yolokit.weights import random_init

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from yolokit.cfg import parse_cfg, render_cfg
-from yolokit.detect import Box, iou, read_head
+from yolokit.cfg import parse_cfg, render_cfg, toy_graph
+from yolokit.detect import Box, iou, letterbox, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
 from yolokit.evaluation import GroundTruthBox, format_visdrone, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
@@ -21,10 +21,10 @@ from yolokit.loss import (
     sgd_step,
     synthetic_dataset,
     total_loss,
-    toy_graph,
     train_toy,
 )
-from yolokit.network import HeadOutput
+from yolokit.network import HeadOutput, Network
+from yolokit.ppm import read_ppm, write_ppm
 from yolokit.weights import random_init
 
 COCO_HEAD_ANCHORS = (
@@ -432,6 +432,38 @@ class TestSgd:
             sgd_step(net, {}, lr=0.1, momentum=0.9)
 
 
+def _ppm_round_trip_inputs(dataset, dtype, directory):
+    """Each frame written with ``write_ppm``, read back with ``read_ppm`` and
+    letterboxed at its own side into ``dtype``."""
+    inputs = []
+    for example in dataset:
+        path = directory / f"{example.image_id}.ppm"
+        write_ppm(path, example.image)
+        inputs.append(letterbox(read_ppm(path), example.image.shape[1], dtype)[0])
+    return inputs
+
+
+def _recording_forward(monkeypatch):
+    """The images every ``Network.forward`` call gets, in call order."""
+    seen = []
+    real = Network.forward
+
+    def recording(self, image, tape=None):
+        seen.append(image)
+        return real(self, image, tape)
+
+    monkeypatch.setattr(Network, "forward", recording)
+    return seen
+
+
+def _assert_bitwise_inputs(seen, expected):
+    # the k-th forward of a run trains on image k mod the set's size
+    for k, image in enumerate(seen):
+        want = expected[k % len(expected)]
+        assert image.dtype == want.dtype and image.shape == want.shape
+        assert image.tobytes() == want.tobytes(), k
+
+
 class TestToyTraining:
     def test_zero_steps_empty_history(self):
         dataset = synthetic_dataset(num_images=4, seed=0)
@@ -533,9 +565,10 @@ class TestToyTraining:
         assert len(states[0]) == 14  # weights, gamma, beta of 4 convs; weights, biases of 1
         assert {key: a.dtype for key, a in arrays.items()} == dict.fromkeys(arrays, np.float32)
 
-    def test_history_matches_a_float64_network(self, monkeypatch):
+    def test_history_matches_a_float64_network(self, monkeypatch, tmp_path):
         # the same trainer on a float64 network is the oracle; measured
-        # spread over the 20 steps is <= 8e-8 relative
+        # spread over the 20 steps is <= 8e-8 relative. The oracle's
+        # forwards get the frames' PPM round trip, letterboxed in float64.
         import yolokit.loss
 
         dataset = synthetic_dataset(seed=0)
@@ -543,9 +576,42 @@ class TestToyTraining:
         history = train_toy(dataset, toy_graph(), config)
         monkeypatch.setattr(yolokit.loss, "random_init",
                             lambda graph, seed, dtype: random_init(graph, seed, np.float64))
+        seen = _recording_forward(monkeypatch)
         oracle = train_toy(dataset, toy_graph(), config)
         assert history != oracle
         np.testing.assert_allclose(history, oracle, rtol=1e-6, atol=0)
+        assert len(seen) == config.steps * config.batch_size
+        _assert_bitwise_inputs(seen, _ppm_round_trip_inputs(dataset, np.float64, tmp_path))
+
+    def test_forward_gets_the_ppm_round_trip_letterboxed(self, monkeypatch, tmp_path):
+        # the bits the trainer trains on are the bits detect reads from a
+        # PPM file of the frame
+        dataset = synthetic_dataset(num_images=6, seed=0)
+        seen = _recording_forward(monkeypatch)
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, batch_size=5))
+        assert len(seen) == 10
+        expected = _ppm_round_trip_inputs(dataset, np.float32, tmp_path)
+        assert {image.dtype for image in expected} == {np.dtype(np.float32)}
+        _assert_bitwise_inputs(seen, expected)
+
+    @pytest.mark.parametrize("frame, message", [
+        (lambda image: image / 255.0, "image: expected uint8 samples, got float64"),
+        (lambda image: (image / 255.0).astype(np.float32),
+         "image: expected uint8 samples, got float32"),
+        (lambda image: image[:, :, :48], "image: expected a square frame, got 64x48"),
+        (lambda image: image.transpose(1, 2, 0),
+         "image: expected a (3, H, W) array, got shape (64, 64, 3)"),
+    ], ids=["float64", "float32", "not square", "HWC"])
+    def test_frame_not_square_uint8_rejected_before_any_step(self, frame, message,
+                                                             monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(Network, "forward", no_forward)
+        dataset = synthetic_dataset(num_images=4, seed=0)
+        dataset[2].image = frame(dataset[2].image)
+        with pytest.raises(ValidationError, match=rf"^toy_002: {re.escape(message)}$"):
+            train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1, batch_size=1))
 
     def test_memory_does_not_grow_with_images(self):
         # one reused tape: a 4-step, 16-image run peaks where one image does
@@ -593,10 +659,46 @@ class TestToyTraining:
         history = train_toy(dataset, toy_graph(), ToyTrainConfig(steps=15, batch_size=8, seed=2))
         assert history[-1] < history[0]
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"size": 30}, "size must be >= 31 (a 28 px rectangle and a 1 px margin on each "
+                       "side), got 30"),
+        ({"size": 0}, "size must be >= 31 (a 28 px rectangle and a 1 px margin on each "
+                      "side), got 0"),
+        ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+        ({"num_classes": 5}, "num_classes must be <= 4, the synthetic colors, got 5"),
+        ({"num_images": -1}, "num_images must be >= 0, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_dataset_argument_rejected_before_any_draw(self, kwargs, message,
+                                                          monkeypatch):
+        # size <= 30 and num_classes 0 once failed inside numpy's draws
+        # ("low >= high", "high <= 0"), and num_images -1 gave []
+        import yolokit.loss
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drawing started")
+
+        monkeypatch.setattr(yolokit.loss.np.random, "default_rng", no_draw)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            synthetic_dataset(**kwargs)
+
+    def test_smallest_size_fits_every_rectangle_and_color(self):
+        dataset = synthetic_dataset(num_images=64, size=31, num_classes=4, seed=5)
+        classes = set()
+        for example in dataset:
+            assert example.image.shape == (3, 31, 31)
+            for g in example.boxes:
+                x0, y0 = g.box.x - g.box.w / 2, g.box.y - g.box.h / 2
+                assert x0 >= 1 and y0 >= 1
+                assert x0 + g.box.w <= 30 and y0 + g.box.h <= 30
+                classes.add(g.class_index)
+        assert classes == {0, 1, 2, 3}
+
     def test_dataset_labels_are_exact_and_dumpable(self):
         dataset = synthetic_dataset(num_images=6, seed=3)
         for example in dataset:
             assert example.image.shape == (3, 64, 64)
+            assert example.image.dtype == np.uint8 and example.image.flags.c_contiguous
             for box in example.boxes:
                 # the labeled rectangle is exactly the painted color patch
                 x0 = int(box.box.x - box.box.w / 2)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from yolokit import network, ops
-from yolokit.cfg import builtin_graph, parse_cfg
+from yolokit.cfg import builtin_graph, parse_cfg, toy_graph
 from yolokit.detect import Box
 from yolokit.errors import ShapeError, UsageError
 from yolokit.evaluation import GroundTruthBox
-from yolokit.loss import assign_targets, toy_graph, total_loss
+from yolokit.loss import assign_targets, total_loss
 from yolokit.network import Network
 from yolokit.oracles import maxpool_scan
 from yolokit.verify import spp_block_forward
@@ -86,6 +86,18 @@ class TestForward:
     def test_wrong_channel_count_rejected(self, tiny_net):
         with pytest.raises(ShapeError):
             tiny_net.forward(np.zeros((1, 64, 64), dtype=np.float32))
+
+    @pytest.mark.parametrize("net_dtype, image_dtype", [
+        (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    def test_image_in_another_float_dtype_rejected(self, net_dtype, image_dtype):
+        # such an image was once cast to the net's dtype on every call
+        net = random_init(toy_graph(2, 64), seed=1, dtype=net_dtype)
+        image = np.zeros((3, 64, 64), dtype=image_dtype)
+        with pytest.raises(ShapeError, match=f"image is {np.dtype(image_dtype)}, the net "
+                                             f"runs in {np.dtype(net_dtype)}"):
+            net.forward(image)
+        assert net.forward(image.astype(net_dtype))[0].raw.dtype == net_dtype
 
     @pytest.mark.slow
     def test_spp_model_full_forward_at_640(self):

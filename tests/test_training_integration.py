@@ -14,11 +14,11 @@ import weakref
 import numpy as np
 import pytest
 
-from yolokit.cfg import parse_cfg
+from yolokit.cfg import parse_cfg, toy_graph
 from yolokit.detect import Box
 from yolokit.evaluation import GroundTruthBox
 from yolokit.gradcheck import battery_nets, finite_difference, relative_errors
-from yolokit.loss import assign_targets, toy_graph, total_loss
+from yolokit.loss import assign_targets, total_loss
 from yolokit.ops import GradTape
 from yolokit.weights import random_init
 
