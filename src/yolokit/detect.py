@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError, ValidationError
 from .network import HeadOutput
-from .ops import sigmoid
+from .ops import check_float_dtype, sigmoid
 
 PAD_VALUE = 0.5  # gray fill for letterbox borders
 
@@ -152,9 +152,7 @@ def letterbox(image: np.ndarray, target: int, dtype) -> tuple[np.ndarray, Letter
     check_image(image)
     if target < 1:
         raise UsageError(f"letterbox target {target} must be positive")
-    dtype = np.dtype(dtype)
-    if dtype.type not in (np.float32, np.float64):
-        raise UsageError(f"letterbox dtype must be float32 or float64, got {dtype}")
+    dtype = check_float_dtype(dtype, "letterbox")
     c, h, w = image.shape
     scale = target / max(h, w)
     new_h = max(1, round(h * scale))

@@ -353,13 +353,18 @@ def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
 
 
 def format_visdrone(boxes: list[GroundTruthBox]) -> str:
-    """Inverse of parse_visdrone (score 1, truncation/occlusion 0)."""
+    """Inverse of parse_visdrone (score 1, truncation/occlusion 0).
+
+    Each value is written as the repr of a Python float, which reads back
+    as the same float. The centre read back is the written left edge plus
+    half the extent, so off the pixel grid it can differ in the last bits.
+    """
     lines = []
     for gt in boxes:
         category = 0 if gt.ignore else gt.class_index + 1
-        x = gt.box.x - gt.box.w / 2
-        y = gt.box.y - gt.box.h / 2
-        lines.append(f"{x:g},{y:g},{gt.box.w:g},{gt.box.h:g},1,{category},0,0")
+        b = gt.box
+        left, top, w, h = (float(v) for v in (b.x - b.w / 2, b.y - b.h / 2, b.w, b.h))
+        lines.append(f"{left!r},{top!r},{w!r},{h!r},1,{category},0,0")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -113,10 +113,9 @@ def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Net
         graph.layers.append(layer)
 
     net = Network(parse_cfg(render_cfg(graph)))
-    for i, p in net.conv_layers():
-        fan_in = net.conv_in_channels[i] * p.size * p.size
-        p.weights = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                               size=(p.filters, net.conv_in_channels[i], p.size, p.size))
+    for _, p in net.conv_layers():
+        fan_in = p.in_channels * p.size * p.size
+        p.weights = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=p.stored()[-1][1])
         if p.has_batchnorm:
             p.bn_gamma = rng.uniform(0.5, 1.5, p.filters)
             p.bn_beta = rng.normal(0.0, 0.3, p.filters)
@@ -124,6 +123,7 @@ def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Net
             p.bn_var = rng.uniform(0.5, 2.0, p.filters)
         else:
             p.biases = rng.normal(0.0, 0.3, p.filters)
+        p.validate()
     return net, x
 
 

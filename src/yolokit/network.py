@@ -62,23 +62,21 @@ class Network:
         # per input size that passed shape_check, its [yolo] layers coarse
         # to fine: (layer index, stride, anchors, ignore_thresh)
         self._heads_at: dict[tuple[int, int], list] = {}
+        self.dtype = ops.check_float_dtype(dtype, "network")
         shapes = self._check_size(graph.input_height, graph.input_width)
-        self.dtype = np.dtype(dtype)
         self.seen = 0
         self.params: list[ops.ConvParams | None] = []
-        self.conv_in_channels: dict[int, int] = {}
         for i, layer in enumerate(graph.layers):
             a = layer.attrs
             if layer.kind == "convolutional":
-                p = ops.ConvParams(
+                self.params.append(ops.ConvParams(
                     filters=a["filters"],
+                    in_channels=shapes[i - 1][0] if i else graph.input_channels,
                     size=a["size"],
                     stride=a["stride"],
                     has_batchnorm=bool(a["batch_normalize"]),
                     activation=a["activation"],
-                )
-                self.conv_in_channels[i] = shapes[i - 1][0] if i else graph.input_channels
-                self.params.append(p)
+                ))
             else:
                 self.params.append(None)
         self._inputs = layer_inputs(graph)
@@ -123,11 +121,15 @@ class Network:
         """Fold batch-norm into each convolution's weights and bias, in place.
 
         Inference then runs only the GEMM plus one bias-and-activation pass.
-        The folded network has no gamma/beta left to train and cannot be
-        saved in the file layout; fold after loading, never before training.
+        Every convolution is validated before any is folded, so arrays
+        swapped in after binding are a ShapeError. The folded network has no
+        gamma/beta left to train and cannot be saved in the file layout;
+        fold after loading, never before training.
         """
         if not self.parameterized:
             raise UsageError("network has no parameters; load weights or random-init first")
+        for _, p in self.conv_layers():
+            p.validate()
         for _, p in self.conv_layers():
             if not p.has_batchnorm:
                 continue
@@ -224,7 +226,7 @@ class Network:
         per_layer = []
         total = 0
         for i, p in self.conv_layers():
-            n = sum(math.prod(shape) for _, shape in p.stored(self.conv_in_channels[i]))
+            n = sum(math.prod(shape) for _, shape in p.stored())
             per_layer.append((i, n))
             total += n
         return per_layer, total

@@ -42,6 +42,15 @@ def check_tensor(x, rank: int | None = None, name: str = "tensor") -> np.ndarray
     return x
 
 
+def check_float_dtype(dtype, name: str) -> np.dtype:
+    """``dtype`` as a numpy dtype if it is float32 or float64; a UsageError
+    naming ``name`` otherwise."""
+    dtype = np.dtype(dtype)
+    if dtype.type not in _FLOAT_DTYPES:
+        raise UsageError(f"{name} dtype must be float32 or float64, got {dtype}")
+    return dtype
+
+
 def check_conv_geometry(size: int, stride: int, activation: str) -> None:
     """A convolution's rules: an odd kernel size >= 1, stride 1 or 2 and an
     activation in ``ACTIVATIONS``; a ShapeError otherwise."""
@@ -97,16 +106,21 @@ def leaky_relu(x, slope: float = LEAKY_SLOPE):
 class ConvParams:
     """Parameters of one convolution: weights plus optional batch-norm stats.
 
-    Weights are laid out ``filters x in_channels x k x k``. With batch-norm the
-    per-filter vectors are gamma/beta/rolling mean/rolling variance and the
-    plain bias vector is unused; without batch-norm only ``biases`` applies.
-    Batch-norm runs in inference mode: the rolling statistics are loaded data,
-    never updated; only weights, biases and the BN affine terms carry
-    gradients. ``Network.freeze`` folds the batch-norm into weights and biases
-    for inference, leaving a plain biased convolution.
+    ``in_channels`` is the width of the input the convolution reads, and
+    :meth:`stored` the one statement of the arrays it stores: weights laid
+    out ``filters x in_channels x k x k``. With batch-norm the per-filter
+    vectors are gamma/beta/rolling mean/rolling variance and the plain bias
+    vector is unused; without batch-norm only ``biases`` applies. The
+    geometry is checked when a ConvParams is made; whoever binds arrays to
+    it runs :meth:`validate` once, so the kernel does not. Batch-norm runs
+    in inference mode: the rolling statistics are loaded data, never
+    updated; only weights, biases and the BN affine terms carry gradients.
+    ``Network.freeze`` folds the batch-norm into weights and biases for
+    inference, leaving a plain biased convolution.
     """
 
     filters: int
+    in_channels: int = field(kw_only=True)
     size: int
     stride: int = 1
     has_batchnorm: bool = False
@@ -122,6 +136,9 @@ class ConvParams:
     g_gamma: np.ndarray | None = field(default=None, repr=False)
     g_beta: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        check_conv_geometry(self.size, self.stride, self.activation)
+
     @property
     def pad(self) -> int:
         return same_pad(self.size)
@@ -130,25 +147,19 @@ class ConvParams:
     def parameterized(self) -> bool:
         return self.weights is not None
 
-    def stored(self, in_channels: int) -> list[tuple[str, tuple[int, ...]]]:
+    def stored(self) -> list[tuple[str, tuple[int, ...]]]:
         """(attribute, shape) of each array this convolution stores, in the
         weights file's order: the batch-norm beta, gamma, rolling mean and
         rolling variance, or the biases; then the weights."""
         f, k = self.filters, self.size
         vectors = (("bn_beta", "bn_gamma", "bn_mean", "bn_var") if self.has_batchnorm
                    else ("biases",))
-        return [(name, (f,)) for name in vectors] + [("weights", (f, in_channels, k, k))]
+        return [(name, (f,)) for name in vectors] + [("weights", (f, self.in_channels, k, k))]
 
     def validate(self) -> None:
-        """The kernel rules (:func:`check_conv_geometry`); with weights
-        attached, each stored array's shape and a positive batch-norm
-        variance."""
-        check_conv_geometry(self.size, self.stride, self.activation)
-        if self.weights is None:
-            return
-        if self.weights.ndim != 4:
-            raise ShapeError(f"weights must have rank 4, got shape {self.weights.shape}")
-        for name, shape in self.stored(self.weights.shape[1]):
+        """Each stored array's shape and a positive batch-norm variance; a
+        ShapeError otherwise."""
+        for name, shape in self.stored():
             arr = getattr(self, name)
             if arr is None or arr.shape != shape:
                 raise ShapeError(f"{name} must be shaped {shape}, got "
@@ -369,8 +380,10 @@ def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
 def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = None) -> np.ndarray:
     """Same-padded 2D convolution with optional batch-norm and activation.
 
-    Output spatial extent is ``ceil(H / stride)`` per axis. Raises ShapeError
-    when the input channel count does not match the weights. The output is
+    Output spatial extent is ``ceil(H / stride)`` per axis. The parameters
+    were validated where they were bound (:meth:`ConvParams.validate`); a
+    call checks only that the weights still have their stored shape and that
+    the input has ``in_channels`` channels, a ShapeError otherwise. The output is
     computed band by band over output rows (see ``IM2COL_BAND_BYTES``): each
     band's padded input rows are built in one reused buffer, and its output
     slice gets batch-norm or bias, then the activation, right after its GEMM.
@@ -379,10 +392,12 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     """
     x = check_tensor(x, rank=3, name="conv input")
     p = params
-    p.validate()
     if not p.parameterized:
         raise UsageError("convolution has no weights attached yet")
-    cin = p.weights.shape[1]
+    _, shape = p.stored()[-1]
+    if p.weights.shape != shape:
+        raise ShapeError(f"weights must be shaped {shape}, got {p.weights.shape}")
+    cin = p.in_channels
     if x.shape[0] != cin:
         raise ShapeError(f"conv weights expect {cin} input channels, input has {x.shape[0]}")
     k, s, pad = p.size, p.stride, p.pad

@@ -349,8 +349,8 @@ activation=leaky
 def _networks_equal(a: Network, b: Network) -> bool:
     return all(
         np.array_equal(getattr(pa, name), getattr(pb, name))
-        for (i, pa), (_, pb) in zip(a.conv_layers(), b.conv_layers())
-        for name, _ in pa.stored(a.conv_in_channels[i])
+        for (_, pa), (_, pb) in zip(a.conv_layers(), b.conv_layers())
+        for name, _ in pa.stored()
     )
 
 

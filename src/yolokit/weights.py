@@ -7,8 +7,8 @@ then raw float32 parameters for every convolution in graph order. Per
 convolution the arrays and their order are ``ops.ConvParams.stored``'s:
 with batch-norm, beta, gamma, rolling mean, rolling variance (one float per
 filter each) then weights; without batch-norm, biases then weights. Weight
-blocks are filters x in_channels x k x k in row-major order. The stream
-must be consumed exactly.
+blocks are row-major in ``stored``'s layout. The stream must be consumed
+exactly.
 
 A blob, a file and a pipe are all read by one loop over a binary stream,
 one stored array at a time in file order, so no load needs the file's size
@@ -76,8 +76,8 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
     parameters are views of one array of every stored float; float64 ones
     are converted from one reused float32 buffer, so the payload never sits
     beside them. The stream is read to its end."""
-    header, _ = read_header(fh)
     net = Network(graph, dtype=dtype)
+    header, _ = read_header(fh)
     net.seen = header.seen
     per_layer, total = net.count_parameters()
     views = net.dtype == np.float32
@@ -85,7 +85,7 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
     floats = np.empty(total if views else max((n for _, n in per_layer), default=0), "<f4")
     cursor = 0
     for i, p in net.conv_layers():
-        for name, shape in p.stored(net.conv_in_channels[i]):
+        for name, shape in p.stored():
             what = "bn variance" if name == "bn_var" else name.replace("_", " ")
             n = math.prod(shape)
             chunk = floats[cursor : cursor + n] if views else floats[:n]
@@ -102,10 +102,7 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
                 raise WeightsFileError(f"layer {i}: non-finite values in {what}")
             setattr(p, name, chunk.reshape(shape).astype(net.dtype, copy=False))
             cursor += n
-        try:
-            p.validate()
-        except ShapeError as exc:
-            raise WeightsFileError(f"layer {i}: {exc}") from None
+        _validate_layer(i, p)
     trailing = len(fh.read())
     _check_payload(4 * cursor + trailing)
     if trailing:
@@ -116,6 +113,14 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
 def _check_payload(body: int) -> None:
     if body % 4:
         raise WeightsFileError(f"{body} payload bytes is not a whole number of floats")
+
+
+def _validate_layer(i: int, p) -> None:
+    """``p.validate()``, its ShapeError a WeightsFileError naming layer ``i``."""
+    try:
+        p.validate()
+    except ShapeError as exc:
+        raise WeightsFileError(f"layer {i}: {exc}") from None
 
 
 def _file_chunks(network: Network):
@@ -129,10 +134,11 @@ def _file_chunks(network: Network):
                 f"layer {i}: batch-norm state does not match the graph "
                 "(a frozen network cannot be saved)"
             )
+        _validate_layer(i, p)
     major, minor, revision = WRITE_VERSION
     yield struct.pack("<3iQ", major, minor, revision, network.seen)
-    for i, p in network.conv_layers():
-        for name, _ in p.stored(network.conv_in_channels[i]):
+    for _, p in network.conv_layers():
+        for name, _ in p.stored():
             # a copy only when the array is not already contiguous float32
             yield np.ascontiguousarray(getattr(p, name), dtype="<f4")
 
@@ -168,17 +174,13 @@ def random_init(graph: ModelGraph, seed: int, dtype=np.float64) -> Network:
     check_seed(seed)
     net = Network(graph, dtype=dtype)
     rng = np.random.default_rng(seed)
-    for i, p in net.conv_layers():
-        f, k = p.filters, p.size
-        cin = net.conv_in_channels[i]
-        bound = 1.0 / np.sqrt(cin * k * k)
-        w = rng.uniform(-bound, bound, size=(f, cin, k, k))
-        p.weights = w.astype(np.float32).astype(dtype)
-        if p.has_batchnorm:
-            p.bn_gamma = np.ones(f, dtype=dtype)
-            p.bn_beta = np.zeros(f, dtype=dtype)
-            p.bn_mean = np.zeros(f, dtype=dtype)
-            p.bn_var = np.ones(f, dtype=dtype)
-        else:
-            p.biases = np.zeros(f, dtype=dtype)
+    for _, p in net.conv_layers():
+        for name, shape in p.stored():
+            if name == "weights":
+                bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+                w = rng.uniform(-bound, bound, size=shape)
+                p.weights = w.astype(np.float32).astype(net.dtype)
+            else:  # identity batch-norm: gamma and variance 1, beta and mean 0
+                setattr(p, name, np.full(shape, float(name in ("bn_gamma", "bn_var")), net.dtype))
+        p.validate()
     return net

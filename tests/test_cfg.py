@@ -151,17 +151,17 @@ class TestParse:
     ])
     def test_layer_rule_is_the_kernels_at_the_sections_line(self, kind, bad):
         # the parser states no conv or pool rule of its own: it names the
-        # section's line and gives the kernel's error for that geometry
+        # section's line and gives the kernel's error for that geometry, a
+        # conv's where its ConvParams is made
         good = {"convolutional": {"filters": 4, "size": 3, "stride": 1, "activation": "linear"},
                 "maxpool": {"size": 3, "stride": 1, "padding": 1}}
         a = {**good[kind], **bad}
-        x = np.zeros((3, 8, 8))
         with pytest.raises(ShapeError) as want:
             if kind == "convolutional":
-                ops.conv2d_forward(x, ops.ConvParams(a["filters"], a["size"], a["stride"],
-                                                     activation=a["activation"]))
+                ops.ConvParams(a["filters"], a["size"], a["stride"],
+                               activation=a["activation"], in_channels=3)
             else:
-                ops.maxpool2d_forward(x, a["size"], a["stride"], a["padding"])
+                ops.maxpool2d_forward(np.zeros((3, 8, 8)), a["size"], a["stride"], a["padding"])
         line = NET.count("\n") + 2
         section = f"[{kind}]\n" + "".join(f"{key}={value}\n" for key, value in a.items())
         with pytest.raises(CfgParseError) as err:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import yolokit
 from yolokit import cli, evaluation
 from yolokit.cfg import (
     builtin_graph,
@@ -491,6 +493,14 @@ class TestVerifyCommand:
 
     def test_zero_toy_steps_is_usage_error(self):
         assert run(["verify", "--toy-steps", "0"]) == 2
+
+    def test_python_dash_m_runs_the_cli_from_a_source_checkout(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-m", "yolokit", "--version"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"yolokit {yolokit.__version__}\n"
 
     def test_fault_flag_reaches_the_battery(self, monkeypatch, capsys):
         seen = {}

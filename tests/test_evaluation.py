@@ -22,6 +22,7 @@ from yolokit.evaluation import (
     evaluate,
     format_predictions,
     format_report_table,
+    format_visdrone,
     load_ground_truth,
     match,
     parse_predictions,
@@ -88,6 +89,34 @@ class TestVisdroneParsing:
         with pytest.raises(AnnotationError) as err:
             parse_visdrone(text, "im0")
         assert err.value.line == 2
+
+    @staticmethod
+    def _random_boxes(rng, n, grid):
+        """n boxes with numpy scalar coordinates, as a caller may pass them;
+        on the pixel grid the edges and extents are whole pixels."""
+        x, y = rng.uniform(150, 2000, (2, n))
+        w, h = rng.uniform(0.5, 300, (2, n))
+        if grid:
+            w, h = np.ceil(w), np.ceil(h)
+            x, y = np.floor(x - w / 2) + w / 2, np.floor(y - h / 2) + h / 2
+        classes = rng.integers(-1, 10, n)
+        return [GroundTruthBox("im0", int(c), Box(*box), bool(c < 0))
+                for c, *box in zip(classes, x, y, w, h)]
+
+    def test_format_round_trips_float_boxes(self):
+        boxes = self._random_boxes(np.random.default_rng(23), 2000, grid=False)
+        reparsed = parse_visdrone(format_visdrone(boxes), "im0")
+        assert [(g.class_index, g.ignore) for g in reparsed] == [
+            (g.class_index, g.ignore) for g in boxes]
+        want, got = (np.array([(g.box.x, g.box.y, g.box.w, g.box.h) for g in gts])
+                     for gts in (boxes, reparsed))
+        assert (np.abs(got - want) / want).max() <= 1e-12
+
+    def test_format_round_trips_pixel_grid_boxes_bitwise(self):
+        boxes = self._random_boxes(np.random.default_rng(24), 2000, grid=True)
+        reparsed = parse_visdrone(format_visdrone(boxes), "im0")
+        assert [(g.class_index, g.box, g.ignore) for g in reparsed] == [
+            (g.class_index, g.box, g.ignore) for g in boxes]
 
 
 class TestPredictionFormat:

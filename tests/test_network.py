@@ -12,7 +12,7 @@ from yolokit.loss import assign_targets, total_loss
 from yolokit.network import Network
 from yolokit.oracles import maxpool_scan
 from yolokit.verify import spp_block_forward
-from yolokit.weights import random_init
+from yolokit.weights import load_weights, random_init
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +338,8 @@ class TestInputSize:
     @pytest.mark.parametrize("size", [100, 40, 48])
     def test_yolov3_rejects_sizes_its_heads_reject(self, size):
         net = Network(builtin_graph("yolov3", 10))
-        for i, p in net.conv_layers():  # forward needs parameters, not trained ones
-            p.weights = np.zeros((p.filters, net.conv_in_channels[i], p.size, p.size))
+        for _, p in net.conv_layers():  # forward needs parameters, not trained ones
+            p.weights = np.zeros(p.stored()[-1][1])
         with pytest.raises(ShapeError, match="stride"):
             net.forward(np.zeros((3, size, size)))
 
@@ -450,6 +450,47 @@ class TestFreeze:
     def test_unparameterized_network_rejected(self):
         with pytest.raises(UsageError):
             Network(toy_graph(2, 64)).freeze()
+
+    @pytest.mark.parametrize("layer,name,value,message", [
+        (2, "bn_var", np.r_[np.ones(15), 0.0], "^non-positive batch-norm variance$"),
+        (0, "bn_var", -np.ones(8), "^non-positive batch-norm variance$"),
+        (4, "biases", np.zeros(22), r"^biases must be shaped \(21,\), got \(22,\)$"),
+        (1, "bn_gamma", np.ones(8), r"^bn_gamma must be shaped \(16,\), got \(8,\)$"),
+    ])
+    def test_arrays_swapped_after_binding_are_refused_before_any_fold(self, layer, name,
+                                                                       value, message):
+        net = random_init(toy_graph(), seed=3)
+        weights = [p.weights.copy() for _, p in net.conv_layers()]
+        setattr(net.params[layer], name, value)
+        with pytest.raises(ShapeError, match=message):
+            net.freeze()
+        assert [p.has_batchnorm for _, p in net.conv_layers()] == [True] * 4 + [False]
+        assert all(np.array_equal(p.weights, w) for (_, p), w in zip(net.conv_layers(), weights))
+
+    def test_weights_swapped_after_binding_fail_the_forward(self):
+        # a call checks the weights' shape and the input width, not the
+        # other arrays
+        net = random_init(toy_graph(), seed=3)
+        net.params[1].weights = np.zeros((16, 4, 3, 3))
+        with pytest.raises(ShapeError, match=r"^weights must be shaped \(16, 8, 3, 3\), "
+                                             r"got \(16, 4, 3, 3\)$"):
+            net.forward(np.zeros((3, 64, 64)))
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.int64, int, np.float16, np.uint8])
+    def test_only_float32_and_float64_accepted(self, dtype):
+        message = f"^network dtype must be float32 or float64, got {np.dtype(dtype)}$"
+        with pytest.raises(UsageError, match=message):
+            Network(toy_graph(), dtype=dtype)
+        with pytest.raises(UsageError, match=message):
+            random_init(toy_graph(), seed=0, dtype=dtype)
+        with pytest.raises(UsageError, match=message):  # before the file is read
+            load_weights(toy_graph(), b"", dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, "float32", float])
+    def test_float_dtypes_kept(self, dtype):
+        assert Network(toy_graph(), dtype=dtype).dtype == np.dtype(dtype)
 
 
 class TestCounts:

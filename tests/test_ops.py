@@ -1,5 +1,6 @@
 """Kernel-level tests: shapes, frozen oracle values, and tape gradients."""
 
+import struct
 import tracemalloc
 import weakref
 
@@ -8,13 +9,15 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from yolokit import ops
-from yolokit.errors import ShapeError, TapeError, UsageError
+from yolokit.cfg import parse_cfg
+from yolokit.errors import ShapeError, TapeError, UsageError, WeightsFileError
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.oracles import conv_direct, maxpool_scan, maxpool_scan_grad
+from yolokit.weights import load_weights
 
 
 def make_conv(filters, cin, k, stride=1, activation="linear", bn=False, rng=None):
-    p = ops.ConvParams(filters, k, stride, bn, activation)
+    p = ops.ConvParams(filters, k, stride, bn, activation, in_channels=cin)
     if rng is None:
         rng = np.random.default_rng(0)
     p.weights = rng.normal(0, 0.5, size=(filters, cin, k, k))
@@ -30,8 +33,9 @@ def make_conv(filters, cin, k, stride=1, activation="linear", bn=False, rng=None
 
 def _as_dtype(p, dtype):
     """A copy of the ConvParams ``p`` with its stored arrays in ``dtype``."""
-    q = ops.ConvParams(p.filters, p.size, p.stride, p.has_batchnorm, p.activation)
-    for name, _ in p.stored(p.weights.shape[1]):
+    q = ops.ConvParams(p.filters, p.size, p.stride, p.has_batchnorm, p.activation,
+                       in_channels=p.in_channels)
+    for name, _ in p.stored():
         setattr(q, name, getattr(p, name).astype(dtype))
     return q
 
@@ -56,7 +60,7 @@ class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, (4, 7, 7))
-        p = ops.ConvParams(4, 1)
+        p = ops.ConvParams(4, 1, in_channels=4)
         p.weights = np.eye(4).reshape(4, 4, 1, 1).astype(float)
         p.biases = np.zeros(4)
         assert np.array_equal(ops.conv2d_forward(x, p), x)
@@ -67,7 +71,7 @@ class TestConv2d:
         assert ops.conv2d_forward(x, p).shape == (64, 128, 128)
 
     def test_all_ones_3x3(self):
-        p = ops.ConvParams(1, 3)
+        p = ops.ConvParams(1, 3, in_channels=1)
         p.weights = np.ones((1, 1, 3, 3))
         p.biases = np.zeros(1)
         out = ops.conv2d_forward(np.ones((1, 3, 3)), p)
@@ -245,7 +249,7 @@ class TestConv2d:
         for name in ("weights", "bn_gamma", "bn_beta", "bn_mean", "bn_var"):
             setattr(p, name, getattr(p, name).astype(dtype))
         plain = ops.ConvParams(4, 3, 1, False, "linear", weights=p.weights,
-                               biases=np.zeros(4, dtype=dtype))
+                               biases=np.zeros(4, dtype=dtype), in_channels=3)
         z = ops.conv2d_forward(x, plain)  # + 0.0 bias changes no bits used below
         inv = 1.0 / np.sqrt(p.bn_var + ops.BN_EPSILON)
         x_hat = (z - p.bn_mean[:, None, None]) * inv[:, None, None]
@@ -255,10 +259,22 @@ class TestConv2d:
         assert np.array_equal(got, want)
 
     def test_bad_variance_rejected(self):
+        # checked where arrays are bound, not on each call: by
+        # ConvParams.validate, which every binder runs, a load included
         p = make_conv(2, 2, 1, bn=True)
         p.bn_var = np.array([1.0, -0.5])
-        with pytest.raises(ShapeError):
-            ops.conv2d_forward(np.zeros((2, 3, 3)), p)
+        with pytest.raises(ShapeError, match="^non-positive batch-norm variance$"):
+            p.validate()
+        graph = parse_cfg("[net]\nwidth=4\nheight=4\nchannels=2\n\n[convolutional]\n"
+                          "filters=2\nsize=1\nbatch_normalize=1\nactivation=linear\n")
+        # beta, gamma, rolling mean, rolling variance, weights
+        floats = np.array([0, 0, 1, 1, 0, 0, 1, -0.5, 1, 0, 0, 1], "<f4")
+        header = struct.pack("<3iQ", 0, 2, 0, 0)
+        with pytest.raises(WeightsFileError, match="^layer 0: non-positive batch-norm variance$"):
+            load_weights(graph, header + floats.tobytes())
+        floats[7] = 0.5  # the same file with a positive variance loads
+        net = load_weights(graph, header + floats.tobytes())
+        assert np.array_equal(net.params[0].bn_var, [1.0, 0.5])
 
 
 class TestMaxpool:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from yolokit.cfg import parse_cfg
+from yolokit.cfg import parse_cfg, toy_graph
 from yolokit.errors import WeightsFileError
 from yolokit.network import Network
 from yolokit.weights import (
@@ -318,14 +318,14 @@ def _traced_peak(fn, *args):
 
 
 def _parameter_bytes(net):
-    return sum(getattr(p, name).nbytes for i, p in net.conv_layers()
-               for name, _ in p.stored(net.conv_in_channels[i]))
+    return sum(getattr(p, name).nbytes for _, p in net.conv_layers()
+               for name, _ in p.stored())
 
 
 def _largest_stored_bytes(net):
     """Bytes of the largest array a convolution of ``net`` stores, as float32."""
     return max(4 * math.prod(shape)
-               for i, p in net.conv_layers() for _, shape in p.stored(net.conv_in_channels[i]))
+               for _, p in net.conv_layers() for _, shape in p.stored())
 
 
 # a margin for the Python objects of the network and of an open file
@@ -374,18 +374,28 @@ class TestFileSave:
         save_weights_file(net, path)
         assert path.read_bytes() == save_weights(net)
 
-    @pytest.mark.parametrize("refused", ["frozen", "unparameterized"])
+    @pytest.mark.parametrize("refused", ["frozen", "unparameterized", "bias length",
+                                         "variance"])
     def test_refused_save_leaves_the_path_alone(self, tmp_path, single_graph, refused):
+        # a save refuses what load_weights would refuse to read back
+        message = {"bias length": r"^layer 4: biases must be shaped \(21,\), got \(22,\)$",
+                   "variance": "^layer 0: non-positive batch-norm variance$"}.get(refused)
         if refused == "frozen":
             net = random_init(single_graph, seed=43)
             net.freeze()
-        else:
+        elif refused == "unparameterized":
             net = Network(single_graph)
+        elif refused == "bias length":
+            net = random_init(toy_graph(), seed=43)
+            net.params[4].biases = np.zeros(22)
+        else:
+            net = random_init(single_graph, seed=43)
+            net.params[0].bn_var = np.full(32, -1.0)
         old = save_weights(random_init(single_graph, seed=44))
         existing, missing = tmp_path / "old.weights", tmp_path / "new.weights"
         existing.write_bytes(old)
         for path in (existing, missing):
-            with pytest.raises(WeightsFileError):
+            with pytest.raises(WeightsFileError, match=message):
                 save_weights_file(net, path)
         assert existing.read_bytes() == old
         assert not missing.exists()
