@@ -36,6 +36,15 @@ class Detection:
     box: Box
 
 
+def check_names(names) -> None:
+    """A columnar table's image ids: strictly increasing, so sorted and
+    unique; a ValidationError naming the first pair out of order otherwise."""
+    for k in range(1, len(names)):
+        if not names[k - 1] < names[k]:
+            raise ValidationError(f"table names must be sorted and unique: {names[k - 1]!r} "
+                                  f"then {names[k]!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Detections:
     """Detections as columns, one row each: what decode, NMS, the prediction
@@ -45,7 +54,8 @@ class Detections:
     position in it (int64), so ordering rows by ``image`` orders them by
     image id. ``class_index`` is int64; ``score`` and the center-based box
     ``x``, ``y``, ``w``, ``h`` (pixels) are float64. Iterating gives
-    :class:`Detection` objects, for library callers and the oracles.
+    :class:`Detection` objects, for library callers and the oracles. Names
+    not strictly increasing are a ValidationError (:func:`check_names`).
     """
 
     names: tuple[str, ...]
@@ -56,6 +66,9 @@ class Detections:
     y: np.ndarray
     w: np.ndarray
     h: np.ndarray
+
+    def __post_init__(self):
+        check_names(self.names)
 
     @classmethod
     def of(cls, detections) -> Detections:
@@ -190,7 +203,7 @@ class HeadArrays(NamedTuple):
 def read_head(head: HeadOutput) -> HeadArrays:
     """The one decoding of a head's raw map, shared by detect and the loss."""
     rows, cols = head.grid
-    raw = head.raw.reshape(3, 5 + head.num_classes, rows, cols).astype(np.float64, copy=False)
+    raw = head.raw.reshape(head.layout).astype(np.float64, copy=False)
     # elementwise, so one call over every channel (t_wh included) gives the
     # bits of one call per channel, with less per-call overhead
     probs = sigmoid(raw)

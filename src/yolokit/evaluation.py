@@ -38,7 +38,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .cfg import check_num_classes
-from .detect import Box, Detection, Detections, corner_table, iou_grid
+from .detect import Box, Detection, Detections, check_names, corner_table, iou_grid
 from .errors import AnnotationError, ValidationError, undecodable
 
 VISDRONE_CLASS_NAMES = (
@@ -84,6 +84,9 @@ class GroundTruth:
     y: np.ndarray
     w: np.ndarray
     h: np.ndarray
+
+    def __post_init__(self):
+        check_names(self.names)
 
     @classmethod
     def of(cls, ground_truth) -> GroundTruth:

@@ -32,7 +32,8 @@ from . import ops, oracles
 from .cfg import LayerSpec, ModelGraph, parse_cfg, render_cfg, shape_check
 from .network import Network
 
-DEFAULT_STEP = 1e-5
+DEFAULT_STEP = 1e-5  # the central difference's half-width
+MICRO_NET_MAX_LAYERS = 5
 
 
 def _routing_signature(graph: ModelGraph, outputs: dict[int, np.ndarray]):
@@ -51,8 +52,9 @@ def _routing_signature(graph: ModelGraph, outputs: dict[int, np.ndarray]):
     return signature
 
 
-def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Network, np.ndarray]:
-    """Build a random <=max_layers graph, bound to random parameters, plus an input.
+def random_micro_net(rng: np.random.Generator) -> tuple[Network, np.ndarray]:
+    """Build a random graph of at most ``MICRO_NET_MAX_LAYERS`` layers, bound
+    to random parameters, plus an input.
 
     Shapes come from ``shape_check`` on the partial graph. Shortcut and
     route references name earlier layer outputs (a graph cannot reference
@@ -64,7 +66,7 @@ def random_micro_net(rng: np.random.Generator, max_layers: int = 5) -> tuple[Net
     graph = ModelGraph(net={"width": side, "height": side, "channels": c})
     x = rng.uniform(-1.0, 1.0, size=(c, side, side))
 
-    n_layers = int(rng.integers(2, max_layers + 1))
+    n_layers = int(rng.integers(2, MICRO_NET_MAX_LAYERS + 1))
     for i in range(n_layers):
         shapes = shape_check(graph, side, side)
         _, cur_h, cur_w = shapes[-1] if shapes else (c, side, side)
@@ -162,7 +164,7 @@ class GradCheckResult:
 
 
 def check_micro_net(net: Network, x: np.ndarray, rng: np.random.Generator,
-                    step: float = DEFAULT_STEP, fault: float = 0.0) -> GradCheckResult:
+                    fault: float = 0.0) -> GradCheckResult:
     """Compare tape gradients of sum(projection * output) against central FD,
     and every layer output against ``oracles.graph_forward``."""
     n = len(net.graph.layers)
@@ -190,7 +192,7 @@ def check_micro_net(net: Network, x: np.ndarray, rng: np.random.Generator,
     analytic, numeric, valid = [], [], []
     for _name, value, grad in learnable:
         signatures.clear()
-        numeric.append(finite_difference(objective, value, step).ravel())
+        numeric.append(finite_difference(objective, value).ravel())
         analytic.append(grad.ravel())
         # finite_difference probes +h then -h for each entry in turn
         valid.extend(all(map(np.array_equal, plus, minus))
@@ -210,28 +212,29 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / denom
 
 
-def finite_difference(fn, array: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central finite differences of a scalar function w.r.t. every entry."""
+def finite_difference(fn, array: np.ndarray) -> np.ndarray:
+    """Central finite differences of a scalar function w.r.t. every entry,
+    with step ``DEFAULT_STEP``."""
     flat = array.ravel()
     grad = np.zeros(flat.size)
     for idx in range(flat.size):
         orig = flat[idx]
-        flat[idx] = orig + step
+        flat[idx] = orig + DEFAULT_STEP
         f_plus = fn()
-        flat[idx] = orig - step
+        flat[idx] = orig - DEFAULT_STEP
         f_minus = fn()
         flat[idx] = orig
-        grad[idx] = (f_plus - f_minus) / (2.0 * step)
+        grad[idx] = (f_plus - f_minus) / (2.0 * DEFAULT_STEP)
     return grad.reshape(array.shape)
 
 
 def run_gradient_fidelity(seed: int = 0, num_nets: int = 20,
-                          step: float = DEFAULT_STEP, fault: float = 0.0) -> GradCheckResult:
+                          fault: float = 0.0) -> GradCheckResult:
     """Gradient-check ``num_nets`` random graphs; aggregate the worst."""
     worst = forward_worst = 0.0
     checked = skipped = 0
     for index, (net, x, rng) in enumerate(battery_nets(seed, num_nets)):
-        result = check_micro_net(net, x, rng, step, fault=fault if index == 0 else 0.0)
+        result = check_micro_net(net, x, rng, fault=fault if index == 0 else 0.0)
         worst = max(worst, result.max_rel_error)
         forward_worst = max(forward_worst, result.forward_rel_error)
         checked += result.checked

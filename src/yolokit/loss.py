@@ -42,15 +42,18 @@ class LossWeights:
 
 @dataclass
 class HeadTargets:
-    """Per-(anchor, row, col) masks and encoded targets for one head."""
+    """One head's loss masks and encoded targets.
+
+    ``encoded`` is in the head's raw layout (``HeadOutput.layout``): at a
+    responsible slot, channels 0-1 hold the center's offsets in its cell,
+    2-3 the sizes as input fractions and 5 + c the one-hot class; every other
+    value is 0, channel 4 included, since ``obj_mask`` is the objectness
+    target.
+    """
 
     obj_mask: np.ndarray     # bool (3, S, S): responsible slots
     ignore_mask: np.ndarray  # bool (3, S, S): excluded from the no-object term
-    tx: np.ndarray           # target center offsets within the cell, [0, 1)
-    ty: np.ndarray
-    tw: np.ndarray           # target sizes as image fractions
-    th: np.ndarray
-    cls_index: np.ndarray    # int (3, S, S), -1 where not responsible
+    encoded: np.ndarray      # float64 (3, 5 + C, S, S)
 
 
 @dataclass
@@ -92,20 +95,9 @@ def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[He
     input_h = heads[0].stride * heads[0].grid[0]
     input_w = heads[0].stride * heads[0].grid[1]
 
-    targets = []
-    for head in heads:
-        rows, cols = head.grid
-        targets.append(
-            HeadTargets(
-                obj_mask=np.zeros((3, rows, cols), dtype=bool),
-                ignore_mask=np.zeros((3, rows, cols), dtype=bool),
-                tx=np.zeros((3, rows, cols)),
-                ty=np.zeros((3, rows, cols)),
-                tw=np.zeros((3, rows, cols)),
-                th=np.zeros((3, rows, cols)),
-                cls_index=np.full((3, rows, cols), -1, dtype=int),
-            )
-        )
+    targets = [HeadTargets(np.zeros((3, *head.grid), dtype=bool),
+                           np.zeros((3, *head.grid), dtype=bool), np.zeros(head.layout))
+               for head in heads]
 
     anchor_table = [
         (hi, ai, aw, ah)
@@ -133,11 +125,9 @@ def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[He
         if tgt.obj_mask[ai, row, col]:
             continue  # slot already claimed by an earlier box
         tgt.obj_mask[ai, row, col] = True
-        tgt.tx[ai, row, col] = box.x / head.stride - col
-        tgt.ty[ai, row, col] = box.y / head.stride - row
-        tgt.tw[ai, row, col] = box.w / input_w
-        tgt.th[ai, row, col] = box.h / input_h
-        tgt.cls_index[ai, row, col] = gt.class_index
+        tgt.encoded[ai, :4, row, col] = (box.x / head.stride - col, box.y / head.stride - row,
+                                         box.w / input_w, box.h / input_h)
+        tgt.encoded[ai, 5 + gt.class_index, row, col] = 1.0
 
     if ground_truth:
         truth = corner_table(*np.array([(g.box.x, g.box.y, g.box.w, g.box.h)
@@ -155,18 +145,12 @@ def _paired(heads, targets: list[HeadTargets]):
     if len(heads) != len(targets):
         raise ShapeError(f"targets for {len(targets)} heads, the loss got {len(heads)}")
     for index, (head, tgt) in enumerate(zip(heads, targets)):
-        bad = [name for name, mask in vars(tgt).items() if mask.shape != (3, *head.grid)]
+        bad = [name for name, value in vars(tgt).items()
+               if value.shape != (head.layout if name == "encoded" else (3, *head.grid))]
         if bad:
             raise ShapeError(f"head {index} targets {', '.join(bad)} do not fit its "
-                             f"{head.grid} grid")
+                             f"{head.layout} layout")
     return enumerate(zip(heads, targets))
-
-
-def _one_hot(tgt: HeadTargets, num_classes: int):
-    hot = np.zeros((3, num_classes) + tgt.cls_index.shape[1:], dtype=float)
-    a, i, j = np.nonzero(tgt.obj_mask)
-    hot[a, tgt.cls_index[a, i, j], i, j] = 1.0
-    return hot
 
 
 def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = None,
@@ -193,19 +177,19 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
         # square roots of the extents as image fractions
         sw = np.sqrt(pred.w / (head.stride * cols))
         sh = np.sqrt(pred.h / (head.stride * rows))
-        obj = tgt.obj_mask
+        obj, t = tgt.obj_mask, tgt.encoded
         noobj = ~obj & ~tgt.ignore_mask
-        dx, dy = px - tgt.tx, py - tgt.ty
-        dw, dh = sw - np.sqrt(tgt.tw), sh - np.sqrt(tgt.th)
+        dx, dy = px - t[:, 0], py - t[:, 1]
+        dw, dh = sw - np.sqrt(t[:, 2]), sh - np.sqrt(t[:, 3])
         dobj = pobj - obj
-        dcls = pcls - _one_hot(tgt, head.num_classes)
+        dcls = pcls - t[:, 5:]
         coord += w.coord * float(np.sum((dx ** 2 + dy ** 2)[obj]))
         coord += w.coord * float(np.sum((dw ** 2 + dh ** 2)[obj]))
         iou_term += w.iou * float(np.sum((dobj ** 2)[obj]))
         iou_term += w.noobj * float(np.sum((pobj ** 2)[noobj]))
         cls_term += w.cls * float(np.sum((dcls ** 2) * obj[:, None, :, :]))
 
-        g = np.empty((3, 5 + head.num_classes, rows, cols))
+        g = np.empty(head.layout)
         g[:, 0] = w.coord * 2 * dx * px * (1 - px) * obj
         g[:, 1] = w.coord * 2 * dy * py * (1 - py) * obj
         # d/dt of (sqrt(a*e^t) - sqrt(b))^2 = (sqrt(a*e^t) - sqrt(b)) * sqrt(a*e^t)

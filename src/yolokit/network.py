@@ -29,10 +29,12 @@ class HeadOutput:
     """Raw prediction map of one detection scale.
 
     ``raw`` is (3*(5+C)) x S_rows x S_cols and alone sets the grid and the
-    class count; ``stride`` is input pixels per cell; ``anchors`` are the
-    three (w, h) pixel priors for this scale; ``ignore_thresh`` is the
-    ``[yolo]`` layer's IoU above which a non-responsible prediction escapes
-    the no-object loss.
+    class count; ``layout`` is the one statement of its (anchor, channel,
+    row, col) view, the channels being 4 box terms, objectness and C
+    classes; ``stride`` is input pixels per cell; ``anchors`` are the three
+    (w, h) pixel priors for this scale; ``ignore_thresh`` is the ``[yolo]``
+    layer's IoU above which a non-responsible prediction escapes the
+    no-object loss.
     """
 
     stride: int
@@ -52,6 +54,19 @@ class HeadOutput:
     @property
     def num_classes(self) -> int:
         return self.raw.shape[0] // 3 - 5
+
+    @property
+    def layout(self) -> tuple[int, int, int, int]:
+        return (3, 5 + self.num_classes, *self.grid)
+
+
+def validate_layer(i: int, p: ops.ConvParams, error: type[Exception]) -> None:
+    """``p.validate()``, its ShapeError an ``error`` naming layer ``i``: how
+    ``Network.freeze`` and the weights file report a bad bound array."""
+    try:
+        p.validate()
+    except ShapeError as exc:
+        raise error(f"layer {i}: {exc}") from None
 
 
 class Network:
@@ -122,14 +137,14 @@ class Network:
 
         Inference then runs only the GEMM plus one bias-and-activation pass.
         Every convolution is validated before any is folded, so arrays
-        swapped in after binding are a ShapeError. The folded network has no
-        gamma/beta left to train and cannot be saved in the file layout;
-        fold after loading, never before training.
+        swapped in after binding are a ShapeError naming the layer. The
+        folded network has no gamma/beta left to train and cannot be saved
+        in the file layout; fold after loading, never before training.
         """
         if not self.parameterized:
             raise UsageError("network has no parameters; load weights or random-init first")
-        for _, p in self.conv_layers():
-            p.validate()
+        for i, p in self.conv_layers():
+            validate_layer(i, p, ShapeError)
         for _, p in self.conv_layers():
             if not p.has_batchnorm:
                 continue
@@ -151,7 +166,7 @@ class Network:
         """
         if not self.parameterized:
             raise UsageError("network has no parameters; load weights or random-init first")
-        image = ops.check_tensor(image, rank=3, name="image")
+        image = ops.check_tensor(image, name="image")
         if image.shape[0] != self.graph.input_channels:
             raise ShapeError(
                 f"image has {image.shape[0]} channels, net expects {self.graph.input_channels}"

@@ -29,14 +29,14 @@ ACTIVATIONS = ("linear", "leaky", "sigmoid")
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 
-def check_tensor(x, rank: int | None = None, name: str = "tensor") -> np.ndarray:
-    """Validate a dense real tensor: float dtype, rank <= 4, all extents >= 1."""
+def check_tensor(x, name: str = "tensor") -> np.ndarray:
+    """Validate a dense real CHW tensor: float dtype, rank 3, all extents >= 1."""
     if not isinstance(x, np.ndarray):
         raise ShapeError(f"{name}: expected a numpy array, got {type(x).__name__}")
     if x.dtype.type not in _FLOAT_DTYPES:
         raise ShapeError(f"{name}: expected float32/float64 data, got {x.dtype}")
-    if x.ndim < 1 or x.ndim > 4:
-        raise ShapeError(f"{name}: rank must be 1..4, got {x.ndim}")
+    if x.ndim != 3:
+        raise ShapeError(f"{name}: expected a (C, H, W) array, got shape {x.shape}")
     if any(extent < 1 for extent in x.shape):
         raise ShapeError(f"{name}: all extents must be >= 1, got shape {x.shape}")
     return x
@@ -44,11 +44,15 @@ def check_tensor(x, rank: int | None = None, name: str = "tensor") -> np.ndarray
 
 def check_float_dtype(dtype, name: str) -> np.dtype:
     """``dtype`` as a numpy dtype if it is float32 or float64; a UsageError
-    naming ``name`` otherwise."""
-    dtype = np.dtype(dtype)
-    if dtype.type not in _FLOAT_DTYPES:
-        raise UsageError(f"{name} dtype must be float32 or float64, got {dtype}")
-    return dtype
+    naming ``name`` otherwise, ``None`` and what numpy cannot read included."""
+    try:
+        resolved = None if dtype is None else np.dtype(dtype)
+    except (TypeError, ValueError):
+        resolved = None
+    if resolved is None or resolved.type not in _FLOAT_DTYPES:
+        got = repr(dtype) if resolved is None else resolved
+        raise UsageError(f"{name} dtype must be float32 or float64, got {got}")
+    return resolved
 
 
 def check_conv_geometry(size: int, stride: int, activation: str) -> None:
@@ -390,7 +394,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     A taped convolution, and a 1x1 stride-1 one that reads its input in
     place, runs one band.
     """
-    x = check_tensor(x, rank=3, name="conv input")
+    x = check_tensor(x, name="conv input")
     p = params
     if not p.parameterized:
         raise UsageError("convolution has no weights attached yet")
@@ -479,7 +483,7 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
     of that, so no window is copied. The backward sends each output's gradient to the first cell of
     its window, in row-major order, that equals the output (argmax's rule).
     """
-    x = check_tensor(x, rank=3, name="maxpool input")
+    x = check_tensor(x, name="maxpool input")
     check_pool_geometry(size, stride, pad)
     c, h, w = x.shape
     out_h, out_w = window_output(h, w, size, stride, pad)
@@ -516,7 +520,7 @@ def maxpool2d_forward(x: np.ndarray, size: int, stride: int, pad: int,
 
 def upsample2x(x: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
     """Nearest-neighbor 2x upsampling: each value becomes a 2x2 block."""
-    x = check_tensor(x, rank=3, name="upsample input")
+    x = check_tensor(x, name="upsample input")
     c, h, w = x.shape
     y = _empty((c, 2 * h, 2 * w), x.dtype, tape)
     y.reshape(c, h, 2, w, 2)[...] = x[:, :, None, :, None]
@@ -533,7 +537,7 @@ def concat_channels(inputs, tape: GradTape | None = None) -> np.ndarray:
     """Concatenate CHW tensors along channels; spatial shapes must agree."""
     if not inputs:
         raise ShapeError("concat_channels needs at least one input")
-    xs = [check_tensor(x, rank=3, name=f"concat input {i}") for i, x in enumerate(inputs)]
+    xs = [check_tensor(x, name=f"concat input {i}") for i, x in enumerate(inputs)]
     spatial = xs[0].shape[1:]
     for i, x in enumerate(xs[1:], start=1):
         if x.shape[1:] != spatial:
@@ -562,8 +566,8 @@ def shortcut_add(x: np.ndarray, y: np.ndarray, tape: GradTape | None = None,
     ``out=x`` writes the sum over ``x``, for a caller that no longer needs
     it; a recording tape keys gradients by ``x`` and does not allow that.
     """
-    x = check_tensor(x, rank=3, name="shortcut input")
-    y = check_tensor(y, rank=3, name="shortcut skip")
+    x = check_tensor(x, name="shortcut input")
+    y = check_tensor(y, name="shortcut skip")
     if x.shape != y.shape:
         raise ShapeError(f"shortcut shapes differ: {x.shape} vs {y.shape}")
     if out is not None and tape is not None:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfg import ModelGraph
-from .errors import ShapeError, ValidationError, WeightsFileError
-from .network import Network
+from .errors import ValidationError, WeightsFileError
+from .network import Network, validate_layer
 
 WRITE_VERSION = (0, 2, 0)
 
@@ -102,7 +102,7 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
                 raise WeightsFileError(f"layer {i}: non-finite values in {what}")
             setattr(p, name, chunk.reshape(shape).astype(net.dtype, copy=False))
             cursor += n
-        _validate_layer(i, p)
+        validate_layer(i, p, WeightsFileError)
     trailing = len(fh.read())
     _check_payload(4 * cursor + trailing)
     if trailing:
@@ -113,14 +113,6 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
 def _check_payload(body: int) -> None:
     if body % 4:
         raise WeightsFileError(f"{body} payload bytes is not a whole number of floats")
-
-
-def _validate_layer(i: int, p) -> None:
-    """``p.validate()``, its ShapeError a WeightsFileError naming layer ``i``."""
-    try:
-        p.validate()
-    except ShapeError as exc:
-        raise WeightsFileError(f"layer {i}: {exc}") from None
 
 
 def _file_chunks(network: Network):
@@ -134,7 +126,7 @@ def _file_chunks(network: Network):
                 f"layer {i}: batch-norm state does not match the graph "
                 "(a frozen network cannot be saved)"
             )
-        _validate_layer(i, p)
+        validate_layer(i, p, WeightsFileError)
     major, minor, revision = WRITE_VERSION
     yield struct.pack("<3iQ", major, minor, revision, network.seen)
     for _, p in network.conv_layers():

@@ -12,7 +12,7 @@ import pytest
 
 from yolokit import cli, evaluation
 from yolokit.detect import IDENTITY_TRANSFORM, Box, Detection, Detections, decode, nms
-from yolokit.errors import AnnotationError
+from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
     GroundTruth,
     GroundTruthBox,
@@ -453,6 +453,29 @@ class TestDetections:
         assert joined.names == ("a", "b", "c")
         assert joined.image_ids() == ["c", "a", "b"]
         assert len(Detections.concat([])) == 0
+
+    def test_tied_detections_on_two_images_label_in_image_id_order(self):
+        # the ties break by image code; names out of order would put b first,
+        # where the loop visits a first, so such a table is refused
+        a, b = (Detection(i, 0, 0.5, Box(10, 10, 4, 4)) for i in "ab")
+        truth = [GroundTruthBox(i, 0, Box(10, 10, 4, 4)) for i in "ab"]
+        columns = (np.array([0, 1]), np.zeros(2, np.int64), np.full(2, 0.5),
+                   *(np.array([v, v]) for v in (10.0, 10.0, 4.0, 4.0)))
+        with pytest.raises(ValidationError, match="^table names must be sorted and unique: "
+                                                  "'b' then 'a'$"):
+            Detections(("b", "a"), *columns)
+        labeled, _ = match(Detections(("a", "b"), *columns), truth)
+        assert list(zip(labeled.detections, labeled.is_tp.tolist())) == match_loop([b, a], truth)
+        assert labeled.detections.image_ids() == ["a", "b"]
+
+    @pytest.mark.parametrize("names", [("b", "a"), ("a", "a"), ("a", "c", "b")])
+    def test_names_not_strictly_increasing_refused(self, names):
+        n = len(names)
+        boxes = [np.ones(n)] * 4
+        with pytest.raises(ValidationError, match="table names must be sorted and unique"):
+            Detections(names, np.arange(n), np.zeros(n, np.int64), np.full(n, 0.5), *boxes)
+        with pytest.raises(ValidationError, match="table names must be sorted and unique"):
+            GroundTruth(names, np.arange(n), np.zeros(n, np.int64), np.zeros(n, bool), *boxes)
 
     def test_nms_on_columns_keeps_list_rows(self):
         rng = np.random.default_rng(13)

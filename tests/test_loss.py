@@ -69,8 +69,11 @@ class TestAssignment:
         assert coarse.obj_mask.sum() == 1
         assert not targets[1].obj_mask.any()
         assert not targets[2].obj_mask.any()
-        assert coarse.cls_index[0, 10, 10] == 0
-        assert coarse.tw[0, 10, 10] == pytest.approx(116 / 640)
+        # offsets 0 in cell (10, 10), sizes as input fractions, class 0 of 2
+        assert coarse.encoded[0, :, 10, 10].tolist() == [0.0, 0.0, 116 / 640, 90 / 640,
+                                                         0.0, 1.0, 0.0]
+        assert np.count_nonzero(coarse.encoded) == 3
+        assert not targets[1].encoded.any() and not targets[2].encoded.any()
 
     def test_small_box_takes_fine_anchor(self):
         heads = three_heads()
@@ -140,8 +143,33 @@ class TestAssignment:
         # the last class assigns, and an ignore box of class -1 is exempt
         targets = assign_targets([gt(320, 320, 116, 90, cls=1),
                                   gt(100, 100, 50, 50, ignore=True)], heads)
-        assert targets[0].cls_index[0, 10, 10] == 1
+        assert targets[0].encoded[0, 5:, 10, 10].tolist() == [0.0, 1.0]
         assert targets[0].obj_mask.sum() == 1
+
+    def test_encoded_holds_each_claim_in_the_raw_layout(self):
+        # every claimed slot holds a non-ignored box's cell offsets, input
+        # fractions and one-hot class; every other value, channel 4 too, is 0
+        rng = np.random.default_rng(5)
+        claimed = 0
+        for _ in range(20):
+            heads = three_heads(input_side=128, num_classes=3)
+            truth = [gt(*rng.uniform(4, 124, 2), *rng.uniform(6, 90, 2),
+                        cls=int(rng.integers(3)), ignore=bool(rng.uniform() < 0.2))
+                     for _ in range(int(rng.integers(0, 8)))]
+            for head, tgt in zip(heads, assign_targets(truth, heads)):
+                assert tgt.encoded.shape == head.layout == (3, 8, *head.grid)
+                assert tgt.encoded.dtype == np.float64
+                assert not (tgt.encoded * ~tgt.obj_mask[:, None]).any()
+                assert not tgt.encoded[:, 4].any()
+                for a, i, j in zip(*np.nonzero(tgt.obj_mask)):
+                    slot = tgt.encoded[a, :, i, j].tolist()
+                    encodings = [[g.box.x / head.stride - j, g.box.y / head.stride - i,
+                                  g.box.w / 128, g.box.h / 128, 0.0]
+                                 + [float(c == g.class_index) for c in range(3)]
+                                 for g in truth if not g.ignore]
+                    assert slot in encodings
+                    claimed += 1
+        assert claimed >= 20, claimed
 
     def test_ignore_thresh_comes_from_the_cfg(self):
         # one net's weights under three [yolo] ignore_thresh values
@@ -169,10 +197,11 @@ class TestTotalLoss:
         raw[:, 4] = -800.0      # objectness exactly 0 off the responsible slot
         raw[:, 5:] = -800.0
         # saturate the responsible slot to the encoded targets exactly
-        raw[a, 0, i, j] = np.log(tgt.tx[a, i, j] / (1 - tgt.tx[a, i, j]))
-        raw[a, 1, i, j] = np.log(tgt.ty[a, i, j] / (1 - tgt.ty[a, i, j]))
-        raw[a, 2, i, j] = np.log(tgt.tw[a, i, j] * 64 / head.anchors[a][0])
-        raw[a, 3, i, j] = np.log(tgt.th[a, i, j] * 64 / head.anchors[a][1])
+        t = tgt.encoded[a, :, i, j]
+        raw[a, 0, i, j] = np.log(t[0] / (1 - t[0]))
+        raw[a, 1, i, j] = np.log(t[1] / (1 - t[1]))
+        raw[a, 2, i, j] = np.log(t[2] * 64 / head.anchors[a][0])
+        raw[a, 3, i, j] = np.log(t[3] * 64 / head.anchors[a][1])
         raw[a, 4, i, j] = 800.0
         raw[a, 5 + 1, i, j] = 800.0
         breakdown = total_loss([head], targets)
@@ -188,13 +217,14 @@ class TestTotalLoss:
         raw = head.raw.reshape(3, 7, 2, 2)
         raw[:, 4] = -800.0
         raw[:, 5:] = -800.0
-        raw[a, 1, i, j] = np.log(tgt.ty[a, i, j] / (1 - tgt.ty[a, i, j]))
-        raw[a, 2, i, j] = np.log(tgt.tw[a, i, j] * 64 / head.anchors[a][0])
-        raw[a, 3, i, j] = np.log(tgt.th[a, i, j] * 64 / head.anchors[a][1])
+        t = tgt.encoded[a, :, i, j]
+        raw[a, 1, i, j] = np.log(t[1] / (1 - t[1]))
+        raw[a, 2, i, j] = np.log(t[2] * 64 / head.anchors[a][0])
+        raw[a, 3, i, j] = np.log(t[3] * 64 / head.anchors[a][1])
         raw[a, 4, i, j] = 800.0
         raw[a, 5 + 1, i, j] = 800.0
         # shift the center target one cell unit away from the prediction
-        tgt.tx[a, i, j] = float(1.0 / (1.0 + np.exp(-raw[a, 0, i, j]))) + 1.0
+        t[0] = float(1.0 / (1.0 + np.exp(-raw[a, 0, i, j]))) + 1.0
         breakdown = total_loss([head], targets, LossWeights(coord=5.0))
         assert breakdown.coord == pytest.approx(5.0, abs=1e-9)
         assert breakdown.iou == 0.0 and breakdown.cls == 0.0
@@ -252,6 +282,14 @@ class TestLossInputs:
         with pytest.raises(ShapeError, match="ignore_mask"):
             loss_fn([head], targets)
 
+    @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
+    def test_target_class_count_mismatch_rejected(self, loss_fn):
+        # the grid fits; the encoded targets hold 2 classes, the head 3
+        targets = assign_targets([gt(20, 20, 10, 13, cls=1)], [single_head(grid=2)])
+        with pytest.raises(ShapeError, match=r"^head 0 targets encoded do not fit its "
+                                             r"\(3, 8, 2, 2\) layout$"):
+            loss_fn([single_head(grid=2, num_classes=3)], targets)
+
 
 class TestLossGradients:
     def test_matches_finite_differences(self):
@@ -282,11 +320,15 @@ def _reference_pieces(head):
     return pred._replace(w=pred.w / (head.stride * cols), h=pred.h / (head.stride * rows))
 
 
-def _reference_one_hot(tgt, num_classes):
-    hot = np.zeros((3, num_classes) + tgt.cls_index.shape[1:], dtype=float)
+def _reference_targets(tgt, num_classes):
+    """tx, ty, tw, th and the one-hot class as separate contiguous arrays,
+    the class rebuilt from its index on the responsible slots."""
+    tx, ty, tw, th = (np.ascontiguousarray(tgt.encoded[:, c]) for c in range(4))
+    cls_index = tgt.encoded[:, 5:].argmax(axis=1)
+    hot = np.zeros((3, num_classes) + cls_index.shape[1:], dtype=float)
     a, i, j = np.nonzero(tgt.obj_mask)
-    hot[a, tgt.cls_index[a, i, j], i, j] = 1.0
-    return hot
+    hot[a, cls_index[a, i, j], i, j] = 1.0
+    return tx, ty, tw, th, hot
 
 
 def _reference_loss(heads, targets, w):
@@ -294,14 +336,14 @@ def _reference_loss(heads, targets, w):
     coord = iou_term = cls_term = 0.0
     for head, tgt in zip(heads, targets):
         px, py, _, _, pw, ph, pobj, pcls = _reference_pieces(head)
+        tx, ty, tw, th, hot = _reference_targets(tgt, head.num_classes)
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
-        coord += w.coord * float(np.sum(((px - tgt.tx) ** 2 + (py - tgt.ty) ** 2)[obj]))
+        coord += w.coord * float(np.sum(((px - tx) ** 2 + (py - ty) ** 2)[obj]))
         coord += w.coord * float(np.sum(
-            ((np.sqrt(pw) - np.sqrt(tgt.tw)) ** 2 + (np.sqrt(ph) - np.sqrt(tgt.th)) ** 2)[obj]))
+            ((np.sqrt(pw) - np.sqrt(tw)) ** 2 + (np.sqrt(ph) - np.sqrt(th)) ** 2)[obj]))
         iou_term += w.iou * float(np.sum(((pobj - tgt.obj_mask) ** 2)[obj]))
         iou_term += w.noobj * float(np.sum((pobj ** 2)[noobj]))
-        hot = _reference_one_hot(tgt, head.num_classes)
         cls_term += w.cls * float(np.sum(((pcls - hot) ** 2) * obj[:, None, :, :]))
     return coord + iou_term + cls_term, coord, iou_term, cls_term
 
@@ -310,16 +352,16 @@ def _reference_gradients(heads, targets, w):
     grads = []
     for head, tgt in zip(heads, targets):
         px, py, _, _, pw, ph, pobj, pcls = _reference_pieces(head)
+        tx, ty, tw, th, hot = _reference_targets(tgt, head.num_classes)
         obj = tgt.obj_mask
         noobj = ~obj & ~tgt.ignore_mask
         g = np.zeros((3, 5 + head.num_classes, *head.grid))
-        g[:, 0] = w.coord * 2 * (px - tgt.tx) * px * (1 - px) * obj
-        g[:, 1] = w.coord * 2 * (py - tgt.ty) * py * (1 - py) * obj
-        g[:, 2] = w.coord * (np.sqrt(pw) - np.sqrt(tgt.tw)) * np.sqrt(pw) * obj
-        g[:, 3] = w.coord * (np.sqrt(ph) - np.sqrt(tgt.th)) * np.sqrt(ph) * obj
+        g[:, 0] = w.coord * 2 * (px - tx) * px * (1 - px) * obj
+        g[:, 1] = w.coord * 2 * (py - ty) * py * (1 - py) * obj
+        g[:, 2] = w.coord * (np.sqrt(pw) - np.sqrt(tw)) * np.sqrt(pw) * obj
+        g[:, 3] = w.coord * (np.sqrt(ph) - np.sqrt(th)) * np.sqrt(ph) * obj
         dobj = w.iou * 2 * (pobj - tgt.obj_mask) * obj + w.noobj * 2 * pobj * noobj
         g[:, 4] = dobj * pobj * (1 - pobj)
-        hot = _reference_one_hot(tgt, head.num_classes)
         g[:, 5:] = w.cls * 2 * (pcls - hot) * pcls * (1 - pcls) * obj[:, None, :, :]
         grads.append(g.reshape(head.raw.shape))
     return grads

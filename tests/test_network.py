@@ -5,7 +5,7 @@ import pytest
 
 from yolokit import network, ops
 from yolokit.cfg import builtin_graph, parse_cfg, toy_graph
-from yolokit.detect import Box
+from yolokit.detect import Box, letterbox
 from yolokit.errors import ShapeError, UsageError
 from yolokit.evaluation import GroundTruthBox
 from yolokit.loss import assign_targets, total_loss
@@ -452,10 +452,10 @@ class TestFreeze:
             Network(toy_graph(2, 64)).freeze()
 
     @pytest.mark.parametrize("layer,name,value,message", [
-        (2, "bn_var", np.r_[np.ones(15), 0.0], "^non-positive batch-norm variance$"),
-        (0, "bn_var", -np.ones(8), "^non-positive batch-norm variance$"),
-        (4, "biases", np.zeros(22), r"^biases must be shaped \(21,\), got \(22,\)$"),
-        (1, "bn_gamma", np.ones(8), r"^bn_gamma must be shaped \(16,\), got \(8,\)$"),
+        (2, "bn_var", np.r_[np.ones(15), 0.0], "^layer 2: non-positive batch-norm variance$"),
+        (0, "bn_var", -np.ones(8), "^layer 0: non-positive batch-norm variance$"),
+        (4, "biases", np.zeros(22), r"^layer 4: biases must be shaped \(21,\), got \(22,\)$"),
+        (1, "bn_gamma", np.ones(8), r"^layer 1: bn_gamma must be shaped \(16,\), got \(8,\)$"),
     ])
     def test_arrays_swapped_after_binding_are_refused_before_any_fold(self, layer, name,
                                                                        value, message):
@@ -487,6 +487,17 @@ class TestDtype:
             random_init(toy_graph(), seed=0, dtype=dtype)
         with pytest.raises(UsageError, match=message):  # before the file is read
             load_weights(toy_graph(), b"", dtype=dtype)
+
+    @pytest.mark.parametrize("dtype,got", [(None, "None"), ("foo", "'foo'")])
+    def test_a_dtype_numpy_would_resolve_or_refuse_is_a_usage_error(self, dtype, got):
+        # numpy reads None as float64 and raises its own TypeError on "foo"
+        for make, name in ((lambda: Network(toy_graph(), dtype=dtype), "network"),
+                           (lambda: random_init(toy_graph(), seed=0, dtype=dtype), "network"),
+                           (lambda: letterbox(np.zeros((3, 4, 4), np.uint8), 8, dtype),
+                            "letterbox")):
+            with pytest.raises(UsageError, match=f"^{name} dtype must be float32 or float64, "
+                                                 f"got {got}$"):
+                make()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, "float32", float])
     def test_float_dtypes_kept(self, dtype):

@@ -1,5 +1,6 @@
 """Kernel-level tests: shapes, frozen oracle values, and tape gradients."""
 
+import re
 import struct
 import tracemalloc
 import weakref
@@ -9,11 +10,11 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from yolokit import ops
-from yolokit.cfg import parse_cfg
+from yolokit.cfg import parse_cfg, toy_graph
 from yolokit.errors import ShapeError, TapeError, UsageError, WeightsFileError
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.oracles import conv_direct, maxpool_scan, maxpool_scan_grad
-from yolokit.weights import load_weights
+from yolokit.weights import load_weights, random_init
 
 
 def make_conv(filters, cin, k, stride=1, activation="linear", bn=False, rng=None):
@@ -54,6 +55,23 @@ class TestTensorChecks:
     def test_integer_data_rejected(self):
         with pytest.raises(ShapeError):
             ops.check_tensor(np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 3, 4, 4)])
+    def test_every_op_and_the_forward_refuse_a_non_chw_array(self, shape):
+        bad, good = np.zeros(shape), np.zeros((3, 4, 4))
+        calls = {
+            "conv input": lambda: ops.conv2d_forward(bad, make_conv(2, 3, 1)),
+            "maxpool input": lambda: ops.maxpool2d_forward(bad, 2, 2, 0),
+            "upsample input": lambda: ops.upsample2x(bad),
+            "concat input 1": lambda: ops.concat_channels([good, bad]),
+            "shortcut input": lambda: ops.shortcut_add(bad, good),
+            "shortcut skip": lambda: ops.shortcut_add(good, bad),
+            "image": lambda: random_init(toy_graph(), seed=0).forward(bad),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ShapeError, match=rf"^{name}: expected a \(C, H, W\) array, "
+                                                 rf"got shape {re.escape(str(shape))}$"):
+                call()
 
 
 class TestConv2d:
