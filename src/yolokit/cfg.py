@@ -21,6 +21,13 @@ TINY_ANCHORS = (10, 14, 23, 27, 37, 58, 81, 82, 135, 169, 344, 319)
 
 HEAD_STRIDES = (8, 16, 32)
 
+
+def head_channels(num_classes: int) -> int:
+    """Channels of a ``[yolo]`` layer's map: 3 anchors x (4 box terms,
+    objectness and ``num_classes`` class scores)."""
+    return 3 * (5 + num_classes)
+
+
 # key -> (value type, default). Types: int, float, ilist (comma ints), word.
 # _REQUIRED marks a key the section must give; a None default is computed by
 # _finalize from the section's other keys.
@@ -333,7 +340,7 @@ def shape_check(graph: ModelGraph, width: int, height: int) -> list[tuple[int, i
             shape = prev
         elif layer.kind == "yolo":
             c, h, w = prev
-            wanted = 3 * (5 + a["classes"])
+            wanted = head_channels(a["classes"])
             if c != wanted:
                 raise GraphValidationError(
                     f"layer {i}: yolo expects {wanted} input channels "
@@ -378,6 +385,11 @@ def _shortcut(from_ref):
     return LayerSpec("shortcut", {"from": from_ref})
 
 
+def _head_conv(num_classes):
+    """The linear 1x1 convolution that makes a ``[yolo]`` layer's map."""
+    return _conv(head_channels(num_classes), 1, activation="linear", batch_normalize=0)
+
+
 def _yolo(mask, num_classes, anchors):
     return LayerSpec("yolo", {"classes": num_classes, "mask": list(mask), "anchors": list(anchors)})
 
@@ -398,7 +410,6 @@ def _backbone_53() -> tuple[list[LayerSpec], int, int]:
 
 def _detection_head(filters, num_classes, mask, spp=False):
     """Neck + detection convolution + yolo layer at one scale."""
-    head_ch = 3 * (5 + num_classes)
     layers = [_conv(filters, 1), _conv(filters * 2, 3), _conv(filters, 1)]
     if spp:
         layers += [
@@ -414,7 +425,7 @@ def _detection_head(filters, num_classes, mask, spp=False):
         _conv(filters * 2, 3),
         _conv(filters, 1),
         _conv(filters * 2, 3),
-        _conv(head_ch, 1, activation="linear", batch_normalize=0),
+        _head_conv(num_classes),
         _yolo(mask, num_classes, COCO_ANCHORS),
     ]
     return layers
@@ -449,13 +460,12 @@ def toy_graph(num_classes: int = 2, size: int = 64) -> ModelGraph:
     ``size`` x ``size`` input, with the three finest ``COCO_ANCHORS``."""
     check_num_classes(num_classes)
     layers = [_conv(8, 3), *(_conv(filters, 3, stride=2) for filters in (16, 16, 32)),
-              _conv(3 * (5 + num_classes), 1, activation="linear", batch_normalize=0),
+              _head_conv(num_classes),
               _yolo((0, 1, 2), num_classes, COCO_ANCHORS[:6])]
     return _build([LayerSpec("net", {"width": size, "height": size, "channels": 3}), *layers])
 
 
 def _tiny_layers(num_classes: int) -> list[LayerSpec]:
-    head_ch = 3 * (5 + num_classes)
     layers = []
     for filters in (16, 32, 64, 128, 256):
         layers.append(_conv(filters, 3))
@@ -465,7 +475,7 @@ def _tiny_layers(num_classes: int) -> list[LayerSpec]:
     layers.append(_conv(1024, 3))
     layers.append(_conv(256, 1))
     layers.append(_conv(512, 3))
-    layers.append(_conv(head_ch, 1, activation="linear", batch_normalize=0))
+    layers.append(_head_conv(num_classes))
     layers.append(_yolo((3, 4, 5), num_classes, TINY_ANCHORS))
     tap16 = 8  # 256-channel map at stride 16
     layers.append(_route(-4))
@@ -473,6 +483,6 @@ def _tiny_layers(num_classes: int) -> list[LayerSpec]:
     layers.append(LayerSpec("upsample"))
     layers.append(_route(-1, tap16))
     layers.append(_conv(256, 3))
-    layers.append(_conv(head_ch, 1, activation="linear", batch_normalize=0))
+    layers.append(_head_conv(num_classes))
     layers.append(_yolo((0, 1, 2), num_classes, TINY_ANCHORS))
     return layers

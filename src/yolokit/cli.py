@@ -84,17 +84,19 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--model", choices=["yolov3", "yolov3-spp", "yolov3-tiny"],
                      help="builtin model variant")
     det.add_argument("--cfg", help="model definition file (overrides --model)")
-    det.add_argument("--classes", type=int, default=80,
-                     help="class count for builtin models (default 80)")
+    det.add_argument("--classes", type=int,
+                     help="class count for builtin models (default 80); with --cfg, "
+                          "if given, it must equal the file's [yolo] classes")
     det.add_argument("--weights", help="binary weights file; omit for seeded random init")
     det.add_argument("--size", type=int, default=640, help="square input size (default 640)")
     det.add_argument("--conf", type=float, default=0.25,
                      help="confidence threshold (default 0.25)")
     det.add_argument("--nms", type=float, default=0.45,
                      help="NMS IoU threshold (default 0.45)")
-    det.add_argument("--out", default="predictions.txt", help="prediction file to write")
+    det.add_argument("--out", default="predictions.txt",
+                     help="prediction file to write; not one of the --render copies")
     det.add_argument("--render", metavar="DIR",
-                     help="also write box-rendered PPM copies into DIR")
+                     help="also write box-rendered PPM copies into DIR, as DIR/<image id>.ppm")
     det.add_argument("--precision", choices=["double", "single"], default="double",
                      help="compute precision (default double)")
     det.add_argument("--seed", type=int, default=None, help="random-init seed")
@@ -176,17 +178,26 @@ def _check_not_an_input(destinations, inputs) -> None:
 
 
 def _resolve_graph(args):
+    """The ``--cfg`` file's graph, where a given ``--classes`` must equal its
+    ``[yolo]`` classes, or the builtin ``--model`` at ``--classes`` (80 if
+    unset); a mismatch or a missing model is a usage error."""
     if args.cfg:
         with open(args.cfg, encoding="utf-8") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:
                 raise CfgParseError(f"{args.cfg}: {undecodable(exc)}") from None
-        return parse_cfg(text)
+        graph = parse_cfg(text)
+        classes = {layer.attrs["classes"] for layer in graph.layers if layer.kind == "yolo"}
+        if args.classes is not None and classes != {args.classes}:
+            found = f"[yolo] classes={classes.pop()}" if classes else "no [yolo] layer"
+            raise UsageError(f"--classes {args.classes}: {args.cfg} has {found}")
+        return graph
     if not args.model:
         raise UsageError("pick a model with --model or supply --cfg")
-    _check_flag("--classes", args.classes, check_num_classes)
-    return builtin_graph(args.model.replace("-", "_"), args.classes)
+    classes = 80 if args.classes is None else args.classes
+    _check_flag("--classes", classes, check_num_classes)
+    return builtin_graph(args.model.replace("-", "_"), classes)
 
 
 def cmd_detect(args) -> int:
@@ -207,8 +218,13 @@ def cmd_detect(args) -> int:
     destinations = [("--out", args.out)]
     if args.render:
         _check_destination("--render", args.render, is_dir=True)
-        destinations += [("--render", os.path.join(args.render, f"{image_id}.ppm"))
-                         for image_id in image_ids]
+        copies = [os.path.join(args.render, f"{image_id}.ppm") for image_id in image_ids]
+        out_key = _file_key(args.out)
+        for copy in copies:
+            if (os.path.realpath(copy) == os.path.realpath(args.out)
+                    or out_key is not None and _file_key(copy) == out_key):
+                raise UsageError(f"--out {args.out} is the --render copy {copy}")
+        destinations += [("--render", copy) for copy in copies]
     inputs = [("input image", path) for path in args.images]
     inputs += [(kind, path) for kind, path in [("weights file", args.weights),
                                                 ("model definition", args.cfg)] if path]
@@ -289,7 +305,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    _check_flag("--steps", args.steps, lambda steps: ToyTrainConfig(steps=steps).validate())
+    _check_flag("--steps", args.steps, ToyTrainConfig)  # the config checks itself when made
     seed = _resolve_seed(args)
     _check_destination("--out", args.out)
     dataset = synthetic_dataset(seed=seed)

@@ -355,22 +355,6 @@ def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
             for cls, flag, *box in zip(classes, ignore, x, y, w, h)]
 
 
-def format_visdrone(boxes: list[GroundTruthBox]) -> str:
-    """Inverse of parse_visdrone (score 1, truncation/occlusion 0).
-
-    Each value is written as the repr of a Python float, which reads back
-    as the same float. The centre read back is the written left edge plus
-    half the extent, so off the pixel grid it can differ in the last bits.
-    """
-    lines = []
-    for gt in boxes:
-        category = 0 if gt.ignore else gt.class_index + 1
-        b = gt.box
-        left, top, w, h = (float(v) for v in (b.x - b.w / 2, b.y - b.h / 2, b.w, b.h))
-        lines.append(f"{left!r},{top!r},{w!r},{h!r},1,{category},0,0")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def annotation_files(directory) -> list[str]:
     """Names of a ground-truth directory's annotation files: every ``*.txt``, sorted."""
     return sorted(name for name in os.listdir(directory) if name.endswith(".txt"))
@@ -757,13 +741,16 @@ def evaluate(detections, ground_truth, num_classes: int,
     return EvalReport(per_class, precision, recall, map_fraction, score_threshold)
 
 
-def format_report_table(report: EvalReport, class_names=None) -> str:
-    """Aligned plain-text table: one row per class, then the dataset summary."""
-    if class_names is None:
-        if len(report.per_class) == len(VISDRONE_CLASS_NAMES):
-            class_names = VISDRONE_CLASS_NAMES
-        else:
-            class_names = [f"class{c.class_index}" for c in report.per_class]
+def format_report_table(report: EvalReport) -> str:
+    """Aligned plain-text table: one row per class, then the dataset summary.
+
+    Ten classes are named ``VISDRONE_CLASS_NAMES``, any other count
+    ``class0``, ``class1``, ...
+    """
+    if len(report.per_class) == len(VISDRONE_CLASS_NAMES):
+        class_names = VISDRONE_CLASS_NAMES
+    else:
+        class_names = [f"class{c.class_index}" for c in report.per_class]
     name_w = max(len("Class"), *(len(n) for n in class_names)) if class_names else 5
     lines = [f"{'Class':<{name_w}}  {'AP50':>6}  {'TP':>6}  {'FP':>6}  {'FN':>6}"]
     for result, name in zip(report.per_class, class_names):
@@ -790,7 +777,10 @@ def report_csv(report: EvalReport) -> str:
 
 
 def _pr_curve_blocks(result: ClassResult):
-    """:func:`pr_curve_csv`'s text in blocks of ``PARSE_BLOCK_LINES`` lines."""
+    """A class's PR curve as CSV text in blocks of ``PARSE_BLOCK_LINES``
+    lines: a ``recall,precision`` header, then one line of ``repr`` values
+    per curve point. The recalls are finite and at least 0, so equal values
+    have equal reprs (no -0.0 beside 0.0, no NaN)."""
     yield "recall,precision\n"
     # a recall is tp / gt_count, so a class has at most gt_count + 1
     # distinct ones, each formatted once
@@ -799,15 +789,6 @@ def _pr_curve_blocks(result: ClassResult):
         points = zip(result.recalls[lo : lo + PARSE_BLOCK_LINES].tolist(),
                      result.precisions[lo : lo + PARSE_BLOCK_LINES].tolist())
         yield "".join([f"{text[r]},{p!r}\n" for r, p in points])
-
-
-def pr_curve_csv(result: ClassResult) -> str:
-    """One ``recall,precision`` line of ``repr`` values per curve point.
-
-    The recalls are finite and at least 0, so equal values have equal reprs
-    (no -0.0 beside 0.0, no NaN).
-    """
-    return "".join(_pr_curve_blocks(result))
 
 
 def report_file_names(num_classes: int) -> list[str]:

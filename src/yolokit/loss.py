@@ -24,16 +24,17 @@ from .ops import GradTape
 from .weights import check_seed, random_init
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
-    """Finite, nonnegative multipliers for the three loss terms (and no-object belief)."""
+    """Finite, nonnegative multipliers for the three loss terms (and
+    no-object belief), checked when made: a ValidationError otherwise."""
 
     coord: float = 5.0
     iou: float = 1.0
     noobj: float = 0.5
     cls: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not (np.isfinite(value) and value >= 0):
@@ -164,7 +165,6 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
     values, loss or gradient is not finite is a ``NumericError`` naming it.
     """
     w = weights or LossWeights()
-    w.validate()
     _check_reads(heads, reads)
     coord = iou_term = cls_term = 0.0
     grads = []
@@ -302,8 +302,11 @@ def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2
     return examples
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyTrainConfig:
+    """The toy trainer's settings, checked when made: a ValidationError
+    names the first one out of range."""
+
     steps: int = 200
     lr: float = 0.01
     momentum: float = 0.9
@@ -311,7 +314,7 @@ class ToyTrainConfig:
     seed: int = 0
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
-    def validate(self):
+    def __post_init__(self):
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
@@ -321,7 +324,6 @@ class ToyTrainConfig:
         if not (np.isfinite(self.momentum) and 0 <= self.momentum < 1):
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         check_seed(self.seed)
-        self.loss_weights.validate()
 
 
 def _network_input(example: ToyExample, dtype) -> np.ndarray:
@@ -373,7 +375,6 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
     deterministic for a fixed seed.
     """
     config = config or ToyTrainConfig()
-    config.validate()
     if not dataset:
         raise ValidationError("the toy dataset is empty")
     net = random_init(graph, seed=config.seed, dtype=np.float32)

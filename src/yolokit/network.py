@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .cfg import ModelGraph, layer_inputs, shape_check
+from .cfg import ModelGraph, head_channels, layer_inputs, shape_check
 from .errors import GraphValidationError, ShapeError, UsageError
 
 
@@ -28,10 +28,10 @@ from .errors import GraphValidationError, ShapeError, UsageError
 class HeadOutput:
     """Raw prediction map of one detection scale.
 
-    ``raw`` is (3*(5+C)) x S_rows x S_cols and alone sets the grid and the
-    class count; ``layout`` is the one statement of its (anchor, channel,
-    row, col) view, the channels being 4 box terms, objectness and C
-    classes; ``stride`` is input pixels per cell; ``anchors`` are the three
+    ``raw`` is ``cfg.head_channels(C)`` x S_rows x S_cols and alone sets the
+    grid and the class count; ``layout`` is the one statement of its
+    (anchor, channel, row, col) view, the channels being 4 box terms,
+    objectness and C classes; ``stride`` is input pixels per cell; ``anchors`` are the three
     (w, h) pixel priors for this scale; ``ignore_thresh`` is the ``[yolo]``
     layer's IoU above which a non-responsible prediction escapes the
     no-object loss.
@@ -43,7 +43,8 @@ class HeadOutput:
     ignore_thresh: float
 
     def __post_init__(self):
-        if self.raw.ndim != 3 or self.raw.shape[0] % 3 or self.raw.shape[0] < 18:
+        if (self.raw.ndim != 3 or self.num_classes < 1
+                or head_channels(self.num_classes) != self.raw.shape[0]):
             raise ShapeError(f"head map must be (3*(5+C)) x rows x cols with C >= 1, "
                              f"got {self.raw.shape}")
 

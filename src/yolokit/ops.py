@@ -102,10 +102,6 @@ def sigmoid(x):
     return num
 
 
-def leaky_relu(x, slope: float = LEAKY_SLOPE):
-    return np.where(x >= 0, x, slope * x)
-
-
 @dataclass
 class ConvParams:
     """Parameters of one convolution: weights plus optional batch-norm stats.
@@ -298,7 +294,7 @@ class GradTape:
 def _apply_activation(z, activation):
     """Activate ``z`` in place; ``z`` must not be shared."""
     if activation == "leaky":
-        # bit for bit the values of leaky_relu, written over z
+        # bit for bit np.where(z >= 0, z, LEAKY_SLOPE * z), written over z
         return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if activation == "sigmoid":
         z[...] = sigmoid(z)
@@ -372,8 +368,6 @@ def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
     # columns of output rows r0..r1-1: (C*k*k, (r1-r0)*out_w), rows in weight
     # order (c, ki, kj), columns in spatial scan order, so W @ cols is CHW
     rows = x_padded[:, r0 * stride : (r1 - 1) * stride + k]
-    if k == 1 and stride == 1:
-        return rows.reshape(rows.shape[0], -1)
     # the (c, ki, kj, row, col) window view: rows[c, row*stride + ki, col*stride + kj]
     sc, sh, sw = rows.strides
     windows = as_strided(rows, (rows.shape[0], k, k, r1 - r0, out_w),
@@ -425,7 +419,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     for r0 in range(0, out_h, band):
         r1 = min(r0 + band, out_h)
         if input_is_columns:
-            cols = _im2col(x, k, s, r0, r1, out_w)
+            cols = x.reshape(cin, -1)
         else:
             padded = _pad_rows(x, pad, 0, r0 * s, band_rows[:, : (r1 - r0 - 1) * s + k])
             cols = _im2col(padded, k, s, 0, r1 - r0, out_w, tape)

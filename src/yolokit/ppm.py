@@ -82,21 +82,12 @@ def read_ppm(path) -> np.ndarray:
         return parse_ppm(fh.read())
 
 
-def _ppm_chunks(image: np.ndarray) -> tuple[bytes, bytes]:
-    """The P6 header and raster of a (3, H, W) uint8 image."""
-    _, h, w = check_image(image).shape
-    return b"P6\n%d %d\n255\n" % (w, h), image.transpose(1, 2, 0).tobytes()
-
-
-def encode_ppm(image: np.ndarray) -> bytes:
-    """Encode a (3, H, W) uint8 image as P6 bytes."""
-    return b"".join(_ppm_chunks(image))
-
-
 def write_ppm(path, image: np.ndarray) -> None:
-    chunks = _ppm_chunks(image)  # a refused image leaves the path alone
+    """Write a (3, H, W) uint8 image as P6; a refused image leaves the path alone."""
+    _, h, w = check_image(image).shape
+    raster = image.transpose(1, 2, 0).tobytes()
     with open(path, "wb") as fh:
-        fh.writelines(chunks)
+        fh.writelines((b"P6\n%d %d\n255\n" % (w, h), raster))
 
 
 def render_detections(image: np.ndarray, detections) -> np.ndarray:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .cfg import builtin_graph, graph_equal, parse_cfg, shape_check, toy_graph, ModelGraph
+from .cfg import (ModelGraph, builtin_graph, graph_equal, head_channels, parse_cfg,
+                  shape_check, toy_graph)
 from .detect import Box, Detection, Detections, decode, iou, nms, IDENTITY_TRANSFORM
 from .evaluation import (
     GroundTruth,
@@ -44,6 +45,8 @@ GRAD_TOLERANCE = 1e-4
 # (worst seen on seeds 0-4: 8.2e-16)
 FORWARD_TOLERANCE = 1e-12
 EVAL_TOLERANCE = 1e-9
+SPP_TRIALS = 100  # random shapes through the SPP block
+EVAL_INSTANCES = 500  # random instances against the brute-force evaluator
 
 
 @dataclass
@@ -138,13 +141,13 @@ def spp_block_forward(x: np.ndarray) -> np.ndarray:
     return Network(spp).run_layers(x, start, stop)[stop - 1]
 
 
-def check_spp_contract(seed: int = 0, trials: int = 100) -> CheckResult:
+def check_spp_contract(seed: int = 0) -> CheckResult:
     """Pyramid pooling in the graph: darknet order [pool13, pool9, pool5, x],
     exact shape, each pool == window-scan oracle bitwise, dominance."""
 
     def run():
         rng = np.random.default_rng(seed)
-        for _ in range(trials):
+        for _ in range(SPP_TRIALS):
             c = int(rng.integers(1, 33))
             h = int(rng.integers(1, 65))
             w = int(rng.integers(1, 65))
@@ -161,7 +164,7 @@ def check_spp_contract(seed: int = 0, trials: int = 100) -> CheckResult:
                     return False, f"k={k} branch differs from window-scan oracle"
                 if not np.all(got >= x):
                     return False, f"k={k} branch does not dominate identity"
-        return True, f"{trials} random shapes, graph block in darknet order, bitwise"
+        return True, f"{SPP_TRIALS} random shapes, graph block in darknet order, bitwise"
 
     (ok, detail), seconds = _timed(run)
     return CheckResult("spp-contract", ok, detail, "exact", seconds)
@@ -256,7 +259,7 @@ def _random_eval_instance(rng):
     return detections, truth, num_classes
 
 
-def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
+def check_evaluator_oracle(seed: int = 0) -> CheckResult:
     """evaluate() vs the brute-force evaluator, plus permutation invariance.
 
     The matcher's labels, on columns as the CLI passes them, must also equal
@@ -266,7 +269,7 @@ def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
     def run():
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(instances):
+        for _ in range(EVAL_INSTANCES):
             detections, truth, num_classes = _random_eval_instance(rng)
             labeled, _ = match(Detections.of(detections), GroundTruth.of(truth))
             expected = oracles.match_loop(detections, truth)
@@ -293,7 +296,7 @@ def check_evaluator_oracle(seed: int = 0, instances: int = 500) -> CheckResult:
                 report.recall,
             ):
                 return np.inf, "permutation changed the report"
-        return worst, f"{instances} instances, labels equal oracle, worst |diff| {worst:.2e}"
+        return worst, f"{EVAL_INSTANCES} instances, labels equal oracle, worst |diff| {worst:.2e}"
 
     (worst, detail), seconds = _timed(run)
     detail = detail if isinstance(detail, str) else str(detail)
@@ -393,7 +396,7 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
 
     def run():
         rng = np.random.default_rng(seed)
-        raw = rng.normal(0.0, 1.0, size=(3 * (5 + 3), 4, 4))
+        raw = rng.normal(0.0, 1.0, size=(head_channels(3), 4, 4))
         head = HeadOutput(
             stride=32,
             raw=raw,
@@ -403,7 +406,7 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
         detections = decode(head, 0.0, IDENTITY_TRANSFORM, "img")
         if len(detections) != 3 * 16:
             return False, f"expected 48 decoded boxes, got {len(detections)}"
-        shaped = raw.reshape(3, 8, 4, 4)
+        shaped = raw.reshape(head.layout)
         cells = ((a, i, j) for a in range(3) for i in range(4) for j in range(4))
         for (a, i, j), det in zip(cells, detections):
             objectness = float(sigmoid(np.array([shaped[a, 4, i, j]]))[0])

@@ -44,9 +44,9 @@ class WeightsHeader:
         return self.major * 10 + self.minor >= 2
 
 
-def read_header(fh) -> tuple[WeightsHeader, int]:
-    """Read the header from the binary stream ``fh``, returning it and the
-    offset where floats begin (the bytes it took)."""
+def read_header(fh) -> WeightsHeader:
+    """Read the header from the binary stream ``fh``, leaving it where the
+    floats begin."""
     data = fh.read(12)
     if len(data) < 12:
         raise WeightsFileError(f"file too short for a header: {len(data)} bytes")
@@ -56,7 +56,7 @@ def read_header(fh) -> tuple[WeightsHeader, int]:
     if len(data) < width:
         raise WeightsFileError(f"file truncated inside the {8 * width}-bit seen field")
     header.seen = struct.unpack(code, data)[0]
-    return header, 12 + width
+    return header
 
 
 def load_weights(graph: ModelGraph, data: bytes, dtype=np.float64) -> Network:
@@ -77,8 +77,7 @@ def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
     are converted from one reused float32 buffer, so the payload never sits
     beside them. The stream is read to its end."""
     net = Network(graph, dtype=dtype)
-    header, _ = read_header(fh)
-    net.seen = header.seen
+    net.seen = read_header(fh).seen
     per_layer, total = net.count_parameters()
     views = net.dtype == np.float32
     # no stored array outgrows its layer

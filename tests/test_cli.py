@@ -34,12 +34,12 @@ from yolokit.evaluation import (
     check_iou_threshold,
     check_score_threshold,
     format_predictions,
-    format_visdrone,
 )
 from yolokit.loss import ToyTrainConfig
-from yolokit.ppm import PALETTE, encode_ppm, parse_ppm, read_ppm, render_detections, write_ppm
+from yolokit.ppm import PALETTE, parse_ppm, read_ppm, render_detections, write_ppm
 from yolokit.verify import CheckResult, check_toy_steps
 from yolokit.weights import check_seed, random_init, save_weights_file
+from visdrone_writer import format_visdrone
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 import regenerate  # noqa: E402
@@ -91,7 +91,7 @@ class TestPpm:
         np.zeros((3, 0, 4), dtype=np.uint8),     # no rows
         np.zeros((3, 4), dtype=np.uint8),        # rank 2
     ], ids=["float64", "int16", "hwc", "gray", "empty", "rank2"])
-    def test_a_non_8bit_or_misshaped_image_is_refused_before_any_work(self, image):
+    def test_a_non_8bit_or_misshaped_image_is_refused_before_any_work(self, image, tmp_path):
         class Untouched(np.ndarray):  # any read of the samples fails the test
             def __getitem__(self, key):
                 pytest.fail("image read before it was checked")
@@ -103,24 +103,26 @@ class TestPpm:
                 pytest.fail("image read before it was checked")
 
         image = image.view(Untouched)
+        path = tmp_path / "x.ppm"
         with pytest.raises(ValidationError, match="image: expected"):
-            encode_ppm(image)
+            write_ppm(path, image)
+        assert not path.exists()
         with pytest.raises(ValidationError, match="image: expected"):
             letterbox(image, 8, np.float32)
         with pytest.raises(ValidationError, match="image: expected"):
             render_detections(image, [])
 
     def test_refused_write_leaves_the_path_alone(self, tmp_path):
-        old = encode_ppm(np.full((3, 2, 3), 7, dtype=np.uint8))
         existing, missing = tmp_path / "old.ppm", tmp_path / "new.ppm"
-        existing.write_bytes(old)
+        write_ppm(existing, np.full((3, 2, 3), 7, dtype=np.uint8))
+        old = existing.read_bytes()
         for path in (existing, missing):
             with pytest.raises(ValidationError):
                 write_ppm(path, np.zeros((4, 4)))
         assert existing.read_bytes() == old
         assert not missing.exists()
 
-    def test_encoding_a_render_equals_the_float_encode(self):
+    def test_encoding_a_render_equals_the_float_encode(self, tmp_path):
         # the float route scaled each 8-bit sample v and palette byte to
         # v / 255 and encoded round(clip(x) * 255); round((v / 255) * 255)
         # is v for every level, so the 8-bit route writes the same bytes
@@ -140,16 +142,17 @@ class TestPpm:
         assert np.array_equal(rendered[:, :4], image[:, :4])
         pixels = {tuple(p) for p in rendered.reshape(3, -1).T.tolist()}
         assert set(PALETTE) <= pixels
+        path = tmp_path / "frame.ppm"
         for frame in (image, rendered):
-            assert encode_ppm(frame) == float_encode(frame / 255.0)
+            write_ppm(path, frame)
+            assert path.read_bytes() == float_encode(frame / 255.0)
 
     def test_image_path_memory_is_a_few_8bit_frames(self, tmp_path):
         # cmd_detect's image path on a 1024x1024 frame: read, letterbox,
         # render and write, keeping the frame and its network input alive.
         # Bound: 3 frames (the frame, the render and its raster) + 2 float32
         # 640-px network inputs (the canvas and its table lookup) + 64 KiB,
-        # 18.4 MiB; encode_ppm's joined bytes add a fourth frame. A float64
-        # frame alone is 8 frames.
+        # 18.4 MiB. A float64 frame alone is 8 frames.
         frame = np.random.default_rng(3).integers(0, 256, (3, 1024, 1024), dtype=np.uint8)
         path, out = tmp_path / "big.ppm", tmp_path / "out.ppm"
         write_ppm(path, frame)
@@ -163,15 +166,11 @@ class TestPpm:
             rendered = render_detections(image, dets)
             write_ppm(out, rendered)
             peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            data = encode_ppm(rendered)
-            encode_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert boxed.nbytes == canvas and np.array_equal(image, frame)
-        assert out.read_bytes() == data
+        assert np.array_equal(read_ppm(out), rendered)
         assert peak <= budget, f"peak {peak / 2**20:.1f} MiB > {budget / 2**20:.1f} MiB"
-        assert encode_peak <= budget + frame.nbytes
 
     def test_render_draws_each_box_like_a_scalar_loop(self):
         # boxes across each border, outside each side, half-pixel corners
@@ -607,6 +606,68 @@ class TestDestinations:
         assert {name: (tmp_path / "d" / name).read_bytes() for name in before} == before
         assert not (tmp_path / "d" / "p.txt").exists() and not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("out, render", [
+        ("r/scene0.ppm", "r"),          # the rendered copy of scene0.ppm
+        ("r/../r/scene0.ppm", "r"),
+        ("alias/scene0.ppm", "r"),      # alias is a symlink to r
+        ("r/scene0.ppm", "alias"),
+        ("link.ppm", "r"),              # a symlink to r/scene0.ppm, not yet made
+        ("hard.ppm", "r"),              # a hard link to an earlier run's copy
+    ])
+    def test_out_that_is_a_render_copy_fails_before_any_image_is_read(
+            self, tmp_path, capsys, monkeypatch, out, render):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "random_init", lambda *a, **kw: pytest.fail("detect began"))
+        monkeypatch.setattr(cli, "read_ppm", lambda path: pytest.fail("an image was read"))
+        write_ppm(tmp_path / "scene0.ppm", np.zeros((3, 8, 8), dtype=np.uint8))
+        (tmp_path / "r").mkdir()
+        (tmp_path / "alias").symlink_to(tmp_path / "r")
+        (tmp_path / "link.ppm").symlink_to(tmp_path / "r" / "scene0.ppm")
+        if out == "hard.ppm":
+            (tmp_path / "r" / "scene0.ppm").write_bytes(b"an earlier render")
+            os.link(tmp_path / "r" / "scene0.ppm", tmp_path / "hard.ppm")
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        before = {path: path.read_bytes() for path in files}
+        assert run(["detect", "scene0.ppm", "--model", "yolov3-tiny", "--classes", "2",
+                    "--size", "64", "--out", out, "--render", render]) == 2
+        copy = os.path.join(render, "scene0.ppm")
+        assert f"usage error: --out {out} is the --render copy {copy}" in (
+            capsys.readouterr().err)
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
+        assert {path: path.read_bytes() for path in files} == before
+
+    @pytest.mark.parametrize("argv, classes", [
+        (["--model", "yolov3-tiny"], 80),
+        (["--model", "yolov3-tiny", "--classes", "3"], 3),
+        (["--cfg", "toy.cfg"], 2),
+        (["--cfg", "toy.cfg", "--classes", "2"], 2),
+    ])
+    def test_classes_default_for_a_builtin_and_agree_with_a_cfg(
+            self, tmp_path, monkeypatch, argv, classes):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toy.cfg").write_text(render_cfg(toy_graph(num_classes=2)))
+        graph = cli._resolve_graph(cli.build_parser().parse_args(["detect", "a.ppm", *argv]))
+        assert {layer.attrs["classes"] for layer in graph.layers if layer.kind == "yolo"} == {
+            classes}
+
+    @pytest.mark.parametrize("classes, cfg_classes, found", [
+        ("10", 2, "[yolo] classes=2"),
+        ("1", 2, "[yolo] classes=2"),
+        ("0", 2, "[yolo] classes=2"),
+        ("2", None, "no [yolo] layer"),  # a graph without heads
+    ])
+    def test_classes_other_than_the_cfg_fail_before_any_image_is_read(
+            self, scene, tmp_path, capsys, monkeypatch, classes, cfg_classes, found):
+        monkeypatch.setattr(cli, "read_ppm", lambda path: pytest.fail("an image was read"))
+        path, out = tmp_path / "model.cfg", tmp_path / "p.txt"
+        path.write_text(HEADLESS_CFG if cfg_classes is None
+                        else render_cfg(toy_graph(num_classes=cfg_classes)))
+        assert run(["detect", scene, "--cfg", path, "--classes", classes,
+                    "--size", "64", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --classes {classes}: {path} has {found}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("dest, kind", [
         ("toy.weights", "weights file"),
         ("toy.cfg", "model definition"),
@@ -737,7 +798,7 @@ RANGED_FLAGS = [
         ("1.0001", _OUT), ("nan", _OUT), ("inf", _OUT)]),
     (_verify_argv, "--toy-steps", check_toy_steps, int, [
         ("1", _IN), ("0", _OUT), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
-    (_train_toy_argv, "--steps", lambda steps: ToyTrainConfig(steps=steps).validate(), int, [
+    (_train_toy_argv, "--steps", lambda steps: ToyTrainConfig(steps=steps), int, [
         ("0", _IN), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
 ] + [
     (argv, "--seed", check_seed, int, [

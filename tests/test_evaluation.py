@@ -15,6 +15,7 @@ from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
     GroundTruth,
     ClassResult,
+    EvalReport,
     GroundTruthBox,
     Labeled,
     average_precision,
@@ -22,18 +23,17 @@ from yolokit.evaluation import (
     evaluate,
     format_predictions,
     format_report_table,
-    format_visdrone,
     load_ground_truth,
     match,
     parse_predictions,
     parse_visdrone,
     pr_curve,
-    pr_curve_csv,
     precision_recall,
     report_csv,
     write_report_files,
 )
 from yolokit.oracles import ap_threshold_enumeration, brute_force_evaluate, match_loop
+from visdrone_writer import format_visdrone
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 import regenerate  # noqa: E402
@@ -445,14 +445,17 @@ class TestCurveColumns:
             assert got.hex() == _ap_running_total(recalls, precisions).hex()
 
     @pytest.mark.parametrize("block", [1, 3, 4096])
-    def test_csv_is_the_per_point_writer(self, monkeypatch, block):
+    def test_csv_is_the_per_point_writer(self, monkeypatch, tmp_path, block):
         # the curve is written in blocks of lines; any block size gives the same text
         monkeypatch.setattr(evaluation, "PARSE_BLOCK_LINES", block)
-        for recalls, precisions in _random_curves(4):
-            result = ClassResult(0, 0.0, 0, 0, 0, 0, recalls, precisions)
+        curves = list(_random_curves(4))
+        per_class = [ClassResult(k, 0.0, 0, 0, 0, 0, recalls, precisions)
+                     for k, (recalls, precisions) in enumerate(curves)]
+        write_report_files(EvalReport(per_class, 0.0, 0.0, 0.0), tmp_path)
+        for k, (recalls, precisions) in enumerate(curves):
             lines = ["recall,precision"] + [f"{r!r},{p!r}" for r, p in zip(recalls.tolist(),
                                                                             precisions.tolist())]
-            assert pr_curve_csv(result) == "\n".join(lines) + "\n"
+            assert (tmp_path / f"pr_class{k}.csv").read_text() == "\n".join(lines) + "\n"
 
 
 class TestEvaluate:
@@ -601,8 +604,8 @@ class TestReports:
         return evaluate(dets, truth, 1)
 
     def test_table_shows_rounded_ap(self):
-        table = format_report_table(self._five_sixths_report(), ["thing"])
-        assert "83.3" in table
+        table = format_report_table(self._five_sixths_report())
+        assert table.splitlines()[1].split()[:2] == ["class0", "83.3"]
         assert "mAP50 83.3" in table
 
     def test_csv_layout(self):

@@ -1,5 +1,6 @@
 """Target assignment, the three-term loss, SGD, and the toy trainer."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from yolokit.cfg import parse_cfg, render_cfg, toy_graph
 from yolokit.detect import Box, iou, letterbox, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
-from yolokit.evaluation import GroundTruthBox, format_visdrone, parse_visdrone
+from yolokit.evaluation import GroundTruthBox, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.loss import (
     LossWeights,
@@ -26,6 +27,7 @@ from yolokit.loss import (
 from yolokit.network import HeadOutput, Network
 from yolokit.ppm import read_ppm, write_ppm
 from yolokit.weights import random_init
+from visdrone_writer import format_visdrone
 
 COCO_HEAD_ANCHORS = (
     [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)],  # stride 32
@@ -517,9 +519,14 @@ class TestToyTraining:
     def test_bad_config_or_empty_dataset_rejected(self, steps, batch_size, num_images):
         # a batch of 0 and an empty set once divided by zero mid-run
         dataset = synthetic_dataset(num_images=4, seed=0)[:num_images]
-        config = ToyTrainConfig(steps=steps, batch_size=batch_size)
         with pytest.raises(ValidationError):
-            train_toy(dataset, toy_graph(), config)
+            train_toy(dataset, toy_graph(), ToyTrainConfig(steps=steps, batch_size=batch_size))
+
+    def test_settings_are_frozen_once_checked(self):
+        config = ToyTrainConfig()
+        for settings, name in ((config, "steps"), (config.loss_weights, "coord")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(settings, name, -1)
 
     @pytest.mark.parametrize("field, value", [
         ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1.0),
@@ -535,14 +542,15 @@ class TestToyTraining:
 
         monkeypatch.setattr(yolokit.loss, "random_init", no_work)
         dataset = synthetic_dataset(num_images=4, seed=0)
-        if field in ("coord", "iou", "noobj", "cls"):
-            config = ToyTrainConfig(steps=3, batch_size=4,
-                                    loss_weights=LossWeights(**{field: value}))
-        else:
-            config = ToyTrainConfig(steps=3, batch_size=4, **{field: value})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # the settings are checked when made, so no config reaches train_toy
             with pytest.raises(ValidationError, match=field):
+                if field in ("coord", "iou", "noobj", "cls"):
+                    config = ToyTrainConfig(steps=3, batch_size=4,
+                                            loss_weights=LossWeights(**{field: value}))
+                else:
+                    config = ToyTrainConfig(steps=3, batch_size=4, **{field: value})
                 train_toy(dataset, toy_graph(), config)
 
     @pytest.mark.parametrize("lr, cause", [

@@ -49,9 +49,10 @@ class TestForward:
     def test_head_geometry_is_read_off_the_raw_map(self):
         head = network.HeadOutput(16, np.zeros((3 * (5 + 4), 3, 5)), [(1.0, 1.0)] * 3, 0.5)
         assert head.grid == (3, 5) and head.num_classes == 4
-        for channels in (20, 15):  # not a multiple of 3; no class left
+        # not a multiple of 3; no class left; below one class and below none
+        for shape in ((20, 3, 5), (15, 3, 5), (3, 3, 5), (0, 3, 5), (27, 3)):
             with pytest.raises(ShapeError, match="head map"):
-                network.HeadOutput(16, np.zeros((channels, 3, 5)), [(1.0, 1.0)] * 3, 0.5)
+                network.HeadOutput(16, np.zeros(shape), [(1.0, 1.0)] * 3, 0.5)
 
     def test_grid_doubles_with_input(self):
         net = random_init(toy_graph(2, 64), seed=1)

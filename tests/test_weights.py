@@ -84,10 +84,11 @@ class TestLayout:
 class TestHeader:
     def test_modern_header_wide_seen(self):
         data = struct.pack("<3iQ", 0, 2, 0, 123456789012)
-        header, offset = read_header(io.BytesIO(data))
+        fh = io.BytesIO(data + b"rest")
+        header = read_header(fh)
         assert (header.major, header.minor, header.revision) == (0, 2, 0)
         assert header.seen == 123456789012
-        assert offset == 20
+        assert fh.tell() == 20  # the floats begin where the header ends
 
     def test_legacy_header_narrow_seen(self, single_graph):
         net = random_init(single_graph, seed=2)
