@@ -155,6 +155,17 @@ def _check_destination(flag: str, path, is_dir: bool = False) -> None:
         raise OSError(f"{flag} {path}: {base} is not a directory")
 
 
+def _made_directories(path) -> list[str]:
+    """The real paths of the directories ``os.makedirs(path)`` would make:
+    ``path`` and each missing ancestor."""
+    made = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        made.append(os.path.realpath(path))
+        path = os.path.dirname(path)
+    return made
+
+
 def _file_key(path):
     """(device, inode) of an existing file, so two names of one file (a
     relative path, a symlink, a hard link) compare equal; None otherwise."""
@@ -218,6 +229,9 @@ def cmd_detect(args) -> int:
     destinations = [("--out", args.out)]
     if args.render:
         _check_destination("--render", args.render, is_dir=True)
+        if os.path.realpath(args.out) in _made_directories(args.render):
+            raise UsageError(f"--out {args.out} is a directory that --render {args.render} "
+                             "would make")
         copies = [os.path.join(args.render, f"{image_id}.ppm") for image_id in image_ids]
         out_key = _file_key(args.out)
         for copy in copies:

@@ -18,9 +18,10 @@ place, so neither the whole text nor all its lines are held. They become
 columns, :class:`~yolokit.detect.Detections` and :class:`GroundTruth`, which
 the matcher and the evaluator work on; ``Detection`` and ``GroundTruthBox``
 objects are accepted at the edges. The matcher builds its corner tables for
-one block of whole images at a time, and PR curves stay float64 arrays,
-written to their files in blocks of lines, so eval's memory scales with
-its columns.
+one block of whole images at a time and returns the kept rows' positions
+with their labels, not a copy of their columns; PR curves stay float64
+arrays, written to their files in blocks of lines, so eval's memory scales
+with its columns.
 
 Everything is deterministic under input shuffling: equal scores are ordered
 by image id, then box coordinates, lexicographically.
@@ -427,13 +428,23 @@ def format_predictions(detections) -> str:
 class Labeled:
     """The detections :func:`match` kept, in canonical order, with their TP flags.
 
-    Iterates as ``(row, is_tp)`` pairs, each row the plain tuple of
+    Holds the matched :class:`Detections` themselves (``source``, not a
+    copy), the positions of the kept rows in it in canonical order
+    (``rows``, int64) and each kept row's TP flag (``is_tp``), so labeling
+    copies no column. :attr:`detections` builds the kept rows' table when
+    asked. Iterates as ``(row, is_tp)`` pairs, each row the plain tuple of
     :meth:`Detections.rows`: a pass over the labels builds no objects per
     detection.
     """
 
-    detections: Detections
+    source: Detections
+    rows: np.ndarray
     is_tp: np.ndarray
+
+    @property
+    def detections(self) -> Detections:
+        """The kept rows, in canonical order, as a table of their own."""
+        return self.source.take(self.rows)
 
     def __len__(self) -> int:
         return len(self.is_tp)
@@ -451,39 +462,48 @@ def _recode(names, merged) -> np.ndarray:
 def _canonical_order(dets: Detections) -> np.ndarray:
     """Rows by (score desc, image id, x, y, w, h, class), input order on full ties.
 
-    One stable sort by score, then one lexsort of only the rows whose score
-    is tied with a neighbour's, which stay within their run of equal scores.
+    One stable sort by score, then a sort of only the rows whose score is
+    tied with a neighbour's, which stay within their run of equal scores:
+    one stable sort per key, from the last key to the score, as ``lexsort``
+    orders them, so one key is gathered at a time.
     """
     neg = -dets.score
     order = np.argsort(neg, kind="stable")
-    neg = neg[order]
+    neg.sort()  # the scores in that order: equal values are alike wherever they sit
     tie = (neg[1:] == neg[:-1]) | np.isnan(neg[:-1])  # NaNs sort last, as equals
     tied = np.zeros(len(order), dtype=bool)
     tied[1:] = tie
     tied[:-1] |= tie
     pos = np.flatnonzero(tied)
+    del neg, tie, tied  # before the tied rows' keys are gathered
     rows = order[pos]
-    order[pos] = rows[np.lexsort((dets.class_index[rows], dets.h[rows], dets.w[rows],
-                                  dets.y[rows], dets.x[rows], dets.image[rows], neg[pos]))]
+    for column in (dets.class_index, dets.h, dets.w, dets.y, dets.x, dets.image):
+        rows = rows[np.argsort(column[rows], kind="stable")]
+    rows = rows[np.argsort(-dets.score[rows], kind="stable")]
+    order[pos] = rows
     return order
 
 
 def _groups(dets: Detections, names, classes):
     """The rows grouped by (image, class), canonical order kept inside each group.
 
-    Returns (order, grouped, starts, keys): the canonical order, the grouped
-    rows, the position in ``grouped`` where each group starts and its key,
-    image code in ``names`` times ``len(classes)`` plus class position in
-    ``classes``. The groups of one image are adjacent.
+    Returns (order, by_group, starts, keys): the canonical order, the
+    positions in it of the grouped rows, the position in ``by_group`` where
+    each group starts and its key, image code in ``names`` times
+    ``len(classes)`` plus class position in ``classes``. The groups of one
+    image are adjacent.
     """
     order = _canonical_order(dets)
-    key = _recode(dets.names, names)[dets.image[order]]
+    key = _recode(dets.names, names)[dets.image]
     key *= len(classes)
-    key += np.searchsorted(classes, dets.class_index[order])
-    grouped = order[np.argsort(key, kind="stable")]
+    key += np.searchsorted(classes, dets.class_index)
+    key = key[order]
+    by_group = np.argsort(key, kind="stable")
     key.sort()  # the keys in grouped order
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are at least 0
-    return order, grouped, starts, key[starts]
+    first = np.ones(len(key), dtype=bool)  # each group's first row
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return order, by_group, starts, key[starts]
 
 
 def _image_blocks(image_starts: list[int], n: int) -> list[int]:
@@ -496,15 +516,18 @@ def _image_blocks(image_starts: list[int], n: int) -> list[int]:
     return cuts
 
 
-def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
-    """:func:`match` on columns: (kept rows in canonical order, their TP flags, gt_counts)."""
-    names = sorted(set(dets.names).union(truth.names))
-    classes = np.unique(np.concatenate((dets.class_index, truth.class_index)))
+def _truth_tables(truth: GroundTruth, names, classes):
+    """The ground truth as the matcher reads it.
+
+    Returns (box_key, boxes, region_img, regions, gt_counts): the group key
+    of each matchable box (as :func:`_groups` keys rows) and its corner
+    table, sorted by (key, x, y, w, h); the image code in ``names`` of each
+    ignore region and its corner table, sorted by image; each class's count
+    of matchable boxes.
+    """
     n_cls = len(classes)
     gt_img = _recode(truth.names, names)[truth.image]
     gt_cls = np.searchsorted(classes, truth.class_index)
-
-    # matchable boxes sorted by (image, class, x, y, w, h); regions by image
     real = np.flatnonzero(~truth.ignore)
     box_key = gt_img[real] * n_cls + gt_cls[real]
     by_box = np.lexsort((truth.h[real], truth.w[real], truth.y[real], truth.x[real], box_key))
@@ -517,9 +540,17 @@ def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
                            truth.h[regions])
     counts = np.bincount(gt_cls[real], minlength=n_cls)
     gt_counts = {cls: count for cls, count in zip(classes.tolist(), counts.tolist()) if count}
+    return box_key, boxes, region_img, regions, gt_counts
 
+
+def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
+    """:func:`match` on columns: (kept rows in canonical order, their TP flags, gt_counts)."""
+    names = sorted(set(dets.names).union(truth.names))
+    classes = np.union1d(np.unique(dets.class_index), np.unique(truth.class_index))
+    n_cls = len(classes)
+    order, by_group, starts, group_key = _groups(dets, names, classes)
+    box_key, boxes, region_img, regions, gt_counts = _truth_tables(truth, names, classes)
     n = len(dets)
-    order, grouped, starts, group_key = _groups(dets, names, classes)
     ends = np.append(starts, n)[1:]
     # per (image, class) group with boxes: its rows and its boxes
     box_lo = np.searchsorted(box_key, group_key)
@@ -536,34 +567,33 @@ def _match_rows(dets: Detections, truth: GroundTruth, iou_threshold: float):
     region_images = np.stack((image_lo, np.append(image_lo, n)[1:], r_lo, r_hi),
                              axis=1)[with_regions]
 
-    # one block of whole images at a time: its corner table, then greedy
-    # matching on one IoU grid per group, then one grid per image against
-    # its regions, which carry no class
+    # one block of whole images at a time: its rows' corner table, then
+    # greedy matching on one IoU grid per group, then one grid per image
+    # against its regions, which carry no class; the labels go to the rows
     cuts = _image_blocks(image_lo.tolist(), n)
     blocks = zip(cuts, cuts[1:],
                  np.split(box_groups, np.searchsorted(box_groups[:, 0], cuts[1:-1])),
                  np.split(region_images, np.searchsorted(region_images[:, 0], cuts[1:-1])))
-    is_tp = np.zeros(n, dtype=bool)  # in grouped order
-    discard = np.zeros(n, dtype=bool)
+    tp = np.zeros(n, dtype=bool)
+    keep = np.ones(n, dtype=bool)
     for lo, hi, block_groups, block_images in blocks:
-        rows = grouped[lo:hi]
+        rows = order[by_group[lo:hi]]
         corners = corner_table(dets.x[rows], dets.y[rows], dets.w[rows], dets.h[rows])
-        for g_lo, g_hi, b_lo, b_hi in block_groups.tolist():
-            grid = iou_grid(corners[:, g_lo - lo : g_hi - lo, None], boxes[:, b_lo:b_hi])
+        is_tp = np.zeros(hi - lo, dtype=bool)
+        for g_lo, g_hi, b_lo, b_hi in (block_groups - (lo, lo, 0, 0)).tolist():
+            grid = iou_grid(corners[:, g_lo:g_hi, None], boxes[:, b_lo:b_hi])
             # a row below the threshold on every box can never match
             for row in np.flatnonzero(grid.max(axis=1) >= iou_threshold).tolist():
                 best = grid[row].argmax()  # first maximum, as in the loop
                 if grid[row, best] >= iou_threshold:
                     is_tp[g_lo + row] = True
                     grid[:, best] = -1.0  # consumed
-        for d_lo, d_hi, r_lo, r_hi in block_images.tolist():
-            overlap = iou_grid(corners[:, d_lo - lo : d_hi - lo, None], regions[:, r_lo:r_hi])
-            discard[d_lo:d_hi] = (overlap.max(axis=1) >= iou_threshold) & ~is_tp[d_lo:d_hi]
-
-    keep = np.empty(n, dtype=bool)
-    keep[grouped] = ~discard
-    tp = np.empty(n, dtype=bool)
-    tp[grouped] = is_tp
+        tp[rows] = is_tp
+        for d_lo, d_hi, r_lo, r_hi in (block_images - (lo, lo, 0, 0)).tolist():
+            overlap = iou_grid(corners[:, d_lo:d_hi, None], regions[:, r_lo:r_hi])
+            hit = overlap.max(axis=1) >= iou_threshold
+            keep[rows[d_lo:d_hi]] = ~hit | is_tp[d_lo:d_hi]
+    del by_group  # before the kept rows are gathered
     kept = order[keep[order]]
     return kept, tp[kept], gt_counts
 
@@ -601,7 +631,7 @@ def match(detections, ground_truth, iou_threshold: float = 0.5) -> tuple[Labeled
     check_iou_threshold(iou_threshold)
     dets = Detections.of(detections)
     kept, tp, gt_counts = _match_rows(dets, GroundTruth.of(ground_truth), iou_threshold)
-    return Labeled(dets.take(kept), tp), gt_counts
+    return Labeled(dets, kept, tp), gt_counts
 
 
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
@@ -713,14 +743,16 @@ def evaluate(detections, ground_truth, num_classes: int,
         dets = dets.take(dets.score >= score_threshold)
 
     labeled, gt_counts = match(dets, truth, iou_threshold)
-    # the curves need only the class, score and TP columns
-    classes, scores, flags = (labeled.detections.class_index, labeled.detections.score,
-                              labeled.is_tp)
-    del labeled
-    # split by class, each class keeping the score order
+    # the curves need only the class, score and TP of the kept rows: the
+    # rows split by class, each class keeping the score order
+    classes = dets.class_index[labeled.rows]
     by_class = np.argsort(classes, kind="stable")
-    bounds = np.searchsorted(classes[by_class], np.arange(num_classes + 1)).tolist()
-    scores, flags = scores[by_class], flags[by_class]
+    bounds = [0, *np.cumsum(np.bincount(classes, minlength=num_classes)).tolist()]
+    del classes
+    rows, flags = labeled.rows[by_class], labeled.is_tp[by_class]
+    del labeled, by_class
+    scores = dets.score[rows]
+    del rows
     per_class = []
     for cls in range(num_classes):
         gt_count = gt_counts.get(cls, 0)

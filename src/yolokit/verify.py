@@ -87,13 +87,12 @@ def _loss_fixture(seed: int):
     return head, truth
 
 
-def check_gradient_fidelity(seed: int = 0, num_nets: int = 20,
-                            fault: float = 0.0) -> CheckResult:
+def check_gradient_fidelity(seed: int = 0, fault: float = 0.0) -> CheckResult:
     """Random-graph parameter gradients and the full loss gradient vs FD;
     the random graphs' forward vs ``oracles.graph_forward``."""
 
     def run():
-        summary = run_gradient_fidelity(seed, num_nets=num_nets, fault=fault)
+        summary = run_gradient_fidelity(seed, fault=fault)
         head, truth = _loss_fixture(seed + 1)
         targets = assign_targets(truth, [head])
         assert targets[0].obj_mask.any()

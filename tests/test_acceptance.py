@@ -6,7 +6,7 @@ or use ``yolokit verify`` for the same battery from the command line).
 
 import pytest
 
-from yolokit import verify
+from yolokit import gradcheck, verify
 
 SEED = 0
 
@@ -21,14 +21,16 @@ def test_gradient_fidelity():
     # central differences at step 1e-5 in double precision, max relative
     # error 1e-4, under 60 s; the graphs' forward vs oracles.graph_forward
     # within 1e-12 relative.
-    _assert(verify.check_gradient_fidelity(SEED, num_nets=20))
+    _assert(verify.check_gradient_fidelity(SEED))
 
 
 def test_gradient_check_rejects_injected_fault():
-    result = verify.check_gradient_fidelity(SEED, num_nets=3, fault=1e-2)
+    # the check's own battery on its first 3 graphs, the first with one
+    # analytic gradient perturbed: its worst error must exceed the check's limit
+    summary = gradcheck.run_gradient_fidelity(SEED, num_nets=3, fault=1e-2)
+    assert summary.max_rel_error > verify.GRAD_TOLERANCE
     print(f"[PASS] gradient-fault-injection: check failed as required "
-          f"({result.measured})")
-    assert not result.passed
+          f"(max rel err {summary.max_rel_error:.3e} > {verify.GRAD_TOLERANCE:g})")
 
 
 def test_spp_contract():

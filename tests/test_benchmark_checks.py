@@ -65,7 +65,7 @@ class TestEvaluatorOracleCheck:
             is_tp = labeled.is_tp.copy()
             is_tp[0] = not is_tp[0]
             calls.append(len(labeled))
-            return Labeled(labeled.detections, is_tp), counts
+            return Labeled(labeled.source, labeled.rows, is_tp), counts
 
         monkeypatch.setattr(evaluation, "match", flip_first_label)
         problems = checks.check_evaluator_oracle(*eval_inputs)

@@ -636,6 +636,28 @@ class TestDestinations:
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files
         assert {path: path.read_bytes() for path in files} == before
 
+    @pytest.mark.parametrize("out, render", [
+        ("r", "r"),
+        ("r", "r/x"),            # r is a missing ancestor of the render directory
+        ("here/r", "r"),         # here is a symlink to the working directory
+        ("r/x", "./r/x/../x"),
+    ])
+    def test_out_that_render_would_make_fails_before_any_work(
+            self, tmp_path, capsys, monkeypatch, out, render):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "random_init", lambda *a, **kw: pytest.fail("detect began"))
+        monkeypatch.setattr(cli, "read_ppm", lambda path: pytest.fail("an image was read"))
+        write_ppm(tmp_path / "scene0.ppm", np.zeros((3, 8, 8), dtype=np.uint8))
+        (tmp_path / "here").symlink_to(tmp_path)
+        if out == "r/x":
+            (tmp_path / "r").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(["detect", "scene0.ppm", "--model", "yolov3-tiny", "--classes", "2",
+                    "--size", "64", "--out", out, "--render", render]) == 2
+        assert (f"usage error: --out {out} is a directory that --render {render} would make"
+                in capsys.readouterr().err)
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("argv, classes", [
         (["--model", "yolov3-tiny"], 80),
         (["--model", "yolov3-tiny", "--classes", "3"], 3),
