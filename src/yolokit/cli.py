@@ -42,7 +42,7 @@ from .evaluation import (
 )
 from .loss import ToyTrainConfig, synthetic_dataset, train_toy
 from .ppm import PALETTE, read_ppm, render_detections, write_ppm
-from .verify import check_toy_steps, run_all
+from .verify import run_all
 from .weights import check_seed, load_weights_file, random_init
 
 _PALETTE_DOC = ", ".join(f"{i}:{rgb}" for i, rgb in enumerate(PALETTE))
@@ -115,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the full self-verification battery")
     ver.add_argument("--json", action="store_true", help="machine-readable results")
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--toy-steps", type=int, default=200,
-                     help="training steps for the toy gate (default 200)")
-    # sensitivity probe: perturbs one analytic gradient so the check must fail
-    ver.add_argument("--inject-grad-fault", type=float, default=0.0,
-                     help=argparse.SUPPRESS)
 
     toy = sub.add_parser("train-toy", help="train the micro-model on synthetic data")
     toy.add_argument("--steps", type=int, default=200)
@@ -295,9 +290,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_flag("--toy-steps", args.toy_steps, check_toy_steps)
-    seed = _resolve_seed(args)
-    results = run_all(seed=seed, fault=args.inject_grad_fault, toy_steps=args.toy_steps)
+    results = run_all(seed=_resolve_seed(args))
     if args.json:
         print(json.dumps(
             [

@@ -206,10 +206,9 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
     return LossBreakdown(total, coord, iou_term, cls_term, grads)
 
 
-def loss_gradients(heads, targets: list[HeadTargets],
-                   weights: LossWeights | None = None) -> list[np.ndarray]:
+def loss_gradients(heads, targets: list[HeadTargets]) -> list[np.ndarray]:
     """d(total loss)/d(raw head values), one array per head: ``total_loss(...).grads``."""
-    return total_loss(heads, targets, weights).grads
+    return total_loss(heads, targets).grads
 
 
 def sgd_step(network: Network, state: dict, lr: float, momentum: float) -> None:

@@ -4,9 +4,11 @@ Each test prints one pass/fail line (run with ``pytest -s`` to see them all,
 or use ``yolokit verify`` for the same battery from the command line).
 """
 
+import re
+
 import pytest
 
-from yolokit import gradcheck, verify
+from yolokit import ops, verify
 
 SEED = 0
 
@@ -24,13 +26,19 @@ def test_gradient_fidelity():
     _assert(verify.check_gradient_fidelity(SEED))
 
 
-def test_gradient_check_rejects_injected_fault():
-    # the check's own battery on its first 3 graphs, the first with one
-    # analytic gradient perturbed: its worst error must exceed the check's limit
-    summary = gradcheck.run_gradient_fidelity(SEED, num_nets=3, fault=1e-2)
-    assert summary.max_rel_error > verify.GRAD_TOLERANCE
-    print(f"[PASS] gradient-fault-injection: check failed as required "
-          f"(max rel err {summary.max_rel_error:.3e} > {verify.GRAD_TOLERANCE:g})")
+def test_gradient_check_rejects_injected_fault(monkeypatch):
+    # a backward-kernel bug, every activation's gradient 1% too large: the
+    # check must fail on its gradients while its forward still matches the
+    # oracle
+    grad = ops._activation_grad
+    monkeypatch.setattr(ops, "_activation_grad",
+                        lambda gy, y, activation: grad(gy, y, activation) * (1 + 1e-2))
+    result = verify.check_gradient_fidelity(SEED)
+    worst = float(re.search(r"max rel err (\S+) ", result.measured).group(1))
+    forward = float(re.search(r"graph_forward (\S+)$", result.measured).group(1))
+    assert not result.passed, result.line()
+    assert worst > verify.GRAD_TOLERANCE and forward <= verify.FORWARD_TOLERANCE, result.line()
+    print(f"[PASS] gradient-fault-injection: check failed as required ({result.line()})")
 
 
 def test_spp_contract():
@@ -73,7 +81,7 @@ def test_decode_nms_properties():
 def test_toy_training_gate():
     # 200 accumulated steps (lr 0.01, momentum 0.9, batch 16) must at least
     # halve the loss on the seeded 2-class synthetic set, all finite, < 5 min.
-    _assert(verify.check_toy_training(SEED, steps=200))
+    _assert(verify.check_toy_training(SEED))
 
 
 def test_structural_deltas_and_report_roundtrip():

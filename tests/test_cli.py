@@ -37,7 +37,7 @@ from yolokit.evaluation import (
 )
 from yolokit.loss import ToyTrainConfig
 from yolokit.ppm import PALETTE, parse_ppm, read_ppm, render_detections, write_ppm
-from yolokit.verify import CheckResult, check_toy_steps
+from yolokit.verify import CheckResult
 from yolokit.weights import check_seed, random_init, save_weights_file
 from visdrone_writer import format_visdrone
 
@@ -490,9 +490,6 @@ class TestVerifyCommand:
         assert run(["verify"]) == 1
         assert "[FAIL] beta" in capsys.readouterr().out
 
-    def test_zero_toy_steps_is_usage_error(self):
-        assert run(["verify", "--toy-steps", "0"]) == 2
-
     def test_python_dash_m_runs_the_cli_from_a_source_checkout(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run([sys.executable, "-m", "yolokit", "--version"],
@@ -501,16 +498,17 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"yolokit {yolokit.__version__}\n"
 
-    def test_fault_flag_reaches_the_battery(self, monkeypatch, capsys):
-        seen = {}
-
-        def spy(**kwargs):
-            seen.update(kwargs)
-            return self._stub_results()
-
-        monkeypatch.setattr(cli, "run_all", spy)
-        assert run(["verify", "--inject-grad-fault", "0.01"]) == 0
-        assert seen["fault"] == 0.01
+    @pytest.mark.parametrize("knob", [["--toy-steps", "5"], ["--inject-grad-fault", "0.01"]],
+                             ids=["toy-steps", "inject-grad-fault"])
+    def test_battery_takes_no_size_or_fault_flag(self, monkeypatch, capsys, knob):
+        # the battery's sizes and verdict are fixed in code: only --seed and
+        # --json reach it
+        battery = []
+        monkeypatch.setattr(cli, "run_all", lambda **kw: battery.append(kw) or [])
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *knob])
+        assert exc.value.code == 2 and battery == []
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTrainToyCommand:
@@ -818,8 +816,6 @@ RANGED_FLAGS = [
     (_eval_argv, "--iou", check_iou_threshold, float, [
         ("0", _OUT), ("5e-324", _IN), ("1e-9", _IN), ("1", _IN), ("1.0000000000000002", _OUT),
         ("1.0001", _OUT), ("nan", _OUT), ("inf", _OUT)]),
-    (_verify_argv, "--toy-steps", check_toy_steps, int, [
-        ("1", _IN), ("0", _OUT), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
     (_train_toy_argv, "--steps", lambda steps: ToyTrainConfig(steps=steps), int, [
         ("0", _IN), ("-1", _OUT), ("nan", _OUT), ("inf", _OUT)]),
 ] + [

@@ -8,6 +8,14 @@ f-string's fields are code. Comments, docstrings and the package
 ``__init__``'s re-exports do not count.
 ``oracles.py`` (the independent cross-checks) and dunders are exempt. The
 trees are read with ``tokenize``; nothing of the kit is imported or run.
+
+Likewise every parameter with a default, of a function or an ``__init__``
+in ``src/yolokit`` (``oracles.py`` aside), must be passed, by position or
+by keyword, by some call in ``src/yolokit`` or ``perfbench/``: a default no
+call overrides is a knob only tests turn. Calls are matched by the called
+name, a class's name for its ``__init__``; a ``*args`` or ``**kwargs`` in a
+call passes every parameter it could reach. These trees are read with
+``ast``.
 """
 
 import ast
@@ -87,3 +95,88 @@ def test_comments_docstrings_and_reexports_do_not_name_a_function():
         REEXPORTS: b'from .a import unused\n__all__ = ["unused"]\n',
     }
     assert [line.split()[-1] for line in unnamed_functions(kit)] == ["unused"]
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, line, parameter, position, keyword) of each parameter
+    with a default: ``position`` is its index among a call's positional
+    arguments (None if it is keyword-only), ``keyword`` whether a keyword
+    can pass it. A method's ``self`` or ``cls`` is no call's argument; an
+    ``__init__`` is called by its class's name."""
+    methods = {item: node.name if item.name == "__init__" else item.name
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        name, implicit = (methods[fn], 1) if fn in methods else (fn.name, 0)
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first_default = len(positional) - len(args.defaults)
+        for index, param in enumerate(positional[first_default:], first_default):
+            yield name, fn.lineno, param.arg, index - implicit, param in args.args
+        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, fn.lineno, param.arg, None, True
+
+
+def _calls(tree: ast.Module):
+    """(called name, positional count, first ``*`` position or None,
+    keywords, whether a ``**`` is given) of each call to a name or an
+    attribute."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not isinstance(func, (ast.Name, ast.Attribute)):
+            continue
+        starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
+        keywords = {kw.arg for kw in node.keywords}
+        yield (func.id if isinstance(func, ast.Name) else func.attr, len(node.args),
+               starred[0] if starred else None, keywords - {None}, None in keywords)
+
+
+def unpassed_parameters(sources: dict) -> list[str]:
+    """``path:line function(parameter)`` of each parameter with a default,
+    of a function in a ``sources`` path under ``KIT`` (``oracles.py``
+    aside), that no call in ``sources`` passes; ``sources`` maps a path to
+    its bytes."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for name, *call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+
+    def passed(name, position, param, keyword):
+        return any(
+            position is not None and (position < count or star is not None and position >= star)
+            or keyword and (param in keywords or double_star)
+            for count, star, keywords, double_star in calls.get(name, ()))
+
+    return [f"{path.relative_to(ROOT)}:{line} {name}({param})"
+            for path, tree in trees.items() if path.is_relative_to(KIT) and path != EXEMPT
+            for name, line, param, position, keyword in _defaulted_parameters(tree)
+            if not passed(name, position, param, keyword)]
+
+
+def test_every_kit_default_is_passed_by_the_kit_or_perfbench():
+    sources = {path: path.read_bytes() for tree in TREES for path in sorted(tree.rglob("*.py"))}
+    assert unpassed_parameters(sources) == []
+
+
+def test_a_default_counts_as_passed_only_by_a_call_that_can_reach_it():
+    kit = {
+        KIT / "a.py": b"def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                      b"def g(x=0):\n    pass\n"
+                      b"def h(y=0):  # h(1)\n    '''h(y=1)'''\n"
+                      b"def k(z=0):\n    pass\n"
+                      b"class C:\n    def __init__(self, u=0, v=0):\n        pass\n"
+                      b"    def m(self, w=0):\n        pass\n"
+                      b"f(0, 1)\nf(0, e=5)\ng(y=1)\nk(*[1])\nC(1)\nC().m(**{})\n",
+        KIT / "oracles.py": b"def exempt(q=0):\n    pass\n",
+        ROOT / "perfbench" / "p.py": b"from yolokit.a import f\nf(0, d=1)\n",
+    }
+    assert [line.split()[-1] for line in unpassed_parameters(kit)] == [
+        "f(c)", "g(x)", "h(y)", "C(v)"]

@@ -171,7 +171,7 @@ def test_gradients_accumulate_on_a_reused_tape_like_the_trainer():
 def test_reused_tape_matches_fresh_tapes_on_random_graphs():
     # every op lends on a tape (pools, routes, upsamples, shortcuts); each
     # pass writes over the stale values of the one before
-    for net, x, _ in battery_nets(seed=0, num_nets=20):
+    for net, x, _ in battery_nets(seed=0):
         n = len(net.graph.layers)
         inputs = [x, 0.5 - x, 2.0 * x]
 
@@ -192,7 +192,7 @@ def test_reused_tape_matches_fresh_tapes_on_random_graphs():
 @pytest.mark.parametrize("graph_name", ["toy", "branchy", "battery"])
 def test_a_dropped_tape_is_freed_without_the_cycle_collector(graph_name):
     if graph_name == "battery":
-        nets = [(net, x) for net, x, _ in battery_nets(seed=0, num_nets=20)]
+        nets = [(net, x) for net, x, _ in battery_nets(seed=0)]
     else:
         graph = toy_graph() if graph_name == "toy" else parse_cfg(BRANCHY_CFG)
         nets = [(random_init(graph, seed=6),
