@@ -9,6 +9,7 @@ import re
 import pytest
 
 from yolokit import ops, verify
+from yolokit.loss import ToyTrainConfig
 
 SEED = 0
 
@@ -82,6 +83,21 @@ def test_toy_training_gate():
     # 200 accumulated steps (lr 0.01, momentum 0.9, batch 16) must at least
     # halve the loss on the seeded 2-class synthetic set, all finite, < 5 min.
     _assert(verify.check_toy_training(SEED))
+
+
+def test_toy_training_gate_runs_the_config_default_steps(monkeypatch):
+    # the gate's step count is fixed: it trains on ToyTrainConfig's own 200
+    # steps with the battery's seed, whatever the caller
+    configs = []
+
+    def trainer(dataset, graph, config):
+        configs.append(config)
+        return [1.0, 0.5]
+
+    monkeypatch.setattr(verify, "train_toy", trainer)
+    result = verify.check_toy_training(SEED)
+    assert configs == [ToyTrainConfig(seed=SEED)] and configs[0].steps == 200
+    assert result.passed and result.measured == "loss 1.000 -> 0.500 (ratio 0.500)"
 
 
 def test_structural_deltas_and_report_roundtrip():

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file outputs, determinism, JSON results."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -497,6 +498,20 @@ class TestVerifyCommand:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"yolokit {yolokit.__version__}\n"
+
+    def test_verify_takes_only_seed_and_json(self):
+        # hidden options included: a suppressed help line still parses
+        parser = cli.build_parser()
+        verify = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices["verify"]
+        flags = {flag for action in verify._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--seed", "--json"}
+
+    def test_seed_alone_reaches_the_battery(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_all", lambda **kw: seen.append(kw) or self._stub_results())
+        assert run(["verify", "--seed", "5"]) == 0
+        assert seen == [{"seed": 5}]
 
     @pytest.mark.parametrize("knob", [["--toy-steps", "5"], ["--inject-grad-fault", "0.01"]],
                              ids=["toy-steps", "inject-grad-fault"])

@@ -180,3 +180,18 @@ def test_a_default_counts_as_passed_only_by_a_call_that_can_reach_it():
     }
     assert [line.split()[-1] for line in unpassed_parameters(kit)] == [
         "f(c)", "g(x)", "h(y)", "C(v)"]
+
+
+def test_a_patched_or_aliased_name_passes_no_default():
+    # patching a function, or calling it through an alias, passes none of
+    # its defaults; a keyword of the same name to another function neither
+    kit = {
+        KIT / "loss.py": b"def loss_gradients(y, t, weights=None):\n    pass\n"
+                         b"def other(weights=None):\n    pass\n",
+        ROOT / "perfbench" / "p.py": b"from yolokit import loss\n"
+                                     b"real = loss.loss_gradients\n"
+                                     b"loss.loss_gradients = lambda y, t, w: real(y, t, w)\n"
+                                     b"setattr(loss, 'loss_gradients', real)\n"
+                                     b"loss.other(weights=1)\n",
+    }
+    assert [line.split()[-1] for line in unpassed_parameters(kit)] == ["loss_gradients(weights)"]
