@@ -12,7 +12,7 @@ from .cfg import ModelGraph, builtin_graph, graph_equal, parse_cfg, render_cfg, 
 from .detect import Box, Detection, Detections, LetterboxTransform, decode, iou, letterbox, nms
 from .errors import YoloKitError
 from .evaluation import EvalReport, GroundTruthBox, evaluate, parse_visdrone
-from .loss import LossWeights, assign_targets, sgd_step, total_loss, train_toy
+from .loss import assign_targets, sgd_step, total_loss, train_toy
 from .network import HeadOutput, Network
 from .ops import ConvParams, GradTape
 from .weights import load_weights, random_init, save_weights
@@ -27,7 +27,6 @@ __all__ = [
     "GroundTruthBox",
     "HeadOutput",
     "LetterboxTransform",
-    "LossWeights",
     "ModelGraph",
     "Network",
     "YoloKitError",

@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -150,6 +151,17 @@ def _check_destination(flag: str, path, is_dir: bool = False) -> None:
         raise OSError(f"{flag} {path}: {base} is not a directory")
 
 
+def _check_inputs(paths) -> None:
+    """Fail (exit 1) before any input is read on the first path that does
+    not exist or is a directory, with the error opening it would give. Only
+    the name is looked up, so a pipe is left unread."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.exists(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _made_directories(path) -> list[str]:
     """The real paths of the directories ``os.makedirs(path)`` would make:
     ``path`` and each missing ancestor."""
@@ -238,6 +250,7 @@ def cmd_detect(args) -> int:
     inputs += [(kind, path) for kind, path in [("weights file", args.weights),
                                                 ("model definition", args.cfg)] if path]
     _check_not_an_input(destinations, inputs)
+    _check_inputs(args.images)
     dtype = np.float64 if args.precision == "double" else np.float32
     if args.weights:
         net = load_weights_file(graph, args.weights, dtype=dtype)
@@ -278,6 +291,7 @@ def cmd_eval(args) -> int:
                for name in annotation_files(args.gt)]
     _check_not_an_input([("--out-dir", os.path.join(args.out_dir, name))
                          for name in report_file_names(args.classes)], inputs)
+    _check_inputs([args.pred])
     truth = load_ground_truth(args.gt)
     with open(args.pred, encoding="utf-8") as fh:
         detections = parse_predictions(fh)

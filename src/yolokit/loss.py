@@ -11,7 +11,7 @@ values and finite-difference checks apply everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,21 +24,10 @@ from .ops import GradTape
 from .weights import check_seed, random_init
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Finite, nonnegative multipliers for the three loss terms (and
-    no-object belief), checked when made: a ValidationError otherwise."""
-
-    coord: float = 5.0
-    iou: float = 1.0
-    noobj: float = 0.5
-    cls: float = 1.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValidationError(f"loss weight {f.name} must be finite and >= 0, got {value}")
+# The one training recipe check 8 gates: YOLOv1's term weights (coordinate,
+# objectness, no-object objectness, class) and the toy trainer's SGD settings.
+COORD_WEIGHT, IOU_WEIGHT, NOOBJ_WEIGHT, CLS_WEIGHT = 5.0, 1.0, 0.5, 1.0
+LEARNING_RATE, MOMENTUM, BATCH_SIZE = 0.01, 0.9, 16
 
 
 @dataclass
@@ -154,8 +143,7 @@ def _paired(heads, targets: list[HeadTargets]):
     return enumerate(zip(heads, targets))
 
 
-def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = None,
-               reads=None) -> LossBreakdown:
+def total_loss(heads, targets: list[HeadTargets], reads=None) -> LossBreakdown:
     """Composite squared-error loss and its gradient, from one pass per head.
 
     The total is exactly the sum of the parts; ``grads`` holds d(total)/d(raw
@@ -164,7 +152,6 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
     them; the raw values must not have changed since. A head whose raw
     values, loss or gradient is not finite is a ``NumericError`` naming it.
     """
-    w = weights or LossWeights()
     _check_reads(heads, reads)
     coord = iou_term = cls_term = 0.0
     grads = []
@@ -183,20 +170,21 @@ def total_loss(heads, targets: list[HeadTargets], weights: LossWeights | None = 
         dw, dh = sw - np.sqrt(t[:, 2]), sh - np.sqrt(t[:, 3])
         dobj = pobj - obj
         dcls = pcls - t[:, 5:]
-        coord += w.coord * float(np.sum((dx ** 2 + dy ** 2)[obj]))
-        coord += w.coord * float(np.sum((dw ** 2 + dh ** 2)[obj]))
-        iou_term += w.iou * float(np.sum((dobj ** 2)[obj]))
-        iou_term += w.noobj * float(np.sum((pobj ** 2)[noobj]))
-        cls_term += w.cls * float(np.sum((dcls ** 2) * obj[:, None, :, :]))
+        coord += COORD_WEIGHT * float(np.sum((dx ** 2 + dy ** 2)[obj]))
+        coord += COORD_WEIGHT * float(np.sum((dw ** 2 + dh ** 2)[obj]))
+        iou_term += IOU_WEIGHT * float(np.sum((dobj ** 2)[obj]))
+        iou_term += NOOBJ_WEIGHT * float(np.sum((pobj ** 2)[noobj]))
+        cls_term += CLS_WEIGHT * float(np.sum((dcls ** 2) * obj[:, None, :, :]))
 
         g = np.empty(head.layout)
-        g[:, 0] = w.coord * 2 * dx * px * (1 - px) * obj
-        g[:, 1] = w.coord * 2 * dy * py * (1 - py) * obj
+        g[:, 0] = COORD_WEIGHT * 2 * dx * px * (1 - px) * obj
+        g[:, 1] = COORD_WEIGHT * 2 * dy * py * (1 - py) * obj
         # d/dt of (sqrt(a*e^t) - sqrt(b))^2 = (sqrt(a*e^t) - sqrt(b)) * sqrt(a*e^t)
-        g[:, 2] = w.coord * dw * sw * obj
-        g[:, 3] = w.coord * dh * sh * obj
-        g[:, 4] = (w.iou * 2 * dobj * obj + w.noobj * 2 * pobj * noobj) * pobj * (1 - pobj)
-        g[:, 5:] = w.cls * 2 * dcls * pcls * (1 - pcls) * obj[:, None, :, :]
+        g[:, 2] = COORD_WEIGHT * dw * sw * obj
+        g[:, 3] = COORD_WEIGHT * dh * sh * obj
+        g[:, 4] = ((IOU_WEIGHT * 2 * dobj * obj + NOOBJ_WEIGHT * 2 * pobj * noobj)
+                   * pobj * (1 - pobj))
+        g[:, 5:] = CLS_WEIGHT * 2 * dcls * pcls * (1 - pcls) * obj[:, None, :, :]
         # an extent that overflows where the mask is 0 gives inf * 0 in g
         if not (np.isfinite(coord + iou_term + cls_term) and np.all(np.isfinite(g))):
             raise NumericError(f"head {index} (stride {head.stride}) gives a non-finite "
@@ -303,25 +291,15 @@ def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2
 
 @dataclass(frozen=True)
 class ToyTrainConfig:
-    """The toy trainer's settings, checked when made: a ValidationError
-    names the first one out of range."""
+    """The toy trainer's step count and seed, checked when made: a
+    ValidationError names the first one out of range."""
 
     steps: int = 200
-    lr: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 16
     seed: int = 0
-    loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValidationError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
-        if not (np.isfinite(self.momentum) and 0 <= self.momentum < 1):
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         check_seed(self.seed)
 
 
@@ -339,7 +317,7 @@ def _network_input(example: ToyExample, dtype) -> np.ndarray:
 
 
 def _train_image(net: Network, tape: GradTape, image: np.ndarray,
-                 boxes: list[GroundTruthBox], weights: LossWeights) -> float:
+                 boxes: list[GroundTruthBox]) -> float:
     """Forward, loss and backward of one image on ``tape``; returns its loss.
 
     Nothing of the pass outlives the call, so the tape's reset can take back
@@ -351,7 +329,7 @@ def _train_image(net: Network, tape: GradTape, image: np.ndarray,
         heads = net.forward(image, tape)
         reads = [read_head(head) for head in heads]
         targets = assign_targets(boxes, heads, reads=reads)
-        breakdown = total_loss(heads, targets, weights, reads)
+        breakdown = total_loss(heads, targets, reads)
     net.backward(tape, zip(heads, breakdown.grads))
     return breakdown.total
 
@@ -366,8 +344,9 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
     cast to the head's dtype. Each example's uint8 frame goes through
     ``letterbox`` once, before the first step; a frame that is not a square
     uint8 array is a ``ValidationError``. Each step accumulates gradients over
-    ``batch_size`` consecutive images (wrapping around the dataset), averages
-    them, and applies one momentum update. One tape records every image and
+    ``BATCH_SIZE`` consecutive images (wrapping around the dataset), averages
+    them, and applies one momentum update at ``LEARNING_RATE`` and
+    ``MOMENTUM``. One tape records every image and
     is reset after each, so one image's arrays are alive at a time and later
     images reuse them. A forward, loss or loss gradient that goes non-finite
     raises ``NumericError`` naming the step, the image and the head. Fully
@@ -385,23 +364,22 @@ def train_toy(dataset: list[ToyExample], graph: ModelGraph,
     for step in range(config.steps):
         net.zero_grads()
         batch_loss = 0.0
-        for _ in range(config.batch_size):
+        for _ in range(BATCH_SIZE):
             k = cursor % len(dataset)
             cursor += 1
             example = dataset[k]
             try:
-                batch_loss += _train_image(net, tape, images[k], example.boxes,
-                                           config.loss_weights)
+                batch_loss += _train_image(net, tape, images[k], example.boxes)
             except NumericError as exc:
                 raise NumericError(f"training diverged at step {step}, image "
                                    f"{example.image_id}: {exc}") from None
             tape.reset()
-        mean_loss = batch_loss / config.batch_size
+        mean_loss = batch_loss / BATCH_SIZE
         if not np.isfinite(mean_loss):
             raise NumericError(f"training diverged at step {step}: loss {mean_loss}")
         for _, p in net.conv_layers():
             for _name, _value, grad in p.learnable():
-                grad /= config.batch_size
-        sgd_step(net, state, config.lr, config.momentum)
+                grad /= BATCH_SIZE
+        sgd_step(net, state, LEARNING_RATE, MOMENTUM)
         history.append(mean_loss)
     return history

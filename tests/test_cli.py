@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import yolokit
-from yolokit import cli, evaluation
+from yolokit import cli, evaluation, verify
 from yolokit.cfg import (
     builtin_graph,
     check_num_classes,
+    graph_equal,
     parse_cfg,
     render_cfg,
     shape_check,
@@ -278,6 +279,43 @@ class TestDetect:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "[Errno 2] No such file or directory"),
+        ("directory", "[Errno 21] Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_bad_second_image_fails_before_any_work(self, scene, tmp_path, monkeypatch,
+                                                    capsys, kind, message):
+        # the net was once built, and the first image run and rendered,
+        # before the second was found missing; --out was never written
+        monkeypatch.setattr(cli, "read_ppm", lambda *a: pytest.fail("an image was read"))
+        monkeypatch.setattr(cli, "random_init", lambda *a, **kw: pytest.fail("the net was built"))
+        second = tmp_path / "second.ppm"
+        if kind == "directory":
+            second.mkdir()
+        out, rendered = tmp_path / "p.txt", tmp_path / "r"
+        code = run(["detect", scene, second, "--model", "yolov3-tiny", "--classes", "2",
+                    "--size", "320", "--out", out, "--render", rendered])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}: '{second}'\n"
+        assert not out.exists() and not rendered.exists()
+
+    def test_image_through_a_pipe_matches_the_file(self, scene, tmp_path):
+        fifo = tmp_path / "pipe" / "scene.ppm"  # the same image id as the file
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        args = ["detect", "--model", "yolov3-tiny", "--classes", "2", "--size", "64",
+                "--conf", "0.05", "--seed", "9"]
+        from_file, from_pipe = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(args + [scene, "--out", from_file]) == 0
+        writer = threading.Thread(target=fifo.write_bytes, args=(scene.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        assert run(args + [fifo, "--out", from_pipe]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert from_file.read_text().count("\n") > 0
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+
     @pytest.mark.parametrize("name", ["a b.ppm", "tab\there.ppm", " .ppm", " a.ppm",
                                       "a\u2028b.ppm"])
     def test_image_name_with_whitespace_is_usage_error_before_reading(self, scene, tmp_path,
@@ -449,6 +487,22 @@ class TestEval:
         assert err == (f"error: {bad}: line 1: not UTF-8 text: invalid continuation byte 0xc3 "
                        "(at or after this line)\n")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "[Errno 2] No such file or directory"),
+        ("directory", "[Errno 21] Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_bad_prediction_file_fails_before_the_annotations_are_read(
+            self, tmp_path, monkeypatch, capsys, kind, message):
+        gt_dir, _ = self._write_fixture(tmp_path)
+        monkeypatch.setattr(cli, "load_ground_truth", lambda *a: pytest.fail("eval began"))
+        pred = tmp_path / "nope.txt"
+        if kind == "directory":
+            pred.mkdir()
+        code = run(["eval", "--gt", gt_dir, "--pred", pred, "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}: '{pred}'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_predictions_through_a_pipe_match_the_file(self, tmp_path, monkeypatch):
         # the stream reader needs no file size; small chunks and blocks make
         # many reads of the pipe
@@ -537,6 +591,34 @@ class TestTrainToyCommand:
 
     def test_negative_steps_usage_error(self, tmp_path):
         assert run(["train-toy", "--steps", "-1", "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_check_8_trains_what_train_toy_trains(self, tmp_path, monkeypatch, capsys, seed):
+        # verify states the toy set and graph; train-toy takes their defaults
+        runs = {}
+
+        def recorder(command):
+            def trainer(dataset, graph, config):
+                runs[command] = dataset, graph, config
+                return [1.0, 0.5]
+            return trainer
+
+        monkeypatch.setattr(cli, "train_toy", recorder("train-toy"))
+        monkeypatch.setattr(verify, "train_toy", recorder("verify"))
+        for name in dir(verify):  # every check but the toy gate runs nothing
+            if name.startswith("check_") and name != "check_toy_training":
+                monkeypatch.setattr(verify, name,
+                                    lambda *a, name=name: CheckResult(name, True, "", "", 0.0))
+        assert run(["verify", "--seed", seed]) == 0
+        assert run(["train-toy", "--seed", seed, "--steps", "200",
+                    "--out", tmp_path / "loss.csv"]) == 0
+        (checked, checked_graph, checked_config), (trained, graph, config) = (
+            runs["verify"], runs["train-toy"])
+        assert [e.image.tobytes() for e in checked] == [e.image.tobytes() for e in trained]
+        assert [(e.image_id, e.boxes) for e in checked] == [(e.image_id, e.boxes)
+                                                             for e in trained]
+        assert len(trained) == 32 and graph_equal(checked_graph, graph)
+        assert checked_config == config == ToyTrainConfig(steps=200, seed=seed)
 
 
 class TestDestinations:

@@ -12,10 +12,13 @@ trees are read with ``tokenize``; nothing of the kit is imported or run.
 Likewise every parameter with a default, of a function or an ``__init__``
 in ``src/yolokit`` (``oracles.py`` aside), must be passed, by position or
 by keyword, by some call in ``src/yolokit`` or ``perfbench/``: a default no
-call overrides is a knob only tests turn. Calls are matched by the called
-name, a class's name for its ``__init__``; a ``*args`` or ``**kwargs`` in a
-call passes every parameter it could reach. These trees are read with
-``ast``.
+call overrides is a knob only tests turn. So must every field with a
+default of a ``@dataclass(frozen=True)``, whose generated ``__init__``
+takes its fields in order; a mutable record is left out, since its
+fields are state that code assigns by attribute. Calls are matched by the
+called name, a class's name for its ``__init__``; a ``*args`` or
+``**kwargs`` in a call passes every parameter it could reach. These trees
+are read with ``ast``.
 """
 
 import ast
@@ -97,12 +100,28 @@ def test_comments_docstrings_and_reexports_do_not_name_a_function():
     assert [line.split()[-1] for line in unnamed_functions(kit)] == ["unused"]
 
 
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is True for kw in d.keywords)
+               for d in node.decorator_list)
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(called name, line, parameter, position, keyword) of each parameter
     with a default: ``position`` is its index among a call's positional
     arguments (None if it is keyword-only), ``keyword`` whether a keyword
     can pass it. A method's ``self`` or ``cls`` is no call's argument; an
-    ``__init__`` is called by its class's name."""
+    ``__init__`` is called by its class's name, as is a frozen dataclass,
+    whose fields are its parameters."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for index, item in enumerate(fields):
+                if item.value is not None:
+                    yield node.name, item.lineno, item.target.id, index, True
     methods = {item: node.name if item.name == "__init__" else item.name
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.FunctionDef)}
@@ -180,6 +199,22 @@ def test_a_default_counts_as_passed_only_by_a_call_that_can_reach_it():
     }
     assert [line.split()[-1] for line in unpassed_parameters(kit)] == [
         "f(c)", "g(x)", "h(y)", "C(v)"]
+
+
+def test_a_frozen_dataclass_field_counts_as_passed_only_by_a_call_that_can_reach_it():
+    # a frozen record's defaults are its constructor's; a mutable one's,
+    # state assigned by attribute, are not checked
+    kit = {
+        KIT / "a.py": b"from dataclasses import dataclass\n"
+                      b"@dataclass(frozen=True)\nclass F:\n    a: int\n    b: int = 1\n"
+                      b"    c: int = 2\n    d: int = 3\n    e: int = 4\n"
+                      b"@dataclass(frozen=True, eq=False)\nclass G:\n    x: int = 0\n"
+                      b"@dataclass\nclass M:\n    y: int = 0\n"
+                      b"@dataclass(frozen=False)\nclass N:\n    z: int = 0\n"
+                      b"F(0, 1)\nF(0, e=5)\nM(x=1)\n",
+        ROOT / "perfbench" / "p.py": b"from yolokit.a import F\nF(0, d=1)\n",
+    }
+    assert [line.split()[-1] for line in unpassed_parameters(kit)] == ["F(c)", "G(x)"]
 
 
 def test_a_patched_or_aliased_name_passes_no_default():

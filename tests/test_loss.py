@@ -4,18 +4,19 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import yolokit.loss
 from yolokit.cfg import parse_cfg, render_cfg, toy_graph
 from yolokit.detect import Box, iou, letterbox, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
 from yolokit.evaluation import GroundTruthBox, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.loss import (
-    LossWeights,
     ToyTrainConfig,
     assign_targets,
     loss_gradients,
@@ -210,7 +211,10 @@ class TestTotalLoss:
         assert breakdown.total == 0.0
         assert (breakdown.coord, breakdown.iou, breakdown.cls) == (0.0, 0.0, 0.0)
 
-    def test_single_coordinate_error_scales_with_lambda(self):
+    @pytest.mark.parametrize("coord", [None, 2.5], ids=["default", "patched"])
+    def test_single_coordinate_error_scales_with_lambda(self, coord, monkeypatch):
+        if coord is not None:
+            monkeypatch.setattr(yolokit.loss, "COORD_WEIGHT", coord)
         head = single_head(grid=2)
         box = Box(24.0, 40.0, 16.0, 30.0)
         targets = assign_targets([GroundTruthBox("img", 1, box)], [head])
@@ -227,8 +231,8 @@ class TestTotalLoss:
         raw[a, 5 + 1, i, j] = 800.0
         # shift the center target one cell unit away from the prediction
         t[0] = float(1.0 / (1.0 + np.exp(-raw[a, 0, i, j]))) + 1.0
-        breakdown = total_loss([head], targets, LossWeights(coord=5.0))
-        assert breakdown.coord == pytest.approx(5.0, abs=1e-9)
+        breakdown = total_loss([head], targets)
+        assert breakdown.coord == pytest.approx(5.0 if coord is None else coord, abs=1e-9)
         assert breakdown.iou == 0.0 and breakdown.cls == 0.0
 
     def test_additive_and_nonnegative(self):
@@ -258,12 +262,6 @@ class TestTotalLoss:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match=r"head 1 \(stride 32\) gives a non-finite"):
                 total_loss(heads, targets)
-
-    def test_negative_weights_rejected(self):
-        head = single_head(grid=2)
-        targets = assign_targets([], [head])
-        with pytest.raises(ValidationError):
-            total_loss([head], targets, LossWeights(coord=-1.0))
 
 
 class TestLossInputs:
@@ -374,8 +372,18 @@ class TestOnePass:
     bit equals the two passes it replaced."""
 
     @pytest.mark.parametrize("truth", ["boxes", "empty", "ignore_only"])
-    @pytest.mark.parametrize("weights", [LossWeights(), LossWeights(2.5, 0.7, 0.3, 1.9)])
-    def test_bitwise_equal_to_two_pass_reference(self, truth, weights):
+    @pytest.mark.parametrize("patched", [None, (2.5, 0.7, 0.3, 1.9)],
+                             ids=["default", "distinct"])
+    def test_bitwise_equal_to_two_pass_reference(self, truth, patched, monkeypatch):
+        # pairwise-distinct weights show a term scaled by another's constant
+        if patched is not None:
+            for name, value in zip(("COORD_WEIGHT", "IOU_WEIGHT", "NOOBJ_WEIGHT", "CLS_WEIGHT"),
+                                   patched):
+                monkeypatch.setattr(yolokit.loss, name, value)
+        weights = types.SimpleNamespace(coord=yolokit.loss.COORD_WEIGHT,
+                                        iou=yolokit.loss.IOU_WEIGHT,
+                                        noobj=yolokit.loss.NOOBJ_WEIGHT,
+                                        cls=yolokit.loss.CLS_WEIGHT)
         rng = np.random.default_rng(30)
         ignored_slots = 0
         for trial in range(5):
@@ -394,7 +402,7 @@ class TestOnePass:
             ignored_slots += sum(int(t.ignore_mask.sum()) for t in targets)
             if truth == "ignore_only":
                 assert not any(t.obj_mask.any() for t in targets)
-            breakdown = total_loss(heads, targets, weights)
+            breakdown = total_loss(heads, targets)
             want = _reference_loss(heads, targets, weights)
             assert (breakdown.total, breakdown.coord, breakdown.iou, breakdown.cls) == want
             want_grads = _reference_gradients(heads, targets, weights)
@@ -513,53 +521,28 @@ class TestToyTraining:
         dataset = synthetic_dataset(num_images=4, seed=0)
         assert train_toy(dataset, toy_graph(), ToyTrainConfig(steps=0)) == []
 
-    @pytest.mark.parametrize("steps, batch_size, num_images", [
-        (-1, 16, 4), (3, 0, 4), (3, -2, 4), (3, 4, 0), (0, 4, 0),
-    ])
-    def test_bad_config_or_empty_dataset_rejected(self, steps, batch_size, num_images):
-        # a batch of 0 and an empty set once divided by zero mid-run
+    @pytest.mark.parametrize("steps, num_images", [(-1, 4), (3, 0), (0, 0)])
+    def test_bad_config_or_empty_dataset_rejected(self, steps, num_images):
+        # an empty set once divided by zero mid-run
         dataset = synthetic_dataset(num_images=4, seed=0)[:num_images]
         with pytest.raises(ValidationError):
-            train_toy(dataset, toy_graph(), ToyTrainConfig(steps=steps, batch_size=batch_size))
+            train_toy(dataset, toy_graph(), ToyTrainConfig(steps=steps))
 
     def test_settings_are_frozen_once_checked(self):
         config = ToyTrainConfig()
-        for settings, name in ((config, "steps"), (config.loss_weights, "coord")):
+        for name in ("steps", "seed"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(settings, name, -1)
-
-    @pytest.mark.parametrize("field, value", [
-        ("lr", math.nan), ("lr", math.inf), ("lr", 0.0), ("lr", -1.0),
-        ("momentum", math.nan), ("momentum", math.inf), ("momentum", -0.1), ("momentum", 1.0),
-        ("coord", math.nan), ("noobj", math.inf), ("iou", -math.inf), ("cls", -1.0),
-    ])
-    def test_bad_hyper_parameter_rejected_before_any_work(self, field, value, monkeypatch):
-        # these once ran a whole step, warned, then failed on the heads or the loss
-        import yolokit.loss
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr(yolokit.loss, "random_init", no_work)
-        dataset = synthetic_dataset(num_images=4, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # the settings are checked when made, so no config reaches train_toy
-            with pytest.raises(ValidationError, match=field):
-                if field in ("coord", "iou", "noobj", "cls"):
-                    config = ToyTrainConfig(steps=3, batch_size=4,
-                                            loss_weights=LossWeights(**{field: value}))
-                else:
-                    config = ToyTrainConfig(steps=3, batch_size=4, **{field: value})
-                train_toy(dataset, toy_graph(), config)
+                setattr(config, name, -1)
 
     @pytest.mark.parametrize("lr, cause", [
         (10.0, "has non-finite raw values"),        # the forward overflows
         (100.0, "gives a non-finite loss or gradient"),  # an extent overflows
     ])
-    def test_divergence_names_step_image_and_head(self, lr, cause):
+    def test_divergence_names_step_image_and_head(self, lr, cause, monkeypatch):
+        monkeypatch.setattr(yolokit.loss, "LEARNING_RATE", lr)
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 2)
         dataset = synthetic_dataset(num_images=8, seed=0)
-        config = ToyTrainConfig(steps=6, batch_size=2, lr=lr, seed=0)
+        config = ToyTrainConfig(steps=6, seed=0)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as err:
                 train_toy(dataset, toy_graph(), config)
@@ -569,16 +552,18 @@ class TestToyTraining:
         step, image_id = int(found[1]), found[2]
         assert 0 < step < config.steps and found[3] == cause
         # the named image is one of that step's batch
-        batch = range(step * config.batch_size, (step + 1) * config.batch_size)
+        batch = range(step * 2, (step + 1) * 2)
         assert image_id in {dataset[k % len(dataset)].image_id for k in batch}
 
     @pytest.mark.parametrize("lr, message", [
         (10.0, "step 2, image toy_004: head 0 (stride 8) has non-finite raw values"),
         (100.0, "step 1, image toy_002: head 0 (stride 8) gives a non-finite loss or gradient"),
     ])
-    def test_divergence_raises_without_a_numpy_warning(self, lr, message):
+    def test_divergence_raises_without_a_numpy_warning(self, lr, message, monkeypatch):
         # an overflowing forward, then an overflowing extent exp in read_head
-        config = ToyTrainConfig(steps=6, batch_size=2, lr=lr)
+        monkeypatch.setattr(yolokit.loss, "LEARNING_RATE", lr)
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 2)
+        config = ToyTrainConfig(steps=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError) as err:
@@ -587,8 +572,6 @@ class TestToyTraining:
 
     def test_parameters_gradients_and_velocities_stay_float32(self, monkeypatch):
         # one float64 array anywhere would widen the pass it feeds
-        import yolokit.loss
-
         nets, states = [], []
 
         def recording_init(*args, **kwargs):
@@ -597,14 +580,18 @@ class TestToyTraining:
 
         def recording_step(network, state, lr, momentum):
             states.append(state)
+            settings.append((lr, momentum))
             sgd_step(network, state, lr, momentum)
 
+        settings = []
         monkeypatch.setattr(yolokit.loss, "random_init", recording_init)
         monkeypatch.setattr(yolokit.loss, "sgd_step", recording_step)
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 2)
         dataset = synthetic_dataset(num_images=4, seed=0)
-        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, batch_size=2))
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2))
         (net,) = nets
         assert len(states) == 2 and states[0] is states[1]
+        assert settings == [(0.01, 0.9)] * 2
         arrays = {}
         for i, p in net.conv_layers():
             names = ["weights", "g_weights"] + (
@@ -619,8 +606,6 @@ class TestToyTraining:
         # the same trainer on a float64 network is the oracle; measured
         # spread over the 20 steps is <= 8e-8 relative. The oracle's
         # forwards get the frames' PPM round trip, letterboxed in float64.
-        import yolokit.loss
-
         dataset = synthetic_dataset(seed=0)
         config = ToyTrainConfig(steps=20, seed=0)
         history = train_toy(dataset, toy_graph(), config)
@@ -630,15 +615,16 @@ class TestToyTraining:
         oracle = train_toy(dataset, toy_graph(), config)
         assert history != oracle
         np.testing.assert_allclose(history, oracle, rtol=1e-6, atol=0)
-        assert len(seen) == config.steps * config.batch_size
+        assert len(seen) == config.steps * yolokit.loss.BATCH_SIZE
         _assert_bitwise_inputs(seen, _ppm_round_trip_inputs(dataset, np.float64, tmp_path))
 
     def test_forward_gets_the_ppm_round_trip_letterboxed(self, monkeypatch, tmp_path):
         # the bits the trainer trains on are the bits detect reads from a
         # PPM file of the frame
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 5)
         dataset = synthetic_dataset(num_images=6, seed=0)
         seen = _recording_forward(monkeypatch)
-        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, batch_size=5))
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2))
         assert len(seen) == 10
         expected = _ppm_round_trip_inputs(dataset, np.float32, tmp_path)
         assert {image.dtype for image in expected} == {np.dtype(np.float32)}
@@ -661,9 +647,9 @@ class TestToyTraining:
         dataset = synthetic_dataset(num_images=4, seed=0)
         dataset[2].image = frame(dataset[2].image)
         with pytest.raises(ValidationError, match=rf"^toy_002: {re.escape(message)}$"):
-            train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1, batch_size=1))
+            train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1))
 
-    def test_memory_does_not_grow_with_images(self):
+    def test_memory_does_not_grow_with_images(self, monkeypatch):
         # one reused tape: a 4-step, 16-image run peaks where one image does
         dataset = synthetic_dataset(num_images=16, seed=0)
         graph = toy_graph()
@@ -674,23 +660,23 @@ class TestToyTraining:
             for steps, batch_size in ((1, 1), (4, 16)):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                train_toy(dataset, graph, ToyTrainConfig(steps=steps, batch_size=batch_size))
+                monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", batch_size)
+                train_toy(dataset, graph, ToyTrainConfig(steps=steps))
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
-    def test_deterministic_history(self):
+    def test_deterministic_history(self, monkeypatch):
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 4)
         dataset = synthetic_dataset(num_images=8, seed=1)
-        cfg = ToyTrainConfig(steps=3, batch_size=4, seed=1)
+        cfg = ToyTrainConfig(steps=3, seed=1)
         a = train_toy(dataset, toy_graph(), cfg)
         b = train_toy(dataset, toy_graph(), cfg)
         assert a == b
 
     def test_each_head_read_once_per_image(self, monkeypatch):
-        import yolokit.loss
-
         calls = []
         real = yolokit.loss.read_head
 
@@ -701,12 +687,14 @@ class TestToyTraining:
         monkeypatch.setattr(yolokit.loss, "read_head", counting)
         dataset = synthetic_dataset(num_images=4, seed=4)
         assert all(example.boxes for example in dataset)  # the assignment reads too
-        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, batch_size=3, seed=4))
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 3)
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, seed=4))
         assert len(calls) == 6
 
-    def test_loss_decreases_quickly(self):
+    def test_loss_decreases_quickly(self, monkeypatch):
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 8)
         dataset = synthetic_dataset(num_images=16, seed=2)
-        history = train_toy(dataset, toy_graph(), ToyTrainConfig(steps=15, batch_size=8, seed=2))
+        history = train_toy(dataset, toy_graph(), ToyTrainConfig(steps=15, seed=2))
         assert history[-1] < history[0]
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -723,8 +711,6 @@ class TestToyTraining:
                                                           monkeypatch):
         # size <= 30 and num_classes 0 once failed inside numpy's draws
         # ("low >= high", "high <= 0"), and num_images -1 gave []
-        import yolokit.loss
-
         def no_draw(*args, **kwargs):
             raise AssertionError("drawing started")
 
