@@ -1,6 +1,7 @@
 """Target assignment, the three-term loss, SGD, and the toy trainer."""
 
 import dataclasses
+import inspect
 import math
 import re
 import tracemalloc
@@ -478,6 +479,22 @@ class TestSgd:
         for velocity in state.values():
             np.testing.assert_allclose(velocity, 10 * g, rtol=1e-6)
 
+    def test_momentum_step(self):
+        # v1 = g, p1 = p0 - lr*g; v2 = m*g + g, p2 = p1 - lr*(1 + m)*g
+        net = self._one_param_net()
+        before = [p.weights.copy() for _, p in net.conv_layers()]
+        state = {}
+        for _ in range(2):
+            net.zero_grads()
+            for _, p in net.conv_layers():
+                for _name, _value, grad in p.learnable():
+                    grad[:] = 0.25
+            sgd_step(net, state, lr=0.5, momentum=0.5)
+        for velocity in state.values():
+            np.testing.assert_array_equal(velocity, 0.375)
+        for (_, p), p0 in zip(net.conv_layers(), before):
+            np.testing.assert_allclose(p0 - p.weights, 0.5 * 0.25 + 0.5 * 0.375, rtol=1e-12)
+
     def test_missing_gradients_rejected(self):
         net = self._one_param_net()
         with pytest.raises(UsageError):
@@ -533,6 +550,56 @@ class TestToyTraining:
         for name in ("steps", "seed"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(config, name, -1)
+
+    @pytest.mark.parametrize("field", ["steps", "seed"])
+    def test_bad_setting_rejected_before_any_work(self, field, monkeypatch):
+        # the two settings left are checked when made, before a network is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(yolokit.loss, "random_init", no_work)
+        dataset = synthetic_dataset(num_images=4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{field} must be >= 0, got -1$"):
+                train_toy(dataset, toy_graph(), ToyTrainConfig(**{field: -1}))
+
+    def test_only_steps_and_seed_are_settable(self):
+        # the recipe is the module's constants: no field or parameter sets it
+        assert [f.name for f in dataclasses.fields(ToyTrainConfig)] == ["steps", "seed"]
+        assert list(inspect.signature(total_loss).parameters) == ["heads", "targets", "reads"]
+        assert not hasattr(yolokit.loss, "LossWeights")
+        assert "LossWeights" not in yolokit.__all__
+
+    def test_recipe_is_the_one_check_8_gates(self):
+        # README's battery item 8: YOLOv1's term weights (lambda_coord 5,
+        # lambda_noobj 0.5), lr 0.01, momentum 0.9, batch 16, 200 steps
+        loss = yolokit.loss
+        assert (loss.COORD_WEIGHT, loss.IOU_WEIGHT, loss.NOOBJ_WEIGHT,
+                loss.CLS_WEIGHT) == (5.0, 1.0, 0.5, 1.0)
+        assert (loss.LEARNING_RATE, loss.MOMENTUM, loss.BATCH_SIZE) == (0.01, 0.9, 16)
+        assert ToyTrainConfig() == ToyTrainConfig(steps=200, seed=0)
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_a_batch_of_copies_steps_as_one_image(self, batch, monkeypatch):
+        # a step averages its images' losses and gradients: a batch of one
+        # image's copies trains as a batch of that image alone
+        nets = []
+
+        def recording_init(*args, **kwargs):
+            nets.append(random_init(*args, **kwargs))
+            return nets[-1]
+
+        monkeypatch.setattr(yolokit.loss, "random_init", recording_init)
+        dataset = synthetic_dataset(num_images=1, seed=0)
+        histories = []
+        for size in (1, batch):
+            monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", size)
+            histories.append(train_toy(dataset, toy_graph(), ToyTrainConfig(steps=3)))
+        np.testing.assert_allclose(histories[1], histories[0], rtol=1e-6, atol=0)
+        for (_, one), (_, copies) in zip(nets[0].conv_layers(), nets[1].conv_layers()):
+            for (name, want, _), (_, got, _) in zip(one.learnable(), copies.learnable()):
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7, err_msg=name)
 
     @pytest.mark.parametrize("lr, cause", [
         (10.0, "has non-finite raw values"),        # the forward overflows
@@ -650,9 +717,14 @@ class TestToyTraining:
             train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1))
 
     def test_memory_does_not_grow_with_images(self, monkeypatch):
-        # one reused tape: a 4-step, 16-image run peaks where one image does
+        # one reused tape: a 4-step, 16-image run peaks where one image does.
+        # A warm-up run of the larger shape comes first: in some test orders
+        # the first such run made a one-time 1.9 MB interpreter allocation
+        # (one block, never freed) that a repeat of the run did not make.
         dataset = synthetic_dataset(num_images=16, seed=0)
         graph = toy_graph()
+        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 16)
+        train_toy(dataset, graph, ToyTrainConfig(steps=4))
         tracing = tracemalloc.is_tracing()
         peaks = []
         try:
