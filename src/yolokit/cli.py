@@ -13,6 +13,7 @@ import argparse
 import errno
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -152,14 +153,12 @@ def _check_destination(flag: str, path, is_dir: bool = False) -> None:
 
 
 def _check_inputs(paths) -> None:
-    """Fail (exit 1) before any input is read on the first path that does
-    not exist or is a directory, with the error opening it would give. Only
-    the name is looked up, so a pipe is left unread."""
+    """Fail (exit 1) before any input is read on the first path that cannot
+    be looked up (``os.stat``'s own error) or is a directory. Only the name
+    is looked up, so a pipe is left unread."""
     for path in paths:
-        if os.path.isdir(path):
+        if stat.S_ISDIR(os.stat(path).st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.exists(path):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _made_directories(path) -> list[str]:

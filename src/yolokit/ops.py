@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError, TapeError, UsageError
 
@@ -367,11 +366,14 @@ def _pad(x, pad, value, tape=None):
 def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
     # columns of output rows r0..r1-1: (C*k*k, (r1-r0)*out_w), rows in weight
     # order (c, ki, kj), columns in spatial scan order, so W @ cols is CHW
-    rows = x_padded[:, r0 * stride : (r1 - 1) * stride + k]
-    # the (c, ki, kj, row, col) window view: rows[c, row*stride + ki, col*stride + kj]
-    sc, sh, sw = rows.strides
-    windows = as_strided(rows, (rows.shape[0], k, k, r1 - r0, out_w),
-                         (sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    # the (c, ki, kj, row, col) window view x_padded[c, (r0 + row)*stride + ki,
+    # col*stride + kj], made on the C-contiguous x_padded's buffer: as_strided
+    # would intern its __array_interface__'s 'typestr' key anew on each call,
+    # filling, then rebuilding, the interpreter's string table
+    sc, sh, sw = x_padded.strides
+    windows = np.ndarray((x_padded.shape[0], k, k, r1 - r0, out_w), x_padded.dtype,
+                         buffer=x_padded, offset=r0 * stride * sh,
+                         strides=(sc, sh, sw, sh * stride, sw * stride))
     return _copy(windows, tape).reshape(-1, (r1 - r0) * out_w)
 
 
@@ -408,7 +410,9 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
     band = out_h if input_is_columns or tape is not None else min(
         out_h, max(1, IM2COL_BAND_BYTES // (cin * k * k * out_w * x.itemsize)))
     if not input_is_columns:
-        band_rows = _empty((cin, (band - 1) * s + k, w + 2 * pad), x.dtype, tape)
+        # flat, so that each band's padded rows, a ragged last band's too, are
+        # a C-contiguous (cin, rows, w + 2 * pad) prefix of it
+        band_buffer = _empty((cin * ((band - 1) * s + k) * (w + 2 * pad),), x.dtype, tape)
     dtype = np.result_type(w_mat, x)
     z = _empty((p.filters, out_h * out_w), dtype, tape)
     if p.has_batchnorm:
@@ -421,7 +425,9 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
         if input_is_columns:
             cols = x.reshape(cin, -1)
         else:
-            padded = _pad_rows(x, pad, 0, r0 * s, band_rows[:, : (r1 - r0 - 1) * s + k])
+            rows = (r1 - r0 - 1) * s + k
+            band_rows = band_buffer[: cin * rows * (w + 2 * pad)].reshape(cin, rows, -1)
+            padded = _pad_rows(x, pad, 0, r0 * s, band_rows)
             cols = _im2col(padded, k, s, 0, r1 - r0, out_w, tape)
         zb, yb = z[:, r0 * out_w : r1 * out_w], y[:, r0 * out_w : r1 * out_w]
         np.matmul(w_mat, cols, out=zb)

@@ -59,6 +59,24 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+# an input path that fails before any work, and the error os.stat or open gives
+BAD_INPUTS = [
+    ("missing", "[Errno 2] No such file or directory"),
+    ("directory", "[Errno 21] Is a directory"),
+    ("under a file", "[Errno 20] Not a directory"),
+]
+
+
+def _bad_input(tmp_path, kind):
+    if kind == "under a file":
+        (tmp_path / "file").write_text("")
+        return tmp_path / "file" / "input"
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    return path
+
+
 class TestPpm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -279,19 +297,15 @@ class TestDetect:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("kind, message", [
-        ("missing", "[Errno 2] No such file or directory"),
-        ("directory", "[Errno 21] Is a directory"),
-    ], ids=["missing", "directory"])
+    @pytest.mark.parametrize("kind, message", BAD_INPUTS,
+                             ids=[kind for kind, _ in BAD_INPUTS])
     def test_bad_second_image_fails_before_any_work(self, scene, tmp_path, monkeypatch,
                                                     capsys, kind, message):
         # the net was once built, and the first image run and rendered,
         # before the second was found missing; --out was never written
         monkeypatch.setattr(cli, "read_ppm", lambda *a: pytest.fail("an image was read"))
         monkeypatch.setattr(cli, "random_init", lambda *a, **kw: pytest.fail("the net was built"))
-        second = tmp_path / "second.ppm"
-        if kind == "directory":
-            second.mkdir()
+        second = _bad_input(tmp_path, kind)
         out, rendered = tmp_path / "p.txt", tmp_path / "r"
         code = run(["detect", scene, second, "--model", "yolov3-tiny", "--classes", "2",
                     "--size", "320", "--out", out, "--render", rendered])
@@ -487,17 +501,13 @@ class TestEval:
         assert err == (f"error: {bad}: line 1: not UTF-8 text: invalid continuation byte 0xc3 "
                        "(at or after this line)\n")
 
-    @pytest.mark.parametrize("kind, message", [
-        ("missing", "[Errno 2] No such file or directory"),
-        ("directory", "[Errno 21] Is a directory"),
-    ], ids=["missing", "directory"])
+    @pytest.mark.parametrize("kind, message", BAD_INPUTS,
+                             ids=[kind for kind, _ in BAD_INPUTS])
     def test_bad_prediction_file_fails_before_the_annotations_are_read(
             self, tmp_path, monkeypatch, capsys, kind, message):
         gt_dir, _ = self._write_fixture(tmp_path)
         monkeypatch.setattr(cli, "load_ground_truth", lambda *a: pytest.fail("eval began"))
-        pred = tmp_path / "nope.txt"
-        if kind == "directory":
-            pred.mkdir()
+        pred = _bad_input(tmp_path, kind)
         code = run(["eval", "--gt", gt_dir, "--pred", pred, "--out-dir", tmp_path / "out"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}: '{pred}'\n"

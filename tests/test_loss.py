@@ -717,14 +717,9 @@ class TestToyTraining:
             train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1))
 
     def test_memory_does_not_grow_with_images(self, monkeypatch):
-        # one reused tape: a 4-step, 16-image run peaks where one image does.
-        # A warm-up run of the larger shape comes first: in some test orders
-        # the first such run made a one-time 1.9 MB interpreter allocation
-        # (one block, never freed) that a repeat of the run did not make.
+        # one reused tape: a 4-step, 16-image run peaks where one image does
         dataset = synthetic_dataset(num_images=16, seed=0)
         graph = toy_graph()
-        monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 16)
-        train_toy(dataset, graph, ToyTrainConfig(steps=4))
         tracing = tracemalloc.is_tracing()
         peaks = []
         try:
