@@ -21,6 +21,10 @@ TINY_ANCHORS = (10, 14, 23, 27, 37, 58, 81, 82, 135, 169, 344, 319)
 
 HEAD_STRIDES = (8, 16, 32)
 
+# The toy problem's frame side in pixels and its class count, for
+# ``toy_graph`` and ``loss.synthetic_dataset``.
+TOY_SIZE, TOY_CLASSES = 64, 2
+
 
 def head_channels(num_classes: int) -> int:
     """Channels of a ``[yolo]`` layer's map: 3 anchors x (4 box terms,
@@ -455,14 +459,15 @@ def builtin_graph(variant: str, num_classes: int) -> ModelGraph:
     return _build([LayerSpec("net", {"width": 640, "height": 640, "channels": 3}), *layers])
 
 
-def toy_graph(num_classes: int = 2, size: int = 64) -> ModelGraph:
+def toy_graph() -> ModelGraph:
     """Six-layer detection micrograph (5 convs + 1 head) at stride 8, on a
-    ``size`` x ``size`` input, with the three finest ``COCO_ANCHORS``."""
-    check_num_classes(num_classes)
+    ``TOY_SIZE`` x ``TOY_SIZE`` input, for ``TOY_CLASSES`` classes, with the
+    three finest ``COCO_ANCHORS``."""
     layers = [_conv(8, 3), *(_conv(filters, 3, stride=2) for filters in (16, 16, 32)),
-              _head_conv(num_classes),
-              _yolo((0, 1, 2), num_classes, COCO_ANCHORS[:6])]
-    return _build([LayerSpec("net", {"width": size, "height": size, "channels": 3}), *layers])
+              _head_conv(TOY_CLASSES),
+              _yolo((0, 1, 2), TOY_CLASSES, COCO_ANCHORS[:6])]
+    return _build([LayerSpec("net", {"width": TOY_SIZE, "height": TOY_SIZE, "channels": 3}),
+                   *layers])
 
 
 def _tiny_layers(num_classes: int) -> list[LayerSpec]:

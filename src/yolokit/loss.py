@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cfg import ModelGraph, check_num_classes
+from .cfg import TOY_CLASSES, TOY_SIZE, ModelGraph
 from .errors import NumericError, ShapeError, UsageError, ValidationError
 from .evaluation import GroundTruthBox
 from .detect import Box, check_image, corner_table, iou_grid, letterbox, read_head
@@ -224,11 +224,10 @@ def sgd_step(network: Network, state: dict, lr: float, momentum: float) -> None:
 # Synthetic data and the toy trainer
 # ---------------------------------------------------------------------------
 
+TOY_IMAGES = 32  # frames in the toy set
 _TOY_COLORS = (  # 8-bit RGB, one per class
     (217, 38, 26),
     (26, 76, 217),
-    (230, 204, 26),
-    (38, 204, 76),
 )
 _TOY_MAX_SIDE = 28  # a rectangle's sides are 12..28 pixels
 
@@ -236,42 +235,34 @@ _TOY_MAX_SIDE = 28  # a rectangle's sides are 12..28 pixels
 @dataclass
 class ToyExample:
     image_id: str
-    image: np.ndarray  # (3, S, S) uint8 frame
+    image: np.ndarray  # (3, TOY_SIZE, TOY_SIZE) uint8 frame
     boxes: list[GroundTruthBox] = field(default_factory=list)
 
 
-def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2,
-                      seed: int = 0) -> list[ToyExample]:
-    """Seeded colored rectangles on noise backgrounds, with exact labels.
+def synthetic_dataset(seed: int = 0) -> list[ToyExample]:
+    """``TOY_IMAGES`` seeded colored rectangles on noise backgrounds, with
+    exact labels.
 
-    Each frame is a (3, size, size) uint8 array, the form ``read_ppm``
-    returns: noise drawn in [0, 0.3] of full scale and rounded to 8 bits,
-    under one or two rectangles of a ``_TOY_COLORS`` color, each at least a
-    pixel from the border. A count or size out of range is a
-    ``ValidationError`` naming it, raised before any draw.
+    Each frame is a (3, TOY_SIZE, TOY_SIZE) uint8 array, the form
+    ``read_ppm`` returns: noise drawn in [0, 0.3] of full scale and rounded
+    to 8 bits, under one or two rectangles of a class's ``_TOY_COLORS``
+    color, each at least a pixel from the border. The frames are drawn in
+    order from one generator.
     """
-    if num_images < 0:
-        raise ValidationError(f"num_images must be >= 0, got {num_images}")
-    if size < _TOY_MAX_SIDE + 3:
-        raise ValidationError(f"size must be >= {_TOY_MAX_SIDE + 3} (a {_TOY_MAX_SIDE} px "
-                              f"rectangle and a 1 px margin on each side), got {size}")
-    check_num_classes(num_classes)
-    if num_classes > len(_TOY_COLORS):
-        raise ValidationError(f"num_classes must be <= {len(_TOY_COLORS)}, the synthetic "
-                              f"colors, got {num_classes}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     examples = []
-    for n in range(num_images):
-        image = np.rint(rng.uniform(0.0, 0.3, size=(3, size, size)) * 255).astype(np.uint8)
+    for n in range(TOY_IMAGES):
+        noise = rng.uniform(0.0, 0.3, size=(3, TOY_SIZE, TOY_SIZE))
+        image = np.rint(noise * 255).astype(np.uint8)
         boxes = []
         placed = []
         for _ in range(int(rng.integers(1, 3))):
             for _attempt in range(10):
                 w = int(rng.integers(12, _TOY_MAX_SIDE + 1))
                 h = int(rng.integers(12, _TOY_MAX_SIDE + 1))
-                x0 = int(rng.integers(1, size - w - 1))
-                y0 = int(rng.integers(1, size - h - 1))
+                x0 = int(rng.integers(1, TOY_SIZE - w - 1))
+                y0 = int(rng.integers(1, TOY_SIZE - h - 1))
                 if all(
                     x0 + w <= px or px + pw <= x0 or y0 + h <= py or py + ph <= y0
                     for px, py, pw, ph in placed
@@ -279,7 +270,7 @@ def synthetic_dataset(num_images: int = 32, size: int = 64, num_classes: int = 2
                     break
             else:
                 continue
-            cls = int(rng.integers(num_classes))
+            cls = int(rng.integers(TOY_CLASSES))
             image[:, y0 : y0 + h, x0 : x0 + w] = np.array(_TOY_COLORS[cls])[:, None, None]
             placed.append((x0, y0, w, h))
             boxes.append(

@@ -446,8 +446,8 @@ def check_toy_training(seed: int = 0) -> CheckResult:
     must be at most half the initial."""
 
     def run():
-        dataset = synthetic_dataset(num_images=32, size=64, num_classes=2, seed=seed)
-        graph = toy_graph(num_classes=2, size=64)
+        dataset = synthetic_dataset(seed=seed)
+        graph = toy_graph()
         history = train_toy(dataset, graph, ToyTrainConfig(seed=seed))
         ratio = history[-1] / history[0]
         finite = all(np.isfinite(v) for v in history)

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import yolokit
-from yolokit import cli, evaluation, verify
+from yolokit import cli, evaluation
 from yolokit.cfg import (
     builtin_graph,
     check_num_classes,
-    graph_equal,
     parse_cfg,
     render_cfg,
     shape_check,
@@ -602,34 +601,6 @@ class TestTrainToyCommand:
     def test_negative_steps_usage_error(self, tmp_path):
         assert run(["train-toy", "--steps", "-1", "--out", tmp_path / "x.csv"]) == 2
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_check_8_trains_what_train_toy_trains(self, tmp_path, monkeypatch, capsys, seed):
-        # verify states the toy set and graph; train-toy takes their defaults
-        runs = {}
-
-        def recorder(command):
-            def trainer(dataset, graph, config):
-                runs[command] = dataset, graph, config
-                return [1.0, 0.5]
-            return trainer
-
-        monkeypatch.setattr(cli, "train_toy", recorder("train-toy"))
-        monkeypatch.setattr(verify, "train_toy", recorder("verify"))
-        for name in dir(verify):  # every check but the toy gate runs nothing
-            if name.startswith("check_") and name != "check_toy_training":
-                monkeypatch.setattr(verify, name,
-                                    lambda *a, name=name: CheckResult(name, True, "", "", 0.0))
-        assert run(["verify", "--seed", seed]) == 0
-        assert run(["train-toy", "--seed", seed, "--steps", "200",
-                    "--out", tmp_path / "loss.csv"]) == 0
-        (checked, checked_graph, checked_config), (trained, graph, config) = (
-            runs["verify"], runs["train-toy"])
-        assert [e.image.tobytes() for e in checked] == [e.image.tobytes() for e in trained]
-        assert [(e.image_id, e.boxes) for e in checked] == [(e.image_id, e.boxes)
-                                                             for e in trained]
-        assert len(trained) == 32 and graph_equal(checked_graph, graph)
-        assert checked_config == config == ToyTrainConfig(steps=200, seed=seed)
-
 
 class TestDestinations:
     """An output that cannot be written fails (exit 1), naming it, before
@@ -772,7 +743,7 @@ class TestDestinations:
     def test_classes_default_for_a_builtin_and_agree_with_a_cfg(
             self, tmp_path, monkeypatch, argv, classes):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "toy.cfg").write_text(render_cfg(toy_graph(num_classes=2)))
+        (tmp_path / "toy.cfg").write_text(render_cfg(toy_graph()))
         graph = cli._resolve_graph(cli.build_parser().parse_args(["detect", "a.ppm", *argv]))
         assert {layer.attrs["classes"] for layer in graph.layers if layer.kind == "yolo"} == {
             classes}
@@ -788,7 +759,7 @@ class TestDestinations:
         monkeypatch.setattr(cli, "read_ppm", lambda path: pytest.fail("an image was read"))
         path, out = tmp_path / "model.cfg", tmp_path / "p.txt"
         path.write_text(HEADLESS_CFG if cfg_classes is None
-                        else render_cfg(toy_graph(num_classes=cfg_classes)))
+                        else render_cfg(toy_graph()))
         assert run(["detect", scene, "--cfg", path, "--classes", classes,
                     "--size", "64", "--out", out]) == 2
         assert capsys.readouterr().err == (

@@ -17,8 +17,9 @@ default of a ``@dataclass(frozen=True)``, whose generated ``__init__``
 takes its fields in order; a mutable record is left out, since its
 fields are state that code assigns by attribute. Calls are matched by the
 called name, a class's name for its ``__init__``; a ``*args`` or
-``**kwargs`` in a call passes every parameter it could reach. These trees
-are read with ``ast``.
+``**kwargs`` in a call passes every parameter it could reach. An argument
+that is a literal equal to the parameter's literal default restates it and
+passes nothing. These trees are read with ``ast``.
 """
 
 import ast
@@ -108,20 +109,31 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
                for d in node.decorator_list)
 
 
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    """The value of ``node`` if it is a literal, else ``_NOT_LITERAL``."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _NOT_LITERAL
+
+
 def _defaulted_parameters(tree: ast.Module):
-    """(called name, line, parameter, position, keyword) of each parameter
-    with a default: ``position`` is its index among a call's positional
-    arguments (None if it is keyword-only), ``keyword`` whether a keyword
-    can pass it. A method's ``self`` or ``cls`` is no call's argument; an
-    ``__init__`` is called by its class's name, as is a frozen dataclass,
-    whose fields are its parameters."""
+    """(called name, line, parameter, position, keyword, default) of each
+    parameter with a default: ``position`` is its index among a call's
+    positional arguments (None if it is keyword-only), ``keyword`` whether a
+    keyword can pass it, ``default`` its node. A method's ``self`` or
+    ``cls`` is no call's argument; an ``__init__`` is called by its class's
+    name, as is a frozen dataclass, whose fields are its parameters."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
             fields = [item for item in node.body
                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
             for index, item in enumerate(fields):
                 if item.value is not None:
-                    yield node.name, item.lineno, item.target.id, index, True
+                    yield node.name, item.lineno, item.target.id, index, True, item.value
     methods = {item: node.name if item.name == "__init__" else item.name
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.FunctionDef)}
@@ -134,17 +146,18 @@ def _defaulted_parameters(tree: ast.Module):
         args = fn.args
         positional = args.posonlyargs + args.args
         first_default = len(positional) - len(args.defaults)
-        for index, param in enumerate(positional[first_default:], first_default):
-            yield name, fn.lineno, param.arg, index - implicit, param in args.args
+        for index, (param, default) in enumerate(
+                zip(positional[first_default:], args.defaults), first_default):
+            yield name, fn.lineno, param.arg, index - implicit, param in args.args, default
         for param, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield name, fn.lineno, param.arg, None, True
+                yield name, fn.lineno, param.arg, None, True, default
 
 
 def _calls(tree: ast.Module):
-    """(called name, positional count, first ``*`` position or None,
-    keywords, whether a ``**`` is given) of each call to a name or an
-    attribute."""
+    """(called name, positional arguments, first ``*`` position or None,
+    keyword arguments by name, whether a ``**`` is given) of each call to a
+    name or an attribute."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -152,9 +165,10 @@ def _calls(tree: ast.Module):
         if not isinstance(func, (ast.Name, ast.Attribute)):
             continue
         starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
-        keywords = {kw.arg for kw in node.keywords}
-        yield (func.id if isinstance(func, ast.Name) else func.attr, len(node.args),
-               starred[0] if starred else None, keywords - {None}, None in keywords)
+        keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
+        yield (func.id if isinstance(func, ast.Name) else func.attr, node.args,
+               starred[0] if starred else None, keywords,
+               any(kw.arg is None for kw in node.keywords))
 
 
 def unpassed_parameters(sources: dict) -> list[str]:
@@ -168,16 +182,22 @@ def unpassed_parameters(sources: dict) -> list[str]:
         for name, *call in _calls(tree):
             calls.setdefault(name, []).append(call)
 
-    def passed(name, position, param, keyword):
+    def passed(name, position, param, keyword, default):
+        default = _literal(default)
+
+        def gives(arg):  # anything but the literal default restated
+            return default is _NOT_LITERAL or _literal(arg) != default
+
         return any(
-            position is not None and (position < count or star is not None and position >= star)
-            or keyword and (param in keywords or double_star)
-            for count, star, keywords, double_star in calls.get(name, ()))
+            position is not None and (star is not None and position >= star
+                                      or position < len(args) and gives(args[position]))
+            or keyword and (param in keywords and gives(keywords[param]) or double_star)
+            for args, star, keywords, double_star in calls.get(name, ()))
 
     return [f"{path.relative_to(ROOT)}:{line} {name}({param})"
             for path, tree in trees.items() if path.is_relative_to(KIT) and path != EXEMPT
-            for name, line, param, position, keyword in _defaulted_parameters(tree)
-            if not passed(name, position, param, keyword)]
+            for name, line, param, position, keyword, default in _defaulted_parameters(tree)
+            if not passed(name, position, param, keyword, default)]
 
 
 def test_every_kit_default_is_passed_by_the_kit_or_perfbench():
@@ -193,12 +213,29 @@ def test_a_default_counts_as_passed_only_by_a_call_that_can_reach_it():
                       b"def k(z=0):\n    pass\n"
                       b"class C:\n    def __init__(self, u=0, v=0):\n        pass\n"
                       b"    def m(self, w=0):\n        pass\n"
-                      b"f(0, 1)\nf(0, e=5)\ng(y=1)\nk(*[1])\nC(1)\nC().m(**{})\n",
+                      b"f(0, 5)\nf(0, e=5)\ng(y=1)\nk(*[1])\nC(1)\nC().m(**{})\n",
         KIT / "oracles.py": b"def exempt(q=0):\n    pass\n",
         ROOT / "perfbench" / "p.py": b"from yolokit.a import f\nf(0, d=1)\n",
     }
     assert [line.split()[-1] for line in unpassed_parameters(kit)] == [
         "f(c)", "g(x)", "h(y)", "C(v)"]
+
+
+def test_a_literal_equal_to_the_default_passes_nothing():
+    # restating a default leaves it a knob; a name, an expression (even one
+    # equal to it) or a literal that differs is a pass, and so is any
+    # argument for a default that is no literal
+    kit = {
+        KIT / "a.py": b"from dataclasses import dataclass\n"
+                      b"N = 1\n"
+                      b"def f(a=1, b=(2, 3), *, c=None, d=-1, e='x'):\n    pass\n"
+                      b"def g(x=N):\n    pass\n"
+                      b"@dataclass(frozen=True)\nclass F:\n    y: int = 0\n    z: float = 0.5\n"
+                      b"f(1, (2, 3), c=None, d=-1, e='y')\nf(N)\ng(1)\nF(0, z=0.25)\n",
+        ROOT / "perfbench" / "p.py": b"from yolokit.a import f\nf(b=(2, 3), d=1 - 2)\n",
+    }
+    assert [line.split()[-1] for line in unpassed_parameters(kit)] == [
+        "F(y)", "f(b)", "f(c)"]
 
 
 def test_a_frozen_dataclass_field_counts_as_passed_only_by_a_call_that_can_reach_it():
@@ -211,7 +248,7 @@ def test_a_frozen_dataclass_field_counts_as_passed_only_by_a_call_that_can_reach
                       b"@dataclass(frozen=True, eq=False)\nclass G:\n    x: int = 0\n"
                       b"@dataclass\nclass M:\n    y: int = 0\n"
                       b"@dataclass(frozen=False)\nclass N:\n    z: int = 0\n"
-                      b"F(0, 1)\nF(0, e=5)\nM(x=1)\n",
+                      b"F(0, 5)\nF(0, e=5)\nM(x=1)\n",
         ROOT / "perfbench" / "p.py": b"from yolokit.a import F\nF(0, d=1)\n",
     }
     assert [line.split()[-1] for line in unpassed_parameters(kit)] == ["F(c)", "G(x)"]

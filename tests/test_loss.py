@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import yolokit.loss
-from yolokit.cfg import parse_cfg, render_cfg, toy_graph
+from yolokit.cfg import TOY_CLASSES, TOY_SIZE, parse_cfg, render_cfg, toy_graph
 from yolokit.detect import Box, iou, letterbox, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
 from yolokit.evaluation import GroundTruthBox, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.loss import (
+    TOY_IMAGES,
     ToyTrainConfig,
     assign_targets,
     loss_gradients,
@@ -177,7 +178,7 @@ class TestAssignment:
 
     def test_ignore_thresh_comes_from_the_cfg(self):
         # one net's weights under three [yolo] ignore_thresh values
-        text = render_cfg(toy_graph(2, 64))
+        text = render_cfg(toy_graph())
         image = np.random.default_rng(8).uniform(0, 1, (3, 64, 64))
         truth = [gt(20, 24, 16, 30), gt(44, 40, 30, 20, cls=1)]
         masks = []
@@ -441,7 +442,7 @@ class TestOnePass:
 
 class TestSgd:
     def _one_param_net(self):
-        net = random_init(toy_graph(2, 64), seed=0)
+        net = random_init(toy_graph(), seed=0)
         return net
 
     def test_vanilla_step(self):
@@ -535,13 +536,13 @@ def _assert_bitwise_inputs(seen, expected):
 
 class TestToyTraining:
     def test_zero_steps_empty_history(self):
-        dataset = synthetic_dataset(num_images=4, seed=0)
+        dataset = synthetic_dataset(seed=0)[:4]
         assert train_toy(dataset, toy_graph(), ToyTrainConfig(steps=0)) == []
 
     @pytest.mark.parametrize("steps, num_images", [(-1, 4), (3, 0), (0, 0)])
     def test_bad_config_or_empty_dataset_rejected(self, steps, num_images):
         # an empty set once divided by zero mid-run
-        dataset = synthetic_dataset(num_images=4, seed=0)[:num_images]
+        dataset = synthetic_dataset(seed=0)[:num_images]
         with pytest.raises(ValidationError):
             train_toy(dataset, toy_graph(), ToyTrainConfig(steps=steps))
 
@@ -558,7 +559,7 @@ class TestToyTraining:
             raise AssertionError("training started")
 
         monkeypatch.setattr(yolokit.loss, "random_init", no_work)
-        dataset = synthetic_dataset(num_images=4, seed=0)
+        dataset = synthetic_dataset(seed=0)[:4]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"^{field} must be >= 0, got -1$"):
@@ -591,7 +592,7 @@ class TestToyTraining:
             return nets[-1]
 
         monkeypatch.setattr(yolokit.loss, "random_init", recording_init)
-        dataset = synthetic_dataset(num_images=1, seed=0)
+        dataset = synthetic_dataset(seed=0)[:1]
         histories = []
         for size in (1, batch):
             monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", size)
@@ -608,7 +609,7 @@ class TestToyTraining:
     def test_divergence_names_step_image_and_head(self, lr, cause, monkeypatch):
         monkeypatch.setattr(yolokit.loss, "LEARNING_RATE", lr)
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 2)
-        dataset = synthetic_dataset(num_images=8, seed=0)
+        dataset = synthetic_dataset(seed=0)[:8]
         config = ToyTrainConfig(steps=6, seed=0)
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError) as err:
@@ -654,7 +655,7 @@ class TestToyTraining:
         monkeypatch.setattr(yolokit.loss, "random_init", recording_init)
         monkeypatch.setattr(yolokit.loss, "sgd_step", recording_step)
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 2)
-        dataset = synthetic_dataset(num_images=4, seed=0)
+        dataset = synthetic_dataset(seed=0)[:4]
         train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2))
         (net,) = nets
         assert len(states) == 2 and states[0] is states[1]
@@ -689,7 +690,7 @@ class TestToyTraining:
         # the bits the trainer trains on are the bits detect reads from a
         # PPM file of the frame
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 5)
-        dataset = synthetic_dataset(num_images=6, seed=0)
+        dataset = synthetic_dataset(seed=0)[:6]
         seen = _recording_forward(monkeypatch)
         train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2))
         assert len(seen) == 10
@@ -711,14 +712,14 @@ class TestToyTraining:
             raise AssertionError("training started")
 
         monkeypatch.setattr(Network, "forward", no_forward)
-        dataset = synthetic_dataset(num_images=4, seed=0)
+        dataset = synthetic_dataset(seed=0)[:4]
         dataset[2].image = frame(dataset[2].image)
         with pytest.raises(ValidationError, match=rf"^toy_002: {re.escape(message)}$"):
             train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1))
 
     def test_memory_does_not_grow_with_images(self, monkeypatch):
         # one reused tape: a 4-step, 16-image run peaks where one image does
-        dataset = synthetic_dataset(num_images=16, seed=0)
+        dataset = synthetic_dataset(seed=0)[:16]
         graph = toy_graph()
         tracing = tracemalloc.is_tracing()
         peaks = []
@@ -737,7 +738,7 @@ class TestToyTraining:
 
     def test_deterministic_history(self, monkeypatch):
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 4)
-        dataset = synthetic_dataset(num_images=8, seed=1)
+        dataset = synthetic_dataset(seed=1)[:8]
         cfg = ToyTrainConfig(steps=3, seed=1)
         a = train_toy(dataset, toy_graph(), cfg)
         b = train_toy(dataset, toy_graph(), cfg)
@@ -752,7 +753,7 @@ class TestToyTraining:
             return real(head)
 
         monkeypatch.setattr(yolokit.loss, "read_head", counting)
-        dataset = synthetic_dataset(num_images=4, seed=4)
+        dataset = synthetic_dataset(seed=4)[:4]
         assert all(example.boxes for example in dataset)  # the assignment reads too
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 3)
         train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, seed=4))
@@ -760,55 +761,52 @@ class TestToyTraining:
 
     def test_loss_decreases_quickly(self, monkeypatch):
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 8)
-        dataset = synthetic_dataset(num_images=16, seed=2)
+        dataset = synthetic_dataset(seed=2)[:16]
         history = train_toy(dataset, toy_graph(), ToyTrainConfig(steps=15, seed=2))
         assert history[-1] < history[0]
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"size": 30}, "size must be >= 31 (a 28 px rectangle and a 1 px margin on each "
-                       "side), got 30"),
-        ({"size": 0}, "size must be >= 31 (a 28 px rectangle and a 1 px margin on each "
-                      "side), got 0"),
-        ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
-        ({"num_classes": 5}, "num_classes must be <= 4, the synthetic colors, got 5"),
-        ({"num_images": -1}, "num_images must be >= 0, got -1"),
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-    ])
-    def test_bad_dataset_argument_rejected_before_any_draw(self, kwargs, message,
-                                                          monkeypatch):
-        # size <= 30 and num_classes 0 once failed inside numpy's draws
-        # ("low >= high", "high <= 0"), and num_images -1 gave []
+    def test_only_the_seed_sets_the_toy_set(self):
+        # the set's count, frame size and classes are the constants the
+        # graph is built from: no parameter restates or changes them
+        assert list(inspect.signature(synthetic_dataset).parameters) == ["seed"]
+        assert list(inspect.signature(toy_graph).parameters) == []
+        graph = toy_graph()
+        assert (graph.input_channels, graph.input_height, graph.input_width) == (
+            3, TOY_SIZE, TOY_SIZE)
+        (head,) = [layer for layer in graph.layers if layer.kind == "yolo"]
+        assert head.attrs["classes"] == TOY_CLASSES
+        for seed in range(4):
+            dataset = synthetic_dataset(seed=seed)
+            assert len(dataset) == TOY_IMAGES
+            assert {example.image.shape for example in dataset} == {(3, TOY_SIZE, TOY_SIZE)}
+            assert all(0 <= g.class_index < head.attrs["classes"]
+                       for example in dataset for g in example.boxes)
+
+    def test_bad_seed_rejected_before_any_draw(self, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("drawing started")
 
         monkeypatch.setattr(yolokit.loss.np.random, "default_rng", no_draw)
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            synthetic_dataset(**kwargs)
-
-    def test_smallest_size_fits_every_rectangle_and_color(self):
-        dataset = synthetic_dataset(num_images=64, size=31, num_classes=4, seed=5)
-        classes = set()
-        for example in dataset:
-            assert example.image.shape == (3, 31, 31)
-            for g in example.boxes:
-                x0, y0 = g.box.x - g.box.w / 2, g.box.y - g.box.h / 2
-                assert x0 >= 1 and y0 >= 1
-                assert x0 + g.box.w <= 30 and y0 + g.box.h <= 30
-                classes.add(g.class_index)
-        assert classes == {0, 1, 2, 3}
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            synthetic_dataset(seed=-1)
 
     def test_dataset_labels_are_exact_and_dumpable(self):
-        dataset = synthetic_dataset(num_images=6, seed=3)
-        for example in dataset:
+        classes = set()
+        for example in synthetic_dataset(seed=3):
             assert example.image.shape == (3, 64, 64)
             assert example.image.dtype == np.uint8 and example.image.flags.c_contiguous
             for box in example.boxes:
-                # the labeled rectangle is exactly the painted color patch
+                # the labeled rectangle is exactly the painted color patch,
+                # at least a pixel from the border
                 x0 = int(box.box.x - box.box.w / 2)
                 y0 = int(box.box.y - box.box.h / 2)
-                patch = example.image[:, y0 : y0 + int(box.box.h), x0 : x0 + int(box.box.w)]
+                w, h = int(box.box.w), int(box.box.h)
+                assert x0 >= 1 and y0 >= 1 and x0 + w <= 63 and y0 + h <= 63
+                patch = example.image[:, y0 : y0 + h, x0 : x0 + w]
                 assert np.ptp(patch, axis=(1, 2)).max() == 0
+                classes.add(box.class_index)
             reparsed = parse_visdrone(format_visdrone(example.boxes), example.image_id)
             assert [(g.class_index, g.box) for g in reparsed] == [
                 (g.class_index, g.box) for g in example.boxes
             ]
+        assert classes == {0, 1}  # every class is drawn

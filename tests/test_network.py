@@ -55,7 +55,7 @@ class TestForward:
                 network.HeadOutput(16, np.zeros(shape), [(1.0, 1.0)] * 3, 0.5)
 
     def test_grid_doubles_with_input(self):
-        net = random_init(toy_graph(2, 64), seed=1)
+        net = random_init(toy_graph(), seed=1)
         rng = np.random.default_rng(1)
         small = net.forward(rng.uniform(0, 1, (3, 64, 64)))
         large = net.forward(rng.uniform(0, 1, (3, 128, 128)))
@@ -64,19 +64,19 @@ class TestForward:
         assert small[0].stride == large[0].stride == 8
 
     def test_rectangular_input(self):
-        net = random_init(toy_graph(2, 64), seed=1)
+        net = random_init(toy_graph(), seed=1)
         heads = net.forward(np.zeros((3, 64, 96)))
         assert heads[0].grid == (8, 12)
 
     def test_forward_determinism_bitwise(self):
-        net = random_init(toy_graph(2, 64), seed=2)
+        net = random_init(toy_graph(), seed=2)
         image = np.random.default_rng(2).uniform(0, 1, (3, 64, 64))
         a = net.forward(image)[0].raw
         b = net.forward(image)[0].raw
         assert np.array_equal(a, b)
 
     def test_unparameterized_network_rejected(self):
-        net = Network(toy_graph(2, 64))
+        net = Network(toy_graph())
         with pytest.raises(UsageError):
             net.forward(np.zeros((3, 64, 64)))
 
@@ -93,7 +93,7 @@ class TestForward:
     ])
     def test_image_in_another_float_dtype_rejected(self, net_dtype, image_dtype):
         # such an image was once cast to the net's dtype on every call
-        net = random_init(toy_graph(2, 64), seed=1, dtype=net_dtype)
+        net = random_init(toy_graph(), seed=1, dtype=net_dtype)
         image = np.zeros((3, 64, 64), dtype=image_dtype)
         with pytest.raises(ShapeError, match=f"image is {np.dtype(image_dtype)}, the net "
                                              f"runs in {np.dtype(net_dtype)}"):
@@ -111,7 +111,7 @@ class TestForward:
         assert all(np.isfinite(h.raw).all() for h in heads)
 
     def test_zero_weights_give_finite_constant_heads(self):
-        net = random_init(toy_graph(2, 64), seed=3)
+        net = random_init(toy_graph(), seed=3)
         for _, p in net.conv_layers():
             p.weights[:] = 0
         head = net.forward(np.random.default_rng(3).uniform(0, 1, (3, 64, 64)))[0]
@@ -236,7 +236,7 @@ class TestTrainingPass:
 
     @pytest.mark.parametrize("variant", ["toy", "first_1x1"])
     def test_parameter_gradients_equal_a_pass_with_image_gradient(self, variant):
-        graph = toy_graph(2, 64) if variant == "toy" else parse_cfg(FIRST_1X1_CFG)
+        graph = toy_graph() if variant == "toy" else parse_cfg(FIRST_1X1_CFG)
         size = graph.input_width
         image = np.random.default_rng(12).uniform(0, 1, (3, size, size))
         grads = []
@@ -257,7 +257,7 @@ class TestTrainingPass:
             assert np.array_equal(got, want)
 
     def test_image_gradient_none_after_network_backward(self):
-        net = random_init(toy_graph(2, 64), seed=14)
+        net = random_init(toy_graph(), seed=14)
         image = np.random.default_rng(14).uniform(0, 1, (3, 64, 64))
         before = image.copy()
         net.zero_grads()
@@ -327,12 +327,12 @@ class TestInputSize:
 
     @pytest.mark.parametrize("size,grid", [(40, 5), (48, 6), (64, 8)])
     def test_toy_runs_at_head_stride_multiples(self, size, grid):
-        net = random_init(toy_graph(2, 64), seed=15)
+        net = random_init(toy_graph(), seed=15)
         heads = net.forward(np.random.default_rng(15).uniform(0, 1, (3, size, size)))
         assert heads[0].grid == (grid, grid) and heads[0].stride == 8
 
     def test_toy_rejects_size_off_its_stride(self):
-        net = random_init(toy_graph(2, 64), seed=15)
+        net = random_init(toy_graph(), seed=15)
         with pytest.raises(ShapeError, match="stride"):
             net.forward(np.zeros((3, 44, 44)))
 
@@ -362,7 +362,7 @@ class TestInputSize:
             return real(graph, width, height)
 
         monkeypatch.setattr(network, "shape_check", counting)
-        net = random_init(toy_graph(2, 64), seed=16)
+        net = random_init(toy_graph(), seed=16)
         assert calls == [(64, 64)]  # the constructor's check covers the graph's size
         for size in (64, 48, 64, 48, 64):
             net.forward(np.zeros((3, size, size)))
@@ -450,7 +450,7 @@ class TestFreeze:
 
     def test_unparameterized_network_rejected(self):
         with pytest.raises(UsageError):
-            Network(toy_graph(2, 64)).freeze()
+            Network(toy_graph()).freeze()
 
     @pytest.mark.parametrize("layer,name,value,message", [
         (2, "bn_var", np.r_[np.ones(15), 0.0], "^layer 2: non-positive batch-norm variance$"),
