@@ -27,6 +27,8 @@ import io
 import tokenize
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 KIT = ROOT / "src" / "yolokit"
 TREES = (KIT, ROOT / "perfbench")
@@ -236,6 +238,18 @@ def test_a_literal_equal_to_the_default_passes_nothing():
     }
     assert [line.split()[-1] for line in unpassed_parameters(kit)] == [
         "F(y)", "f(b)", "f(c)"]
+
+
+@pytest.mark.parametrize("calls, unpassed", [
+    ("f(1.0)", ["f(a)"]),  # an equal literal of another type restates it
+    ("f(1)\nf(a=1)", ["f(a)"]),  # restatements do not add up to a pass
+    ("f(1)\nf(2)", []),  # one call that gives another value is enough
+    ("f(*[1])", []),  # a star's values are not read
+    ("f(**{'a': 1})", []),
+], ids=["equal-float", "restated-twice", "one-differs", "star", "double-star"])
+def test_one_call_that_differs_from_a_literal_default_passes_it(calls, unpassed):
+    kit = {KIT / "a.py": b"def f(a=1):\n    pass\n" + calls.encode() + b"\n"}
+    assert [line.split()[-1] for line in unpassed_parameters(kit)] == unpassed
 
 
 def test_a_frozen_dataclass_field_counts_as_passed_only_by_a_call_that_can_reach_it():

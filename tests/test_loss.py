@@ -765,6 +765,23 @@ class TestToyTraining:
         history = train_toy(dataset, toy_graph(), ToyTrainConfig(steps=15, seed=2))
         assert history[-1] < history[0]
 
+    def test_one_color_per_class_above_the_noise(self):
+        # every color is some class's, and each is brighter than the noise
+        # (at most 0.3 of full scale) in at least one channel
+        colors = yolokit.loss._TOY_COLORS
+        assert len(colors) == len(set(colors)) == TOY_CLASSES
+        assert all(max(color) > round(0.3 * 255) for color in colors)
+
+    def test_a_seed_draws_one_set(self):
+        # the same seed gives the same frames and boxes; another seed, such
+        # as a held-out set's, gives other frames
+        def drawn(seed):
+            return [(e.image_id, e.image.tobytes(), [(g.class_index, g.box) for g in e.boxes])
+                    for e in synthetic_dataset(seed=seed)]
+
+        assert drawn(0) == drawn(0)
+        assert all(a[1] != b[1] for a, b in zip(drawn(0), drawn(1000)))
+
     def test_only_the_seed_sets_the_toy_set(self):
         # the set's count, frame size and classes are the constants the
         # graph is built from: no parameter restates or changes them
