@@ -9,7 +9,7 @@ loss with a toy SGD trainer, and a precision/recall/AP/mAP evaluator.
 __version__ = "0.1.0"
 
 from .cfg import ModelGraph, builtin_graph, graph_equal, parse_cfg, render_cfg, shape_check
-from .detect import Box, Detection, Detections, LetterboxTransform, decode, iou, letterbox, nms
+from .detect import Box, Detection, Detections, LetterboxTransform, decode, letterbox, nms
 from .errors import YoloKitError
 from .evaluation import EvalReport, GroundTruthBox, evaluate, parse_visdrone
 from .loss import assign_targets, sgd_step, total_loss, train_toy
@@ -35,7 +35,6 @@ __all__ = [
     "decode",
     "evaluate",
     "graph_equal",
-    "iou",
     "letterbox",
     "load_weights",
     "nms",

@@ -53,9 +53,10 @@ class Detections:
     ``names`` holds the sorted unique image ids and ``image`` each row's
     position in it (int64), so ordering rows by ``image`` orders them by
     image id. ``class_index`` is int64; ``score`` and the center-based box
-    ``x``, ``y``, ``w``, ``h`` (pixels) are float64. Iterating gives
-    :class:`Detection` objects, for library callers and the oracles. Names
-    not strictly increasing are a ValidationError (:func:`check_names`).
+    ``x``, ``y``, ``w``, ``h`` (pixels) are float64. Every kit function takes
+    and returns this table; :meth:`of` makes one from :class:`Detection`
+    rows. Names not strictly increasing are a ValidationError
+    (:func:`check_names`).
     """
 
     names: tuple[str, ...]
@@ -72,9 +73,7 @@ class Detections:
 
     @classmethod
     def of(cls, detections) -> Detections:
-        """``detections`` itself when it is columnar, else its columns."""
-        if isinstance(detections, Detections):
-            return detections
+        """The columns of a list of :class:`Detection` rows."""
         n = len(detections)
         names = sorted({d.image_id for d in detections})
         code = {name: k for k, name in enumerate(names)}
@@ -122,6 +121,8 @@ class Detections:
                    self.x.tolist(), self.y.tolist(), self.w.tolist(), self.h.tolist())
 
     def __iter__(self):
+        """Each row as a :class:`Detection`, for the oracles and perfbench's
+        ``checks.check_detections`` and ``checks.detection_summary``."""
         for image_id, cls, score, x, y, w, h in self.rows():
             yield Detection(image_id, cls, score, Box(x, y, w, h))
 
@@ -259,13 +260,6 @@ def decode(head: HeadOutput, conf_threshold: float, transform: LetterboxTransfor
                       best_class[a, i, j].astype(np.int64), scores[a, i, j], xs, ys, ws, hs)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint."""
-    ta, tb = (corner_table(*np.array([[box.x], [box.y], [box.w], [box.h]], dtype=np.float64))
-              for box in (a, b))
-    return float(iou_grid(ta, tb)[0])
-
-
 def corner_table(x, y, w, h) -> np.ndarray:
     """Rows x1, y1, x2, y2, area of the boxes with centers x, y and extents
     w, h; each argument holds one box per entry."""
@@ -277,8 +271,7 @@ def iou_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a[:, :, None]`` against ``b`` gives every column of ``a`` with every
     column of ``b``; a table against one box ``b[:, k]`` gives one IoU per
-    column, and :func:`iou` is two one-column tables. The union is positive,
-    so no division by zero.
+    column. The union is positive, so no division by zero.
     """
     iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
     ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
@@ -293,25 +286,25 @@ def check_nms_threshold(iou_threshold: float) -> None:
         raise ValidationError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
 
 
-def nms(detections, iou_threshold: float) -> Detections:
+def nms(detections: Detections, iou_threshold: float) -> Detections:
     """Greedy per-class suppression of overlapping lower-scored boxes.
 
-    Takes :class:`Detections` (or a list of :class:`Detection`) and returns
-    the kept rows as :class:`Detections`. Within a class, detections are
-    visited by descending score (equal scores keep input order); a detection
-    is kept unless its IoU with an already kept same-class detection exceeds
-    the threshold. Output is ordered by (score desc, class, input position).
+    Takes :class:`Detections` and returns the kept rows as
+    :class:`Detections`. Within a class, detections are visited by
+    descending score (equal scores keep input order); a detection is kept
+    unless its IoU with an already kept same-class detection exceeds the
+    threshold. Output is ordered by (score desc, class, input position).
     Each kept box suppresses with one :func:`iou_grid` row against the later
     boxes of its class, so every decision equals the scalar loop's
     (``oracles.nms_loop``) bit for bit.
     """
     check_nms_threshold(iou_threshold)
-    table = Detections.of(detections)
-    n = len(table)
+    n = len(detections)
     # input positions grouped by class, then by score desc and position
-    order = np.lexsort((np.arange(n), -table.score, table.class_index))
-    cls = table.class_index[order]
-    corners = corner_table(table.x[order], table.y[order], table.w[order], table.h[order])
+    order = np.lexsort((np.arange(n), -detections.score, detections.class_index))
+    cls = detections.class_index[order]
+    corners = corner_table(detections.x[order], detections.y[order], detections.w[order],
+                           detections.h[order])
     class_end = np.searchsorted(cls, cls, side="right")
     alive = np.ones(n, dtype=bool)
     for k in range(n):
@@ -320,4 +313,5 @@ def nms(detections, iou_threshold: float) -> Detections:
         rest = slice(k + 1, class_end[k])
         alive[rest] &= iou_grid(corners[:, rest], corners[:, k]) <= iou_threshold
     kept = order[alive]
-    return table.take(kept[np.lexsort((kept, table.class_index[kept], -table.score[kept]))])
+    return detections.take(kept[np.lexsort((kept, detections.class_index[kept],
+                                            -detections.score[kept]))])

@@ -15,13 +15,13 @@ stream (an open file or a pipe) a chunk at a time, each block of lines is
 checked and converted column by column, and a bad block is bisected to its
 first bad line. Each block's columns are appended to columns grown in
 place, so neither the whole text nor all its lines are held. They become
-columns, :class:`~yolokit.detect.Detections` and :class:`GroundTruth`, which
-the matcher and the evaluator work on; ``Detection`` and ``GroundTruthBox``
-objects are accepted at the edges. The matcher builds its corner tables for
-one block of whole images at a time and returns the kept rows' positions
-with their labels, not a copy of their columns; PR curves stay float64
-arrays, written to their files in blocks of lines, so eval's memory scales
-with its columns.
+columns, :class:`~yolokit.detect.Detections` and :class:`GroundTruth`, the
+one form the writer, the matcher and the evaluator take; the toy trainer's
+labels are a :class:`GroundTruth` too. The matcher builds its corner tables
+for one block of whole images at a time and returns the kept rows'
+positions with their labels, not a copy of their columns; PR curves stay
+float64 arrays, written to their files in blocks of lines, so eval's memory
+scales with its columns.
 
 Everything is deterministic under input shuffling: equal scores are ordered
 by image id, then box coordinates, lexicographically.
@@ -39,7 +39,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .cfg import check_num_classes
-from .detect import Box, Detection, Detections, check_names, corner_table, iou_grid
+from .detect import Box, Detections, check_names, corner_table, iou_grid
 from .errors import AnnotationError, ValidationError, undecodable
 
 VISDRONE_CLASS_NAMES = (
@@ -91,7 +91,9 @@ class GroundTruth:
 
     @classmethod
     def of(cls, ground_truth) -> GroundTruth:
-        """``ground_truth`` itself when it is columnar, else the columns of its boxes."""
+        """``ground_truth`` itself when it is columnar, else the columns of its
+        boxes: :func:`evaluate` also takes the list of them that perfbench's
+        ``checks.check_evaluator_oracle`` gives it and its oracle."""
         if isinstance(ground_truth, GroundTruth):
             return ground_truth
         names = sorted({g.image_id for g in ground_truth})
@@ -348,7 +350,8 @@ def _read_visdrone(source, table: _Table, code: int) -> None:
 
 
 def parse_visdrone(text: str, image_id: str) -> list[GroundTruthBox]:
-    """Parse one annotation file's text into ground-truth boxes."""
+    """Parse one annotation file's text into ground-truth boxes, the rows
+    perfbench's ``checks.check_evaluator_oracle`` joins into one list."""
     table = _ground_truth_table()
     _read_visdrone(text, table, 0)
     _, classes, ignore, x, y, w, h = (column.tolist() for column in table.finish())
@@ -406,20 +409,18 @@ def check_image_id(image_id: str) -> None:
         raise ValidationError(f"image id {image_id!r} is empty or holds whitespace")
 
 
-def format_predictions(detections) -> str:
+def format_predictions(detections: Detections) -> str:
     """One ``image_id class_index score x y w h`` line per detection.
 
-    Takes :class:`Detections` or a list of :class:`Detection`; each image id
-    must pass :func:`check_image_id`, so every line parses back. Values are
-    written as Python ``int``/``float`` reprs, so numpy scalars produce the
-    same text as the Python numbers they hold.
+    Each image id must pass :func:`check_image_id`, so every line parses
+    back. Values are written as Python ``int``/``float`` reprs, so numpy
+    scalars produce the same text as the Python numbers they hold.
     """
-    table = Detections.of(detections)
-    for image_id in table.names:
+    for image_id in detections.names:
         check_image_id(image_id)
     lines = [
         f"{image_id} {cls} {score!r} {x!r} {y!r} {w!r} {h!r}"
-        for image_id, cls, score, x, y, w, h in table.rows()
+        for image_id, cls, score, x, y, w, h in detections.rows()
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -432,9 +433,7 @@ class Labeled:
     copy), the positions of the kept rows in it in canonical order
     (``rows``, int64) and each kept row's TP flag (``is_tp``), so labeling
     copies no column. :attr:`detections` builds the kept rows' table when
-    asked. Iterates as ``(row, is_tp)`` pairs, each row the plain tuple of
-    :meth:`Detections.rows`: a pass over the labels builds no objects per
-    detection.
+    asked.
     """
 
     source: Detections
@@ -450,6 +449,8 @@ class Labeled:
         return len(self.is_tp)
 
     def __iter__(self):
+        """``(row, is_tp)`` pairs, each row a :meth:`Detections.rows` tuple:
+        how perfbench's ``tracing._match_counts`` reads the labels."""
         return zip(self.detections.rows(), self.is_tp.tolist())
 
 
@@ -611,11 +612,11 @@ def check_score_threshold(score_threshold: float | None) -> None:
         raise ValidationError(f"score_threshold must be in [0, 1], got {score_threshold}")
 
 
-def match(detections, ground_truth, iou_threshold: float = 0.5) -> tuple[Labeled, dict]:
+def match(detections: Detections, ground_truth: GroundTruth,
+          iou_threshold: float = 0.5) -> tuple[Labeled, dict]:
     """Label every detection TP/FP (or discard it) against the ground truth.
 
-    Takes :class:`Detections` (or a list of :class:`Detection`) and a
-    :class:`GroundTruth` (or a list of :class:`GroundTruthBox`). Returns
+    Takes :class:`Detections` and a :class:`GroundTruth`. Returns
     (labeled, gt_counts): ``labeled`` is the :class:`Labeled` detections in
     canonical order with discarded ones removed; ``gt_counts`` maps class
     index to its non-ignored ground-truth box count.
@@ -629,9 +630,8 @@ def match(detections, ground_truth, iou_threshold: float = 0.5) -> tuple[Labeled
     label for label.
     """
     check_iou_threshold(iou_threshold)
-    dets = Detections.of(detections)
-    kept, tp, gt_counts = _match_rows(dets, GroundTruth.of(ground_truth), iou_threshold)
-    return Labeled(dets, kept, tp), gt_counts
+    kept, tp, gt_counts = _match_rows(detections, ground_truth, iou_threshold)
+    return Labeled(detections, kept, tp), gt_counts
 
 
 def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
@@ -714,12 +714,12 @@ class EvalReport:
         return 100.0 * self.map_fraction
 
 
-def evaluate(detections, ground_truth, num_classes: int,
+def evaluate(detections: Detections, ground_truth, num_classes: int,
              iou_threshold: float = 0.5, score_threshold: float | None = None) -> EvalReport:
     """Full evaluation: per-class AP, pooled precision/recall, and mAP.
 
-    Takes :class:`Detections` or a list of :class:`Detection`, and a
-    :class:`GroundTruth` or a list of :class:`GroundTruthBox`.
+    Takes :class:`Detections`, and a :class:`GroundTruth` or a list of
+    :class:`GroundTruthBox` (see :meth:`GroundTruth.of`).
     ``score_threshold`` only filters the detections (and is recorded in the
     report); pass None when the caller already applied its confidence cut.
     Classes with no ground-truth boxes report AP 0 and are excluded from the
@@ -727,12 +727,11 @@ def evaluate(detections, ground_truth, num_classes: int,
     """
     check_num_classes(num_classes)
     check_score_threshold(score_threshold)
-    dets = Detections.of(detections)
     truth = GroundTruth.of(ground_truth)
-    bad = (dets.class_index < 0) | (dets.class_index >= num_classes)
+    bad = (detections.class_index < 0) | (detections.class_index >= num_classes)
     if bad.any():
         raise ValidationError(
-            f"detection class {dets.class_index[bad][0]} outside 0..{num_classes - 1}"
+            f"detection class {detections.class_index[bad][0]} outside 0..{num_classes - 1}"
         )
     bad = ~truth.ignore & ((truth.class_index < 0) | (truth.class_index >= num_classes))
     if bad.any():
@@ -740,18 +739,18 @@ def evaluate(detections, ground_truth, num_classes: int,
             f"ground-truth class {truth.class_index[bad][0]} outside 0..{num_classes - 1}"
         )
     if score_threshold is not None:
-        dets = dets.take(dets.score >= score_threshold)
+        detections = detections.take(detections.score >= score_threshold)
 
-    labeled, gt_counts = match(dets, truth, iou_threshold)
+    labeled, gt_counts = match(detections, truth, iou_threshold)
     # the curves need only the class, score and TP of the kept rows: the
     # rows split by class, each class keeping the score order
-    classes = dets.class_index[labeled.rows]
+    classes = detections.class_index[labeled.rows]
     by_class = np.argsort(classes, kind="stable")
     bounds = [0, *np.cumsum(np.bincount(classes, minlength=num_classes)).tolist()]
     del classes
     rows, flags = labeled.rows[by_class], labeled.is_tp[by_class]
     del labeled, by_class
-    scores = dets.score[rows]
+    scores = detections.score[rows]
     del rows
     per_class = []
     for cls in range(num_classes):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .cfg import TOY_CLASSES, TOY_SIZE, ModelGraph
 from .errors import NumericError, ShapeError, UsageError, ValidationError
-from .evaluation import GroundTruthBox
-from .detect import Box, check_image, corner_table, iou_grid, letterbox, read_head
+from .evaluation import GroundTruth
+from .detect import check_image, corner_table, iou_grid, letterbox, read_head
 from .network import HeadOutput, Network
 from .ops import GradTape
 from .weights import check_seed, random_init
@@ -65,13 +65,15 @@ def _shape_iou(w1, h1, w2, h2):
     return inter / (w1 * h1 + w2 * h2 - inter)
 
 
-def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[HeadTargets]:
+def assign_targets(ground_truth: GroundTruth, heads: list[HeadOutput],
+                   reads=None) -> list[HeadTargets]:
     """Assign each box to its best-shaped anchor and build the loss masks.
 
-    Boxes must be in network-input pixel coordinates. Each non-ignored box
-    goes to the (head, cell, anchor) whose anchor has the highest IoU with
-    the box when both are centered at the origin; when two boxes claim the
-    same slot the first (input order) keeps it. Predicted boxes that overlap
+    The boxes, a :class:`GroundTruth`'s rows, must be in network-input pixel
+    coordinates. Each non-ignored box goes to the (head, cell, anchor) whose
+    anchor has the highest IoU with the box when both are centered at the
+    origin; when two boxes claim the same slot the first (row order) keeps
+    it. Predicted boxes that overlap
     any ground-truth box above their head's ``ignore_thresh`` without being
     responsible land in the ignore mask and are excluded from the no-object
     term. ``reads`` are the heads as :func:`read_head` reads them, as for
@@ -94,34 +96,33 @@ def assign_targets(ground_truth, heads: list[HeadOutput], reads=None) -> list[He
         for hi, head in enumerate(heads)
         for ai, (aw, ah) in enumerate(head.anchors)
     ]
-    for gt in ground_truth:
-        box = gt.box
-        if not (0 <= box.x <= input_w and 0 <= box.y <= input_h):
+    gt = ground_truth
+    columns = (gt.x, gt.y, gt.w, gt.h, gt.class_index, gt.ignore)
+    for x, y, w, h, cls, ignore in zip(*(column.tolist() for column in columns)):
+        if not (0 <= x <= input_w and 0 <= y <= input_h):
             raise ValidationError(
-                f"ground-truth center ({box.x}, {box.y}) outside the "
-                f"{input_w}x{input_h} input"
+                f"ground-truth center ({x}, {y}) outside the {input_w}x{input_h} input"
             )
-        if gt.ignore:
+        if ignore:
             continue
-        best = max(anchor_table, key=lambda t: _shape_iou(box.w, box.h, t[2], t[3]))
+        best = max(anchor_table, key=lambda t: _shape_iou(w, h, t[2], t[3]))
         hi, ai = best[0], best[1]
         head, tgt = heads[hi], targets[hi]
-        if not 0 <= gt.class_index < head.num_classes:
-            raise ValidationError(f"ground-truth class {gt.class_index} is outside the "
+        if not 0 <= cls < head.num_classes:
+            raise ValidationError(f"ground-truth class {cls} is outside the "
                                   f"{head.num_classes} classes 0..{head.num_classes - 1}")
         rows, cols = head.grid
-        col = min(int(box.x // head.stride), cols - 1)
-        row = min(int(box.y // head.stride), rows - 1)
+        col = min(int(x // head.stride), cols - 1)
+        row = min(int(y // head.stride), rows - 1)
         if tgt.obj_mask[ai, row, col]:
             continue  # slot already claimed by an earlier box
         tgt.obj_mask[ai, row, col] = True
-        tgt.encoded[ai, :4, row, col] = (box.x / head.stride - col, box.y / head.stride - row,
-                                         box.w / input_w, box.h / input_h)
-        tgt.encoded[ai, 5 + gt.class_index, row, col] = 1.0
+        tgt.encoded[ai, :4, row, col] = (x / head.stride - col, y / head.stride - row,
+                                         w / input_w, h / input_h)
+        tgt.encoded[ai, 5 + cls, row, col] = 1.0
 
-    if ground_truth:
-        truth = corner_table(*np.array([(g.box.x, g.box.y, g.box.w, g.box.h)
-                                        for g in ground_truth]).T)
+    if len(gt.x):
+        truth = corner_table(gt.x, gt.y, gt.w, gt.h)
         for index, (head, tgt) in enumerate(zip(heads, targets)):
             pred = read_head(head) if reads is None else reads[index]
             slots = corner_table(pred.x, pred.y, pred.w, pred.h).reshape(5, -1)
@@ -236,7 +237,7 @@ _TOY_MAX_SIDE = 28  # a rectangle's sides are 12..28 pixels
 class ToyExample:
     image_id: str
     image: np.ndarray  # (3, TOY_SIZE, TOY_SIZE) uint8 frame
-    boxes: list[GroundTruthBox] = field(default_factory=list)
+    boxes: GroundTruth  # the frame's labels, in drawing order
 
 
 def synthetic_dataset(seed: int = 0) -> list[ToyExample]:
@@ -246,8 +247,9 @@ def synthetic_dataset(seed: int = 0) -> list[ToyExample]:
     Each frame is a (3, TOY_SIZE, TOY_SIZE) uint8 array, the form
     ``read_ppm`` returns: noise drawn in [0, 0.3] of full scale and rounded
     to 8 bits, under one or two rectangles of a class's ``_TOY_COLORS``
-    color, each at least a pixel from the border. The frames are drawn in
-    order from one generator.
+    color, each at least a pixel from the border. Each frame's labels are a
+    :class:`GroundTruth` of its rectangles. The frames are drawn in order
+    from one generator.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -255,7 +257,7 @@ def synthetic_dataset(seed: int = 0) -> list[ToyExample]:
     for n in range(TOY_IMAGES):
         noise = rng.uniform(0.0, 0.3, size=(3, TOY_SIZE, TOY_SIZE))
         image = np.rint(noise * 255).astype(np.uint8)
-        boxes = []
+        classes = []
         placed = []
         for _ in range(int(rng.integers(1, 3))):
             for _attempt in range(10):
@@ -273,9 +275,11 @@ def synthetic_dataset(seed: int = 0) -> list[ToyExample]:
             cls = int(rng.integers(TOY_CLASSES))
             image[:, y0 : y0 + h, x0 : x0 + w] = np.array(_TOY_COLORS[cls])[:, None, None]
             placed.append((x0, y0, w, h))
-            boxes.append(
-                GroundTruthBox(f"toy_{n:03d}", cls, Box(x0 + w / 2, y0 + h / 2, w, h))
-            )
+            classes.append(cls)
+        x0, y0, w, h = np.array(placed, dtype=np.float64).reshape(-1, 4).T
+        classes = np.array(classes, dtype=np.int64)
+        boxes = GroundTruth((f"toy_{n:03d}",), np.zeros_like(classes), classes,
+                            np.zeros(len(classes), dtype=bool), x0 + w / 2, y0 + h / 2, w, h)
         examples.append(ToyExample(f"toy_{n:03d}", image, boxes))
     return examples
 
@@ -308,7 +312,7 @@ def _network_input(example: ToyExample, dtype) -> np.ndarray:
 
 
 def _train_image(net: Network, tape: GradTape, image: np.ndarray,
-                 boxes: list[GroundTruthBox]) -> float:
+                 boxes: GroundTruth) -> float:
     """Forward, loss and backward of one image on ``tape``; returns its loss.
 
     Nothing of the pass outlives the call, so the tape's reset can take back

@@ -90,20 +90,18 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.writelines((b"P6\n%d %d\n255\n" % (w, h), raster))
 
 
-def render_detections(image: np.ndarray, detections) -> np.ndarray:
+def render_detections(image: np.ndarray, detections: Detections) -> np.ndarray:
     """Return a uint8 copy of the image with class-colored outlines drawn on it.
 
-    Takes a (3, H, W) uint8 image and :class:`~yolokit.detect.Detections`
-    (or a list of ``Detection``).
+    Takes a (3, H, W) uint8 image and :class:`~yolokit.detect.Detections`.
     Each box's corners are rounded to pixels and clamped to the image, and
     its outline is ``OUTLINE_THICKNESS`` pixels wide; boxes are drawn in row
     order, so a later box paints over an earlier one.
     """
     canvas = check_image(image).copy()
     _, h, w = canvas.shape
-    table = Detections.of(detections)
     with np.errstate(over="ignore"):  # in the area row, which is not drawn
-        corners = corner_table(table.x, table.y, table.w, table.h)[:4]
+        corners = corner_table(detections.x, detections.y, detections.w, detections.h)[:4]
     # clipping a pixel past the image before rounding keeps every clamped
     # pixel below, and the ints within int64
     limit = np.array([w, h, w, h], dtype=np.float64)[:, None]
@@ -114,7 +112,7 @@ def render_detections(image: np.ndarray, detections) -> np.ndarray:
     t = OUTLINE_THICKNESS
     for left, top, right, bottom, cls in zip(
         x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
-        (table.class_index % len(PALETTE)).tolist(),
+        (detections.class_index % len(PALETTE)).tolist(),
     ):
         if left > right or top > bottom:
             continue

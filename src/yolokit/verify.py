@@ -15,7 +15,8 @@ import numpy as np
 from . import oracles
 from .cfg import (ModelGraph, builtin_graph, graph_equal, head_channels, parse_cfg,
                   shape_check, toy_graph)
-from .detect import Box, Detection, Detections, decode, iou, nms, IDENTITY_TRANSFORM
+from .detect import (Box, Detection, Detections, corner_table, decode, iou_grid, nms,
+                     IDENTITY_TRANSFORM)
 from .evaluation import (
     GroundTruth,
     GroundTruthBox,
@@ -79,10 +80,10 @@ def _loss_fixture(seed: int):
         anchors=[(10.0, 13.0), (16.0, 30.0), (33.0, 23.0)],
         ignore_thresh=0.5,
     )
-    truth = [
+    truth = GroundTruth.of([
         GroundTruthBox("fixture", 0, Box(20.0, 24.0, 18.0, 22.0)),
         GroundTruthBox("fixture", 1, Box(50.0, 40.0, 30.0, 28.0)),
-    ]
+    ])
     return head, truth
 
 
@@ -269,11 +270,12 @@ def check_evaluator_oracle(seed: int = 0) -> CheckResult:
         worst = 0.0
         for _ in range(EVAL_INSTANCES):
             detections, truth, num_classes = _random_eval_instance(rng)
-            labeled, _ = match(Detections.of(detections), GroundTruth.of(truth))
+            table, truth_table = Detections.of(detections), GroundTruth.of(truth)
+            labeled, _ = match(table, truth_table)
             expected = oracles.match_loop(detections, truth)
             if list(zip(labeled.detections, labeled.is_tp.tolist())) != expected:
                 return np.inf, "match labels differ from the oracle loop"
-            report = evaluate(detections, truth, num_classes)
+            report = evaluate(table, truth_table, num_classes)
             oracle_aps, oracle_map = oracles.brute_force_evaluate(
                 detections, truth, num_classes
             )
@@ -285,7 +287,8 @@ def check_evaluator_oracle(seed: int = 0) -> CheckResult:
             shuffled_truth = list(truth)
             rng.shuffle(shuffled_dets)
             rng.shuffle(shuffled_truth)
-            again = evaluate(shuffled_dets, shuffled_truth, num_classes)
+            again = evaluate(Detections.of(shuffled_dets), GroundTruth.of(shuffled_truth),
+                             num_classes)
             if [c.ap for c in again.per_class] != [c.ap for c in report.per_class]:
                 return np.inf, "permutation changed an AP"
             if (again.map_fraction, again.precision, again.recall) != (
@@ -318,8 +321,8 @@ def check_ap_fixture() -> CheckResult:
             Detection("img", 0, 0.8, Box(40, 40, 10, 10)),
             Detection("img", 0, 0.7, Box(60, 60, 10, 10)),
         ]
-        reparsed = parse_predictions(format_predictions(detections))
-        report = evaluate(reparsed, truth, 1)
+        reparsed = parse_predictions(format_predictions(Detections.of(detections)))
+        report = evaluate(reparsed, GroundTruth.of(truth), 1)
         return max(
             abs(ap - 5 / 6), abs(oracle_ap - 5 / 6), abs(report.per_class[0].ap - 5 / 6)
         )
@@ -424,16 +427,17 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
             )
             for score in np.linspace(0.99, 0.05, 60) ** rng.uniform(0.7, 1.4)
         ]
-        survivors = list(nms(Detections.of(boxes), 0.45))
-        if survivors != oracles.nms_loop(boxes, 0.45):
+        kept = nms(Detections.of(boxes), 0.45)
+        if list(kept) != oracles.nms_loop(boxes, 0.45):
             return False, "NMS survivors differ from the oracle loop"
-        for a in survivors:
-            for b in survivors:
-                if a is not b and a.class_index == b.class_index and iou(a.box, b.box) > 0.45:
-                    return False, "post-NMS same-class overlap above threshold"
+        corners = corner_table(kept.x, kept.y, kept.w, kept.h)
+        overlap = iou_grid(corners[:, :, None], corners)
+        np.fill_diagonal(overlap, 0.0)  # each box with itself
+        if (overlap[kept.class_index[:, None] == kept.class_index] > 0.45).any():
+            return False, "post-NMS same-class overlap above threshold"
         shuffled = list(boxes)
         rng.shuffle(shuffled)
-        if set(nms(Detections.of(shuffled), 0.45)) != set(survivors):
+        if set(nms(Detections.of(shuffled), 0.45)) != set(kept):
             return False, "NMS survivors changed under input permutation"
         return True, "factorization exact; NMS equals oracle; overlaps bounded; permutation stable"
 
@@ -504,7 +508,8 @@ def check_structural_deltas() -> CheckResult:
         perfect = [
             Detection(gt.image_id, gt.class_index, 1.0, gt.box) for gt in truth
         ]
-        report = evaluate(parse_predictions(format_predictions(perfect)), truth, 3)
+        report = evaluate(parse_predictions(format_predictions(Detections.of(perfect))),
+                          GroundTruth.of(truth), 3)
         if report.map_percent != 100.0 or report.precision != 1.0 or report.recall != 1.0:
             return False, f"oracle detector scored {report.map_percent}"
         return True, (

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from yolokit import ops, verify
+from yolokit import oracles, ops, verify
 from yolokit.loss import ToyTrainConfig
 
 SEED = 0
@@ -76,6 +76,16 @@ def test_decode_nms_properties():
     # score == objectness * class probability to machine precision;
     # post-NMS same-class IoU bounded; permutation-stable survivors.
     _assert(verify.check_decode_nms(SEED))
+
+
+def test_decode_nms_rejects_overlapping_survivors(monkeypatch):
+    # an NMS that keeps every box, in the oracle loop too: the survivors
+    # still equal the loop's, so only the same-class overlap test can fail
+    monkeypatch.setattr(verify, "nms", lambda detections, iou_threshold: detections)
+    monkeypatch.setattr(oracles, "nms_loop", lambda detections, iou_threshold: list(detections))
+    result = verify.check_decode_nms(SEED)
+    assert not result.passed, result.line()
+    assert result.measured == "post-NMS same-class overlap above threshold", result.line()
 
 
 @pytest.mark.slow

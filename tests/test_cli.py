@@ -129,7 +129,7 @@ class TestPpm:
         with pytest.raises(ValidationError, match="image: expected"):
             letterbox(image, 8, np.float32)
         with pytest.raises(ValidationError, match="image: expected"):
-            render_detections(image, [])
+            render_detections(image, Detections.of([]))
 
     def test_refused_write_leaves_the_path_alone(self, tmp_path):
         existing, missing = tmp_path / "old.ppm", tmp_path / "new.ppm"
@@ -156,7 +156,7 @@ class TestPpm:
             image[c, :4] = np.roll(levels, 85 * c)
         # one box per palette colour, side by side below the level rows
         dets = [Detection("im", k, 0.5, Box(3 + 6 * k, 14, 4, 14)) for k in range(len(PALETTE))]
-        rendered = render_detections(image, dets)
+        rendered = render_detections(image, Detections.of(dets))
         assert rendered.dtype == np.uint8
         assert np.array_equal(rendered[:, :4], image[:, :4])
         pixels = {tuple(p) for p in rendered.reshape(3, -1).T.tolist()}
@@ -175,7 +175,8 @@ class TestPpm:
         frame = np.random.default_rng(3).integers(0, 256, (3, 1024, 1024), dtype=np.uint8)
         path, out = tmp_path / "big.ppm", tmp_path / "out.ppm"
         write_ppm(path, frame)
-        dets = [Detection("big", k, 0.5, Box(60 + 90 * k, 500, 80, 300)) for k in range(10)]
+        dets = Detections.of([Detection("big", k, 0.5, Box(60 + 90 * k, 500, 80, 300))
+                              for k in range(10)])
         canvas = 3 * 640 * 640 * 4  # bytes of a float32 640-px network input
         budget = 3 * frame.nbytes + 2 * canvas + 64 * 1024
         tracemalloc.start()
@@ -213,9 +214,8 @@ class TestPpm:
                                    (slice(y1, y2 + 1), slice(x1, min(x1 + 2, x2 + 1))),
                                    (slice(y1, y2 + 1), slice(max(x2 - 1, x1), x2 + 1))):
                     want[:, rows, cols] = color
-        for given in (dets, Detections.of(dets)):
-            got = render_detections(image, given)
-            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        got = render_detections(image, Detections.of(dets))
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
         assert not np.array_equal(want, image) and image is not got
 
 
@@ -432,7 +432,7 @@ class TestEval:
             Detection("im0", 0, 0.7, Box(60, 60, 10, 10)),
         ]
         pred = tmp_path / "preds.txt"
-        pred.write_text(format_predictions(dets))
+        pred.write_text(format_predictions(Detections.of(dets)))
         return gt_dir, pred
 
     def test_hand_fixture_prints_83_3(self, tmp_path, capsys):
@@ -453,7 +453,7 @@ class TestEval:
         (gt_dir / "im0.txt").write_text(format_visdrone(truth))
         pred = tmp_path / "p.txt"
         pred.write_text(format_predictions(
-            [Detection("im0", 1, 1.0, Box(30, 30, 12, 12))]
+            Detections.of([Detection("im0", 1, 1.0, Box(30, 30, 12, 12))])
         ))
         code = run(["eval", "--gt", gt_dir, "--pred", pred, "--classes", "10",
                     "--out-dir", tmp_path / "out"])

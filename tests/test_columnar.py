@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from yolokit import cli, evaluation
+from yolokit.cfg import toy_graph
 from yolokit.detect import IDENTITY_TRANSFORM, Box, Detection, Detections, decode, nms
 from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
@@ -23,11 +24,11 @@ from yolokit.evaluation import (
     parse_predictions,
     parse_visdrone,
 )
+from yolokit.loss import ToyTrainConfig, synthetic_dataset, train_toy
 from yolokit.network import HeadOutput
 from yolokit.oracles import (
     brute_force_evaluate,
     match_loop,
-    nms_loop,
     parse_predictions_loop,
     parse_visdrone_loop,
 )
@@ -365,7 +366,8 @@ class TestRoundTrip:
         dets = Detections(tuple(names), image, rng.integers(0, 2**40, n), *values)
 
         text = format_predictions(dets)
-        assert text == format_predictions(list(dets))  # the same text from objects
+        # the same text from the table rebuilt from its Detection rows
+        assert text == format_predictions(Detections.of(list(dets)))
         back = parse_predictions(text)
         assert back.names == dets.names
         assert np.array_equal(back.image, dets.image)
@@ -445,7 +447,6 @@ class TestDetections:
         columns = Detections.of(dets)
         assert columns.names == ("a", "b") and columns.image.tolist() == [1, 0]
         assert list(columns) == dets and len(columns) == 2
-        assert Detections.of(columns) is columns
 
     def test_concat_remaps_images(self):
         parts = [Detections.of([Detection(i, 0, 0.5, Box(1, 1, 1, 1))]) for i in "cab"]
@@ -464,7 +465,7 @@ class TestDetections:
         with pytest.raises(ValidationError, match="^table names must be sorted and unique: "
                                                   "'b' then 'a'$"):
             Detections(("b", "a"), *columns)
-        labeled, _ = match(Detections(("a", "b"), *columns), truth)
+        labeled, _ = match(Detections(("a", "b"), *columns), GroundTruth.of(truth))
         assert list(zip(labeled.detections, labeled.is_tp.tolist())) == match_loop([b, a], truth)
         assert labeled.detections.image_ids() == ["a", "b"]
 
@@ -476,15 +477,6 @@ class TestDetections:
             Detections(names, np.arange(n), np.zeros(n, np.int64), np.full(n, 0.5), *boxes)
         with pytest.raises(ValidationError, match="table names must be sorted and unique"):
             GroundTruth(names, np.arange(n), np.zeros(n, np.int64), np.zeros(n, bool), *boxes)
-
-    def test_nms_on_columns_keeps_list_rows(self):
-        rng = np.random.default_rng(13)
-        dets = [Detection("img", int(rng.integers(3)), round(float(rng.uniform()), 1),
-                          Box(*rng.integers(0, 8, 2).tolist(), *rng.integers(1, 5, 2).tolist()))
-                for _ in range(60)]
-        kept, from_list = nms(Detections.of(dets), 0.45), nms(dets, 0.45)
-        assert isinstance(kept, Detections) and isinstance(from_list, Detections)
-        assert list(kept) == nms_loop(dets, 0.45) == list(from_list)
 
 
 def _instance(rng, n_images=3, n_classes=3):
@@ -509,11 +501,10 @@ class TestColumnarMatch:
         # equal score, image and box: class order, then input order
         a, b, c = (Detection("im0", cls, 0.5, Box(10, 10, 4, 4)) for cls in (2, 0, 2))
         truth = [GroundTruthBox("im0", 0, Box(10, 10, 4, 4))]
-        labeled, _ = match([a, b, c], truth)
+        labeled, _ = match(Detections.of([a, b, c]), GroundTruth.of(truth))
         pairs = list(zip(labeled.detections, labeled.is_tp.tolist()))
         assert pairs == [(b, True), (a, False), (c, False)] == match_loop([a, b, c], truth)
-        columns, _ = match(Detections.of([a, b, c]), GroundTruth.of(truth))
-        assert columns.detections.class_index.tolist() == [0, 2, 2]
+        assert labeled.detections.class_index.tolist() == [0, 2, 2]
 
     def test_canonical_order_is_the_seven_key_lexsort(self):
         rng = np.random.default_rng(16)
@@ -547,7 +538,7 @@ class TestColumnarMatch:
                 ((d.image_id, d.class_index, d.score, d.box.x, d.box.y, d.box.w, d.box.h), t)
                 for d, t in expected
             ]
-            assert counts == match(dets, truth, threshold)[1]
+            assert counts == Counter(g.class_index for g in truth if not g.ignore)
 
 
 @pytest.fixture
@@ -608,8 +599,16 @@ class TestObjectsOnlyAtEdges:
         dets = parse_predictions_loop(pred.read_text())
         assert built["Detection"] == len(dets) == 300
 
-        # a list of Detection still scores like the brute-force oracle
-        report = evaluate(dets, truth, 10)
+        # their table, with the list of ground-truth rows, scores like the
+        # brute-force oracle
+        report = evaluate(Detections.of(dets), truth, 10)
         oracle_aps, oracle_map = brute_force_evaluate(dets, truth, 10)
         assert max(abs(c.ap - ap) for c, ap in zip(report.per_class, oracle_aps)) <= 1e-12
         assert abs(report.map_fraction - oracle_map) <= 1e-12
+
+    def test_training_builds_no_box(self, built):
+        # the toy set's labels are tables, and the trainer reads their columns
+        dataset = synthetic_dataset(seed=0)
+        assert sum(len(example.boxes.x) for example in dataset) > 0
+        train_toy(dataset, toy_graph(), ToyTrainConfig(steps=1, seed=0))
+        assert built == Counter()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from yolokit import evaluation
-from yolokit.detect import Box, Detection, Detections, corner_table, iou
+from yolokit.detect import Box, Detection, Detections, corner_table
 from yolokit.errors import AnnotationError, ValidationError
 from yolokit.evaluation import (
     GroundTruth,
@@ -34,6 +34,7 @@ from yolokit.evaluation import (
 )
 from yolokit.oracles import ap_threshold_enumeration, brute_force_evaluate, match_loop
 from visdrone_writer import format_visdrone
+from box_iou import box_iou
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 import regenerate  # noqa: E402
@@ -48,8 +49,9 @@ def gt(image_id, cls, x, y, w, h, ignore=False):
 
 
 def labels(detections, truth, iou_threshold=0.5):
-    """:func:`match`'s labels as (Detection, is_tp) pairs in order, and its counts."""
-    labeled, counts = match(detections, truth, iou_threshold)
+    """:func:`match`'s labels of lists of rows as (Detection, is_tp) pairs in
+    order, and its counts."""
+    labeled, counts = match(Detections.of(detections), GroundTruth.of(truth), iou_threshold)
     assert isinstance(labeled, Labeled)
     return list(zip(labeled.detections, labeled.is_tp.tolist())), counts
 
@@ -125,16 +127,17 @@ class TestPredictionFormat:
             det("im0", 2, 0.75, 10.5, 20.25, 5.0, 8.0),
             det("im1", 0, 1.0, 1.0, 2.0, 3.0, 4.0),
         ]
-        assert list(parse_predictions(format_predictions(dets))) == dets
+        assert list(parse_predictions(format_predictions(Detections.of(dets)))) == dets
 
     def test_numpy_scalars_round_trip(self):
         dets = [
             det("im0", np.int64(3), np.float64(0.5), np.float64(565.4404296875),
                 np.float32(20.25), np.float64(5.0), np.float32(8.5)),
         ]
-        text = format_predictions(dets)
+        text = format_predictions(Detections.of(dets))
         assert "np." not in text
-        assert text == format_predictions([det("im0", 3, 0.5, 565.4404296875, 20.25, 5.0, 8.5)])
+        assert text == format_predictions(
+            Detections.of([det("im0", 3, 0.5, 565.4404296875, 20.25, 5.0, 8.5)]))
         assert list(parse_predictions(text)) == dets
 
     def test_field_count_error(self):
@@ -148,9 +151,8 @@ class TestPredictionFormat:
         dets = [det("ok", 0, 0.5, 1, 1, 1, 1), det(image_id, 0, 0.5, 1, 1, 1, 1)]
         with pytest.raises(ValidationError, match="empty or holds whitespace"):
             check_image_id(image_id)
-        for given in (dets, Detections.of(dets)):
-            with pytest.raises(ValidationError, match=re.escape(repr(image_id))):
-                format_predictions(given)
+        with pytest.raises(ValidationError, match=re.escape(repr(image_id))):
+            format_predictions(Detections.of(dets))
 
     def test_score_range_checked(self):
         with pytest.raises(AnnotationError):
@@ -207,7 +209,7 @@ class TestMatching:
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ValidationError):
-            match([], [], threshold)
+            match(Detections.of([]), GroundTruth.of([]), threshold)
 
     def test_empty_inputs(self):
         truth = [gt("im0", 0, 10, 10, 8, 8), gt("im0", 1, 10, 10, 8, 8, ignore=True)]
@@ -218,16 +220,16 @@ class TestMatching:
         assert labeled == match_loop(dets, [])
         assert counts == {}
 
-    def test_list_gives_columns(self):
+    def test_labels_the_given_table(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.9, 10, 10, 8, 8), det("im0", 0, 0.8, 11, 10, 8, 8)]
-        for given, boxes in ((dets, truth), (Detections.of(dets), GroundTruth.of(truth)),
-                             ([], [])):
-            labeled, _ = match(given, boxes)
-            assert type(labeled) is Labeled
+        for rows, boxes in ((dets, truth), ([], [])):
+            given = Detections.of(rows)
+            labeled, _ = match(given, GroundTruth.of(boxes))
+            assert type(labeled) is Labeled and labeled.source is given
             assert type(labeled.detections) is Detections
-            assert list(labeled.detections) == list(given)
-            assert labeled.is_tp.tolist() == [True, False][: len(given)]
+            assert list(labeled.detections) == rows
+            assert labeled.is_tp.tolist() == [True, False][: len(rows)]
 
     def test_matches_oracle_loop(self):
         # integer boxes and one-decimal scores make score ties across images
@@ -264,13 +266,14 @@ class TestMatching:
             pairs = [(d, g) for d in dets for g in truth if d.image_id == g.image_id]
             same_class = [(d, g) for d, g in pairs if not g.ignore
                           and g.class_index == d.class_index]
-            seen["at threshold"] += any(iou(d.box, g.box) == threshold for d, g in same_class)
+            seen["at threshold"] += any(box_iou(d.box, g.box) == threshold
+                                        for d, g in same_class)
             seen["equal IoU"] += any(
-                iou(d.box, g.box) == iou(d.box, h.box) >= threshold
+                box_iou(d.box, g.box) == box_iou(d.box, h.box) >= threshold
                 for d, g in same_class for e, h in same_class if e is d and h is not g
             )
             seen["classed region hit"] += any(
-                g.ignore and g.class_index != -1 and iou(d.box, g.box) >= threshold
+                g.ignore and g.class_index != -1 and box_iou(d.box, g.box) >= threshold
                 for d, g in pairs
             )
             seen["dets without truth"] += bool(
@@ -502,14 +505,14 @@ class TestCurveColumns:
 class TestEvaluate:
     def test_null_detector(self):
         truth = [gt("im0", 0, 10, 10, 8, 8), gt("im0", 1, 30, 30, 8, 8)]
-        report = evaluate([], truth, 2)
+        report = evaluate(Detections.of([]), truth, 2)
         assert report.map_percent == 0.0
         assert report.recall == 0.0
 
     def test_oracle_detector(self):
         truth = [gt(f"im{k}", k % 2, 10 + k, 10, 8, 8) for k in range(6)]
         dets = [Detection(g.image_id, g.class_index, 1.0, g.box) for g in truth]
-        report = evaluate(dets, truth, 2)
+        report = evaluate(Detections.of(dets), truth, 2)
         assert report.map_percent == 100.0
         assert report.precision == 1.0 and report.recall == 1.0
 
@@ -524,20 +527,20 @@ class TestEvaluate:
                 *rng.uniform(10, 80, 2), *rng.uniform(5, 20, 2))
             for _ in range(8)
         ]
-        report = evaluate(dets, truth, 2)
+        report = evaluate(Detections.of(dets), truth, 2)
         for result in report.per_class:
             assert result.tp + result.fn == result.gt_count
 
     def test_classes_absent_from_gt_excluded_from_map(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.9, 10, 10, 8, 8), det("im0", 1, 0.8, 40, 40, 8, 8)]
-        report = evaluate(dets, truth, 3)
+        report = evaluate(Detections.of(dets), truth, 3)
         assert [c.class_index for c in report.per_class if c.gt_count] == [0]
         assert report.map_percent == 100.0
 
     def test_class_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            evaluate([det("im0", 5, 0.9, 1, 1, 2, 2)], [], 3)
+            evaluate(Detections.of([det("im0", 5, 0.9, 1, 1, 2, 2)]), [], 3)
 
     @pytest.mark.parametrize("num_classes, score_threshold, option", [
         (1, float("nan"), "score_threshold"), (1, -5.0, "score_threshold"),
@@ -550,7 +553,7 @@ class TestEvaluate:
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.9, 10, 10, 8, 8)]
         with pytest.raises(ValidationError, match=option):
-            evaluate(dets, truth, num_classes, score_threshold=score_threshold)
+            evaluate(Detections.of(dets), truth, num_classes, score_threshold=score_threshold)
 
     @pytest.mark.parametrize("iou_threshold, score_threshold, map_percent", [
         (0.5, 0.0, 100.0), (0.5, 1.0, 0.0), (1.0, None, 100.0), (1e-9, None, 100.0),
@@ -558,14 +561,14 @@ class TestEvaluate:
     def test_option_bounds_accepted(self, iou_threshold, score_threshold, map_percent):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.9, 10, 10, 8, 8)]
-        report = evaluate(dets, truth, 1, iou_threshold=iou_threshold,
+        report = evaluate(Detections.of(dets), truth, 1, iou_threshold=iou_threshold,
                           score_threshold=score_threshold)
         assert report.map_percent == map_percent
 
     def test_score_threshold_filters(self):
         truth = [gt("im0", 0, 10, 10, 8, 8)]
         dets = [det("im0", 0, 0.2, 10, 10, 8, 8)]
-        report = evaluate(dets, truth, 1, score_threshold=0.5)
+        report = evaluate(Detections.of(dets), truth, 1, score_threshold=0.5)
         assert report.recall == 0.0
         assert report.score_threshold == 0.5
 
@@ -593,7 +596,7 @@ class TestEvaluate:
                 )
                 for _ in range(int(rng.integers(0, 9)))
             ]
-            report = evaluate(dets, truth, num_classes)
+            report = evaluate(Detections.of(dets), truth, num_classes)
             oracle_aps, oracle_map = brute_force_evaluate(dets, truth, num_classes)
             for result, oracle_ap in zip(report.per_class, oracle_aps):
                 assert abs(result.ap - oracle_ap) <= 1e-9
@@ -610,12 +613,12 @@ class TestEvaluate:
                 *rng.uniform(10, 80, 2), *rng.uniform(5, 20, 2))
             for _ in range(6)
         ]
-        baseline = evaluate(dets, truth, 2)
+        baseline = evaluate(Detections.of(dets), truth, 2)
         for _ in range(5):
             d2, t2 = list(dets), list(truth)
             rng.shuffle(d2)
             rng.shuffle(t2)
-            again = evaluate(d2, t2, 2)
+            again = evaluate(Detections.of(d2), t2, 2)
             assert [c.ap for c in again.per_class] == [c.ap for c in baseline.per_class]
             assert again.map_fraction == baseline.map_fraction
 
@@ -627,7 +630,7 @@ class TestEvaluate:
                 *rng.uniform(5, 20, 2))
             for _ in range(8)
         ]
-        report = evaluate(dets, truth, 1)
+        report = evaluate(Detections.of(dets), truth, 1)
         recalls = report.per_class[0].recalls
         assert isinstance(recalls, np.ndarray) and recalls.dtype == np.float64
         assert len(recalls) == len(report.per_class[0].precisions) > 1
@@ -642,7 +645,7 @@ class TestReports:
             det("im0", 0, 0.8, 40, 40, 10, 10),
             det("im0", 0, 0.7, 60, 60, 10, 10),
         ]
-        return evaluate(dets, truth, 1)
+        return evaluate(Detections.of(dets), truth, 1)
 
     def test_table_shows_rounded_ap(self):
         table = format_report_table(self._five_sixths_report())

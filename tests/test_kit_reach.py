@@ -20,6 +20,12 @@ called name, a class's name for its ``__init__``; a ``*args`` or
 ``**kwargs`` in a call passes every parameter it could reach. An argument
 that is a literal equal to the parameter's literal default restates it and
 passes nothing. These trees are read with ``ast``.
+
+The row classes ``Box``, ``Detection`` and ``GroundTruthBox`` are named in
+the code of ``src/yolokit`` only by ``detect.py`` and ``evaluation.py``,
+which define them and make them at perfbench's edges, ``oracles.py``,
+``verify.py``'s fixtures and the package ``__init__``'s re-exports: every
+other module passes tables. This rule reads NAME tokens with ``tokenize``.
 """
 
 import ast
@@ -101,6 +107,43 @@ def test_comments_docstrings_and_reexports_do_not_name_a_function():
         REEXPORTS: b'from .a import unused\n__all__ = ["unused"]\n',
     }
     assert [line.split()[-1] for line in unnamed_functions(kit)] == ["unused"]
+
+
+ROW_CLASSES = {"Box", "Detection", "GroundTruthBox"}
+ROW_HOMES = {KIT / name for name in ("detect.py", "evaluation.py", "oracles.py", "verify.py",
+                                     "__init__.py")}
+
+
+def named_rows(sources: dict) -> list[str]:
+    """``path:line name`` of each row class named as code in a ``sources``
+    path under ``KIT`` outside ``ROW_HOMES``; ``sources`` maps a path to
+    its bytes."""
+    return [f"{path.relative_to(ROOT)}:{tok.start[0]} {tok.string}"
+            for path, source in sources.items()
+            if path.is_relative_to(KIT) and path not in ROW_HOMES
+            for tok in _tokens(source)
+            if tok.type == tokenize.NAME and tok.string in ROW_CLASSES]
+
+
+def test_row_classes_are_named_only_where_rows_are_made():
+    sources = {path: path.read_bytes() for path in sorted(KIT.rglob("*.py"))}
+    assert KIT / "loss.py" in sources
+    assert named_rows(sources) == []
+
+
+def test_only_code_names_a_row_class():
+    # a docstring, a comment, a string or a longer name is no use of a row
+    # class; the homes and perfbench may name them
+    kit = {
+        KIT / "loss.py": b'"""Box and Detection rows."""\n'
+                         b"from .detect import Detections, Box  # Detection\n"
+                         b'X = "GroundTruthBox"\nDetections.of([])\n',
+        KIT / "ppm.py": b"def f(d):\n    return d.box, GroundTruthBox\n",
+        KIT / "detect.py": b"class Box:\n    pass\n",
+        REEXPORTS: b"from .detect import Box, Detection\n",
+        ROOT / "perfbench" / "p.py": b"from yolokit.detect import Detection\n",
+    }
+    assert named_rows(kit) == ["src/yolokit/loss.py:2 Box", "src/yolokit/ppm.py:2 GroundTruthBox"]
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:

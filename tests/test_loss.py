@@ -13,9 +13,9 @@ import pytest
 
 import yolokit.loss
 from yolokit.cfg import TOY_CLASSES, TOY_SIZE, parse_cfg, render_cfg, toy_graph
-from yolokit.detect import Box, iou, letterbox, read_head
+from yolokit.detect import Box, letterbox, read_head
 from yolokit.errors import NumericError, ShapeError, UsageError, ValidationError
-from yolokit.evaluation import GroundTruthBox, parse_visdrone
+from yolokit.evaluation import GroundTruth, GroundTruthBox, parse_visdrone
 from yolokit.gradcheck import finite_difference, relative_errors
 from yolokit.loss import (
     TOY_IMAGES,
@@ -31,6 +31,7 @@ from yolokit.network import HeadOutput, Network
 from yolokit.ppm import read_ppm, write_ppm
 from yolokit.weights import random_init
 from visdrone_writer import format_visdrone
+from box_iou import box_iou
 
 COCO_HEAD_ANCHORS = (
     [(116.0, 90.0), (156.0, 198.0), (373.0, 326.0)],  # stride 32
@@ -58,17 +59,24 @@ def gt(x, y, w, h, cls=0, ignore=False):
     return GroundTruthBox("img", -1 if ignore else cls, Box(x, y, w, h), ignore)
 
 
+def rows_of(truth: GroundTruth) -> list[GroundTruthBox]:
+    """A ground-truth table's rows as ``GroundTruthBox`` objects, in row order."""
+    columns = (truth.image, truth.class_index, truth.ignore, truth.x, truth.y, truth.w, truth.h)
+    return [GroundTruthBox(truth.names[image], cls, Box(x, y, w, h), ignore)
+            for image, cls, ignore, x, y, w, h in zip(*(c.tolist() for c in columns))]
+
+
 class TestAssignment:
     def test_empty_ground_truth(self):
         heads = three_heads()
-        targets = assign_targets([], heads)
+        targets = assign_targets(GroundTruth.of([]), heads)
         for tgt in targets:
             assert not tgt.obj_mask.any()
             assert not tgt.ignore_mask.any()
 
     def test_center_box_takes_coarse_anchor(self):
         heads = three_heads()
-        targets = assign_targets([gt(320, 320, 116, 90)], heads)
+        targets = assign_targets(GroundTruth.of([gt(320, 320, 116, 90)]), heads)
         coarse = targets[0]
         assert coarse.obj_mask[0, 10, 10]
         assert coarse.obj_mask.sum() == 1
@@ -82,27 +90,27 @@ class TestAssignment:
 
     def test_small_box_takes_fine_anchor(self):
         heads = three_heads()
-        targets = assign_targets([gt(100, 100, 11, 14)], heads)
+        targets = assign_targets(GroundTruth.of([gt(100, 100, 11, 14)]), heads)
         assert targets[2].obj_mask.sum() == 1
         assert not targets[0].obj_mask.any()
 
     def test_two_boxes_two_disjoint_slots(self):
         heads = three_heads()
         targets = assign_targets(
-            [gt(100, 100, 116, 90), gt(500, 500, 116, 90, cls=1)], heads
+            GroundTruth.of([gt(100, 100, 116, 90), gt(500, 500, 116, 90, cls=1)]), heads
         )
         assert targets[0].obj_mask.sum() == 2
 
     def test_box_outside_image_rejected(self):
         heads = three_heads()
         with pytest.raises(ValidationError):
-            assign_targets([gt(700, 320, 10, 10)], heads)
+            assign_targets(GroundTruth.of([gt(700, 320, 10, 10)]), heads)
 
     def test_masks_partition_slots(self):
         rng = np.random.default_rng(0)
         head = single_head(grid=4, rng=rng)
         targets = assign_targets(
-            [gt(40, 40, 16, 30), gt(90, 90, 10, 13, cls=1)], [head]
+            GroundTruth.of([gt(40, 40, 16, 30), gt(90, 90, 10, 13, cls=1)]), [head]
         )
         tgt = targets[0]
         # every slot is in exactly one of: object, no-object, ignore
@@ -121,13 +129,13 @@ class TestAssignment:
                    ignore=bool(rng.random() < 0.3))
                 for _ in range(int(rng.integers(1, 9)))
             ]
-            tgt = assign_targets(truth, [head])[0]
+            tgt = assign_targets(GroundTruth.of(truth), [head])[0]
             raw = head.raw.reshape(3, 7, 8, 8)
             for a, i, j in np.ndindex(3, 8, 8):
                 t = raw[a, :4, i, j]
                 pred = Box((1 / (1 + math.exp(-t[0])) + j) * 8, (1 / (1 + math.exp(-t[1])) + i) * 8,
                            head.anchors[a][0] * math.exp(t[2]), head.anchors[a][1] * math.exp(t[3]))
-                overlaps = [iou(pred, g.box) > 0.5 for g in truth]
+                overlaps = [box_iou(pred, g.box) > 0.5 for g in truth]
                 expected = any(overlaps) and not tgt.obj_mask[a, i, j]
                 assert tgt.ignore_mask[a, i, j] == expected
                 ignored += expected
@@ -136,7 +144,7 @@ class TestAssignment:
 
     def test_ignored_ground_truth_is_not_assigned(self):
         heads = three_heads()
-        targets = assign_targets([gt(320, 320, 50, 50, ignore=True)], heads)
+        targets = assign_targets(GroundTruth.of([gt(320, 320, 50, 50, ignore=True)]), heads)
         assert not any(t.obj_mask.any() for t in targets)
 
     @pytest.mark.parametrize("cls", [-1, 2, 5])
@@ -144,10 +152,10 @@ class TestAssignment:
         # a 2-class head: -1 would index class 1, and 2 and 5 its end
         heads = three_heads(num_classes=2)
         with pytest.raises(ValidationError, match=rf"class {cls} is outside the 2 classes"):
-            assign_targets([gt(320, 320, 116, 90, cls=cls)], heads)
+            assign_targets(GroundTruth.of([gt(320, 320, 116, 90, cls=cls)]), heads)
         # the last class assigns, and an ignore box of class -1 is exempt
-        targets = assign_targets([gt(320, 320, 116, 90, cls=1),
-                                  gt(100, 100, 50, 50, ignore=True)], heads)
+        targets = assign_targets(GroundTruth.of([gt(320, 320, 116, 90, cls=1),
+                                                 gt(100, 100, 50, 50, ignore=True)]), heads)
         assert targets[0].encoded[0, 5:, 10, 10].tolist() == [0.0, 1.0]
         assert targets[0].obj_mask.sum() == 1
 
@@ -161,7 +169,7 @@ class TestAssignment:
             truth = [gt(*rng.uniform(4, 124, 2), *rng.uniform(6, 90, 2),
                         cls=int(rng.integers(3)), ignore=bool(rng.uniform() < 0.2))
                      for _ in range(int(rng.integers(0, 8)))]
-            for head, tgt in zip(heads, assign_targets(truth, heads)):
+            for head, tgt in zip(heads, assign_targets(GroundTruth.of(truth), heads)):
                 assert tgt.encoded.shape == head.layout == (3, 8, *head.grid)
                 assert tgt.encoded.dtype == np.float64
                 assert not (tgt.encoded * ~tgt.obj_mask[:, None]).any()
@@ -180,7 +188,7 @@ class TestAssignment:
         # one net's weights under three [yolo] ignore_thresh values
         text = render_cfg(toy_graph())
         image = np.random.default_rng(8).uniform(0, 1, (3, 64, 64))
-        truth = [gt(20, 24, 16, 30), gt(44, 40, 30, 20, cls=1)]
+        truth = GroundTruth.of([gt(20, 24, 16, 30), gt(44, 40, 30, 20, cls=1)])
         masks = []
         for thresh in (0.05, 0.5, 0.95):
             net = random_init(parse_cfg(text.replace("ignore_thresh=0.5",
@@ -195,7 +203,7 @@ class TestTotalLoss:
     def test_zero_when_predictions_hit_targets(self):
         head = single_head(grid=2)
         box = Box(24.0, 40.0, 16.0, 30.0)
-        targets = assign_targets([GroundTruthBox("img", 1, box)], [head])
+        targets = assign_targets(GroundTruth.of([GroundTruthBox("img", 1, box)]), [head])
         tgt = targets[0]
         (a, i, j) = [t[0] for t in np.nonzero(tgt.obj_mask)]
         raw = head.raw.reshape(3, 7, 2, 2)
@@ -219,7 +227,7 @@ class TestTotalLoss:
             monkeypatch.setattr(yolokit.loss, "COORD_WEIGHT", coord)
         head = single_head(grid=2)
         box = Box(24.0, 40.0, 16.0, 30.0)
-        targets = assign_targets([GroundTruthBox("img", 1, box)], [head])
+        targets = assign_targets(GroundTruth.of([GroundTruthBox("img", 1, box)]), [head])
         tgt = targets[0]
         (a, i, j) = [t[0] for t in np.nonzero(tgt.obj_mask)]
         raw = head.raw.reshape(3, 7, 2, 2)
@@ -240,7 +248,8 @@ class TestTotalLoss:
     def test_additive_and_nonnegative(self):
         rng = np.random.default_rng(1)
         head = single_head(grid=3, rng=rng)
-        targets = assign_targets([gt(40, 40, 16, 30), gt(80, 20, 33, 23, cls=1)], [head])
+        truth = GroundTruth.of([gt(40, 40, 16, 30), gt(80, 20, 33, 23, cls=1)])
+        targets = assign_targets(truth, [head])
         breakdown = total_loss([head], targets)
         assert breakdown.total == breakdown.coord + breakdown.iou + breakdown.cls
         assert min(breakdown.coord, breakdown.iou, breakdown.cls) >= 0
@@ -248,7 +257,7 @@ class TestTotalLoss:
     def test_non_finite_raw_names_head(self):
         head = single_head(grid=2)
         head.raw[0, 0, 0] = np.nan
-        targets = assign_targets([], [head])
+        targets = assign_targets(GroundTruth.of([]), [head])
         with pytest.raises(NumericError) as err:
             total_loss([head], targets)
         assert "head 0" in str(err.value)
@@ -258,7 +267,7 @@ class TestTotalLoss:
         # finite raw values whose extent overflows where no box is: the loss
         # is finite, the gradient would be inf * 0 = nan there
         heads = [single_head(grid=2), single_head(grid=2)]
-        targets = assign_targets([gt(20, 20, 10, 13)], heads)
+        targets = assign_targets(GroundTruth.of([gt(20, 20, 10, 13)]), heads)
         assert targets[0].obj_mask.sum() == 1 and not targets[1].obj_mask.any()
         heads[1].raw.reshape(3, 7, 2, 2)[1, channel, 1, 1] = 800.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -270,13 +279,13 @@ class TestLossInputs:
     @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
     def test_assignment_for_fewer_heads_rejected(self, loss_fn):
         heads = three_heads(input_side=64)
-        targets = assign_targets([gt(20, 20, 10, 13)], heads[:2])
+        targets = assign_targets(GroundTruth.of([gt(20, 20, 10, 13)]), heads[:2])
         with pytest.raises(ShapeError, match="targets for 2 heads"):
             loss_fn(heads, targets)
 
     @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
     def test_target_grid_mismatch_rejected(self, loss_fn):
-        targets = assign_targets([gt(20, 20, 10, 13)], [single_head(grid=2)])
+        targets = assign_targets(GroundTruth.of([gt(20, 20, 10, 13)]), [single_head(grid=2)])
         with pytest.raises(ShapeError, match="obj_mask"):
             loss_fn([single_head(grid=3)], targets)
         head = single_head(grid=2)
@@ -287,7 +296,7 @@ class TestLossInputs:
     @pytest.mark.parametrize("loss_fn", [total_loss, loss_gradients])
     def test_target_class_count_mismatch_rejected(self, loss_fn):
         # the grid fits; the encoded targets hold 2 classes, the head 3
-        targets = assign_targets([gt(20, 20, 10, 13, cls=1)], [single_head(grid=2)])
+        targets = assign_targets(GroundTruth.of([gt(20, 20, 10, 13, cls=1)]), [single_head(grid=2)])
         with pytest.raises(ShapeError, match=r"^head 0 targets encoded do not fit its "
                                              r"\(3, 8, 2, 2\) layout$"):
             loss_fn([single_head(grid=2, num_classes=3)], targets)
@@ -298,7 +307,7 @@ class TestLossGradients:
         rng = np.random.default_rng(2)
         head = single_head(grid=2, rng=rng)
         targets = assign_targets(
-            [gt(20, 24, 18, 22), gt(50, 40, 30, 28, cls=1)], [head]
+            GroundTruth.of([gt(20, 24, 18, 22), gt(50, 40, 30, 28, cls=1)]), [head]
         )
         assert targets[0].obj_mask.any()
         assert not targets[0].obj_mask.all()
@@ -308,7 +317,7 @@ class TestLossGradients:
 
     def test_zero_at_minimum(self):
         head = single_head(grid=2)
-        targets = assign_targets([], [head])
+        targets = assign_targets(GroundTruth.of([]), [head])
         head.raw.reshape(3, 7, 2, 2)[:, 4] = -800.0
         head.raw.reshape(3, 7, 2, 2)[:, 5:] = -800.0
         grads = total_loss([head], targets).grads[0]
@@ -400,7 +409,7 @@ class TestOnePass:
                 "ignore_only": [gt(*rng.uniform(4, 124, 2), *rng.uniform(6, 90, 2), ignore=True)
                                 for _ in range(8)],
             }[truth]
-            targets = assign_targets(boxes, heads)
+            targets = assign_targets(GroundTruth.of(boxes), heads)
             ignored_slots += sum(int(t.ignore_mask.sum()) for t in targets)
             if truth == "ignore_only":
                 assert not any(t.obj_mask.any() for t in targets)
@@ -418,7 +427,8 @@ class TestOnePass:
         heads = three_heads(input_side=64)
         for head in heads:
             head.raw[:] = rng.normal(0, 2, head.raw.shape)
-        truth = [gt(20, 30, 14, 18), gt(40, 44, 30, 26, cls=1), gt(50, 10, 8, 8, ignore=True)]
+        truth = GroundTruth.of([gt(20, 30, 14, 18), gt(40, 44, 30, 26, cls=1),
+                                gt(50, 10, 8, 8, ignore=True)])
         reads = [read_head(head) for head in heads]
         targets = assign_targets(truth, heads, reads=reads)
         fresh = assign_targets(truth, heads)
@@ -434,8 +444,8 @@ class TestOnePass:
         heads = three_heads(input_side=64)
         reads = [read_head(head) for head in heads[:2]]
         with pytest.raises(ShapeError, match="2 head reads for 3 heads"):
-            assign_targets([gt(20, 20, 10, 13)], heads, reads=reads)
-        targets = assign_targets([gt(20, 20, 10, 13)], heads)
+            assign_targets(GroundTruth.of([gt(20, 20, 10, 13)]), heads, reads=reads)
+        targets = assign_targets(GroundTruth.of([gt(20, 20, 10, 13)]), heads)
         with pytest.raises(ShapeError, match="2 head reads for 3 heads"):
             total_loss(heads, targets, reads=reads)
 
@@ -754,7 +764,7 @@ class TestToyTraining:
 
         monkeypatch.setattr(yolokit.loss, "read_head", counting)
         dataset = synthetic_dataset(seed=4)[:4]
-        assert all(example.boxes for example in dataset)  # the assignment reads too
+        assert all(len(example.boxes.x) for example in dataset)  # the assignment reads too
         monkeypatch.setattr(yolokit.loss, "BATCH_SIZE", 3)
         train_toy(dataset, toy_graph(), ToyTrainConfig(steps=2, seed=4))
         assert len(calls) == 6
@@ -776,7 +786,8 @@ class TestToyTraining:
         # the same seed gives the same frames and boxes; another seed, such
         # as a held-out set's, gives other frames
         def drawn(seed):
-            return [(e.image_id, e.image.tobytes(), [(g.class_index, g.box) for g in e.boxes])
+            return [(e.image_id, e.image.tobytes(),
+                     [(g.class_index, g.box) for g in rows_of(e.boxes)])
                     for e in synthetic_dataset(seed=seed)]
 
         assert drawn(0) == drawn(0)
@@ -797,7 +808,7 @@ class TestToyTraining:
             assert len(dataset) == TOY_IMAGES
             assert {example.image.shape for example in dataset} == {(3, TOY_SIZE, TOY_SIZE)}
             assert all(0 <= g.class_index < head.attrs["classes"]
-                       for example in dataset for g in example.boxes)
+                       for example in dataset for g in rows_of(example.boxes))
 
     def test_bad_seed_rejected_before_any_draw(self, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -812,7 +823,7 @@ class TestToyTraining:
         for example in synthetic_dataset(seed=3):
             assert example.image.shape == (3, 64, 64)
             assert example.image.dtype == np.uint8 and example.image.flags.c_contiguous
-            for box in example.boxes:
+            for box in rows_of(example.boxes):
                 # the labeled rectangle is exactly the painted color patch,
                 # at least a pixel from the border
                 x0 = int(box.box.x - box.box.w / 2)
@@ -822,8 +833,6 @@ class TestToyTraining:
                 patch = example.image[:, y0 : y0 + h, x0 : x0 + w]
                 assert np.ptp(patch, axis=(1, 2)).max() == 0
                 classes.add(box.class_index)
-            reparsed = parse_visdrone(format_visdrone(example.boxes), example.image_id)
-            assert [(g.class_index, g.box) for g in reparsed] == [
-                (g.class_index, g.box) for g in example.boxes
-            ]
+            reparsed = parse_visdrone(format_visdrone(rows_of(example.boxes)), example.image_id)
+            assert reparsed == rows_of(example.boxes)
         assert classes == {0, 1}  # every class is drawn

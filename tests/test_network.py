@@ -7,7 +7,7 @@ from yolokit import network, ops
 from yolokit.cfg import builtin_graph, parse_cfg, toy_graph
 from yolokit.detect import Box, letterbox
 from yolokit.errors import ShapeError, UsageError
-from yolokit.evaluation import GroundTruthBox
+from yolokit.evaluation import GroundTruth, GroundTruthBox
 from yolokit.loss import assign_targets, total_loss
 from yolokit.network import Network
 from yolokit.oracles import maxpool_scan
@@ -263,7 +263,8 @@ class TestTrainingPass:
         net.zero_grads()
         tape = ops.GradTape()
         heads = net.forward(image, tape)
-        targets = assign_targets([GroundTruthBox("i", 0, Box(20.0, 30.0, 16.0, 12.0))], heads)
+        truth = GroundTruth.of([GroundTruthBox("i", 0, Box(20.0, 30.0, 16.0, 12.0))])
+        targets = assign_targets(truth, heads)
         net.backward(tape, zip(heads, total_loss(heads, targets).grads))
         assert tape.grad(image) is None
         assert np.array_equal(image, before)

@@ -16,7 +16,7 @@ import pytest
 
 from yolokit.cfg import parse_cfg, toy_graph
 from yolokit.detect import Box
-from yolokit.evaluation import GroundTruthBox
+from yolokit.evaluation import GroundTruth, GroundTruthBox
 from yolokit.gradcheck import battery_nets, finite_difference, relative_errors
 from yolokit.loss import assign_targets, total_loss
 from yolokit.ops import GradTape
@@ -89,10 +89,10 @@ def test_network_backward_matches_finite_differences_through_loss():
     graph = parse_cfg(BRANCHY_CFG)
     net = random_init(graph, seed=4)
     image = np.random.default_rng(4).uniform(0, 1, (3, 64, 64))
-    truth = [
+    truth = GroundTruth.of([
         GroundTruthBox("img", 0, Box(20.0, 24.0, 14.0, 18.0)),
         GroundTruthBox("img", 1, Box(48.0, 40.0, 26.0, 20.0)),
-    ]
+    ])
 
     net.zero_grads()
     tape = GradTape()
@@ -120,7 +120,7 @@ def test_gradients_accumulate_across_images_like_the_trainer():
     net = random_init(graph, seed=5)
     rng = np.random.default_rng(5)
     images = [rng.uniform(0, 1, (3, 64, 64)) for _ in range(2)]
-    truth = [GroundTruthBox("img", 0, Box(30.0, 30.0, 16.0, 16.0))]
+    truth = GroundTruth.of([GroundTruthBox("img", 0, Box(30.0, 30.0, 16.0, 16.0))])
 
     def run(images_subset, zero_first=True):
         if zero_first:
@@ -147,7 +147,7 @@ def test_gradients_accumulate_on_a_reused_tape_like_the_trainer():
     net = random_init(graph, seed=5)
     rng = np.random.default_rng(5)
     images = [rng.uniform(0, 1, (3, 64, 64)) for _ in range(3)]
-    truth = [GroundTruthBox("img", 0, Box(30.0, 30.0, 16.0, 16.0))]
+    truth = GroundTruth.of([GroundTruthBox("img", 0, Box(30.0, 30.0, 16.0, 16.0))])
 
     def run(reused):
         net.zero_grads()
