@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 runtime failure (bad files, failed checks),
 2 usage error (bad flags or argument combinations). All randomized behavior
-is seeded through --seed (default from $YOLOKIT_SEED, else 0; a non-integer
-or negative seed is a usage error), so identical invocations produce
+is seeded through --seed (default 0; a negative seed is a usage error), and
+no setting is read from the environment, so identical invocations produce
 byte-identical outputs.
 """
 
@@ -50,22 +50,6 @@ from .weights import check_seed, load_weights_file, random_init
 _PALETTE_DOC = ", ".join(f"{i}:{rgb}" for i, rgb in enumerate(PALETTE))
 
 
-def _resolve_seed(args) -> int:
-    """``--seed``, else ``$YOLOKIT_SEED``, else 0, checked by the library's
-    ``check_seed``; call it before any file is read or made. A non-integer
-    or out-of-range value is a usage error naming where it came from."""
-    if args.seed is not None:
-        source, value = "--seed", args.seed
-    else:
-        source, value = "YOLOKIT_SEED", os.environ.get("YOLOKIT_SEED", "0")
-    try:
-        seed = int(value)
-    except ValueError:
-        raise UsageError(f"{source} must be an integer, got {value!r}") from None
-    _check_flag(source, seed, check_seed)
-    return seed
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yolokit",
@@ -101,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write box-rendered PPM copies into DIR, as DIR/<image id>.ppm")
     det.add_argument("--precision", choices=["double", "single"], default="double",
                      help="compute precision (default double)")
-    det.add_argument("--seed", type=int, default=None, help="random-init seed")
+    det.add_argument("--seed", type=int, default=0, help="random-init seed (default 0)")
 
     ev = sub.add_parser("eval", help="score a prediction file against ground truth")
     ev.add_argument("--gt", required=True, help="directory of per-image annotation .txt files")
@@ -116,11 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the full self-verification battery")
     ver.add_argument("--json", action="store_true", help="machine-readable results")
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=0, help="random-data seed (default 0)")
 
     toy = sub.add_parser("train-toy", help="train the micro-model on synthetic data")
-    toy.add_argument("--steps", type=int, default=200)
-    toy.add_argument("--seed", type=int, default=None)
+    toy.add_argument("--steps", type=int, default=ToyTrainConfig.steps,
+                     help="training steps (default %(default)s)")
+    toy.add_argument("--seed", type=int, default=0, help="data and init seed (default 0)")
     toy.add_argument("--out", default="toy_loss.csv", help="loss-history CSV to write")
     return parser
 
@@ -220,7 +205,7 @@ def _resolve_graph(args):
 def cmd_detect(args) -> int:
     _check_flag("--conf", args.conf, check_conf_threshold)
     _check_flag("--nms", args.nms, check_nms_threshold)
-    seed = _resolve_seed(args)
+    _check_flag("--seed", args.seed, check_seed)
     image_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.images]
     first_path = {}  # image id -> the image that gives it
     for path, image_id in zip(args.images, image_ids):
@@ -254,7 +239,7 @@ def cmd_detect(args) -> int:
     if args.weights:
         net = load_weights_file(graph, args.weights, dtype=dtype)
     else:
-        net = random_init(graph, seed=seed, dtype=dtype)
+        net = random_init(graph, seed=args.seed, dtype=dtype)
     net.freeze()
 
     per_image = []
@@ -298,12 +283,13 @@ def cmd_eval(args) -> int:
                       iou_threshold=args.iou, score_threshold=args.conf)
     write_report_files(report, args.out_dir)
     print(format_report_table(report), end="")
-    print(f"mAP50 {report.map_percent:.1f}")
+    print(f"m{report.ap_label} {report.map_percent:.1f}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    results = run_all(seed=_resolve_seed(args))
+    _check_flag("--seed", args.seed, check_seed)
+    results = run_all(seed=args.seed)
     if args.json:
         print(json.dumps(
             [
@@ -326,11 +312,11 @@ def cmd_verify(args) -> int:
 
 def cmd_train_toy(args) -> int:
     _check_flag("--steps", args.steps, ToyTrainConfig)  # the config checks itself when made
-    seed = _resolve_seed(args)
+    _check_flag("--seed", args.seed, check_seed)
     _check_destination("--out", args.out)
-    dataset = synthetic_dataset(seed=seed)
+    dataset = synthetic_dataset(seed=args.seed)
     graph = toy_graph()
-    history = train_toy(dataset, graph, ToyTrainConfig(steps=args.steps, seed=seed))
+    history = train_toy(dataset, graph, ToyTrainConfig(steps=args.steps, seed=args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
         for step, value in enumerate(history):

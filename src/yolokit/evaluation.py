@@ -89,6 +89,9 @@ class GroundTruth:
     def __post_init__(self):
         check_names(self.names)
 
+    def __len__(self) -> int:
+        return len(self.x)
+
     @classmethod
     def of(cls, ground_truth) -> GroundTruth:
         """``ground_truth`` itself when it is columnar, else the columns of its
@@ -707,11 +710,17 @@ class EvalReport:
     precision: float  # pooled over classes, at the upstream score threshold
     recall: float
     map_fraction: float
+    iou_threshold: float  # the matching IoU the APs are at
     score_threshold: float | None = None
 
     @property
     def map_percent(self) -> float:
         return 100.0 * self.map_fraction
+
+    @property
+    def ap_label(self) -> str:
+        """The APs' name at the report's IoU: ``AP50`` at 0.5, ``AP75`` at 0.75."""
+        return f"AP{100 * self.iou_threshold:g}"
 
 
 def evaluate(detections: Detections, ground_truth, num_classes: int,
@@ -769,11 +778,13 @@ def evaluate(detections: Detections, ground_truth, num_classes: int,
     precision, recall = precision_recall(total_tp, total_fp, total_fn)
     with_gt = [c.ap for c in per_class if c.gt_count > 0]
     map_fraction = float(np.mean(with_gt)) if with_gt else 0.0
-    return EvalReport(per_class, precision, recall, map_fraction, score_threshold)
+    return EvalReport(per_class, precision, recall, map_fraction, iou_threshold,
+                      score_threshold)
 
 
 def format_report_table(report: EvalReport) -> str:
-    """Aligned plain-text table: one row per class, then the dataset summary.
+    """Aligned plain-text table: one row per class, then the dataset summary,
+    the APs named for the report's IoU (:attr:`EvalReport.ap_label`).
 
     Ten classes are named ``VISDRONE_CLASS_NAMES``, any other count
     ``class0``, ``class1``, ...
@@ -783,10 +794,11 @@ def format_report_table(report: EvalReport) -> str:
     else:
         class_names = [f"class{c.class_index}" for c in report.per_class]
     name_w = max(len("Class"), *(len(n) for n in class_names)) if class_names else 5
-    lines = [f"{'Class':<{name_w}}  {'AP50':>6}  {'TP':>6}  {'FP':>6}  {'FN':>6}"]
+    ap_w = max(6, len(report.ap_label))
+    lines = [f"{'Class':<{name_w}}  {report.ap_label:>{ap_w}}  {'TP':>6}  {'FP':>6}  {'FN':>6}"]
     for result, name in zip(report.per_class, class_names):
         lines.append(
-            f"{name:<{name_w}}  {result.ap_percent:>6.1f}  {result.tp:>6}  "
+            f"{name:<{name_w}}  {result.ap_percent:>{ap_w}.1f}  {result.tp:>6}  "
             f"{result.fp:>6}  {result.fn:>6}"
         )
     threshold = (
@@ -795,7 +807,7 @@ def format_report_table(report: EvalReport) -> str:
     lines.append("")
     lines.append(
         f"Precision {100 * report.precision:.1f}  Recall {100 * report.recall:.1f}  "
-        f"mAP50 {report.map_percent:.1f}  (confidence threshold: {threshold})"
+        f"m{report.ap_label} {report.map_percent:.1f}  (confidence threshold: {threshold})"
     )
     return "\n".join(lines) + "\n"
 

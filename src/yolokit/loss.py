@@ -121,7 +121,7 @@ def assign_targets(ground_truth: GroundTruth, heads: list[HeadOutput],
                                          w / input_w, h / input_h)
         tgt.encoded[ai, 5 + cls, row, col] = 1.0
 
-    if len(gt.x):
+    if len(gt):
         truth = corner_table(gt.x, gt.y, gt.w, gt.h)
         for index, (head, tgt) in enumerate(zip(heads, targets)):
             pred = read_head(head) if reads is None else reads[index]

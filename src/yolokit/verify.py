@@ -446,8 +446,8 @@ def check_decode_nms(seed: int = 0) -> CheckResult:
 
 
 def check_toy_training(seed: int = 0) -> CheckResult:
-    """Loss after the accumulated-SGD run of ``ToyTrainConfig``'s 200 steps
-    must be at most half the initial."""
+    """Loss after the accumulated-SGD run of ``ToyTrainConfig``'s default
+    steps, those of ``train-toy``, must be at most half the initial."""
 
     def run():
         dataset = synthetic_dataset(seed=seed)

@@ -11,9 +11,12 @@ blocks are row-major in ``stored``'s layout. The stream must be consumed
 exactly.
 
 A blob, a file and a pipe are all read by one loop over a binary stream,
-one stored array at a time in file order, so no load needs the file's size
-or holds the payload beside float64 parameters. Saves write one stored
-array at a time too.
+one stored array at a time in file order, so no load needs the file's size.
+Each array is read into its own float32 array and bound in the network's
+dtype by one rule, ``astype(dtype, copy=False)``: in float32 the array read
+is the parameter, in float64 it is converted and released before the next
+read, so a float64 load holds at most one stored array beside the
+parameters. Saves write one stored array at a time too.
 """
 
 from __future__ import annotations
@@ -72,38 +75,32 @@ def load_weights_file(graph: ModelGraph, path, dtype=np.float64) -> Network:
 
 def _read_weights(graph: ModelGraph, fh, dtype) -> Network:
     """A network of ``graph`` bound to the weights file read from the binary
-    stream ``fh``, one stored array at a time in file order. Float32
-    parameters are views of one array of every stored float; float64 ones
-    are converted from one reused float32 buffer, so the payload never sits
-    beside them. The stream is read to its end."""
+    stream ``fh``, one stored array at a time in file order, each bound by
+    ``astype(dtype, copy=False)``. The stream is read to its end."""
     net = Network(graph, dtype=dtype)
     net.seen = read_header(fh).seen
-    per_layer, total = net.count_parameters()
-    views = net.dtype == np.float32
-    # no stored array outgrows its layer
-    floats = np.empty(total if views else max((n for _, n in per_layer), default=0), "<f4")
-    cursor = 0
+    body = 0  # payload bytes read
     for i, p in net.conv_layers():
         for name, shape in p.stored():
             what = "bn variance" if name == "bn_var" else name.replace("_", " ")
-            n = math.prod(shape)
-            chunk = floats[cursor : cursor + n] if views else floats[:n]
-            got = fh.readinto(chunk)
-            if got < chunk.nbytes:  # the stream ended inside this array
-                _check_payload(4 * cursor + got)
+            stored = np.empty(shape, "<f4")
+            got = fh.readinto(stored)
+            if got < stored.nbytes:  # the stream ended inside this array
+                _check_payload(body + got)
                 raise WeightsFileError(
                     f"layer {i}: file truncated reading {what} "
-                    f"(need {n} floats, have {got // 4})"
+                    f"(need {stored.size} floats, have {got // 4})"
                 )
             # max and min carry any NaN or infinity, and the spread of two
             # finite float32 values is finite in float64; no cast buffer
-            if not math.isfinite(float(chunk.max()) - float(chunk.min())):
+            if not math.isfinite(float(stored.max()) - float(stored.min())):
                 raise WeightsFileError(f"layer {i}: non-finite values in {what}")
-            setattr(p, name, chunk.reshape(shape).astype(net.dtype, copy=False))
-            cursor += n
+            setattr(p, name, stored.astype(net.dtype, copy=False))
+            body += got
+            del stored  # a float64 load holds one read array at a time
         validate_layer(i, p, WeightsFileError)
     trailing = len(fh.read())
-    _check_payload(4 * cursor + trailing)
+    _check_payload(body + trailing)
     if trailing:
         raise WeightsFileError(f"{trailing // 4} trailing floats after the last layer")
     return net

@@ -399,22 +399,19 @@ class TestDetect:
         assert from_file.read_text().count("\n") > 0
         assert from_pipe.read_bytes() == from_file.read_bytes()
 
-    def test_env_seed_matches_explicit(self, scene, tmp_path, monkeypatch):
-        args = ["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
-                "--size", "64", "--conf", "0.05", "--precision", "single"]
-        explicit, from_env = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert run(args + ["--seed", "21", "--out", explicit]) == 0
-        monkeypatch.setenv("YOLOKIT_SEED", "21")
-        assert run(args + ["--out", from_env]) == 0
-        assert explicit.read_bytes() == from_env.read_bytes()
-
-    def test_non_integer_env_seed_is_usage_error(self, scene, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("YOLOKIT_SEED", "abc")
-        out = tmp_path / "p.txt"
-        assert run(["detect", scene, "--model", "yolov3-tiny", "--size", "64",
-                    "--out", out]) == 2
-        assert "YOLOKIT_SEED" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_weights_file_matches_the_seeded_init(self, scene, tmp_path, precision):
+        # the file stores float32 and a load binds it in either precision
+        cfg, weights = tmp_path / "toy.cfg", tmp_path / "toy.weights"
+        cfg.write_text(render_cfg(toy_graph()))
+        save_weights_file(random_init(toy_graph(), seed=5), weights)
+        args = ["detect", scene, "--cfg", cfg, "--size", "64", "--conf", "0.05",
+                "--precision", precision]
+        from_file, seeded = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(args + ["--weights", weights, "--out", from_file]) == 0
+        assert run(args + ["--seed", "5", "--out", seeded]) == 0
+        assert from_file.read_text().count("\n") > 0
+        assert from_file.read_bytes() == seeded.read_bytes()
 
 
 class TestEval:
@@ -445,6 +442,22 @@ class TestEval:
         assert "mAP50 83.3" in captured
         assert (tmp_path / "out" / "report.csv").exists()
         assert (tmp_path / "out" / "pr_class0.csv").exists()
+
+    @pytest.mark.parametrize("iou, label, map_percent", [("0.5", "AP50", "50.5"),
+                                                          ("0.75", "AP75", "13.6"),
+                                                          ("0.1234567", "AP12.3457", "51.5")])
+    def test_aps_are_named_for_the_iou(self, tmp_path, capsys, iou, label, map_percent):
+        # the golden eval set: the table's column, its summary and the last
+        # line name the IoU the APs were matched at; a long name widens the
+        # column, so the table stays aligned
+        out_dir = tmp_path / "out"
+        assert run(regenerate.eval_argv(str(out_dir)) + ["--iou", iou]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["Class", label]
+        assert len({len(line) for line in lines[:11]}) == 1  # the header and ten classes
+        assert f"  m{label} {map_percent}  " in lines[-2]
+        assert lines[-1] == f"m{label} {map_percent}"
+        assert (out_dir / "report.txt").read_text().splitlines() == lines[:-1]
 
     def test_perfect_predictions_print_100(self, tmp_path, capsys):
         gt_dir = tmp_path / "gt"
@@ -942,9 +955,8 @@ class TestRangedFlags:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["detect", "verify", "train-toy"])
-    @pytest.mark.parametrize("source", ["--seed", "YOLOKIT_SEED"])
     def test_negative_seed_is_usage_error_before_any_output(self, scene, tmp_path, monkeypatch,
-                                                            capsys, command, source):
+                                                            capsys, command):
         out = tmp_path / "out.txt"
         argv = {"detect": ["detect", scene, "--model", "yolov3-tiny", "--classes", "2",
                            "--size", "64", "--out", out],
@@ -952,13 +964,8 @@ class TestRangedFlags:
                 "train-toy": ["train-toy", "--steps", "1", "--out", out]}[command]
         battery = []
         monkeypatch.setattr(cli, "run_all", lambda **kw: battery.append(kw) or [])
-        value = -1 if source == "--seed" else -3
-        if source == "--seed":
-            argv.append(f"--seed={value}")
-        else:
-            monkeypatch.setenv("YOLOKIT_SEED", str(value))
-        assert run(argv) == 2
+        assert run(argv + ["--seed=-1"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"usage error: {source} {value}: seed must be >= 0, got {value}\n"
+        assert captured.err == "usage error: --seed -1: seed must be >= 0, got -1\n"
         assert captured.out == ""
         assert not out.exists() and battery == []

@@ -469,6 +469,13 @@ class TestDetections:
         assert list(zip(labeled.detections, labeled.is_tp.tolist())) == match_loop([b, a], truth)
         assert labeled.detections.image_ids() == ["a", "b"]
 
+    def test_ground_truth_length_and_truth(self):
+        # as for Detections: the row count, and an empty table is falsy
+        empty = GroundTruth.of([])
+        assert len(empty) == 0 and not empty
+        labels = synthetic_dataset(seed=0)[0].boxes
+        assert len(labels) == len(labels.x) > 0 and labels
+
     @pytest.mark.parametrize("names", [("b", "a"), ("a", "a"), ("a", "c", "b")])
     def test_names_not_strictly_increasing_refused(self, names):
         n = len(names)

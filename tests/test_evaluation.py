@@ -495,7 +495,7 @@ class TestCurveColumns:
         curves = list(_random_curves(4))
         per_class = [ClassResult(k, 0.0, 0, 0, 0, 0, recalls, precisions)
                      for k, (recalls, precisions) in enumerate(curves)]
-        write_report_files(EvalReport(per_class, 0.0, 0.0, 0.0), tmp_path)
+        write_report_files(EvalReport(per_class, 0.0, 0.0, 0.0, 0.5), tmp_path)
         for k, (recalls, precisions) in enumerate(curves):
             lines = ["recall,precision"] + [f"{r!r},{p!r}" for r, p in zip(recalls.tolist(),
                                                                             precisions.tolist())]

@@ -26,6 +26,10 @@ the code of ``src/yolokit`` only by ``detect.py`` and ``evaluation.py``,
 which define them and make them at perfbench's edges, ``oracles.py``,
 ``verify.py``'s fixtures and the package ``__init__``'s re-exports: every
 other module passes tables. This rule reads NAME tokens with ``tokenize``.
+
+Nothing in ``src/yolokit`` reads the environment: no code NAME token is
+``environ`` or ``getenv``, so a run's settings come from its arguments and
+input files alone. This rule reads NAME tokens with ``tokenize`` too.
 """
 
 import ast
@@ -114,15 +118,20 @@ ROW_HOMES = {KIT / name for name in ("detect.py", "evaluation.py", "oracles.py",
                                      "__init__.py")}
 
 
-def named_rows(sources: dict) -> list[str]:
-    """``path:line name`` of each row class named as code in a ``sources``
-    path under ``KIT`` outside ``ROW_HOMES``; ``sources`` maps a path to
-    its bytes."""
+def _code_names(sources: dict, names: set, homes=frozenset()) -> list[str]:
+    """``path:line name`` of each of ``names`` given as a NAME token in a
+    ``sources`` path under ``KIT`` outside ``homes``; ``sources`` maps a
+    path to its bytes."""
     return [f"{path.relative_to(ROOT)}:{tok.start[0]} {tok.string}"
             for path, source in sources.items()
-            if path.is_relative_to(KIT) and path not in ROW_HOMES
+            if path.is_relative_to(KIT) and path not in homes
             for tok in _tokens(source)
-            if tok.type == tokenize.NAME and tok.string in ROW_CLASSES]
+            if tok.type == tokenize.NAME and tok.string in names]
+
+
+def named_rows(sources: dict) -> list[str]:
+    """Each row class named as code outside ``ROW_HOMES``."""
+    return _code_names(sources, ROW_CLASSES, ROW_HOMES)
 
 
 def test_row_classes_are_named_only_where_rows_are_made():
@@ -144,6 +153,33 @@ def test_only_code_names_a_row_class():
         ROOT / "perfbench" / "p.py": b"from yolokit.detect import Detection\n",
     }
     assert named_rows(kit) == ["src/yolokit/loss.py:2 Box", "src/yolokit/ppm.py:2 GroundTruthBox"]
+
+
+ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def environment_reads(sources: dict) -> list[str]:
+    """Each ``environ`` or ``getenv`` named as code in the kit."""
+    return _code_names(sources, ENVIRONMENT_READS)
+
+
+def test_the_kit_reads_no_environment():
+    sources = {path: path.read_bytes() for path in sorted(KIT.rglob("*.py"))}
+    assert KIT / "cli.py" in sources
+    assert environment_reads(sources) == []
+
+
+def test_only_code_in_the_kit_reads_the_environment():
+    # a docstring, a comment, a string or a longer name reads nothing;
+    # perfbench sets its workers' environment and may read it
+    kit = {
+        KIT / "cli.py": b'"""Reads no os.environ."""\nimport os  # os.getenv\n'
+                        b'X = "environ"\nenvironment = 1\nos.environ.get("SEED", "0")\n',
+        KIT / "ppm.py": b"from os import getenv as g\n",
+        ROOT / "perfbench" / "run.py": b"import os\nenv = dict(os.environ)\n",
+    }
+    assert environment_reads(kit) == ["src/yolokit/cli.py:5 environ",
+                                      "src/yolokit/ppm.py:1 getenv"]
 
 
 def _is_frozen_dataclass(node: ast.ClassDef) -> bool:

@@ -208,8 +208,9 @@ def _load_error(loader, *args):
 
 class TestFileLoad:
     """A blob, a file and a pipe are read by one loop over a stream, one
-    stored array at a time: float32 parameters are views of one array of
-    every stored float, float64 ones are converted from one reused buffer."""
+    stored array at a time, each into its own float32 array: in float32 that
+    array is the parameter, in float64 it is converted and released before
+    the next read."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_file_and_blob_loads_agree_bitwise(self, tmp_path, dtype):
@@ -223,18 +224,20 @@ class TestFileLoad:
                     assert np.array_equal(x, y), name
             assert save_weights(other) == blob
 
-    def test_float32_parameters_are_writable_views_of_one_array(self, tmp_path):
+    def test_float32_parameters_are_writable_arrays_apart_from_the_input(self, tmp_path):
         graph = parse_cfg(TWO_CONV)
         blob = save_weights(random_init(graph, seed=21))
         path = tmp_path / "w.weights"
         path.write_bytes(blob)
         net = load_weights_file(graph, path, dtype=np.float32)
-        arrays = [net.params[0].bn_beta, net.params[0].bn_var, net.params[0].weights,
-                  net.params[1].biases, net.params[1].weights]
-        assert all(a.flags.writeable for a in arrays)
-        assert all(np.shares_memory(arrays[0].base, a) for a in arrays)
         buffer = bytearray(blob)
         blob_net = load_weights(graph, buffer, dtype=np.float32)
+        for loaded in (net, blob_net):
+            arrays = [getattr(p, name) for _, p in loaded.conv_layers()
+                      for name, _ in p.stored()]
+            assert all(a.dtype == np.float32 and a.flags.writeable for a in arrays)
+            assert not any(np.shares_memory(a, np.frombuffer(buffer, np.uint8))
+                           for a in arrays)
         buffer[20:] = bytes(len(buffer) - 20)  # the caller's buffer is not aliased
         net.freeze()
         blob_net.freeze()
@@ -349,7 +352,7 @@ class TestMemory:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pipe_load_holds_the_parameters_and_at_most_one_array(self, tmp_path, dtype):
         # a float32 load reads into its parameters; a float64 one converts
-        # through one buffer the size of a layer
+        # each array read and releases it before the next
         graph = parse_cfg(SIX_CONV)
         blob = save_weights(random_init(graph, seed=45))  # allocated before tracing
         net, peak = _traced_peak(_fifo_load, graph, blob, tmp_path, dtype)
