@@ -6,7 +6,8 @@ The inputs are a pure function of the seeds below: a 20-image VisDrone-style
 eval set (annotation files and one prediction file, with score ties across
 images and classes, ignore regions and confused classes), two small PPM
 scenes for ``detect``, and a short seed-0 ``train-toy`` run (its synthetic
-set is seeded by the run itself). The expected outputs are whatever the ``yolokit`` on
+set is seeded by the run itself). Beside them it writes the definition text
+of each builtin graph at 80 classes and of the toy graph. The expected outputs are whatever the ``yolokit`` on
 the path writes for them, so run this only when an output change is intended,
 and say so in the change's record: the test exists to show that outputs stay
 byte-identical.
@@ -26,6 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 EVAL_DIR = os.path.join(HERE, "eval")
 DETECT_DIR = os.path.join(HERE, "detect")
 TRAIN_DIR = os.path.join(HERE, "train")
+CFG_DIR = os.path.join(HERE, "cfg")
 
 EVAL_SEED = 20
 EVAL_IMAGES = 20
@@ -36,6 +38,8 @@ DETECT_SIZE = 128  # network input
 DETECT_CONF = "0.05"
 RENDERED = "scene0.ppm"  # the one rendered copy kept as a fixture
 TRAIN_STEPS = 20  # 320 training images: every kernel's backward, bit for bit
+CFG_VARIANTS = ("yolov3", "yolov3_spp", "yolov3_tiny")
+CFG_CLASSES = 80  # COCO's, the class count of darknet's published cfg files
 
 
 def eval_argv(out_dir: str) -> list[str]:
@@ -52,6 +56,17 @@ def detect_argv(out: str, render_dir: str) -> list[str]:
 
 def train_argv(out: str) -> list[str]:
     return ["train-toy", "--steps", str(TRAIN_STEPS), "--seed", "0", "--out", out]
+
+
+def cfg_texts() -> dict[str, str]:
+    """File name -> ``render_cfg`` text, for each builtin at ``CFG_CLASSES``
+    classes and for the toy graph."""
+    from yolokit.cfg import builtin_graph, render_cfg, toy_graph
+
+    texts = {f"{variant}.cfg": render_cfg(builtin_graph(variant, CFG_CLASSES))
+             for variant in CFG_VARIANTS}
+    texts["toy.cfg"] = render_cfg(toy_graph())
+    return texts
 
 
 def run_cli(argv: list[str]) -> str:
@@ -117,7 +132,7 @@ def _detect_inputs() -> None:
 
 
 def main() -> int:
-    for directory in (EVAL_DIR, DETECT_DIR, TRAIN_DIR):
+    for directory in (EVAL_DIR, DETECT_DIR, TRAIN_DIR, CFG_DIR):
         shutil.rmtree(directory, ignore_errors=True)
     _eval_inputs()
     _detect_inputs()
@@ -142,6 +157,11 @@ def main() -> int:
     stdout = run_cli(train_argv(os.path.join(TRAIN_DIR, "loss.csv")))
     with open(os.path.join(TRAIN_DIR, "stdout.txt"), "w", encoding="utf-8") as fh:
         fh.write(stdout)
+
+    os.makedirs(CFG_DIR)
+    for name, text in cfg_texts().items():
+        with open(os.path.join(CFG_DIR, name), "wb") as fh:
+            fh.write(text.encode("utf-8"))
     return 0
 
 

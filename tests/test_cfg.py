@@ -15,6 +15,7 @@ from yolokit.cfg import (
     toy_graph,
 )
 from yolokit.errors import CfgParseError, GraphValidationError, ShapeError, ValidationError
+from yolokit.network import Network
 
 NET = """\
 [net]
@@ -350,6 +351,32 @@ class TestBuiltins:
         assert head.attrs["mask"] == [0, 1, 2] and head.attrs["classes"] == 2
         assert shape_check(graph, 64, 64)[-1] == (21, 8, 8)
         assert graph_equal(parse_cfg(render_cfg(graph)), graph)
+
+    @pytest.mark.parametrize("variant, heads", [
+        ("yolov3", [82, 94, 106]), ("yolov3_spp", [89, 101, 113]), ("yolov3_tiny", [16, 23]),
+    ])
+    def test_yolo_layers_where_darknet_has_them(self, variant, heads):
+        graph = builtin_graph(variant, 80)
+        assert [i for i, layer in enumerate(graph.layers) if layer.kind == "yolo"] == heads
+        assert heads[-1] == len(graph.layers) - 1
+
+    @pytest.mark.parametrize("variant, routes", [
+        ("yolov3", [[-4], [-1, 61], [-4], [-1, 36]]),
+        ("yolov3_spp", [[-2], [-4], [-1, -3, -5, -6], [-4], [-1, 61], [-4], [-1, 36]]),
+        ("yolov3_tiny", [[-4], [-1, 8]]),
+    ])
+    def test_route_references_are_darknets(self, variant, routes):
+        graph = builtin_graph(variant, 80)
+        assert [layer.attrs["layers"] for layer in graph.layers
+                if layer.kind == "route"] == routes
+
+    @pytest.mark.parametrize("variant, total", [
+        # 62,001,757 floats and the 20-byte header are the 248,007,048 bytes
+        # of darknet's published yolov3.weights
+        ("yolov3", 62_001_757), ("yolov3_spp", 63_052_381), ("yolov3_tiny", 8_858_734),
+    ])
+    def test_parameter_totals_at_80_classes(self, variant, total):
+        assert Network(builtin_graph(variant, 80)).count_parameters()[1] == total
 
     def test_unknown_variant(self):
         with pytest.raises(GraphValidationError):

@@ -1,4 +1,5 @@
-"""Golden outputs: ``eval``, ``detect`` and ``train-toy`` write the committed bytes.
+"""Golden outputs: ``eval``, ``detect`` and ``train-toy`` write the committed
+bytes, and each builtin graph and the toy graph render to the committed text.
 
 The fixtures under ``tests/golden`` were written by ``tests/golden/regenerate.py``:
 the eval and detect ones before detections became columnar. The training
@@ -8,11 +9,15 @@ became 8-bit and went through ``letterbox``: the noise and colors were
 rounded to 8-bit levels, which moved the seed-0 losses by at most 1.9e-4
 absolute (5.8e-5 relative) over the 20 steps. A change that alters any
 report file, any stdout line, the prediction file, the rendered PPM or any
-bit of a training loss fails here.
+bit of a training loss fails here. The definition texts were written
+before the builtins and the toy came from one builder; a change that moves
+any layer or attribute of them fails here.
 """
 
 import os
 import sys
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 import regenerate  # noqa: E402
@@ -55,3 +60,13 @@ def test_train_toy_history_byte_identical(tmp_path):
     history = _read(out)
     assert history.count(b"\n") == regenerate.TRAIN_STEPS + 1
     assert history == _read(os.path.join(regenerate.TRAIN_DIR, "loss.csv"))
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.cfg_texts()))
+def test_graph_text_byte_identical(name):
+    assert regenerate.cfg_texts()[name].encode("utf-8") == _read(
+        os.path.join(regenerate.CFG_DIR, name))
+
+
+def test_graph_texts_are_the_fixtures():
+    assert sorted(os.listdir(regenerate.CFG_DIR)) == sorted(regenerate.cfg_texts())
