@@ -74,12 +74,12 @@ class LayerSpec:
 class ModelGraph:
     """Validated layer list plus the net-level input geometry.
 
-    ``parse_cfg`` and ``builtin_graph`` make their graphs through one
-    builder, which fills each section's defaults and checks it, then checks
-    the references. Route and shortcut references are kept as written (a negative
-    one counts back from the layer that holds it); :func:`layer_inputs`
-    resolves them, and the builder rejects any that does not name an earlier
-    layer, so the layer DAG is acyclic.
+    ``parse_cfg``, ``builtin_graph`` and ``toy_graph`` make their graphs
+    through one builder, which fills each section's defaults and checks it,
+    then checks the references. Route and shortcut references are kept as
+    written (a negative one counts back from the layer that holds it);
+    :func:`layer_inputs` resolves them, and the builder rejects any that
+    does not name an earlier layer, so the layer DAG is acyclic.
     """
 
     net: dict
@@ -385,54 +385,59 @@ def _route(*refs):
     return LayerSpec("route", {"layers": list(refs)})
 
 
-def _shortcut(from_ref):
-    return LayerSpec("shortcut", {"from": from_ref})
-
-
-def _head_conv(num_classes):
-    """The linear 1x1 convolution that makes a ``[yolo]`` layer's map."""
-    return _conv(head_channels(num_classes), 1, activation="linear", batch_normalize=0)
-
-
-def _yolo(mask, num_classes, anchors):
-    return LayerSpec("yolo", {"classes": num_classes, "mask": list(mask), "anchors": list(anchors)})
-
-
-def _backbone_53() -> tuple[list[LayerSpec], int, int]:
-    """52-conv residual trunk. Returns (layers, stride8_tap, stride16_tap)."""
+def _darknet53() -> tuple[list[LayerSpec], list[int]]:
+    """52-conv residual trunk and its taps, coarse to fine: the ends of its
+    stride-16 and stride-8 stages."""
     layers = [_conv(32, 3)]
-    taps = {}
+    ends = []
     for out_ch, repeats in ((64, 1), (128, 2), (256, 8), (512, 8), (1024, 4)):
         layers.append(_conv(out_ch, 3, stride=2))
         for _ in range(repeats):
-            layers.append(_conv(out_ch // 2, 1))
-            layers.append(_conv(out_ch, 3))
-            layers.append(_shortcut(-3))
-        taps[out_ch] = len(layers) - 1
-    return layers, taps[256], taps[512]
+            layers += [_conv(out_ch // 2, 1), _conv(out_ch, 3),
+                       LayerSpec("shortcut", {"from": -3})]
+        ends.append(len(layers) - 1)
+    return layers, [ends[3], ends[2]]
 
 
-def _detection_head(filters, num_classes, mask, spp=False):
-    """Neck + detection convolution + yolo layer at one scale."""
+def _tiny_trunk() -> tuple[list[LayerSpec], list[int]]:
+    """Seven 3x3 convs with a max-pool between each two, and its one tap:
+    the 256-channel map at stride 16."""
+    layers = []
+    for filters in (16, 32, 64, 128, 256):
+        layers += [_conv(filters, 3), _maxpool(2, 2)]
+    # a same-size pool keeps the deepest map at stride 32
+    layers += [_conv(512, 3), _maxpool(3, 1), _conv(1024, 3)]
+    return layers, [8]
+
+
+def _neck(filters, spp) -> list[LayerSpec]:
+    """One full-model neck: six convs alternating 1x1 at ``filters`` and 3x3
+    at twice that, with the pyramid-pooling block after the third if ``spp``."""
     layers = [_conv(filters, 1), _conv(filters * 2, 3), _conv(filters, 1)]
     if spp:
-        layers += [
-            _maxpool(5, 1),
-            _route(-2),
-            _maxpool(9, 1),
-            _route(-4),
-            _maxpool(13, 1),
-            _route(-1, -3, -5, -6),
-            _conv(filters, 1),
-        ]
-    layers += [
-        _conv(filters * 2, 3),
-        _conv(filters, 1),
-        _conv(filters * 2, 3),
-        _head_conv(num_classes),
-        _yolo(mask, num_classes, COCO_ANCHORS),
-    ]
-    return layers
+        layers += [_maxpool(5, 1), _route(-2), _maxpool(9, 1), _route(-4), _maxpool(13, 1),
+                   _route(-1, -3, -5, -6), _conv(filters, 1)]
+    return layers + [_conv(filters * 2, 3), _conv(filters, 1), _conv(filters * 2, 3)]
+
+
+def _detector(size, trunk, taps, necks, anchors, num_classes) -> ModelGraph:
+    """A ``size`` x ``size`` detector: ``trunk``, then per neck, coarse to
+    fine, the neck, its linear 1x1 map conv and its ``[yolo]`` layer. The
+    coarsest head takes the last three ``anchors`` pairs, the next the three
+    before. Between two heads runs the lateral: ``route -4`` back to the
+    neck's 1x1 conv before its last 3x3, a 1x1 conv at half that conv's
+    width, a 2x upsample and a route that joins the next of ``taps``."""
+    layers = list(trunk)
+    for k, neck in enumerate(necks):
+        if k:
+            layers += [_route(-4), _conv(layers[-4].attrs["filters"] // 2, 1),
+                       LayerSpec("upsample"), _route(-1, taps[k - 1])]
+        first = 3 * (len(necks) - 1 - k)
+        layers += [*neck,
+                   _conv(head_channels(num_classes), 1, activation="linear", batch_normalize=0),
+                   LayerSpec("yolo", {"classes": num_classes, "mask": list(range(first, first + 3)),
+                                      "anchors": list(anchors)})]
+    return _build([LayerSpec("net", {"width": size, "height": size, "channels": 3}), *layers])
 
 
 def check_num_classes(num_classes: int) -> None:
@@ -444,50 +449,23 @@ def check_num_classes(num_classes: int) -> None:
 def builtin_graph(variant: str, num_classes: int) -> ModelGraph:
     """Construct a builtin detection graph: yolov3, yolov3_spp, or yolov3_tiny."""
     check_num_classes(num_classes)
-    variant = variant.replace("-", "_")
     if variant == "yolov3_tiny":
-        layers = _tiny_layers(num_classes)
+        trunk, taps = _tiny_trunk()
+        necks = [[_conv(256, 1), _conv(512, 3)], [_conv(256, 3)]]
+        anchors = TINY_ANCHORS
     elif variant in ("yolov3", "yolov3_spp"):
-        layers, tap8, tap16 = _backbone_53()
-        layers += _detection_head(512, num_classes, (6, 7, 8), spp=(variant == "yolov3_spp"))
-        layers += [_route(-4), _conv(256, 1), LayerSpec("upsample"), _route(-1, tap16)]
-        layers += _detection_head(256, num_classes, (3, 4, 5))
-        layers += [_route(-4), _conv(128, 1), LayerSpec("upsample"), _route(-1, tap8)]
-        layers += _detection_head(128, num_classes, (0, 1, 2))
+        trunk, taps = _darknet53()
+        necks = [_neck(512, variant == "yolov3_spp"), _neck(256, False), _neck(128, False)]
+        anchors = COCO_ANCHORS
     else:
         raise GraphValidationError(f"unknown model variant {variant!r}")
-    return _build([LayerSpec("net", {"width": 640, "height": 640, "channels": 3}), *layers])
+    return _detector(640, trunk, taps, necks, anchors, num_classes)
 
 
 def toy_graph() -> ModelGraph:
-    """Six-layer detection micrograph (5 convs + 1 head) at stride 8, on a
+    """The family's smallest member: a trunk of four 3x3 convs, three of
+    them stride 2, and one head straight on it at stride 8, on a
     ``TOY_SIZE`` x ``TOY_SIZE`` input, for ``TOY_CLASSES`` classes, with the
     three finest ``COCO_ANCHORS``."""
-    layers = [_conv(8, 3), *(_conv(filters, 3, stride=2) for filters in (16, 16, 32)),
-              _head_conv(TOY_CLASSES),
-              _yolo((0, 1, 2), TOY_CLASSES, COCO_ANCHORS[:6])]
-    return _build([LayerSpec("net", {"width": TOY_SIZE, "height": TOY_SIZE, "channels": 3}),
-                   *layers])
-
-
-def _tiny_layers(num_classes: int) -> list[LayerSpec]:
-    layers = []
-    for filters in (16, 32, 64, 128, 256):
-        layers.append(_conv(filters, 3))
-        layers.append(_maxpool(2, 2))
-    layers.append(_conv(512, 3))
-    layers.append(_maxpool(3, 1))  # same-size pool keeps the deepest map at stride 32
-    layers.append(_conv(1024, 3))
-    layers.append(_conv(256, 1))
-    layers.append(_conv(512, 3))
-    layers.append(_head_conv(num_classes))
-    layers.append(_yolo((3, 4, 5), num_classes, TINY_ANCHORS))
-    tap16 = 8  # 256-channel map at stride 16
-    layers.append(_route(-4))
-    layers.append(_conv(128, 1))
-    layers.append(LayerSpec("upsample"))
-    layers.append(_route(-1, tap16))
-    layers.append(_conv(256, 3))
-    layers.append(_head_conv(num_classes))
-    layers.append(_yolo((0, 1, 2), num_classes, TINY_ANCHORS))
-    return layers
+    trunk = [_conv(8, 3), *(_conv(filters, 3, stride=2) for filters in (16, 16, 32))]
+    return _detector(TOY_SIZE, trunk, [], [[]], COCO_ANCHORS[:6], TOY_CLASSES)
