@@ -2,9 +2,15 @@
 
 The dialect is INI-like: ``[section]`` headers, ``key=value`` lines, ``#`` or
 ``;`` full-line comments, comma-separated integer lists for multi-valued keys
-(``layers=-1,-3,-5,-6``). The first section must be ``[net]``; the recognized
-layer kinds are convolutional, maxpool, upsample, route, shortcut and yolo.
-Anything else is an error, never silently skipped.
+(``layers=-1,-3,-5,-6``; an empty element is an error). The first section
+must be ``[net]``; the recognized layer kinds are convolutional, maxpool,
+upsample, route, shortcut and yolo. Anything else is an error, never
+silently skipped.
+
+The builtins ``yolov3``, ``yolov3_spp`` and ``yolov3_tiny`` and the toy graph
+are one family: a trunk with its taps, a list of necks, and one head loop
+that adds each neck's map conv and ``[yolo]`` layer and the lateral between
+two heads.
 """
 
 from __future__ import annotations
@@ -125,7 +131,8 @@ def _parse_value(kind, key, raw, line):
         if vtype == "float":
             return float(raw)
         if vtype == "ilist":
-            return [int(tok.strip()) for tok in raw.split(",") if tok.strip() != ""]
+            # an empty value is the empty list; an empty element is an error
+            return [int(tok) for tok in raw.split(",")] if raw else []
         return raw
     except ValueError:
         raise CfgParseError(f"key {key!r} expects {vtype} value, got {raw!r}", line) from None
@@ -432,10 +439,10 @@ def _detector(size, trunk, taps, necks, anchors, num_classes) -> ModelGraph:
         if k:
             layers += [_route(-4), _conv(layers[-4].attrs["filters"] // 2, 1),
                        LayerSpec("upsample"), _route(-1, taps[k - 1])]
-        first = 3 * (len(necks) - 1 - k)
+        mask = list(range(3 * (len(necks) - 1 - k), 3 * (len(necks) - k)))
         layers += [*neck,
                    _conv(head_channels(num_classes), 1, activation="linear", batch_normalize=0),
-                   LayerSpec("yolo", {"classes": num_classes, "mask": list(range(first, first + 3)),
+                   LayerSpec("yolo", {"classes": num_classes, "mask": mask,
                                       "anchors": list(anchors)})]
     return _build([LayerSpec("net", {"width": size, "height": size, "channels": 3}), *layers])
 

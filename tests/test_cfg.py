@@ -136,6 +136,23 @@ class TestParse:
         with pytest.raises(CfgParseError):
             parse_cfg(MINIMAL.replace("filters=4", "filters=many"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("layers", "-1,-3,-5,-6"), ("mask", "0,1,2"), ("anchors", "10,13,16,30,33,23"),
+    ])
+    @pytest.mark.parametrize("where", ["leading", "doubled", "trailing"])
+    def test_empty_list_element_rejected_at_its_line(self, key, value, where):
+        # a list element is never skipped: ",1", "1,,2" and "1," name their line
+        broken = {"leading": "," + value, "doubled": value.replace(",", ",,", 1),
+                  "trailing": value + ","}[where]
+        text = SPP_SNIPPET + "\n" + render_cfg(toy_graph()).partition("\n\n")[2]
+        assert text.count(f"{key}={value}\n") == 1
+        line = text.splitlines().index(f"{key}={value}") + 1
+        parse_cfg(text)
+        with pytest.raises(CfgParseError) as err:
+            parse_cfg(text.replace(f"{key}={value}\n", f"{key}={broken}\n"))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: key {key!r} expects ilist value, got {broken!r}"
+
     # (section kind, the keys that break one of its conv or pool rules)
     @pytest.mark.parametrize("kind, bad", [
         ("convolutional", {"size": 2}),
