@@ -363,18 +363,17 @@ def _pad(x, pad, value, tape=None):
     return _pad_rows(x, pad, value, 0, _empty((c, h + 2 * pad, w + 2 * pad), x.dtype, tape))
 
 
-def _im2col(x_padded, k, stride, r0, r1, out_w, tape=None):
-    # columns of output rows r0..r1-1: (C*k*k, (r1-r0)*out_w), rows in weight
-    # order (c, ki, kj), columns in spatial scan order, so W @ cols is CHW
-    # the (c, ki, kj, row, col) window view x_padded[c, (r0 + row)*stride + ki,
+def _im2col(x_padded, k, stride, rows, out_w, tape=None):
+    # columns of the first ``rows`` output rows: (C*k*k, rows*out_w), rows in
+    # weight order (c, ki, kj), columns in spatial scan order, so W @ cols is CHW
+    # the (c, ki, kj, row, col) window view x_padded[c, row*stride + ki,
     # col*stride + kj], made on the C-contiguous x_padded's buffer: as_strided
     # would intern its __array_interface__'s 'typestr' key anew on each call,
     # filling, then rebuilding, the interpreter's string table
     sc, sh, sw = x_padded.strides
-    windows = np.ndarray((x_padded.shape[0], k, k, r1 - r0, out_w), x_padded.dtype,
-                         buffer=x_padded, offset=r0 * stride * sh,
-                         strides=(sc, sh, sw, sh * stride, sw * stride))
-    return _copy(windows, tape).reshape(-1, (r1 - r0) * out_w)
+    windows = np.ndarray((x_padded.shape[0], k, k, rows, out_w), x_padded.dtype,
+                         buffer=x_padded, strides=(sc, sh, sw, sh * stride, sw * stride))
+    return _copy(windows, tape).reshape(-1, rows * out_w)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = None) -> np.ndarray:
@@ -428,7 +427,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams, tape: GradTape | None = No
             rows = (r1 - r0 - 1) * s + k
             band_rows = band_buffer[: cin * rows * (w + 2 * pad)].reshape(cin, rows, -1)
             padded = _pad_rows(x, pad, 0, r0 * s, band_rows)
-            cols = _im2col(padded, k, s, 0, r1 - r0, out_w, tape)
+            cols = _im2col(padded, k, s, r1 - r0, out_w, tape)
         zb, yb = z[:, r0 * out_w : r1 * out_w], y[:, r0 * out_w : r1 * out_w]
         np.matmul(w_mat, cols, out=zb)
         if tape is None:

@@ -19,7 +19,11 @@ fields are state that code assigns by attribute. Calls are matched by the
 called name, a class's name for its ``__init__``; a ``*args`` or
 ``**kwargs`` in a call passes every parameter it could reach. An argument
 that is a literal equal to the parameter's literal default restates it and
-passes nothing. These trees are read with ``ast``.
+passes nothing. A parameter without a default, of the same functions
+and frozen records, must not be given one and the same literal by every
+call of its name: a value no call varies is a constant. The calls are
+matched as above, and a ``*`` or ``**`` that can reach the parameter gives
+it anything. These trees are read with ``ast``.
 
 The row classes ``Box``, ``Detection`` and ``GroundTruthBox`` are named in
 the code of ``src/yolokit`` only by ``detect.py`` and ``evaluation.py``,
@@ -201,20 +205,20 @@ def _literal(node: ast.expr):
         return _NOT_LITERAL
 
 
-def _defaulted_parameters(tree: ast.Module):
+def _parameters(tree: ast.Module):
     """(called name, line, parameter, position, keyword, default) of each
-    parameter with a default: ``position`` is its index among a call's
-    positional arguments (None if it is keyword-only), ``keyword`` whether a
-    keyword can pass it, ``default`` its node. A method's ``self`` or
-    ``cls`` is no call's argument; an ``__init__`` is called by its class's
-    name, as is a frozen dataclass, whose fields are its parameters."""
+    parameter: ``position`` is its index among a call's positional
+    arguments (None if it is keyword-only), ``keyword`` whether a keyword
+    can pass it, ``default`` its default's node, or None if it has none. A
+    method's ``self`` or ``cls`` is no call's argument, nor is a ``*args``
+    or ``**kwargs``; an ``__init__`` is called by its class's name, as is a
+    frozen dataclass, whose fields are its parameters."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and _is_frozen_dataclass(node):
             fields = [item for item in node.body
                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
             for index, item in enumerate(fields):
-                if item.value is not None:
-                    yield node.name, item.lineno, item.target.id, index, True, item.value
+                yield node.name, item.lineno, item.target.id, index, True, item.value
     methods = {item: node.name if item.name == "__init__" else item.name
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.FunctionDef)}
@@ -226,13 +230,12 @@ def _defaulted_parameters(tree: ast.Module):
             continue
         args = fn.args
         positional = args.posonlyargs + args.args
-        first_default = len(positional) - len(args.defaults)
-        for index, (param, default) in enumerate(
-                zip(positional[first_default:], args.defaults), first_default):
-            yield name, fn.lineno, param.arg, index - implicit, param in args.args, default
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        for index, (param, default) in enumerate(zip(positional, defaults)):
+            if index >= implicit:
+                yield name, fn.lineno, param.arg, index - implicit, param in args.args, default
         for param, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield name, fn.lineno, param.arg, None, True, default
+            yield name, fn.lineno, param.arg, None, True, default
 
 
 def _calls(tree: ast.Module):
@@ -252,38 +255,78 @@ def _calls(tree: ast.Module):
                any(kw.arg is None for kw in node.keywords))
 
 
-def unpassed_parameters(sources: dict) -> list[str]:
-    """``path:line function(parameter)`` of each parameter with a default,
-    of a function in a ``sources`` path under ``KIT`` (``oracles.py``
-    aside), that no call in ``sources`` passes; ``sources`` maps a path to
+_ANY = object()
+
+
+def _given(call, param, position, keyword):
+    """The argument node that ``call`` gives a parameter, ``_ANY`` if a
+    ``*`` or ``**`` in it can reach the parameter, or None."""
+    args, star, keywords, double_star = call
+    if position is not None and star is not None and position >= star:
+        return _ANY
+    if position is not None and position < len(args):
+        return args[position]
+    if keyword and param in keywords:
+        return keywords[param]
+    return _ANY if keyword and double_star else None
+
+
+def _kit_parameters(sources: dict):
+    """(path, line, called name, parameter, default, what each call of the
+    called name gives it) of each parameter of a function in a ``sources``
+    path under ``KIT`` (``oracles.py`` aside); ``sources`` maps a path to
     its bytes."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
     calls = {}
     for tree in trees.values():
         for name, *call in _calls(tree):
             calls.setdefault(name, []).append(call)
+    for path, tree in trees.items():
+        if path.is_relative_to(KIT) and path != EXEMPT:
+            for name, line, param, position, keyword, default in _parameters(tree):
+                yield (path, line, name, param, default,
+                       [_given(call, param, position, keyword) for call in calls.get(name, ())])
 
-    def passed(name, position, param, keyword, default):
+
+def unpassed_parameters(sources: dict) -> list[str]:
+    """``path:line function(parameter)`` of each parameter with a default,
+    of a function in a ``sources`` path under ``KIT`` (``oracles.py``
+    aside), that no call in ``sources`` passes; ``sources`` maps a path to
+    its bytes."""
+    def passed(default, given):
         default = _literal(default)
-
-        def gives(arg):  # anything but the literal default restated
-            return default is _NOT_LITERAL or _literal(arg) != default
-
-        return any(
-            position is not None and (star is not None and position >= star
-                                      or position < len(args) and gives(args[position]))
-            or keyword and (param in keywords and gives(keywords[param]) or double_star)
-            for args, star, keywords, double_star in calls.get(name, ()))
+        # anything but the literal default restated
+        return given is _ANY or given is not None and (
+            default is _NOT_LITERAL or _literal(given) != default)
 
     return [f"{path.relative_to(ROOT)}:{line} {name}({param})"
-            for path, tree in trees.items() if path.is_relative_to(KIT) and path != EXEMPT
-            for name, line, param, position, keyword, default in _defaulted_parameters(tree)
-            if not passed(name, position, param, keyword, default)]
+            for path, line, name, param, default, givens in _kit_parameters(sources)
+            if default is not None and not any(passed(default, given) for given in givens)]
+
+
+def constant_parameters(sources: dict) -> list[str]:
+    """``path:line function(parameter)`` of each parameter without a
+    default, of a function in a ``sources`` path under ``KIT``
+    (``oracles.py`` aside), that every call in ``sources`` gives one and the
+    same literal; ``sources`` maps a path to its bytes."""
+    def literals(givens):
+        return [_NOT_LITERAL if given is None or given is _ANY else _literal(given)
+                for given in givens]
+
+    return [f"{path.relative_to(ROOT)}:{line} {name}({param})"
+            for path, line, name, param, default, givens in _kit_parameters(sources)
+            if default is None and (values := literals(givens))
+            and _NOT_LITERAL not in values and all(v == values[0] for v in values)]
 
 
 def test_every_kit_default_is_passed_by_the_kit_or_perfbench():
     sources = {path: path.read_bytes() for tree in TREES for path in sorted(tree.rglob("*.py"))}
     assert unpassed_parameters(sources) == []
+
+
+def test_no_kit_parameter_is_given_one_literal_by_every_call():
+    sources = {path: path.read_bytes() for tree in TREES for path in sorted(tree.rglob("*.py"))}
+    assert constant_parameters(sources) == []
 
 
 def test_a_default_counts_as_passed_only_by_a_call_that_can_reach_it():
@@ -345,6 +388,29 @@ def test_a_frozen_dataclass_field_counts_as_passed_only_by_a_call_that_can_reach
         ROOT / "perfbench" / "p.py": b"from yolokit.a import F\nF(0, d=1)\n",
     }
     assert [line.split()[-1] for line in unpassed_parameters(kit)] == ["F(c)", "G(x)"]
+
+
+def test_a_required_parameter_that_every_call_gives_one_literal_is_a_constant():
+    # a second value, a name, or a * or ** that can reach the parameter
+    # makes it vary; a function that no call reaches is the name rule's
+    kit = {
+        KIT / "a.py": b"from dataclasses import dataclass\n"
+                      b"N = 1\n"
+                      b"def f(a, b, c, *, d, e):\n    pass\n"
+                      b"def g(x, y):\n    pass\n"
+                      b"def h(z):\n    pass\n"
+                      b"def unused(v):\n    pass\n"
+                      b"class C:\n    def __init__(self, u):\n        pass\n"
+                      b"    def m(self, w):\n        pass\n"
+                      b"@dataclass(frozen=True)\nclass F:\n    p: int\n    q: int = 0\n"
+                      b"f(1, 2, N, d='x', e=0)\nf(1, 3, 4, d='x', **{})\n"
+                      b"g((1, 2), *[1])\ng((1, 2), 0)\n"
+                      b"C(-1).m(w=None)\nF(0)\nF(0, 1)\n",
+        KIT / "oracles.py": b"def exempt(r):\n    pass\nexempt(0)\n",
+        ROOT / "perfbench" / "p.py": b"from yolokit.a import h\nh(1)\n",
+    }
+    assert [line.split()[-1] for line in constant_parameters(kit)] == [
+        "F(p)", "f(a)", "f(d)", "g(x)", "h(z)", "C(u)", "m(w)"]
 
 
 def test_a_patched_or_aliased_name_passes_no_default():

@@ -120,10 +120,12 @@ class TestConv2d:
         windows = windows[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)
         _, _, _, out_h, out_w = windows.shape
         want = windows.reshape(3 * k * k, out_h * out_w)
-        # the whole map as one band, then split in two bands
+        # the whole map as one band, then split in two bands; each band's
+        # columns come from its own contiguous padded rows, as the conv's do
         mid = out_h // 2
         for r0, r1 in [(0, out_h), (0, mid), (mid, out_h)]:
-            got = ops._im2col(x_padded, k, stride, r0, r1, out_w)
+            band = np.ascontiguousarray(x_padded[:, r0 * stride : (r1 - 1) * stride + k])
+            got = ops._im2col(band, k, stride, r1 - r0, out_w)
             assert got.shape == (3 * k * k, (r1 - r0) * out_w)
             assert np.array_equal(got, want[:, r0 * out_w : r1 * out_w])
 
@@ -145,9 +147,9 @@ class TestConv2d:
             starts.append(start)
             return pad_rows(x, pad, value, start, out)
 
-        def recording_im2col(x_padded, k, stride, r0, r1, *rest):
-            heights.append(r1 - r0)
-            return im2col(x_padded, k, stride, r0, r1, *rest)
+        def recording_im2col(x_padded, k, stride, rows, *rest):
+            heights.append(rows)
+            return im2col(x_padded, k, stride, rows, *rest)
 
         def bands():
             return [(start // stride, start // stride + n) for start, n in zip(starts, heights)]
