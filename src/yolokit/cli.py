@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -48,6 +49,7 @@ from .verify import run_all
 from .weights import check_seed, load_weights_file, random_init
 
 _PALETTE_DOC = ", ".join(f"{i}:{rgb}" for i, rgb in enumerate(PALETTE))
+BUILTIN_CLASSES = 80  # a builtin model's class count where --classes is unset: COCO's
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,41 +73,45 @@ def build_parser() -> argparse.ArgumentParser:
                      help="builtin model variant")
     det.add_argument("--cfg", help="model definition file (overrides --model)")
     det.add_argument("--classes", type=int,
-                     help="class count for builtin models (default 80); with --cfg, "
-                          "if given, it must equal the file's [yolo] classes")
+                     help=f"class count for builtin models (default {BUILTIN_CLASSES}); "
+                          "with --cfg, if given, it must equal the file's [yolo] classes")
     det.add_argument("--weights", help="binary weights file; omit for seeded random init")
-    det.add_argument("--size", type=int, default=640, help="square input size (default 640)")
+    det.add_argument("--size", type=int, default=640,
+                     help="square input size (default %(default)s)")
     det.add_argument("--conf", type=float, default=0.25,
-                     help="confidence threshold (default 0.25)")
+                     help="confidence threshold (default %(default)s)")
     det.add_argument("--nms", type=float, default=0.45,
-                     help="NMS IoU threshold (default 0.45)")
+                     help="NMS IoU threshold (default %(default)s)")
     det.add_argument("--out", default="predictions.txt",
                      help="prediction file to write; not one of the --render copies")
     det.add_argument("--render", metavar="DIR",
                      help="also write box-rendered PPM copies into DIR, as DIR/<image id>.ppm")
     det.add_argument("--precision", choices=["double", "single"], default="double",
-                     help="compute precision (default double)")
-    det.add_argument("--seed", type=int, default=0, help="random-init seed (default 0)")
+                     help="compute precision (default %(default)s)")
+    det.add_argument("--seed", type=int, default=0,
+                     help="random-init seed (default %(default)s)")
 
     ev = sub.add_parser("eval", help="score a prediction file against ground truth")
     ev.add_argument("--gt", required=True, help="directory of per-image annotation .txt files")
     ev.add_argument("--pred", required=True, help="prediction file")
-    ev.add_argument("--classes", type=int, default=10, help="class count (default 10)")
+    ev.add_argument("--classes", type=int, default=10, help="class count (default %(default)s)")
     ev.add_argument("--iou", type=float, default=0.5,
-                    help="matching IoU threshold (default 0.5)")
+                    help="matching IoU threshold (default %(default)s)")
     ev.add_argument("--conf", type=float, default=None,
                     help="only score detections at or above this confidence")
     ev.add_argument("--out-dir", default="eval_out",
-                    help="directory for the table, CSV and PR curves (default eval_out)")
+                    help="directory for the table, CSV and PR curves (default %(default)s)")
 
     ver = sub.add_parser("verify", help="run the full self-verification battery")
     ver.add_argument("--json", action="store_true", help="machine-readable results")
-    ver.add_argument("--seed", type=int, default=0, help="random-data seed (default 0)")
+    ver.add_argument("--seed", type=int, default=0,
+                     help="random-data seed (default %(default)s)")
 
     toy = sub.add_parser("train-toy", help="train the micro-model on synthetic data")
     toy.add_argument("--steps", type=int, default=ToyTrainConfig.steps,
                      help="training steps (default %(default)s)")
-    toy.add_argument("--seed", type=int, default=0, help="data and init seed (default 0)")
+    toy.add_argument("--seed", type=int, default=0,
+                     help="data and init seed (default %(default)s)")
     toy.add_argument("--out", default="toy_loss.csv", help="loss-history CSV to write")
     return parser
 
@@ -181,8 +187,9 @@ def _check_not_an_input(destinations, inputs) -> None:
 
 def _resolve_graph(args):
     """The ``--cfg`` file's graph, where a given ``--classes`` must equal its
-    ``[yolo]`` classes, or the builtin ``--model`` at ``--classes`` (80 if
-    unset); a mismatch or a missing model is a usage error."""
+    ``[yolo]`` classes, or the builtin ``--model`` at ``--classes``
+    (``BUILTIN_CLASSES`` if unset); a mismatch or a missing model is a usage
+    error."""
     if args.cfg:
         with open(args.cfg, encoding="utf-8") as fh:
             try:
@@ -197,7 +204,7 @@ def _resolve_graph(args):
         return graph
     if not args.model:
         raise UsageError("pick a model with --model or supply --cfg")
-    classes = 80 if args.classes is None else args.classes
+    classes = BUILTIN_CLASSES if args.classes is None else args.classes
     _check_flag("--classes", classes, check_num_classes)
     return builtin_graph(args.model.replace("-", "_"), classes)
 
@@ -291,19 +298,8 @@ def cmd_verify(args) -> int:
     _check_flag("--seed", args.seed, check_seed)
     results = run_all(seed=args.seed)
     if args.json:
-        print(json.dumps(
-            [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "limit": r.limit,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in results
-            ],
-            indent=2,
-        ))
+        print(json.dumps([{**dataclasses.asdict(r), "seconds": round(r.seconds, 3)}
+                          for r in results], indent=2))
     else:
         for r in results:
             print(r.line())

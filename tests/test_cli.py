@@ -602,6 +602,29 @@ class TestVerifyCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestHelp:
+    def test_a_shown_default_is_argparses_own(self):
+        # a help that shows a flag's default reads it with %(default)s, so the
+        # value is written once; detect --classes has no argparse default (a
+        # --cfg file sets the count) and names the constant _resolve_graph uses
+        parser = cli.build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        shown = []
+        for name, command in commands.items():
+            for action in command._actions:
+                if action.help and "(default " in action.help:
+                    shown.append(f"{name} {action.option_strings[0]}")
+                    if action.default is None:
+                        assert f"(default {cli.BUILTIN_CLASSES})" in action.help, shown[-1]
+                    else:
+                        assert "(default %(default)s)" in action.help, shown[-1]
+        assert shown == ["detect --classes", "detect --size", "detect --conf", "detect --nms",
+                         "detect --precision", "detect --seed", "eval --classes", "eval --iou",
+                         "eval --out-dir", "verify --seed", "train-toy --steps",
+                         "train-toy --seed"]
+
+
 class TestTrainToyCommand:
     def test_writes_history_csv(self, tmp_path, capsys):
         out = tmp_path / "loss.csv"
