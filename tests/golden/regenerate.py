@@ -7,10 +7,10 @@ eval set (annotation files and one prediction file, with score ties across
 images and classes, ignore regions and confused classes), two small PPM
 scenes for ``detect``, and a short seed-0 ``train-toy`` run (its synthetic
 set is seeded by the run itself). Beside them it writes the definition text
-of each builtin graph at 80 classes and of the toy graph. The expected outputs are whatever the ``yolokit`` on
-the path writes for them, so run this only when an output change is intended,
-and say so in the change's record: the test exists to show that outputs stay
-byte-identical.
+of each builtin graph at 80 classes and of the toy graph. The expected
+outputs are whatever the ``yolokit`` on the path writes for them, so run
+this only when an output change is intended, and say so in the change's
+record: the test exists to show that outputs stay byte-identical.
 """
 
 from __future__ import annotations
